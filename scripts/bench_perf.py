@@ -401,7 +401,7 @@ SCALE_NODES = (16, 64, 256, 1024)
 SCALE_SIZE = 1024
 
 #: The topology-enabled scale leg: fat-tree with contention at this N,
-#: recording what the topology tables cost the compiled hot path.
+#: recording what the topology model costs the compiled hot path.
 SCALE_TOPOLOGY_NODES = 256
 SCALE_TOPOLOGY = "fat-tree:edge=16:pod=4:oversub=2:contention=1"
 

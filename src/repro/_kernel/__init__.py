@@ -169,9 +169,10 @@ def _load_from_path(path: Path) -> Any:
 # fast-path layer: LocalAccess, NetFabric, the C pending queues, the
 # Future/Arena hot-path twins, and the fused ThreadContext Accessor;
 # PR 9 added NetFabric.set_topology and cache_invalidate_read for the
-# scale tier); an installed in-place build predating them must lose to
-# a fresh first-use build rather than load and fail at attribute lookup.
-_MIN_KERNEL_API = 5
+# scale tier; PR 14 changed set_topology to take tier vectors + class
+# costs); an installed in-place build predating them must lose to a
+# fresh first-use build rather than load and fail at attribute lookup.
+_MIN_KERNEL_API = 6
 
 
 def _load_or_build() -> Any:

@@ -27,6 +27,7 @@
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
 
+#include <math.h>
 #include <stddef.h>
 #include <string.h>
 #include <structmember.h>
@@ -2548,20 +2549,16 @@ typedef struct {
     double bandwidth;
     PyObject *header_obj;  /* HEADER_BYTES as PyLong */
     long long header_ll;
-    /* Optional topology tables (PROTOCOL.md §15): per-(src,dst) extra
-     * hop latency, oversubscription transfer penalty and shared-uplink
-     * id, read straight out of the Python-built float64/int64 arrays
-     * (buffer views pin them).  has_topo == 0 is the flat switch. */
-    int has_topo;
+    /* Optional class-compressed topology (PROTOCOL.md §15), owned copies:
+     * topo_ids[t * nnodes + node] is node's switch group at tier t
+     * (innermost first); a pair differing at k tiers is class k and costs
+     * topo_cost[2k] extra hop us, topo_cost[2k + 1] bandwidth penalty
+     * (link_free rides in the same block).  topo_ids == NULL is the flat
+     * switch. */
     int topo_contention;
-    Py_buffer topo_hop_view;
-    Py_buffer topo_pen_view;
-    Py_buffer topo_link_view;
-    const double *topo_hop;
-    const double *topo_pen;
-    const long long *topo_link;
-    double *link_free;
-    Py_ssize_t nlinks;
+    Py_ssize_t topo_levels;
+    long long *topo_ids;
+    double *topo_cost, *link_free;
 } FabricObject;
 
 static int
@@ -2661,100 +2658,112 @@ Fabric_add_port(FabricObject *self, PyObject *const *args, Py_ssize_t nargs)
     return port;
 }
 
-/* set_topology(hop, pen, link, nlinks, contention): attach the per-pair
- * cost tables.  hop/pen are nnodes*nnodes C-contiguous float64, link is
- * int64 (-1 = no shared uplink); the views pin the arrays for the
- * fabric's lifetime so the send path can index raw memory. */
-static PyObject *
-Fabric_set_topology(FabricObject *self, PyObject *const *args,
-                    Py_ssize_t nargs)
+/* Data of a C-contiguous native array of this dtype and length, or NULL
+ * with a ValueError naming it. */
+static const void *
+fabric_array(PyObject *obj, int typenum, Py_ssize_t length, const char *what)
 {
-    Py_buffer hop, pen, link;
-    long long nlinks, contention;
-    Py_ssize_t need, i;
-    double *link_free;
+    PyArrayObject *arr = (PyArrayObject *)obj;
 
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError,
-                        "set_topology() requires (hop, pen, link, nlinks, "
-                        "contention)");
+    if (!PyArray_Check(obj) || PyArray_TYPE(arr) != typenum ||
+        !PyArray_ISCARRAY_RO(arr) || PyArray_SIZE(arr) != length) {
+        PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous %s array "
+                     "of %zd entries", what,
+                     typenum == NPY_INT64 ? "int64" : "float64", length);
         return NULL;
     }
-    if (self->has_topo) {
+    return PyArray_DATA(arr);
+}
+
+/* set_topology(group_ids, class_costs, nlinks, contention): attach a
+ * class-compressed topology.  group_ids is int64[levels, nnodes],
+ * innermost tier first, ids in [0, nlinks), tiers nested; class_costs is
+ * float64[levels + 1, 2], (hop_us, bw_penalty) per pair class.  The
+ * fabric keeps its own O(levels * nnodes) copy. */
+static PyObject *
+Fabric_set_topology(FabricObject *self, PyObject *args)
+{
+    PyObject *arg_ids, *arg_costs;
+    PyArrayObject *group_ids;
+    long long nlinks, *ids = NULL, *parent;
+    Py_ssize_t levels, ncost, n = self->nnodes, t, i;
+    const void *src_ids, *src_costs;
+    double *cost = NULL;
+    int contention;
+
+    if (!PyArg_ParseTuple(args, "OOLp:set_topology", &arg_ids, &arg_costs,
+                          &nlinks, &contention)) {
+        return NULL;
+    }
+    if (self->topo_ids != NULL) {
         PyErr_SetString(PyExc_RuntimeError, "topology already set");
         return NULL;
     }
-    nlinks = PyLong_AsLongLong(args[3]);
-    if (nlinks == -1 && PyErr_Occurred()) {
+    group_ids = (PyArrayObject *)arg_ids;
+    if (nlinks < 0 || nlinks > n || !PyArray_Check(arg_ids) ||
+        PyArray_NDIM(group_ids) != 2 || PyArray_DIM(group_ids, 1) != n) {
+        PyErr_Format(PyExc_ValueError, "need 0 <= nlinks <= nnodes=%zd and "
+                     "group_ids as an int64[levels, nnodes] array", n);
         return NULL;
     }
-    contention = PyLong_AsLongLong(args[4]);
-    if (contention == -1 && PyErr_Occurred()) {
+    levels = PyArray_DIM(group_ids, 0);
+    ncost = 2 * (levels + 1);
+    src_ids = fabric_array(arg_ids, NPY_INT64, levels * n, "group_ids");
+    src_costs = fabric_array(arg_costs, NPY_FLOAT64, ncost,
+                             "class_costs[levels + 1, 2]");
+    if (src_ids == NULL || src_costs == NULL) {
         return NULL;
     }
-    if (nlinks < 0) {
-        PyErr_Format(PyExc_ValueError, "nlinks must be >= 0, got %lld",
-                     nlinks);
-        return NULL;
+    /* behind the ids: one scratch row for the nesting check; behind the
+     * class costs: the zeroed per-uplink busy-until times */
+    ids = PyMem_Malloc((size_t)(levels * n + nlinks + 1) * sizeof(*ids));
+    cost = PyMem_Calloc((size_t)(ncost + nlinks), sizeof(*cost));
+    if (ids == NULL || cost == NULL) {
+        PyErr_NoMemory();
+        goto fail;
     }
-    if (PyObject_GetBuffer(args[0], &hop, PyBUF_C_CONTIGUOUS) < 0) {
-        return NULL;
-    }
-    if (PyObject_GetBuffer(args[1], &pen, PyBUF_C_CONTIGUOUS) < 0) {
-        PyBuffer_Release(&hop);
-        return NULL;
-    }
-    if (PyObject_GetBuffer(args[2], &link, PyBUF_C_CONTIGUOUS) < 0) {
-        PyBuffer_Release(&hop);
-        PyBuffer_Release(&pen);
-        return NULL;
-    }
-    need = self->nnodes * self->nnodes;
-    if (hop.len != need * (Py_ssize_t)sizeof(double) ||
-        pen.len != need * (Py_ssize_t)sizeof(double) ||
-        link.len != need * (Py_ssize_t)sizeof(long long)) {
-        PyBuffer_Release(&hop);
-        PyBuffer_Release(&pen);
-        PyBuffer_Release(&link);
-        PyErr_SetString(PyExc_ValueError,
-                        "topology tables must be nnodes*nnodes "
-                        "C-contiguous float64/int64 arrays");
-        return NULL;
-    }
-    for (i = 0; i < need; i++) {
-        long long l = ((const long long *)link.buf)[i];
-        if (l >= nlinks) {
-            PyBuffer_Release(&hop);
-            PyBuffer_Release(&pen);
-            PyBuffer_Release(&link);
-            PyErr_Format(PyExc_ValueError,
-                         "link id %lld outside nlinks=%lld", l, nlinks);
-            return NULL;
+    memcpy(ids, src_ids, (size_t)(levels * n) * sizeof(*ids));
+    memcpy(cost, src_costs, (size_t)ncost * sizeof(*cost));
+    for (i = 0; i < ncost; i++) {
+        if (!isfinite(cost[i]) || cost[i] < 0.0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "class costs must be finite and >= 0");
+            goto fail;
         }
     }
-    link_free = PyMem_Malloc((size_t)(nlinks > 0 ? nlinks : 1) *
-                             sizeof(double));
-    if (link_free == NULL) {
-        PyBuffer_Release(&hop);
-        PyBuffer_Release(&pen);
-        PyBuffer_Release(&link);
-        PyErr_NoMemory();
-        return NULL;
+    parent = ids + levels * n;
+    for (t = 0; t < levels; t++) {
+        /* each group of the tier below must map to one group here; the
+         * innermost tier stands in as its own "below" */
+        const long long *row = ids + t * n, *below = t > 0 ? row - n : row;
+
+        memset(parent, -1, (size_t)nlinks * sizeof(*parent));
+        for (i = 0; i < n; i++) {
+            if (row[i] < 0 || row[i] >= nlinks) {
+                PyErr_Format(PyExc_ValueError, "tier %zd group id %lld "
+                             "outside [0, nlinks=%lld)", t, row[i], nlinks);
+                goto fail;
+            }
+            if (parent[below[i]] >= 0 && parent[below[i]] != row[i]) {
+                PyErr_Format(PyExc_ValueError, "tiers are not nested: "
+                             "tier-%zd group %lld spans several tier-%zd "
+                             "groups", t - 1, below[i], t);
+                goto fail;
+            }
+            parent[below[i]] = row[i];
+        }
     }
-    for (i = 0; i < nlinks; i++) {
-        link_free[i] = 0.0;
-    }
-    self->topo_hop_view = hop;
-    self->topo_pen_view = pen;
-    self->topo_link_view = link;
-    self->topo_hop = (const double *)hop.buf;
-    self->topo_pen = (const double *)pen.buf;
-    self->topo_link = (const long long *)link.buf;
-    self->link_free = link_free;
-    self->nlinks = nlinks;
-    self->topo_contention = contention != 0;
-    self->has_topo = 1;
+    self->topo_ids = ids;
+    self->topo_cost = cost;
+    self->link_free = cost + ncost;
+    self->topo_levels = levels;
+    self->topo_contention = contention;
     Py_RETURN_NONE;
+
+fail:
+    PyMem_Free(ids);
+    PyMem_Free(cost);
+    return NULL;
 }
 
 /* The legacy Network.send body, op for op: the same validation order and
@@ -2832,13 +2841,20 @@ fabric_send_core(FabricObject *f, PyObject *src_obj, PyObject *dst_obj,
     injection_start = now >= nic_free ? now : nic_free;
     injection_end = injection_start + total_d / f->bandwidth;
     f->nic_free[src] = injection_end;
-    if (f->has_topo) {
-        Py_ssize_t cell = (Py_ssize_t)src * f->nnodes + (Py_ssize_t)dst;
-        double hop = f->topo_hop[cell];
-        double pen = f->topo_pen[cell];
-        long long uplink = f->topo_link[cell];
+    if (f->topo_ids != NULL) {
+        const long long *ids = f->topo_ids;
+        Py_ssize_t k = 0;
+        double hop, pen;
 
-        if (f->topo_contention && uplink >= 0) {
+        /* tiers nest: walk outward while src and dst sit apart */
+        while (k < f->topo_levels && ids[src] != ids[dst]) {
+            ids += f->nnodes;
+            k++;
+        }
+        hop = f->topo_cost[2 * k];
+        pen = f->topo_cost[2 * k + 1];
+        if (f->topo_contention && k > 0) {
+            long long uplink = f->topo_ids[src];
             double occupancy = total_d * (1.0 + pen) / f->bandwidth;
             double link_free = f->link_free[uplink];
             double start =
@@ -2886,25 +2902,6 @@ Fabric_send(FabricObject *self, PyObject *const *args, Py_ssize_t nargs)
                             args[4]);
 }
 
-static PyObject *
-Fabric_get_nic_free(FabricObject *self, void *closure)
-{
-    PyObject *out = PyList_New(self->nnodes);
-
-    if (out == NULL) {
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < self->nnodes; i++) {
-        PyObject *v = PyFloat_FromDouble(self->nic_free[i]);
-        if (v == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, v);
-    }
-    return out;
-}
-
 static int
 Fabric_traverse(FabricObject *self, visitproc visit, void *arg)
 {
@@ -2934,14 +2931,8 @@ Fabric_dealloc(FabricObject *self)
     Fabric_clear_gc(self);
     PyMem_Free(self->nic_free);
     self->nic_free = NULL;
-    if (self->has_topo) {
-        self->has_topo = 0;
-        PyBuffer_Release(&self->topo_hop_view);
-        PyBuffer_Release(&self->topo_pen_view);
-        PyBuffer_Release(&self->topo_link_view);
-        PyMem_Free(self->link_free);
-        self->link_free = NULL;
-    }
+    PyMem_Free(self->topo_ids);
+    PyMem_Free(self->topo_cost); /* link_free is part of this block */
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -3053,18 +3044,12 @@ static PyMethodDef Fabric_methods[] = {
      "source NIC, and schedule the batched arrival."},
     {"sender", (PyCFunction)Fabric_sender, METH_O,
      "sender(src)\n--\n\nA bound per-node send callable."},
-    {"set_topology", (PyCFunction)(void (*)(void))Fabric_set_topology,
-     METH_FASTCALL,
-     "set_topology(hop, pen, link, nlinks, contention)\n--\n\n"
-     "Attach per-pair topology cost tables (nnodes*nnodes float64 hop "
-     "latency, float64 bandwidth penalty, int64 shared-uplink id)."},
+    {"set_topology", (PyCFunction)Fabric_set_topology, METH_VARARGS,
+     "set_topology(group_ids, class_costs, nlinks, contention)\n--\n\n"
+     "Attach a class-compressed topology: int64[levels, nnodes] nested "
+     "group ids (innermost tier first) and float64[levels + 1, 2] per-class "
+     "(hop latency, bandwidth penalty)."},
     {NULL, NULL, 0, NULL},
-};
-
-static PyGetSetDef Fabric_getset[] = {
-    {"nic_free", (getter)Fabric_get_nic_free, NULL,
-     "Per-node NIC busy-until times (copy, for inspection).", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
 };
 
 static PyTypeObject FabricType = {
@@ -3080,7 +3065,6 @@ static PyTypeObject FabricType = {
     .tp_traverse = (traverseproc)Fabric_traverse,
     .tp_clear = (inquiry)Fabric_clear_gc,
     .tp_methods = Fabric_methods,
-    .tp_getset = Fabric_getset,
 };
 
 /* ====================================================================== */
@@ -4306,7 +4290,7 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "Arena", (PyObject *)&ArenaType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 5) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 6) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

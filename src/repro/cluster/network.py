@@ -191,17 +191,13 @@ class Network:
                 HEADER_BYTES,
                 self._nic_free,
             )
-            if self.topology is not None:
-                # Per-pair cost tables precomputed from the same pair()
-                # the Python paths call — the kernel branch reads the
-                # identical float64 values.
-                hop, pen, link = self.topology.tables()
+            topo = self.topology
+            if topo is not None:
+                # The O(N) tier vectors and class costs pair() is built
+                # from — the kernel branch resolves the same class and
+                # reads the identical float64 values.
                 fabric.set_topology(
-                    hop,
-                    pen,
-                    link,
-                    self.topology.nlinks,
-                    1 if self.topology.contention else 0,
+                    topo.group_ids, topo.class_costs, topo.nlinks, topo.contention
                 )
             for i in range(self.nnodes):
                 fabric.add_port(self._fast_dispatch[i], self.nodes[i].service_us)
@@ -279,12 +275,12 @@ class Network:
         serialized store-and-forward resource, queued like the NIC.
         """
         hop, pen, link = self._topo_pair(src, dst)
-        if self._topo_contention and link >= 0:
-            occupancy = total * (1.0 + pen) / self._bandwidth
-            link_free = self._topo_link_free[link]
-            start = injection_end if injection_end >= link_free else link_free
-            link_end = start + occupancy
-            self._topo_link_free[link] = link_end
+        if link >= 0 and self._topo_contention:
+            link_free = self._topo_link_free
+            free = link_free[link]
+            start = injection_end if injection_end >= free else free
+            link_end = start + total * (1.0 + pen) / self._bandwidth
+            link_free[link] = link_end
             return link_end + self._startup_us + hop
         return injection_end + self._startup_us + hop + total * pen / self._bandwidth
 

@@ -8,7 +8,7 @@ leaf switches wired into spines (2-tier) or edge/aggregation/core tiers
 *oversubscribed*: the bandwidth leaving a leaf is a fraction of the
 bandwidth below it.
 
-A topology assigns every ordered pair a **per-pair cost triple**::
+A topology assigns every ordered pair a **cost triple**::
 
     (hop_us, bw_penalty, link)
 
@@ -24,11 +24,18 @@ A topology assigns every ordered pair a **per-pair cost triple**::
   forward at the oversubscribed tier); without it, oversubscription is
   charged as latency only.
 
-The triple is a pure function of the (src, dst) *equivalence class*
-(same leaf / same pod / cross pod), so per-message cost is O(1): the
-Python path does two small-list lookups, and the compiled kernel reads
-precomputed N×N float tables (:meth:`ClusterTopology.tables`) built
-from the same ``pair`` function — bit-identical by construction.
+The triple is a pure function of the pair's *equivalence class* (same
+leaf / same pod / cross pod) and is stored that way — per class, never
+per pair (DESIGN.md §6.10): ``levels`` nested tiers of switch groups as
+``group_ids``, ``int64[levels, nnodes]``, innermost first (flat: none;
+hier: ``leaf``; fat-tree: ``edge``, ``pod``), plus a ``float64[levels +
+1, 2]`` table of class costs.  A pair's class ``k`` is the number of
+tiers at which src and dst differ (tiers nest, so that is the outermost
+differing tier; 0 = same innermost switch) and its uplink the source's
+innermost group.  :meth:`ClusterTopology.pair` resolves that in at most
+``levels`` integer compares, the compiled fabric does the same over its
+own copy of the O(N) vectors, and both read the very same float64 class
+costs — bit-identical by construction.
 
 Everything here is strictly opt-in: a ``Network`` built without a
 topology (or with :class:`FlatTopology`) keeps the seed's single-switch
@@ -51,46 +58,87 @@ __all__ = [
 
 
 class ClusterTopology:
-    """Base class: per-pair cost model over a fixed node count."""
+    """Base class: class-compressed cost model over a fixed node count.
+
+    A subclass declares its tiers and class costs with :meth:`set_tiers`
+    (until then it is the flat switch: no tier, one free class);
+    :meth:`pair` is implemented here, once, from those vectors.
+    """
 
     #: Report name of the topology family.
     kind: str = "topology"
+    #: Family-specific constructor parameters :meth:`describe` reports.
+    _params: tuple[str, ...] = ()
 
     def __init__(self, nnodes: int, contention: bool = False):
         if nnodes < 1:
             raise ValueError(f"need at least one node, got {nnodes}")
         self.nnodes = nnodes
-        #: Number of distinct shared uplinks (contention resources).
-        self.nlinks = 0
         self.contention = bool(contention)
-        self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.set_tiers([], [(0.0, 0.0)], nlinks=0)
+
+    def set_tiers(self, group_ids, class_costs, nlinks: int) -> None:
+        """Declare the tiers (innermost first) and the per-class costs.
+
+        ``group_ids[t][node]`` is the switch group of ``node`` at tier
+        ``t``, in ``[0, nlinks)``; ``nlinks`` counts the innermost groups,
+        i.e. the shared uplinks (contention resources).  Class ``k`` costs
+        ``class_costs[k] == (hop_us, bw_penalty)``.  Tiers must nest — two
+        nodes sharing a group share every outer group — or a pair's class
+        would depend on more than its outermost differing tier.
+        """
+        n, levels = self.nnodes, len(group_ids)
+        try:
+            ids = np.array(group_ids, dtype=np.int64).reshape(levels, n)
+            costs = np.array(class_costs, dtype=np.float64).reshape(levels + 1, 2)
+        except ValueError as exc:
+            raise ValueError(
+                f"topology needs int64[{levels}, {n}] group ids and "
+                f"float64[levels + 1 = {levels + 1}, 2] class costs ({exc})"
+            ) from None
+        lo, hi = (ids.min(), ids.max()) if levels else (0, -1)
+        if not (0 <= nlinks <= n and 0 <= lo and hi < nlinks):
+            raise ValueError(
+                "need 0 <= nlinks <= nnodes and group ids in [0, nlinks), "
+                f"got nlinks={nlinks}, ids {lo}..{hi}"
+            )
+        if not (np.isfinite(costs).all() and costs.min() >= 0):
+            raise ValueError(
+                f"class costs must be finite and >= 0, got {costs.tolist()}"
+            )
+        for tier, (below, above) in enumerate(zip(ids, ids[1:])):
+            parent = np.empty(nlinks, dtype=np.int64)
+            parent[below] = above
+            if (parent[below] != above).any():
+                raise ValueError(
+                    f"tiers are not nested: a tier-{tier} group spans several "
+                    f"tier-{tier + 1} groups"
+                )
+        ids.flags.writeable = costs.flags.writeable = False
+        #: ``int64[levels, nnodes]`` group ids, innermost tier first.
+        self.group_ids = ids
+        #: ``float64[levels + 1, 2]`` per-class ``(hop_us, bw_penalty)``.
+        self.class_costs = costs
+        #: Number of distinct shared uplinks (contention resources).
+        self.nlinks = nlinks
+        # What pair() walks, as plain lists (they index several times faster
+        # than numpy scalars): per tier the group ids and, per source node,
+        # the ready-made triple of the class that tier opens.
+        tiers = ids.tolist()
+        self._same_switch = (*costs[0].tolist(), -1)
+        self._tiers = [
+            (groups, [(hop, pen, link) for link in tiers[0]])
+            for groups, (hop, pen) in zip(tiers, costs[1:].tolist())
+        ]
 
     def pair(self, src: int, dst: int) -> tuple[float, float, int]:
         """``(hop_us, bw_penalty, link)`` for one ordered pair."""
-        raise NotImplementedError
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Precomputed N×N per-pair tables ``(hop_us, bw_penalty, link)``.
-
-        Built once (lazily — only the compiled fast path needs the dense
-        form) from :meth:`pair`, so both backends read the same values.
-        ``hop_us``/``bw_penalty`` are float64, ``link`` is int64.
-        """
-        if self._tables is None:
-            n = self.nnodes
-            hop = np.zeros((n, n), dtype=np.float64)
-            pen = np.zeros((n, n), dtype=np.float64)
-            link = np.full((n, n), -1, dtype=np.int64)
-            for src in range(n):
-                for dst in range(n):
-                    if src == dst:
-                        continue
-                    h, p, l = self.pair(src, dst)
-                    hop[src, dst] = h
-                    pen[src, dst] = p
-                    link[src, dst] = l
-            self._tables = (hop, pen, link)
-        return self._tables
+        triple = self._same_switch
+        for groups, triples in self._tiers:
+            if groups[src] == groups[dst]:
+                break
+            triple = triples[src]
+        return triple
 
     def describe(self) -> dict[str, Any]:
         """JSON-friendly parameter summary for bench/report metadata."""
@@ -99,6 +147,7 @@ class ClusterTopology:
             "nnodes": self.nnodes,
             "nlinks": self.nlinks,
             "contention": self.contention,
+            **{name: getattr(self, name) for name in self._params},
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -115,9 +164,6 @@ class FlatTopology(ClusterTopology):
 
     kind = "flat"
 
-    def pair(self, src: int, dst: int) -> tuple[float, float, int]:
-        return (0.0, 0.0, -1)
-
 
 class HierarchicalTopology(ClusterTopology):
     """Two-tier hierarchy: leaf switches under one non-blocking spine.
@@ -130,6 +176,7 @@ class HierarchicalTopology(ClusterTopology):
     """
 
     kind = "hier"
+    _params = ("leaf_size", "hop_us", "oversubscription")
 
     def __init__(
         self,
@@ -151,26 +198,12 @@ class HierarchicalTopology(ClusterTopology):
         self.leaf_size = leaf_size
         self.hop_us = float(hop_us)
         self.oversubscription = float(oversubscription)
-        self._leaf = [node // leaf_size for node in range(nnodes)]
-        self.nlinks = self._leaf[-1] + 1 if nnodes else 0
-        self._cross_hop = 2.0 * self.hop_us
-        self._cross_pen = self.oversubscription - 1.0
-
-    def pair(self, src: int, dst: int) -> tuple[float, float, int]:
-        leaf = self._leaf
-        src_leaf = leaf[src]
-        if src_leaf == leaf[dst]:
-            return (0.0, 0.0, -1)
-        return (self._cross_hop, self._cross_pen, src_leaf)
-
-    def describe(self) -> dict[str, Any]:
-        out = super().describe()
-        out.update(
-            leaf_size=self.leaf_size,
-            hop_us=self.hop_us,
-            oversubscription=self.oversubscription,
+        leaf = np.arange(nnodes) // leaf_size
+        self.set_tiers(
+            [leaf],
+            [(0.0, 0.0), (2.0 * self.hop_us, self.oversubscription - 1.0)],
+            nlinks=int(leaf[-1]) + 1,
         )
-        return out
 
 
 class FatTreeTopology(ClusterTopology):
@@ -192,6 +225,10 @@ class FatTreeTopology(ClusterTopology):
     """
 
     kind = "fat-tree"
+    _params = (
+        "edge_size", "pod_size", "hop_us", "oversubscription",
+        "core_oversubscription",
+    )
 
     def __init__(
         self,
@@ -220,34 +257,17 @@ class FatTreeTopology(ClusterTopology):
         self.hop_us = float(hop_us)
         self.oversubscription = float(oversubscription)
         self.core_oversubscription = float(core_oversubscription)
-        self._edge = [node // edge_size for node in range(nnodes)]
-        self._pod = [edge // pod_size for edge in self._edge]
-        self.nlinks = self._edge[-1] + 1 if nnodes else 0
-        self._pod_hop = 2.0 * self.hop_us
-        self._core_hop = 4.0 * self.hop_us
-        self._pod_pen = self.oversubscription - 1.0
-        self._core_pen = (
-            self.oversubscription * self.core_oversubscription - 1.0
+        edge = np.arange(nnodes) // edge_size
+        ratio = self.oversubscription
+        self.set_tiers(
+            [edge, edge // pod_size],
+            [
+                (0.0, 0.0),
+                (2.0 * self.hop_us, ratio - 1.0),
+                (4.0 * self.hop_us, ratio * self.core_oversubscription - 1.0),
+            ],
+            nlinks=int(edge[-1]) + 1,
         )
-
-    def pair(self, src: int, dst: int) -> tuple[float, float, int]:
-        src_edge = self._edge[src]
-        if src_edge == self._edge[dst]:
-            return (0.0, 0.0, -1)
-        if self._pod[src] == self._pod[dst]:
-            return (self._pod_hop, self._pod_pen, src_edge)
-        return (self._core_hop, self._core_pen, src_edge)
-
-    def describe(self) -> dict[str, Any]:
-        out = super().describe()
-        out.update(
-            edge_size=self.edge_size,
-            pod_size=self.pod_size,
-            hop_us=self.hop_us,
-            oversubscription=self.oversubscription,
-            core_oversubscription=self.core_oversubscription,
-        )
-        return out
 
 
 #: Spec-string parameter names -> (constructor kwarg, converter).

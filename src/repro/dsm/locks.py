@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.memory.version import merge_notices
-
 
 @dataclass(frozen=True, slots=True)
 class LockHandle:
@@ -104,11 +102,13 @@ class LockTable:
         if not notices:
             return
         lock.notice_epoch += 1
-        before = dict(lock.notices)
-        merge_notices(lock.notices, notices)
+        epoch = lock.notice_epoch
+        accumulated = lock.notices
+        entry_epoch = lock._entry_epoch
         for oid, version in notices.items():
-            if before.get(oid, 0) < version:
-                lock._entry_epoch[oid] = lock.notice_epoch
+            if accumulated.get(oid, 0) < version:
+                accumulated[oid] = version
+                entry_epoch[oid] = epoch
 
     def grant_notices(self, lock_id: int, node: int) -> dict[int, int]:
         """Notices ``node`` has not seen yet for this lock; marks them seen."""

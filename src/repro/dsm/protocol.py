@@ -64,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 from repro.sim.future import Future
+from repro.sim.process import Delay
 
 #: Payload bytes of small fixed-size protocol fields.
 REQUEST_BYTES = 8
@@ -735,8 +736,6 @@ class DsmEngine:
                     self.stats.incr("exclusive_home_write")
             self.home_dirty.add(oid)
             if compute_us > 0:
-                from repro.sim.process import Delay
-
                 yield Delay(compute_us)
             return fn(entry.payload)
         sp = self._sp
@@ -1502,8 +1501,6 @@ class DsmEngine:
         a seeded random backoff.  Models the paper's runtime, where the
         releasing thread can win the lock again ("the actual consecutive
         writing times could be a multiple of r ... randomly at runtime")."""
-        from repro.sim.process import Delay
-
         send_notices = own_notices
         while True:
             request_id = self._next_request_id()

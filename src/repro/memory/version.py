@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import _kernel
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class WriteNotice:
@@ -30,8 +32,6 @@ def merge_notices(
 ) -> None:
     """Fold ``incoming`` notices into an ``oid -> max version`` map, in place."""
     if isinstance(incoming, dict):
-        from repro import _kernel
-
         kernel_module = _kernel.kernel()
         if kernel_module is not None:
             kernel_module.merge_notices(accumulated, incoming)

@@ -77,3 +77,45 @@ def test_locks_are_independent():
     assert table.grant_notices(2, node=5) == {}
     assert table.try_acquire(1, 2, (2, 1))
     assert table.try_acquire(2, 3, (3, 1))
+
+
+def test_add_notices_epoch_bookkeeping_on_scripted_releases():
+    """Pins which entries each release bumps (and in which order grants
+    list them): a notice raises an entry's epoch only when it raises the
+    accumulated floor; a stale or equal notice leaves the entry where it
+    was, so nodes that already saw it are not sent it again."""
+    table = LockTable()
+    lock = table.state(7)
+    assert table.try_acquire(7, 0, (0, 1))
+    for node in (1, 2, 3):
+        assert not table.try_acquire(7, node, (node, 1))
+
+    # release 1 — two new entries
+    assert table.release(7, 0, {10: 1, 11: 1}).node == 1
+    assert list(table.grant_notices(7, 1).items()) == [(10, 1), (11, 1)]
+    # release 2 — 10 raised, 11 re-announced at its floor, 12 new
+    assert table.release(7, 1, {11: 1, 10: 3, 12: 2}).node == 2
+    assert lock._entry_epoch == {10: 2, 11: 1, 12: 2}
+    # node 2 never saw anything: whole history, first-announcement order
+    assert list(table.grant_notices(7, 2).items()) == [
+        (10, 3), (11, 1), (12, 2),
+    ]
+    # release 3 — every notice stale or equal: the epoch still advances,
+    # no entry moves
+    assert table.release(7, 2, {10: 2, 12: 2}).node == 3
+    assert lock.notice_epoch == 3
+    assert lock._entry_epoch == {10: 2, 11: 1, 12: 2}
+    assert lock.notices == {10: 3, 11: 1, 12: 2}
+    assert table.grant_notices(7, 3) == {10: 3, 11: 1, 12: 2}
+    # empty release: no epoch at all
+    assert table.release(7, 3, {}) is None
+    assert lock.notice_epoch == 3
+    # node 1 was brought up to epoch 1: it is owed only what release 2
+    # raised, and afterwards nothing
+    assert table.grant_notices(7, 1) == {10: 3, 12: 2}
+    assert table.grant_notices(7, 1) == {}
+    # release 4 — 11 finally raised: only it is fresh for nodes 1 and 2
+    table.add_notices(7, {11: 5, 10: 3})
+    assert lock._entry_epoch == {10: 2, 11: 4, 12: 2}
+    assert table.grant_notices(7, 1) == {11: 5}
+    assert table.grant_notices(7, 2) == {11: 5}

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import _kernel
+from tests.test_topology import BAD_TIERS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -469,6 +470,147 @@ def test_thread_context_binds_accessor_methods(km):
     assert type(ctx.read).__name__ == "builtin_function_or_method"
     assert type(ctx.read.__self__) is km.Accessor
     assert ctx.write.__self__ is ctx.read.__self__
+
+
+# --------------------------------------------------------------------------
+# NetFabric topology: class-compressed tier vectors (PROTOCOL.md §15)
+# --------------------------------------------------------------------------
+
+FAT_TREE = "fat-tree:edge=2:pod=2:hop=1.5:oversub=2:core-oversub=3:contention=1"
+
+
+def _fast_network(sim_cls, nnodes, topology):
+    """A Network on the all-nodes-registered fast path: the C fabric
+    under the compiled engine, ``_py_fast_send`` under the Python one."""
+    from repro.cluster.hockney import HockneyModel
+    from repro.cluster.message import MsgCategory
+    from repro.cluster.network import Network
+
+    sim = sim_cls()
+    net = Network(
+        sim, HockneyModel(startup_us=100.0, bandwidth_mb_s=12.5), nnodes,
+        service_us=0.0, topology=topology,
+    )
+    log = []
+    for node in range(nnodes):
+        net.register_fast_dispatch(
+            node,
+            {MsgCategory.DIFF: lambda tag, node=node: log.append((tag, node, sim.now))},
+            lambda sender: None,
+        )
+    return sim, net, log
+
+
+def test_fabric_topology_deliveries_match_python_fast_path(sim_classes):
+    """One contended fat-tree message sequence — bursts behind one edge
+    uplink, same-edge / same-pod / cross-pod pairs, ragged sizes, a
+    second wave sent mid-run — delivers at exactly the same instants
+    through the compiled fabric and the Python fast path."""
+    from repro.cluster.message import MsgCategory
+
+    def deliveries(sim_cls):
+        sim, net, log = _fast_network(sim_cls, 12, FAT_TREE)
+
+        def wave(base):
+            for i in range(60):
+                src = (i * 5 + base) % 12
+                dst = (src + 1 + (i * 7) % 11) % 12
+                net.send(src, dst, MsgCategory.DIFF, 17 * i + base, (base, i))
+
+        wave(0)
+        sim.schedule(400.0, wave, 3)
+        sim.run()
+        assert len(log) == 120
+        return log
+
+    py_cls, compiled_cls = sim_classes
+    compiled = deliveries(compiled_cls)
+    assert compiled == deliveries(py_cls)
+    # contention really serialized something: arrivals spread well past
+    # the uncontended worst case of the first wave
+    assert max(t for _, _, t in compiled) > 1000.0
+
+
+def test_fabric_selected_only_under_compiled_engine(sim_classes):
+    py_cls, compiled_cls = sim_classes
+    assert _fast_network(compiled_cls, 4, FAT_TREE)[1]._fabric is not None
+    assert _fast_network(py_cls, 4, FAT_TREE)[1]._fabric is None
+
+
+def _bare_fabric(km, sim_classes):
+    """A 4-node compiled fabric with no ports and no topology yet."""
+    from collections import Counter
+
+    return km.NetFabric(
+        sim_classes[1](), Counter(), Counter(), 100.0, 12.5, 40, [0.0] * 4
+    )
+
+
+@pytest.mark.parametrize("case", BAD_TIERS)
+def test_fabric_set_topology_rejects_malformed_input(km, sim_classes, case):
+    """The C validator refuses exactly what ClusterTopology.set_tiers
+    refuses (same table of inputs), each with a one-line ValueError."""
+    bad = BAD_TIERS[case]
+    fabric = _bare_fabric(km, sim_classes)
+    with pytest.raises(ValueError, match=bad["match"]) as err:
+        fabric.set_topology(
+            np.array(bad["group_ids"], dtype=np.int64),
+            np.array(bad["class_costs"]),
+            bad["nlinks"],
+            True,
+        )
+    assert "\n" not in str(err.value)
+    # nothing was attached: a well-formed topology is still accepted
+    fabric.set_topology(np.zeros((1, 4), dtype=np.int64), np.zeros((2, 2)), 1, False)
+
+
+def test_fabric_set_topology_rejects_wrong_array_types(km, sim_classes):
+    ids = np.zeros((1, 4), dtype=np.int64)
+    costs = np.zeros((2, 2))
+    for args in (
+        (ids.astype(np.int32), costs, 1, False),
+        (ids.tolist(), costs, 1, False),
+        (np.zeros(4, dtype=np.int64), costs, 1, False),
+        (ids, costs.astype(np.float32), 1, False),
+        (ids, np.zeros((2, 4))[:, ::2], 1, False),
+        (ids, costs, -1, False),
+    ):
+        with pytest.raises(ValueError):
+            _bare_fabric(km, sim_classes).set_topology(*args)
+
+
+def test_fabric_topology_storage_is_linear_in_nodes(sim_classes):
+    """A 1024-node fat-tree Network on the compiled fabric holds no
+    topology array above ``levels * N`` elements — and the whole build,
+    C allocations included, stays far below one dense N x N table."""
+    import tracemalloc
+
+    nnodes, levels = 1024, 2
+    tracemalloc.start()
+    try:
+        _, net, _ = _fast_network(
+            sim_classes[1], nnodes,
+            "fat-tree:edge=16:pod=4:oversub=2:contention=1",
+        )
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net._fabric is not None
+    assert held < nnodes * nnodes * 8 // 2
+
+    def sizes(value):
+        if isinstance(value, np.ndarray):
+            yield value.size
+        elif isinstance(value, (list, tuple)):
+            yield len(value)
+            for item in value:
+                yield from sizes(item)
+
+    topo_sizes = [
+        size for value in vars(net.topology).values() for size in sizes(value)
+    ]
+    assert max(topo_sizes) == levels * nnodes  # group_ids itself
+    assert net.topology.group_ids.shape == (levels, nnodes)
 
 
 # --------------------------------------------------------------------------

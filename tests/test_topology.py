@@ -13,6 +13,7 @@ from repro.cluster.message import HEADER_BYTES, MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.cluster.topology import (
+    ClusterTopology,
     FatTreeTopology,
     FlatTopology,
     HierarchicalTopology,
@@ -81,15 +82,81 @@ def test_fat_tree_pair_classes():
     assert topo.pair(5, 0) == (20.0, 5.0, 2)
 
 
-def test_tables_match_pair_function():
-    topo = FatTreeTopology(12, edge_size=2, pod_size=2, oversubscription=2.0)
-    hop, pen, link = topo.tables()
-    for src in range(12):
-        for dst in range(12):
-            expect = (
-                (0.0, 0.0, -1) if src == dst else topo.pair(src, dst)
-            )
-            assert (hop[src, dst], pen[src, dst], link[src, dst]) == expect
+def _reference_pair(kind, params, src, dst):
+    """The cost triple straight from the class docstrings' definitions:
+    integer division places a node, the outermost tier two nodes do not
+    share prices the pair, the source's innermost switch is the uplink."""
+    hop = params.get("hop_us", 5.0)
+    oversub = params.get("oversubscription", 1.0)
+    if kind == "hier":
+        leaf = params["leaf_size"]
+        if src // leaf == dst // leaf:
+            return (0.0, 0.0, -1)
+        return (2.0 * hop, oversub - 1.0, src // leaf)
+    if kind == "fat-tree":
+        edge = params["edge_size"]
+        pod = edge * params["pod_size"]
+        if src // edge == dst // edge:
+            return (0.0, 0.0, -1)
+        if src // pod == dst // pod:
+            return (2.0 * hop, oversub - 1.0, src // edge)
+        core = params.get("core_oversubscription", 1.0)
+        return (4.0 * hop, oversub * core - 1.0, src // edge)
+    return (0.0, 0.0, -1)
+
+
+@pytest.mark.parametrize("nnodes", [1, 2, 12, 100])
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("flat", {}),
+        # 12 and 100 nodes leave a ragged last leaf
+        ("hier", {"leaf_size": 8, "hop_us": 2.5, "oversubscription": 4.0}),
+        ("hier", {"leaf_size": 1, "oversubscription": 1.5}),
+        # ragged last edge *and* ragged last pod at 12 and 100 nodes
+        (
+            "fat-tree",
+            {"edge_size": 8, "pod_size": 3, "hop_us": 1.5,
+             "oversubscription": 2.0, "core_oversubscription": 3.0},
+        ),
+        ("fat-tree", {"edge_size": 2, "pod_size": 2, "oversubscription": 2.0}),
+    ],
+    ids=["flat", "hier-leaf8", "hier-leaf1", "fat-tree-e8p3", "fat-tree-e2p2"],
+)
+def test_pair_matches_definition(kind, params, nnodes):
+    """The one base-class pair(), fed only tier vectors and class costs,
+    equals the definition on every ordered pair."""
+    topo = make_topology({"kind": kind, **params}, nnodes)
+    assert type(topo).pair is ClusterTopology.pair
+    levels = {"flat": 0, "hier": 1, "fat-tree": 2}[kind]
+    assert topo.group_ids.shape == (levels, nnodes)
+    assert topo.class_costs.shape == (levels + 1, 2)
+    for src in range(nnodes):
+        for dst in range(nnodes):
+            if src != dst:
+                assert topo.pair(src, dst) == _reference_pair(
+                    kind, params, src, dst
+                ), (src, dst)
+    switch = params.get("leaf_size") or params.get("edge_size")
+    assert topo.nlinks == (-(-nnodes // switch) if switch else 0)
+
+
+def test_three_tier_declaration_prices_the_outermost_differing_tier():
+    """pair() is generic in the number of tiers: a rack/row/hall layout
+    declared with set_tiers() needs no code of its own."""
+    topo = ClusterTopology(8, contention=True)
+    topo.set_tiers(
+        [[0, 0, 1, 1, 2, 2, 3, 3], [0, 0, 0, 0, 1, 1, 2, 2],
+         [0, 0, 0, 0, 0, 0, 1, 1]],
+        [(0.0, 0.0), (1.0, 0.5), (2.0, 1.5), (3.0, 2.5)],
+        nlinks=4,
+    )
+    assert topo.pair(0, 1) == (0.0, 0.0, -1)
+    assert topo.pair(2, 0) == (1.0, 0.5, 1)
+    assert topo.pair(0, 5) == (2.0, 1.5, 0)
+    assert topo.pair(4, 6) == (3.0, 2.5, 2)
+    assert topo.pair(7, 0) == (3.0, 2.5, 3)
+    assert not topo.group_ids.flags.writeable
 
 
 # -- constructor validation ------------------------------------------------
@@ -110,6 +177,61 @@ def test_parameter_validation():
         FatTreeTopology(8, pod_size=0)
     with pytest.raises(ValueError, match="ratios"):
         FatTreeTopology(8, core_oversubscription=0.9)
+
+
+#: Malformed tier declarations for a 4-node cluster, shared with the
+#: compiled fabric's negative tests (tests/test_kernel.py): the two
+#: validators must reject the same inputs.
+BAD_TIERS = {
+    "negative group id": dict(
+        group_ids=[[0, 0, -2, 1]], class_costs=[(0.0, 0.0), (1.0, 1.0)],
+        nlinks=2, match="group id",
+    ),
+    "group id >= nlinks": dict(
+        group_ids=[[0, 0, 1, 2]], class_costs=[(0.0, 0.0), (1.0, 1.0)],
+        nlinks=2, match="group id",
+    ),
+    "more uplinks than nodes": dict(
+        group_ids=[[0, 0, 1, 1]], class_costs=[(0.0, 0.0), (1.0, 1.0)],
+        nlinks=5, match="nlinks",
+    ),
+    "tier length != nnodes": dict(
+        group_ids=[[0, 0, 1]], class_costs=[(0.0, 0.0), (1.0, 1.0)],
+        nlinks=2, match="group_ids|group ids",
+    ),
+    "cost table length != levels + 1": dict(
+        group_ids=[[0, 0, 1, 1]],
+        class_costs=[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+        nlinks=2, match="levels \\+ 1",
+    ),
+    "negative cost": dict(
+        group_ids=[[0, 0, 1, 1]], class_costs=[(0.0, 0.0), (-1.0, 1.0)],
+        nlinks=2, match="finite and >= 0",
+    ),
+    "non-finite cost": dict(
+        group_ids=[[0, 0, 1, 1]],
+        class_costs=[(0.0, 0.0), (1.0, float("nan"))],
+        nlinks=2, match="finite and >= 0",
+    ),
+    # nodes 1 and 2 share an edge switch but sit in different pods
+    "non-nested tiers": dict(
+        group_ids=[[0, 1, 1, 2], [0, 0, 1, 1]],
+        class_costs=[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+        nlinks=3, match="not nested",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TIERS)
+def test_set_tiers_rejects_malformed_declarations(case):
+    bad = dict(BAD_TIERS[case])
+    match = bad.pop("match")
+    topo = FlatTopology(4)
+    with pytest.raises(ValueError, match=match) as err:
+        topo.set_tiers(**bad)
+    assert "\n" not in str(err.value)
+    # a rejected declaration leaves the topology as it was
+    assert topo.pair(0, 3) == (0.0, 0.0, -1)
 
 
 # -- make_topology spec forms ----------------------------------------------
