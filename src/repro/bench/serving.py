@@ -1,13 +1,14 @@
 """SLO measurement over serving episodes (``repro-bench serve``).
 
 Runs a :class:`~repro.apps.serving.ServingSpec` episode with request
-spans captured *online* — an in-process trace subscriber folds every
+spans folded *where they are emitted* — the run's tracer is the
+collector itself, a span sink (``repro.obs.spans``) that folds every
 ``request`` span into per-class
 :class:`~repro.obs.hist.LatencyHistogram` instances and a per-epoch
-:class:`~repro.obs.hist.EpochSeries` as it streams by, so a 256-node
-run never materializes a JSONL trace — and renders a deterministic SLO
-report: per-epoch request throughput and p50/p99/p999 request latency
-per request class.
+:class:`~repro.obs.hist.EpochSeries` as it is opened and closed, so a
+256-node run materializes neither a JSONL trace nor an in-memory event
+list — and renders a deterministic SLO report: per-epoch request
+throughput and p50/p99/p999 request latency per request class.
 
 The report is a plain dict of JSON types containing **only virtual-time
 quantities** (no wall clock, no backend name, no paths), so the same
@@ -37,7 +38,6 @@ from repro.check.fuzz import build_mechanism, build_policy
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
 from repro.obs.hist import EpochSeries, LatencyHistogram
-from repro.trace.recorder import TraceRecorder
 
 __all__ = [
     "SERVE_POLICIES",
@@ -59,12 +59,15 @@ SERVE_POLICIES = ("NM", "AT", "ATD", "JUMP", "LF", "JIAJIA")
 
 
 class _RequestCollector:
-    """Online span-stream folder: request latency + epoch throughput.
+    """The serving run's tracer: folds spans online, records nothing.
 
-    Subscribed to the run's :class:`~repro.trace.recorder.TraceRecorder`;
-    holds per-class histograms, per-epoch request counts, and the close
-    time of each barrier round (the epoch windows).  Everything it
-    accumulates is a deterministic function of the span stream.
+    Handed to :class:`~repro.gos.jvm.DistributedJVM` as ``tracer``.  It
+    wants no trace-event kind and provides the span half of the tracer
+    protocol (``repro.obs.spans``), so each span reaches it as one
+    positional call and no event object is ever built.  It holds
+    per-class histograms, per-epoch request counts, and the close time
+    of each barrier round (the epoch windows); everything it accumulates
+    is a deterministic function of the span stream.
     """
 
     def __init__(self) -> None:
@@ -76,54 +79,64 @@ class _RequestCollector:
         self._open: dict[int, tuple[float, str, int]] = {}
         self._open_barriers: dict[int, int] = {}
 
-    def on_event(self, event) -> None:
-        """TraceRecorder subscriber: fold one span event."""
-        d = event.detail
-        if event.kind == "span_open":
-            kind = d.get("op_kind")
-            if kind == "request":
-                self.opened += 1
-                self._open[d["op"]] = (
-                    event.time_us, d.get("cls", "?"), d.get("epoch", 0)
-                )
-            elif kind == "barrier_wait" and d.get("round") is not None:
-                self._open_barriers[d["op"]] = d["round"]
-        elif event.kind == "span_close":
-            op = d.get("op")
-            if op in self._open:
-                open_us, cls, epoch = self._open.pop(op)
+    def wants(self, kind: str) -> bool:
+        """No trace event is captured; spans arrive through the sink pair."""
+        return False
+
+    def span_open(self, op, op_kind, time_us, oid, node, parent, detail):
+        """Span sink: note an opening ``request`` or ``barrier_wait``."""
+        if op_kind == "request":
+            self.opened += 1
+            self._open[op] = (
+                time_us, detail.get("cls", "?"), detail.get("epoch", 0)
+            )
+        elif op_kind == "barrier_wait":
+            round_no = detail.get("round")
+            if round_no is not None:
+                self._open_barriers[op] = round_no
+
+    def span_close(self, op, op_kind, time_us, oid, node, detail):
+        """Span sink: fold a closing span.
+
+        A close with no matching open is ignored; it leaves
+        ``opened != closed`` in the report as the evidence.
+        """
+        if op_kind == "request":
+            entry = self._open.pop(op, None)
+            if entry is not None:
+                open_us, cls, epoch = entry
                 self.closed += 1
-                self.hists.setdefault(cls, LatencyHistogram()).record(
-                    event.time_us - open_us
-                )
+                hist = self.hists.get(cls)
+                if hist is None:
+                    hist = self.hists[cls] = LatencyHistogram()
+                hist.record(time_us - open_us)
                 self.epoch_requests.note(epoch)
-            elif op in self._open_barriers:
-                round_no = self._open_barriers.pop(op)
+        elif op_kind == "barrier_wait":
+            round_no = self._open_barriers.pop(op, None)
+            if round_no is not None:
                 prev = self.barrier_close.get(round_no)
-                if prev is None or event.time_us > prev:
-                    self.barrier_close[round_no] = event.time_us
+                if prev is None or time_us > prev:
+                    self.barrier_close[round_no] = time_us
 
 
 def run_serving(spec: ServingSpec) -> dict:
     """Run one serving episode and return its deterministic SLO report.
 
     The episode expands to a ProgramSpec, runs on a fresh simulated
-    cluster with only span events captured, and the report is assembled
-    from the online collector plus the run's deterministic counters —
+    cluster whose tracer is the span-folding collector, and the report is
+    assembled from that collector plus the run's deterministic counters —
     per request class latency (p50/p99/p999 with saturation flags) and
     per-epoch throughput in simulated time.
     """
     pspec = build_serving_program(spec)
     program = SpecProgram(pspec)
-    tracer = TraceRecorder(kinds=("span_open", "span_close"))
     collector = _RequestCollector()
-    tracer.subscribe(collector.on_event)
     jvm = DistributedJVM(
         nodes=pspec.nnodes,
         comm_model=FAST_ETHERNET,
         policy=build_policy(spec.policy, dict(spec.policy_params)),
         mechanism=build_mechanism(spec.mechanism, pspec.manager_node),
-        tracer=tracer,
+        tracer=collector,
         lock_discipline=spec.lock_discipline,
         seed=spec.seed,
         topology=spec.topology,

@@ -393,8 +393,8 @@ class DsmEngine:
 
         # -- causal span layer (repro.obs.spans): one SpanTracer is shared
         # by every engine of the run; the cached handle is None unless the
-        # tracer captures both span kinds, so disabled runs pay a single
-        # `is not None` per operation.  Span sites never touch stats,
+        # tracer takes spans (SpanTracer.enabled), so disabled runs pay a
+        # single `is not None` per operation.  Span sites never touch stats,
         # message sizes or simulated time — the determinism digest is
         # bit-identical with spans on or off.
         self._sp = (
@@ -1370,7 +1370,7 @@ class DsmEngine:
         # merge-then-prune implementation.
         elided = len(released)
         if required:
-            elided -= sum(1 for oid in required if oid in released)
+            elided -= len(required.keys() & released.keys())
         # pre-GC footprint peaks: the bounded-steady-state evidence
         self.stats.record_peak("cache_entries", len(cache))
         self.stats.record_peak("notice_floors", len(required) + elided)

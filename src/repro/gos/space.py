@@ -56,7 +56,7 @@ class GlobalObjectSpace:
         self.tracer = tracer
         #: Causal span layer: one shared :class:`~repro.obs.spans.SpanTracer`
         #: makes op ids run-unique across all engines.  It disables itself
-        #: unless the tracer captures both span kinds, so a
+        #: unless the tracer is a span sink or captures both span kinds, so a
         #: ``kinds=("migration",)`` recorder (e.g. the determinism digest)
         #: pays one cached ``None`` check per operation.
         self.spans = SpanTracer(tracer) if tracer is not None else None

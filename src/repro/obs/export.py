@@ -30,7 +30,7 @@ import json
 import os
 from typing import Iterable, Iterator
 
-from repro.trace.events import KINDS, TraceEvent
+from repro.trace.events import KINDS, TraceEvent, validate_kinds
 from repro.trace.recorder import TraceRecorder
 
 #: Schema tag written to (and required of) every trace file's meta line.
@@ -51,11 +51,13 @@ def _jsonable(value):
 class JsonlTraceWriter:
     """Streams trace events to a JSONL file with bounded memory.
 
-    Implements the tracer protocol (``wants``/``record``) so it can be
-    passed wherever a :class:`~repro.trace.recorder.TraceRecorder` is
-    accepted (``DistributedJVM(tracer=...)``).  Events are buffered and
-    flushed every ``flush_every`` records and on :meth:`close`; use it as
-    a context manager to guarantee the file is finalized::
+    Implements the trace-event half of the tracer protocol
+    (``wants``/``record``; spans arrive as ``span_open``/``span_close``
+    events, see ``repro.obs.spans``) so it can be passed wherever a
+    :class:`~repro.trace.recorder.TraceRecorder` is accepted
+    (``DistributedJVM(tracer=...)``).  Events are buffered and flushed
+    every ``flush_every`` records and on :meth:`close`; use it as a
+    context manager to guarantee the file is finalized::
 
         with JsonlTraceWriter("run.jsonl", kinds=["migration"]) as sink:
             DistributedJVM(..., tracer=sink).run(app)
@@ -69,13 +71,7 @@ class JsonlTraceWriter:
     ) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        if kinds is None:
-            self.kinds = frozenset(KINDS)
-        else:
-            self.kinds = frozenset(kinds)
-            unknown = self.kinds - KINDS
-            if unknown:
-                raise ValueError(f"unknown trace kinds {sorted(unknown)}")
+        self.kinds = validate_kinds(kinds)
         self.path = path
         self.events_written = 0
         self._flush_every = flush_every

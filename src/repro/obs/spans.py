@@ -9,9 +9,21 @@ through protocol messages and pending queues so events caused by the
 operation on *other* nodes link back via ``parent`` → a reconstructable
 causal tree per operation.
 
-Spans are recorded as two ordinary trace events so they flow through the
-existing :class:`~repro.trace.recorder.TraceRecorder` /
-:class:`~repro.obs.export.JsonlTraceWriter` machinery unchanged:
+Where a span goes is the tracer's choice — the tracer protocol has two
+parts.  Every tracer has ``wants(kind)``/``record(...)`` for trace
+events.  A tracer that *consumes* spans rather than storing them (the
+serving tier's SLO collector, ``repro.bench.serving``) may also provide
+the span half, resolved once at :class:`SpanTracer` construction and
+called positionally::
+
+    span_open(op, op_kind, time_us, oid, node, parent, detail)
+    span_close(op, op_kind, time_us, oid, node, detail)
+
+``detail`` (the kind-specific fields) is borrowed: a sink must neither
+keep nor mutate it.  For a tracer without that pair
+(:class:`~repro.trace.recorder.TraceRecorder`,
+:class:`~repro.obs.export.JsonlTraceWriter`, any ``wants``/``record``
+duck type) a span is recorded as two ordinary trace events:
 
 ``span_open``
     ``detail = {"op": id, "op_kind": kind, "parent": id-or-None, ...}``
@@ -63,11 +75,15 @@ class SpanTracer:
 
     One ``SpanTracer`` is shared by all engines of a run (constructed in
     :class:`~repro.gos.space.GlobalObjectSpace`), which is what makes the
-    ids run-unique.  ``enabled`` is resolved once at construction so hot
-    paths can guard on a cached ``None``-or-tracer reference.
+    ids run-unique.  ``enabled`` — the tracer provides the span pair of
+    methods, or wants both span kinds — is resolved once at construction
+    so hot paths can guard on a cached ``None``-or-tracer reference.
     """
 
-    __slots__ = ("tracer", "wall_clock", "enabled", "_next_id")
+    __slots__ = (
+        "tracer", "wall_clock", "enabled", "_next_id",
+        "_sink_open", "_sink_close",
+    )
 
     def __init__(
         self,
@@ -76,7 +92,10 @@ class SpanTracer:
     ) -> None:
         self.tracer = tracer
         self.wall_clock = wall_clock
-        self.enabled = (
+        sink = hasattr(tracer, "span_open") and hasattr(tracer, "span_close")
+        self._sink_open = tracer.span_open if sink else None
+        self._sink_close = tracer.span_close if sink else None
+        self.enabled = sink or (
             tracer is not None
             and tracer.wants(SPAN_OPEN)
             and tracer.wants(SPAN_CLOSE)
@@ -104,16 +123,20 @@ class SpanTracer:
         self._next_id = op + 1
         if self.wall_clock is not None:
             detail["wall_s"] = self.wall_clock()
-        self.tracer.record(
-            SPAN_OPEN,
-            time_us,
-            oid,
-            node,
-            op=op,
-            op_kind=op_kind,
-            parent=parent,
-            **detail,
-        )
+        sink = self._sink_open
+        if sink is not None:
+            sink(op, op_kind, time_us, oid, node, parent, detail)
+        else:
+            self.tracer.record(
+                SPAN_OPEN,
+                time_us,
+                oid,
+                node,
+                op=op,
+                op_kind=op_kind,
+                parent=parent,
+                **detail,
+            )
         return op
 
     def close(
@@ -130,15 +153,19 @@ class SpanTracer:
             raise ValueError(f"unknown span kind {op_kind!r}")
         if self.wall_clock is not None:
             detail["wall_s"] = self.wall_clock()
-        self.tracer.record(
-            SPAN_CLOSE,
-            time_us,
-            oid,
-            node,
-            op=op,
-            op_kind=op_kind,
-            **detail,
-        )
+        sink = self._sink_close
+        if sink is not None:
+            sink(op, op_kind, time_us, oid, node, detail)
+        else:
+            self.tracer.record(
+                SPAN_CLOSE,
+                time_us,
+                oid,
+                node,
+                op=op,
+                op_kind=op_kind,
+                **detail,
+            )
 
     def completed(
         self,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 #: Event kinds the engine can emit.
 KINDS = frozenset(
@@ -21,6 +21,35 @@ KINDS = frozenset(
         "span_close",
     }
 )
+
+#: The two kinds a span is recorded as; a filter takes both or neither.
+SPAN_PAIR = frozenset({"span_open", "span_close"})
+
+
+def validate_kinds(kinds: Iterable[str] | None) -> frozenset[str]:
+    """The capture filter a recorder/writer was asked for, checked.
+
+    ``None`` means every kind.  Unknown kinds are rejected, and so is a
+    filter naming exactly one of ``span_open``/``span_close``: half a
+    pair would silently disable every span
+    (:attr:`~repro.obs.spans.SpanTracer.enabled`) or write a trace
+    ``repro-bench analyze`` then rejects.  Naming neither is fine — the
+    span layer self-disables.
+    """
+    if kinds is None:
+        return KINDS
+    chosen = frozenset(kinds)
+    unknown = chosen - KINDS
+    if unknown:
+        raise ValueError(f"unknown trace kinds {sorted(unknown)}")
+    half = chosen & SPAN_PAIR
+    if len(half) == 1:
+        (missing,) = SPAN_PAIR - half
+        raise ValueError(
+            f"trace kinds name half a span pair: add {missing!r} "
+            "(or drop both)"
+        )
+    return chosen
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,19 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, MutableSequence
 
-from repro.trace.events import KINDS, TraceEvent
+from repro.trace.events import TraceEvent, validate_kinds
 
 
 class TraceRecorder:
     """Collects :class:`~repro.trace.events.TraceEvent` during a run.
 
     ``kinds`` restricts capture (decision events in particular are
-    frequent); by default everything is recorded.
+    frequent); by default everything is recorded.  The recorder is the
+    trace-event half of the tracer protocol (``wants``/``record``) and
+    deliberately has no span methods, so spans reach it as
+    ``span_open``/``span_close`` events (``repro.obs.spans``).  It is
+    for streams that are read back; a consumer that only folds spans
+    should be the run's tracer itself (``repro.bench.serving``).
 
     ``max_events`` bounds memory: when set, the recorder keeps only the
     *newest* ``max_events`` events, dropping the oldest and counting the
@@ -30,13 +35,7 @@ class TraceRecorder:
         kinds: Iterable[str] | None = None,
         max_events: int | None = None,
     ):
-        if kinds is None:
-            self.kinds = frozenset(KINDS)
-        else:
-            self.kinds = frozenset(kinds)
-            unknown = self.kinds - KINDS
-            if unknown:
-                raise ValueError(f"unknown trace kinds {sorted(unknown)}")
+        self.kinds = validate_kinds(kinds)
         if max_events is not None and max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.max_events = max_events

@@ -263,6 +263,26 @@ def test_serving_report_identical_across_backends():
     assert digests["python"] == SERVING_DIGEST
 
 
+REFERENCE_FOLD_CODE = """\
+from repro.bench.serving import report_digest, run_serving
+from tests.test_serving import EQUIV_SPEC, reference_report
+live, reference = run_serving(EQUIV_SPEC), reference_report(EQUIV_SPEC)
+assert live == reference
+print(report_digest(live), report_digest(reference))
+"""
+
+
+def test_serving_report_equals_offline_fold_under_both_backends():
+    """The collector-as-span-sink report equals a report folded offline
+    from a plain TraceRecorder's retained span events of the same run
+    (the reference lives in tests/test_serving.py), whichever backend
+    schedules the episode."""
+    digests = _run_both(REFERENCE_FOLD_CODE)
+    assert digests["python"] == digests["compiled"]
+    live, reference = digests["python"].split()
+    assert live == reference
+
+
 ANALYZE_CODE = """\
 import hashlib, tempfile, os
 from repro.bench.record import record_trace

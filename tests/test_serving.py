@@ -8,10 +8,12 @@ invariant checker).
 """
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.apps.serving import ServingSpec
+from repro.bench import serving
 from repro.bench.cli import main as cli_main
 from repro.bench.serving import (
     SERVE_POLICIES,
@@ -23,8 +25,142 @@ from repro.bench.serving import (
     run_serving_race,
 )
 from repro.check.runner import run_check, run_episode
+from repro.obs.hist import EpochSeries, LatencyHistogram
+from repro.trace.events import TraceEvent
+from repro.trace.recorder import TraceRecorder
 
 SPEC = ServingSpec(seed=0, nodes=4, keys=12, phases=2, requests_per_thread=4)
+
+#: The reference-equivalence episode: churned, fat-tree priced, adaptive
+#: policy — requests of every class, lock hand-offs and migrations.
+EQUIV_SPEC = ServingSpec(
+    seed=5, nodes=16, keys=48, phases=3, requests_per_thread=8,
+    churn=0.25, policy="AT", topology="fat-tree:edge=4:pod=2:oversub=2",
+)
+
+
+# -- the reference: record every span event, fold them afterwards -------------
+
+
+def _fold_offline(events) -> dict:
+    """Fold retained span events into what the collector accumulates.
+
+    This is how the SLO numbers were computed before the collector
+    became the run's span sink: from ``TraceEvent`` objects, by reading
+    each event's ``detail`` mapping.  It is kept here, and only here, as
+    the independent reference the live path is compared against.
+    """
+    hists: dict[str, LatencyHistogram] = {}
+    epoch_requests = EpochSeries()
+    barrier_close: dict[int, float] = {}
+    open_requests: dict[int, tuple[float, str, int]] = {}
+    open_barriers: dict[int, int] = {}
+    opened = closed = 0
+    for event in events:
+        d = event.detail
+        if event.kind == "span_open":
+            kind = d.get("op_kind")
+            if kind == "request":
+                opened += 1
+                open_requests[d["op"]] = (
+                    event.time_us, d.get("cls", "?"), d.get("epoch", 0)
+                )
+            elif kind == "barrier_wait" and d.get("round") is not None:
+                open_barriers[d["op"]] = d["round"]
+        elif event.kind == "span_close":
+            op = d.get("op")
+            if op in open_requests:
+                open_us, cls, epoch = open_requests.pop(op)
+                closed += 1
+                hists.setdefault(cls, LatencyHistogram()).record(
+                    event.time_us - open_us
+                )
+                epoch_requests.note(epoch)
+            elif op in open_barriers:
+                round_no = open_barriers.pop(op)
+                prev = barrier_close.get(round_no)
+                if prev is None or event.time_us > prev:
+                    barrier_close[round_no] = event.time_us
+    return {
+        "hists": hists,
+        "epoch_requests": epoch_requests,
+        "barrier_close": barrier_close,
+        "opened": opened,
+        "closed": closed,
+    }
+
+
+class _ReferenceCollector(TraceRecorder):
+    """A plain recorder standing in for the serving collector.
+
+    It has no span methods, so the run records ordinary span events and
+    retains them; the first read of a folded attribute (``run_serving``
+    reads them after the run) folds the retained list offline.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(kinds=("span_open", "span_close"))
+
+    def __getattr__(self, name):
+        if name not in ("hists", "epoch_requests", "barrier_close",
+                        "opened", "closed"):
+            raise AttributeError(name)
+        self.__dict__.update(_fold_offline(self.events))
+        return self.__dict__[name]
+
+
+def reference_report(spec: ServingSpec) -> dict:
+    """``run_serving``'s report with the offline fold as its collector."""
+    recorder = _ReferenceCollector()
+    with mock.patch.object(serving, "_RequestCollector", lambda: recorder):
+        report = run_serving(spec)
+    assert len(recorder.events) >= 2 * report["requests"] > 0
+    return report
+
+
+def test_report_equals_offline_fold_of_recorded_spans():
+    """Folding spans at the emit site changes nothing in the report."""
+    live = run_serving(EQUIV_SPEC)
+    reference = reference_report(EQUIV_SPEC)
+    assert live == reference
+    assert report_digest(live) == report_digest(reference)
+    assert live["migrations"] > 0 and len(live["latency_us"]) > 2
+
+
+def test_run_serving_builds_no_trace_event_and_no_recorder(monkeypatch):
+    """The serving tier keeps no event list: nothing to put in one."""
+    built = []
+    for cls in (TraceEvent, TraceRecorder):
+        def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built.append(_cls)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    report = run_serving(SPEC)
+    assert report["spans"]["opened"] > 0
+    assert built == []
+    # the counters do count: a recorder capturing one event trips both
+    TraceRecorder().record("migration", 0.0, 0, 0)
+    assert built == [TraceRecorder, TraceEvent]
+
+
+def test_collector_ignores_unmatched_and_double_close():
+    """A stray close is dropped; opened != closed is the evidence."""
+    collector = serving._RequestCollector()
+    assert not any(collector.wants(kind) for kind in ("span_open", "ship"))
+    collector.span_close(9, "request", 5.0, 0, 0, {})  # never opened
+    collector.span_open(1, "request", 1.0, 0, 0, None,
+                        {"cls": "put", "epoch": 0})
+    collector.span_close(1, "request", 3.0, 0, 0, {})
+    collector.span_close(1, "request", 4.0, 0, 0, {})  # double close
+    collector.span_open(2, "request", 2.0, 0, 0, None,
+                        {"cls": "put", "epoch": 1})  # never closed
+    collector.span_close(7, "barrier_wait", 6.0, 0, 0, {"round": 0})
+    assert (collector.opened, collector.closed) == (2, 1)
+    assert collector.hists["put"].count == 1
+    assert collector.hists["put"].max == 2.0
+    assert collector.epoch_requests.to_dict() == {"0": 1}
+    assert collector.barrier_close == {}
 
 
 def test_report_shape_and_accounting():

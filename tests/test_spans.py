@@ -24,10 +24,12 @@ import pytest
 
 from repro.apps import Asp
 from repro.apps.synthetic import SingleWriterBenchmark
+from repro.bench.executor import ObsSpec, RunSpec, run_spec
 from repro.bench.runner import make_mechanism, make_policy
 from repro.check.invariants import InvariantChecker
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
+from repro.obs.export import JsonlTraceWriter
 from repro.obs.spans import SPAN_KINDS, SpanTracer
 from repro.trace.events import TraceEvent
 from repro.trace.recorder import TraceRecorder
@@ -108,6 +110,153 @@ def test_span_tracer_wall_clock_hook_annotates_events():
     bare = SpanTracer(TraceRecorder())
     bare.open("barrier_wait", 0.0, oid=0, node=0)
     assert "wall_s" not in bare.tracer.of_kind("span_open")[0].detail
+
+
+# -- the two-part tracer protocol: record-only tracers vs span sinks ---------
+
+
+def _scripted(spans):
+    """One open/child-open/close/completed script, wall-clock hook on."""
+    a = spans.open("lock_acquire", 5.0, 7, 3, home=2)
+    b = spans.open("read_miss", 6.0, 8, 1, parent=a, version=4)
+    spans.close(b, "read_miss", 8.5, 8, 1, hops=1)
+    c = spans.completed("redirect_hop", 6.5, 7.5, 8, 1, parent=b, target=5)
+    spans.close(a, "lock_acquire", 9.0, 7, 3)
+    return a, b, c
+
+
+def _clock():
+    ticks = iter(range(100, 200))
+    return lambda: next(ticks)
+
+
+#: What the script above records through ``record(...)`` — kinds, times
+#: and the ``detail`` items *in order* — pinned from the commit before
+#: span sinks existed: the JSONL exporter, ``repro-bench analyze`` and
+#: every trace digest read exactly this layout.
+SCRIPT_EVENTS = [
+    ("span_open", 5.0, 7, 3,
+     [("op", 0), ("op_kind", "lock_acquire"), ("parent", None),
+      ("home", 2), ("wall_s", 100)]),
+    ("span_open", 6.0, 8, 1,
+     [("op", 1), ("op_kind", "read_miss"), ("parent", 0),
+      ("version", 4), ("wall_s", 101)]),
+    ("span_close", 8.5, 8, 1,
+     [("op", 1), ("op_kind", "read_miss"), ("hops", 1), ("wall_s", 102)]),
+    ("span_open", 6.5, 8, 1,
+     [("op", 2), ("op_kind", "redirect_hop"), ("parent", 1),
+      ("target", 5), ("wall_s", 103)]),
+    ("span_close", 7.5, 8, 1,
+     [("op", 2), ("op_kind", "redirect_hop"), ("wall_s", 104)]),
+    ("span_close", 9.0, 7, 3,
+     [("op", 0), ("op_kind", "lock_acquire"), ("wall_s", 105)]),
+]
+
+
+class _RecordOnly:
+    """A third-party duck type: ``wants``/``record`` and nothing else."""
+
+    def __init__(self):
+        self.seen = []
+
+    def wants(self, kind):
+        return True
+
+    def record(self, kind, time_us, oid, node, **detail):
+        self.seen.append((kind, time_us, oid, node, list(detail.items())))
+
+
+class _Sink:
+    """A span consumer: the span pair of methods, no trace events."""
+
+    def __init__(self):
+        self.seen = []
+
+    def wants(self, kind):
+        return False
+
+    def record(self, *args, **kwargs):
+        raise AssertionError("a span sink must never be sent record()")
+
+    def span_open(self, op, op_kind, time_us, oid, node, parent, detail):
+        self.seen.append(
+            ("open", op, op_kind, time_us, oid, node, parent, dict(detail))
+        )
+
+    def span_close(self, op, op_kind, time_us, oid, node, detail):
+        self.seen.append(
+            ("close", op, op_kind, time_us, oid, node, dict(detail))
+        )
+
+
+def test_record_only_tracer_gets_the_pinned_event_sequence():
+    tracer = _RecordOnly()
+    spans = SpanTracer(tracer, wall_clock=_clock())
+    assert spans.enabled is True
+    assert _scripted(spans) == (0, 1, 2)
+    assert tracer.seen == SCRIPT_EVENTS
+
+
+def test_trace_recorder_gets_the_pinned_event_sequence():
+    recorder = TraceRecorder()
+    _scripted(SpanTracer(recorder, wall_clock=_clock()))
+    assert [
+        (e.kind, e.time_us, e.oid, e.node, list(e.detail.items()))
+        for e in recorder.events
+    ] == SCRIPT_EVENTS
+
+
+def test_span_sink_gets_the_same_values_positionally():
+    """Same script, same values — as arguments, never through record()."""
+    sink = _Sink()
+    spans = SpanTracer(sink, wall_clock=_clock())
+    assert spans.enabled is True  # the pair of methods enables it
+    assert _scripted(spans) == (0, 1, 2)
+    assert spans.issued == 3
+    expected = []
+    for kind, time_us, oid, node, items in SCRIPT_EVENTS:
+        detail = dict(items)
+        op, op_kind = detail.pop("op"), detail.pop("op_kind")
+        if kind == "span_open":
+            parent = detail.pop("parent")
+            expected.append(
+                ("open", op, op_kind, time_us, oid, node, parent, detail)
+            )
+        else:
+            expected.append(("close", op, op_kind, time_us, oid, node, detail))
+    assert sink.seen == expected
+
+
+def test_half_a_sink_is_a_record_only_tracer():
+    """span_open without span_close is not a sink: events go to record."""
+
+    class HalfSink(_RecordOnly):
+        def span_open(self, *args):
+            raise AssertionError("half a span pair must not be called")
+
+    tracer = HalfSink()
+    _scripted(SpanTracer(tracer, wall_clock=_clock()))
+    assert tracer.seen == SCRIPT_EVENTS
+
+
+@pytest.mark.parametrize("half", ["span_open", "span_close"])
+def test_half_span_pair_filter_rejected(half, tmp_path):
+    """One span kind without the other used to disable spans silently."""
+    missing = {"span_open": "span_close", "span_close": "span_open"}[half]
+    kinds = ("migration", half)
+    with pytest.raises(ValueError, match=f"add '{missing}'"):
+        TraceRecorder(kinds=kinds)
+    path = tmp_path / "half.jsonl"
+    with pytest.raises(ValueError, match=f"add '{missing}'"):
+        JsonlTraceWriter(str(path), kinds=kinds)
+    assert not path.exists()  # rejected before the file is created
+    spec = RunSpec(
+        app="asp", app_kwargs={"size": 8}, policy="AT", nodes=2,
+        obs=ObsSpec(trace_path=str(path), trace_kinds=kinds),
+    )
+    with pytest.raises(ValueError, match=f"add '{missing}'"):
+        run_spec(spec)
+    assert not path.exists()
 
 
 # -- live-run causal trees ----------------------------------------------------
