@@ -232,8 +232,9 @@ Engine_schedule(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (delay == -1.0 && PyErr_Occurred()) {
         return NULL;
     }
-    if (delay < 0.0) {
-        PyErr_Format(sim_error_class(), "negative delay %R", args[0]);
+    if (!(delay >= 0.0 && delay < Py_HUGE_VAL)) { /* NaN fails both */
+        PyErr_Format(sim_error_class(),
+                     "delay must be finite and non-negative, got %R", args[0]);
         return NULL;
     }
     return engine_push_common(self, self->now + delay, args + 1, nargs - 1);
@@ -253,13 +254,14 @@ Engine_at(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (time == -1.0 && PyErr_Occurred()) {
         return NULL;
     }
-    if (time < self->now) {
+    if (!(time >= self->now && time < Py_HUGE_VAL)) { /* NaN fails both */
         PyObject *now_obj = PyFloat_FromDouble(self->now);
         if (now_obj == NULL) {
             return NULL;
         }
         PyErr_Format(sim_error_class(),
-                     "cannot schedule at %S before current time %S",
+                     "cannot schedule at %R: time must be finite and not "
+                     "before the current time %R",
                      args[0], now_obj);
         Py_DECREF(now_obj);
         return NULL;

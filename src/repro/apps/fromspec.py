@@ -22,6 +22,7 @@ from typing import Any, Generator, TYPE_CHECKING
 import numpy as np
 
 from repro.apps.base import DsmApplication
+from repro.sim.process import Delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.fuzz import ProgramSpec
@@ -79,6 +80,14 @@ class SpecProgram(DsmApplication):
     ) -> Generator[Any, Any, None]:
         """Walk this thread's sections phase by phase, logging each op.
 
+        Each op re-traps through ``ctx.read``/``ctx.write``, so access
+        states and twins evolve exactly as the protocol dictates; the
+        arithmetic mirrors :func:`repro.check.oracle.apply_op` expression
+        for expression (same numpy float64 ops, same order), which is
+        what makes exact comparison sound.  Ops run inline in this one
+        frame, and ``observed`` is what a ``read`` or ``ship_add`` saw
+        (``None`` for writes).
+
         Sections labelled with a ``request`` class are bracketed in a
         ``request`` causal span (lock wait included), feeding the SLO
         pipeline; spans read only the tracer and virtual clock, so the
@@ -86,6 +95,9 @@ class SpecProgram(DsmApplication):
         on or off.
         """
         log = self.execution_log
+        objects = self.objects
+        read, write = ctx.read, ctx.write
+        sim = ctx.gos.sim
         spans = getattr(ctx.gos, "spans", None)
         sp = spans if (spans is not None and spans.enabled) else None
         for epoch, phase in enumerate(self.spec.phases):
@@ -93,62 +105,49 @@ class SpecProgram(DsmApplication):
                 req = None
                 if sp is not None and section.request is not None:
                     oid = (
-                        self.objects[section.ops[0][1]].oid
+                        objects[section.ops[0][1]].oid
                         if section.ops else -1
                     )
                     req = sp.open(
-                        "request", ctx.now, oid, ctx.node,
+                        "request", sim.now, oid, ctx.node,
                         cls=section.request, epoch=epoch, tid=tid,
                     )
                 if section.lock is not None:
                     yield from ctx.acquire(self.locks[section.lock])
                 for op in section.ops:
-                    observed = yield from self._exec_op(ctx, op)
+                    kind = op[0]
+                    obj = objects[op[1]]
+                    observed = None
+                    if kind == "read":
+                        payload = yield from read(obj)
+                        observed = float(payload[op[2]])
+                    elif kind == "set":
+                        payload = yield from write(obj)
+                        payload[op[2]] = op[3]
+                    elif kind == "add":
+                        payload = yield from write(obj)
+                        payload[op[2]] += op[3]
+                    elif kind == "scale":
+                        payload = yield from write(obj)
+                        payload[op[2]] = op[3] * payload[op[2]] + op[4]
+                    elif kind == "copy":
+                        payload = yield from write(obj)
+                        payload[op[2]] = payload[op[3]] + op[4]
+                    elif kind == "ship_add":
+                        result = yield from ctx.ship(
+                            obj, _ship_add_fn(op[2], op[3])
+                        )
+                        observed = float(result)
+                    else:
+                        raise ValueError(f"unknown op kind {kind!r}")
                     log.append((tid, op, observed))
-                if section.compute_us:
-                    yield from ctx.compute(section.compute_us)
+                if section.compute_us > 0:
+                    yield Delay(section.compute_us)
                 if section.lock is not None:
                     yield from ctx.release(self.locks[section.lock])
                 if req is not None:
-                    sp.close(req, "request", ctx.now, oid, ctx.node)
+                    sp.close(req, "request", sim.now, oid, ctx.node)
             yield from ctx.barrier(self.barrier_handle)
-
-    def _exec_op(
-        self, ctx: "ThreadContext", op: tuple
-    ) -> Generator[Any, Any, float | None]:
-        """Execute one op; return what it observed (None for writes).
-
-        Each op re-traps through ``ctx.read``/``ctx.write``, so access
-        states and twins evolve exactly as the protocol dictates; the
-        arithmetic mirrors :func:`repro.check.oracle.apply_op` expression
-        for expression (same numpy float64 ops, same order), which is
-        what makes exact comparison sound.
-        """
-        kind = op[0]
-        obj = self.objects[op[1]]
-        if kind == "read":
-            payload = yield from ctx.read(obj)
-            return float(payload[op[2]])
-        if kind == "set":
-            payload = yield from ctx.write(obj)
-            payload[op[2]] = op[3]
-            return None
-        if kind == "add":
-            payload = yield from ctx.write(obj)
-            payload[op[2]] += op[3]
-            return None
-        if kind == "scale":
-            payload = yield from ctx.write(obj)
-            payload[op[2]] = op[3] * payload[op[2]] + op[4]
-            return None
-        if kind == "copy":
-            payload = yield from ctx.write(obj)
-            payload[op[2]] = payload[op[3]] + op[4]
-            return None
-        if kind == "ship_add":
-            result = yield from ctx.ship(obj, _ship_add_fn(op[2], op[3]))
-            return float(result)
-        raise ValueError(f"unknown op kind {kind!r}")
 
     def finalize(self, gos: "GlobalObjectSpace") -> dict[str, np.ndarray]:
         """Authoritative (home) copy of every object after the run."""

@@ -44,8 +44,9 @@ def apply_op(heap: dict[str, np.ndarray], op: tuple) -> float | None:
     """Apply one logged op to the reference heap.
 
     Returns the value the op observes (``read``/``ship_add``) or ``None``
-    for pure writes.  Mirrors ``SpecProgram._exec_op`` expression for
-    expression so results are bit-identical.
+    for pure writes.  Mirrors the op execution inlined in
+    ``SpecProgram.thread_body`` expression for expression so results are
+    bit-identical.
     """
     kind = op[0]
     arr = heap[op[1]]

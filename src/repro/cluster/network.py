@@ -101,6 +101,11 @@ class Network:
             raise ValueError(f"need at least one node, got {nnodes}")
         self.sim = sim
         self.comm_model = comm_model
+        #: Per-run constants the protocol engines read per message,
+        #: resolved once here: the node count and the Hockney half-peak
+        #: length ``m_half`` (bytes) that the coefficient alpha is priced in.
+        self.nnodes = nnodes
+        self.half_peak_bytes = comm_model.half_peak_bytes
         self.stats = stats if stats is not None else ClusterStats()
         node_kwargs = {} if service_us is None else {"service_us": service_us}
         self.nodes = [Node(i, sim, **node_kwargs) for i in range(nnodes)]
@@ -142,10 +147,6 @@ class Network:
             self._bandwidth = comm_model.bandwidth_mb_s
         else:
             self._topo_pair = None
-
-    @property
-    def nnodes(self) -> int:
-        return len(self.nodes)
 
     def register_fast_dispatch(
         self, node_id: int, dispatch: dict, bind_sender: Callable

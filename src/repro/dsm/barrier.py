@@ -52,21 +52,24 @@ class BarrierState:
         self, node: int, notices: dict[int, int], round_no: int
     ) -> bool:
         """Record an arrival; True when the round became complete."""
-        if round_no != self.round.round_no:
+        current = self.round
+        if round_no != current.round_no:
             raise RuntimeError(
                 f"barrier {self.handle.barrier_id}: arrival for round "
-                f"{round_no} during round {self.round.round_no}"
+                f"{round_no} during round {current.round_no}"
             )
-        self.round.arrived += 1
-        if self.round.arrived > self.handle.parties:
+        current.arrived += 1
+        if current.arrived > self.handle.parties:
             raise RuntimeError(
                 f"barrier {self.handle.barrier_id}: more arrivals than "
                 f"parties ({self.handle.parties})"
             )
-        merge_notices(self.round.notices, notices)
-        for oid in notices:
-            self.round.writers.setdefault(oid, set()).add(node)
-        return self.round.arrived == self.handle.parties
+        if notices:  # most arrivals at scale announce no writes
+            merge_notices(current.notices, notices)
+            writers = current.writers
+            for oid in notices:
+                writers.setdefault(oid, set()).add(node)
+        return current.arrived == self.handle.parties
 
     def complete_round(self) -> tuple[int, dict[int, int], dict[int, set[int]]]:
         """Close the round; returns (round_no, merged notices, writer sets)."""

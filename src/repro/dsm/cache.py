@@ -145,17 +145,24 @@ class CacheIndex:
     def __setitem__(self, oid: int, entry: CacheEntry) -> None:
         if entry is None:
             raise ValueError("cache entries cannot be None")
+        self.replace(oid, entry)
+
+    def replace(self, oid: int, entry: CacheEntry) -> "CacheEntry | None":
+        """Install ``entry`` for ``oid``; return the live entry it
+        displaced, or ``None`` (a ``get`` and a set in one call)."""
         slot = self._index.get(oid)
         if slot is None:
             self._index[oid] = len(self._slots)
             self._slots.append(entry)
             self._oids.append(oid)
             self._live += 1
-        else:
-            slots = self._slots
-            if slots[slot] is None:
-                self._live += 1
-            slots[slot] = entry
+            return None
+        slots = self._slots
+        old = slots[slot]
+        if old is None:
+            self._live += 1
+        slots[slot] = entry
+        return old
 
     def pop(self, oid: int, *default):
         slot = self._index.get(oid)

@@ -208,7 +208,7 @@ class HomelessEngine:
         lets :class:`~repro.gos.thread.ThreadContext` skip generator
         construction on local hits.  Materialising the initial replica
         is a local operation, so it happens here exactly as in
-        :meth:`read`.
+        :meth:`read_miss`.
         """
         replica = self._replica(oid)
         if replica.mode is AccessMode.INVALID or self._missing_writers(
@@ -230,7 +230,8 @@ class HomelessEngine:
         self.dirty.add(oid)
         return replica.payload
 
-    def read(self, oid: int) -> Generator[Any, Any, np.ndarray]:
+    def read_miss(self, oid: int) -> Generator[Any, Any, np.ndarray]:
+        """Miss entry point: fetch the diffs this replica lags behind."""
         replica = self._replica(oid)
         missing = self._missing_writers(oid, replica)
         if missing or replica.mode is AccessMode.INVALID:
@@ -239,7 +240,8 @@ class HomelessEngine:
                 replica.mode = AccessMode.READ
         return replica.payload
 
-    def write(self, oid: int) -> Generator[Any, Any, np.ndarray]:
+    def write_miss(self, oid: int) -> Generator[Any, Any, np.ndarray]:
+        """Miss entry point for writes: :meth:`read_miss`, then twin."""
         replica = self._replica(oid)
         missing = self._missing_writers(oid, replica)
         if missing or replica.mode is AccessMode.INVALID:
@@ -305,7 +307,7 @@ class HomelessEngine:
         """The homeless protocol has no home to batch against: fetches
         happen per lagging writer anyway, so this is a sequential walk."""
         for oid in oids:
-            yield from self.read(oid)
+            yield from self.read_miss(oid)
 
     def ship(self, oid: int, fn, compute_us: float = 0.0, args_bytes: int = 8):
         """Unsupported: method shipping needs a home to ship to."""

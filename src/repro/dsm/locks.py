@@ -59,9 +59,10 @@ class LockTable:
         self._locks: dict[int, LockState] = {}
 
     def state(self, lock_id: int) -> LockState:
-        if lock_id not in self._locks:
-            self._locks[lock_id] = LockState(lock_id)
-        return self._locks[lock_id]
+        lock = self._locks.get(lock_id)
+        if lock is None:
+            lock = self._locks[lock_id] = LockState(lock_id)
+        return lock
 
     def try_acquire(
         self, lock_id: int, node: int, request_id: tuple[int, int]
@@ -98,9 +99,9 @@ class LockTable:
 
     def add_notices(self, lock_id: int, notices: dict[int, int]) -> None:
         """Fold a release's notices into the lock's accumulated map."""
-        lock = self.state(lock_id)
         if not notices:
             return
+        lock = self.state(lock_id)
         lock.notice_epoch += 1
         epoch = lock.notice_epoch
         accumulated = lock.notices

@@ -34,6 +34,7 @@ the home copy; an exclusive home write increments the positive feedback
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partialmethod
 from typing import Any, Generator, TYPE_CHECKING
 
 import numpy as np
@@ -79,6 +80,22 @@ MAX_REDIRECTIONS = 1000
 #: Retry-discipline lock backoff: base + U(0, jitter) microseconds.
 LOCK_RETRY_BASE_US = 150.0
 LOCK_RETRY_JITTER_US = 450.0
+
+# Enum members resolved once: a class-attribute lookup on an Enum costs
+# more than the dict probe it feeds, and these sit on per-message paths.
+_OBJ_REQUEST = MsgCategory.OBJ_REQUEST
+_OBJ_REPLY = MsgCategory.OBJ_REPLY
+_OBJ_REPLY_MIG = MsgCategory.OBJ_REPLY_MIG
+_REDIRECT = MsgCategory.REDIRECT
+_DIFF = MsgCategory.DIFF
+_DIFF_ACK = MsgCategory.DIFF_ACK
+_LOCK_ACQUIRE = MsgCategory.LOCK_ACQUIRE
+_LOCK_GRANT = MsgCategory.LOCK_GRANT
+_LOCK_RELEASE = MsgCategory.LOCK_RELEASE
+_BARRIER_ARRIVE = MsgCategory.BARRIER_ARRIVE
+_BARRIER_RELEASE = MsgCategory.BARRIER_RELEASE
+_READ = AccessMode.READ
+_INVALID = AccessMode.INVALID
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +394,14 @@ class DsmEngine:
             self._m_barrier_interval_us = None
             self._lock_epochs = None
             self._barrier_epochs = {}
-        self._log_debug = logger is not None and logger.enabled_for("debug")
         self._log_info = logger is not None and logger.enabled_for("info")
+        #: Whether anything observes Eq-2 decisions (trace, metrics, debug
+        #: log), resolved once: unobserved, a decision costs no call.
+        self._watch_decisions = (
+            (tracer is not None and tracer.wants("decision"))
+            or metrics is not None
+            or (logger is not None and logger.enabled_for("debug"))
+        )
 
         # -- conformance-stream guards (cached so the hot paths pay one
         # attribute read when tracing is off; see PROTOCOL.md §13) ---------
@@ -415,8 +438,10 @@ class DsmEngine:
         self.barriers: dict[int, BarrierState] = {}
         self.manager_home_map: dict[int, int] = {}
 
+        #: Request id -> future of every outstanding request/reply round
+        #: trip (object, diff, lock, ship, home query): request ids are
+        #: unique per node, so one map serves every reply category.
         self._reply_waiters: dict[tuple[int, int], Future] = {}
-        self._lock_waiters: dict[tuple[int, tuple[int, int]], Future] = {}
         self._barrier_waiters: dict[tuple[int, int], list[Future]] = {}
         self.pending_foreign: KeyedFifo = new_keyed_fifo()
         self._pending_diffs: KeyedFifo = new_keyed_fifo()
@@ -455,14 +480,14 @@ class DsmEngine:
         # cold paths (trap bookkeeping, twin creation, tracing) falling
         # back to the bound Python methods captured at construction.
         if kernel_module is not None:
-            self._local_access = kernel_module.LocalAccess(
+            local_access = kernel_module.LocalAccess(
                 self,
                 AccessMode.INVALID,
                 AccessMode.WRITE,
                 not self._tr_twin_create,
             )
-            self.try_read_local = self._local_access.try_read
-            self.try_write_local = self._local_access.try_write
+            self.try_read_local = local_access.try_read
+            self.try_write_local = local_access.try_write
         # Both backends register for fast (batched, Message-free)
         # delivery so python and compiled runs keep identical event
         # structure; the network activates it once every node is in.
@@ -498,18 +523,11 @@ class DsmEngine:
                 version=0,
             )
 
-    def best_home_hint(self, oid: int) -> int:
-        """This node's best guess at ``oid``'s current home (initial-home
-        fallback; updated by replies, acks, redirects, broadcasts)."""
-        return self.home_hint.get(oid, self.heap.initial_home(oid))
-
     def alpha(self, oid: int, state: ObjectAccessState) -> float:
         """The home access coefficient for this object right now."""
         obj = self.heap.get(oid)
         return home_access_coefficient(
-            obj.size_bytes,
-            state.diff_bytes_avg,
-            self.network.comm_model.half_peak_bytes,
+            obj.size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes
         )
 
     def _send(
@@ -534,9 +552,6 @@ class DsmEngine:
             return self.arenas[node]
         return self.arena
 
-    def _notice_size(self, notices: dict[int, int]) -> int:
-        return SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices)
-
     # ------------------------------------------------------------------
     # thread-facing operations (generators)
     # ------------------------------------------------------------------
@@ -544,10 +559,10 @@ class DsmEngine:
     def try_read_local(self, oid: int) -> np.ndarray | None:
         """Readable payload if no communication is needed, else ``None``.
 
-        Identical side effects to the local-hit branches of :meth:`read`
-        (home-read trap), but as a plain call: the caller can skip
-        generator construction entirely on the overwhelmingly common
-        local hit.  Payloads are always arrays, so ``None`` is unambiguous.
+        The local half of a read (home-read trap included) as a plain
+        call: the caller builds no generator on the overwhelmingly common
+        local hit, and on ``None`` enters :attr:`read_miss` directly.
+        Payloads are always arrays, so ``None`` is unambiguous.
         """
         entry = self.homes.get(oid)
         if entry is not None:
@@ -561,16 +576,18 @@ class DsmEngine:
     def try_write_local(self, oid: int) -> np.ndarray | None:
         """Writable payload if no communication is needed, else ``None``.
 
-        Mirrors the local-hit branches of :meth:`write` (home-write trap,
-        twin creation, dirty tracking) without the generator machinery.
+        The local half of a write (home-write trap, twin creation, dirty
+        tracking) as a plain call; on ``None`` the caller enters
+        :attr:`write_miss`, which ends in this probe again.
         """
         entry = self.homes.get(oid)
         if entry is not None:
             trapped, exclusive = entry.trap_home_write(self.interval)
             if trapped:
-                self.stats.incr("home_write")
+                events = self.stats.events
+                events["home_write"] += 1
                 if exclusive:
-                    self.stats.incr("exclusive_home_write")
+                    events["exclusive_home_write"] += 1
             self.home_dirty.add(oid)
             return entry.payload
         cached = self.cache.get(oid)
@@ -587,28 +604,6 @@ class DsmEngine:
             self.dirty.add(oid)
             return cached.payload
         return None
-
-    def read(self, oid: int) -> Generator[Any, Any, np.ndarray]:
-        """Ensure a readable copy of ``oid``; return its payload array."""
-        payload = self.try_read_local(oid)
-        if payload is not None:
-            return payload
-        payload = yield from self._fault_in(oid, for_write=False)
-        return payload
-
-    def write(self, oid: int) -> Generator[Any, Any, np.ndarray]:
-        """Ensure a writable copy of ``oid``; return its payload array.
-
-        On a cached copy this makes the twin (first write of the interval);
-        on the home copy it traps the home write for the monitor.
-        """
-        payload = self.try_write_local(oid)
-        if payload is not None:
-            return payload
-        yield from self._fault_in(oid, for_write=True)
-        # migration may have made us the home; re-dispatch
-        payload = yield from self.write(oid)
-        return payload
 
     def read_many(self, oids: list[int]) -> Generator[Any, Any, None]:
         """Batched read fault-in: one request per (presumed) home node.
@@ -630,7 +625,7 @@ class DsmEngine:
                 # a co-located thread is already fetching it
                 leftover_local.append(oid)
                 continue
-            target = self.best_home_hint(oid)
+            target = self.home_hint.get(oid, self.heap.initial_home(oid))
             if target == self.node_id:
                 if oid not in self.forwards:
                     # inbound transfer in flight: take the singular path,
@@ -663,9 +658,8 @@ class DsmEngine:
                     self.arena.free(data)
                     continue
                 self.home_hint[oid] = reply.home
-                self._retire_cached(oid)
-                self.cache[oid] = CacheEntry(
-                    payload=data, version=version, mode=AccessMode.READ
+                self._free_dead_entry(
+                    self.cache.replace(oid, CacheEntry(data, version))
                 )
             leftovers.extend(reply.missing)
         for oid in leftovers:
@@ -674,7 +668,7 @@ class DsmEngine:
             cached = self.cache.get(oid)
             if cached is not None and cached.readable():
                 continue
-            yield from self._fault_in(oid, for_write=False)
+            yield from self._fault_in(False, oid)
 
     def _handle_batch_request(self, request: ObjBatchRequest) -> None:
         items: list[tuple[int, int, np.ndarray]] = []
@@ -744,7 +738,7 @@ class DsmEngine:
             op = sp.open("ship", self.sim.now, oid, self.node_id)
         hops = 0
         for _attempt in range(MAX_REDIRECTIONS):
-            target = self.best_home_hint(oid)
+            target = self.home_hint.get(oid, self.heap.initial_home(oid))
             if target == self.node_id:
                 if oid in self.homes:
                     # recursion takes the local-home branch: no new span
@@ -886,9 +880,10 @@ class DsmEngine:
         migrate = self.policy.should_migrate(
             state, request.requester, alpha, for_write=True
         )
-        self._trace_decision(
-            request.oid, state, request.requester, alpha, migrate
-        )
+        if self._watch_decisions:
+            self._trace_decision(
+                request.oid, state, request.requester, alpha, migrate
+            )
         if migrate:
             self.policy.on_migrated(state, alpha)
             self._trace_migration(request.oid, request.requester, state)
@@ -967,113 +962,137 @@ class DsmEngine:
             )
 
     def _fault_in(
-        self, oid: int, for_write: bool
+        self, for_write: bool, oid: int
     ) -> Generator[Any, Any, np.ndarray]:
-        """Fetch a valid copy from the home, following redirections.
+        """The miss path in one generator frame: fetch a valid copy from
+        the home, following redirections (``home_hint`` falls back to the
+        object's initial home).
 
-        Concurrent faults by co-located threads coalesce: only one
-        request per object is outstanding per node, and the piggybacking
-        threads re-check local state once it completes.
+        Entered right after the caller's ``try_*_local`` probe failed, as
+        :attr:`read_miss`/:attr:`write_miss`.  Co-located faults coalesce:
+        one request per object is outstanding per node, and piggybacking
+        threads re-check local state once it completes.  A write ends in
+        the write probe (twin, or home-write trap after a migration), and
+        faults again in the rare case the copy went stale meanwhile.
         """
-        while oid in self._inflight:
-            yield self._inflight[oid]
-            entry = self.homes.get(oid)
-            if entry is not None:
-                return entry.payload
-            cached = self.cache.get(oid)
-            if cached is not None and cached.readable():
-                return cached.payload
-        marker = self._Future(label="inflight")
-        self._inflight[oid] = marker
-        sp = self._sp
-        if sp is not None:
-            op_kind = "write_miss" if for_write else "read_miss"
-            op = sp.open(op_kind, self.sim.now, oid, self.node_id)
-        else:
-            op_kind = None
-            op = None
-        try:
-            if self._m_fault_us is not None:
-                started = self.sim.now
-                payload = yield from self._fault_in_primary(oid, for_write, op)
-                self._m_fault_us.observe(self.sim.now - started)
+        inflight = self._inflight
+        node = self.node_id
+        while True:
+            marker = inflight.get(oid)
+            if marker is not None:
+                yield marker
+                entry = self.homes.get(oid)
+                if entry is not None:
+                    payload = entry.payload
+                else:
+                    cached = self.cache.get(oid)
+                    if cached is None or not cached.readable():
+                        continue
+                    payload = cached.payload
             else:
-                payload = yield from self._fault_in_primary(oid, for_write, op)
-            if sp is not None:
-                sp.close(op, op_kind, self.sim.now, oid, self.node_id)
-            return payload
-        finally:
-            del self._inflight[oid]
-            marker.resolve(None)
+                marker = inflight[oid] = self._Future("inflight")
+                sp = self._sp
+                op = None
+                if sp is not None:
+                    op_kind = "write_miss" if for_write else "read_miss"
+                    op = sp.open(op_kind, self.sim.now, oid, node)
+                m_fault = self._m_fault_us
+                if m_fault is not None:
+                    started = self.sim.now
+                try:
+                    min_version = self.required_version.get(oid, 0)
+                    hops = 0
+                    for _attempt in range(MAX_REDIRECTIONS):
+                        target = self.home_hint.get(oid)
+                        if target is None:
+                            target = self.heap.initial_home(oid)
+                        if target == node:
+                            entry = self.homes.get(oid)
+                            if entry is not None:
+                                payload = entry.payload
+                                break
+                            if oid in self.forwards:
+                                # stale self-hint after we migrated the
+                                # home away
+                                self.home_hint[oid] = self.forwards[oid]
+                                continue
+                            # announced as the new home but the transfer
+                            # is still in flight: wait for it
+                            fut = self._Future("inbound-home")
+                            self._local_home_waits.setdefault(oid, []).append(
+                                fut
+                            )
+                            yield fut
+                            continue
+                        self._req_counter += 1
+                        request_id = (node, self._req_counter)
+                        fut = self._Future("objreq")
+                        self._reply_waiters[request_id] = fut
+                        if sp is not None:
+                            sent_at = self.sim.now
+                        self._send(
+                            target,
+                            _OBJ_REQUEST,
+                            REQUEST_BYTES,
+                            ObjRequest(
+                                oid, node, request_id, min_version, hops,
+                                for_write, op,
+                            ),
+                        )
+                        reply = yield fut
+                        if type(reply) is ObjReply:
+                            payload = self._install_reply(oid, reply)
+                            break
+                        # redirected: one more accumulated redirection
+                        hops += 1
+                        if sp is not None:
+                            # the hop's extent is only known now; the open
+                            # carries the earlier send timestamp
+                            # (consumers sort by time)
+                            sp.completed(
+                                "redirect_hop",
+                                sent_at,
+                                self.sim.now,
+                                oid,
+                                node,
+                                parent=op,
+                                target=target,
+                            )
+                        directive = reply.directive
+                        if directive["kind"] == "redirect":
+                            self.home_hint[oid] = directive["target"]
+                        elif directive["kind"] == "manager":
+                            self.home_hint[oid] = yield from self._query_manager(
+                                oid, directive["manager"]
+                            )
+                        else:  # pragma: no cover - defensive
+                            raise RuntimeError(
+                                f"unknown miss directive {directive!r}"
+                            )
+                    else:
+                        raise RuntimeError(
+                            f"fault-in of oid {oid} at node {node} exceeded "
+                            f"{MAX_REDIRECTIONS} redirections"
+                        )
+                    if m_fault is not None:
+                        m_fault.observe(self.sim.now - started)
+                    if sp is not None:
+                        sp.close(op, op_kind, self.sim.now, oid, node)
+                finally:
+                    del inflight[oid]
+                    marker.resolve(None)
+            if not for_write:
+                return payload
+            payload = self.try_write_local(oid)
+            if payload is not None:
+                return payload
 
-    def _fault_in_primary(
-        self, oid: int, for_write: bool, op: int | None = None
-    ) -> Generator[Any, Any, np.ndarray]:
-        min_version = self.required_version.get(oid, 0)
-        sp = self._sp
-        hops = 0
-        for _attempt in range(MAX_REDIRECTIONS):
-            target = self.best_home_hint(oid)
-            if target == self.node_id:
-                if oid in self.homes:
-                    return self.homes[oid].payload
-                if oid in self.forwards:
-                    # stale self-hint after we migrated the home away
-                    self.home_hint[oid] = self.forwards[oid]
-                    continue
-                # we were announced as the new home but the transfer is
-                # still in flight: wait for it
-                fut = self._Future(label="inbound-home")
-                self._local_home_waits.setdefault(oid, []).append(fut)
-                yield fut
-                continue
-            request_id = self._next_request_id()
-            fut = self._Future(label="objreq")
-            self._reply_waiters[request_id] = fut
-            sent_at = self.sim.now
-            self._send(
-                target,
-                MsgCategory.OBJ_REQUEST,
-                REQUEST_BYTES,
-                ObjRequest(
-                    oid=oid,
-                    requester=self.node_id,
-                    request_id=request_id,
-                    min_version=min_version,
-                    hops=hops,
-                    for_write=for_write,
-                    op_id=op,
-                ),
-            )
-            reply = yield fut
-            if isinstance(reply, ObjReply):
-                return self._install_reply(oid, reply)
-            # redirected: one more accumulated redirection
-            hops += 1
-            if sp is not None:
-                # the hop's extent is only known now; the open carries the
-                # earlier send timestamp (consumers sort by time)
-                sp.completed(
-                    "redirect_hop",
-                    sent_at,
-                    self.sim.now,
-                    oid,
-                    self.node_id,
-                    parent=op,
-                    target=target,
-                )
-            directive = reply.directive
-            if directive["kind"] == "redirect":
-                self.home_hint[oid] = directive["target"]
-            elif directive["kind"] == "manager":
-                home = yield from self._query_manager(oid, directive["manager"])
-                self.home_hint[oid] = home
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown miss directive {directive!r}")
-        raise RuntimeError(
-            f"fault-in of oid {oid} at node {self.node_id} exceeded "
-            f"{MAX_REDIRECTIONS} redirections"
-        )
+    #: The miss entry points, the same on both protocol engines: call
+    #: with an oid only after its ``try_read_local``/``try_write_local``
+    #: probe returned ``None``; each returns the :meth:`_fault_in`
+    #: generator itself, with no wrapper frame.
+    read_miss = partialmethod(_fault_in, False)
+    write_miss = partialmethod(_fault_in, True)
 
     def _query_manager(
         self, oid: int, manager: int
@@ -1130,15 +1149,10 @@ class DsmEngine:
                 f"home replied version {reply.version} < required {required} "
                 f"for oid {oid}"
             )
-        self._retire_cached(oid)
-        self.cache[oid] = CacheEntry(
-            payload=reply.data, version=reply.version, mode=AccessMode.READ
+        self._free_dead_entry(
+            self.cache.replace(oid, CacheEntry(reply.data, reply.version))
         )
         return reply.data
-
-    def _retire_cached(self, oid: int) -> None:
-        """Recycle the payload of an about-to-be-replaced cache entry."""
-        self._free_dead_entry(self.cache.get(oid))
 
     def _free_dead_entry(self, entry: CacheEntry | None) -> None:
         """Pool a dropped entry's payload iff it is provably dead.
@@ -1151,7 +1165,7 @@ class DsmEngine:
         """
         if (
             entry is not None
-            and entry.mode is AccessMode.INVALID
+            and entry.mode is _INVALID
             and entry.twin is None
         ):
             self.arena.free(entry.payload)
@@ -1163,9 +1177,10 @@ class DsmEngine:
     ) -> Generator[Any, Any, dict[int, int]]:
         """Ship diffs of all dirty objects to their homes; wait for acks.
 
-        Returns the write notices of this interval (oid -> new version),
-        covering cached-copy diffs, home-copy writes, and any carried
-        notices from migrations that closed a dirty home interval.
+        Returns the write notices of this interval (oid -> new version):
+        cached-copy diffs, then :meth:`_home_notices`.  Synchronization
+        operations run this generator only when ``self.dirty`` is
+        non-empty and call :meth:`_home_notices` directly otherwise.
 
         ``parent_op`` is the causal span of the synchronization operation
         this flush belongs to (lock acquire/release or barrier wait); each
@@ -1175,6 +1190,7 @@ class DsmEngine:
         waits: list[tuple[int, CacheEntry, Future, int | None]] = []
         arena = self.arena
         sp = self._sp
+        node = self.node_id
         for oid in sorted(self.dirty):
             cached = self.cache.get(oid)
             if cached is None or cached.twin is None:
@@ -1191,48 +1207,44 @@ class DsmEngine:
                         "twin_free",
                         self.sim.now,
                         oid,
-                        self.node_id,
+                        node,
                         interval=self.interval,
                     )
                 cached.downgrade_clean(arena)
                 continue
-            request_id = self._next_request_id()
-            fut = self._Future(label="diffack")
+            self._req_counter += 1
+            request_id = (node, self._req_counter)
+            fut = self._Future("diffack")
             self._reply_waiters[request_id] = fut
-            target = self.best_home_hint(oid)
+            target = self.home_hint.get(oid)
+            if target is None:
+                target = self.heap.initial_home(oid)
+            d_op = None
             if sp is not None:
                 d_op = sp.open(
                     "diff_flush",
                     self.sim.now,
                     oid,
-                    self.node_id,
+                    node,
                     parent=parent_op,
                     target=target,
                     size_bytes=diff.size_bytes,
                 )
-            else:
-                d_op = None
             if self._tr_diff_send:
                 self.tracer.record(
                     "diff_send",
                     self.sim.now,
                     oid,
-                    self.node_id,
+                    node,
                     target=target,
                     size_bytes=diff.size_bytes,
                     base_version=cached.version,
                 )
             self._send(
                 target,
-                MsgCategory.DIFF,
+                _DIFF,
                 diff.size_bytes + REQUEST_BYTES,
-                DiffMsg(
-                    oid=oid,
-                    writer=self.node_id,
-                    request_id=request_id,
-                    diff=diff,
-                    op_id=d_op,
-                ),
+                DiffMsg(oid, node, request_id, diff, 0, d_op),
             )
             # The write interval ends at the *send*: the diff captured its
             # image, and the payload now equals what the home will hold
@@ -1246,12 +1258,12 @@ class DsmEngine:
                     "twin_free",
                     self.sim.now,
                     oid,
-                    self.node_id,
+                    node,
                     interval=self.interval,
                 )
             arena.free(cached.twin)
             cached.twin = None
-            cached.mode = AccessMode.READ
+            cached.mode = _READ
             waits.append((oid, cached, fut, d_op))
         self.dirty.clear()
         for oid, cached, fut, d_op in waits:
@@ -1270,17 +1282,24 @@ class DsmEngine:
                     "diff_flush",
                     self.sim.now,
                     oid,
-                    self.node_id,
+                    node,
                     version=ack.version,
                 )
-        for oid in sorted(self.home_dirty):
-            entry = self.homes.get(oid)
-            if entry is None:
-                continue  # migrated away mid-interval; notice already carried
-            entry.version += 1
-            notices[oid] = entry.version
-            self._recheck_pending(oid)
-        self.home_dirty.clear()
+        return self._home_notices(notices)
+
+    def _home_notices(self, notices: dict[int, int]) -> dict[int, int]:
+        """Close the home side of the interval, as a plain call: bump the
+        version of every home copy written locally and fold in notices
+        carried from migrations that closed a dirty home interval."""
+        if self.home_dirty:
+            for oid in sorted(self.home_dirty):
+                entry = self.homes.get(oid)
+                if entry is None:
+                    continue  # migrated away mid-interval; notice carried
+                entry.version += 1
+                notices[oid] = entry.version
+                self._recheck_pending(oid)
+            self.home_dirty.clear()
         if self.carry_notices:
             for oid, version in self.carry_notices.items():
                 if notices.get(oid, 0) < version:
@@ -1325,13 +1344,11 @@ class DsmEngine:
         """
         kernel_module = self._kernel
         if kernel_module is not None:
-            kernel_module.cache_invalidate_read(
-                self.cache, AccessMode.READ, AccessMode.INVALID
-            )
+            kernel_module.cache_invalidate_read(self.cache, _READ, _INVALID)
             return
         for cached in self.cache.values():
-            if cached.mode is AccessMode.READ:
-                cached.mode = AccessMode.INVALID
+            if cached.mode is _READ:
+                cached.mode = _INVALID
 
     def collect_garbage(self, released: dict[int, int]) -> None:
         """Barrier-epoch memory GC (``docs/PROTOCOL.md`` §12).
@@ -1372,19 +1389,22 @@ class DsmEngine:
         if required:
             elided -= len(required.keys() & released.keys())
         # pre-GC footprint peaks: the bounded-steady-state evidence
-        self.stats.record_peak("cache_entries", len(cache))
-        self.stats.record_peak("notice_floors", len(required) + elided)
+        peaks = self.stats.peaks
+        if peaks.get("cache_entries", 0) < len(cache):
+            peaks["cache_entries"] = len(cache)
+        if peaks.get("notice_floors", 0) < len(required) + elided:
+            peaks["notice_floors"] = len(required) + elided
         kernel_module = self._kernel
         if cache:
             if kernel_module is not None:
                 self.gc_cache_drops += kernel_module.cache_sweep_invalid(
-                    cache, AccessMode.INVALID, self.arena.free
+                    cache, _INVALID, self.arena.free
                 )
             else:
                 dead = [
                     oid
                     for oid, entry in cache.items()
-                    if entry.mode is AccessMode.INVALID and entry.twin is None
+                    if entry.mode is _INVALID and entry.twin is None
                 ]
                 arena = self.arena
                 for oid in dead:
@@ -1409,8 +1429,10 @@ class DsmEngine:
         # deferred-work queues are provably drained at a completed
         # barrier (flush blocks on diff acks; transfers precede release
         # delivery), but stale empty keys cost memory — compact them.
-        self.pending_foreign.prune_empty()
-        self._pending_diffs.prune_empty()
+        if self.pending_foreign:
+            self.pending_foreign.prune_empty()
+        if self._pending_diffs:
+            self._pending_diffs.prune_empty()
         if self.metrics is not None:
             arena_stats = self.arena.stats()
             node = self.node_id
@@ -1433,66 +1455,53 @@ class DsmEngine:
         Acquiring closes the current interval: pending diffs are flushed
         first (so every synchronized update propagates separately — the
         GOS reflects remote writes at each synchronization point), and the
-        interval's notices ride on the acquire message.
+        interval's notices ride on the acquire message.  The whole FIFO
+        hand-off runs in this one generator frame.
         """
-        self.stats.incr("lock_acquire")
+        self.stats.events["lock_acquire"] += 1
+        node = self.node_id
+        lock_id = handle.lock_id
         sp = self._sp
         op = None
         if sp is not None:
             op = sp.open(
-                "lock_acquire",
-                self.sim.now,
-                handle.lock_id,
-                self.node_id,
-                home=handle.home,
+                "lock_acquire", self.sim.now, lock_id, node, home=handle.home
             )
-        own_notices = yield from self.flush_diffs(op)
+        if self.dirty:
+            own_notices = yield from self.flush_diffs(op)
+        else:
+            own_notices = self._home_notices({})
         if self.lock_discipline == "retry":
             notices = yield from self._acquire_retry(handle, own_notices)
         else:
-            notices = yield from self._acquire_fifo(handle, own_notices)
+            self._req_counter += 1
+            request_id = (node, self._req_counter)
+            if handle.home != node:
+                fut = self._Future("lock")
+                self._reply_waiters[request_id] = fut
+                self._send(
+                    handle.home,
+                    _LOCK_ACQUIRE,
+                    SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(own_notices),
+                    LockAcquireMsg(lock_id, node, request_id, own_notices),
+                )
+                notices = (yield fut).notices
+            else:
+                table = self.lock_table
+                table.add_notices(lock_id, own_notices)
+                if table.try_acquire(lock_id, node, request_id):
+                    notices = table.grant_notices(lock_id, node)
+                else:
+                    fut = self._Future("lock")
+                    self._reply_waiters[request_id] = fut
+                    notices = (yield fut).notices
         self.apply_notices(notices)
         self.invalidate_all_cached()
         self.interval += 1
         if sp is not None:
-            sp.close(
-                op, "lock_acquire", self.sim.now, handle.lock_id, self.node_id
-            )
+            sp.close(op, "lock_acquire", self.sim.now, lock_id, node)
         if self._m_lock_epoch_us is not None:
-            self._lock_epochs.begin(handle.lock_id, self.sim.now)
-
-    def _acquire_fifo(
-        self, handle: LockHandle, own_notices: dict[int, int]
-    ) -> Generator[Any, Any, dict[int, int]]:
-        request_id = self._next_request_id()
-        if handle.home == self.node_id:
-            self.lock_table.add_notices(handle.lock_id, own_notices)
-            granted = self.lock_table.try_acquire(
-                handle.lock_id, self.node_id, request_id
-            )
-            if granted:
-                return self.lock_table.grant_notices(
-                    handle.lock_id, self.node_id
-                )
-            fut = self._Future(label="lock")
-            self._lock_waiters[(handle.lock_id, request_id)] = fut
-            grant: LockGrantMsg = yield fut
-            return grant.notices
-        fut = self._Future(label="lock")
-        self._lock_waiters[(handle.lock_id, request_id)] = fut
-        self._send(
-            handle.home,
-            MsgCategory.LOCK_ACQUIRE,
-            self._notice_size(own_notices),
-            LockAcquireMsg(
-                lock_id=handle.lock_id,
-                requester=self.node_id,
-                request_id=request_id,
-                notices=own_notices,
-            ),
-        )
-        grant = yield fut
-        return grant.notices
+            self._lock_epochs.begin(lock_id, self.sim.now)
 
     def _acquire_retry(
         self, handle: LockHandle, own_notices: dict[int, int]
@@ -1514,17 +1523,14 @@ class DsmEngine:
                         handle.lock_id, self.node_id
                     )
             else:
-                fut = self._Future(label="lock")
-                self._lock_waiters[(handle.lock_id, request_id)] = fut
+                fut = self._Future("lock")
+                self._reply_waiters[request_id] = fut
                 self._send(
                     handle.home,
-                    MsgCategory.LOCK_ACQUIRE,
-                    self._notice_size(send_notices),
+                    _LOCK_ACQUIRE,
+                    SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(send_notices),
                     LockAcquireMsg(
-                        lock_id=handle.lock_id,
-                        requester=self.node_id,
-                        request_id=request_id,
-                        notices=send_notices,
+                        handle.lock_id, self.node_id, request_id, send_notices
                     ),
                 )
                 grant: LockGrantMsg = yield fut
@@ -1538,65 +1544,53 @@ class DsmEngine:
 
     def release(self, handle: LockHandle) -> Generator[Any, Any, None]:
         """Flush this interval's diffs, then release the lock with notices."""
+        node = self.node_id
+        lock_id = handle.lock_id
         if self._m_lock_epoch_us is not None:
-            span = self._lock_epochs.end(handle.lock_id, self.sim.now)
+            span = self._lock_epochs.end(lock_id, self.sim.now)
             if span is not None:
                 self._m_lock_epoch_us.observe(span)
         sp = self._sp
         op = None
         if sp is not None:
             op = sp.open(
-                "lock_release",
-                self.sim.now,
-                handle.lock_id,
-                self.node_id,
-                home=handle.home,
+                "lock_release", self.sim.now, lock_id, node, home=handle.home
             )
-        notices = yield from self.flush_diffs(op)
-        if handle.home == self.node_id:
-            self._manager_release(handle.lock_id, self.node_id, notices)
+        if self.dirty:
+            notices = yield from self.flush_diffs(op)
+        else:
+            notices = self._home_notices({})
+        msg = LockReleaseMsg(lock_id, node, notices)
+        if handle.home == node:
+            self._manager_release(msg)
         else:
             self._send(
                 handle.home,
-                MsgCategory.LOCK_RELEASE,
-                self._notice_size(notices),
-                LockReleaseMsg(
-                    lock_id=handle.lock_id,
-                    releaser=self.node_id,
-                    notices=notices,
-                ),
+                _LOCK_RELEASE,
+                SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices),
+                msg,
             )
         if sp is not None:
-            sp.close(
-                op, "lock_release", self.sim.now, handle.lock_id, self.node_id
-            )
+            sp.close(op, "lock_release", self.sim.now, lock_id, node)
 
-    def _manager_release(
-        self, lock_id: int, releaser: int, notices: dict[int, int]
-    ) -> None:
-        waiter = self.lock_table.release(lock_id, releaser, notices)
+    def _manager_release(self, msg: LockReleaseMsg) -> None:
+        """Lock manager: record a release (local or LOCK_RELEASE) and hand
+        the lock to the next FIFO waiter, if any."""
+        lock_id = msg.lock_id
+        waiter = self.lock_table.release(lock_id, msg.releaser, msg.notices)
         if waiter is None:
             return
         grant = self.lock_table.grant_notices(lock_id, waiter.node)
         if waiter.node == self.node_id:
-            fut = self._lock_waiters.pop((lock_id, waiter.request_id))
-            fut.resolve(
-                LockGrantMsg(
-                    lock_id=lock_id,
-                    request_id=waiter.request_id,
-                    notices=grant,
-                )
+            self._reply_waiters.pop(waiter.request_id).resolve(
+                LockGrantMsg(lock_id, waiter.request_id, grant)
             )
         else:
             self._send(
                 waiter.node,
-                MsgCategory.LOCK_GRANT,
-                self._notice_size(grant),
-                LockGrantMsg(
-                    lock_id=lock_id,
-                    request_id=waiter.request_id,
-                    notices=grant,
-                ),
+                _LOCK_GRANT,
+                SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(grant),
+                LockGrantMsg(lock_id, waiter.request_id, grant),
             )
 
     # -- barriers ---------------------------------------------------------
@@ -1624,24 +1618,24 @@ class DsmEngine:
                 self.node_id,
                 round=round_no,
             )
-        notices = yield from self.flush_diffs(op)
-        fut = self._Future(label="barrier")
+        if self.dirty:
+            notices = yield from self.flush_diffs(op)
+        else:
+            notices = self._home_notices({})
+        fut = self._Future("barrier")
         self._barrier_waiters.setdefault(
             (handle.barrier_id, round_no), []
         ).append(fut)
         arrive = BarrierArriveMsg(
-            barrier_id=handle.barrier_id,
-            node=self.node_id,
-            round_no=round_no,
-            notices=notices,
+            handle.barrier_id, self.node_id, round_no, notices
         )
         if handle.home == self.node_id:
             self._manager_barrier_arrive(arrive)
         else:
             self._send(
                 handle.home,
-                MsgCategory.BARRIER_ARRIVE,
-                self._notice_size(notices),
+                _BARRIER_ARRIVE,
+                SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices),
                 arrive,
             )
         release: BarrierReleaseMsg = yield fut
@@ -1678,7 +1672,7 @@ class DsmEngine:
         if not complete:
             return
         round_no, merged, writers = state.complete_round()
-        self.stats.incr("barrier_round")
+        self.stats.events["barrier_round"] += 1
         if self._m_barrier_interval_us is not None:
             timer = self._barrier_epochs.setdefault(
                 msg.barrier_id, EpochTimer()
@@ -1690,24 +1684,25 @@ class DsmEngine:
         if self.policy.wants_barrier_migration():
             new_homes = self._order_barrier_migrations(writers)
         release = BarrierReleaseMsg(
-            barrier_id=msg.barrier_id,
-            round_no=round_no,
-            notices=merged,
-            new_homes=new_homes,
+            msg.barrier_id, round_no, merged, new_homes
         )
         # One release object — with its one merged-notices snapshot — is
         # shared by every copy of the fan-out; receivers only read it.
         if self.release_fanout is not None:
+            # the manager is the relay root: _on_barrier_release forwards
             release.root = self.node_id
             release.fanout = self.release_fanout
-            self._forward_release(release)
         else:
-            size = self._notice_size(merged) + REQUEST_BYTES * len(new_homes)
+            size = (
+                SYNC_BASE_BYTES
+                + NOTICE_ENTRY_BYTES * len(merged)
+                + REQUEST_BYTES * len(new_homes)
+            )
             for dst in range(self.network.nnodes):
                 if dst == self.node_id:
                     continue
-                self._send(dst, MsgCategory.BARRIER_RELEASE, size, release)
-        self._deliver_barrier_release(release)
+                self._send(dst, _BARRIER_RELEASE, size, release)
+        self._on_barrier_release(release)
 
     def _order_barrier_migrations(
         self, writers: dict[int, set[int]]
@@ -1733,32 +1728,33 @@ class DsmEngine:
                 )
         return new_homes
 
-    def _forward_release(self, release: BarrierReleaseMsg) -> None:
-        """Relay a multicast barrier release to this node's tree children.
+    def _on_barrier_release(self, release: BarrierReleaseMsg) -> None:
+        """Relay a multicast release to this node's tree children, then
+        wake this node's waiters for the round.
 
         Every non-root node receives exactly one copy (N-1 messages
         total, like the direct burst) but no NIC injects more than
         ``fanout`` back to back, so the release reaches the whole
         cluster in O(log_k N) serialization depth instead of O(N).
+        Leaves — heap index ``v`` with ``k*v + 1 >= N``, see
+        :func:`~repro.dsm.redirection.fanout_children` — have no children,
+        so only inner nodes size the message and walk the tree.
         """
-        size = self._notice_size(release.notices) + REQUEST_BYTES * len(
-            release.new_homes
-        )
-        for dst in fanout_children(
-            self.node_id, release.root, release.fanout, self.network.nnodes
+        fanout = release.fanout
+        if fanout:
+            nnodes = self.network.nnodes
+            root = release.root
+            if fanout * ((self.node_id - root) % nnodes) + 1 < nnodes:
+                size = (
+                    SYNC_BASE_BYTES
+                    + NOTICE_ENTRY_BYTES * len(release.notices)
+                    + REQUEST_BYTES * len(release.new_homes)
+                )
+                for dst in fanout_children(self.node_id, root, fanout, nnodes):
+                    self._send(dst, _BARRIER_RELEASE, size, release)
+        for fut in self._barrier_waiters.pop(
+            (release.barrier_id, release.round_no), ()
         ):
-            self._send(dst, MsgCategory.BARRIER_RELEASE, size, release)
-
-    def _on_barrier_release(self, release: BarrierReleaseMsg) -> None:
-        if release.fanout:
-            self._forward_release(release)
-        self._deliver_barrier_release(release)
-
-    def _deliver_barrier_release(self, release: BarrierReleaseMsg) -> None:
-        waiters = self._barrier_waiters.pop(
-            (release.barrier_id, release.round_no), []
-        )
-        for fut in waiters:
             fut.resolve(release)
 
     # ------------------------------------------------------------------
@@ -1788,7 +1784,7 @@ class DsmEngine:
         else:
             resolve_reply = self._resolve_reply
         return {
-            MsgCategory.OBJ_REQUEST: self._on_obj_request_msg,
+            MsgCategory.OBJ_REQUEST: self._handle_obj_request,
             MsgCategory.OBJ_REPLY: resolve_reply,
             MsgCategory.OBJ_REPLY_MIG: resolve_reply,
             MsgCategory.REDIRECT: resolve_reply,
@@ -1797,8 +1793,8 @@ class DsmEngine:
             MsgCategory.DIFF: self._handle_diff,
             MsgCategory.DIFF_ACK: resolve_reply,
             MsgCategory.LOCK_ACQUIRE: self._handle_lock_acquire,
-            MsgCategory.LOCK_GRANT: self._on_lock_grant,
-            MsgCategory.LOCK_RELEASE: self._on_lock_release,
+            MsgCategory.LOCK_GRANT: resolve_reply,
+            MsgCategory.LOCK_RELEASE: self._manager_release,
             MsgCategory.BARRIER_ARRIVE: self._manager_barrier_arrive,
             MsgCategory.BARRIER_RELEASE: self._on_barrier_release,
             MsgCategory.HOME_BCAST: self._on_home_bcast,
@@ -1810,19 +1806,6 @@ class DsmEngine:
 
     def _resolve_reply(self, payload: Any) -> None:
         self._reply_waiters.pop(payload.request_id).resolve(payload)
-
-    def _on_obj_request_msg(self, payload: Any) -> None:
-        if isinstance(payload, ObjBatchRequest):
-            self._handle_batch_request(payload)
-        else:
-            self._handle_obj_request(payload)
-
-    def _on_lock_grant(self, payload: LockGrantMsg) -> None:
-        fut = self._lock_waiters.pop((payload.lock_id, payload.request_id))
-        fut.resolve(payload)
-
-    def _on_lock_release(self, payload: LockReleaseMsg) -> None:
-        self._manager_release(payload.lock_id, payload.releaser, payload.notices)
 
     def _on_home_bcast(self, payload: dict) -> None:
         # Multicast relay (BroadcastMechanism(fanout=k)): forward the
@@ -1854,82 +1837,86 @@ class DsmEngine:
     # -- home side ---------------------------------------------------------
 
     def _handle_obj_request(self, request: ObjRequest) -> None:
-        entry = self.homes.get(request.oid)
+        if type(request) is ObjBatchRequest:
+            self._handle_batch_request(request)
+            return
+        oid = request.oid
+        entry = self.homes.get(oid)
         if entry is None:
-            if request.oid in self.forwards:
-                self.stats.incr("redir")
+            if oid in self.forwards:
+                self.stats.events["redir"] += 1
                 if self.tracer is not None and self.tracer.wants("redirect"):
                     self.tracer.record(
                         "redirect",
                         self.sim.now,
-                        request.oid,
+                        oid,
                         self.node_id,
                         obsolete_home=self.node_id,
                         requester=request.requester,
                     )
-                directive = self.mechanism.miss_directive(self, request.oid)
                 self._send(
                     request.requester,
-                    MsgCategory.REDIRECT,
+                    _REDIRECT,
                     REQUEST_BYTES,
                     RedirectReply(
-                        oid=request.oid,
-                        request_id=request.request_id,
-                        directive=directive,
+                        oid,
+                        request.request_id,
+                        self.mechanism.miss_directive(self, oid),
                     ),
                 )
             else:
                 # Home transfer in flight towards this node: defer.
-                self.stats.incr("deferred_request")
-                self.pending_foreign.add(request.oid, request)
+                self.stats.events["deferred_request"] += 1
+                self.pending_foreign.add(oid, request)
             return
         if entry.version < request.min_version:
-            self.stats.incr("deferred_request")
+            self.stats.events["deferred_request"] += 1
             entry.pending.push(request.min_version, request)
             return
         self._serve_request(entry, request)
 
     def _serve_request(self, entry: HomeEntry, request: ObjRequest) -> None:
         oid = request.oid
+        requester = request.requester
         state = entry.state
+        events = self.stats.events
         if self._kernel is not None:
             # One C call for the monitor prelude (remote-read recording,
             # redirection accumulation, the remote_read stats bump).
-            self._kernel.record_request(
-                state, request.requester, request.hops, self.stats.events
-            )
+            self._kernel.record_request(state, requester, request.hops, events)
         else:
-            state.record_remote_read(request.requester)
+            state.record_remote_read(requester)
             state.record_redirections(request.hops)
-            self.stats.incr("remote_read")
+            events["remote_read"] += 1
         if self._m_redirect_hops is not None:
             self._m_redirect_hops.observe(request.hops)
-        alpha = self.alpha(oid, state)
-        migrate = self.policy.should_migrate(
-            state, request.requester, alpha, request.for_write
-        )
-        self._trace_decision(oid, state, request.requester, alpha, migrate)
         obj = self.heap.get(oid)
+        alpha = home_access_coefficient(
+            obj.size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes
+        )
+        migrate = self.policy.should_migrate(
+            state, requester, alpha, request.for_write
+        )
+        if self._watch_decisions:
+            self._trace_decision(oid, state, requester, alpha, migrate)
+        arenas = self.arenas
+        data = (
+            arenas[requester] if arenas is not None else self.arena
+        ).take_copy(entry.payload)
         if not migrate:
-            self.stats.incr("obj")
+            events["obj"] += 1
             self._send(
-                request.requester,
-                MsgCategory.OBJ_REPLY,
+                requester,
+                _OBJ_REPLY,
                 obj.size_bytes + REPLY_EXTRA_BYTES,
                 ObjReply(
-                    oid=oid,
-                    request_id=request.request_id,
-                    version=entry.version,
-                    data=self._dst_arena(request.requester).take_copy(
-                        entry.payload
-                    ),
-                    home=self.node_id,
+                    oid, request.request_id, entry.version, data, self.node_id
                 ),
             )
             return
         # -- migration fires ------------------------------------------------
         self.policy.on_migrated(state, alpha)
-        self._trace_migration(oid, request.requester, state)
+        self._trace_migration(oid, requester, state)
         mig_op = None
         if self._sp is not None:
             # child of the fault that triggered the decision; closed by the
@@ -1940,29 +1927,27 @@ class DsmEngine:
                 oid,
                 self.node_id,
                 parent=request.op_id,
-                target=request.requester,
+                target=requester,
             )
-        self.stats.incr("mig")
-        self.stats.incr("migration")
+        events["mig"] += 1
+        events["migration"] += 1
         self._close_dirty_home_interval(oid, entry)
         self._send(
-            request.requester,
-            MsgCategory.OBJ_REPLY_MIG,
+            requester,
+            _OBJ_REPLY_MIG,
             obj.size_bytes + REPLY_EXTRA_BYTES + MONITOR_BYTES,
             ObjReply(
-                oid=oid,
-                request_id=request.request_id,
-                version=entry.version,
-                data=self._dst_arena(request.requester).take_copy(
-                    entry.payload
-                ),
-                home=request.requester,
-                migrated=True,
-                monitor=state,
-                op_id=mig_op,
+                oid,
+                request.request_id,
+                entry.version,
+                data,
+                requester,
+                True,
+                state,
+                mig_op,
             ),
         )
-        self._demote_home(oid, entry, request.requester)
+        self._demote_home(oid, entry, requester)
         # Any version-deferred requests now chase the new home.
         for pending in entry.pending.drain():
             self._handle_obj_request(pending)
@@ -1975,10 +1960,11 @@ class DsmEngine:
         alpha: float,
         migrated: bool,
     ) -> None:
+        """Report one Eq-2 decision to whoever watches decisions (called
+        only when ``_watch_decisions``)."""
         traced = self.tracer is not None and self.tracer.wants("decision")
         metered = self.metrics is not None
-        if not (traced or metered or self._log_debug):
-            return
+        log_debug = self.logger is not None and self.logger.enabled_for("debug")
         threshold = self.policy.current_threshold(state, alpha)
         if traced:
             self.tracer.record(
@@ -2002,7 +1988,7 @@ class DsmEngine:
             self.metrics.counter(
                 "dsm_decisions_total", node=self.node_id, migrated=migrated
             ).inc()
-        if self._log_debug:
+        if log_debug:
             self.logger.debug(
                 "decision",
                 node=self.node_id,
@@ -2055,60 +2041,58 @@ class DsmEngine:
         del self.homes[oid]
         self.forwards[oid] = new_home
         self.home_hint[oid] = new_home
-        self.cache[oid] = CacheEntry(
-            payload=entry.payload, version=entry.version, mode=AccessMode.READ
-        )
+        self.cache[oid] = CacheEntry(entry.payload, entry.version)
         self.mechanism.on_migration(self, oid, new_home)
 
     def _handle_diff(self, msg: DiffMsg) -> None:
-        entry = self.homes.get(msg.oid)
+        oid = msg.oid
+        entry = self.homes.get(oid)
         if entry is None:
-            if msg.oid in self.forwards:
+            if oid in self.forwards:
                 # Forward the diff along the chain (writer's hint was stale).
-                self.stats.incr("diff_forward")
+                self.stats.events["diff_forward"] += 1
                 msg.hops += 1
                 self._send(
-                    self.forwards[msg.oid],
-                    MsgCategory.DIFF,
+                    self.forwards[oid],
+                    _DIFF,
                     msg.diff.size_bytes + REQUEST_BYTES,
                     msg,
                 )
             else:
                 # Home transfer towards this node still in flight: defer.
-                self.stats.incr("deferred_diff")
-                self._pending_diffs.add(msg.oid, msg)
+                self.stats.events["deferred_diff"] += 1
+                self._pending_diffs.add(oid, msg)
             return
+        size_bytes = msg.diff.size_bytes
         version_before = entry.version
+        # module-global lookup on purpose: the skip_diff mutation patches it
         apply_diff(entry.payload, msg.diff)
         entry.version += 1
-        entry.state.record_remote_write(msg.writer, msg.diff.size_bytes)
+        entry.state.record_remote_write(msg.writer, size_bytes)
         if self._tr_diff_apply:
             self.tracer.record(
                 "diff_apply",
                 self.sim.now,
-                msg.oid,
+                oid,
                 self.node_id,
                 writer=msg.writer,
-                size_bytes=msg.diff.size_bytes,
+                size_bytes=size_bytes,
                 version_before=version_before,
                 version_after=entry.version,
             )
-        self.stats.incr("diff")
-        self.stats.incr("remote_write")
+        events = self.stats.events
+        events["diff"] += 1
+        events["remote_write"] += 1
         if self._m_diff_bytes is not None:
-            self._m_diff_bytes.observe(msg.diff.size_bytes)
+            self._m_diff_bytes.observe(size_bytes)
         self._send(
             msg.writer,
-            MsgCategory.DIFF_ACK,
+            _DIFF_ACK,
             ACK_BYTES,
-            DiffAck(
-                oid=msg.oid,
-                request_id=msg.request_id,
-                version=entry.version,
-                home=self.node_id,
-            ),
+            DiffAck(oid, msg.request_id, entry.version, self.node_id),
         )
-        self._recheck_pending(msg.oid)
+        if entry.pending:
+            self._recheck_pending(oid)
 
     def _recheck_pending(self, oid: int) -> None:
         """Serve version-deferred requests the latest bump made eligible.
@@ -2143,36 +2127,28 @@ class DsmEngine:
     # -- lock manager --------------------------------------------------------
 
     def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
-        self.lock_table.add_notices(msg.lock_id, msg.notices)
+        lock_id = msg.lock_id
+        table = self.lock_table
+        table.add_notices(lock_id, msg.notices)
         if (
             self.lock_discipline == "retry"
-            and self.lock_table.state(msg.lock_id).holder is not None
+            and table.state(lock_id).holder is not None
         ):
             self._send(
                 msg.requester,
-                MsgCategory.LOCK_GRANT,
+                _LOCK_GRANT,
                 SYNC_BASE_BYTES,
-                LockGrantMsg(
-                    lock_id=msg.lock_id,
-                    request_id=msg.request_id,
-                    notices={},
-                    busy=True,
-                ),
+                LockGrantMsg(lock_id, msg.request_id, {}, True),
             )
             return
-        granted = self.lock_table.try_acquire(
-            msg.lock_id, msg.requester, msg.request_id
-        )
-        if not granted:
+        if not table.try_acquire(lock_id, msg.requester, msg.request_id):
             return  # queued; the grant is sent when the holder releases
-        notices = self.lock_table.grant_notices(msg.lock_id, msg.requester)
+        notices = table.grant_notices(lock_id, msg.requester)
         self._send(
             msg.requester,
-            MsgCategory.LOCK_GRANT,
-            self._notice_size(notices),
-            LockGrantMsg(
-                lock_id=msg.lock_id, request_id=msg.request_id, notices=notices
-            ),
+            _LOCK_GRANT,
+            SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices),
+            LockGrantMsg(lock_id, msg.request_id, notices),
         )
 
     # -- home manager / barrier migration ------------------------------------

@@ -1,7 +1,8 @@
 """ThreadContext: the API simulated Java threads program against.
 
-All blocking methods are generators; application thread bodies are
-generator functions that compose them with ``yield from``::
+Blocking methods return what to ``yield from`` (the engine's own
+generator, or a finished ``Ready`` iterator on a local hit); application
+thread bodies are generator functions that compose them::
 
     def body(ctx, tid):
         yield from ctx.acquire(lock)
@@ -64,29 +65,29 @@ class ThreadContext:
         self.gos = gos
         self.tid = tid
         self.node = node
-        self.engine = gos.engines[node]
+        self.engine = engine = gos.engines[node]
         self._barrier_rounds: dict[int, int] = {}
         kernel_module = _kernel.kernel()
         self._ready = (
             kernel_module.Ready if kernel_module is not None else _PyReady
         )
-        # Hot-path pre-binds: the local-access shadows are installed on
-        # the engine at construction and never rebound afterwards, so one
-        # attribute resolution here replaces two per access.
-        self._try_read = self.engine.try_read_local
-        self._try_write = self.engine.try_write_local
-        self._miss_read = self.engine.read
-        self._miss_write = self.engine.write
-        # When the engine carries a kernel LocalAccess, the whole
-        # read/write wrapper collapses into one C call (instance
-        # attributes shadow the class methods below; same probe, same
-        # miss generator, same Ready iterator — no Python frame).
-        local_access = getattr(self.engine, "_local_access", None)
+        # Hot-path pre-binds: both protocol engines expose the same probe
+        # and miss entry points, installed at construction and never
+        # rebound, so one attribute resolution here replaces two per
+        # access.  A miss enters the engine's fault generator directly.
+        self._try_read = engine.try_read_local
+        self._try_write = engine.try_write_local
+        self._miss_read = engine.read_miss
+        self._miss_write = engine.write_miss
+        # The compiled home-based engine's probes are methods of its
+        # kernel LocalAccess: then the whole read/write body collapses
+        # into one C call (instance attributes shadow the class methods
+        # below; same probe, same miss generator, same Ready iterator).
         if kernel_module is not None and isinstance(
-            local_access, kernel_module.LocalAccess
+            self._try_read.__self__, kernel_module.LocalAccess
         ):
             accessor = kernel_module.Accessor(
-                local_access, self._miss_read, self._miss_write
+                self._try_read.__self__, self._miss_read, self._miss_write
             )
             self.read = accessor.read
             self.write = accessor.write
@@ -118,7 +119,7 @@ class ThreadContext:
         (one message per home node — the GOS's object pushing, §5.1).
         Subsequent :meth:`read` calls in the same interval are local hits.
         """
-        yield from self.engine.read_many([obj.oid for obj in objs])
+        return self.engine.read_many([obj.oid for obj in objs])
 
     def get_field(
         self, obj: SharedObject, name: str
@@ -152,26 +153,27 @@ class ThreadContext:
         optimization).  Call while holding the guarding lock; returns
         ``fn``'s result.  ``compute_us`` is the method's CPU cost, charged
         at the executing node."""
-        result = yield from self.engine.ship(
+        return self.engine.ship(
             obj.oid, fn, compute_us=compute_us, args_bytes=args_bytes
         )
-        return result
 
     # -- synchronization --------------------------------------------------
+    # Each returns the engine's own generator: the blocking operation runs
+    # in that one frame, with no wrapper generator around it.
 
     def acquire(self, lock: LockHandle) -> Generator[Any, Any, None]:
         """Enter a synchronized section (Java monitorenter)."""
-        yield from self.engine.acquire(lock)
+        return self.engine.acquire(lock)
 
     def release(self, lock: LockHandle) -> Generator[Any, Any, None]:
         """Leave a synchronized section: flush diffs, release the lock."""
-        yield from self.engine.release(lock)
+        return self.engine.release(lock)
 
     def barrier(self, handle: BarrierHandle) -> Generator[Any, Any, None]:
         """One barrier episode; rounds are tracked per thread."""
         round_no = self._barrier_rounds.get(handle.barrier_id, 0)
         self._barrier_rounds[handle.barrier_id] = round_no + 1
-        yield from self.engine.barrier(handle, round_no)
+        return self.engine.barrier(handle, round_no)
 
     # -- local work --------------------------------------------------------
 

@@ -26,6 +26,10 @@ from typing import Any, Callable, Generator
 from repro import _kernel
 from repro.sim.errors import DeadlockError, SimulationError
 
+#: Upper bound (exclusive) of a schedulable delay or time: NaN and
+#: infinities are rejected, since the backends would order them differently.
+_INF = float("inf")
+
 
 class PySimulator:
     """Deterministic discrete-event simulator (pure-Python backend).
@@ -80,21 +84,25 @@ class PySimulator:
     ) -> None:
         """Run ``callback(*args)`` ``delay`` microseconds from now.
 
-        ``delay`` must be non-negative; zero-delay events run after all
-        events already scheduled for the current instant.
+        ``delay`` must be finite and non-negative; zero-delay events run
+        after all events already scheduled for the current instant.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"delay must be finite and non-negative, got {delay!r}"
+            )
         heappush(self._heap, (self._now + delay, self._seq, callback, args))
         self._seq += 1
 
     def at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> None:
-        """Run ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        """Run ``callback(*args)`` at absolute simulated ``time`` (finite,
+        not before now)."""
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time!r}: time must be finite and not "
+                f"before the current time {self._now!r}"
             )
         heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1

@@ -27,6 +27,8 @@ from typing import Any, Generator, TYPE_CHECKING
 from repro.sim.errors import ProcessFailed, SimulationError
 from repro.sim.future import Future, future_classes
 
+_INF = float("inf")
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
@@ -38,8 +40,12 @@ class Delay:
     duration_us: float
 
     def __post_init__(self) -> None:
-        if self.duration_us < 0:
-            raise SimulationError(f"negative Delay({self.duration_us})")
+        # the same check and message as Simulator.schedule (both backends)
+        if not 0.0 <= self.duration_us < _INF:
+            raise SimulationError(
+                f"delay must be finite and non-negative, got "
+                f"{self.duration_us!r}"
+            )
 
 
 class Process:

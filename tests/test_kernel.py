@@ -86,6 +86,38 @@ def test_engine_error_messages_match(sim_classes):
     assert messages["python"] == messages["compiled"]
 
 
+def test_engine_rejects_non_finite_times_identically(sim_classes):
+    """Delays 3, 1, 2, then NaN, then at(inf): both backends refuse the
+    last two with the same message and run the rest in the same order.
+    Accepted, a NaN would sit in the two heaps at different places
+    (python [1, 2, 3, nan, inf], compiled [1, 2, nan, 3, inf]) and the
+    clock would end at inf."""
+    from repro.sim.errors import SimulationError
+
+    py_cls, compiled_cls = sim_classes
+    outcome = {}
+    for name, cls in (("python", py_cls), ("compiled", compiled_cls)):
+        sim = cls()
+        order = []
+        for delay in (3.0, 1.0, 2.0):
+            sim.schedule(delay, order.append, delay)
+        errors = []
+        for call, value in (
+            (sim.schedule, float("nan")),
+            (sim.schedule, float("inf")),
+            (sim.schedule, -1.0),
+            (sim.at, float("nan")),
+            (sim.at, float("inf")),
+            (sim.at, -1.0),
+        ):
+            with pytest.raises(SimulationError) as err:
+                call(value, order.append, value)
+            errors.append(str(err.value))
+        outcome[name] = (order, sim.run(), errors)
+        assert outcome[name][:2] == ([1.0, 2.0, 3.0], 3.0)
+    assert outcome["python"] == outcome["compiled"]
+
+
 def test_engine_counter_exact_on_raise(sim_classes):
     py_cls, compiled_cls = sim_classes
 

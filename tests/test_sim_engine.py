@@ -70,6 +70,29 @@ def test_at_in_the_past_rejected(sim):
         sim.at(1.0, lambda: None)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_non_finite_and_negative_times_rejected(sim, bad):
+    """NaN or infinity in the heap would order events differently per
+    backend (and end the clock at inf): both entry points and the Delay
+    effect reject them with one line naming the value."""
+    sim.schedule(3.0, lambda: None)
+    with pytest.raises(SimulationError) as by_delay:
+        sim.schedule(bad, lambda: None)
+    assert str(by_delay.value) == (
+        f"delay must be finite and non-negative, got {bad!r}"
+    )
+    with pytest.raises(SimulationError) as by_time:
+        sim.at(bad, lambda: None)
+    assert str(by_time.value) == (
+        f"cannot schedule at {bad!r}: time must be finite and not before "
+        "the current time 0.0"
+    )
+    with pytest.raises(SimulationError) as by_effect:
+        Delay(bad)
+    assert str(by_effect.value) == str(by_delay.value)
+    assert sim.run() == 3.0
+
+
 def test_run_until_stops_early(sim):
     fired = []
     sim.schedule(1.0, lambda: fired.append(1))

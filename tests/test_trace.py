@@ -6,6 +6,7 @@ from repro.apps import SingleWriterBenchmark
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.core.policies import AdaptiveThreshold, FixedThreshold
 from repro.gos.jvm import DistributedJVM
+from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
 from repro.trace import TraceRecorder
 from repro.trace.events import TraceEvent
@@ -177,12 +178,13 @@ def test_jiajia_barrier_migrations_traced():
 
 
 def test_ship_decisions_traced():
+    # The tracer is a construction argument: engines resolve which trace
+    # kinds are wanted once, when they are built.
     tracer = TraceRecorder()
-    from tests.conftest import make_gos
-
-    gos = make_gos(nnodes=3, policy=FixedThreshold(2))
-    for engine in gos.engines:
-        engine.tracer = tracer
+    gos = GlobalObjectSpace(
+        nnodes=3, comm_model=FAST_ETHERNET, policy=FixedThreshold(2),
+        tracer=tracer,
+    )
     obj = gos.alloc_fields(("v",), home=0)
     lock = gos.alloc_lock(home=0)
 
