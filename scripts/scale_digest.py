@@ -15,17 +15,25 @@ pinned below; both backends must reproduce them bit for bit, so CI runs
 this under ``REPRO_BACKEND=python`` and ``compiled`` as the larger twins
 of the 4-node determinism digest in ``tests/test_determinism_digest.py``.
 
+The same run also gates host memory (DESIGN.md §6.13): starting from a
+clean slate, with the episode's result still referenced, CPython's
+cyclic collector must find no unreachable object (the episode allocated
+no reference cycle), and no collection may start while the episode runs
+— the N = 256 counterpart of ``tests/test_gc_quiet.py``.
+
 Usage:
     PYTHONPATH=src python scripts/scale_digest.py [--episode fig4]         # verify (exit 1 on drift)
     PYTHONPATH=src python scripts/scale_digest.py [--episode fig4] --pin   # print the current digest
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
 
 from repro.bench.executor import RunSpec, run_spec
+from repro.gos.jvm import DistributedJVM
 
 #: name -> (the pinned episode, sha256 over the canonical JSON of
 #: ``run_spec(spec).deterministic()``).  Behaviour changes to any path an
@@ -59,10 +67,51 @@ EPISODES = {
 }
 
 
-def episode_digest(spec: RunSpec) -> str:
-    outcome = run_spec(spec).deterministic()
+#: The frame an episode's events run under.
+EPISODE_CODE = DistributedJVM._run.__code__
+
+
+class CollectorWatch:
+    """``gc.callbacks`` hook: collections started under the episode's
+    frame, and unreachable objects found by any collection."""
+
+    def __init__(self) -> None:
+        self.inside = 0
+        self.unreachable = 0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not EPISODE_CODE:
+                frame = frame.f_back
+            self.inside += frame is not None
+        else:
+            self.unreachable += info["collected"] + info["uncollectable"]
+
+
+def watched_digest(spec: RunSpec) -> tuple[str, CollectorWatch]:
+    """Run ``spec`` once from a clean slate under a collector watch that
+    ends with a full collection while the episode's result is still held
+    (``run_spec`` alone would drop it); return the digest and the watch."""
+    kept = []
+    run = DistributedJVM.run
+
+    def keeping(self, app, nthreads=None):
+        kept.append(run(self, app, nthreads))
+        return kept[-1]
+
+    DistributedJVM.run = keeping
+    gc.collect()
+    watch = CollectorWatch()
+    gc.callbacks.append(watch)
+    try:
+        outcome = run_spec(spec).deterministic()
+        gc.collect()
+    finally:
+        gc.callbacks.remove(watch)
+        DistributedJVM.run = run
     blob = json.dumps(outcome, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(blob.encode()).hexdigest(), watch
 
 
 def main() -> int:
@@ -75,18 +124,29 @@ def main() -> int:
     )
     args = parser.parse_args()
     spec, expected = EPISODES[args.episode]
-    digest = episode_digest(spec)
+    digest, watch = watched_digest(spec)
     if args.pin:
         print(digest)
         return 0
+    failed = False
     if digest != expected:
         print(
             f"{args.episode} digest drift:\n  expected {expected}\n"
             f"  got      {digest}",
             file=sys.stderr,
         )
+        failed = True
+    if watch.unreachable or watch.inside:
+        print(
+            f"{args.episode} collector gate: {watch.unreachable} unreachable "
+            f"objects (an episode reference cycle), {watch.inside} "
+            f"collections started inside the episode; both must be 0",
+            file=sys.stderr,
+        )
+        failed = True
+    if failed:
         return 1
-    print(f"{args.episode} digest ok: {digest}")
+    print(f"{args.episode} digest ok: {digest}; collector gate ok")
     return 0
 
 

@@ -185,6 +185,35 @@ class ServingSpec:
     topology: str | None = None
     release_fanout: int | None = None
 
+    def __post_init__(self) -> None:
+        # Malformed traffic is rejected here, with one line naming the
+        # field and its value, rather than expanding to an empty or
+        # silently thinned episode (or dying deep inside the expansion).
+        for name in ("nodes", "keys", "key_len", "phases", "requests_per_thread"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(
+                f"threads must be None or >= 1, got {self.threads!r}"
+            )
+        for name in ("read_fraction", "owned_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        for name in ("zipf_s", "mean_gap_us", "think_us"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
+        if self.arrival not in ("open", "closed"):
+            raise ValueError(
+                f"arrival must be 'open' or 'closed', got {self.arrival!r}"
+            )
+        if not 0.0 <= self.churn < 1.0:
+            raise ValueError(f"churn must be in [0, 1), got {self.churn!r}")
+
     @property
     def nthreads(self) -> int:
         """Worker thread count (defaults to one per node)."""
@@ -240,12 +269,6 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
     specs produce byte-identical ``to_json()`` texts regardless of
     backend or host.
     """
-    if spec.arrival not in ("open", "closed"):
-        raise ValueError(
-            f"arrival must be 'open' or 'closed', got {spec.arrival!r}"
-        )
-    if not 0.0 <= spec.churn < 1.0:
-        raise ValueError(f"churn must be in [0, 1), got {spec.churn!r}")
     rng = random.Random(spec.seed)
     nthreads = spec.nthreads
     placement = [t % spec.nodes for t in range(nthreads)]

@@ -251,22 +251,23 @@ def _run_serve_target(args, parser) -> int:
             f"--policy must name policies from {SERVE_POLICIES} "
             f"(comma-separated), got {args.policy!r}"
         )
-    if args.arrival not in ("open", "closed"):
-        parser.error(f"--arrival must be open or closed, got {args.arrival}")
-    spec = ServingSpec(
-        seed=args.seed,
-        nodes=args.nodes,
-        keys=args.keys,
-        requests_per_thread=args.requests,
-        phases=args.phases,
-        zipf_s=args.zipf_s,
-        read_fraction=args.read_fraction,
-        churn=args.churn,
-        arrival=args.arrival,
-        policy=policies[0],
-        topology=args.topology,
-        release_fanout=args.release_fanout,
-    )
+    try:
+        spec = ServingSpec(
+            seed=args.seed,
+            nodes=args.nodes,
+            keys=args.keys,
+            requests_per_thread=args.requests,
+            phases=args.phases,
+            zipf_s=args.zipf_s,
+            read_fraction=args.read_fraction,
+            churn=args.churn,
+            arrival=args.arrival,
+            policy=policies[0],
+            topology=args.topology,
+            release_fanout=args.release_fanout,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     if len(policies) == 1:
         payload = run_serving(spec)
         rendered = render_serving(payload)

@@ -36,7 +36,7 @@ from repro.apps.serving import ServingSpec, build_serving_program
 from repro.bench.report import format_table
 from repro.check.fuzz import build_mechanism, build_policy
 from repro.cluster.hockney import FAST_ETHERNET
-from repro.gos.jvm import DistributedJVM
+from repro.gos.jvm import DistributedJVM, _cycle_collector_paused
 from repro.obs.hist import EpochSeries, LatencyHistogram
 
 __all__ = [
@@ -126,8 +126,18 @@ def run_serving(spec: ServingSpec) -> dict:
     cluster whose tracer is the span-folding collector, and the report is
     assembled from that collector plus the run's deterministic counters —
     per request class latency (p50/p99/p999 with saturation flags) and
-    per-epoch throughput in simulated time.
+    per-epoch throughput in simulated time.  CPython's cyclic collector
+    is paused for the call (traffic expansion included) and the caller's
+    collector state is restored afterwards.
     """
+    # The episode's frame is gone before the collector resumes, so the
+    # expanded traffic is freed by reference counting, not traversed.
+    with _cycle_collector_paused():
+        return _serve(spec)
+
+
+def _serve(spec: ServingSpec) -> dict:
+    """:func:`run_serving`'s episode and report, without the pause."""
     pspec = build_serving_program(spec)
     program = SpecProgram(pspec)
     collector = _RequestCollector()

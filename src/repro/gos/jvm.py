@@ -9,8 +9,10 @@ dispatched to a free cluster node" — thread placement defaults to
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import Any, Iterator, TYPE_CHECKING
 
 from repro.cluster.hockney import HockneyModel
 from repro.cluster.stats import ClusterStats
@@ -24,6 +26,31 @@ from repro.gos.thread import ThreadContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import DsmApplication
+
+
+@contextmanager
+def _cycle_collector_paused() -> Iterator[None]:
+    """Run one episode with CPython's cyclic collector paused.
+
+    Not the protocol's barrier-epoch GC (``gc_enabled``): this is host
+    memory management.  An episode allocates no reference cycles — its
+    objects die by reference counting or stay reachable from the result —
+    so a collection inside it finds nothing to free and only costs wall
+    time.  The collector instead runs once at the boundary: ``collect(1)``
+    on entry frees the young generations, where a previous paused
+    episode's dropped cluster sits.  The caller's state is restored on
+    any exit; a caller who paused the collector already (or an enclosing
+    pause) gets neither a collection nor a change.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.collect(1)
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass
@@ -135,8 +162,13 @@ class DistributedJVM:
 
         Each run constructs a new :class:`GlobalObjectSpace` (fresh
         simulator, network, heap, engines), so runs are independent and
-        deterministic.
+        deterministic.  CPython's cyclic collector is paused for the call
+        and the caller's collector state is restored afterwards.
         """
+        with _cycle_collector_paused():
+            return self._run(app, nthreads)
+
+    def _run(self, app: "DsmApplication", nthreads: int | None) -> RunResult:
         threads = nthreads if nthreads is not None else app.default_threads(self.nodes)
         if threads < 1:
             raise ValueError(f"need at least one thread, got {threads}")
@@ -231,7 +263,7 @@ class DistributedJVM:
                     f"trace recorder dropped {dropped_spans} span events "
                     f"(max_events too small); causal trees are incomplete",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         return RunResult(
             app_name=app.name,

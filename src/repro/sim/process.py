@@ -22,6 +22,7 @@ like straight-line threaded code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Generator, TYPE_CHECKING
 
 from repro.sim.errors import ProcessFailed, SimulationError
@@ -56,7 +57,9 @@ class Process:
     if the generator raises.
     """
 
-    __slots__ = ("sim", "name", "_gen", "finished", "_started", "_blocking")
+    __slots__ = (
+        "sim", "name", "_gen", "finished", "_started", "_blocking", "_resume"
+    )
 
     def __init__(
         self, sim: "Simulator", generator: Generator[Any, Any, Any], name: str
@@ -69,6 +72,11 @@ class Process:
         # Effect classes that block this process: the Python Future plus
         # the kernel's C twin when the compiled backend is active.
         self._blocking = future_classes()
+        # A blocked future's done-callback, ``future -> call_soon(_step,
+        # future)`` with no Python frame in between: ``call_soon`` bound
+        # to ``_step`` as its first argument (one object, where
+        # ``functools.partial`` would allocate three).
+        self._resume = MethodType(sim.call_soon, self._step)
 
     @property
     def done(self) -> bool:
@@ -80,17 +88,22 @@ class Process:
         if self._started:
             raise SimulationError(f"process {self.name!r} started twice")
         self._started = True
-        self.sim.call_soon(self._step, None, None)
+        self.sim.call_soon(self._step)
 
-    def _step(self, value: Any, exc: BaseException | None) -> None:
+    def _step(self, resumed: Any = None) -> None:
         # Hot loop: one generator resumption per iteration.  Effect
         # dispatch is inlined (no trampoline call) and continuation events
-        # are scheduled as (bound method, args) tuples, so stepping never
-        # allocates a closure.  A yield of an *already resolved* future
-        # continues the generator inline instead of paying a schedule/
-        # dispatch round trip — that is the ``while True``.
+        # are scheduled as bare bound methods (or with the one future that
+        # resumes them), so stepping never allocates a closure.  A yield
+        # of an *already resolved* future continues the generator inline
+        # instead of paying a schedule/dispatch round trip — that is the
+        # ``while True``.
         gen = self._gen
         sim = self.sim
+        if resumed is None:
+            value = exc = None
+        else:
+            value, exc = resumed.peek()
         while True:
             try:
                 if exc is not None:
@@ -104,16 +117,16 @@ class Process:
                 self.finished.fail(ProcessFailed(self.name, error))
                 return
             if effect is None:
-                sim.call_soon(self._step, None, None)
+                sim.call_soon(self._step)
                 return
             if type(effect) is Delay:
-                sim.schedule(effect.duration_us, self._step, None, None)
+                sim.schedule(effect.duration_us, self._step)
                 return
             if isinstance(effect, self._blocking):
                 if effect.resolved:
                     value, exc = effect.peek()
                     continue
-                effect.add_done_callback(self._on_future)
+                effect.add_done_callback(self._resume)
                 return
             self.finished.fail(
                 ProcessFailed(
@@ -122,10 +135,6 @@ class Process:
                 )
             )
             return
-
-    def _on_future(self, future: Future) -> None:
-        value, exc = future.peek()
-        self.sim.call_soon(self._step, value, exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "running"

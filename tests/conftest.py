@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro import _kernel
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
@@ -11,6 +14,26 @@ from repro.core.policies import AdaptiveThreshold, NoMigration
 from repro.gos.jvm import DistributedJVM
 from repro.gos.space import GlobalObjectSpace
 from repro.sim.engine import Simulator
+
+
+@pytest.fixture(params=("python", "compiled"))
+def backend(request):
+    """Run the test under each backend in turn, then restore the caller's
+    (skips the compiled leg where the extension cannot be built)."""
+    previous_env = os.environ.get("REPRO_BACKEND")
+    previous = _kernel.backend_name()
+    try:
+        try:
+            _kernel.select_backend(request.param)
+        except RuntimeError as exc:
+            pytest.skip(f"compiled backend unavailable: {exc}")
+        yield request.param
+    finally:
+        _kernel.select_backend(previous)
+        if previous_env is None:
+            os.environ.pop("REPRO_BACKEND", None)
+        else:
+            os.environ["REPRO_BACKEND"] = previous_env
 
 
 @pytest.fixture

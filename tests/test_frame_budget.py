@@ -36,8 +36,8 @@ from repro.gos.thread import ThreadContext
 #: CPython 3.11 (the compiled backend runs the event loop, dispatch and
 #: hit paths in C).  The assert allows 5 % on top.
 CALL_BUDGET = {
-    "synthetic-at-4": {"python": 22958, "compiled": 9294},
-    "asp-nm-4": {"python": 49390, "compiled": 16430},
+    "synthetic-at-4": {"python": 22597, "compiled": 8933},
+    "asp-nm-4": {"python": 48617, "compiled": 15657},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)

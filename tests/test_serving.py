@@ -283,6 +283,68 @@ def test_cli_serve_rejects_unknown_policy(capsys):
         cli_main(["serve", "--policy", "WAT"])
 
 
+#: Malformed traffic -> (ServingSpec kwargs, the whole one-line rejection).
+BAD_SERVING_SPECS = {
+    "read_fraction above 1": (
+        {"read_fraction": 1.5}, "read_fraction must be in [0, 1], got 1.5"
+    ),
+    "owned_fraction negative": (
+        {"owned_fraction": -0.5}, "owned_fraction must be in [0, 1], got -0.5"
+    ),
+    "zipf_s negative": (
+        {"zipf_s": -1.0}, "zipf_s must be finite and >= 0, got -1.0"
+    ),
+    "zipf_s nan": (
+        {"zipf_s": float("nan")}, "zipf_s must be finite and >= 0, got nan"
+    ),
+    "mean_gap_us negative": (
+        {"mean_gap_us": -5}, "mean_gap_us must be finite and >= 0, got -5"
+    ),
+    "think_us negative": (
+        {"think_us": -3}, "think_us must be finite and >= 0, got -3"
+    ),
+    "think_us infinite": (
+        {"think_us": float("inf")}, "think_us must be finite and >= 0, got inf"
+    ),
+    "requests_per_thread negative": (
+        {"requests_per_thread": -1}, "requests_per_thread must be >= 1, got -1"
+    ),
+    "no phases": ({"phases": 0}, "phases must be >= 1, got 0"),
+    "no nodes": ({"nodes": 0}, "nodes must be >= 1, got 0"),
+    "no keys": ({"keys": 0}, "keys must be >= 1, got 0"),
+    "empty records": ({"key_len": 0}, "key_len must be >= 1, got 0"),
+    "no threads": ({"threads": 0}, "threads must be None or >= 1, got 0"),
+    "unknown arrival": (
+        {"arrival": "bursty"}, "arrival must be 'open' or 'closed', got 'bursty'"
+    ),
+    "churn of every node": ({"churn": 1.0}, "churn must be in [0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SERVING_SPECS))
+def test_malformed_serving_spec_rejected(case, backend):
+    """Each malformed field is refused at construction, before any
+    expansion or simulation, with one line naming the field and value."""
+    kwargs, message = BAD_SERVING_SPECS[case]
+    with pytest.raises(ValueError) as err:
+        run_serving(ServingSpec(**kwargs))
+    assert str(err.value) == message
+
+
+def test_cli_serve_rejects_malformed_traffic(capsys):
+    with pytest.raises(SystemExit):
+        cli_main(["serve", "--nodes", "0"])
+    assert "nodes must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_fuzzed_serving_draws_stay_valid():
+    """The serving fuzz flavor only draws traffic the validator accepts."""
+    from repro.apps.serving import generate_serving_program
+
+    for seed in range(200):
+        generate_serving_program(seed)
+
+
 def test_serving_episode_clean_under_conformance():
     """A serving episode passes the oracle and the invariant checker."""
     result = run_episode(seed=0, flavor="serving")
