@@ -1,16 +1,16 @@
 /* Compiled hot kernels for the repro package.
  *
- * Four kernels, chosen from profile data (see PROTOCOL.md §11):
+ * Kernels chosen from profile data (see PROTOCOL.md §11), among them:
  *
  *   Engine            -- the event-heap core of repro.sim.engine (push +
  *                        drain/dispatch).  repro.sim.engine.CompiledSimulator
  *                        subclasses it from Python and layers the process /
  *                        deadlock bookkeeping on top.
- *   Dispatcher        -- the per-message dispatch point of the DSM protocol
- *                        layer (category -> bound handler dict lookup).
  *   diff_arrays       -- the element-wise scan behind
  *                        repro.memory.diff.compute_diff.
  *   adaptive_threshold -- Equation 2 of the paper (repro.core.threshold).
+ *   NetFabric         -- the compiled twin of repro.cluster.network's
+ *                        Network.send, with batched DeliveryPorts.
  *
  * Determinism contract: every kernel reproduces the pure-Python semantics
  * bit for bit.  The event heap orders by (time, seq) with seq unique, so
@@ -35,7 +35,6 @@
 /* Set by _install(); the simulator raises this instead of RuntimeError. */
 static PyObject *SimError = NULL;
 
-static PyObject *str_category = NULL;
 static PyObject *str_payload = NULL;
 static PyObject *str_value = NULL;
 static PyObject *str_mode = NULL;
@@ -503,134 +502,6 @@ static PyTypeObject EngineType = {
     .tp_clear = (inquiry)Engine_clear,
     .tp_methods = Engine_methods,
     .tp_getset = Engine_getset,
-};
-
-/* ====================================================================== */
-/* Dispatcher: protocol message dispatch                                   */
-/* ====================================================================== */
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *dispatch; /* category -> bound handler dict (shared, owned ref) */
-} DispatcherObject;
-
-static int
-Dispatcher_init(DispatcherObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *dispatch;
-
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "Dispatcher() takes no keyword arguments");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!:Dispatcher", &PyDict_Type, &dispatch)) {
-        return -1;
-    }
-    Py_INCREF(dispatch);
-    Py_XSETREF(self->dispatch, dispatch);
-    return 0;
-}
-
-static PyObject *
-Dispatcher_call(DispatcherObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *msg, *category, *handler, *payload, *res;
-
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "Dispatcher takes no keyword arguments");
-        return NULL;
-    }
-    if (PyTuple_GET_SIZE(args) != 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "Dispatcher expects exactly one message");
-        return NULL;
-    }
-    msg = PyTuple_GET_ITEM(args, 0);
-    category = PyObject_GetAttr(msg, str_category);
-    if (category == NULL) {
-        return NULL;
-    }
-    handler = PyDict_GetItemWithError(self->dispatch, category);
-    Py_DECREF(category);
-    if (handler == NULL) {
-        if (PyErr_Occurred()) {
-            return NULL;
-        }
-        PyErr_Format(PyExc_RuntimeError, "unhandled message %R", msg);
-        return NULL;
-    }
-    Py_INCREF(handler);
-    payload = PyObject_GetAttr(msg, str_payload);
-    if (payload == NULL) {
-        Py_DECREF(handler);
-        return NULL;
-    }
-    res = PyObject_CallOneArg(handler, payload);
-    Py_DECREF(handler);
-    Py_DECREF(payload);
-    if (res == NULL) {
-        return NULL;
-    }
-    Py_DECREF(res);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Dispatcher_get_dispatch(DispatcherObject *self, void *closure)
-{
-    if (self->dispatch == NULL) {
-        Py_RETURN_NONE;
-    }
-    Py_INCREF(self->dispatch);
-    return self->dispatch;
-}
-
-static int
-Dispatcher_traverse(DispatcherObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->dispatch);
-    return 0;
-}
-
-static int
-Dispatcher_clear_gc(DispatcherObject *self)
-{
-    Py_CLEAR(self->dispatch);
-    return 0;
-}
-
-static void
-Dispatcher_dealloc(DispatcherObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Py_CLEAR(self->dispatch);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyGetSetDef Dispatcher_getset[] = {
-    {"dispatch", (getter)Dispatcher_get_dispatch, NULL,
-     "The category -> handler dict this dispatcher reads (shared with the "
-     "engine, so mutations are visible immediately).", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
-static PyTypeObject DispatcherType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._kernel._kernelc.Dispatcher",
-    .tp_doc = "Compiled per-message dispatch point: looks the message "
-              "category up in a shared handler dict and invokes the bound "
-              "handler with the payload.",
-    .tp_basicsize = sizeof(DispatcherObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Dispatcher_init,
-    .tp_call = (ternaryfunc)Dispatcher_call,
-    .tp_dealloc = (destructor)Dispatcher_dealloc,
-    .tp_traverse = (traverseproc)Dispatcher_traverse,
-    .tp_clear = (inquiry)Dispatcher_clear_gc,
-    .tp_getset = Dispatcher_getset,
 };
 
 /* ====================================================================== */
@@ -2768,7 +2639,7 @@ fail:
     return NULL;
 }
 
-/* The legacy Network.send body, op for op: the same validation order and
+/* The Network.send body, op for op: the same validation order and
  * error strings, the same Counter updates, and the same IEEE-754
  * sequence for the Hockney NIC occupancy math, so walls and stats hash
  * identically under both backends.  The topology branch mirrors
@@ -2892,16 +2763,17 @@ fabric_send_core(FabricObject *f, PyObject *src_obj, PyObject *dst_obj,
 }
 
 static PyObject *
-Fabric_send(FabricObject *self, PyObject *const *args, Py_ssize_t nargs)
+Fabric_send(FabricObject *self, PyObject *args, PyObject *kwds)
 {
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError,
-                        "send() requires (src, dst, category, size_bytes, "
-                        "payload)");
+    static char *kwlist[] = {"src", "dst", "category", "size_bytes",
+                             "payload", NULL};
+    PyObject *src, *dst, *category, *size, *payload = Py_None;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO|O:send", kwlist, &src,
+                                     &dst, &category, &size, &payload)) {
         return NULL;
     }
-    return fabric_send_core(self, args[0], args[1], args[2], args[3],
-                            args[4]);
+    return fabric_send_core(self, src, dst, category, size, payload);
 }
 
 static int
@@ -3040,10 +2912,11 @@ static PyMethodDef Fabric_methods[] = {
      "add_port(dispatch, service_us)\n--\n\n"
      "Register the next node's delivery port (call once per node, in "
      "node order); returns the DeliveryPort."},
-    {"send", (PyCFunction)(void (*)(void))Fabric_send, METH_FASTCALL,
-     "send(src, dst, category, size_bytes, payload)\n--\n\n"
-     "The legacy Network.send body: validate, account, occupy the "
-     "source NIC, and schedule the batched arrival."},
+    {"send", (PyCFunction)(void (*)(void))Fabric_send,
+     METH_VARARGS | METH_KEYWORDS,
+     "send(src, dst, category, size_bytes, payload=None)\n--\n\n"
+     "Network.send in C: validate, account, occupy the source NIC, and "
+     "schedule the batched arrival."},
     {"sender", (PyCFunction)Fabric_sender, METH_O,
      "sender(src)\n--\n\nA bound per-node send callable."},
     {"set_topology", (PyCFunction)Fabric_set_topology, METH_VARARGS,
@@ -4199,14 +4072,6 @@ PyInit__kernelc(void)
 
     import_array();
 
-    str_category = PyUnicode_InternFromString("category");
-    if (str_category == NULL) {
-        return NULL;
-    }
-    str_payload = PyUnicode_InternFromString("payload");
-    if (str_payload == NULL) {
-        return NULL;
-    }
 #define INTERN(var, text)                                                  \
     do {                                                                   \
         var = PyUnicode_InternFromString(text);                            \
@@ -4214,6 +4079,7 @@ PyInit__kernelc(void)
             return NULL;                                                   \
         }                                                                  \
     } while (0)
+    INTERN(str_payload, "payload");
     INTERN(str_value, "value");
     INTERN(str_mode, "mode");
     INTERN(str_interval, "interval");
@@ -4257,7 +4123,7 @@ PyInit__kernelc(void)
         return NULL;
     }
 
-    if (PyType_Ready(&EngineType) < 0 || PyType_Ready(&DispatcherType) < 0 ||
+    if (PyType_Ready(&EngineType) < 0 ||
         PyType_Ready(&VqType) < 0 || PyType_Ready(&KfType) < 0 ||
         PyType_Ready(&LocalAccessType) < 0 || PyType_Ready(&PortType) < 0 ||
         PyType_Ready(&FabricType) < 0 || PyType_Ready(&SenderType) < 0 ||
@@ -4272,8 +4138,6 @@ PyInit__kernelc(void)
         return NULL;
     }
     if (PyModule_AddObjectRef(mod, "Engine", (PyObject *)&EngineType) < 0 ||
-        PyModule_AddObjectRef(mod, "Dispatcher",
-                              (PyObject *)&DispatcherType) < 0 ||
         PyModule_AddObjectRef(mod, "VersionIndexedQueue",
                               (PyObject *)&VqType) < 0 ||
         PyModule_AddObjectRef(mod, "KeyedFifo", (PyObject *)&KfType) < 0 ||

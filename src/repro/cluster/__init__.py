@@ -7,7 +7,7 @@ migration protocol actually observes: *messages*, their *sizes*, their
 """
 
 from repro.cluster.hockney import FAST_ETHERNET, GIGABIT, MYRINET, HockneyModel
-from repro.cluster.message import Message, MsgCategory
+from repro.cluster.message import MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.stats import ClusterStats
@@ -17,7 +17,6 @@ __all__ = [
     "FAST_ETHERNET",
     "GIGABIT",
     "HockneyModel",
-    "Message",
     "MsgCategory",
     "MYRINET",
     "Network",

@@ -7,8 +7,9 @@ Timing model for a message of ``m`` bytes from ``src`` to ``dst``:
   a single full-duplex link into the switch;
 * the wire+stack latency adds the start-up term, so arrival is
   ``injection_end + t0``;
-* the receiving :class:`~repro.cluster.node.Node` charges its service
-  overhead before the protocol handler runs.
+* the receiving node's delivery port charges its service overhead
+  (:attr:`~repro.cluster.node.Node.service_us`) before the protocol
+  handler runs.
 
 End-to-end latency of an isolated message is therefore exactly the Hockney
 ``t(m) = t0 + m/r_inf`` (plus receiver service time), while bursts of
@@ -25,7 +26,7 @@ from functools import partial
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.cluster.hockney import HockneyModel
-from repro.cluster.message import HEADER_BYTES, Message, MsgCategory
+from repro.cluster.message import HEADER_BYTES, MsgCategory
 from repro.cluster.node import Node
 from repro.cluster.stats import ClusterStats
 from repro.cluster.topology import ClusterTopology, make_topology
@@ -42,8 +43,8 @@ class _PyDeliveryPort:
     counter still equals the watermark recorded right after the batch's
     flush event was scheduled.  Any interleaved event — another port's
     flush, a handler-scheduled callback — advances the counter and
-    breaks coalescing, so the degenerate case is exactly the legacy
-    one-event-per-message delivery order.
+    breaks coalescing, so handlers run in exactly the ``(time, seq)``
+    order one delivery event per message would give.
     """
 
     __slots__ = ("_sim", "_dispatch", "_service", "_batch", "_batch_time",
@@ -85,7 +86,14 @@ class _PyDeliveryPort:
 
 
 class Network:
-    """The cluster interconnect: owns the nodes and delivers messages."""
+    """The cluster interconnect: owns the nodes and delivers messages.
+
+    Every endpoint registers a category -> handler table
+    (:meth:`register_fast_dispatch`); once all have, :meth:`send` is the
+    one send body and each node's arrivals flow through a batched
+    delivery port.  Under the compiled engine the kernel's ``NetFabric``
+    (the C twin of :meth:`send`) replaces the body at activation.
+    """
 
     def __init__(
         self,
@@ -94,7 +102,6 @@ class Network:
         nnodes: int,
         stats: ClusterStats | None = None,
         service_us: float | None = None,
-        metrics=None,
         topology: "ClusterTopology | str | dict | None" = None,
     ):
         if nnodes < 1:
@@ -108,37 +115,27 @@ class Network:
         self.half_peak_bytes = comm_model.half_peak_bytes
         self.stats = stats if stats is not None else ClusterStats()
         node_kwargs = {} if service_us is None else {"service_us": service_us}
-        self.nodes = [Node(i, sim, **node_kwargs) for i in range(nnodes)]
+        self.nodes = [Node(i, self, **node_kwargs) for i in range(nnodes)]
         self._nic_free = [0.0] * nnodes
-        #: Pre-bound per-node delivery table: ``send`` schedules
-        #: ``_deliver[dst]`` with the message as an event-tuple argument,
-        #: so the hot path allocates no closure and does no list+attribute
-        #: re-resolution per message.
-        self._deliver = [node.deliver for node in self.nodes]
         # Hot-path pre-binds: one attribute resolution at construction
         # instead of three per message.
         self._transfer_us = comm_model.transfer_us
         self._startup_us = comm_model.startup_us
         self._sim_at = sim.at
-        self._record = self.stats.record_message
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
-        #: per-category message/byte counters accrue on every send.
-        self.metrics = metrics
-        #: Fast-path state (PR 8): once every node's protocol engine has
-        #: registered its dispatch dict, sends route through a single
-        #: Message-free path with batched delivery, in C when the
-        #: simulator is the compiled Engine.  ``None`` until activated.
-        self._fast_send: Callable | None = None
-        self._fast_dispatch: dict[int, dict] = {}
-        self._fast_bind: dict[int, Callable] = {}
-        self._fast_ports: list[_PyDeliveryPort] | None = None
+        #: Delivery state, filled by :meth:`register_fast_dispatch`: each
+        #: node's handler table and sender binder, then (once every node
+        #: is in) one delivery port per node — Python ports, or the
+        #: compiled fabric's when the simulator is the compiled Engine.
+        self._dispatch: dict[int, dict] = {}
+        self._bind: dict[int, Callable] = {}
+        self._ports: list[_PyDeliveryPort] | None = None
         self._fabric = None
         #: Optional interconnect topology (PROTOCOL.md §15).  ``None``
         #: keeps the seed's ideal single switch bit for bit; a topology
         #: adds per-pair hop latency, an oversubscription transfer
         #: penalty and (optionally) serialized uplink contention on top
-        #: of the Hockney NIC model — identical math on all three send
-        #: paths (legacy, Python fast, compiled fabric).
+        #: of the Hockney NIC model — identical math in :meth:`send` and
+        #: the compiled fabric.
         self.topology = make_topology(topology, nnodes)
         if self.topology is not None:
             self._topo_pair = self.topology.pair
@@ -151,38 +148,29 @@ class Network:
     def register_fast_dispatch(
         self, node_id: int, dispatch: dict, bind_sender: Callable
     ) -> None:
-        """Opt one node into fast delivery.
+        """Register one node's endpoint (exactly once per node).
 
-        ``dispatch`` is the engine's shared category -> handler dict (the
-        same object its kernel Dispatcher reads, so later handler swaps
-        stay visible); ``bind_sender`` is called with a per-node send
-        callable once *every* node has registered.  Activation is
-        all-or-nothing: a cluster with any non-registering endpoint
-        (e.g. the homeless engines) keeps the legacy per-message path,
-        so NIC state never splits across two send paths.
+        ``dispatch`` is the engine's category -> payload handler dict
+        (held by reference, so later handler swaps stay visible);
+        ``bind_sender`` is called with a per-node send callable
+        ``(dst, category, size_bytes, payload)`` once *every* node has
+        registered.  Until then :meth:`send` refuses to inject.
         """
         if not 0 <= node_id < self.nnodes:
             raise ValueError(f"node {node_id} outside cluster")
-        self._fast_dispatch[node_id] = dispatch
-        self._fast_bind[node_id] = bind_sender
-        if len(self._fast_dispatch) == self.nnodes:
-            self._activate_fast_delivery()
+        if node_id in self._dispatch:
+            raise RuntimeError(f"node {node_id} already registered a handler")
+        self._dispatch[node_id] = dispatch
+        self._bind[node_id] = bind_sender
+        if len(self._dispatch) == self.nnodes:
+            self._activate()
 
-    def _activate_fast_delivery(self) -> None:
+    def _activate(self) -> None:
         from repro import _kernel
 
         kernel_module = _kernel.kernel()
         sim = self.sim
-        # With a metrics registry attached every send must also feed the
-        # observability counters, which the C fabric cannot do — use the
-        # Python fast path there.  Event structure (and so every
-        # deterministic field) is identical either way; only the send
-        # body's speed differs.
-        if (
-            self.metrics is None
-            and kernel_module is not None
-            and isinstance(sim, kernel_module.Engine)
-        ):
+        if kernel_module is not None and isinstance(sim, kernel_module.Engine):
             fabric = kernel_module.NetFabric(
                 sim,
                 self.stats.msg_count,
@@ -200,24 +188,24 @@ class Network:
                 fabric.set_topology(
                     topo.group_ids, topo.class_costs, topo.nlinks, topo.contention
                 )
-            for i in range(self.nnodes):
-                fabric.add_port(self._fast_dispatch[i], self.nodes[i].service_us)
-            senders = [fabric.sender(i) for i in range(self.nnodes)]
-            self._fabric = fabric
-            self._fast_send = fabric.send
-        else:
-            self._fast_ports = [
-                _PyDeliveryPort(sim, self._fast_dispatch[i], self.nodes[i].service_us)
+            self._ports = [
+                fabric.add_port(self._dispatch[i], self.nodes[i].service_us)
                 for i in range(self.nnodes)
             ]
-            senders = [
-                partial(self._py_fast_send, i) for i in range(self.nnodes)
+            senders = [fabric.sender(i) for i in range(self.nnodes)]
+            self._fabric = fabric
+            # The C twin shadows the Python body for every later caller.
+            self.send = fabric.send
+        else:
+            self._ports = [
+                _PyDeliveryPort(sim, self._dispatch[i], self.nodes[i].service_us)
+                for i in range(self.nnodes)
             ]
-            self._fast_send = self._py_fast_send
+            senders = [partial(self.send, i) for i in range(self.nnodes)]
         for i in range(self.nnodes):
-            self._fast_bind[i](senders[i])
+            self._bind[i](senders[i])
 
-    def _py_fast_send(
+    def send(
         self,
         src: int,
         dst: int,
@@ -225,16 +213,30 @@ class Network:
         size_bytes: int,
         payload: Any = None,
     ) -> None:
-        """Pure-Python twin of the kernel ``NetFabric.send`` body: the
-        legacy :meth:`send` semantics without the Message allocation."""
+        """Inject one message and schedule its batched arrival at ``dst``.
+
+        ``size_bytes`` is the payload size; the fixed header is added
+        here.  The message is accounted in :attr:`stats`, occupies the
+        source NIC (and, under a contended topology, the source uplink),
+        and reaches ``dst``'s delivery port at wire-arrival time; the
+        port runs the handler after the node's service overhead.  The
+        compiled ``NetFabric.send`` is this body op for op.
+        """
         if src == dst:
             raise ValueError(
                 f"local message {category.value} on node {src}; node-local "
                 "operations must bypass the network"
             )
-        nnodes = len(self.nodes)
+        nnodes = self.nnodes
         if not (0 <= src < nnodes and 0 <= dst < nnodes):
             raise ValueError(f"endpoints {src}->{dst} outside cluster")
+        ports = self._ports
+        if ports is None:
+            missing = [i for i in range(nnodes) if i not in self._dispatch]
+            raise RuntimeError(
+                f"send before every node registered a handler; "
+                f"unregistered nodes: {missing}"
+            )
         total = size_bytes + HEADER_BYTES
         if total < HEADER_BYTES:
             raise ValueError(
@@ -244,12 +246,8 @@ class Network:
         stats = self.stats
         stats.msg_count[category] += 1
         stats.msg_bytes[category] += total
-        if self.metrics is not None:
-            label = category.value
-            self.metrics.counter("net_messages_total", category=label).inc()
-            self.metrics.counter("net_bytes_total", category=label).inc(total)
 
-        now = self.sim._now
+        now = self.sim._now  # direct read; the property is hot-path overhead
         nic_free = self._nic_free[src]
         injection_start = now if now >= nic_free else nic_free
         injection_end = injection_start + self._transfer_us(total)
@@ -258,12 +256,7 @@ class Network:
             arrival = injection_end + self._startup_us
         else:
             arrival = self._topo_arrival(src, dst, total, injection_end)
-        self._sim_at(
-            arrival,
-            self._fast_ports[dst].arrive,
-            category,
-            payload,
-        )
+        self._sim_at(arrival, ports[dst].arrive, category, payload)
 
     def _topo_arrival(
         self, src: int, dst: int, total: int, injection_end: float
@@ -284,73 +277,6 @@ class Network:
             link_free[link] = link_end
             return link_end + self._startup_us + hop
         return injection_end + self._startup_us + hop + total * pen / self._bandwidth
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        category: MsgCategory,
-        size_bytes: int,
-        payload: Any = None,
-    ) -> Message | None:
-        """Inject a message; schedules its delivery and returns it.
-
-        ``size_bytes`` is the payload size; the fixed header is added here.
-        On the activated fast path no :class:`Message` is materialized
-        and ``None`` is returned (no protocol caller reads the value).
-        """
-        if self._fast_send is not None:
-            self._fast_send(src, dst, category, size_bytes, payload)
-            return None
-        if src == dst:
-            raise ValueError(
-                f"local message {category.value} on node {src}; node-local "
-                "operations must bypass the network"
-            )
-        if not (0 <= src < self.nnodes and 0 <= dst < self.nnodes):
-            raise ValueError(f"endpoints {src}->{dst} outside cluster")
-        message = Message(
-            src=src,
-            dst=dst,
-            category=category,
-            size_bytes=size_bytes + HEADER_BYTES,
-            payload=payload,
-        )
-        self._record(message)
-        if self.metrics is not None:
-            label = category.value
-            self.metrics.counter("net_messages_total", category=label).inc()
-            self.metrics.counter("net_bytes_total", category=label).inc(
-                message.size_bytes
-            )
-
-        now = self.sim._now  # direct read; the property is hot-path overhead
-        nic_free = self._nic_free[src]
-        injection_start = now if now >= nic_free else nic_free
-        injection_end = injection_start + self._transfer_us(message.size_bytes)
-        self._nic_free[src] = injection_end
-        if self._topo_pair is None:
-            arrival = injection_end + self._startup_us
-        else:
-            arrival = self._topo_arrival(
-                src, dst, message.size_bytes, injection_end
-            )
-        self._sim_at(arrival, self._deliver[dst], message)
-        return message
-
-    def broadcast(
-        self,
-        src: int,
-        category: MsgCategory,
-        size_bytes: int,
-        payload: Any = None,
-    ) -> list[Message]:
-        """Send one copy to every other node (switch has no multicast here)."""
-        return [
-            self.send(src, dst, category, size_bytes, payload)
-            for dst in range(self.nnodes)
-            if dst != src
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network {self.nnodes} nodes, {self.comm_model.name}>"

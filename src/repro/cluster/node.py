@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
-from repro.cluster.message import Message
+from repro.cluster.message import MsgCategory
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
+    from repro.cluster.network import Network
 
 #: Fixed CPU overhead charged at the receiver per handled message
 #: (interrupt + protocol dispatch), in microseconds.
@@ -17,37 +17,39 @@ DEFAULT_SERVICE_US = 5.0
 class Node:
     """One cluster node.
 
-    A node owns a single message handler (installed by the DSM protocol
-    engine).  Message delivery charges :attr:`service_us` of receiver CPU
-    time before the handler runs, modelling interrupt/dispatch overhead.
+    Its delivery port charges :attr:`service_us` of receiver CPU time
+    before a message's handler runs, modelling interrupt/dispatch
+    overhead.  Protocol engines register their category -> handler table
+    with :meth:`Network.register_fast_dispatch
+    <repro.cluster.network.Network.register_fast_dispatch>`.
     """
 
     def __init__(
-        self, node_id: int, sim: "Simulator", service_us: float = DEFAULT_SERVICE_US
+        self,
+        node_id: int,
+        network: "Network",
+        service_us: float = DEFAULT_SERVICE_US,
     ):
         if node_id < 0:
             raise ValueError(f"node id must be non-negative, got {node_id}")
         if service_us < 0:
             raise ValueError(f"service_us must be non-negative, got {service_us}")
         self.node_id = node_id
-        self.sim = sim
+        self.network = network
         self.service_us = service_us
-        self._handler: Callable[[Message], None] | None = None
 
-    def install_handler(self, handler: Callable[[Message], None]) -> None:
-        """Install the protocol engine's message handler (exactly once)."""
-        if self._handler is not None:
-            raise RuntimeError(f"node {self.node_id} already has a handler")
-        self._handler = handler
+    def install_handler(self, handler: Callable[[Any], None]) -> None:
+        """Register one handler for every category (exactly once).
 
-    def deliver(self, message: Message) -> None:
-        """Called by the network at wire-arrival time; runs the handler
-        after the service overhead."""
-        if self._handler is None:
-            raise RuntimeError(
-                f"node {self.node_id} received {message!r} with no handler"
-            )
-        self.sim.schedule(self.service_us, self._handler, message)
+        The handler receives each arriving message's payload.
+        """
+        self.network.register_fast_dispatch(
+            self.node_id, dict.fromkeys(MsgCategory, handler), _keep_network_send
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.node_id}>"
+
+
+def _keep_network_send(sender: Callable) -> None:
+    """Sender binder of a plain handler: it sends through ``Network.send``."""

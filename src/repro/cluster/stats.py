@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from repro.cluster.message import SYNC_CATEGORIES, Message, MsgCategory
+from repro.cluster.message import SYNC_CATEGORIES, MsgCategory
 
 #: Figure 5b's four message-breakdown event names.
 BREAKDOWN_EVENTS = ("obj", "mig", "diff", "redir")
@@ -27,6 +27,8 @@ class ClusterStats:
     """Mutable statistics sink shared by the network and the DSM layer."""
 
     def __init__(self) -> None:
+        #: Per-category message and wire-byte counts, bumped by the
+        #: network's send body (Python or compiled) on every injection.
         self.msg_count: Counter[MsgCategory] = Counter()
         self.msg_bytes: Counter[MsgCategory] = Counter()
         self.events: Counter[str] = Counter()
@@ -37,11 +39,6 @@ class ClusterStats:
         self.peaks: dict[str, int] = {}
 
     # -- raw traffic ------------------------------------------------------
-
-    def record_message(self, message: Message) -> None:
-        """Account one sent message (called by the network on injection)."""
-        self.msg_count[message.category] += 1
-        self.msg_bytes[message.category] += message.size_bytes
 
     def total_messages(
         self, exclude: Iterable[MsgCategory] = ()

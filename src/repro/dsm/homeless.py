@@ -7,7 +7,8 @@ round trips), every diff is applied once per fetching process, and diffs
 accumulate in memory until a global garbage collection.
 
 :class:`HomelessEngine` implements that protocol on the same simulator,
-locks, and barriers:
+locks, barriers, and wire messages (the home-based protocol's lock and
+barrier message classes, and the same batched network delivery):
 
 * there are no homes — every node lazily materialises the initial image
   (as TreadMarks processes do at startup) and keeps it coherent by
@@ -39,6 +40,13 @@ from repro.cluster.stats import ClusterStats
 from repro.dsm.barrier import BarrierHandle, BarrierState
 from repro.dsm.cache import AccessMode
 from repro.dsm.locks import LockHandle, LockTable
+from repro.dsm.protocol import (
+    BarrierArriveMsg,
+    BarrierReleaseMsg,
+    LockAcquireMsg,
+    LockGrantMsg,
+    LockReleaseMsg,
+)
 from repro.memory.arena import Arena, new_arena
 from repro.memory.diff import Diff, apply_diff, compute_diff
 from repro.memory.heap import ObjectHeap
@@ -83,43 +91,6 @@ class DiffReply:
 
 
 @dataclass(slots=True)
-class _LockAcquire:
-    lock_id: int
-    requester: int
-    request_id: tuple[int, int]
-    notices: dict
-
-
-@dataclass(slots=True)
-class _LockGrant:
-    lock_id: int
-    request_id: tuple[int, int]
-    notices: dict
-
-
-@dataclass(slots=True)
-class _LockRelease:
-    lock_id: int
-    releaser: int
-    notices: dict
-
-
-@dataclass(slots=True)
-class _BarrierArrive:
-    barrier_id: int
-    node: int
-    round_no: int
-    notices: dict
-
-
-@dataclass(slots=True)
-class _BarrierRelease:
-    barrier_id: int
-    round_no: int
-    notices: dict
-
-
-@dataclass(slots=True)
 class _GcTraffic:
     """Inert accounting message: the bytes a global diff GC moves.
 
@@ -128,6 +99,10 @@ class _GcTraffic:
     to the network model."""
 
     phase: str  # "contribute" or "rebase"
+
+    @staticmethod
+    def on_arrival(traffic: "_GcTraffic") -> None:
+        """Arrival handler: nothing to do, the GC already ran."""
 
 
 class HomelessEngine:
@@ -171,17 +146,40 @@ class HomelessEngine:
         self.required: dict[tuple[int, int], int] = {}
         self.lock_table = LockTable()
         self.barriers: dict[int, BarrierState] = {}
+        #: Request id -> future of every outstanding diff fetch and lock
+        #: acquire (request ids are unique per node).
         self._reply_waiters: dict[tuple[int, int], Future] = {}
-        self._lock_waiters: dict[tuple[int, tuple[int, int]], Future] = {}
         self._barrier_waiters: dict[tuple[int, int], list[Future]] = {}
         self._req_counter = 0
-        network.nodes[node_id].install_handler(self.on_message)
+        network.register_fast_dispatch(
+            node_id,
+            {
+                MsgCategory.OBJ_REQUEST: self._handle_diff_request,
+                MsgCategory.OBJ_REPLY: self._resolve_reply,
+                MsgCategory.LOCK_ACQUIRE: self._handle_lock_acquire,
+                MsgCategory.LOCK_GRANT: self._resolve_reply,
+                MsgCategory.LOCK_RELEASE: self._manager_release,
+                MsgCategory.BARRIER_ARRIVE: self._manager_barrier_arrive,
+                MsgCategory.BARRIER_RELEASE: self._deliver_barrier_release,
+                MsgCategory.CONTROL: _GcTraffic.on_arrival,
+            },
+            self._bind_sender,
+        )
 
     # -- helpers -----------------------------------------------------------
 
     def _next_request_id(self) -> tuple[int, int]:
         self._req_counter += 1
         return (self.node_id, self._req_counter)
+
+    def _bind_sender(self, sender) -> None:
+        """Install the network's per-node send callable as ``_send``
+        (``(dst, category, size_bytes, payload)``)."""
+        self._send = sender
+
+    def _resolve_reply(self, reply) -> None:
+        """Wake the waiter of a diff reply or lock grant."""
+        self._reply_waiters.pop(reply.request_id).resolve(reply)
 
     def _replica(self, oid: int) -> _Replica:
         replica = self.replicas.get(oid)
@@ -277,8 +275,7 @@ class HomelessEngine:
             request_id = self._next_request_id()
             fut = self._Future(label="diffreq")
             self._reply_waiters[request_id] = fut
-            self.network.send(
-                self.node_id,
+            self._send(
                 writer,
                 MsgCategory.OBJ_REQUEST,
                 REQUEST_BYTES,
@@ -377,66 +374,62 @@ class HomelessEngine:
         if handle.home == self.node_id:
             self.lock_table.add_notices(handle.lock_id, own)
             if self.lock_table.try_acquire(handle.lock_id, self.node_id, request_id):
-                notices = self.lock_table.grant_notices(
-                    handle.lock_id, self.node_id
+                self.apply_notices(
+                    self.lock_table.grant_notices(handle.lock_id, self.node_id)
                 )
-            else:
-                fut = self._Future(label="hl-lock")
-                self._lock_waiters[(handle.lock_id, request_id)] = fut
-                notices = yield fut
+                return
         else:
-            fut = self._Future(label="hl-lock")
-            self._lock_waiters[(handle.lock_id, request_id)] = fut
-            self.network.send(
-                self.node_id,
+            self._send(
                 handle.home,
                 MsgCategory.LOCK_ACQUIRE,
                 self._notice_size(own),
-                _LockAcquire(
+                LockAcquireMsg(
                     lock_id=handle.lock_id,
                     requester=self.node_id,
                     request_id=request_id,
                     notices=own,
                 ),
             )
-            notices = yield fut
-        self.apply_notices(notices)
+        fut = self._Future(label="hl-lock")
+        self._reply_waiters[request_id] = fut
+        grant: LockGrantMsg = yield fut
+        self.apply_notices(grant.notices)
 
     def release(self, handle: LockHandle) -> Generator[Any, Any, None]:
         notices = self._gossip_notices()
+        release = LockReleaseMsg(
+            lock_id=handle.lock_id, releaser=self.node_id, notices=notices
+        )
         if handle.home == self.node_id:
-            self._manager_release(handle.lock_id, self.node_id, notices)
+            self._manager_release(release)
         else:
-            self.network.send(
-                self.node_id,
+            self._send(
                 handle.home,
                 MsgCategory.LOCK_RELEASE,
                 self._notice_size(notices),
-                _LockRelease(
-                    lock_id=handle.lock_id,
-                    releaser=self.node_id,
-                    notices=notices,
-                ),
+                release,
             )
         return
         yield  # pragma: no cover - keeps this a generator
 
-    def _manager_release(self, lock_id, releaser, notices) -> None:
-        waiter = self.lock_table.release(lock_id, releaser, notices)
-        if waiter is None:
-            return
-        grant = self.lock_table.grant_notices(lock_id, waiter.node)
-        if waiter.node == self.node_id:
-            self._lock_waiters.pop((lock_id, waiter.request_id)).resolve(grant)
+    def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
+        self.lock_table.add_notices(msg.lock_id, msg.notices)
+        if self.lock_table.try_acquire(msg.lock_id, msg.requester, msg.request_id):
+            self._grant(msg.lock_id, msg.requester, msg.request_id)
+
+    def _manager_release(self, msg: LockReleaseMsg) -> None:
+        waiter = self.lock_table.release(msg.lock_id, msg.releaser, msg.notices)
+        if waiter is not None:
+            self._grant(msg.lock_id, waiter.node, waiter.request_id)
+
+    def _grant(self, lock_id: int, node: int, request_id) -> None:
+        notices = self.lock_table.grant_notices(lock_id, node)
+        grant = LockGrantMsg(lock_id=lock_id, request_id=request_id, notices=notices)
+        if node == self.node_id:
+            self._resolve_reply(grant)
         else:
-            self.network.send(
-                self.node_id,
-                waiter.node,
-                MsgCategory.LOCK_GRANT,
-                self._notice_size(grant),
-                _LockGrant(
-                    lock_id=lock_id, request_id=waiter.request_id, notices=grant
-                ),
+            self._send(
+                node, MsgCategory.LOCK_GRANT, self._notice_size(notices), grant
             )
 
     # -- barriers -------------------------------------------------------------
@@ -454,7 +447,7 @@ class HomelessEngine:
         self._barrier_waiters.setdefault(
             (handle.barrier_id, round_no), []
         ).append(fut)
-        arrive = _BarrierArrive(
+        arrive = BarrierArriveMsg(
             barrier_id=handle.barrier_id,
             node=self.node_id,
             round_no=round_no,
@@ -463,17 +456,16 @@ class HomelessEngine:
         if handle.home == self.node_id:
             self._manager_barrier_arrive(arrive)
         else:
-            self.network.send(
-                self.node_id,
+            self._send(
                 handle.home,
                 MsgCategory.BARRIER_ARRIVE,
                 self._notice_size(notices),
                 arrive,
             )
-        release: _BarrierRelease = yield fut
+        release: BarrierReleaseMsg = yield fut
         self.apply_notices(release.notices)
 
-    def _manager_barrier_arrive(self, msg: _BarrierArrive) -> None:
+    def _manager_barrier_arrive(self, msg: BarrierArriveMsg) -> None:
         state = self.barriers[msg.barrier_id]
         if state.arrive(msg.node, msg.notices, msg.round_no):
             round_no, merged, _writers = state.complete_round()
@@ -481,68 +473,22 @@ class HomelessEngine:
             if self.on_barrier_complete is not None:
                 # global-GC safe point: every party has flushed
                 self.on_barrier_complete()
-            release = _BarrierRelease(
+            release = BarrierReleaseMsg(
                 barrier_id=msg.barrier_id, round_no=round_no, notices=merged
             )
             size = self._notice_size(merged)
             for dst in range(self.network.nnodes):
                 if dst != self.node_id:
-                    self.network.send(
-                        self.node_id, dst, MsgCategory.BARRIER_RELEASE,
-                        size, release,
-                    )
+                    self._send(dst, MsgCategory.BARRIER_RELEASE, size, release)
             self._deliver_barrier_release(release)
 
-    def _deliver_barrier_release(self, release: _BarrierRelease) -> None:
+    def _deliver_barrier_release(self, release: BarrierReleaseMsg) -> None:
         for fut in self._barrier_waiters.pop(
             (release.barrier_id, release.round_no), []
         ):
             fut.resolve(release)
 
-    # -- message handling -------------------------------------------------------
-
-    def on_message(self, message) -> None:
-        payload = message.payload
-        category = message.category
-        if category is MsgCategory.OBJ_REQUEST:
-            self._handle_diff_request(payload)
-        elif category is MsgCategory.OBJ_REPLY:
-            self._reply_waiters.pop(payload.request_id).resolve(payload)
-        elif category is MsgCategory.LOCK_ACQUIRE:
-            self.lock_table.add_notices(payload.lock_id, payload.notices)
-            if self.lock_table.try_acquire(
-                payload.lock_id, payload.requester, payload.request_id
-            ):
-                grant = self.lock_table.grant_notices(
-                    payload.lock_id, payload.requester
-                )
-                self.network.send(
-                    self.node_id,
-                    payload.requester,
-                    MsgCategory.LOCK_GRANT,
-                    self._notice_size(grant),
-                    _LockGrant(
-                        lock_id=payload.lock_id,
-                        request_id=payload.request_id,
-                        notices=grant,
-                    ),
-                )
-        elif category is MsgCategory.LOCK_GRANT:
-            self._lock_waiters.pop(
-                (payload.lock_id, payload.request_id)
-            ).resolve(payload.notices)
-        elif category is MsgCategory.LOCK_RELEASE:
-            self._manager_release(
-                payload.lock_id, payload.releaser, payload.notices
-            )
-        elif category is MsgCategory.BARRIER_ARRIVE:
-            self._manager_barrier_arrive(payload)
-        elif category is MsgCategory.BARRIER_RELEASE:
-            self._deliver_barrier_release(payload)
-        elif category is MsgCategory.CONTROL and isinstance(payload, _GcTraffic):
-            pass  # accounting-only message; GC state changed at the safe point
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"homeless engine got {message!r}")
+    # -- diff service ----------------------------------------------------------
 
     def _handle_diff_request(self, request: DiffRequest) -> None:
         diffs = [
@@ -552,8 +498,7 @@ class HomelessEngine:
         ]
         size = REQUEST_BYTES + sum(s.diff.size_bytes for s in diffs)
         self.stats.incr("obj")  # a fault-in service, for comparability
-        self.network.send(
-            self.node_id,
+        self._send(
             request.requester,
             MsgCategory.OBJ_REPLY,
             size,

@@ -40,7 +40,7 @@ from typing import Any, Generator, TYPE_CHECKING
 import numpy as np
 
 from repro import _kernel
-from repro.cluster.message import Message, MsgCategory, NOTICE_ENTRY_BYTES
+from repro.cluster.message import MsgCategory, NOTICE_ENTRY_BYTES
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.core.coefficient import home_access_coefficient
@@ -465,16 +465,6 @@ class DsmEngine:
         self._Future = (
             kernel_module.Future if kernel_module is not None else Future
         )
-        self._msg_dispatch = self._build_dispatch()
-        # Compiled backend: the per-message dispatch (category lookup +
-        # handler call) runs in C.  The Dispatcher reads the *same* dict
-        # object, so handler-table semantics are identical; on_message
-        # stays available either way.
-        if kernel_module is not None:
-            handler = kernel_module.Dispatcher(self._msg_dispatch)
-        else:
-            handler = self.on_message
-        network.nodes[node_id].install_handler(handler)
         # Protocol fast paths (PR 8).  Compiled backend: the local-hit
         # read/write bodies run in C against the flat cache index, with
         # cold paths (trap bookkeeping, twin creation, tracing) falling
@@ -488,11 +478,11 @@ class DsmEngine:
             )
             self.try_read_local = local_access.try_read
             self.try_write_local = local_access.try_write
-        # Both backends register for fast (batched, Message-free)
-        # delivery so python and compiled runs keep identical event
-        # structure; the network activates it once every node is in.
+        # The network delivers in batches through per-node ports (in C
+        # under the compiled engine); it binds this engine's sender once
+        # every node has registered.
         network.register_fast_dispatch(
-            node_id, self._msg_dispatch, self._bind_fast_sender
+            node_id, self._build_dispatch(), self._bind_sender
         )
 
     # -- helpers ------------------------------------------------------------
@@ -535,9 +525,9 @@ class DsmEngine:
     ) -> None:
         self.network.send(self.node_id, dst, category, size_bytes, payload)
 
-    def _bind_fast_sender(self, sender: Any) -> None:
-        """Install the network's fast-path send callable as this
-        engine's ``_send`` (same ``(dst, category, size_bytes, payload)``
+    def _bind_sender(self, sender: Any) -> None:
+        """Install the network's per-node send callable as this engine's
+        ``_send`` (same ``(dst, category, size_bytes, payload)``
         signature; the node id is pre-bound)."""
         self._send = sender
 
@@ -1760,20 +1750,6 @@ class DsmEngine:
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        """Single dispatch point for every message arriving at this node.
-
-        One dict lookup on the (identity-hashed) category replaces the
-        historical 8-deep elif chain — at tens of thousands of messages
-        per run the average chain depth was a measurable slice of the
-        PR-1 profile.
-        """
-        try:
-            handler = self._msg_dispatch[message.category]
-        except KeyError:  # pragma: no cover - defensive
-            raise RuntimeError(f"unhandled message {message!r}") from None
-        handler(message.payload)
 
     def _build_dispatch(self) -> dict[MsgCategory, Any]:
         """Category -> bound payload handler (built once per engine)."""

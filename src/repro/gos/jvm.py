@@ -136,7 +136,8 @@ class DistributedJVM:
         self.lock_discipline = lock_discipline
         self.seed = seed
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry` threaded
-        #: into the network and engines of every home-based run.
+        #: into the engines of every home-based run; every run adds its
+        #: per-category ``net_*`` traffic counters when it ends.
         self.metrics = metrics
         #: Optional :class:`~repro.obs.logging.RunLogger`.
         self.logger = logger
@@ -236,6 +237,8 @@ class DistributedJVM:
             if process.finished.exception is not None:
                 raise process.finished.exception
         output = app.finalize(gos)
+        if self.metrics is not None:
+            _count_traffic(self.metrics, gos.stats)
         if log_info:
             log.info(
                 "run_end",
@@ -277,4 +280,19 @@ class DistributedJVM:
             stats=gos.stats,
             output=output,
             gos=gos,
+        )
+
+
+def _count_traffic(metrics, stats: ClusterStats) -> None:
+    """Add a finished run's per-category traffic to ``metrics``.
+
+    ``net_messages_total``/``net_bytes_total`` are derived from the
+    network's :class:`ClusterStats` counters here instead of being bumped
+    per send, so the send body carries no metrics branch.
+    """
+    for category, count in stats.msg_count.items():
+        label = category.value
+        metrics.counter("net_messages_total", category=label).inc(count)
+        metrics.counter("net_bytes_total", category=label).inc(
+            stats.msg_bytes[category]
         )

@@ -60,8 +60,8 @@ class GlobalObjectSpace:
         #: ``kinds=("migration",)`` recorder (e.g. the determinism digest)
         #: pays one cached ``None`` check per operation.
         self.spans = SpanTracer(tracer) if tracer is not None else None
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` shared by the
-        #: network and every engine; ``None`` keeps the hot path bare.
+        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` shared by
+        #: every engine; ``None`` keeps the hot path bare.
         self.metrics = metrics
         #: Optional :class:`~repro.obs.logging.RunLogger` for the engines.
         self.logger = logger
@@ -70,7 +70,7 @@ class GlobalObjectSpace:
         #: or dict; ``None`` keeps the seed's ideal single switch.
         self.network = Network(
             self.sim, comm_model, nnodes, self.stats, service_us=service_us,
-            metrics=metrics, topology=topology,
+            topology=topology,
         )
         self.heap = ObjectHeap()
         #: One arena per node, shared across engines so reply payload

@@ -1,9 +1,9 @@
 """Labeled run metrics: counters, gauges and histograms in a registry.
 
 The registry is the numeric backbone of the observability layer: the
-protocol, network and bench executor record into it when (and only when)
-a registry is attached, so the disabled path costs one ``is not None``
-check per site.  Everything the paper plots is expressible as a metric —
+protocol, the run driver (network traffic, derived at run end) and the
+bench executor record into it when (and only when) a registry is
+attached, so the disabled path costs one ``is not None`` check per site.  Everything the paper plots is expressible as a metric —
 threshold values, redirection chain lengths, diff sizes, fault-in
 latencies in simulated microseconds, migration counts — labeled by node,
 object or policy as appropriate.

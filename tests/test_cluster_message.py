@@ -1,37 +1,38 @@
-"""Tests for the message taxonomy."""
+"""Tests for the message taxonomy and the wire-size model."""
 
 import pytest
 
+from repro.cluster.hockney import FAST_ETHERNET
 from repro.cluster.message import (
     HEADER_BYTES,
-    Message,
     MsgCategory,
     SYNC_CATEGORIES,
 )
+from repro.cluster.network import Network
+from repro.sim import make_simulator
+
+
+def _network():
+    net = Network(make_simulator(), FAST_ETHERNET, 2)
+    for node in net.nodes:
+        node.install_handler(lambda payload: None)
+    return net
 
 
 def test_message_size_includes_header():
-    msg = Message(src=0, dst=1, category=MsgCategory.DIFF, size_bytes=100)
-    assert msg.size_bytes == 100
+    net = _network()
+    net.send(0, 1, MsgCategory.DIFF, 100)
+    assert net.stats.msg_bytes[MsgCategory.DIFF] == 100 + HEADER_BYTES
 
 
 def test_size_below_header_rejected():
-    with pytest.raises(ValueError):
-        Message(
-            src=0, dst=1, category=MsgCategory.DIFF,
-            size_bytes=HEADER_BYTES - 1,
-        )
+    with pytest.raises(ValueError, match="smaller than header"):
+        _network().send(0, 1, MsgCategory.DIFF, -1)
 
 
 def test_negative_endpoints_rejected():
-    with pytest.raises(ValueError):
-        Message(src=-1, dst=0, category=MsgCategory.DIFF, size_bytes=64)
-
-
-def test_sequence_numbers_increase():
-    a = Message(src=0, dst=1, category=MsgCategory.CONTROL, size_bytes=64)
-    b = Message(src=0, dst=1, category=MsgCategory.CONTROL, size_bytes=64)
-    assert b.seq > a.seq
+    with pytest.raises(ValueError, match="outside cluster"):
+        _network().send(-1, 0, MsgCategory.DIFF, 64)
 
 
 def test_sync_categories_cover_locks_and_barriers():

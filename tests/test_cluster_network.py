@@ -1,4 +1,9 @@
-"""Tests for the network model: latency, serialization, ordering."""
+"""Tests for the network model: latency, serialization, ordering.
+
+Handlers installed with ``Node.install_handler`` receive each message's
+payload; the tests read arrival times from the simulator clock and wire
+sizes from :class:`ClusterStats`.
+"""
 
 import pytest
 
@@ -6,7 +11,7 @@ from repro.cluster.hockney import HockneyModel
 from repro.cluster.message import HEADER_BYTES, MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, make_simulator
 
 MODEL = HockneyModel(startup_us=100.0, bandwidth_mb_s=10.0)
 
@@ -18,19 +23,19 @@ def _build(nnodes=3, service_us=0.0):
     inbox = []
     for node in net.nodes:
         node.install_handler(
-            lambda msg, nid=node.node_id: inbox.append((nid, msg, sim.now))
+            lambda payload, nid=node.node_id: inbox.append((nid, payload, sim.now))
         )
     return sim, net, stats, inbox
 
 
 def test_point_to_point_latency_matches_hockney():
-    sim, net, _stats, inbox = _build()
-    net.send(0, 1, MsgCategory.CONTROL, size_bytes=460)
+    sim, net, stats, inbox = _build()
+    net.send(0, 1, MsgCategory.CONTROL, size_bytes=460, payload="hello")
     sim.run()
-    (nid, msg, t), = inbox
-    assert nid == 1
+    (nid, payload, t), = inbox
+    assert (nid, payload) == (1, "hello")
     # 460B payload + 40B header = 500B -> 100 + 50 us
-    assert msg.size_bytes == 500
+    assert stats.msg_bytes[MsgCategory.CONTROL] == 500
     assert t == pytest.approx(150.0)
 
 
@@ -58,10 +63,9 @@ def test_nic_serialization_backpressures_sender():
 def test_fifo_per_src_dst_pair():
     sim, net, _stats, inbox = _build()
     for i in range(5):
-        net.send(0, 1, MsgCategory.CONTROL, size_bytes=100 * (5 - i))
+        net.send(0, 1, MsgCategory.CONTROL, size_bytes=100 * (5 - i), payload=i)
     sim.run()
-    seqs = [msg.seq for _nid, msg, _t in inbox]
-    assert seqs == sorted(seqs)
+    assert [payload for _nid, payload, _t in inbox] == [0, 1, 2, 3, 4]
 
 
 def test_distinct_senders_do_not_serialize():
@@ -93,15 +97,6 @@ def test_stats_recorded_on_send():
     sim.run()
 
 
-def test_broadcast_reaches_everyone_but_sender():
-    sim, net, _stats, inbox = _build(nnodes=5)
-    msgs = net.broadcast(2, MsgCategory.HOME_BCAST, size_bytes=8)
-    sim.run()
-    assert len(msgs) == 4
-    receivers = sorted(nid for nid, _msg, _t in inbox)
-    assert receivers == [0, 1, 3, 4]
-
-
 def test_single_node_network_allowed():
     sim = Simulator()
     net = Network(sim, MODEL, 1, ClusterStats())
@@ -114,14 +109,50 @@ def test_zero_nodes_rejected():
 
 
 def test_node_without_handler_raises():
+    """A send before every endpoint registered fails at send time, in
+    one line naming the unregistered nodes, and injects nothing."""
     sim = Simulator()
-    net = Network(sim, MODEL, 2, ClusterStats())
-    net.send(0, 1, MsgCategory.CONTROL, size_bytes=10)
-    with pytest.raises(RuntimeError):
-        sim.run()
+    stats = ClusterStats()
+    net = Network(sim, MODEL, 3, stats)
+    net.nodes[1].install_handler(lambda payload: None)
+    with pytest.raises(RuntimeError, match=r"unregistered nodes: \[0, 2\]$"):
+        net.send(0, 1, MsgCategory.CONTROL, size_bytes=10)
+    assert not stats.msg_count
+    assert sim.run() == 0.0
 
 
 def test_handler_installed_twice_rejected():
     _sim, net, _stats, _inbox = _build()
-    with pytest.raises(RuntimeError):
-        net.nodes[0].install_handler(lambda msg: None)
+    with pytest.raises(RuntimeError, match="node 0 already registered"):
+        net.nodes[0].install_handler(lambda payload: None)
+
+
+def test_send_before_registration_rejected(backend):
+    net = Network(make_simulator(), MODEL, 4, ClusterStats())
+    for node in (0, 2):
+        net.register_fast_dispatch(node, {}, lambda sender: None)
+    with pytest.raises(RuntimeError) as err:
+        net.send(0, 2, MsgCategory.CONTROL, 8)
+    assert str(err.value) == (
+        "send before every node registered a handler; "
+        "unregistered nodes: [1, 3]"
+    )
+
+
+def test_dispatch_registered_twice_rejected(backend):
+    """A second table for one node would leave the activated ports
+    holding the stale one, so it is refused, before and after activation."""
+    net = Network(make_simulator(), MODEL, 2, ClusterStats())
+    net.register_fast_dispatch(0, {}, lambda sender: None)
+    with pytest.raises(RuntimeError, match="node 0 already registered"):
+        net.register_fast_dispatch(0, {}, lambda sender: None)
+    net.register_fast_dispatch(1, {}, lambda sender: None)
+    with pytest.raises(RuntimeError, match="node 1 already registered"):
+        net.register_fast_dispatch(1, {}, lambda sender: None)
+
+
+def test_send_defaults_to_no_payload():
+    sim, net, _stats, inbox = _build()
+    net.send(0, 2, MsgCategory.CONTROL, 8)
+    sim.run()
+    assert [(nid, payload) for nid, payload, _t in inbox] == [(2, None)]

@@ -2,18 +2,26 @@
 
 import pytest
 
-from repro.cluster.message import Message, MsgCategory
+from repro.cluster.hockney import FAST_ETHERNET
+from repro.cluster.message import HEADER_BYTES, MsgCategory
+from repro.cluster.network import Network
 from repro.cluster.stats import BREAKDOWN_EVENTS, ClusterStats
+from repro.sim import make_simulator
 
 
-def _msg(category, size=64):
-    return Message(src=0, dst=1, category=category, size_bytes=size)
+def _record_message(stats, category, size=64):
+    """Send one ``size``-byte (header included) message through a
+    two-node network that accounts into ``stats``."""
+    net = Network(make_simulator(), FAST_ETHERNET, 2, stats)
+    for node in net.nodes:
+        node.install_handler(lambda payload: None)
+    net.send(0, 1, category, size - HEADER_BYTES)
 
 
 def test_record_message_counts_and_bytes(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
-    stats.record_message(_msg(MsgCategory.DIFF, 150))
-    stats.record_message(_msg(MsgCategory.OBJ_REPLY, 1000))
+    _record_message(stats, MsgCategory.DIFF, 100)
+    _record_message(stats, MsgCategory.DIFF, 150)
+    _record_message(stats, MsgCategory.OBJ_REPLY, 1000)
     assert stats.msg_count[MsgCategory.DIFF] == 2
     assert stats.msg_bytes[MsgCategory.DIFF] == 250
     assert stats.total_messages() == 3
@@ -21,15 +29,15 @@ def test_record_message_counts_and_bytes(stats):
 
 
 def test_exclusion_filters(stats):
-    stats.record_message(_msg(MsgCategory.DIFF))
-    stats.record_message(_msg(MsgCategory.LOCK_GRANT))
+    _record_message(stats, MsgCategory.DIFF)
+    _record_message(stats, MsgCategory.LOCK_GRANT)
     assert stats.total_messages(exclude=[MsgCategory.LOCK_GRANT]) == 1
     assert stats.data_messages() == 1
 
 
 def test_data_bytes_excludes_sync(stats):
-    stats.record_message(_msg(MsgCategory.BARRIER_ARRIVE, 500))
-    stats.record_message(_msg(MsgCategory.OBJ_REPLY, 800))
+    _record_message(stats, MsgCategory.BARRIER_ARRIVE, 500)
+    _record_message(stats, MsgCategory.OBJ_REPLY, 800)
     assert stats.data_bytes() == 800
     assert stats.total_bytes() == 1300
 
@@ -56,11 +64,11 @@ def test_breakdown_has_all_figure5_categories(stats):
 
 
 def test_merge_accumulates_all_counters(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
+    _record_message(stats, MsgCategory.DIFF, 100)
     stats.incr("migration", 2)
     other = ClusterStats()
-    other.record_message(_msg(MsgCategory.DIFF, 50))
-    other.record_message(_msg(MsgCategory.OBJ_REPLY, 500))
+    _record_message(other, MsgCategory.DIFF, 50)
+    _record_message(other, MsgCategory.OBJ_REPLY, 500)
     other.incr("migration")
     other.incr("redir", 4)
     returned = stats.merge(other)
@@ -76,8 +84,8 @@ def test_merge_accumulates_all_counters(stats):
 
 
 def test_from_snapshot_round_trips(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
-    stats.record_message(_msg(MsgCategory.LOCK_GRANT, 60))
+    _record_message(stats, MsgCategory.DIFF, 100)
+    _record_message(stats, MsgCategory.LOCK_GRANT, 60)
     stats.incr("obj", 7)
     rebuilt = ClusterStats.from_snapshot(stats.snapshot())
     assert rebuilt.snapshot() == stats.snapshot()
@@ -87,7 +95,7 @@ def test_from_snapshot_round_trips(stats):
 
 def test_merge_of_snapshots_across_boundary(stats):
     """Snapshots shipped across processes aggregate via from_snapshot."""
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
+    _record_message(stats, MsgCategory.DIFF, 100)
     stats.incr("migration")
     wire = stats.snapshot()  # what crosses the process boundary
     total = ClusterStats()
@@ -99,7 +107,7 @@ def test_merge_of_snapshots_across_boundary(stats):
 
 
 def test_snapshot_is_plain_and_stable(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
+    _record_message(stats, MsgCategory.DIFF, 100)
     stats.incr("migration")
     snap = stats.snapshot()
     assert snap["msg_count"] == {"diff": 1}

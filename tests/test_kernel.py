@@ -137,44 +137,6 @@ def test_engine_counter_exact_on_raise(sim_classes):
 
 
 # --------------------------------------------------------------------------
-# Dispatcher
-# --------------------------------------------------------------------------
-
-
-class _Msg:
-    def __init__(self, category, payload):
-        self.category = category
-        self.payload = payload
-
-
-def test_dispatcher_routes_by_category(km):
-    seen = []
-    dispatcher = km.Dispatcher({"ping": seen.append, "pong": seen.append})
-    dispatcher(_Msg("ping", 1))
-    dispatcher(_Msg("pong", 2))
-    assert seen == [1, 2]
-
-
-def test_dispatcher_unhandled_message_matches_python(km):
-    dispatcher = km.Dispatcher({})
-    msg = _Msg("mystery", None)
-    with pytest.raises(RuntimeError) as compiled_err:
-        dispatcher(msg)
-    # the pure-Python DsmEngine.on_message wording
-    assert str(compiled_err.value) == f"unhandled message {msg!r}"
-
-
-def test_dispatcher_sees_dict_mutations(km):
-    """The Dispatcher wraps the live dict — handler swaps take effect."""
-    table = {}
-    dispatcher = km.Dispatcher(table)
-    seen = []
-    table["late"] = seen.append
-    dispatcher(_Msg("late", "x"))
-    assert seen == ["x"]
-
-
-# --------------------------------------------------------------------------
 # diff_arrays
 # --------------------------------------------------------------------------
 
@@ -512,8 +474,8 @@ FAT_TREE = "fat-tree:edge=2:pod=2:hop=1.5:oversub=2:core-oversub=3:contention=1"
 
 
 def _fast_network(sim_cls, nnodes, topology):
-    """A Network on the all-nodes-registered fast path: the C fabric
-    under the compiled engine, ``_py_fast_send`` under the Python one."""
+    """A Network with every node registered: the C fabric under the
+    compiled engine, ``Network.send`` under the Python one."""
     from repro.cluster.hockney import HockneyModel
     from repro.cluster.message import MsgCategory
     from repro.cluster.network import Network

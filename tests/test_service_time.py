@@ -36,7 +36,6 @@ def test_service_time_slows_execution_proportionally():
 
 def test_negative_service_time_rejected():
     from repro.cluster.node import Node
-    from repro.sim.engine import Simulator
 
     with pytest.raises(ValueError):
-        Node(0, Simulator(), service_us=-1.0)
+        Node(0, network=None, service_us=-1.0)

@@ -3,7 +3,7 @@
 Covers the per-pair cost triples of the hierarchical and fat-tree
 models, the colon-spec/dict/instance forms of :func:`make_topology`,
 and the Network integration: hop latency, oversubscription penalty,
-and serialized uplink contention on the legacy send path.
+and serialized uplink contention on the network's send path.
 """
 
 import pytest
@@ -34,7 +34,7 @@ def _build(nnodes, topology=None):
     inbox = []
     for node in net.nodes:
         node.install_handler(
-            lambda msg, nid=node.node_id: inbox.append((nid, sim.now))
+            lambda payload, nid=node.node_id: inbox.append((nid, sim.now))
         )
     return sim, net, inbox
 
