@@ -1,9 +1,9 @@
 """Compiled-kernel backend selection for the repro package.
 
-The hot kernels of the reproduction (event-heap drain, protocol message
-dispatch, ``compute_diff``, the threshold update rule) have a compiled C
-implementation in ``_kernelc.c``.  This module owns building, loading and
-selecting it:
+The hot kernels of the reproduction (event-heap drain, network send and
+batched delivery, the local-hit access paths, ``compute_diff``, the
+threshold update rule) have a compiled C implementation in
+``_kernelc.c``.  This module owns building, loading and selecting it:
 
 * ``kernel()`` returns the loaded extension module, or ``None`` when the
   pure-Python backend is active.  Resolution is lazy: the first call
@@ -13,6 +13,8 @@ selecting it:
   autodetection.  ``auto`` (the default) tries the compiled backend and
   falls back to pure Python with a one-line warning; ``python`` skips the
   build entirely; ``compiled`` raises when the extension is unavailable.
+  Any other value raises :class:`ValueError`, exactly as
+  ``select_backend()`` does.
 * ``select_backend()`` re-resolves at runtime (used by the CLI
   ``--backend`` flag) and rebinds ``repro.sim.engine.Simulator``.
 
@@ -165,13 +167,11 @@ def _load_from_path(path: Path) -> Any:
 
 
 # Oldest extension ABI this selection layer can drive.  Bumped when the
-# Python side starts depending on new C symbols (PR 8 added the protocol
-# fast-path layer: LocalAccess, NetFabric, the C pending queues, the
-# Future/Arena hot-path twins, and the fused ThreadContext Accessor;
-# PR 9 added NetFabric.set_topology and cache_invalidate_read for the
-# scale tier; PR 14 changed set_topology to take tier vectors + class
-# costs); an installed in-place build predating them must lose to a
-# fresh first-use build rather than load and fail at attribute lookup.
+# Python side starts depending on new C symbols (level 6: set_topology
+# takes tier vectors + class costs); an installed in-place build
+# predating them must lose to a fresh first-use build rather than load
+# and fail at attribute lookup.  Dropping a symbol the Python side no
+# longer calls needs no bump.
 _MIN_KERNEL_API = 6
 
 
@@ -203,15 +203,18 @@ def _install_error_types(module: Any) -> None:
     module._install(SimulationError)
 
 
-def _resolve(requested: str) -> None:
+def _parse_backend(requested: str) -> str:
+    """Normalise a backend name (``REPRO_BACKEND`` or ``select_backend``);
+    an empty value means ``auto``."""
     name = (requested or "auto").strip().lower()
     if name not in ("auto", "python", "compiled"):
-        warnings.warn(
-            f"repro: unknown REPRO_BACKEND={requested!r}; using auto",
-            RuntimeWarning,
-            stacklevel=3,
+        raise ValueError(
+            f"unknown backend {requested!r}: expected auto, python or compiled"
         )
-        name = "auto"
+    return name
+
+
+def _resolve(name: str) -> None:
     if name == "python":
         _state.update(
             resolved=True, module=None, name="python",
@@ -262,7 +265,7 @@ def kernel() -> Any:
     lookup and a branch.
     """
     if not _state["resolved"]:
-        _resolve(os.environ.get("REPRO_BACKEND", "auto"))
+        _resolve(_parse_backend(os.environ.get("REPRO_BACKEND", "auto")))
     return _state["module"]
 
 
@@ -310,12 +313,12 @@ def select_backend(name: str) -> str:
     Sets ``REPRO_BACKEND`` (so worker subprocesses inherit the choice),
     re-resolves, and rebinds ``repro.sim.engine.Simulator`` /
     ``repro.sim.Simulator`` when those modules are already imported.
-    Raises :class:`RuntimeError` for ``name="compiled"`` when the
-    extension cannot be built.  Call it before constructing simulators;
+    Raises :class:`ValueError` for an unknown name and
+    :class:`RuntimeError` for ``name="compiled"`` when the extension
+    cannot be built.  Call it before constructing simulators;
     already-built simulators keep their original backend.
     """
-    if name not in ("auto", "python", "compiled"):
-        raise ValueError(f"unknown backend {name!r}")
+    name = _parse_backend(name)
     os.environ["REPRO_BACKEND"] = name
     _state["resolved"] = False
     _resolve(name)

@@ -1,16 +1,20 @@
 /* Compiled hot kernels for the repro package.
  *
- * Kernels chosen from profile data (see PROTOCOL.md §11), among them:
+ * A C twin exists only for a path that runs per access, per message or
+ * per slot per epoch on a benchmark leg (the table in PROTOCOL.md §11 names
+ * the counter that pays for each); deferral and per-epoch dict paths stay
+ * Python.  Among them:
  *
  *   Engine            -- the event-heap core of repro.sim.engine (push +
- *                        drain/dispatch).  repro.sim.engine.CompiledSimulator
+ *                        drain).  repro.sim.engine.CompiledSimulator
  *                        subclasses it from Python and layers the process /
  *                        deadlock bookkeeping on top.
  *   diff_arrays       -- the element-wise scan behind
  *                        repro.memory.diff.compute_diff.
  *   adaptive_threshold -- Equation 2 of the paper (repro.core.threshold).
  *   NetFabric         -- the compiled twin of repro.cluster.network's
- *                        Network.send, with batched DeliveryPorts.
+ *                        Network.send, with batched DeliveryPorts that call
+ *                        each node's category -> handler table.
  *
  * Determinism contract: every kernel reproduces the pure-Python semantics
  * bit for bit.  The event heap orders by (time, seq) with seq unique, so
@@ -56,9 +60,6 @@ static PyObject *str_exclusive_home_writes = NULL;
 static PyObject *str_last_writer = NULL;
 static PyObject *str_consecutive_writes = NULL;
 static PyObject *str_consecutive_writer = NULL;
-static PyObject *str_remote_reads = NULL;
-static PyObject *str_sharers = NULL;
-static PyObject *str_redirections = NULL;
 static PyObject *str_upgrade_to_write = NULL;
 static PyObject *str_twin = NULL;
 static PyObject *str_request_id = NULL;
@@ -72,7 +73,6 @@ static PyObject *str_oid = NULL;
 /* ClusterStats.events keys (identical to the Python literals). */
 static PyObject *ev_home_write = NULL;
 static PyObject *ev_exclusive_home_write = NULL;
-static PyObject *ev_remote_read = NULL;
 
 static PyObject *zero_long = NULL;
 static PyObject *one_long = NULL;
@@ -761,15 +761,15 @@ kernel_adaptive_threshold(PyObject *mod, PyObject *const *args,
 }
 
 /* ====================================================================== */
-/* Protocol fast paths (PR 8)                                              */
+/* Protocol fast paths                                                     */
 /*                                                                         */
-/* C twins of the highest-frequency handler bodies from the PR-6 profile:  */
-/* the pending-queue containers of repro.dsm.pending, write-notice         */
-/* merging, the try_read_local / try_write_local hit paths (LocalAccess,   */
-/* reading the flat CacheIndex slots directly), and the network send +     */
-/* batched delivery boundary (NetFabric / DeliveryPort / FabricSender).    */
-/* Each reproduces the pure-Python semantics bit for bit; cold paths       */
-/* fall back to the bound Python methods.                                  */
+/* C twins of the per-access and per-message protocol bodies: the          */
+/* try_read_local / try_write_local hit paths (LocalAccess, reading the    */
+/* flat CacheIndex slots directly), the fused thread accessor, the reply   */
+/* router, and the network send + batched delivery boundary (NetFabric /   */
+/* DeliveryPort / FabricSender).  Each reproduces the pure-Python          */
+/* semantics bit for bit; cold paths fall back to the bound Python         */
+/* methods.                                                                */
 /* ====================================================================== */
 
 /* obj.name += 1 through the attribute protocol (plain-int counters on
@@ -822,602 +822,6 @@ counter_add(PyObject *counter, PyObject *key, PyObject *delta)
     rc = PyDict_SetItem(counter, key, sum);
     Py_DECREF(sum);
     return rc;
-}
-
-/* ---------------------------------------------------------------------- */
-/* VersionIndexedQueue: min-heap keyed on (min_version, arrival_seq)       */
-/* ---------------------------------------------------------------------- */
-
-typedef struct {
-    long long minv;
-    long long seq;
-    PyObject *item; /* owned */
-} VqEnt;
-
-typedef struct {
-    PyObject_HEAD
-    VqEnt *ent;
-    Py_ssize_t n;
-    Py_ssize_t cap;
-    long long seq;
-} VqObject;
-
-/* (min_version, seq) is a total order (seq unique), so extraction order
- * is identical to the Python heapq twin. */
-static inline int
-vq_lt(const VqEnt *a, const VqEnt *b)
-{
-    if (a->minv != b->minv) {
-        return a->minv < b->minv;
-    }
-    return a->seq < b->seq;
-}
-
-static int
-vq_ensure(VqObject *self, Py_ssize_t need)
-{
-    Py_ssize_t newcap;
-    VqEnt *grown;
-
-    if (need <= self->cap) {
-        return 0;
-    }
-    newcap = self->cap > 0 ? self->cap * 2 : 8;
-    while (newcap < need) {
-        newcap *= 2;
-    }
-    grown = PyMem_Realloc(self->ent, (size_t)newcap * sizeof(VqEnt));
-    if (grown == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->ent = grown;
-    self->cap = newcap;
-    return 0;
-}
-
-static void
-vq_heap_push(VqObject *self, VqEnt ent)
-{
-    VqEnt *h = self->ent;
-    Py_ssize_t i = self->n++;
-
-    while (i > 0) {
-        Py_ssize_t parent = (i - 1) >> 1;
-        if (!vq_lt(&ent, &h[parent])) {
-            break;
-        }
-        h[i] = h[parent];
-        i = parent;
-    }
-    h[i] = ent;
-}
-
-static VqEnt
-vq_heap_pop(VqObject *self)
-{
-    VqEnt *h = self->ent;
-    VqEnt top = h[0];
-    Py_ssize_t n = --self->n;
-
-    if (n > 0) {
-        VqEnt last = h[n];
-        Py_ssize_t i = 0;
-        for (;;) {
-            Py_ssize_t child = 2 * i + 1;
-            if (child >= n) {
-                break;
-            }
-            if (child + 1 < n && vq_lt(&h[child + 1], &h[child])) {
-                child++;
-            }
-            if (!vq_lt(&h[child], &last)) {
-                break;
-            }
-            h[i] = h[child];
-            i = child;
-        }
-        h[i] = last;
-    }
-    return top;
-}
-
-static int
-vq_seq_cmp(const void *pa, const void *pb)
-{
-    const VqEnt *a = (const VqEnt *)pa;
-    const VqEnt *b = (const VqEnt *)pb;
-
-    return (a->seq > b->seq) - (a->seq < b->seq);
-}
-
-/* Move `count` entries (item refs transferred) into a new list sorted by
- * arrival seq. */
-static PyObject *
-vq_entries_to_list(VqEnt *ent, Py_ssize_t count)
-{
-    PyObject *out = PyList_New(count);
-
-    if (out == NULL) {
-        for (Py_ssize_t i = 0; i < count; i++) {
-            Py_DECREF(ent[i].item);
-        }
-        return NULL;
-    }
-    qsort(ent, (size_t)count, sizeof(VqEnt), vq_seq_cmp);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyList_SET_ITEM(out, i, ent[i].item);
-        ent[i].item = NULL;
-    }
-    return out;
-}
-
-static PyObject *
-Vq_push(VqObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    long long minv;
-    VqEnt ent;
-
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "push() requires (min_version, item)");
-        return NULL;
-    }
-    minv = PyLong_AsLongLong(args[0]);
-    if (minv == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    if (vq_ensure(self, self->n + 1) < 0) {
-        return NULL;
-    }
-    ent.minv = minv;
-    ent.seq = self->seq++;
-    Py_INCREF(args[1]);
-    ent.item = args[1];
-    vq_heap_push(self, ent);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Vq_pop_ready(VqObject *self, PyObject *arg)
-{
-    long long version;
-    VqEnt *ready;
-    Py_ssize_t count = 0;
-    PyObject *out;
-
-    version = PyLong_AsLongLong(arg);
-    if (version == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    if (self->n == 0 || self->ent[0].minv > version) {
-        return PyList_New(0);
-    }
-    ready = PyMem_Malloc((size_t)self->n * sizeof(VqEnt));
-    if (ready == NULL) {
-        return PyErr_NoMemory();
-    }
-    while (self->n > 0 && self->ent[0].minv <= version) {
-        ready[count++] = vq_heap_pop(self);
-    }
-    out = vq_entries_to_list(ready, count);
-    PyMem_Free(ready);
-    return out;
-}
-
-static PyObject *
-Vq_drain(VqObject *self, PyObject *ignored)
-{
-    PyObject *out;
-    Py_ssize_t count = self->n;
-
-    /* The heap array is reused as the scratch buffer: all entries leave,
-     * and vq_entries_to_list hands their item refs to the list. */
-    self->n = 0;
-    out = vq_entries_to_list(self->ent, count);
-    return out;
-}
-
-static Py_ssize_t
-Vq_len(VqObject *self)
-{
-    return self->n;
-}
-
-static PyObject *
-Vq_iter(VqObject *self)
-{
-    /* Arrival-order snapshot (inspection/tests only, like the Python
-     * twin's __iter__). */
-    PyObject *snap = PyList_New(self->n);
-    PyObject *it;
-    VqEnt *copy;
-
-    if (snap == NULL) {
-        return NULL;
-    }
-    copy = PyMem_Malloc((size_t)(self->n > 0 ? self->n : 1) * sizeof(VqEnt));
-    if (copy == NULL) {
-        Py_DECREF(snap);
-        return PyErr_NoMemory();
-    }
-    memcpy(copy, self->ent, (size_t)self->n * sizeof(VqEnt));
-    qsort(copy, (size_t)self->n, sizeof(VqEnt), vq_seq_cmp);
-    for (Py_ssize_t i = 0; i < self->n; i++) {
-        Py_INCREF(copy[i].item);
-        PyList_SET_ITEM(snap, i, copy[i].item);
-    }
-    PyMem_Free(copy);
-    it = PyObject_GetIter(snap);
-    Py_DECREF(snap);
-    return it;
-}
-
-static PyObject *
-Vq_repr(VqObject *self)
-{
-    return PyUnicode_FromFormat("<VersionIndexedQueue pending=%zd>", self->n);
-}
-
-static int
-Vq_traverse(VqObject *self, visitproc visit, void *arg)
-{
-    for (Py_ssize_t i = 0; i < self->n; i++) {
-        Py_VISIT(self->ent[i].item);
-    }
-    return 0;
-}
-
-static int
-Vq_clear_gc(VqObject *self)
-{
-    Py_ssize_t n = self->n;
-
-    self->n = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        Py_CLEAR(self->ent[i].item);
-    }
-    return 0;
-}
-
-static void
-Vq_dealloc(VqObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Vq_clear_gc(self);
-    PyMem_Free(self->ent);
-    self->ent = NULL;
-    self->cap = 0;
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static int
-Vq_init(VqObject *self, PyObject *args, PyObject *kwds)
-{
-    if ((args != NULL && PyTuple_GET_SIZE(args) > 0) ||
-        (kwds != NULL && PyDict_GET_SIZE(kwds) > 0)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "VersionIndexedQueue() takes no arguments");
-        return -1;
-    }
-    Vq_clear_gc(self);
-    self->seq = 0;
-    return 0;
-}
-
-static PyMethodDef Vq_methods[] = {
-    {"push", (PyCFunction)(void (*)(void))Vq_push, METH_FASTCALL,
-     "push(min_version, item)\n--\n\n"
-     "Defer item until the version reaches min_version."},
-    {"pop_ready", (PyCFunction)Vq_pop_ready, METH_O,
-     "pop_ready(version)\n--\n\n"
-     "Remove and return every item with min_version <= version, in "
-     "arrival order."},
-    {"drain", (PyCFunction)Vq_drain, METH_NOARGS,
-     "drain()\n--\n\nRemove and return everything, in arrival order."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PySequenceMethods Vq_as_sequence = {
-    .sq_length = (lenfunc)Vq_len,
-};
-
-static PyTypeObject VqType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._kernel._kernelc.VersionIndexedQueue",
-    .tp_doc = "Compiled twin of repro.dsm.pending.VersionIndexedQueue.",
-    .tp_basicsize = sizeof(VqObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Vq_init,
-    .tp_dealloc = (destructor)Vq_dealloc,
-    .tp_traverse = (traverseproc)Vq_traverse,
-    .tp_clear = (inquiry)Vq_clear_gc,
-    .tp_methods = Vq_methods,
-    .tp_as_sequence = &Vq_as_sequence,
-    .tp_iter = (getiterfunc)Vq_iter,
-    .tp_repr = (reprfunc)Vq_repr,
-};
-
-/* ---------------------------------------------------------------------- */
-/* KeyedFifo: per-key FIFO queues                                          */
-/* ---------------------------------------------------------------------- */
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *by_key; /* dict key -> list, owned */
-} KfObject;
-
-static PyObject *
-Kf_add(KfObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *queue;
-
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "add() requires (key, item)");
-        return NULL;
-    }
-    queue = PyDict_GetItemWithError(self->by_key, args[0]);
-    if (queue == NULL) {
-        if (PyErr_Occurred()) {
-            return NULL;
-        }
-        queue = PyList_New(0);
-        if (queue == NULL) {
-            return NULL;
-        }
-        if (PyDict_SetItem(self->by_key, args[0], queue) < 0) {
-            Py_DECREF(queue);
-            return NULL;
-        }
-        Py_DECREF(queue); /* dict holds it; borrowed ref stays valid */
-    }
-    if (PyList_Append(queue, args[1]) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Kf_pop_all(KfObject *self, PyObject *key)
-{
-    PyObject *queue, *out;
-
-    queue = PyDict_GetItemWithError(self->by_key, key);
-    if (queue == NULL) {
-        if (PyErr_Occurred()) {
-            return NULL;
-        }
-        return PyList_New(0);
-    }
-    /* Like the Python twin's `list(queue)`: hand back a copy, so stale
-     * references to the stored queue cannot alias the result. */
-    Py_INCREF(queue);
-    out = PySequence_List(queue);
-    if (out != NULL && PyDict_DelItem(self->by_key, key) < 0) {
-        Py_CLEAR(out);
-    }
-    Py_DECREF(queue);
-    return out;
-}
-
-static PyObject *
-Kf_prune_empty(KfObject *self, PyObject *ignored)
-{
-    PyObject *key, *queue, *empty;
-    Py_ssize_t pos = 0, count;
-
-    empty = PyList_New(0);
-    if (empty == NULL) {
-        return NULL;
-    }
-    while (PyDict_Next(self->by_key, &pos, &key, &queue)) {
-        int truth = PyObject_IsTrue(queue);
-        if (truth < 0) {
-            Py_DECREF(empty);
-            return NULL;
-        }
-        if (!truth && PyList_Append(empty, key) < 0) {
-            Py_DECREF(empty);
-            return NULL;
-        }
-    }
-    count = PyList_GET_SIZE(empty);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        if (PyDict_DelItem(self->by_key, PyList_GET_ITEM(empty, i)) < 0) {
-            Py_DECREF(empty);
-            return NULL;
-        }
-    }
-    Py_DECREF(empty);
-    return PyLong_FromSsize_t(count);
-}
-
-static Py_ssize_t
-kf_total_items(KfObject *self)
-{
-    PyObject *key, *queue;
-    Py_ssize_t pos = 0, total = 0;
-
-    while (PyDict_Next(self->by_key, &pos, &key, &queue)) {
-        Py_ssize_t n = PyObject_Length(queue);
-        if (n < 0) {
-            return -1;
-        }
-        total += n;
-    }
-    return total;
-}
-
-static Py_ssize_t
-Kf_len(KfObject *self)
-{
-    return kf_total_items(self);
-}
-
-static int
-Kf_bool(KfObject *self)
-{
-    /* Truthiness tracks the key map, like the Python twin: a queue
-     * drained in place by a stale reference still counts until
-     * prune_empty() runs. */
-    return PyDict_GET_SIZE(self->by_key) > 0;
-}
-
-static int
-Kf_contains(KfObject *self, PyObject *key)
-{
-    return PyDict_Contains(self->by_key, key);
-}
-
-static PyObject *
-Kf_repr(KfObject *self)
-{
-    Py_ssize_t total = kf_total_items(self);
-
-    if (total < 0) {
-        return NULL;
-    }
-    return PyUnicode_FromFormat("<KeyedFifo keys=%zd items=%zd>",
-                                PyDict_GET_SIZE(self->by_key), total);
-}
-
-static PyObject *
-Kf_get_by_key(KfObject *self, void *closure)
-{
-    Py_INCREF(self->by_key);
-    return self->by_key;
-}
-
-static int
-Kf_traverse(KfObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->by_key);
-    return 0;
-}
-
-static int
-Kf_clear_gc(KfObject *self)
-{
-    Py_CLEAR(self->by_key);
-    return 0;
-}
-
-static void
-Kf_dealloc(KfObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Kf_clear_gc(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static int
-Kf_init(KfObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *by_key;
-
-    if ((args != NULL && PyTuple_GET_SIZE(args) > 0) ||
-        (kwds != NULL && PyDict_GET_SIZE(kwds) > 0)) {
-        PyErr_SetString(PyExc_TypeError, "KeyedFifo() takes no arguments");
-        return -1;
-    }
-    by_key = PyDict_New();
-    if (by_key == NULL) {
-        return -1;
-    }
-    Py_XSETREF(self->by_key, by_key);
-    return 0;
-}
-
-static PyMethodDef Kf_methods[] = {
-    {"add", (PyCFunction)(void (*)(void))Kf_add, METH_FASTCALL,
-     "add(key, item)\n--\n\nPark item under key (FIFO within the key)."},
-    {"pop_all", (PyCFunction)Kf_pop_all, METH_O,
-     "pop_all(key)\n--\n\n"
-     "Remove and return everything parked under key, in order."},
-    {"prune_empty", (PyCFunction)Kf_prune_empty, METH_NOARGS,
-     "prune_empty()\n--\n\n"
-     "Drop keys whose queue is empty; return how many were dropped."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyGetSetDef Kf_getset[] = {
-    {"_by_key", (getter)Kf_get_by_key, NULL,
-     "The key -> queue dict (inspection/tests, like the Python twin's "
-     "slot).", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
-static PyNumberMethods Kf_as_number = {
-    .nb_bool = (inquiry)Kf_bool,
-};
-
-static PySequenceMethods Kf_as_sequence = {
-    .sq_length = (lenfunc)Kf_len,
-    .sq_contains = (objobjproc)Kf_contains,
-};
-
-static PyTypeObject KfType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._kernel._kernelc.KeyedFifo",
-    .tp_doc = "Compiled twin of repro.dsm.pending.KeyedFifo.",
-    .tp_basicsize = sizeof(KfObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Kf_init,
-    .tp_dealloc = (destructor)Kf_dealloc,
-    .tp_traverse = (traverseproc)Kf_traverse,
-    .tp_clear = (inquiry)Kf_clear_gc,
-    .tp_methods = Kf_methods,
-    .tp_getset = Kf_getset,
-    .tp_as_number = &Kf_as_number,
-    .tp_as_sequence = &Kf_as_sequence,
-    .tp_repr = (reprfunc)Kf_repr,
-};
-
-/* ---------------------------------------------------------------------- */
-/* merge_notices: oid -> max(version) fold                                 */
-/* ---------------------------------------------------------------------- */
-
-static PyObject *
-kernel_merge_notices(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *dst, *src, *key, *value, *cur;
-    Py_ssize_t pos = 0;
-
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "merge_notices() requires (accumulated, incoming)");
-        return NULL;
-    }
-    dst = args[0];
-    src = args[1];
-    if (!PyDict_Check(dst) || !PyDict_Check(src)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "merge_notices() requires two dicts");
-        return NULL;
-    }
-    if (dst == src) {
-        /* v > v is false for every entry; nothing to do. */
-        Py_RETURN_NONE;
-    }
-    while (PyDict_Next(src, &pos, &key, &value)) {
-        int gt;
-
-        cur = PyDict_GetItemWithError(dst, key);
-        if (cur == NULL && PyErr_Occurred()) {
-            return NULL;
-        }
-        gt = PyObject_RichCompareBool(value, cur != NULL ? cur : zero_long,
-                                      Py_GT);
-        if (gt < 0) {
-            return NULL;
-        }
-        if (gt && PyDict_SetItem(dst, key, value) < 0) {
-            return NULL;
-        }
-    }
-    Py_RETURN_NONE;
 }
 
 /* ---------------------------------------------------------------------- */
@@ -2946,72 +2350,6 @@ static PyTypeObject FabricType = {
 /* module                                                                  */
 /* ====================================================================== */
 
-/* record_request(state, requester, hops, events): the _serve_request
- * monitor prelude — record_remote_read + record_redirections +
- * stats.incr("remote_read") in one call. */
-static PyObject *
-kernel_record_request(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *state, *requester, *hops, *events, *sharers, *cur, *sum;
-    int neg;
-
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError,
-                     "record_request expects 4 arguments, got %zd", nargs);
-        return NULL;
-    }
-    state = args[0];
-    requester = args[1];
-    hops = args[2];
-    events = args[3];
-    if (!PyDict_Check(events)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "record_request events must be a Counter/dict");
-        return NULL;
-    }
-    /* record_remote_read */
-    if (attr_incr(state, str_remote_reads) < 0) {
-        return NULL;
-    }
-    sharers = PyObject_GetAttr(state, str_sharers);
-    if (sharers == NULL) {
-        return NULL;
-    }
-    if (PySet_Add(sharers, requester) < 0) {
-        Py_DECREF(sharers);
-        return NULL;
-    }
-    Py_DECREF(sharers);
-    /* record_redirections (same validation as the Python body) */
-    neg = PyObject_RichCompareBool(hops, zero_long, Py_LT);
-    if (neg < 0) {
-        return NULL;
-    }
-    if (neg) {
-        PyErr_Format(PyExc_ValueError,
-                     "hops must be non-negative, got %S", hops);
-        return NULL;
-    }
-    cur = PyObject_GetAttr(state, str_redirections);
-    if (cur == NULL) {
-        return NULL;
-    }
-    sum = PyNumber_Add(cur, hops);
-    Py_DECREF(cur);
-    if (sum == NULL) {
-        return NULL;
-    }
-    if (PyObject_SetAttr(state, str_redirections, sum) < 0) {
-        Py_DECREF(sum);
-        return NULL;
-    }
-    Py_DECREF(sum);
-    if (counter_add(events, ev_remote_read, one_long) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
 /* cache_sweep_invalid(cache, invalid_mode, free): barrier-GC sweep of the
  * flat CacheIndex — pool every INVALID twinless entry's payload and
  * tombstone its slot, returning the drop count.  Mirrors the Python
@@ -3173,72 +2511,6 @@ kernel_cache_invalidate_read(PyObject *mod, PyObject *const *args,
     }
     Py_DECREF(slots);
     return PyLong_FromSsize_t(nswept);
-}
-
-/* prune_floors(required, released, homes): delete every write-notice
- * floor at or below the release horizon (or whose object is homed
- * locally); returns the prune count.  Mirrors collect_garbage's
- * prunable-scan + delete loop. */
-static PyObject *
-kernel_prune_floors(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *required, *released, *homes, *doomed, *oid, *floor;
-    Py_ssize_t pos = 0, i, n;
-
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "prune_floors expects 3 arguments, got %zd", nargs);
-        return NULL;
-    }
-    required = args[0];
-    released = args[1];
-    homes = args[2];
-    if (!PyDict_Check(required) || !PyDict_Check(released) ||
-        !PyDict_Check(homes)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "prune_floors expects three dicts");
-        return NULL;
-    }
-    doomed = PyList_New(0);
-    if (doomed == NULL) {
-        return NULL;
-    }
-    while (PyDict_Next(required, &pos, &oid, &floor)) {
-        PyObject *rel = PyDict_GetItemWithError(released, oid);
-        int prune;
-
-        if (rel == NULL) {
-            if (PyErr_Occurred()) {
-                goto fail;
-            }
-            rel = zero_long;
-        }
-        prune = PyObject_RichCompareBool(floor, rel, Py_LE);
-        if (prune < 0) {
-            goto fail;
-        }
-        if (!prune) {
-            prune = PyDict_Contains(homes, oid);
-            if (prune < 0) {
-                goto fail;
-            }
-        }
-        if (prune && PyList_Append(doomed, oid) < 0) {
-            goto fail;
-        }
-    }
-    n = PyList_GET_SIZE(doomed);
-    for (i = 0; i < n; i++) {
-        if (PyDict_DelItem(required, PyList_GET_ITEM(doomed, i)) < 0) {
-            goto fail;
-        }
-    }
-    Py_DECREF(doomed);
-    return PyLong_FromSsize_t(n);
-
-fail:
-    Py_DECREF(doomed);
-    return NULL;
 }
 
 /* ---------------------------------------------------------------------- */
@@ -4027,26 +3299,11 @@ static PyMethodDef kernel_methods[] = {
      "lam, t_init)\n--\n\n"
      "Equation 2: max(base + lam * (R - alpha * E), t_init), with the "
      "pure-Python function's validation."},
-    {"merge_notices", (PyCFunction)(void (*)(void))kernel_merge_notices,
-     METH_FASTCALL,
-     "merge_notices(accumulated, incoming)\n--\n\n"
-     "Fold an oid -> version dict into an oid -> max version dict, in "
-     "place (missing oids read as 0)."},
-    {"record_request", (PyCFunction)(void (*)(void))kernel_record_request,
-     METH_FASTCALL,
-     "record_request(state, requester, hops, events)\n--\n\n"
-     "The home-side request prelude: record_remote_read + "
-     "record_redirections + the remote_read stats bump, in one call."},
     {"cache_sweep_invalid",
      (PyCFunction)(void (*)(void))kernel_cache_sweep, METH_FASTCALL,
      "cache_sweep_invalid(cache, invalid_mode, free)\n--\n\n"
      "Barrier-GC sweep of a CacheIndex: pool every INVALID twinless "
      "entry's payload via free(), tombstone its slot, return the count."},
-    {"prune_floors", (PyCFunction)(void (*)(void))kernel_prune_floors,
-     METH_FASTCALL,
-     "prune_floors(required, released, homes)\n--\n\n"
-     "Drop write-notice floors at or below the release horizon (or "
-     "locally homed); returns the prune count."},
     {"cache_invalidate_read",
      (PyCFunction)(void (*)(void))kernel_cache_invalidate_read,
      METH_FASTCALL,
@@ -4059,8 +3316,9 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernel._kernelc",
-    .m_doc = "Compiled hot kernels: event-heap engine, message dispatcher, "
-             "diff scan, threshold update.",
+    .m_doc = "Compiled hot kernels: event-heap engine, network send and "
+             "batched delivery, local-hit access, diff scan, threshold "
+             "update.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -4100,9 +3358,6 @@ PyInit__kernelc(void)
     INTERN(str_last_writer, "last_writer");
     INTERN(str_consecutive_writes, "consecutive_writes");
     INTERN(str_consecutive_writer, "consecutive_writer");
-    INTERN(str_remote_reads, "remote_reads");
-    INTERN(str_sharers, "sharers");
-    INTERN(str_redirections, "redirections");
     INTERN(str_upgrade_to_write, "upgrade_to_write");
     INTERN(str_twin, "twin");
     INTERN(str_request_id, "request_id");
@@ -4114,7 +3369,6 @@ PyInit__kernelc(void)
     INTERN(str_oid, "oid");
     INTERN(ev_home_write, "home_write");
     INTERN(ev_exclusive_home_write, "exclusive_home_write");
-    INTERN(ev_remote_read, "remote_read");
 #undef INTERN
     zero_long = PyLong_FromLong(0);
     one_long = PyLong_FromLong(1);
@@ -4124,7 +3378,6 @@ PyInit__kernelc(void)
     }
 
     if (PyType_Ready(&EngineType) < 0 ||
-        PyType_Ready(&VqType) < 0 || PyType_Ready(&KfType) < 0 ||
         PyType_Ready(&LocalAccessType) < 0 || PyType_Ready(&PortType) < 0 ||
         PyType_Ready(&FabricType) < 0 || PyType_Ready(&SenderType) < 0 ||
         PyType_Ready(&ReadyType) < 0 || PyType_Ready(&RouterType) < 0 ||
@@ -4138,9 +3391,6 @@ PyInit__kernelc(void)
         return NULL;
     }
     if (PyModule_AddObjectRef(mod, "Engine", (PyObject *)&EngineType) < 0 ||
-        PyModule_AddObjectRef(mod, "VersionIndexedQueue",
-                              (PyObject *)&VqType) < 0 ||
-        PyModule_AddObjectRef(mod, "KeyedFifo", (PyObject *)&KfType) < 0 ||
         PyModule_AddObjectRef(mod, "LocalAccess",
                               (PyObject *)&LocalAccessType) < 0 ||
         PyModule_AddObjectRef(mod, "DeliveryPort",

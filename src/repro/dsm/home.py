@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.state import ObjectAccessState
-from repro.dsm.pending import VersionIndexedQueue, new_version_queue
+from repro.dsm.pending import VersionIndexedQueue
 
 
 @dataclass(slots=True)
@@ -40,7 +40,7 @@ class HomeEntry:
     #: Requests deferred because the entry has not yet reached the
     #: requester's required version (safety net; see protocol notes),
     #: indexed by that version so a bump pops only newly-eligible ones.
-    pending: VersionIndexedQueue = field(default_factory=new_version_queue)
+    pending: VersionIndexedQueue = field(default_factory=VersionIndexedQueue)
 
     def trap_home_read(self, interval: int) -> bool:
         """Record a home read fault once per interval; True if trapped now."""

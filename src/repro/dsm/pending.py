@@ -134,30 +134,3 @@ class KeyedFifo:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KeyedFifo keys={len(self._by_key)} items={len(self)}>"
 
-
-def new_version_queue() -> Any:
-    """Return a version-indexed queue from the active backend.
-
-    The compiled kernel ships C twins of both containers with the same
-    pop ordering (the ``(min_version, seq)`` key set is totally ordered,
-    so heap extraction order is implementation-independent).  Resolution
-    happens per call, not at import, so ``select_backend()`` switches
-    take effect for queues created afterwards.
-    """
-    from repro import _kernel
-
-    kernel_module = _kernel.kernel()
-    if kernel_module is not None:
-        return kernel_module.VersionIndexedQueue()
-    return VersionIndexedQueue()
-
-
-def new_keyed_fifo() -> Any:
-    """Return a keyed FIFO from the active backend (see
-    :func:`new_version_queue`)."""
-    from repro import _kernel
-
-    kernel_module = _kernel.kernel()
-    if kernel_module is not None:
-        return kernel_module.KeyedFifo()
-    return KeyedFifo()

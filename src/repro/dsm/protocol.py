@@ -50,7 +50,7 @@ from repro.dsm.barrier import BarrierHandle, BarrierState
 from repro.dsm.cache import AccessMode, CacheEntry, CacheIndex
 from repro.dsm.home import HomeEntry
 from repro.dsm.locks import LockHandle, LockTable
-from repro.dsm.pending import KeyedFifo, new_keyed_fifo
+from repro.dsm.pending import KeyedFifo
 from repro.dsm.redirection import (
     NOTIFY_BYTES,
     NotificationMechanism,
@@ -443,8 +443,8 @@ class DsmEngine:
         #: unique per node, so one map serves every reply category.
         self._reply_waiters: dict[tuple[int, int], Future] = {}
         self._barrier_waiters: dict[tuple[int, int], list[Future]] = {}
-        self.pending_foreign: KeyedFifo = new_keyed_fifo()
-        self._pending_diffs: KeyedFifo = new_keyed_fifo()
+        self.pending_foreign = KeyedFifo()
+        self._pending_diffs = KeyedFifo()
         #: Local threads waiting for an inbound home transfer (a barrier
         #: release can announce this node as the new home before the
         #: transfer message arrives).
@@ -1305,10 +1305,6 @@ class DsmEngine:
         (acquire, barrier) follow with :meth:`invalidate_all_cached`
         (Java consistency), which subsumes per-notice invalidation.
         """
-        kernel_module = self._kernel
-        if kernel_module is not None:
-            kernel_module.merge_notices(self.required_version, notices)
-            return
         required = self.required_version
         for oid, version in notices.items():
             if version > required.get(oid, 0):
@@ -1384,10 +1380,9 @@ class DsmEngine:
             peaks["cache_entries"] = len(cache)
         if peaks.get("notice_floors", 0) < len(required) + elided:
             peaks["notice_floors"] = len(required) + elided
-        kernel_module = self._kernel
         if cache:
-            if kernel_module is not None:
-                self.gc_cache_drops += kernel_module.cache_sweep_invalid(
+            if self._kernel is not None:
+                self.gc_cache_drops += self._kernel.cache_sweep_invalid(
                     cache, _INVALID, self.arena.free
                 )
             else:
@@ -1401,20 +1396,15 @@ class DsmEngine:
                     arena.free(cache.pop(oid).payload)
                 self.gc_cache_drops += len(dead)
         if required:
-            if kernel_module is not None:
-                self.gc_notice_prunes += kernel_module.prune_floors(
-                    required, released, self.homes
-                )
-            else:
-                homes = self.homes
-                prunable = [
-                    oid
-                    for oid, floor in required.items()
-                    if floor <= released.get(oid, 0) or oid in homes
-                ]
-                for oid in prunable:
-                    del required[oid]
-                self.gc_notice_prunes += len(prunable)
+            homes = self.homes
+            prunable = [
+                oid
+                for oid, floor in required.items()
+                if floor <= released.get(oid, 0) or oid in homes
+            ]
+            for oid in prunable:
+                del required[oid]
+            self.gc_notice_prunes += len(prunable)
         self.gc_notice_prunes += elided
         # deferred-work queues are provably drained at a completed
         # barrier (flush blocks on diff acks; transfers precede release
@@ -1856,14 +1846,9 @@ class DsmEngine:
         requester = request.requester
         state = entry.state
         events = self.stats.events
-        if self._kernel is not None:
-            # One C call for the monitor prelude (remote-read recording,
-            # redirection accumulation, the remote_read stats bump).
-            self._kernel.record_request(state, requester, request.hops, events)
-        else:
-            state.record_remote_read(requester)
-            state.record_redirections(request.hops)
-            events["remote_read"] += 1
+        state.record_remote_read(requester)
+        state.record_redirections(request.hops)
+        events["remote_read"] += 1
         if self._m_redirect_hops is not None:
             self._m_redirect_hops.observe(request.hops)
         obj = self.heap.get(oid)

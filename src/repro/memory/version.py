@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import _kernel
-
 
 @dataclass(frozen=True, order=True, slots=True)
 class WriteNotice:
@@ -32,10 +30,6 @@ def merge_notices(
 ) -> None:
     """Fold ``incoming`` notices into an ``oid -> max version`` map, in place."""
     if isinstance(incoming, dict):
-        kernel_module = _kernel.kernel()
-        if kernel_module is not None:
-            kernel_module.merge_notices(accumulated, incoming)
-            return
         items = incoming.items()
     else:
         items = ((n.oid, n.version) for n in incoming)

@@ -8,14 +8,7 @@ pop-after-bump interleavings, and FIFO stability under interleaved
 keys — that a heap or dict could silently permute.
 """
 
-import pytest
-
-from repro.dsm.pending import (
-    KeyedFifo,
-    VersionIndexedQueue,
-    new_keyed_fifo,
-    new_version_queue,
-)
+from repro.dsm.pending import KeyedFifo, VersionIndexedQueue
 
 
 # -- VersionIndexedQueue ----------------------------------------------------
@@ -143,96 +136,3 @@ def test_add_after_prune_empty_starts_a_fresh_queue():
     assert fifo.pop_all("k") == ["new"]
     assert not fifo
     assert fifo.prune_empty() == 0
-
-
-# -- compiled twins ---------------------------------------------------------
-#
-# The kernel ships C twins of both containers with the same API and the
-# same service order.  The subtle orderings pinned above for the Python
-# classes are re-pinned here against the C classes directly, so a twin
-# regression cannot hide behind the (whole-run) backend-parity hashes.
-
-
-def _kernel_classes():
-    from repro import _kernel
-
-    module = _kernel.kernel()
-    if module is None:
-        pytest.skip(
-            f"compiled backend unavailable: {_kernel.backend_info()['reason']}"
-        )
-    return module.VersionIndexedQueue, module.KeyedFifo
-
-
-def test_compiled_duplicate_min_version_keys_pop_in_arrival_order():
-    vq_cls, _ = _kernel_classes()
-    q = vq_cls()
-    for tag in ("a", "b", "c", "d"):
-        q.push(5, tag)
-    assert q.pop_ready(5) == ["a", "b", "c", "d"]
-    assert len(q) == 0
-
-
-def test_compiled_pop_after_bump_preserves_arrival_order():
-    vq_cls, _ = _kernel_classes()
-    q = vq_cls()
-    q.push(1, "a")
-    q.push(2, "b")
-    assert q.pop_ready(1) == ["a"]
-    q.push(1, "late-for-v1")
-    q.push(2, "c")
-    assert q.pop_ready(2) == ["b", "late-for-v1", "c"]
-
-
-def test_compiled_prune_empty_drops_only_drained_in_place_keys():
-    _, kf_cls = _kernel_classes()
-    fifo = kf_cls()
-    fifo.add("live", 1)
-    fifo.add("dead", 2)
-    fifo._by_key["dead"].clear()
-    assert fifo.prune_empty() == 1
-    assert "dead" not in fifo
-    assert fifo.pop_all("live") == [1]
-    assert fifo.prune_empty() == 0
-
-
-def test_compiled_and_python_twins_agree_on_a_mixed_script():
-    """One interleaved operation script, replayed on both implementations."""
-    vq_cls, kf_cls = _kernel_classes()
-    for py_cls, c_cls in ((VersionIndexedQueue, vq_cls), (KeyedFifo, kf_cls)):
-        py, cc = py_cls(), c_cls()
-        if py_cls is VersionIndexedQueue:
-            script = [
-                ("push", 3, "x"), ("push", 1, "y"), ("pop", 2),
-                ("push", 2, "z"), ("pop", 3), ("drain",),
-            ]
-            for op in script:
-                if op[0] == "push":
-                    py.push(op[1], op[2])
-                    cc.push(op[1], op[2])
-                elif op[0] == "pop":
-                    assert py.pop_ready(op[1]) == cc.pop_ready(op[1])
-                else:
-                    assert py.drain() == cc.drain()
-                assert len(py) == len(cc)
-                assert list(py) == list(cc)
-        else:
-            for key, item in [("a", 1), ("b", 2), ("a", 3), ("c", 4)]:
-                py.add(key, item)
-                cc.add(key, item)
-            assert py.pop_all("a") == cc.pop_all("a") == [1, 3]
-            assert ("a" in py) == ("a" in cc) is False
-            assert len(py) == len(cc) == 2
-            assert py.prune_empty() == cc.prune_empty() == 0
-
-
-def test_factories_return_backend_classes():
-    from repro import _kernel
-
-    vq, kf = new_version_queue(), new_keyed_fifo()
-    if _kernel.kernel() is not None:
-        assert type(vq).__module__ == "repro._kernel._kernelc"
-        assert type(kf).__module__ == "repro._kernel._kernelc"
-    else:
-        assert isinstance(vq, VersionIndexedQueue)
-        assert isinstance(kf, KeyedFifo)

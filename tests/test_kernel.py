@@ -724,3 +724,46 @@ def test_backend_info_reports_extension(km):
     assert info["backend"] == "compiled"
     assert info["reason"] == "extension loaded"
     assert info.get("extension")
+
+
+def test_unknown_backend_is_rejected_on_env_and_call_paths():
+    """``REPRO_BACKEND`` and ``select_backend()`` share one parser: case
+    and surrounding blanks are forgiven, a typo is the same one-line
+    ``ValueError`` on both paths (never a silent ``auto``)."""
+    with pytest.raises(ValueError) as call_err:
+        _kernel.select_backend("complied")
+    message = str(call_err.value)
+    assert message == (
+        "unknown backend 'complied': expected auto, python or compiled"
+    )
+    assert _kernel._parse_backend(" Python ") == "python"
+    assert _kernel._parse_backend("") == "auto"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        env=dict(os.environ, PYTHONPATH=str(SRC), REPRO_BACKEND="complied"),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines()[-1] == f"ValueError: {message}"
+
+
+#: The extension's public names, each a twin the exact counters pay for
+#: (PROTOCOL.md §11 names the counter): a path that runs per access, per
+#: message or per slot per epoch on a benchmark leg.  A new twin must be
+#: added here and to that table.
+LEDGERED_TWINS = {
+    "Engine", "diff_arrays", "adaptive_threshold",
+    "LocalAccess", "Accessor", "Ready",
+    "DeliveryPort", "NetFabric", "FabricSender",
+    "Future", "ReplyRouter", "Arena",
+    "cache_invalidate_read", "cache_sweep_invalid",
+}
+
+
+def test_kernel_exports_only_ledgered_twins(km):
+    public = {
+        name for name in vars(km)
+        if not name.startswith("_") and name != "KERNEL_API"
+    }
+    assert public == LEDGERED_TWINS

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cluster.message import MsgCategory
 from repro.core.policies import FixedThreshold, NoMigration
-from repro.dsm.protocol import ObjRequest
+from repro.dsm.protocol import DiffMsg, MigrateOrderMsg, ObjRequest
+from repro.memory.diff import compute_diff
 from repro.dsm.redirection import HomeManagerMechanism
 from repro.gos.thread import ThreadContext
 from repro.sim.future import Future
@@ -87,6 +88,74 @@ def test_version_deferred_request_served_after_diff():
     reply = waiter.value
     assert reply.version == 1
     assert reply.data[0] == 5.0
+
+
+def test_transfer_race_deferrals_served_in_fifo_order(backend):
+    """Two requests and a diff reach the announced new home before its
+    home transfer lands: all three park (``deferred_request`` via
+    ``pending_foreign``, ``deferred_diff`` via ``_pending_diffs``) and
+    are served in arrival order once the transfer installs."""
+    gos = make_gos(nnodes=4, policy=NoMigration())
+    obj = gos.alloc_array(4, home=0)
+    gos.write_global(obj, np.arange(4.0))
+    old_home, new_home = gos.engines[0], gos.engines[1]
+    version = old_home.homes[obj.oid].version
+    served = []
+    serve_request, handle_diff = new_home._serve_request, new_home._handle_diff
+
+    def record_request(entry, request):
+        served.append(request.request_id)
+        serve_request(entry, request)
+
+    def record_diff(msg):
+        served.append(msg.request_id)
+        handle_diff(msg)
+
+    new_home._serve_request = record_request
+    new_home._handle_diff = record_diff
+
+    replies = {}
+    for request_id in ((2, 901), (3, 902)):
+        replies[request_id] = Future(label="test-wait")
+        gos.engines[request_id[0]]._reply_waiters[request_id] = replies[
+            request_id
+        ]
+    replies[(3, 903)] = Future(label="test-ack")
+    gos.engines[3]._reply_waiters[(3, 903)] = replies[(3, 903)]
+
+    def request(request_id):
+        return ObjRequest(
+            oid=obj.oid,
+            requester=request_id[0],
+            request_id=request_id,
+            min_version=version,
+            hops=0,
+            for_write=False,
+        )
+
+    written = np.arange(4.0)
+    written[3] = 42.0
+    diff = compute_diff(obj.oid, np.arange(4.0), written)
+    new_home._handle_obj_request(request((2, 901)))
+    handle_diff(DiffMsg(obj.oid, 3, (3, 903), diff))
+    new_home._handle_obj_request(request((3, 902)))
+    events = gos.stats.events
+    assert events["deferred_request"] == 2
+    assert events["deferred_diff"] == 1
+    assert served == []
+    assert obj.oid in new_home.pending_foreign
+
+    old_home._execute_migrate_order(MigrateOrderMsg(obj.oid, 1))
+    run_threads(gos)
+    assert served == [(2, 901), (3, 902), (3, 903)]
+    assert not new_home.pending_foreign and not new_home._pending_diffs
+    for request_id in ((2, 901), (3, 902)):
+        reply = replies[request_id].value
+        assert reply.version == version
+        assert list(reply.data) == [0.0, 1.0, 2.0, 3.0]
+    assert replies[(3, 903)].value.version == version + 1
+    assert gos.current_home(obj) == 1
+    assert list(gos.read_global(obj)) == [0.0, 1.0, 2.0, 42.0]
 
 
 def test_home_manager_mechanism_with_manager_as_old_home():
