@@ -213,6 +213,10 @@ class ServingSpec:
             )
         if not 0.0 <= self.churn < 1.0:
             raise ValueError(f"churn must be in [0, 1), got {self.churn!r}")
+        if self.release_fanout is not None and self.release_fanout < 2:
+            raise ValueError(
+                f"release_fanout must be >= 2, got {self.release_fanout}"
+            )
 
     @property
     def nthreads(self) -> int:

@@ -36,10 +36,11 @@ MUTATION_NAMES = ("skip_diff", "misroute_redirect", "threshold_off_by_one")
 
 @contextmanager
 def _patched_skip_diff():
-    """Drop the first diff application (module-global ``apply_diff``)."""
-    import repro.dsm.protocol as protocol
+    """Drop the first diff application at a home (the module-global
+    ``apply_diff`` of the module defining ``_handle_diff``)."""
+    import repro.dsm.interval as interval
 
-    original = protocol.apply_diff
+    original = interval.apply_diff
     state = {"skipped": False}
 
     def patched(payload, diff):
@@ -48,11 +49,11 @@ def _patched_skip_diff():
             return None
         return original(payload, diff)
 
-    protocol.apply_diff = patched
+    interval.apply_diff = patched
     try:
         yield
     finally:
-        protocol.apply_diff = original
+        interval.apply_diff = original
 
 
 @contextmanager

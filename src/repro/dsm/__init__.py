@@ -7,11 +7,14 @@ implements:
   twin creation on the first write of an interval (:mod:`repro.dsm.cache`);
 * the **home side** — the always-valid home copy, its version counter, and
   the access monitor feeding the migration policy (:mod:`repro.dsm.home`);
-* **diff propagation** with version-carrying acks, **object fault-in**, and
-  **home migration** with forwarding-pointer / broadcast / home-manager
-  notification (:mod:`repro.dsm.protocol`, :mod:`repro.dsm.redirection`);
+* **object fault-in** (:mod:`repro.dsm.faultin`), **diff propagation**
+  with version-carrying acks (:mod:`repro.dsm.interval`), and **home
+  migration** (:mod:`repro.dsm.migration`) with forwarding-pointer /
+  broadcast / home-manager notification (:mod:`repro.dsm.redirection`),
+  over the messages of :mod:`repro.dsm.wire`;
 * distributed **locks** (:mod:`repro.dsm.locks`) and **barriers**
-  (:mod:`repro.dsm.barrier`) that piggyback LRC write notices;
+  (:mod:`repro.dsm.barrier`) that piggyback LRC write notices
+  (:mod:`repro.dsm.sync`);
 * a **homeless (TreadMarks-style) LRC** baseline for the paper's §1
   motivation (:mod:`repro.dsm.homeless`).
 """

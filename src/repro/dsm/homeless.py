@@ -40,7 +40,9 @@ from repro.cluster.stats import ClusterStats
 from repro.dsm.barrier import BarrierHandle, BarrierState
 from repro.dsm.cache import AccessMode
 from repro.dsm.locks import LockHandle, LockTable
-from repro.dsm.protocol import (
+from repro.dsm.wire import (
+    REQUEST_BYTES,
+    SYNC_BASE_BYTES,
     BarrierArriveMsg,
     BarrierReleaseMsg,
     LockAcquireMsg,
@@ -54,8 +56,6 @@ from repro.memory.twin import make_twin
 from repro.sim.engine import Simulator
 from repro.sim.future import Future, future_class
 
-REQUEST_BYTES = 8
-SYNC_BASE_BYTES = 8
 #: One homeless write notice: oid + writer + seq.
 NOTICE_BYTES = 16
 

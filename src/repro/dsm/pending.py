@@ -1,24 +1,19 @@
-"""Indexed containers for deferred protocol work.
+"""The index for version-deferred protocol work.
 
-The protocol engine parks three kinds of work it cannot serve yet:
+A home parks object requests demanding a version its copy has not
+reached in a :class:`VersionIndexedQueue` (one per home entry), so a
+version bump pops only the newly eligible requests instead of
+rescanning every parked one.  (Work that raced an inbound home
+hand-off parks in plain per-oid lists on the engine.)
 
-* object requests demanding a version the home copy has not reached
-  (:class:`VersionIndexedQueue`, one per home entry) — previously a flat
-  list rescanned in full on *every* version bump, the single largest
-  call count in the PR-1 profile;
-* foreign requests/diffs that raced an inbound home transfer
-  (:class:`KeyedFifo`, one per engine) — drained wholesale when the
-  transfer lands.
-
-Both containers preserve the exact service order of the flat-list code
-they replace: requests become eligible in FIFO (arrival) order among the
+The queue preserves the exact service order of the flat-list code it
+replaced: requests become eligible in FIFO (arrival) order among the
 eligible set, which is what the determinism invariant (same event order,
 same :class:`~repro.cluster.stats.ClusterStats`) requires.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Iterator
 
@@ -80,57 +75,4 @@ class VersionIndexedQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<VersionIndexedQueue pending={len(self._heap)}>"
-
-
-class KeyedFifo:
-    """Per-key FIFO queues for work parked until a key-event occurs.
-
-    Used for foreign requests and diffs that arrived while the home
-    transfer for their object was still in flight: ``add`` parks in O(1),
-    ``pop_all`` hands the whole queue back in arrival order and forgets
-    the key.  Empty keys are never retained, so truthiness means "some
-    work is parked somewhere".
-    """
-
-    __slots__ = ("_by_key",)
-
-    def __init__(self) -> None:
-        self._by_key: dict[Any, deque[Any]] = {}
-
-    def add(self, key: Any, item: Any) -> None:
-        """Park ``item`` under ``key`` (FIFO within the key)."""
-        queue = self._by_key.get(key)
-        if queue is None:
-            queue = self._by_key[key] = deque()
-        queue.append(item)
-
-    def pop_all(self, key: Any) -> list[Any]:
-        """Remove and return everything parked under ``key``, in order."""
-        queue = self._by_key.pop(key, None)
-        return [] if queue is None else list(queue)
-
-    def prune_empty(self) -> int:
-        """Drop keys whose queue is empty; return how many were dropped.
-
-        ``add``/``pop_all`` never leave empty queues behind, but callers
-        holding a queue reference could drain one in place; the
-        barrier-epoch GC calls this so the invariant "truthiness means
-        parked work" survives such use and the key map cannot accrete.
-        """
-        empty = [key for key, queue in self._by_key.items() if not queue]
-        for key in empty:
-            del self._by_key[key]
-        return len(empty)
-
-    def __len__(self) -> int:
-        return sum(len(queue) for queue in self._by_key.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._by_key)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._by_key
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<KeyedFifo keys={len(self._by_key)} items={len(self)}>"
 

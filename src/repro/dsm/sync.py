@@ -1,0 +1,360 @@
+"""Locks and barriers: the synchronization points where an LRC interval
+closes, thread side and manager side, plus the barrier-release relay.
+
+Every synchronization flushes the interval's diffs first
+(:meth:`~repro.dsm.interval.IntervalMixin.flush_diffs`), so its write
+notices ride on the acquire, release or arrival message; an acquire or
+a barrier release then applies the notices it receives and invalidates
+every cached copy (Java consistency).  Each blocking operation runs on
+one generator frame (DESIGN.md §6.12).  A barrier manager may also
+order JiaJia-style migrations, whose new homes ride on the release.
+
+State is declared in :class:`~repro.dsm.protocol.DsmEngine`'s
+constructor; this mixin only contributes methods.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Generator
+
+from repro.cluster.message import MsgCategory, NOTICE_ENTRY_BYTES
+from repro.dsm.barrier import BarrierHandle, BarrierState
+from repro.dsm.locks import LockHandle
+from repro.dsm.redirection import fanout_children
+from repro.dsm.wire import (
+    REQUEST_BYTES,
+    SYNC_BASE_BYTES,
+    BarrierArriveMsg,
+    BarrierReleaseMsg,
+    LockAcquireMsg,
+    LockGrantMsg,
+    LockReleaseMsg,
+)
+from repro.obs.timers import EpochTimer
+from repro.sim.process import Delay
+
+#: Retry-discipline lock backoff: base + U(0, jitter) microseconds.
+LOCK_RETRY_BASE_US = 150.0
+LOCK_RETRY_JITTER_US = 450.0
+
+_LOCK_ACQUIRE = MsgCategory.LOCK_ACQUIRE
+_LOCK_GRANT = MsgCategory.LOCK_GRANT
+_LOCK_RELEASE = MsgCategory.LOCK_RELEASE
+_BARRIER_ARRIVE = MsgCategory.BARRIER_ARRIVE
+_BARRIER_RELEASE = MsgCategory.BARRIER_RELEASE
+
+
+class SyncMixin:
+    """Lock and barrier operations and their managers (a mixin of
+    :class:`~repro.dsm.protocol.DsmEngine`)."""
+
+    # -- locks ------------------------------------------------------------
+
+    def acquire(self, handle: LockHandle) -> Generator[Any, Any, None]:
+        """Acquire a distributed lock; applies piggybacked write notices.
+
+        Acquiring closes the current interval: pending diffs are flushed
+        first (so every synchronized update propagates separately — the
+        GOS reflects remote writes at each synchronization point), and the
+        interval's notices ride on the acquire message.  The whole FIFO
+        hand-off runs in this one generator frame.
+        """
+        self.stats.events["lock_acquire"] += 1
+        node = self.node_id
+        lock_id = handle.lock_id
+        sp = self._sp
+        op = None
+        if sp is not None:
+            op = sp.open(
+                "lock_acquire", self.sim.now, lock_id, node, home=handle.home
+            )
+        if self.dirty:
+            own_notices = yield from self.flush_diffs(op)
+        else:
+            own_notices = self._home_notices({})
+        if self.lock_discipline == "retry":
+            notices = yield from self._acquire_retry(handle, own_notices)
+        else:
+            self._req_counter += 1
+            request_id = (node, self._req_counter)
+            if handle.home != node:
+                fut = self._Future("lock")
+                self._reply_waiters[request_id] = fut
+                self._send(
+                    handle.home,
+                    _LOCK_ACQUIRE,
+                    SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(own_notices),
+                    LockAcquireMsg(lock_id, node, request_id, own_notices),
+                )
+                notices = (yield fut).notices
+            else:
+                table = self.lock_table
+                table.add_notices(lock_id, own_notices)
+                if table.try_acquire(lock_id, node, request_id):
+                    notices = table.grant_notices(lock_id, node)
+                else:
+                    fut = self._Future("lock")
+                    self._reply_waiters[request_id] = fut
+                    notices = (yield fut).notices
+        self.apply_notices(notices)
+        self.invalidate_all_cached()
+        self.interval += 1
+        if sp is not None:
+            sp.close(op, "lock_acquire", self.sim.now, lock_id, node)
+        if self._m_lock_epoch_us is not None:
+            self._lock_epochs.begin(lock_id, self.sim.now)
+
+    def _acquire_retry(
+        self, handle: LockHandle, own_notices: dict[int, int]
+    ) -> Generator[Any, Any, dict[int, int]]:
+        """Retry discipline: no wait queue — a busy lock is re-tried after
+        a seeded random backoff.  Models the paper's runtime, where the
+        releasing thread can win the lock again ("the actual consecutive
+        writing times could be a multiple of r ... randomly at runtime")."""
+        send_notices = own_notices
+        while True:
+            request_id = self._next_request_id()
+            if handle.home == self.node_id:
+                self.lock_table.add_notices(handle.lock_id, send_notices)
+                if self.lock_table.state(handle.lock_id).holder is None:
+                    self.lock_table.try_acquire(
+                        handle.lock_id, self.node_id, request_id
+                    )
+                    return self.lock_table.grant_notices(
+                        handle.lock_id, self.node_id
+                    )
+            else:
+                fut = self._Future("lock")
+                self._reply_waiters[request_id] = fut
+                self._send(
+                    handle.home,
+                    _LOCK_ACQUIRE,
+                    SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(send_notices),
+                    LockAcquireMsg(
+                        handle.lock_id, self.node_id, request_id, send_notices
+                    ),
+                )
+                grant: LockGrantMsg = yield fut
+                if not grant.busy:
+                    return grant.notices
+            send_notices = {}  # notices were delivered on the first try
+            yield Delay(
+                LOCK_RETRY_BASE_US
+                + self._rng.uniform(0.0, LOCK_RETRY_JITTER_US)
+            )
+
+    def release(self, handle: LockHandle) -> Generator[Any, Any, None]:
+        """Flush this interval's diffs, then release the lock with notices."""
+        node = self.node_id
+        lock_id = handle.lock_id
+        if self._m_lock_epoch_us is not None:
+            span = self._lock_epochs.end(lock_id, self.sim.now)
+            if span is not None:
+                self._m_lock_epoch_us.observe(span)
+        sp = self._sp
+        op = None
+        if sp is not None:
+            op = sp.open(
+                "lock_release", self.sim.now, lock_id, node, home=handle.home
+            )
+        if self.dirty:
+            notices = yield from self.flush_diffs(op)
+        else:
+            notices = self._home_notices({})
+        msg = LockReleaseMsg(lock_id, node, notices)
+        if handle.home == node:
+            self._manager_release(msg)
+        else:
+            self._send(
+                handle.home,
+                _LOCK_RELEASE,
+                SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices),
+                msg,
+            )
+        if sp is not None:
+            sp.close(op, "lock_release", self.sim.now, lock_id, node)
+
+    def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
+        lock_id = msg.lock_id
+        table = self.lock_table
+        table.add_notices(lock_id, msg.notices)
+        if (
+            self.lock_discipline == "retry"
+            and table.state(lock_id).holder is not None
+        ):
+            self._send(
+                msg.requester,
+                _LOCK_GRANT,
+                SYNC_BASE_BYTES,
+                LockGrantMsg(lock_id, msg.request_id, {}, True),
+            )
+            return
+        if not table.try_acquire(lock_id, msg.requester, msg.request_id):
+            return  # queued; the grant is sent when the holder releases
+        notices = table.grant_notices(lock_id, msg.requester)
+        self._send(
+            msg.requester,
+            _LOCK_GRANT,
+            SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices),
+            LockGrantMsg(lock_id, msg.request_id, notices),
+        )
+
+    def _manager_release(self, msg: LockReleaseMsg) -> None:
+        """Lock manager: record a release (local or LOCK_RELEASE) and hand
+        the lock to the next FIFO waiter, if any."""
+        lock_id = msg.lock_id
+        waiter = self.lock_table.release(lock_id, msg.releaser, msg.notices)
+        if waiter is None:
+            return
+        grant = self.lock_table.grant_notices(lock_id, waiter.node)
+        if waiter.node == self.node_id:
+            self._reply_waiters.pop(waiter.request_id).resolve(
+                LockGrantMsg(lock_id, waiter.request_id, grant)
+            )
+        else:
+            self._send(
+                waiter.node,
+                _LOCK_GRANT,
+                SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(grant),
+                LockGrantMsg(lock_id, waiter.request_id, grant),
+            )
+
+    # -- barriers ---------------------------------------------------------
+
+    def register_barrier(self, handle: BarrierHandle) -> None:
+        """Install manager state for a barrier homed at this node."""
+        if handle.home != self.node_id:
+            raise ValueError(
+                f"barrier {handle.barrier_id} homed at {handle.home}, "
+                f"not {self.node_id}"
+            )
+        self.barriers[handle.barrier_id] = BarrierState(handle)
+
+    def barrier(
+        self, handle: BarrierHandle, round_no: int
+    ) -> Generator[Any, Any, None]:
+        """One barrier round: flush diffs, arrive, wait for the release."""
+        sp = self._sp
+        op = None
+        if sp is not None:
+            op = sp.open(
+                "barrier_wait",
+                self.sim.now,
+                handle.barrier_id,
+                self.node_id,
+                round=round_no,
+            )
+        if self.dirty:
+            notices = yield from self.flush_diffs(op)
+        else:
+            notices = self._home_notices({})
+        fut = self._Future("barrier")
+        self._barrier_waiters.setdefault(
+            (handle.barrier_id, round_no), []
+        ).append(fut)
+        arrive = BarrierArriveMsg(
+            handle.barrier_id, self.node_id, round_no, notices
+        )
+        if handle.home == self.node_id:
+            self._manager_barrier_arrive(arrive)
+        else:
+            self._send(
+                handle.home,
+                _BARRIER_ARRIVE,
+                SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices),
+                arrive,
+            )
+        release: BarrierReleaseMsg = yield fut
+        # With barrier-epoch GC on, merging the release's notices into
+        # required_version is a provable no-op: collect_garbage (called
+        # synchronously below, nothing observes the floors in between)
+        # prunes exactly the floors at or below the released versions,
+        # and every merged floor is by construction == its released
+        # version.  Skipping the merge leaves required_version
+        # bit-identical and removes an O(#notices) sweep per node per
+        # epoch — the difference between O(N^2) and O(N^3) total work
+        # for N-node barrier apps.  With GC off the floors accumulate
+        # (that is the memory-ablation leg), so merge as before.
+        if not self.gc_enabled:
+            self.apply_notices(release.notices)
+        self.home_hint.update(release.new_homes)
+        self.invalidate_all_cached()
+        self.interval += 1
+        if self.gc_enabled:
+            self.collect_garbage(release.notices)
+        if sp is not None:
+            sp.close(
+                op,
+                "barrier_wait",
+                self.sim.now,
+                handle.barrier_id,
+                self.node_id,
+                round=round_no,
+            )
+
+    def _manager_barrier_arrive(self, msg: BarrierArriveMsg) -> None:
+        state = self.barriers[msg.barrier_id]
+        complete = state.arrive(msg.node, msg.notices, msg.round_no)
+        if not complete:
+            return
+        round_no, merged, writers = state.complete_round()
+        self.stats.events["barrier_round"] += 1
+        if self._m_barrier_interval_us is not None:
+            timer = self._barrier_epochs.setdefault(
+                msg.barrier_id, EpochTimer()
+            )
+            span = timer.lap(self.sim.now)
+            if span is not None:
+                self._m_barrier_interval_us.observe(span)
+        new_homes: dict[int, int] = {}
+        if self.policy.wants_barrier_migration():
+            new_homes = self._order_barrier_migrations(writers)
+        release = BarrierReleaseMsg(
+            msg.barrier_id, round_no, merged, new_homes
+        )
+        # One release object — with its one merged-notices snapshot — is
+        # shared by every copy of the fan-out; receivers only read it.
+        if self.release_fanout is not None:
+            # the manager is the relay root: _on_barrier_release forwards
+            release.root = self.node_id
+            release.fanout = self.release_fanout
+        else:
+            size = (
+                SYNC_BASE_BYTES
+                + NOTICE_ENTRY_BYTES * len(merged)
+                + REQUEST_BYTES * len(new_homes)
+            )
+            for dst in range(self.network.nnodes):
+                if dst == self.node_id:
+                    continue
+                self._send(dst, _BARRIER_RELEASE, size, release)
+        self._on_barrier_release(release)
+
+    def _on_barrier_release(self, release: BarrierReleaseMsg) -> None:
+        """Relay a multicast release to this node's tree children, then
+        wake this node's waiters for the round.
+
+        Every non-root node receives exactly one copy (N-1 messages
+        total, like the direct burst) but no NIC injects more than
+        ``fanout`` back to back, so the release reaches the whole
+        cluster in O(log_k N) serialization depth instead of O(N).
+        Leaves — heap index ``v`` with ``k*v + 1 >= N``, see
+        :func:`~repro.dsm.redirection.fanout_children` — have no children,
+        so only inner nodes size the message and walk the tree.
+        """
+        fanout = release.fanout
+        if fanout:
+            nnodes = self.network.nnodes
+            root = release.root
+            if fanout * ((self.node_id - root) % nnodes) + 1 < nnodes:
+                size = (
+                    SYNC_BASE_BYTES
+                    + NOTICE_ENTRY_BYTES * len(release.notices)
+                    + REQUEST_BYTES * len(release.new_homes)
+                )
+                for dst in fanout_children(self.node_id, root, fanout, nnodes):
+                    self._send(dst, _BARRIER_RELEASE, size, release)
+        for fut in self._barrier_waiters.pop(
+            (release.barrier_id, release.round_no), ()
+        ):
+            fut.resolve(release)

@@ -31,12 +31,12 @@ def test_unknown_mutation_rejected():
 
 
 def test_mutations_are_fully_restored_after_exit():
-    import repro.dsm.protocol as protocol
+    import repro.dsm.interval as interval
     from repro.core.policies import AdaptiveThreshold
     from repro.dsm.redirection import ForwardingPointerMechanism
 
     originals = (
-        protocol.apply_diff,
+        interval.apply_diff,
         ForwardingPointerMechanism.miss_directive,
         AdaptiveThreshold.current_threshold,
     )
@@ -44,17 +44,17 @@ def test_mutations_are_fully_restored_after_exit():
         with apply_mutation(name):
             pass
         assert (
-            protocol.apply_diff,
+            interval.apply_diff,
             ForwardingPointerMechanism.miss_directive,
             AdaptiveThreshold.current_threshold,
         ) == originals, f"{name} leaked its patch"
 
 
 def test_mutation_restored_even_when_run_crashes():
-    import repro.dsm.protocol as protocol
+    import repro.dsm.interval as interval
 
-    original = protocol.apply_diff
+    original = interval.apply_diff
     with pytest.raises(RuntimeError):
         with apply_mutation("skip_diff"):
             raise RuntimeError("episode blew up")
-    assert protocol.apply_diff is original
+    assert interval.apply_diff is original

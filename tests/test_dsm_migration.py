@@ -11,11 +11,14 @@ from repro.core.policies import (
     MigratingHome,
     BarrierMigration,
 )
+from repro.cluster.hockney import FAST_ETHERNET
 from repro.dsm.redirection import (
     BroadcastMechanism,
     HomeManagerMechanism,
 )
+from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
+from repro.trace.recorder import TraceRecorder
 
 from tests.conftest import make_gos, run_threads
 
@@ -263,3 +266,91 @@ def test_multiwriter_object_never_migrates_under_at():
     assert gos.current_home(obj) in (0, 1, 2)
     final = gos.read_global(obj)
     assert final[1] == 5.0 and final[2] == 5.0
+
+
+def _add_one(payload):
+    payload[0] += 1.0
+
+
+#: trigger -> (policy, expected home_install origin at the new home)
+HAND_OFF_TRIGGERS = {
+    "fault": (lambda: FixedThreshold(1), "reply-mig"),
+    "ship": (lambda: FixedThreshold(1), "reply-mig"),
+    "barrier": (BarrierMigration, "transfer"),
+}
+
+
+@pytest.mark.parametrize("trigger", sorted(HAND_OFF_TRIGGERS))
+def test_one_hand_off_for_every_trigger(trigger, backend):
+    """A served fault (FT1), consecutive ships and a barrier order
+    (JiaJia) all move the home 0 -> 1 through the same handshake."""
+    make_policy, origin = HAND_OFF_TRIGGERS[trigger]
+    tracer = TraceRecorder(
+        kinds=("migration", "home_install", "span_open", "span_close")
+    )
+    gos = GlobalObjectSpace(
+        nnodes=3, comm_model=FAST_ETHERNET, policy=make_policy(), tracer=tracer
+    )
+    obj = gos.alloc_fields(("v",), home=0)
+    old, new = gos.engines[0], gos.engines[1]
+    monitor = old.homes[obj.oid].state
+
+    # Node 2 faults demanding version 2, which only the new home reaches
+    # (each trigger hands the home off at version 1): the request parks
+    # at the old home and must chase the home to the new one.
+    gos.engines[2].required_version[obj.oid] = 2
+    seen = []
+
+    def parked_reader():
+        payload = yield from ThreadContext(gos, tid=2, node=2).read(obj)
+        seen.append(float(payload[0]))
+
+    def trigger_body():
+        ctx = ThreadContext(gos, tid=1, node=1)
+        lock = gos.alloc_lock(home=0)
+        if trigger == "fault":
+            for _ in range(2):
+                yield from ctx.acquire(lock)
+                payload = yield from ctx.write(obj)
+                payload[0] += 1.0
+                yield from ctx.release(lock)
+        elif trigger == "ship":
+            yield from ctx.acquire(lock)
+            for _ in range(2):
+                yield from ctx.ship(obj, _add_one)
+            yield from ctx.release(lock)
+        else:
+            barrier = gos.alloc_barrier(parties=1, home=0)
+            for _ in range(2):
+                payload = yield from ctx.write(obj)
+                payload[0] += 1.0
+                yield from ctx.barrier(barrier)
+
+    run_threads(gos, parked_reader(), trigger_body())
+
+    assert old.forwards[obj.oid] == 1 and obj.oid not in old.homes
+    cached = old.cache.get(obj.oid)
+    assert cached is not None and cached.readable()
+    assert new.homes[obj.oid].state is monitor
+    assert gos.stats.events["mig"] == 1
+    assert gos.stats.events["migration"] == 1
+    assert len(tracer.of_kind("migration", obj.oid)) == 1
+    installs = [
+        e for e in tracer.of_kind("home_install", obj.oid)
+        if e.detail["origin"] != "initial"
+    ]
+    assert [(e.node, e.detail["origin"]) for e in installs] == [(1, origin)]
+    for kind in ("span_open", "span_close"):
+        spans = [
+            e for e in tracer.of_kind(kind, obj.oid)
+            if e.detail["op_kind"] == "migration"
+        ]
+        assert len(spans) == 1, kind
+    # the parked request was redirected once and served at the new home
+    # (where it may park again until version 2 lands)
+    events = gos.stats.events
+    assert events["deferred_request"] >= 1
+    assert events["redir"] == 1
+    assert monitor.redirections == 1
+    assert seen == [2.0]
+    assert gos.read_global(obj)[0] == 2.0

@@ -1,14 +1,13 @@
-"""Edge cases for the indexed pending-work containers (dsm/pending.py).
+"""Edge cases for the version-deferral index (dsm/pending.py).
 
-The protocol's determinism contract requires these containers to
-reproduce the service order of the flat-list code they replaced:
-eligibility in arrival (FIFO) order among the eligible set.  The cases
-here pin the subtle orderings — duplicate ``min_version`` keys,
-pop-after-bump interleavings, and FIFO stability under interleaved
-keys — that a heap or dict could silently permute.
+The protocol's determinism contract requires the index to reproduce
+the service order of the flat-list code it replaced: eligibility in
+arrival (FIFO) order among the eligible set.  The cases here pin the
+subtle orderings — duplicate ``min_version`` keys and pop-after-bump
+interleavings — that a heap could silently permute.
 """
 
-from repro.dsm.pending import KeyedFifo, VersionIndexedQueue
+from repro.dsm.pending import VersionIndexedQueue
 
 
 # -- VersionIndexedQueue ----------------------------------------------------
@@ -73,66 +72,3 @@ def test_iter_is_arrival_order_and_non_destructive():
     q.push(3, "q")
     assert list(q) == ["p", "q"]
     assert len(q) == 2
-
-
-# -- KeyedFifo --------------------------------------------------------------
-
-
-def test_pop_all_is_fifo_stable_under_interleaved_keys():
-    fifo = KeyedFifo()
-    fifo.add("x", 1)
-    fifo.add("y", 10)
-    fifo.add("x", 2)
-    fifo.add("y", 20)
-    fifo.add("x", 3)
-    assert fifo.pop_all("x") == [1, 2, 3]
-    assert fifo.pop_all("y") == [10, 20]
-
-
-def test_pop_all_forgets_the_key():
-    fifo = KeyedFifo()
-    fifo.add("k", "only")
-    assert fifo.pop_all("k") == ["only"]
-    assert "k" not in fifo
-    assert not fifo
-    assert fifo.pop_all("k") == []
-
-
-def test_truthiness_tracks_parked_work():
-    fifo = KeyedFifo()
-    assert not fifo
-    fifo.add(42, "item")
-    assert fifo
-    assert 42 in fifo
-    assert len(fifo) == 1
-    fifo.pop_all(42)
-    assert not fifo
-
-
-def test_prune_empty_drops_only_drained_in_place_keys():
-    fifo = KeyedFifo()
-    fifo.add("live", 1)
-    fifo.add("dead", 2)
-    # simulate a caller draining a queue in place through a held reference
-    fifo._by_key["dead"].clear()
-    assert fifo.prune_empty() == 1
-    assert "dead" not in fifo
-    assert fifo.pop_all("live") == [1]
-    # idempotent on a clean map
-    assert fifo.prune_empty() == 0
-
-
-def test_add_after_prune_empty_starts_a_fresh_queue():
-    # pruning must fully forget the key: a later add for it creates a
-    # fresh FIFO, and a queue reference held across the prune cannot
-    # resurrect parked items into the new one
-    fifo = KeyedFifo()
-    fifo.add("k", "old")
-    stale_ref = fifo._by_key["k"]
-    stale_ref.clear()  # drained in place by a reference-holding caller
-    assert fifo.prune_empty() == 1
-    stale_ref.append("ghost")  # writes to the pruned, orphaned deque
-    fifo.add("k", "new")
-    assert fifo.pop_all("k") == ["new"]
-    assert not fifo
-    assert fifo.prune_empty() == 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.message import MsgCategory
 from repro.core.policies import FixedThreshold, NoMigration
-from repro.dsm.protocol import DiffMsg, MigrateOrderMsg, ObjRequest
+from repro.dsm.wire import DiffMsg, MigrateOrderMsg, ObjRequest
 from repro.memory.diff import compute_diff
 from repro.dsm.redirection import HomeManagerMechanism
 from repro.gos.thread import ThreadContext

@@ -318,6 +318,9 @@ BAD_SERVING_SPECS = {
         {"arrival": "bursty"}, "arrival must be 'open' or 'closed', got 'bursty'"
     ),
     "churn of every node": ({"churn": 1.0}, "churn must be in [0, 1), got 1.0"),
+    "release_fanout of one": (
+        {"release_fanout": 1}, "release_fanout must be >= 2, got 1"
+    ),
 }
 
 
@@ -327,7 +330,7 @@ def test_malformed_serving_spec_rejected(case, backend):
     expansion or simulation, with one line naming the field and value."""
     kwargs, message = BAD_SERVING_SPECS[case]
     with pytest.raises(ValueError) as err:
-        run_serving(ServingSpec(**kwargs))
+        ServingSpec(**kwargs)
     assert str(err.value) == message
 
 
@@ -335,6 +338,9 @@ def test_cli_serve_rejects_malformed_traffic(capsys):
     with pytest.raises(SystemExit):
         cli_main(["serve", "--nodes", "0"])
     assert "nodes must be >= 1, got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli_main(["serve", "--release-fanout", "1"])
+    assert "release_fanout must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_fuzzed_serving_draws_stay_valid():
