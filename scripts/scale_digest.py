@@ -9,8 +9,11 @@ pattern at 16 nodes under the adaptive threshold, transient (r = 2) then
 lasting (r = 16) — every lock hand-off, diff flush, migration handshake
 and redirect chain of the headline experiment.
 
-Each is hashed over its deterministic outcome (every `RunOutcome` field
-except the wall clock, telemetry and backend name).  The digests are
+Each is hashed over its deterministic outcome: every `RunOutcome` field
+except the wall clock, telemetry and backend name, and — as in the
+determinism and homeless digests — except ``events_processed``, the
+engine's internal event count, which is not part of the deterministic
+contract (docs/PROTOCOL.md §11).  The digests are
 pinned below; both backends must reproduce them bit for bit, so CI runs
 this under ``REPRO_BACKEND=python`` and ``compiled`` as the larger twins
 of the 4-node determinism digest in ``tests/test_determinism_digest.py``.
@@ -36,7 +39,7 @@ from repro.bench.executor import RunSpec, run_spec
 from repro.gos.jvm import DistributedJVM
 
 #: name -> (the pinned episode, sha256 over the canonical JSON of
-#: ``run_spec(spec).deterministic()``).  Behaviour changes to any path an
+#: ``run_spec(spec).deterministic()`` minus ``events_processed``).  Behaviour changes to any path an
 #: episode exercises require an explicit re-pin here.
 EPISODES = {
     "scale": (
@@ -51,7 +54,7 @@ EPISODES = {
             verify=True,
             tag="scale-digest",
         ),
-        "cae4855ae141767984d62db90b2d0600a3f91868e7dcdadc874e5daa9674144f",
+        "51102d659c1477b39a8c9a21049ca4c0314fe0e34d5e3d7ed540579f6371a141",
     ),
     "fig4": (
         RunSpec(
@@ -62,7 +65,7 @@ EPISODES = {
             seed=0,
             verify=False,
         ),
-        "dbe45d267d6384cbfd1f23e479facefe65b2ad3516815150cf16156a9a351c72",
+        "e1b433ee0563f3329ca050040a37fbb5dccb7adc405bf0f69a1bbbbd134be6a8",
     ),
 }
 
@@ -106,6 +109,7 @@ def watched_digest(spec: RunSpec) -> tuple[str, CollectorWatch]:
     gc.callbacks.append(watch)
     try:
         outcome = run_spec(spec).deterministic()
+        del outcome["events_processed"]
         gc.collect()
     finally:
         gc.callbacks.remove(watch)

@@ -1,9 +1,9 @@
 """Compiled-kernel backend selection for the repro package.
 
 The hot kernels of the reproduction (event-heap drain, network send and
-batched delivery, the local-hit access paths, ``compute_diff``, the
-threshold update rule) have a compiled C implementation in
-``_kernelc.c``.  This module owns building, loading and selecting it:
+delivery, the local-hit access paths, ``compute_diff``, the threshold
+update rule) have a compiled C implementation in ``_kernelc.c``.  This
+module owns building, loading and selecting it:
 
 * ``kernel()`` returns the loaded extension module, or ``None`` when the
   pure-Python backend is active.  Resolution is lazy: the first call
@@ -16,7 +16,9 @@ threshold update rule) have a compiled C implementation in
   Any other value raises :class:`ValueError`, exactly as
   ``select_backend()`` does.
 * ``select_backend()`` re-resolves at runtime (used by the CLI
-  ``--backend`` flag) and rebinds ``repro.sim.engine.Simulator``.
+  ``--backend`` flag) and rebinds every module that resolved the kernel
+  once at import (``repro.sim.engine.Simulator``, ``compute_diff``'s
+  and ``adaptive_threshold``'s kernel handle).
 
 The extension is compiled at first use with the toolchain recorded in
 Python's sysconfig (override with ``REPRO_KERNEL_CC``), into
@@ -167,12 +169,20 @@ def _load_from_path(path: Path) -> Any:
 
 
 # Oldest extension ABI this selection layer can drive.  Bumped when the
-# Python side starts depending on new C symbols (level 6: set_topology
-# takes tier vectors + class costs); an installed in-place build
-# predating them must lose to a fresh first-use build rather than load
-# and fail at attribute lookup.  Dropping a symbol the Python side no
-# longer calls needs no bump.
-_MIN_KERNEL_API = 6
+# Python side starts depending on new C symbols or a changed contract
+# (level 6: set_topology takes tier vectors + class costs; level 7: the
+# engine re-queues arrivals as DeliveryPort.deliver events — an older
+# build batches them and drifts events_processed from the Python
+# backend); an installed in-place build predating them must lose to a
+# fresh first-use build rather than load and misbehave.  Dropping a
+# symbol the Python side no longer calls needs no bump.
+_MIN_KERNEL_API = 7
+
+#: Modules that resolve the kernel once at import; ``select_backend()``
+#: re-points each through its ``_rebind_kernel()``.
+_REBOUND_MODULES = (
+    "repro.sim.engine", "repro.memory.diff", "repro.core.threshold",
+)
 
 
 def _load_or_build() -> Any:
@@ -312,7 +322,8 @@ def select_backend(name: str) -> str:
 
     Sets ``REPRO_BACKEND`` (so worker subprocesses inherit the choice),
     re-resolves, and rebinds ``repro.sim.engine.Simulator`` /
-    ``repro.sim.Simulator`` when those modules are already imported.
+    ``repro.sim.Simulator`` and the other ``_REBOUND_MODULES`` that are
+    already imported.
     Raises :class:`ValueError` for an unknown name and
     :class:`RuntimeError` for ``name="compiled"`` when the extension
     cannot be built.  Call it before constructing simulators;
@@ -322,7 +333,8 @@ def select_backend(name: str) -> str:
     os.environ["REPRO_BACKEND"] = name
     _state["resolved"] = False
     _resolve(name)
-    engine = sys.modules.get("repro.sim.engine")
-    if engine is not None:
-        engine._rebind_simulator()
+    for module_name in _REBOUND_MODULES:
+        module = sys.modules.get(module_name)
+        if module is not None:
+            module._rebind_kernel()
     return _state["name"]

@@ -13,7 +13,7 @@
  *                        repro.memory.diff.compute_diff.
  *   adaptive_threshold -- Equation 2 of the paper (repro.core.threshold).
  *   NetFabric         -- the compiled twin of repro.cluster.network's
- *                        Network.send, with batched DeliveryPorts that call
+ *                        Network.send, with per-node DeliveryPorts that call
  *                        each node's category -> handler table.
  *
  * Determinism contract: every kernel reproduces the pure-Python semantics
@@ -279,12 +279,28 @@ Engine_call_soon(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
     return engine_push_common(self, self->now, args, nargs);
 }
 
+/* One node's delivery endpoint (see DeliveryPort below).  A message's
+ * arrival event has the port itself as its callback. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *dispatch;    /* category -> handler dict */
+    double service;
+    PyObject *deliver_cb;  /* bound self.deliver */
+} PortObject;
+
+static PyTypeObject PortType;
+
 /* _drain(until_or_None, heartbeat_every, heartbeat_cb_or_None)
  *
  * Returns True when stopped early at `until` (clock set to `until`,
  * remaining events left queued), False when the heap drained completely.
  * `processed` is incremented before each callback so the count stays
- * exact when a callback raises, mirroring the Python try/finally. */
+ * exact when a callback raises, mirroring the Python try/finally.
+ *
+ * An arrival event (callback a DeliveryPort) makes no call: it goes back
+ * on the heap as the port's delivery at now + service_us with the next
+ * seq, keeping its (category, payload) tuple -- the event the Python
+ * backend's _PyDeliveryPort.arrive schedules. */
 static PyObject *
 Engine_drain(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -324,18 +340,30 @@ Engine_drain(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
         ev = heap_pop(self);
         self->now = ev.time;
         self->processed++;
-        if (ev.args != NULL) {
-            res = PyObject_Call(ev.cb, ev.args, NULL);
+        if (Py_IS_TYPE(ev.cb, &PortType)) {
+            PortObject *port = (PortObject *)ev.cb;
+
+            /* the pop freed the slot this push refills */
+            ev.time = self->now + port->service;
+            ev.seq = self->seq++;
+            ev.cb = Py_NewRef(port->deliver_cb);
+            Py_DECREF(port);
+            heap_push(self, ev);
         }
         else {
-            res = PyObject_CallNoArgs(ev.cb);
+            if (ev.args != NULL) {
+                res = PyObject_Call(ev.cb, ev.args, NULL);
+            }
+            else {
+                res = PyObject_CallNoArgs(ev.cb);
+            }
+            Py_DECREF(ev.cb);
+            Py_XDECREF(ev.args);
+            if (res == NULL) {
+                return NULL;
+            }
+            Py_DECREF(res);
         }
-        Py_DECREF(ev.cb);
-        Py_XDECREF(ev.args);
-        if (res == NULL) {
-            return NULL;
-        }
-        Py_DECREF(res);
         if (every > 0 && --countdown == 0) {
             countdown = every;
             res = PyObject_CallOneArg(beat, (PyObject *)self);
@@ -766,7 +794,7 @@ kernel_adaptive_threshold(PyObject *mod, PyObject *const *args,
 /* C twins of the per-access and per-message protocol bodies: the          */
 /* try_read_local / try_write_local hit paths (LocalAccess, reading the    */
 /* flat CacheIndex slots directly), the fused thread accessor, the reply   */
-/* router, and the network send + batched delivery boundary (NetFabric /   */
+/* router, and the network send + delivery boundary (NetFabric /           */
 /* DeliveryPort / FabricSender).  Each reproduces the pure-Python          */
 /* semantics bit for bit; cold paths fall back to the bound Python         */
 /* methods.                                                                */
@@ -1600,143 +1628,47 @@ static PyTypeObject RouterType = {
 };
 
 /* ---------------------------------------------------------------------- */
-/* DeliveryPort: batched per-node message delivery                         */
+/* DeliveryPort: per-node message delivery                                 */
 /* ---------------------------------------------------------------------- */
 
-typedef struct {
-    PyObject_HEAD
-    EngineObject *engine;  /* owned */
-    PyObject *dispatch;    /* category -> handler dict */
-    double service;
-    PyObject *batch;       /* open batch list, or NULL */
-    double batch_time;
-    long long watermark;   /* engine seq right after the flush was pushed */
-    PyObject *flush_cb;    /* bound self.flush */
-    PyObject *arrive_cb;   /* bound self.arrive (event callback) */
-} PortObject;
-
-static int
-Port_init(PortObject *self, PyObject *args, PyObject *kwds);
-
-/* arrive(category, payload): coalesce into the open batch iff it still
- * flushes at the same instant AND no other event was scheduled since the
- * flush event was pushed (the seq watermark).  Any interleaved schedule
- * breaks coalescing and this degrades to one flush per message, which
- * reproduces the legacy one-event-per-message order exactly. */
+/* deliver(category, payload): run the node's handler for one message. */
 static PyObject *
-Port_arrive(PortObject *self, PyObject *const *args, Py_ssize_t nargs)
+Port_deliver(PortObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    EngineObject *eng = self->engine;
-    double time;
-    PyObject *pair, *batch, *evargs;
-    Ev ev;
+    PyObject *handler, *res;
 
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError,
-                        "arrive() requires (category, payload)");
+                        "deliver() requires (category, payload)");
         return NULL;
     }
-    time = eng->now + self->service;
-    pair = PyTuple_Pack(2, args[0], args[1]);
-    if (pair == NULL) {
-        return NULL;
-    }
-    if (self->batch != NULL && self->batch_time == time &&
-        eng->seq == self->watermark) {
-        int rc = PyList_Append(self->batch, pair);
-        Py_DECREF(pair);
-        if (rc < 0) {
-            return NULL;
+    handler = PyDict_GetItemWithError(self->dispatch, args[0]);
+    if (handler == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "unhandled message category %R", args[0]);
         }
-        Py_RETURN_NONE;
-    }
-    batch = PyList_New(0);
-    if (batch == NULL) {
-        Py_DECREF(pair);
         return NULL;
     }
-    if (PyList_Append(batch, pair) < 0) {
-        Py_DECREF(pair);
-        Py_DECREF(batch);
-        return NULL;
-    }
-    Py_DECREF(pair);
-    evargs = PyTuple_Pack(1, batch);
-    if (evargs == NULL) {
-        Py_DECREF(batch);
-        return NULL;
-    }
-    if (heap_ensure(eng, eng->n + 1) < 0) {
-        Py_DECREF(batch);
-        Py_DECREF(evargs);
-        return NULL;
-    }
-    ev.time = time;
-    ev.seq = eng->seq++;
-    Py_INCREF(self->flush_cb);
-    ev.cb = self->flush_cb;
-    ev.args = evargs;
-    heap_push(eng, ev);
-    Py_XSETREF(self->batch, batch);
-    self->batch_time = time;
-    self->watermark = eng->seq;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Port_flush(PortObject *self, PyObject *batch)
-{
-    if (!PyList_Check(batch)) {
-        PyErr_SetString(PyExc_TypeError, "flush() requires a batch list");
-        return NULL;
-    }
-    if (self->batch == batch) {
-        Py_CLEAR(self->batch);
-    }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(batch); i++) {
-        PyObject *pair = PyList_GET_ITEM(batch, i);
-        PyObject *category = PyTuple_GET_ITEM(pair, 0);
-        PyObject *payload = PyTuple_GET_ITEM(pair, 1);
-        PyObject *handler, *res;
-
-        handler = PyDict_GetItemWithError(self->dispatch, category);
-        if (handler == NULL) {
-            if (!PyErr_Occurred()) {
-                PyErr_Format(PyExc_RuntimeError,
-                             "unhandled message category %R", category);
-            }
-            return NULL;
-        }
-        Py_INCREF(handler);
-        res = PyObject_CallOneArg(handler, payload);
-        Py_DECREF(handler);
-        if (res == NULL) {
-            return NULL;
-        }
-        Py_DECREF(res);
-    }
-    Py_RETURN_NONE;
+    Py_INCREF(handler);
+    res = PyObject_CallOneArg(handler, args[1]);
+    Py_DECREF(handler);
+    return res;
 }
 
 static int
 Port_traverse(PortObject *self, visitproc visit, void *arg)
 {
-    Py_VISIT((PyObject *)self->engine);
     Py_VISIT(self->dispatch);
-    Py_VISIT(self->batch);
-    Py_VISIT(self->flush_cb);
-    Py_VISIT(self->arrive_cb);
+    Py_VISIT(self->deliver_cb);
     return 0;
 }
 
 static int
 Port_clear_gc(PortObject *self)
 {
-    Py_CLEAR(self->engine);
     Py_CLEAR(self->dispatch);
-    Py_CLEAR(self->batch);
-    Py_CLEAR(self->flush_cb);
-    Py_CLEAR(self->arrive_cb);
+    Py_CLEAR(self->deliver_cb);
     return 0;
 }
 
@@ -1749,20 +1681,45 @@ Port_dealloc(PortObject *self)
 }
 
 static PyMethodDef Port_methods[] = {
-    {"arrive", (PyCFunction)(void (*)(void))Port_arrive, METH_FASTCALL,
-     "arrive(category, payload)\n--\n\n"
-     "Enqueue one delivery; coalesces same-instant back-to-back arrivals "
-     "into the open batch."},
-    {"flush", (PyCFunction)Port_flush, METH_O,
-     "flush(batch)\n--\n\nDispatch every (category, payload) in order."},
+    {"deliver", (PyCFunction)(void (*)(void))Port_deliver, METH_FASTCALL,
+     "deliver(category, payload)\n--\n\n"
+     "Run this node's handler for one message."},
     {NULL, NULL, 0, NULL},
 };
+
+static int
+Port_init(PortObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *dispatch;
+    double service;
+
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "DeliveryPort() takes no keyword arguments");
+        return -1;
+    }
+    if (!PyArg_ParseTuple(args, "O!d:DeliveryPort", &PyDict_Type, &dispatch,
+                          &service)) {
+        return -1;
+    }
+    if (service < 0.0) {
+        PyErr_SetString(PyExc_ValueError, "service_us must be >= 0");
+        return -1;
+    }
+    Py_INCREF(dispatch);
+    Py_XSETREF(self->dispatch, dispatch);
+    self->service = service;
+    Py_XSETREF(self->deliver_cb,
+               PyObject_GetAttrString((PyObject *)self, "deliver"));
+    return self->deliver_cb == NULL ? -1 : 0;
+}
 
 static PyTypeObject PortType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._kernel._kernelc.DeliveryPort",
-    .tp_doc = "Batched delivery endpoint for one node: same-instant "
-              "arrivals dispatch in a single flush event.",
+    .tp_doc = "Delivery endpoint for one node: an arrival event whose "
+              "callback is the port is re-queued by Engine._drain as one "
+              "deliver() event service_us later.",
     .tp_basicsize = sizeof(PortObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = PyType_GenericNew,
@@ -1772,43 +1729,6 @@ static PyTypeObject PortType = {
     .tp_clear = (inquiry)Port_clear_gc,
     .tp_methods = Port_methods,
 };
-
-static int
-Port_init(PortObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *engine, *dispatch;
-    double service;
-
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DeliveryPort() takes no keyword arguments");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!O!d:DeliveryPort", &EngineType, &engine,
-                          &PyDict_Type, &dispatch, &service)) {
-        return -1;
-    }
-    if (service < 0.0) {
-        PyErr_SetString(PyExc_ValueError, "service_us must be >= 0");
-        return -1;
-    }
-    Py_INCREF(engine);
-    Py_XSETREF(self->engine, (EngineObject *)engine);
-    Py_INCREF(dispatch);
-    Py_XSETREF(self->dispatch, dispatch);
-    self->service = service;
-    Py_CLEAR(self->batch);
-    self->batch_time = 0.0;
-    self->watermark = -1;
-    Py_XSETREF(self->flush_cb,
-               PyObject_GetAttrString((PyObject *)self, "flush"));
-    Py_XSETREF(self->arrive_cb,
-               PyObject_GetAttrString((PyObject *)self, "arrive"));
-    if (self->flush_cb == NULL || self->arrive_cb == NULL) {
-        return -1;
-    }
-    return 0;
-}
 
 /* ---------------------------------------------------------------------- */
 /* NetFabric + FabricSender: the compiled network send path                */
@@ -1922,8 +1842,7 @@ Fabric_add_port(FabricObject *self, PyObject *const *args, Py_ssize_t nargs)
                         "add_port() called more times than nnodes");
         return NULL;
     }
-    port = PyObject_CallFunction((PyObject *)&PortType, "OOd",
-                                 (PyObject *)self->engine, args[0],
+    port = PyObject_CallFunction((PyObject *)&PortType, "Od", args[0],
                                  PyFloat_AsDouble(args[1]));
     if (port == NULL) {
         return NULL;
@@ -2159,8 +2078,7 @@ fabric_send_core(FabricObject *f, PyObject *src_obj, PyObject *dst_obj,
     }
     ev.time = arrival; /* >= now: injection waits, startup is >= 0 */
     ev.seq = eng->seq++;
-    Py_INCREF(port->arrive_cb);
-    ev.cb = port->arrive_cb;
+    ev.cb = Py_NewRef((PyObject *)port); /* an arrival: see Engine_drain */
     ev.args = evargs;
     heap_push(eng, ev);
     Py_RETURN_NONE;
@@ -2320,7 +2238,7 @@ static PyMethodDef Fabric_methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "send(src, dst, category, size_bytes, payload=None)\n--\n\n"
      "Network.send in C: validate, account, occupy the source NIC, and "
-     "schedule the batched arrival."},
+     "schedule the arrival."},
     {"sender", (PyCFunction)Fabric_sender, METH_O,
      "sender(src)\n--\n\nA bound per-node send callable."},
     {"set_topology", (PyCFunction)Fabric_set_topology, METH_VARARGS,
@@ -2334,7 +2252,7 @@ static PyMethodDef Fabric_methods[] = {
 static PyTypeObject FabricType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._kernel._kernelc.NetFabric",
-    .tp_doc = "Compiled network send + batched delivery boundary over the "
+    .tp_doc = "Compiled network send + delivery boundary over the "
               "compiled Engine.",
     .tp_basicsize = sizeof(FabricObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
@@ -3317,7 +3235,7 @@ static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernel._kernelc",
     .m_doc = "Compiled hot kernels: event-heap engine, network send and "
-             "batched delivery, local-hit access, diff scan, threshold "
+             "delivery, local-hit access, diff scan, threshold "
              "update.",
     .m_size = -1,
     .m_methods = kernel_methods,
@@ -3406,7 +3324,7 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "Arena", (PyObject *)&ArenaType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 6) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 7) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

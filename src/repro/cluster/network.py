@@ -38,51 +38,28 @@ if TYPE_CHECKING:  # pragma: no cover
 class _PyDeliveryPort:
     """Pure-Python twin of the kernel's ``DeliveryPort``.
 
-    Batching rule (identical in C): an arrival coalesces into the open
-    batch iff it flushes at the same instant *and* the engine's sequence
-    counter still equals the watermark recorded right after the batch's
-    flush event was scheduled.  Any interleaved event — another port's
-    flush, a handler-scheduled callback — advances the counter and
-    breaks coalescing, so handlers run in exactly the ``(time, seq)``
-    order one delivery event per message would give.
+    A message's arrival event calls :meth:`arrive`, which schedules one
+    :meth:`deliver` event after the node's service overhead; the
+    compiled engine does the same re-queue in its drain loop without a
+    call (PROTOCOL.md §8).
     """
 
-    __slots__ = ("_sim", "_dispatch", "_service", "_batch", "_batch_time",
-                 "_watermark")
+    __slots__ = ("_schedule", "_dispatch", "_service", "_deliver")
 
     def __init__(self, sim: "Simulator", dispatch: dict, service_us: float):
-        self._sim = sim
+        self._schedule = sim.schedule
         self._dispatch = dispatch
         self._service = service_us
-        self._batch: list | None = None
-        self._batch_time = 0.0
-        self._watermark = -1
+        self._deliver = self.deliver
 
     def arrive(self, category: MsgCategory, payload: Any) -> None:
-        sim = self._sim
-        time = sim._now + self._service
-        batch = self._batch
-        if (batch is not None and self._batch_time == time
-                and sim._seq == self._watermark):
-            batch.append((category, payload))
-            return
-        batch = [(category, payload)]
-        sim.schedule(self._service, self.flush, batch)
-        self._batch = batch
-        self._batch_time = time
-        self._watermark = sim._seq
+        self._schedule(self._service, self._deliver, category, payload)
 
-    def flush(self, batch: list) -> None:
-        if batch is self._batch:
-            self._batch = None
-        dispatch = self._dispatch
-        for category, payload in batch:
-            handler = dispatch.get(category)
-            if handler is None:
-                raise RuntimeError(
-                    f"unhandled message category {category!r}"
-                )
-            handler(payload)
+    def deliver(self, category: MsgCategory, payload: Any) -> None:
+        handler = self._dispatch.get(category)
+        if handler is None:
+            raise RuntimeError(f"unhandled message category {category!r}")
+        handler(payload)
 
 
 class Network:
@@ -90,8 +67,8 @@ class Network:
 
     Every endpoint registers a category -> handler table
     (:meth:`register_fast_dispatch`); once all have, :meth:`send` is the
-    one send body and each node's arrivals flow through a batched
-    delivery port.  Under the compiled engine the kernel's ``NetFabric``
+    one send body and each node's arrivals flow through its delivery
+    port.  Under the compiled engine the kernel's ``NetFabric``
     (the C twin of :meth:`send`) replaces the body at activation.
     """
 
@@ -213,7 +190,7 @@ class Network:
         size_bytes: int,
         payload: Any = None,
     ) -> None:
-        """Inject one message and schedule its batched arrival at ``dst``.
+        """Inject one message and schedule its arrival at ``dst``.
 
         ``size_bytes`` is the payload size; the fixed header is added
         here.  The message is accounted in :attr:`stats`, occupies the

@@ -114,10 +114,15 @@ class ObjectAccessState:
         self.consecutive_writer = None
         return exclusive
 
-    def record_remote_read(self, reader: int) -> None:
-        """An object request (fault-in) from ``reader`` reached the home."""
+    def record_remote_read(self, reader: int, hops: int = 0) -> None:
+        """An object request (fault-in) from ``reader`` reached the home
+        after being forwarded ``hops`` times (accumulated as in
+        :meth:`record_redirections`)."""
+        if hops < 0:
+            raise ValueError(f"hops must be non-negative, got {hops}")
         self.remote_reads += 1
         self.sharers.add(reader)
+        self.redirections += hops
 
     def record_home_read(self) -> None:
         """The home node read its own copy (trapped home read fault)."""

@@ -20,6 +20,16 @@ T_INIT = 1.0
 #: The paper's feedback coefficient ``lambda = 1`` (§4.2).
 LAMBDA = 1.0
 
+#: The compiled kernel module, or ``None``: resolved once at import and
+#: re-pointed by :func:`repro._kernel.select_backend`, never per call.
+_kernel_module = _kernel.kernel()
+
+
+def _rebind_kernel() -> None:
+    """Re-resolve the kernel (called by ``select_backend``)."""
+    global _kernel_module
+    _kernel_module = _kernel.kernel()
+
 
 def adaptive_threshold(
     base: float,
@@ -35,7 +45,7 @@ def adaptive_threshold(
     ``redirections``/``exclusive_home_writes`` are the feedback counters
     accumulated since then; ``alpha`` is the home access coefficient.
     """
-    kernel_module = _kernel.kernel()
+    kernel_module = _kernel_module
     if kernel_module is not None:
         # Same validation messages and IEEE-754 operation order in C.
         return kernel_module.adaptive_threshold(

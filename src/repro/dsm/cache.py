@@ -19,8 +19,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.memory.twin import make_twin
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.arena import Arena
 
@@ -57,7 +55,11 @@ class CacheEntry:
             return
         if self.mode is AccessMode.INVALID:
             raise RuntimeError("cannot upgrade an INVALID cache entry to WRITE")
-        self.twin = make_twin(self.payload, pool)
+        # make_twin, inline: this runs once per write interval
+        payload = self.payload
+        if payload.ndim != 1:
+            raise ValueError(f"payloads are 1-D arrays, got ndim={payload.ndim}")
+        self.twin = payload.copy() if pool is None else pool.take_copy(payload)
         self.mode = AccessMode.WRITE
 
     def invalidate(self) -> None:
@@ -80,7 +82,10 @@ class CacheEntry:
         diff interleaved (multiple-writer interval) and our copy misses its
         updates, so it must be invalidated.
         """
-        self._drop_twin(pool)
+        # _drop_twin, inline: this runs once per acked diff
+        if self.twin is not None and pool is not None:
+            pool.free(self.twin)
+        self.twin = None
         if acked_version == self.version + 1:
             self.version = acked_version
             self.mode = AccessMode.READ

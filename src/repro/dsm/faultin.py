@@ -53,6 +53,7 @@ _REDIRECT = MsgCategory.REDIRECT
 _SHIP_REQUEST = MsgCategory.SHIP_REQUEST
 _SHIP_REPLY = MsgCategory.SHIP_REPLY
 _READ = AccessMode.READ
+_INVALID = AccessMode.INVALID
 
 
 class FaultInMixin:
@@ -438,9 +439,10 @@ class FaultInMixin:
                 f"home replied version {reply.version} < required {required} "
                 f"for oid {oid}"
             )
-        self._free_dead_entry(
-            self.cache.replace(oid, CacheEntry(reply.data, reply.version))
-        )
+        old = self.cache.replace(oid, CacheEntry(reply.data, reply.version))
+        # _free_dead_entry, inline: this runs once per remote read
+        if old is not None and old.mode is _INVALID and old.twin is None:
+            self.arena.free(old.payload)
         return reply.data
 
     # ------------------------------------------------------------------
@@ -469,14 +471,13 @@ class FaultInMixin:
         requester = request.requester
         state = entry.state
         events = self.stats.events
-        state.record_remote_read(requester)
-        state.record_redirections(request.hops)
+        state.record_remote_read(requester, request.hops)
         events["remote_read"] += 1
         if self._m_redirect_hops is not None:
             self._m_redirect_hops.observe(request.hops)
-        obj = self.heap.get(oid)
+        size_bytes = state.object_bytes
         alpha = home_access_coefficient(
-            obj.size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes
+            size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes
         )
         # Equation 2: the policy compares C against the live threshold
         migrate = self.policy.should_migrate(
@@ -498,7 +499,7 @@ class FaultInMixin:
         self._send(
             requester,
             _OBJ_REPLY,
-            obj.size_bytes + REPLY_EXTRA_BYTES,
+            size_bytes + REPLY_EXTRA_BYTES,
             ObjReply(oid, request.request_id, entry.version, data, self.node_id),
         )
 

@@ -8,7 +8,7 @@ accumulate in memory until a global garbage collection.
 
 :class:`HomelessEngine` implements that protocol on the same simulator,
 locks, barriers, and wire messages (the home-based protocol's lock and
-barrier message classes, and the same batched network delivery):
+barrier message classes, and the same network delivery ports):
 
 * there are no homes — every node lazily materialises the initial image
   (as TreadMarks processes do at startup) and keeps it coherent by
@@ -372,11 +372,11 @@ class HomelessEngine:
         own = self._gossip_notices()
         request_id = self._next_request_id()
         if handle.home == self.node_id:
-            self.lock_table.add_notices(handle.lock_id, own)
-            if self.lock_table.try_acquire(handle.lock_id, self.node_id, request_id):
-                self.apply_notices(
-                    self.lock_table.grant_notices(handle.lock_id, self.node_id)
-                )
+            grant = self.lock_table.acquire(
+                handle.lock_id, self.node_id, request_id, own
+            )
+            if grant is not None:
+                self.apply_notices(grant)
                 return
         else:
             self._send(
@@ -413,17 +413,19 @@ class HomelessEngine:
         yield  # pragma: no cover - keeps this a generator
 
     def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
-        self.lock_table.add_notices(msg.lock_id, msg.notices)
-        if self.lock_table.try_acquire(msg.lock_id, msg.requester, msg.request_id):
-            self._grant(msg.lock_id, msg.requester, msg.request_id)
+        notices = self.lock_table.acquire(
+            msg.lock_id, msg.requester, msg.request_id, msg.notices
+        )
+        if notices is not None:
+            self._grant(msg.lock_id, msg.requester, msg.request_id, notices)
 
     def _manager_release(self, msg: LockReleaseMsg) -> None:
-        waiter = self.lock_table.release(msg.lock_id, msg.releaser, msg.notices)
-        if waiter is not None:
-            self._grant(msg.lock_id, waiter.node, waiter.request_id)
+        handed = self.lock_table.release(msg.lock_id, msg.releaser, msg.notices)
+        if handed is not None:
+            (node, request_id), notices = handed
+            self._grant(msg.lock_id, node, request_id, notices)
 
-    def _grant(self, lock_id: int, node: int, request_id) -> None:
-        notices = self.lock_table.grant_notices(lock_id, node)
+    def _grant(self, lock_id: int, node: int, request_id, notices: dict) -> None:
         grant = LockGrantMsg(lock_id=lock_id, request_id=request_id, notices=notices)
         if node == self.node_id:
             self._resolve_reply(grant)

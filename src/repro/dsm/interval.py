@@ -41,7 +41,8 @@ class IntervalMixin:
         Returns the write notices of this interval (oid -> new version):
         cached-copy diffs, then :meth:`_home_notices`.  Synchronization
         operations run this generator only when ``self.dirty`` is
-        non-empty and call :meth:`_home_notices` directly otherwise.
+        non-empty; otherwise they call :meth:`_home_notices` directly,
+        and only when ``home_dirty`` or ``carry_notices`` is non-empty.
 
         ``parent_op`` is the causal span of the synchronization operation
         this flush belongs to (lock acquire/release or barrier wait); each
@@ -159,7 +160,8 @@ class IntervalMixin:
                     continue  # migrated away mid-interval; notice carried
                 entry.version += 1
                 notices[oid] = entry.version
-                self._recheck_pending(oid)
+                if entry.pending:
+                    self._recheck_pending(oid)
             self.home_dirty.clear()
         if self.carry_notices:
             for oid, version in self.carry_notices.items():
@@ -196,13 +198,10 @@ class IntervalMixin:
         yet (LRC multiple-writer semantics keep them coherent via twins).
 
         Hot at scale — every node sweeps its whole cache at every
-        synchronization point — so the compiled backend runs the sweep
-        in C (same identity compare, same attribute writes).
+        synchronization point — so under the compiled backend the engine
+        binds this name to the C sweep itself (same identity compare,
+        same attribute writes).
         """
-        kernel_module = self._kernel
-        if kernel_module is not None:
-            kernel_module.cache_invalidate_read(self.cache, _READ, _INVALID)
-            return
         for cached in self.cache.values():
             if cached.mode is _READ:
                 cached.mode = _INVALID

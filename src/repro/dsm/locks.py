@@ -30,19 +30,14 @@ class LockHandle:
 
 
 @dataclass(slots=True)
-class _Waiter:
-    node: int
-    request_id: tuple[int, int]
-
-
-@dataclass(slots=True)
 class LockState:
     """Manager-side state of one lock."""
 
     lock_id: int
     holder: int | None = None  # node id currently holding the lock
+    #: FIFO of waiting ``(node, request_id)`` pairs.
     queue: deque = field(default_factory=deque)
-    #: Accumulated notice map oid -> max version, in arrival order.
+    #: Accumulated notice map oid -> max version, in first-insertion order.
     notices: dict[int, int] = field(default_factory=dict)
     #: Monotone counter of notice updates, for incremental grants.
     notice_epoch: int = 0
@@ -53,72 +48,100 @@ class LockState:
 
 
 class LockTable:
-    """All locks managed at one node."""
+    """All locks managed at one node: two manager steps, :meth:`acquire`
+    and :meth:`release`.
+
+    Each step folds the message's notices into the lock's accumulated
+    map (a non-empty fold opens a new notice epoch; an entry's epoch
+    moves only when its version rises) and computes the grant — the
+    entries bumped since the grantee was last brought up to date, in
+    first-insertion order — in its own loop, so a lock hand-off costs
+    one Python frame at the manager.
+    """
 
     def __init__(self) -> None:
-        self._locks: dict[int, LockState] = {}
+        #: lock id -> state, created by a lock's first acquire.
+        self.locks: dict[int, LockState] = {}
 
-    def state(self, lock_id: int) -> LockState:
-        lock = self._locks.get(lock_id)
+    def acquire(
+        self,
+        lock_id: int,
+        node: int,
+        request_id: tuple[int, int] | None,
+        notices: dict[int, int],
+    ) -> dict[int, int] | None:
+        """Fold an acquire's notices; grant the lock if it is free.
+
+        Returns the notices ``node`` has not seen yet (and makes it the
+        holder), or ``None`` when the lock is held: the request then
+        waits in FIFO order — unless ``request_id`` is ``None``, which
+        refuses it instead (the retry discipline).
+        """
+        lock = self.locks.get(lock_id)
         if lock is None:
-            lock = self._locks[lock_id] = LockState(lock_id)
-        return lock
-
-    def try_acquire(
-        self, lock_id: int, node: int, request_id: tuple[int, int]
-    ) -> bool:
-        """Grant immediately if free, else enqueue.  True if granted now."""
-        lock = self.state(lock_id)
-        if lock.holder is None:
-            lock.holder = node
-            return True
-        lock.queue.append(_Waiter(node, request_id))
-        return False
+            lock = self.locks[lock_id] = LockState(lock_id)
+        if notices:
+            lock.notice_epoch = epoch = lock.notice_epoch + 1
+            accumulated = lock.notices
+            entry_epoch = lock._entry_epoch
+            for oid, version in notices.items():
+                if accumulated.get(oid, 0) < version:
+                    accumulated[oid] = version
+                    entry_epoch[oid] = epoch
+        if lock.holder is not None:
+            if request_id is not None:
+                lock.queue.append((node, request_id))
+            return None
+        lock.holder = node
+        fresh: dict[int, int] = {}
+        epoch = lock.notice_epoch
+        node_epoch = lock._node_epoch
+        seen = node_epoch.get(node, 0)
+        if seen < epoch:
+            accumulated = lock.notices
+            for oid, bumped in lock._entry_epoch.items():
+                if bumped > seen:
+                    fresh[oid] = accumulated[oid]
+            node_epoch[node] = epoch
+        return fresh
 
     def release(
         self, lock_id: int, node: int, notices: dict[int, int]
-    ) -> _Waiter | None:
-        """Record the release (+its notices); return the next waiter if any.
+    ) -> tuple[tuple[int, tuple[int, int]], dict[int, int]] | None:
+        """Fold a release's notices and hand the lock on.
 
-        The caller is responsible for sending the grant to the returned
-        waiter; this method already marks it as the new holder.
+        Returns ``(waiter, grant)`` — the next FIFO ``(node,
+        request_id)``, already the holder, and the notices it has not
+        seen yet — or ``None`` when nobody waits and the lock is free.
+        The caller sends the grant.
         """
-        lock = self.state(lock_id)
-        if lock.holder != node:
+        lock = self.locks.get(lock_id)
+        holder = None if lock is None else lock.holder
+        if holder != node:
             raise RuntimeError(
-                f"lock {lock_id} released by node {node} but held by "
-                f"{lock.holder}"
+                f"lock {lock_id} released by node {node} but held by {holder}"
             )
-        self.add_notices(lock_id, notices)
-        if lock.queue:
-            waiter = lock.queue.popleft()
-            lock.holder = waiter.node
-            return waiter
-        lock.holder = None
-        return None
-
-    def add_notices(self, lock_id: int, notices: dict[int, int]) -> None:
-        """Fold a release's notices into the lock's accumulated map."""
-        if not notices:
-            return
-        lock = self.state(lock_id)
-        lock.notice_epoch += 1
+        if notices:
+            lock.notice_epoch = epoch = lock.notice_epoch + 1
+            accumulated = lock.notices
+            entry_epoch = lock._entry_epoch
+            for oid, version in notices.items():
+                if accumulated.get(oid, 0) < version:
+                    accumulated[oid] = version
+                    entry_epoch[oid] = epoch
+        if not lock.queue:
+            lock.holder = None
+            return None
+        waiter = lock.queue.popleft()
+        lock.holder = grantee = waiter[0]
+        fresh: dict[int, int] = {}
         epoch = lock.notice_epoch
-        accumulated = lock.notices
-        entry_epoch = lock._entry_epoch
-        for oid, version in notices.items():
-            if accumulated.get(oid, 0) < version:
-                accumulated[oid] = version
-                entry_epoch[oid] = epoch
-
-    def grant_notices(self, lock_id: int, node: int) -> dict[int, int]:
-        """Notices ``node`` has not seen yet for this lock; marks them seen."""
-        lock = self.state(lock_id)
-        seen = lock._node_epoch.get(node, 0)
-        fresh = {
-            oid: lock.notices[oid]
-            for oid, epoch in lock._entry_epoch.items()
-            if epoch > seen
-        }
-        lock._node_epoch[node] = lock.notice_epoch
-        return fresh
+        node_epoch = lock._node_epoch
+        seen = node_epoch.get(grantee, 0)
+        if seen < epoch:
+            accumulated = lock.notices
+            for oid, bumped in lock._entry_epoch.items():
+                if bumped > seen:
+                    fresh[oid] = accumulated[oid]
+            node_epoch[grantee] = epoch
+        return waiter, fresh

@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 from typing import Any, Iterator
 
 
-class VersionIndexedQueue:
+class VersionIndexedQueue(list):
     """Deferred requests indexed by the version they wait for.
 
     A min-heap keyed on ``(min_version, arrival_seq)``: when the home
@@ -26,53 +26,49 @@ class VersionIndexedQueue:
     newly-eligible requests (``min_version <= v``) in O(k log n) instead
     of rescanning all n pending requests, and returns them in arrival
     order so service order matches the historical full-scan behaviour.
+
+    The heap is the list itself, so ``len`` and the truth test every
+    version bump makes (``if entry.pending``) are the list's own, with
+    no Python call; iteration yields the items in arrival order.
     """
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_seq",)
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Any]] = []
+        super().__init__()
         self._seq = 0
 
     def push(self, min_version: int, item: Any) -> None:
         """Defer ``item`` until the version reaches ``min_version``."""
-        heappush(self._heap, (min_version, self._seq, item))
+        heappush(self, (min_version, self._seq, item))
         self._seq += 1
 
     def pop_ready(self, version: int) -> list[Any]:
         """Remove and return every item with ``min_version <= version``,
         in arrival order."""
-        heap = self._heap
-        if not heap or heap[0][0] > version:
+        if not self or self[0][0] > version:
             return []
         ready: list[tuple[int, int, Any]] = []
-        while heap and heap[0][0] <= version:
-            ready.append(heappop(heap))
+        while self and self[0][0] <= version:
+            ready.append(heappop(self))
         ready.sort(key=lambda entry: entry[1])
         return [item for _version, _seq, item in ready]
 
     def drain(self) -> list[Any]:
         """Remove and return everything, in arrival order (used when the
         home migrates away and all parked requests must chase it)."""
-        items = sorted(self._heap, key=lambda entry: entry[1])
-        self._heap.clear()
+        items = sorted(self[:], key=lambda entry: entry[1])
+        self.clear()
         return [item for _version, _seq, item in items]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
     def __iter__(self) -> Iterator[Any]:
         """Iterate items in arrival order (inspection/tests only)."""
         return iter(
             item
             for _version, _seq, item in sorted(
-                self._heap, key=lambda entry: entry[1]
+                self[:], key=lambda entry: entry[1]
             )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<VersionIndexedQueue pending={len(self._heap)}>"
-
+        return f"<VersionIndexedQueue pending={len(self)}>"

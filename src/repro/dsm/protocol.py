@@ -30,6 +30,7 @@ increments the positive feedback ``E``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, TYPE_CHECKING
 
 from repro import _kernel
@@ -56,6 +57,7 @@ from repro.sim.future import Future
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
+_READ = AccessMode.READ
 _INVALID = AccessMode.INVALID
 
 
@@ -246,9 +248,14 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
             )
             self.try_read_local = local_access.try_read
             self.try_write_local = local_access.try_write
-        # The network delivers in batches through per-node ports (in C
-        # under the compiled engine); it binds this engine's sender once
-        # every node has registered.
+            # The Java-consistency flush is the C sweep itself, over the
+            # never-rebound cache.
+            self.invalidate_all_cached = partial(
+                kernel_module.cache_invalidate_read, self.cache, _READ, _INVALID
+            )
+        # The network delivers through per-node ports (in C under the
+        # compiled engine); it binds this engine's sender once every node
+        # has registered.
         network.register_fast_dispatch(
             node_id, self._build_dispatch(), self._bind_sender
         )

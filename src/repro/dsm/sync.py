@@ -70,8 +70,10 @@ class SyncMixin:
             )
         if self.dirty:
             own_notices = yield from self.flush_diffs(op)
-        else:
+        elif self.home_dirty or self.carry_notices:
             own_notices = self._home_notices({})
+        else:
+            own_notices = {}
         if self.lock_discipline == "retry":
             notices = yield from self._acquire_retry(handle, own_notices)
         else:
@@ -88,15 +90,18 @@ class SyncMixin:
                 )
                 notices = (yield fut).notices
             else:
-                table = self.lock_table
-                table.add_notices(lock_id, own_notices)
-                if table.try_acquire(lock_id, node, request_id):
-                    notices = table.grant_notices(lock_id, node)
-                else:
+                notices = self.lock_table.acquire(
+                    lock_id, node, request_id, own_notices
+                )
+                if notices is None:
                     fut = self._Future("lock")
                     self._reply_waiters[request_id] = fut
                     notices = (yield fut).notices
-        self.apply_notices(notices)
+        # apply_notices, inline: the grant raises the fault-in floors
+        required = self.required_version
+        for oid, version in notices.items():
+            if version > required.get(oid, 0):
+                required[oid] = version
         self.invalidate_all_cached()
         self.interval += 1
         if sp is not None:
@@ -115,14 +120,12 @@ class SyncMixin:
         while True:
             request_id = self._next_request_id()
             if handle.home == self.node_id:
-                self.lock_table.add_notices(handle.lock_id, send_notices)
-                if self.lock_table.state(handle.lock_id).holder is None:
-                    self.lock_table.try_acquire(
-                        handle.lock_id, self.node_id, request_id
-                    )
-                    return self.lock_table.grant_notices(
-                        handle.lock_id, self.node_id
-                    )
+                # no request id: a busy lock refuses instead of queueing
+                grant = self.lock_table.acquire(
+                    handle.lock_id, self.node_id, None, send_notices
+                )
+                if grant is not None:
+                    return grant
             else:
                 fut = self._Future("lock")
                 self._reply_waiters[request_id] = fut
@@ -159,8 +162,10 @@ class SyncMixin:
             )
         if self.dirty:
             notices = yield from self.flush_diffs(op)
-        else:
+        elif self.home_dirty or self.carry_notices:
             notices = self._home_notices({})
+        else:
+            notices = {}
         msg = LockReleaseMsg(lock_id, node, notices)
         if handle.home == node:
             self._manager_release(msg)
@@ -176,22 +181,20 @@ class SyncMixin:
 
     def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
         lock_id = msg.lock_id
-        table = self.lock_table
-        table.add_notices(lock_id, msg.notices)
-        if (
-            self.lock_discipline == "retry"
-            and table.state(lock_id).holder is not None
-        ):
-            self._send(
-                msg.requester,
-                _LOCK_GRANT,
-                SYNC_BASE_BYTES,
-                LockGrantMsg(lock_id, msg.request_id, {}, True),
-            )
-            return
-        if not table.try_acquire(lock_id, msg.requester, msg.request_id):
+        fifo = self.lock_discipline == "fifo"
+        notices = self.lock_table.acquire(
+            lock_id, msg.requester, msg.request_id if fifo else None,
+            msg.notices,
+        )
+        if notices is None:
+            if not fifo:  # retry discipline: refuse a busy lock
+                self._send(
+                    msg.requester,
+                    _LOCK_GRANT,
+                    SYNC_BASE_BYTES,
+                    LockGrantMsg(lock_id, msg.request_id, {}, True),
+                )
             return  # queued; the grant is sent when the holder releases
-        notices = table.grant_notices(lock_id, msg.requester)
         self._send(
             msg.requester,
             _LOCK_GRANT,
@@ -203,20 +206,20 @@ class SyncMixin:
         """Lock manager: record a release (local or LOCK_RELEASE) and hand
         the lock to the next FIFO waiter, if any."""
         lock_id = msg.lock_id
-        waiter = self.lock_table.release(lock_id, msg.releaser, msg.notices)
-        if waiter is None:
+        handed = self.lock_table.release(lock_id, msg.releaser, msg.notices)
+        if handed is None:
             return
-        grant = self.lock_table.grant_notices(lock_id, waiter.node)
-        if waiter.node == self.node_id:
-            self._reply_waiters.pop(waiter.request_id).resolve(
-                LockGrantMsg(lock_id, waiter.request_id, grant)
+        (waiter, request_id), grant = handed
+        if waiter == self.node_id:
+            self._reply_waiters.pop(request_id).resolve(
+                LockGrantMsg(lock_id, request_id, grant)
             )
         else:
             self._send(
-                waiter.node,
+                waiter,
                 _LOCK_GRANT,
                 SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(grant),
-                LockGrantMsg(lock_id, waiter.request_id, grant),
+                LockGrantMsg(lock_id, request_id, grant),
             )
 
     # -- barriers ---------------------------------------------------------
@@ -246,8 +249,10 @@ class SyncMixin:
             )
         if self.dirty:
             notices = yield from self.flush_diffs(op)
-        else:
+        elif self.home_dirty or self.carry_notices:
             notices = self._home_notices({})
+        else:
+            notices = {}
         fut = self._Future("barrier")
         self._barrier_waiters.setdefault(
             (handle.barrier_id, round_no), []

@@ -24,12 +24,14 @@ import numpy as np
 
 from repro import _kernel
 from repro.dsm.barrier import BarrierHandle
-from repro.dsm.locks import LockHandle
 from repro.memory.objects import FieldsSpec, SharedObject
+from repro.sim.errors import SimulationError
 from repro.sim.process import Delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gos.space import GlobalObjectSpace
+
+_INF = float("inf")
 
 
 class _PyReady:
@@ -79,6 +81,12 @@ class ThreadContext:
         self._try_write = engine.try_write_local
         self._miss_read = engine.read_miss
         self._miss_write = engine.write_miss
+        #: ``acquire(lock)`` enters a synchronized section (Java
+        #: monitorenter) and ``release(lock)`` leaves it, flushing the
+        #: interval's diffs: both are the engine's own generator methods,
+        #: bound here so a lock operation costs no wrapper call.
+        self.acquire = engine.acquire
+        self.release = engine.release
         # The compiled home-based engine's probes are methods of its
         # kernel LocalAccess: then the whole read/write body collapses
         # into one C call (instance attributes shadow the class methods
@@ -158,16 +166,9 @@ class ThreadContext:
         )
 
     # -- synchronization --------------------------------------------------
-    # Each returns the engine's own generator: the blocking operation runs
-    # in that one frame, with no wrapper generator around it.
-
-    def acquire(self, lock: LockHandle) -> Generator[Any, Any, None]:
-        """Enter a synchronized section (Java monitorenter)."""
-        return self.engine.acquire(lock)
-
-    def release(self, lock: LockHandle) -> Generator[Any, Any, None]:
-        """Leave a synchronized section: flush diffs, release the lock."""
-        return self.engine.release(lock)
+    # ``acquire``/``release`` are the engine's methods, bound in __init__;
+    # ``barrier`` returns the engine's own generator: each blocking
+    # operation runs in that one frame, with no wrapper generator.
 
     def barrier(self, handle: BarrierHandle) -> Generator[Any, Any, None]:
         """One barrier episode; rounds are tracked per thread."""
@@ -178,7 +179,13 @@ class ThreadContext:
     # -- local work --------------------------------------------------------
 
     def compute(self, duration_us: float) -> Generator[Any, Any, None]:
-        """Charge ``duration_us`` of local CPU time."""
+        """Charge ``duration_us`` of local CPU time (finite, non-negative;
+        zero charges nothing)."""
+        # the same check and message as Delay, before anything is charged
+        if not 0.0 <= duration_us < _INF:
+            raise SimulationError(
+                f"delay must be finite and non-negative, got {duration_us!r}"
+            )
         if duration_us > 0:
             yield Delay(duration_us)
 

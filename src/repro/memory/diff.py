@@ -21,6 +21,16 @@ DIFF_HEADER_BYTES = 16
 #: Per-run overhead: 4-byte offset + 4-byte length.
 RUN_HEADER_BYTES = 8
 
+#: The compiled kernel module, or ``None``: resolved once at import and
+#: re-pointed by :func:`repro._kernel.select_backend`, never per call.
+_kernel_module = _kernel.kernel()
+
+
+def _rebind_kernel() -> None:
+    """Re-resolve the kernel (called by ``select_backend``)."""
+    global _kernel_module
+    _kernel_module = _kernel.kernel()
+
 
 def _runs(indices: np.ndarray) -> int:
     """Number of maximal runs of consecutive indices (indices sorted)."""
@@ -98,7 +108,7 @@ def compute_diff(
     # contract below stays observable); the kernel returns NotImplemented
     # for layouts/dtypes it does not handle, which fall through to the
     # numpy path.
-    kernel_module = _kernel.kernel()
+    kernel_module = _kernel_module
     if (
         kernel_module is not None
         and type(twin) is np.ndarray

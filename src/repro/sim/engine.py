@@ -307,7 +307,7 @@ def make_simulator() -> "PySimulator":
     return _active_class()()
 
 
-def _rebind_simulator() -> None:
+def _rebind_kernel() -> None:
     """Re-point ``Simulator`` here and in :mod:`repro.sim` at the active
     backend (called by :func:`repro._kernel.select_backend`)."""
     global Simulator

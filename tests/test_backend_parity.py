@@ -141,7 +141,7 @@ FASTPATH_CODE = """\
 import hashlib, json
 from repro.bench.executor import RunSpec, run_spec
 # Episodes chosen to exercise every compiled fast path: ASP/NM drives
-# fault-in + diff propagation through the batched delivery layer with no
+# fault-in + diff propagation through the per-node delivery ports with no
 # migration; tokenring/AT is lock-transfer heavy (ReplyRouter and C
 # Futures on every grant, home migrations); the homeless SOR leg uses
 # the fallback engine whose accesses bypass the LocalAccess shadows
@@ -164,7 +164,7 @@ print(hashlib.sha256("\\n".join(blobs).encode()).hexdigest())
 
 def test_fastpath_episodes_identical_across_backends():
     """Episode hashes across the PR-8 fast paths (local-access shadows,
-    batched delivery, reply router, C futures/arenas) are identical
+    port delivery, reply router, C futures/arenas) are identical
     under both backends."""
     digests = _run_both(FASTPATH_CODE)
     assert digests["python"] == digests["compiled"]

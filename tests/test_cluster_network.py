@@ -156,3 +156,52 @@ def test_send_defaults_to_no_payload():
     net.send(0, 2, MsgCategory.CONTROL, 8)
     sim.run()
     assert [(nid, payload) for nid, payload, _t in inbox] == [(2, None)]
+
+
+# -- delivery: one event per message ------------------------------------------
+
+
+def _same_instant_pair(service_us):
+    """Nodes 0 and 1 each send node 2 one CONTROL message at t = 0; both
+    reach node 2 at the same instant.  Node 2's handler logs each payload
+    and ``call_soon``s a callback from the first."""
+    sim = make_simulator()
+    net = Network(sim, MODEL, 3, ClusterStats(), service_us=service_us)
+    log = []
+
+    def handler(payload):
+        log.append(("handler", payload, sim.now))
+        if payload == 1:
+            sim.call_soon(lambda: log.append(("callback", 1, sim.now)))
+
+    for node in range(3):
+        net.register_fast_dispatch(
+            node, {MsgCategory.CONTROL: handler}, lambda sender: None
+        )
+    net.send(0, 2, MsgCategory.CONTROL, 460, 1)
+    net.send(1, 2, MsgCategory.CONTROL, 460, 2)
+    return sim, log
+
+
+@pytest.mark.parametrize("service_us", [0.0, 7.0])
+def test_same_instant_arrivals_run_handlers_before_their_callbacks(
+    backend, service_us
+):
+    """Each message is its own delivery event, queued when it arrives:
+    the two deliveries run back to back in arrival order, and a callback
+    the first handler schedules runs after the second handler."""
+    sim, log = _same_instant_pair(service_us)
+    sim.run()
+    done = 150.0 + service_us
+    assert log == [
+        ("handler", 1, done), ("handler", 2, done), ("callback", 1, done),
+    ]
+
+
+def test_events_processed_counts_arrival_and_delivery(backend):
+    """Two messages cost four events (an arrival and a delivery each),
+    plus the one callback — no arrival is coalesced into another's."""
+    sim, log = _same_instant_pair(7.0)
+    sim.run()
+    assert len(log) == 3
+    assert sim.events_processed == 2 * 2 + 1

@@ -104,3 +104,17 @@ def test_compute_zero_is_free(gos):
         yield from ctx.compute(0.0)
 
     assert run_threads(gos, body()) == 0.0
+
+
+@pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+def test_compute_rejects_negative_or_non_finite(backend, bad):
+    """A bad duration fails at entry with Delay's message, before any
+    time is charged (it used to be skipped silently for -5 and nan)."""
+    from repro.sim.errors import SimulationError
+
+    ctx = ThreadContext(make_gos(nnodes=2), tid=0, node=0)
+    with pytest.raises(SimulationError) as err:
+        next(ctx.compute(bad))
+    assert str(err.value) == (
+        f"delay must be finite and non-negative, got {bad!r}"
+    )

@@ -719,6 +719,37 @@ print("OK")
     )
 
 
+def test_stale_inplace_build_is_rejected(km, cacheless_src, tmp_path):
+    """An installed in-place build below ``_MIN_KERNEL_API`` loses to a
+    fresh first-use build: a level-6 kernel batches same-instant
+    arrivals and would drift ``events_processed`` from the Python
+    backend.  Here the fresh build cannot compile, so ``auto`` falls
+    back to Python instead of loading the stale module."""
+    import shutil
+
+    assert km.KERNEL_API == _kernel._MIN_KERNEL_API == 7
+    src = tmp_path / "src"
+    shutil.copytree(cacheless_src, src)
+    (src / "repro" / "_kernel" / "_kernelc.py").write_text(
+        "KERNEL_API = 6\nSTALE = True\n"
+    )
+    _subprocess_check(
+        src,
+        "auto",
+        """\
+import sys, warnings
+with warnings.catch_warnings(record=True):
+    warnings.simplefilter("always")
+    import repro
+    from repro import _kernel
+assert _kernel.backend_name() == "python", _kernel.backend_info()
+stale = sys.modules.get("repro._kernel._kernelc")
+assert stale is None or not hasattr(stale, "STALE")
+print("OK")
+""",
+    )
+
+
 def test_backend_info_reports_extension(km):
     info = _kernel.backend_info()
     assert info["backend"] == "compiled"

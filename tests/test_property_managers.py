@@ -37,32 +37,33 @@ def test_lock_table_matches_fifo_model(ops):
             if model_holder[lock_id] == node or node in model_queue[lock_id]:
                 continue
             request_counter[0] += 1
-            granted = table.try_acquire(
-                lock_id, node, (node, request_counter[0])
+            granted = table.acquire(
+                lock_id, node, (node, request_counter[0]), {}
             )
             if model_holder[lock_id] is None:
-                assert granted
+                assert granted == {}
                 model_holder[lock_id] = node
             else:
-                assert not granted
+                assert granted is None
                 model_queue[lock_id].append(node)
         else:  # release
             if model_holder[lock_id] != node:
                 continue  # a real node only releases what it holds
-            waiter = table.release(lock_id, node, notices={})
+            handed = table.release(lock_id, node, notices={})
             if model_queue[lock_id]:
                 expected = model_queue[lock_id].popleft()
-                assert waiter is not None and waiter.node == expected
+                assert handed is not None and handed[0][0] == expected
                 model_holder[lock_id] = expected
             else:
-                assert waiter is None
+                assert handed is None
                 model_holder[lock_id] = None
 
     for lock_id in (1, 2):
-        assert table.state(lock_id).holder == model_holder[lock_id]
-        assert [w.node for w in table.state(lock_id).queue] == list(
-            model_queue[lock_id]
-        )
+        lock = table.locks.get(lock_id)
+        holder = None if lock is None else lock.holder
+        assert holder == model_holder[lock_id]
+        queue = [] if lock is None else [node for node, _ in lock.queue]
+        assert queue == list(model_queue[lock_id])
 
 
 @given(
@@ -82,19 +83,28 @@ def test_incremental_grants_deliver_every_notice_exactly_once_per_node(
     """A node that receives every grant sees, cumulatively, exactly the
     max-version map — and never a stale regression."""
     table = LockTable()
-    node = 7
+    node, writer = 7, 3
+    table.acquire(1, writer, (writer, 0), {})
     seen: dict[int, int] = {}
     model: dict[int, int] = {}
     for index, (oid, version) in enumerate(updates):
-        table.add_notices(1, {oid: version})
+        # the writer's release carries the update; ``node`` queues behind
+        # it at each grant point and is handed the lock with its grant
+        if index in grant_points:
+            table.acquire(1, node, (node, index), {})
+        handed = table.release(1, writer, {oid: version})
         if model.get(oid, 0) < version:
             model[oid] = version
-        if index in grant_points:
-            grant = table.grant_notices(1, node)
+        if handed is not None:
+            (grantee, _request), grant = handed
+            assert grantee == node
             for g_oid, g_version in grant.items():
                 assert g_version >= seen.get(g_oid, 0)
                 seen[g_oid] = g_version
-    final = table.grant_notices(1, node)
+            table.release(1, node, {})
+        table.acquire(1, writer, (writer, index + 1), {})
+    table.release(1, writer, {})
+    final = table.acquire(1, node, (node, -1), {})
     for g_oid, g_version in final.items():
         seen[g_oid] = max(seen.get(g_oid, 0), g_version)
     assert seen == model
