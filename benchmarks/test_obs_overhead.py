@@ -1,8 +1,7 @@
 """Microbenchmarks of telemetry overhead: disabled vs enabled paths.
 
 The observability layer's contract is that *disabled* instrumentation is
-free (one ``is not None`` check per site, a separate simulator loop only
-entered when a heartbeat is installed).  These benches time the event
+free (one ``is not None`` check per site).  These benches time the event
 loop and one end-to-end DSM operation with telemetry off and on, so a
 regression in the guard structure shows up as a disabled-path slowdown.
 """
@@ -18,24 +17,16 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 
 
-def _run_10k_events(heartbeat):
+def _run_10k_events():
     sim = Simulator()
-    if heartbeat:
-        counter = []
-        sim.set_heartbeat(1_000, lambda s: counter.append(s.now))
     for i in range(10_000):
         sim.schedule(float(i % 97), lambda: None)
     return sim.run()
 
 
-def test_event_loop_no_heartbeat(benchmark):
+def test_event_loop(benchmark):
     """Baseline drain — must match test_microbench's event-loop figure."""
-    benchmark(_run_10k_events, False)
-
-
-def test_event_loop_with_heartbeat(benchmark):
-    """Instrumented drain: the price of live progress reporting."""
-    benchmark(_run_10k_events, True)
+    benchmark(_run_10k_events)
 
 
 def _dsm_increment_ops(metrics, logger):

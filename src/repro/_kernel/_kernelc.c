@@ -290,7 +290,7 @@ typedef struct {
 
 static PyTypeObject PortType;
 
-/* _drain(until_or_None, heartbeat_every, heartbeat_cb_or_None)
+/* _drain(until_or_None)
  *
  * Returns True when stopped early at `until` (clock set to `until`,
  * remaining events left queued), False when the heap drained completely.
@@ -302,31 +302,18 @@ static PyTypeObject PortType;
  * seq, keeping its (category, payload) tuple -- the event the Python
  * backend's _PyDeliveryPort.arrive schedules. */
 static PyObject *
-Engine_drain(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
+Engine_drain(EngineObject *self, PyObject *arg)
 {
     int has_until = 0;
     double until = 0.0;
-    long long every, countdown;
-    PyObject *beat;
 
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "_drain() requires (until, every, beat)");
-        return NULL;
-    }
-    if (args[0] != Py_None) {
-        until = PyFloat_AsDouble(args[0]);
+    if (arg != Py_None) {
+        until = PyFloat_AsDouble(arg);
         if (until == -1.0 && PyErr_Occurred()) {
             return NULL;
         }
         has_until = 1;
     }
-    every = PyLong_AsLongLong(args[1]);
-    if (every == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    beat = args[2];
-    countdown = every;
 
     while (self->n > 0) {
         double time = self->ev[0].time;
@@ -359,14 +346,6 @@ Engine_drain(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
             }
             Py_DECREF(ev.cb);
             Py_XDECREF(ev.args);
-            if (res == NULL) {
-                return NULL;
-            }
-            Py_DECREF(res);
-        }
-        if (every > 0 && --countdown == 0) {
-            countdown = every;
-            res = PyObject_CallOneArg(beat, (PyObject *)self);
             if (res == NULL) {
                 return NULL;
             }
@@ -495,8 +474,8 @@ static PyMethodDef Engine_methods[] = {
      METH_FASTCALL,
      "call_soon(callback, *args)\n--\n\n"
      "Schedule callback(*args) at the current instant (after pending ties)."},
-    {"_drain", (PyCFunction)(void (*)(void))Engine_drain, METH_FASTCALL,
-     "_drain(until, every, beat)\n--\n\n"
+    {"_drain", (PyCFunction)Engine_drain, METH_O,
+     "_drain(until)\n--\n\n"
      "Drain the heap; True when stopped early at `until`, False when empty."},
     {NULL, NULL, 0, NULL},
 };

@@ -82,16 +82,13 @@ class ObsSpec:
     which event kinds, ``None`` = all); ``metrics`` builds a
     :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot lands on
     the outcome; ``log_level`` enables a stderr
-    :class:`~repro.obs.logging.RunLogger`; ``heartbeat_events`` installs
-    a simulator heartbeat logging progress every N events (implies an
-    info-level logger when ``log_level`` is unset).
+    :class:`~repro.obs.logging.RunLogger`.
     """
 
     trace_path: str | None = None
     trace_kinds: tuple[str, ...] | None = None
     metrics: bool = False
     log_level: str | None = None
-    heartbeat_events: int | None = None
 
     @property
     def enabled(self) -> bool:
@@ -100,7 +97,6 @@ class ObsSpec:
             self.trace_path is not None
             or self.metrics
             or self.log_level is not None
-            or self.heartbeat_events is not None
         )
 
     def for_run(self, index: int, total: int) -> "ObsSpec":
@@ -270,10 +266,9 @@ def _build_obs(obs: ObsSpec):
         if obs.trace_path is not None
         else None
     )
-    level = obs.log_level
-    if level is None and obs.heartbeat_events is not None:
-        level = "info"  # a heartbeat without a logger would be silent
-    logger = RunLogger(level=level) if level is not None else None
+    logger = (
+        RunLogger(level=obs.log_level) if obs.log_level is not None else None
+    )
     return metrics, writer, logger, PhaseTimer()
 
 
@@ -325,7 +320,6 @@ def run_spec(spec: RunSpec) -> RunOutcome:
                 tracer=writer,
                 metrics=metrics,
                 logger=logger,
-                heartbeat_events=obs.heartbeat_events if obs else None,
                 gc_enabled=spec.gc_enabled,
                 topology=spec.topology,
                 release_fanout=spec.release_fanout,

@@ -7,8 +7,9 @@ round trips), every diff is applied once per fetching process, and diffs
 accumulate in memory until a global garbage collection.
 
 :class:`HomelessEngine` implements that protocol on the same simulator,
-locks, barriers, and wire messages (the home-based protocol's lock and
-barrier message classes, and the same network delivery ports):
+wire messages and network delivery ports as the home-based protocol,
+and with the same lock and barrier managers
+(:class:`~repro.dsm.sync.SyncManager`).  What differs:
 
 * there are no homes — every node lazily materialises the initial image
   (as TreadMarks processes do at startup) and keeps it coherent by
@@ -37,9 +38,10 @@ import numpy as np
 from repro.cluster.message import MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
-from repro.dsm.barrier import BarrierHandle, BarrierState
+from repro.dsm.barrier import BarrierHandle
 from repro.dsm.cache import AccessMode
-from repro.dsm.locks import LockHandle, LockTable
+from repro.dsm.locks import LockHandle
+from repro.dsm.sync import SyncManager
 from repro.dsm.wire import (
     REQUEST_BYTES,
     SYNC_BASE_BYTES,
@@ -54,10 +56,7 @@ from repro.memory.diff import Diff, apply_diff, compute_diff
 from repro.memory.heap import ObjectHeap
 from repro.memory.twin import make_twin
 from repro.sim.engine import Simulator
-from repro.sim.future import Future, future_class
-
-#: One homeless write notice: oid + writer + seq.
-NOTICE_BYTES = 16
+from repro.sim.future import Future
 
 
 @dataclass(slots=True)
@@ -105,12 +104,15 @@ class _GcTraffic:
         """Arrival handler: nothing to do, the GC already ran."""
 
 
-class HomelessEngine:
+class HomelessEngine(SyncManager):
     """TreadMarks-style LRC protocol instance on one node.
 
     Notices are ``(oid, writer) -> seq`` maps; ``required`` accumulates
     the highest seq this node must have applied before reading an object.
     """
+
+    #: One homeless write notice: oid + writer + seq.
+    NOTICE_BYTES = 16
 
     def __init__(
         self,
@@ -120,18 +122,13 @@ class HomelessEngine:
         heap: ObjectHeap,
         stats: ClusterStats,
         arena: Arena | None = None,
+        release_fanout: int | None = None,
     ):
-        self.node_id = node_id
-        self.sim = sim
-        self.network = network
-        self.heap = heap
-        self.stats = stats
+        super().__init__(node_id, sim, network, heap, stats, release_fanout)
         #: Pooled payload/twin storage (same discipline as DsmEngine;
         #: replica payloads and twins are strictly node-local here, so
         #: no cross-arena traffic exists at all).
         self.arena: Arena = arena if arena is not None else new_arena()
-        #: Hot-path Future class (the kernel's C twin when compiled).
-        self._Future = future_class()
         self.replicas: dict[int, _Replica] = {}
         #: Our own diff history per object (retained for remote fetches).
         self.history: dict[int, list[_StampedDiff]] = {}
@@ -144,23 +141,16 @@ class HomelessEngine:
         self.dirty: set[int] = set()
         #: (oid, writer) -> seq this node must reach before reading.
         self.required: dict[tuple[int, int], int] = {}
-        self.lock_table = LockTable()
-        self.barriers: dict[int, BarrierState] = {}
-        #: Request id -> future of every outstanding diff fetch and lock
-        #: acquire (request ids are unique per node).
-        self._reply_waiters: dict[tuple[int, int], Future] = {}
-        self._barrier_waiters: dict[tuple[int, int], list[Future]] = {}
-        self._req_counter = 0
         network.register_fast_dispatch(
             node_id,
             {
                 MsgCategory.OBJ_REQUEST: self._handle_diff_request,
-                MsgCategory.OBJ_REPLY: self._resolve_reply,
+                MsgCategory.OBJ_REPLY: self._reply_route,
                 MsgCategory.LOCK_ACQUIRE: self._handle_lock_acquire,
-                MsgCategory.LOCK_GRANT: self._resolve_reply,
+                MsgCategory.LOCK_GRANT: self._reply_route,
                 MsgCategory.LOCK_RELEASE: self._manager_release,
                 MsgCategory.BARRIER_ARRIVE: self._manager_barrier_arrive,
-                MsgCategory.BARRIER_RELEASE: self._deliver_barrier_release,
+                MsgCategory.BARRIER_RELEASE: self._on_barrier_release,
                 MsgCategory.CONTROL: _GcTraffic.on_arrival,
             },
             self._bind_sender,
@@ -168,18 +158,8 @@ class HomelessEngine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _next_request_id(self) -> tuple[int, int]:
-        self._req_counter += 1
-        return (self.node_id, self._req_counter)
-
-    def _bind_sender(self, sender) -> None:
-        """Install the network's per-node send callable as ``_send``
-        (``(dst, category, size_bytes, payload)``)."""
-        self._send = sender
-
-    def _resolve_reply(self, reply) -> None:
-        """Wake the waiter of a diff reply or lock grant."""
-        self._reply_waiters.pop(reply.request_id).resolve(reply)
+    def install_initial_home(self, oid: int) -> None:
+        """No homes: every node materialises the initial image lazily."""
 
     def _replica(self, oid: int) -> _Replica:
         replica = self.replicas.get(oid)
@@ -195,7 +175,7 @@ class HomelessEngine:
         return replica
 
     def _notice_size(self, notices: dict) -> int:
-        return SYNC_BASE_BYTES + NOTICE_BYTES * len(notices)
+        return SYNC_BASE_BYTES + self.NOTICE_BYTES * len(notices)
 
     # -- thread-facing operations -------------------------------------------
 
@@ -352,7 +332,7 @@ class HomelessEngine:
             if self.required.get(key, 0) < seq:
                 self.required[key] = seq
 
-    # -- locks (manager logic mirrors the home-based engine) -----------------
+    # -- locks and barriers, thread side --------------------------------------
 
     def _gossip_notices(self) -> dict:
         """Close the interval and return this node's full known-notice map.
@@ -412,35 +392,6 @@ class HomelessEngine:
         return
         yield  # pragma: no cover - keeps this a generator
 
-    def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
-        notices = self.lock_table.acquire(
-            msg.lock_id, msg.requester, msg.request_id, msg.notices
-        )
-        if notices is not None:
-            self._grant(msg.lock_id, msg.requester, msg.request_id, notices)
-
-    def _manager_release(self, msg: LockReleaseMsg) -> None:
-        handed = self.lock_table.release(msg.lock_id, msg.releaser, msg.notices)
-        if handed is not None:
-            (node, request_id), notices = handed
-            self._grant(msg.lock_id, node, request_id, notices)
-
-    def _grant(self, lock_id: int, node: int, request_id, notices: dict) -> None:
-        grant = LockGrantMsg(lock_id=lock_id, request_id=request_id, notices=notices)
-        if node == self.node_id:
-            self._resolve_reply(grant)
-        else:
-            self._send(
-                node, MsgCategory.LOCK_GRANT, self._notice_size(notices), grant
-            )
-
-    # -- barriers -------------------------------------------------------------
-
-    def register_barrier(self, handle: BarrierHandle) -> None:
-        if handle.home != self.node_id:
-            raise ValueError("barrier registered on the wrong node")
-        self.barriers[handle.barrier_id] = BarrierState(handle)
-
     def barrier(
         self, handle: BarrierHandle, round_no: int
     ) -> Generator[Any, Any, None]:
@@ -467,28 +418,14 @@ class HomelessEngine:
         release: BarrierReleaseMsg = yield fut
         self.apply_notices(release.notices)
 
-    def _manager_barrier_arrive(self, msg: BarrierArriveMsg) -> None:
-        state = self.barriers[msg.barrier_id]
-        if state.arrive(msg.node, msg.notices, msg.round_no):
-            round_no, merged, _writers = state.complete_round()
-            self.stats.incr("barrier_round")
-            if self.on_barrier_complete is not None:
-                # global-GC safe point: every party has flushed
-                self.on_barrier_complete()
-            release = BarrierReleaseMsg(
-                barrier_id=msg.barrier_id, round_no=round_no, notices=merged
-            )
-            size = self._notice_size(merged)
-            for dst in range(self.network.nnodes):
-                if dst != self.node_id:
-                    self._send(dst, MsgCategory.BARRIER_RELEASE, size, release)
-            self._deliver_barrier_release(release)
-
-    def _deliver_barrier_release(self, release: BarrierReleaseMsg) -> None:
-        for fut in self._barrier_waiters.pop(
-            (release.barrier_id, release.round_no), []
-        ):
-            fut.resolve(release)
+    def _round_complete(
+        self, barrier_id: int, writers: dict
+    ) -> dict[int, int]:
+        """Barrier manager hook: every party has flushed, so this is the
+        global diff GC's safe point.  No homes, so no new ones."""
+        if self.on_barrier_complete is not None:
+            self.on_barrier_complete()
+        return {}
 
     # -- diff service ----------------------------------------------------------
 

@@ -19,7 +19,9 @@ dispatch table and the shared helpers:
   Java-consistency flush; barrier-epoch GC;
 * :mod:`repro.dsm.migration` — the home hand-off and its install
   (§3.1), barrier-ordered migration, the §3.2 home-location messages;
-* :mod:`repro.dsm.sync` — locks and barriers, thread and manager side;
+* :mod:`repro.dsm.sync` — locks and barriers: the managers and the
+  request/reply helpers (shared with the homeless engine), and the
+  home-based thread side;
 * :mod:`repro.dsm.wire` — the message payloads and their byte sizes.
 
 **Home accesses** are trapped once per local synchronization interval,
@@ -33,22 +35,19 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, TYPE_CHECKING
 
-from repro import _kernel
 from repro.cluster.message import MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.core.coefficient import home_access_coefficient
 from repro.core.policies import MigrationPolicy
 from repro.core.state import ObjectAccessState
-from repro.dsm.barrier import BarrierState
 from repro.dsm.cache import AccessMode, CacheEntry, CacheIndex
 from repro.dsm.faultin import FaultInMixin
 from repro.dsm.home import HomeEntry
 from repro.dsm.interval import IntervalMixin
-from repro.dsm.locks import LockTable
 from repro.dsm.migration import MigrationMixin
 from repro.dsm.redirection import NotificationMechanism
-from repro.dsm.sync import SyncMixin
+from repro.dsm.sync import SyncManager, SyncMixin
 from repro.memory.arena import Arena, new_arena
 from repro.memory.heap import ObjectHeap
 from repro.obs.timers import EpochTimer, SpanTracker
@@ -61,7 +60,9 @@ _READ = AccessMode.READ
 _INVALID = AccessMode.INVALID
 
 
-class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
+class DsmEngine(
+    FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin, SyncManager
+):
     """Home-based LRC protocol instance on one node."""
 
     def __init__(
@@ -88,23 +89,10 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
                 f"lock_discipline must be 'fifo' or 'retry', got "
                 f"{lock_discipline!r}"
             )
-        if release_fanout is not None and release_fanout < 2:
-            raise ValueError(
-                f"release_fanout must be >= 2, got {release_fanout}"
-            )
         mechanism.validate(network.nnodes)
-        self.node_id = node_id
-        self.sim = sim
-        self.network = network
-        self.heap = heap
-        self.stats = stats
+        super().__init__(node_id, sim, network, heap, stats, release_fanout)
         self.policy = policy
         self.mechanism = mechanism
-        #: Barrier-release multicast fan-out (PROTOCOL.md §15): ``None``
-        #: keeps the direct N-1 burst from the barrier manager; ``k``
-        #: relays releases through a k-ary tree instead, bounding any
-        #: single NIC's injection run at k messages.
-        self.release_fanout = release_fanout
         self.tracer = tracer
         self.lock_discipline = lock_discipline
         #: Shared per-node arena list (index = node id).  Reply payload
@@ -200,16 +188,8 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
         self.home_dirty: set[int] = set()
         self.carry_notices: dict[int, int] = {}
         self.interval: int = 0
-
-        self.lock_table = LockTable()
-        self.barriers: dict[int, BarrierState] = {}
         self.manager_home_map: dict[int, int] = {}
 
-        #: Request id -> future of every outstanding request/reply round
-        #: trip (object, diff, lock, ship, home query): request ids are
-        #: unique per node, so one map serves every reply category.
-        self._reply_waiters: dict[tuple[int, int], Future] = {}
-        self._barrier_waiters: dict[tuple[int, int], list[Future]] = {}
         #: Work that reached this node before the inbound hand-off of its
         #: object did (requests and ships; diffs), parked per oid in
         #: arrival order and served when the home is installed.
@@ -222,19 +202,8 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
         #: Fault coalescing: one outstanding fault-in per object per node;
         #: co-located threads piggyback on it.
         self._inflight: dict[int, Future] = {}
-        self._req_counter = 0
 
-        #: Resolved kernel module (or None), cached once: the hot paths
-        #: branch on it per call and must not pay re-resolution.
-        self._kernel = kernel_module = _kernel.kernel()
-        #: Hot-path Future class: the C twin when compiled (request/reply
-        #: round trips create tens of thousands per run), else the
-        #: pure-Python reference.  Interchangeable by contract.  Labels on
-        #: these futures are static kind strings — per-call f-strings cost
-        #: more than the futures themselves at this volume.
-        self._Future = (
-            kernel_module.Future if kernel_module is not None else Future
-        )
+        kernel_module = self._kernel
         # Protocol fast paths (PR 8).  Compiled backend: the local-hit
         # read/write bodies run in C against the flat cache index, with
         # cold paths (trap bookkeeping, twin creation, tracing) falling
@@ -261,10 +230,6 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
         )
 
     # -- helpers ------------------------------------------------------------
-
-    def _next_request_id(self) -> tuple[int, int]:
-        self._req_counter += 1
-        return (self.node_id, self._req_counter)
 
     def install_initial_home(self, oid: int) -> None:
         """Materialise the home entry for an object initially homed here."""
@@ -300,12 +265,6 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
     ) -> None:
         self.network.send(self.node_id, dst, category, size_bytes, payload)
 
-    def _bind_sender(self, sender: Any) -> None:
-        """Install the network's per-node send callable as this engine's
-        ``_send`` (same ``(dst, category, size_bytes, payload)``
-        signature; the node id is pre-bound)."""
-        self._send = sender
-
     def _dst_arena(self, node: int) -> Arena:
         """The arena a payload copy destined for ``node`` is carved from.
 
@@ -339,12 +298,7 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
 
     def _build_dispatch(self) -> dict[MsgCategory, Any]:
         """Category -> bound payload handler (built once per engine)."""
-        if self._kernel is not None:
-            # C twin of _resolve_reply over the same waiter dict (which
-            # is bound once in __init__ and never rebound).
-            resolve_reply = self._kernel.ReplyRouter(self._reply_waiters)
-        else:
-            resolve_reply = self._resolve_reply
+        resolve_reply = self._reply_route
         return {
             MsgCategory.OBJ_REQUEST: self._handle_obj_request,
             MsgCategory.OBJ_REPLY: resolve_reply,
@@ -365,9 +319,6 @@ class DsmEngine(FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin):
             MsgCategory.HOME_ANSWER: resolve_reply,
             MsgCategory.CONTROL: self._on_control,
         }
-
-    def _resolve_reply(self, payload: Any) -> None:
-        self._reply_waiters.pop(payload.request_id).resolve(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,25 +1,42 @@
 """Locks and barriers: the synchronization points where an LRC interval
-closes, thread side and manager side, plus the barrier-release relay.
+closes.
 
-Every synchronization flushes the interval's diffs first
+:class:`SyncManager` is the manager side, shared by both protocols.  A
+lock or barrier lives at one manager node: the manager queues lock
+requests FIFO and hands each grant the write notices the requester has
+not seen, and closes a barrier round once every party arrived, then
+releases it with the merged notices — as a direct N-1 burst, or through
+the k-ary relay tree of PROTOCOL.md §15.
+:class:`~repro.dsm.protocol.DsmEngine` (home-based) and
+:class:`~repro.dsm.homeless.HomelessEngine` (TreadMarks-style) both
+inherit it, so each manager step has one code path across engines
+(DESIGN.md §6 rule 15).  An engine supplies three things:
+
+* ``NOTICE_BYTES`` — the wire size of one write notice;
+* ``_round_complete(barrier_id, writers) -> new_homes`` — run when a
+  barrier round closes, before any release is sent;
+* ``release_fanout`` — ``None`` (the direct burst) unless it is set.
+
+:class:`SyncMixin` is the home-based thread side; the homeless thread
+side lives with its engine.  Every home-based synchronization flushes
+the interval's diffs first
 (:meth:`~repro.dsm.interval.IntervalMixin.flush_diffs`), so its write
 notices ride on the acquire, release or arrival message; an acquire or
 a barrier release then applies the notices it receives and invalidates
 every cached copy (Java consistency).  Each blocking operation runs on
-one generator frame (DESIGN.md §6.12).  A barrier manager may also
-order JiaJia-style migrations, whose new homes ride on the release.
-
-State is declared in :class:`~repro.dsm.protocol.DsmEngine`'s
-constructor; this mixin only contributes methods.
+one generator frame (DESIGN.md §6.12).  A home-based barrier manager
+may also order JiaJia-style migrations, whose new homes ride on the
+release.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator
 
+from repro import _kernel
 from repro.cluster.message import MsgCategory, NOTICE_ENTRY_BYTES
 from repro.dsm.barrier import BarrierHandle, BarrierState
-from repro.dsm.locks import LockHandle
+from repro.dsm.locks import LockHandle, LockTable
 from repro.dsm.redirection import fanout_children
 from repro.dsm.wire import (
     REQUEST_BYTES,
@@ -31,6 +48,7 @@ from repro.dsm.wire import (
     LockReleaseMsg,
 )
 from repro.obs.timers import EpochTimer
+from repro.sim.future import Future
 from repro.sim.process import Delay
 
 #: Retry-discipline lock backoff: base + U(0, jitter) microseconds.
@@ -44,9 +62,198 @@ _BARRIER_ARRIVE = MsgCategory.BARRIER_ARRIVE
 _BARRIER_RELEASE = MsgCategory.BARRIER_RELEASE
 
 
+class SyncManager:
+    """Lock and barrier managers plus the request/reply helpers: the base
+    of both protocol engines (see the module docstring for what each
+    engine supplies)."""
+
+    #: Wire bytes of one write notice.
+    NOTICE_BYTES = NOTICE_ENTRY_BYTES
+    #: Only the home-based engine also offers ``"retry"`` (per instance).
+    lock_discipline = "fifo"
+
+    def __init__(
+        self, node_id: int, sim, network, heap, stats,
+        release_fanout: int | None = None,
+    ):
+        """Declare the state both engines share: the node's identity,
+        the request/reply maps and the manager state."""
+        if release_fanout is not None and release_fanout < 2:
+            raise ValueError(
+                f"release_fanout must be >= 2, got {release_fanout}"
+            )
+        self.node_id = node_id
+        self.sim = sim
+        self.network = network
+        self.heap = heap
+        self.stats = stats
+        #: Barrier-release multicast fan-out (PROTOCOL.md §15): ``None``
+        #: keeps the direct N-1 burst from the barrier manager; ``k``
+        #: relays releases through a k-ary tree instead, bounding any
+        #: single NIC's injection run at k messages.
+        self.release_fanout = release_fanout
+        #: Resolved kernel module (or None), cached once: the hot paths
+        #: branch on it per call and must not pay re-resolution.
+        self._kernel = kernel_module = _kernel.kernel()
+        #: Hot-path Future class: the C twin when compiled (request/reply
+        #: round trips create tens of thousands per run), else the
+        #: pure-Python reference.  Interchangeable by contract.  Labels on
+        #: these futures are static kind strings — per-call f-strings cost
+        #: more than the futures themselves at this volume.
+        self._Future = (
+            kernel_module.Future if kernel_module is not None else Future
+        )
+        self.lock_table = LockTable()
+        self.barriers: dict[int, BarrierState] = {}
+        #: Request id -> future of every outstanding request/reply round
+        #: trip: request ids are unique per node, so one map serves every
+        #: reply category.
+        self._reply_waiters: dict[tuple[int, int], Any] = {}
+        #: The dispatch entry of every reply category: the kernel's C
+        #: twin of :meth:`_resolve_reply` over the same waiter dict
+        #: (never rebound) when compiled.
+        self._reply_route = (
+            kernel_module.ReplyRouter(self._reply_waiters)
+            if kernel_module is not None
+            else self._resolve_reply
+        )
+        self._barrier_waiters: dict[tuple[int, int], list] = {}
+        self._req_counter = 0
+
+    # -- request/reply helpers ----------------------------------------------
+
+    def _next_request_id(self) -> tuple[int, int]:
+        self._req_counter += 1
+        return (self.node_id, self._req_counter)
+
+    def _bind_sender(self, sender: Any) -> None:
+        """Install the network's per-node send callable as this engine's
+        ``_send`` (``(dst, category, size_bytes, payload)``; the node id
+        is pre-bound)."""
+        self._send = sender
+
+    def _resolve_reply(self, payload: Any) -> None:
+        self._reply_waiters.pop(payload.request_id).resolve(payload)
+
+    # -- locks ----------------------------------------------------------------
+
+    def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
+        lock_id = msg.lock_id
+        fifo = self.lock_discipline == "fifo"
+        notices = self.lock_table.acquire(
+            lock_id, msg.requester, msg.request_id if fifo else None,
+            msg.notices,
+        )
+        if notices is None:
+            if not fifo:  # retry discipline: refuse a busy lock
+                self._send(
+                    msg.requester,
+                    _LOCK_GRANT,
+                    SYNC_BASE_BYTES,
+                    LockGrantMsg(lock_id, msg.request_id, {}, True),
+                )
+            return  # queued; the grant is sent when the holder releases
+        self._send(
+            msg.requester,
+            _LOCK_GRANT,
+            SYNC_BASE_BYTES + self.NOTICE_BYTES * len(notices),
+            LockGrantMsg(lock_id, msg.request_id, notices),
+        )
+
+    def _manager_release(self, msg: LockReleaseMsg) -> None:
+        """Lock manager: record a release (local or LOCK_RELEASE) and hand
+        the lock to the next FIFO waiter, if any."""
+        lock_id = msg.lock_id
+        handed = self.lock_table.release(lock_id, msg.releaser, msg.notices)
+        if handed is None:
+            return
+        (waiter, request_id), grant = handed
+        if waiter == self.node_id:
+            self._reply_waiters.pop(request_id).resolve(
+                LockGrantMsg(lock_id, request_id, grant)
+            )
+        else:
+            self._send(
+                waiter,
+                _LOCK_GRANT,
+                SYNC_BASE_BYTES + self.NOTICE_BYTES * len(grant),
+                LockGrantMsg(lock_id, request_id, grant),
+            )
+
+    # -- barriers -------------------------------------------------------------
+
+    def register_barrier(self, handle: BarrierHandle) -> None:
+        """Install manager state for a barrier homed at this node."""
+        if handle.home != self.node_id:
+            raise ValueError(
+                f"barrier {handle.barrier_id} homed at {handle.home}, "
+                f"not {self.node_id}"
+            )
+        self.barriers[handle.barrier_id] = BarrierState(handle)
+
+    def _manager_barrier_arrive(self, msg: BarrierArriveMsg) -> None:
+        state = self.barriers[msg.barrier_id]
+        complete = state.arrive(msg.node, msg.notices, msg.round_no)
+        if not complete:
+            return
+        round_no, merged, writers = state.complete_round()
+        self.stats.events["barrier_round"] += 1
+        new_homes = self._round_complete(msg.barrier_id, writers)
+        release = BarrierReleaseMsg(
+            msg.barrier_id, round_no, merged, new_homes
+        )
+        # One release object — with its one merged-notices snapshot — is
+        # shared by every copy of the fan-out; receivers only read it.
+        if self.release_fanout is not None:
+            # the manager is the relay root: _on_barrier_release forwards
+            release.root = self.node_id
+            release.fanout = self.release_fanout
+        else:
+            size = (
+                SYNC_BASE_BYTES
+                + self.NOTICE_BYTES * len(merged)
+                + REQUEST_BYTES * len(new_homes)
+            )
+            for dst in range(self.network.nnodes):
+                if dst == self.node_id:
+                    continue
+                self._send(dst, _BARRIER_RELEASE, size, release)
+        self._on_barrier_release(release)
+
+    def _on_barrier_release(self, release: BarrierReleaseMsg) -> None:
+        """Relay a multicast release to this node's tree children, then
+        wake this node's waiters for the round.
+
+        Every non-root node receives exactly one copy (N-1 messages
+        total, like the direct burst) but no NIC injects more than
+        ``fanout`` back to back, so the release reaches the whole
+        cluster in O(log_k N) serialization depth instead of O(N).
+        Leaves — heap index ``v`` with ``k*v + 1 >= N``, see
+        :func:`~repro.dsm.redirection.fanout_children` — have no children,
+        so only inner nodes size the message and walk the tree.
+        """
+        fanout = release.fanout
+        if fanout:
+            nnodes = self.network.nnodes
+            root = release.root
+            if fanout * ((self.node_id - root) % nnodes) + 1 < nnodes:
+                size = (
+                    SYNC_BASE_BYTES
+                    + self.NOTICE_BYTES * len(release.notices)
+                    + REQUEST_BYTES * len(release.new_homes)
+                )
+                for dst in fanout_children(self.node_id, root, fanout, nnodes):
+                    self._send(dst, _BARRIER_RELEASE, size, release)
+        for fut in self._barrier_waiters.pop(
+            (release.barrier_id, release.round_no), ()
+        ):
+            fut.resolve(release)
+
+
 class SyncMixin:
-    """Lock and barrier operations and their managers (a mixin of
-    :class:`~repro.dsm.protocol.DsmEngine`)."""
+    """Home-based thread-side lock and barrier operations (a mixin of
+    :class:`~repro.dsm.protocol.DsmEngine`; state is declared in its
+    constructor)."""
 
     # -- locks ------------------------------------------------------------
 
@@ -179,59 +386,7 @@ class SyncMixin:
         if sp is not None:
             sp.close(op, "lock_release", self.sim.now, lock_id, node)
 
-    def _handle_lock_acquire(self, msg: LockAcquireMsg) -> None:
-        lock_id = msg.lock_id
-        fifo = self.lock_discipline == "fifo"
-        notices = self.lock_table.acquire(
-            lock_id, msg.requester, msg.request_id if fifo else None,
-            msg.notices,
-        )
-        if notices is None:
-            if not fifo:  # retry discipline: refuse a busy lock
-                self._send(
-                    msg.requester,
-                    _LOCK_GRANT,
-                    SYNC_BASE_BYTES,
-                    LockGrantMsg(lock_id, msg.request_id, {}, True),
-                )
-            return  # queued; the grant is sent when the holder releases
-        self._send(
-            msg.requester,
-            _LOCK_GRANT,
-            SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(notices),
-            LockGrantMsg(lock_id, msg.request_id, notices),
-        )
-
-    def _manager_release(self, msg: LockReleaseMsg) -> None:
-        """Lock manager: record a release (local or LOCK_RELEASE) and hand
-        the lock to the next FIFO waiter, if any."""
-        lock_id = msg.lock_id
-        handed = self.lock_table.release(lock_id, msg.releaser, msg.notices)
-        if handed is None:
-            return
-        (waiter, request_id), grant = handed
-        if waiter == self.node_id:
-            self._reply_waiters.pop(request_id).resolve(
-                LockGrantMsg(lock_id, request_id, grant)
-            )
-        else:
-            self._send(
-                waiter,
-                _LOCK_GRANT,
-                SYNC_BASE_BYTES + NOTICE_ENTRY_BYTES * len(grant),
-                LockGrantMsg(lock_id, request_id, grant),
-            )
-
     # -- barriers ---------------------------------------------------------
-
-    def register_barrier(self, handle: BarrierHandle) -> None:
-        """Install manager state for a barrier homed at this node."""
-        if handle.home != self.node_id:
-            raise ValueError(
-                f"barrier {handle.barrier_id} homed at {handle.home}, "
-                f"not {self.node_id}"
-            )
-        self.barriers[handle.barrier_id] = BarrierState(handle)
 
     def barrier(
         self, handle: BarrierHandle, round_no: int
@@ -297,69 +452,17 @@ class SyncMixin:
                 round=round_no,
             )
 
-    def _manager_barrier_arrive(self, msg: BarrierArriveMsg) -> None:
-        state = self.barriers[msg.barrier_id]
-        complete = state.arrive(msg.node, msg.notices, msg.round_no)
-        if not complete:
-            return
-        round_no, merged, writers = state.complete_round()
-        self.stats.events["barrier_round"] += 1
+    def _round_complete(
+        self, barrier_id: int, writers: dict[int, set[int]]
+    ) -> dict[int, int]:
+        """Barrier manager hook (:class:`SyncManager`): time the barrier
+        interval, then order any JiaJia barrier migrations, whose new
+        homes ride on the release."""
         if self._m_barrier_interval_us is not None:
-            timer = self._barrier_epochs.setdefault(
-                msg.barrier_id, EpochTimer()
-            )
+            timer = self._barrier_epochs.setdefault(barrier_id, EpochTimer())
             span = timer.lap(self.sim.now)
             if span is not None:
                 self._m_barrier_interval_us.observe(span)
-        new_homes: dict[int, int] = {}
         if self.policy.wants_barrier_migration():
-            new_homes = self._order_barrier_migrations(writers)
-        release = BarrierReleaseMsg(
-            msg.barrier_id, round_no, merged, new_homes
-        )
-        # One release object — with its one merged-notices snapshot — is
-        # shared by every copy of the fan-out; receivers only read it.
-        if self.release_fanout is not None:
-            # the manager is the relay root: _on_barrier_release forwards
-            release.root = self.node_id
-            release.fanout = self.release_fanout
-        else:
-            size = (
-                SYNC_BASE_BYTES
-                + NOTICE_ENTRY_BYTES * len(merged)
-                + REQUEST_BYTES * len(new_homes)
-            )
-            for dst in range(self.network.nnodes):
-                if dst == self.node_id:
-                    continue
-                self._send(dst, _BARRIER_RELEASE, size, release)
-        self._on_barrier_release(release)
-
-    def _on_barrier_release(self, release: BarrierReleaseMsg) -> None:
-        """Relay a multicast release to this node's tree children, then
-        wake this node's waiters for the round.
-
-        Every non-root node receives exactly one copy (N-1 messages
-        total, like the direct burst) but no NIC injects more than
-        ``fanout`` back to back, so the release reaches the whole
-        cluster in O(log_k N) serialization depth instead of O(N).
-        Leaves — heap index ``v`` with ``k*v + 1 >= N``, see
-        :func:`~repro.dsm.redirection.fanout_children` — have no children,
-        so only inner nodes size the message and walk the tree.
-        """
-        fanout = release.fanout
-        if fanout:
-            nnodes = self.network.nnodes
-            root = release.root
-            if fanout * ((self.node_id - root) % nnodes) + 1 < nnodes:
-                size = (
-                    SYNC_BASE_BYTES
-                    + NOTICE_ENTRY_BYTES * len(release.notices)
-                    + REQUEST_BYTES * len(release.new_homes)
-                )
-                for dst in fanout_children(self.node_id, root, fanout, nnodes):
-                    self._send(dst, _BARRIER_RELEASE, size, release)
-        for fut in self._barrier_waiters.pop(
-            (release.barrier_id, release.round_no), ()
-        ):
-            fut.resolve(release)
+            return self._order_barrier_migrations(writers)
+        return {}

@@ -1,9 +1,13 @@
-"""A GlobalObjectSpace-compatible cluster running the homeless protocol.
+"""A GlobalObjectSpace running the homeless protocol.
 
 Lets the same applications and :class:`~repro.gos.jvm.DistributedJVM`
 machinery run on the TreadMarks-style baseline
 (:class:`~repro.dsm.homeless.HomelessEngine`) for the home-based vs
-homeless ablation.
+homeless ablation.  The cluster build — simulator, network and
+topology, heap, arenas, lock and barrier allocation — is
+:class:`~repro.gos.space.GlobalObjectSpace`'s; this subclass swaps the
+engines and replaces what needs a home: the global read/write view and
+diff garbage collection.
 """
 
 from __future__ import annotations
@@ -12,19 +16,26 @@ import numpy as np
 
 from repro.cluster.hockney import HockneyModel
 from repro.cluster.message import MsgCategory
-from repro.cluster.network import Network
-from repro.cluster.stats import ClusterStats
-from repro.dsm.barrier import BarrierHandle
-from repro.dsm.homeless import HomelessEngine
-from repro.dsm.locks import LockHandle
-from repro.memory.arena import Arena, new_arena
-from repro.memory.heap import ObjectHeap
+from repro.dsm.homeless import HomelessEngine, _GcTraffic
+from repro.gos.space import GlobalObjectSpace
+from repro.memory.diff import apply_diff
 from repro.memory.objects import SharedObject
-from repro.sim.engine import make_simulator
+
+#: Why the homeless baseline takes only FIFO locks.
+RETRY_UNSUPPORTED = (
+    "lock_discipline='retry' needs the home-based protocol: the homeless "
+    "baseline's thread side has no retry loop; use lock_discipline='fifo'"
+)
 
 
-class HomelessObjectSpace:
-    """Drop-in replacement for GlobalObjectSpace backed by HomelessEngine."""
+class HomelessObjectSpace(GlobalObjectSpace):
+    """GlobalObjectSpace backed by HomelessEngine.
+
+    Takes :class:`~repro.gos.space.GlobalObjectSpace`'s keyword options;
+    topology and ``release_fanout`` act as there, FIFO is the only lock
+    discipline, and the home-based ones (policy, mechanism, seed,
+    tracing, metrics, logging) have nothing to act on here.
+    """
 
     def __init__(
         self,
@@ -32,65 +43,40 @@ class HomelessObjectSpace:
         comm_model: HockneyModel,
         service_us: float | None = None,
         gc_threshold_bytes: int | None = None,
+        **space_kwargs,
     ):
-        self.sim = make_simulator()
-        self.stats = ClusterStats()
-        self.network = Network(
-            self.sim, comm_model, nnodes, self.stats, service_us=service_us
-        )
-        self.heap = ObjectHeap()
-        self.arenas = [new_arena(label=f"hl-node{i}") for i in range(nnodes)]
-        self.engines = [
-            HomelessEngine(
-                node_id=i,
-                sim=self.sim,
-                network=self.network,
-                heap=self.heap,
-                stats=self.stats,
-                arena=self.arenas[i],
+        if gc_threshold_bytes is not None and gc_threshold_bytes <= 0:
+            raise ValueError(
+                f"gc threshold must be positive, got {gc_threshold_bytes}"
             )
-            for i in range(nnodes)
-        ]
+        super().__init__(
+            nnodes, comm_model, service_us=service_us, **space_kwargs
+        )
         #: Cluster-wide retained-diff budget; exceeded => global GC at the
         #: next barrier (TreadMarks-style; None disables collection).
         self.gc_threshold_bytes = gc_threshold_bytes
         if gc_threshold_bytes is not None:
-            if gc_threshold_bytes <= 0:
-                raise ValueError(
-                    f"gc threshold must be positive, got {gc_threshold_bytes}"
-                )
             for engine in self.engines:
                 engine.on_barrier_complete = self._maybe_gc
-        self._next_lock_id = 1
-        self._next_barrier_id = 1
 
-    @property
-    def nnodes(self) -> int:
-        return self.network.nnodes
-
-    def alloc_array(
-        self, length, dtype="float64", home=0, label="", meta=None
-    ) -> SharedObject:
-        # `home` is recorded (for API parity) but unused: no homes here.
-        return self.heap.alloc_array(length, dtype, home=home, label=label, meta=meta)
-
-    def alloc_fields(
-        self, fields, dtype="float64", home=0, label="", meta=None
-    ) -> SharedObject:
-        return self.heap.alloc_fields(fields, dtype, home=home, label=label, meta=meta)
-
-    def alloc_lock(self, home: int = 0) -> LockHandle:
-        handle = LockHandle(lock_id=self._next_lock_id, home=home)
-        self._next_lock_id += 1
-        return handle
-
-    def alloc_barrier(self, parties: int, home: int = 0) -> BarrierHandle:
-        handle = BarrierHandle(
-            barrier_id=self._next_barrier_id, home=home, parties=parties
+    def _new_engine(
+        self,
+        node_id: int,
+        lock_discipline: str,
+        release_fanout: int | None,
+        **_home_based,
+    ) -> HomelessEngine:
+        if lock_discipline != "fifo":
+            raise ValueError(RETRY_UNSUPPORTED)
+        return HomelessEngine(
+            node_id=node_id,
+            sim=self.sim,
+            network=self.network,
+            heap=self.heap,
+            stats=self.stats,
+            arena=self.arenas[node_id],
+            release_fanout=release_fanout,
         )
-        self._next_barrier_id += 1
-        self.engines[home].register_barrier(handle)
-        return handle
 
     def write_global(self, obj: SharedObject, values: np.ndarray) -> None:
         """Set the shared initial image every node starts from."""
@@ -112,8 +98,6 @@ class HomelessObjectSpace:
         for _stamp, _writer, _seq, diff in sorted(
             stamped, key=lambda t: (t[0], t[1], t[2])
         ):
-            from repro.memory.diff import apply_diff
-
             apply_diff(payload, diff)
         return payload
 
@@ -122,12 +106,8 @@ class HomelessObjectSpace:
         return sum(engine.retained_bytes for engine in self.engines)
 
     def _maybe_gc(self) -> None:
-        if (
-            self.gc_threshold_bytes is None
-            or self.retained_diff_bytes() <= self.gc_threshold_bytes
-        ):
-            return
-        self.gc()
+        if self.retained_diff_bytes() > self.gc_threshold_bytes:
+            self.gc()
 
     def gc(self) -> None:
         """Global diff garbage collection (TreadMarks-style, §1's cost).
@@ -139,8 +119,6 @@ class HomelessObjectSpace:
         the coordinator, which ships rebased images to every node holding
         a replica of a collected object.
         """
-        from repro.dsm.homeless import _GcTraffic
-
         self.stats.incr("homeless_gc")
         written_oids = sorted(
             {oid for engine in self.engines for oid in engine.history}
@@ -193,6 +171,3 @@ class HomelessObjectSpace:
         # later materialisation starts from
         for oid, image in rebased.items():
             self.heap.initial_values[oid] = image
-
-    def migration_count(self) -> int:
-        return 0  # no homes, no migrations

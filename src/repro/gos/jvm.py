@@ -21,6 +21,7 @@ from repro.dsm.redirection import (
     ForwardingPointerMechanism,
     NotificationMechanism,
 )
+from repro.gos import homeless
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
 
@@ -109,7 +110,6 @@ class DistributedJVM:
         seed: int = 0,
         metrics=None,
         logger=None,
-        heartbeat_events: int | None = None,
         gc_enabled: bool = True,
         topology=None,
         release_fanout: int | None = None,
@@ -120,10 +120,8 @@ class DistributedJVM:
             raise ValueError(
                 f"protocol must be 'home-based' or 'homeless', got {protocol!r}"
             )
-        if heartbeat_events is not None and heartbeat_events < 1:
-            raise ValueError(
-                f"heartbeat_events must be >= 1, got {heartbeat_events}"
-            )
+        if protocol == "homeless" and lock_discipline != "fifo":
+            raise ValueError(homeless.RETRY_UNSUPPORTED)
         self.nodes = nodes
         self.comm_model = comm_model
         self.policy = policy if policy is not None else NoMigration()
@@ -141,9 +139,6 @@ class DistributedJVM:
         self.metrics = metrics
         #: Optional :class:`~repro.obs.logging.RunLogger`.
         self.logger = logger
-        #: When set, :meth:`run` installs a simulator heartbeat logging an
-        #: ``info``-level progress line every this many processed events.
-        self.heartbeat_events = heartbeat_events
         #: Barrier-epoch memory GC in the home-based engines (``--no-gc``
         #: escape hatch turns it off; results are identical either way,
         #: only the memory footprint differs).
@@ -173,30 +168,27 @@ class DistributedJVM:
         threads = nthreads if nthreads is not None else app.default_threads(self.nodes)
         if threads < 1:
             raise ValueError(f"need at least one thread, got {threads}")
-        if self.protocol == "homeless":
-            from repro.gos.homeless import HomelessObjectSpace
-
-            gos = HomelessObjectSpace(
-                nnodes=self.nodes,
-                comm_model=self.comm_model,
-                service_us=self.service_us,
-            )
-        else:
-            gos = GlobalObjectSpace(
-                nnodes=self.nodes,
-                comm_model=self.comm_model,
-                policy=self.policy,
-                mechanism=self.mechanism,
-                service_us=self.service_us,
-                tracer=self.tracer,
-                lock_discipline=self.lock_discipline,
-                seed=self.seed,
-                metrics=self.metrics,
-                logger=self.logger,
-                gc_enabled=self.gc_enabled,
-                topology=self.topology,
-                release_fanout=self.release_fanout,
-            )
+        # resolved per run, so a patched HomelessObjectSpace takes effect
+        space_class = (
+            homeless.HomelessObjectSpace
+            if self.protocol == "homeless"
+            else GlobalObjectSpace
+        )
+        gos = space_class(
+            nnodes=self.nodes,
+            comm_model=self.comm_model,
+            policy=self.policy,
+            mechanism=self.mechanism,
+            service_us=self.service_us,
+            tracer=self.tracer,
+            lock_discipline=self.lock_discipline,
+            seed=self.seed,
+            metrics=self.metrics,
+            logger=self.logger,
+            gc_enabled=self.gc_enabled,
+            topology=self.topology,
+            release_fanout=self.release_fanout,
+        )
         log = self.logger
         log_info = log is not None and log.enabled_for("info")
         if log_info:
@@ -206,15 +198,6 @@ class DistributedJVM:
                 protocol=self.protocol,
                 nodes=self.nodes,
                 threads=threads,
-            )
-        if self.heartbeat_events is not None and log_info:
-            gos.sim.set_heartbeat(
-                self.heartbeat_events,
-                lambda sim: log.info(
-                    "heartbeat",
-                    events=sim.events_processed,
-                    sim_us=sim.now,
-                ),
             )
         app.setup(gos, threads)
         processes = []

@@ -27,6 +27,8 @@ class GlobalObjectSpace:
 
     One instance = one cluster: the simulator, the network, one
     :class:`~repro.dsm.protocol.DsmEngine` per node, and the object heap.
+    :class:`~repro.gos.homeless.HomelessObjectSpace` builds the same
+    cluster around the homeless baseline's engines.
     Applications allocate objects, locks and barriers through it; threads
     access them through :class:`~repro.gos.thread.ThreadContext`.
     """
@@ -85,28 +87,36 @@ class GlobalObjectSpace:
             else None
         )
         self.engines = [
-            DsmEngine(
-                node_id=i,
-                sim=self.sim,
-                network=self.network,
-                heap=self.heap,
-                stats=self.stats,
-                policy=self.policy,
-                mechanism=self.mechanism,
-                tracer=tracer,
+            self._new_engine(
+                i,
                 lock_discipline=lock_discipline,
                 seed=seed,
-                metrics=metrics,
                 logger=engine_logger,
-                arenas=self.arenas,
-                gc_enabled=gc_enabled,
-                spans=self.spans,
                 release_fanout=release_fanout,
             )
             for i in range(nnodes)
         ]
         self._next_lock_id = 1
         self._next_barrier_id = 1
+
+    def _new_engine(self, node_id: int, **engine_kwargs) -> DsmEngine:
+        """The protocol engine of node ``node_id``; the rest of the build
+        is protocol-independent (the homeless space overrides this)."""
+        return DsmEngine(
+            node_id=node_id,
+            sim=self.sim,
+            network=self.network,
+            heap=self.heap,
+            stats=self.stats,
+            policy=self.policy,
+            mechanism=self.mechanism,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            arenas=self.arenas,
+            gc_enabled=self.gc_enabled,
+            spans=self.spans,
+            **engine_kwargs,
+        )
 
     @property
     def nnodes(self) -> int:

@@ -56,23 +56,6 @@ class PySimulator:
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._processes: list[Any] = []  # Process instances, for deadlock report
         self.events_processed: int = 0
-        self._heartbeat: tuple[int, Callable[["PySimulator"], None]] | None = None
-
-    def set_heartbeat(
-        self, every_events: int, callback: Callable[["PySimulator"], None]
-    ) -> None:
-        """Invoke ``callback(self)`` every ``every_events`` processed events.
-
-        Telemetry hook for progress reporting on long runs: the callback
-        sees a live ``now`` and ``events_processed``.  Installing a
-        heartbeat routes :meth:`run` through a separate instrumented
-        loop, so the default (no-heartbeat) hot path is unchanged.
-        """
-        if every_events < 1:
-            raise SimulationError(
-                f"heartbeat interval must be >= 1 event, got {every_events}"
-            )
-        self._heartbeat = (every_events, callback)
 
     @property
     def now(self) -> float:
@@ -141,28 +124,7 @@ class PySimulator:
         pop = heappop
         processed = 0
         try:
-            if self._heartbeat is not None:
-                # Instrumented drain (telemetry only): counts into
-                # events_processed live so the callback sees fresh state.
-                every, beat = self._heartbeat
-                countdown = every
-                while heap:
-                    time = heap[0][0]
-                    if until is not None and time > until:
-                        self._now = until
-                        return self._now
-                    _, _seq, callback, args = pop(heap)
-                    self._now = time
-                    self.events_processed += 1
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                    countdown -= 1
-                    if countdown == 0:
-                        countdown = every
-                        beat(self)
-            elif until is None:
+            if until is None:
                 while heap:
                     time, _seq, callback, args = pop(heap)
                     self._now = time
@@ -216,8 +178,8 @@ def _build_compiled_class(kernel_module: Any) -> type:
         """Deterministic discrete-event simulator (compiled backend).
 
         Same contract as :class:`PySimulator` — identical event order
-        (``(time, seq)`` heap), identical ``run(until)``/heartbeat/
-        deadlock semantics, identical error messages — with the event
+        (``(time, seq)`` heap), identical ``run(until)``/deadlock
+        semantics, identical error messages — with the event
         heap, pop loop and callback dispatch implemented in C by
         :mod:`repro._kernel`.
         """
@@ -225,18 +187,6 @@ def _build_compiled_class(kernel_module: Any) -> type:
         def __init__(self) -> None:
             super().__init__()
             self._processes: list[Any] = []
-            self._heartbeat: tuple[int, Callable[..., None]] | None = None
-
-        def set_heartbeat(
-            self, every_events: int, callback: Callable[..., None]
-        ) -> None:
-            """Invoke ``callback(self)`` every ``every_events`` events
-            (see :meth:`PySimulator.set_heartbeat`)."""
-            if every_events < 1:
-                raise SimulationError(
-                    f"heartbeat interval must be >= 1 event, got {every_events}"
-                )
-            self._heartbeat = (every_events, callback)
 
         def spawn(
             self, generator: Generator[Any, Any, Any], name: str = "proc"
@@ -253,12 +203,7 @@ def _build_compiled_class(kernel_module: Any) -> type:
         def run(self, until: float | None = None) -> float:
             """Drain the event heap; return the final simulated time
             (see :meth:`PySimulator.run`)."""
-            if self._heartbeat is not None:
-                every, beat = self._heartbeat
-                stopped = self._drain(until, every, beat)
-            else:
-                stopped = self._drain(until, 0, None)
-            if stopped:
+            if self._drain(until):
                 # Early stop at `until`: later events stay queued and a
                 # still-blocked process is not a deadlock — it may be
                 # waiting for events beyond the horizon.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import Asp, SingleWriterBenchmark, Sor
 from repro.cluster.hockney import FAST_ETHERNET
+from repro.cluster.message import MsgCategory
 from repro.gos.homeless import HomelessObjectSpace
 from repro.gos.jvm import DistributedJVM
 from repro.gos.thread import ThreadContext
@@ -21,6 +22,47 @@ def homeless_jvm(nodes=4):
 def test_protocol_name_validation():
     with pytest.raises(ValueError):
         DistributedJVM(nodes=2, comm_model=FAST_ETHERNET, protocol="bogus")
+
+
+def test_retry_lock_discipline_rejected_at_construction():
+    """The homeless thread side has no retry loop: asking for one fails
+    when the JVM is built instead of running FIFO without a word."""
+    with pytest.raises(ValueError, match="needs the home-based protocol"):
+        DistributedJVM(
+            nodes=2,
+            comm_model=FAST_ETHERNET,
+            protocol="homeless",
+            lock_discipline="retry",
+        )
+
+
+def _homeless_sor_16(**jvm_kwargs):
+    app = Sor(size=32, iterations=3)
+    result = DistributedJVM(
+        nodes=16, comm_model=FAST_ETHERNET, protocol="homeless", **jvm_kwargs
+    ).run(app)
+    app.verify(result.output)
+    return result
+
+
+def test_release_fanout_relays_homeless_barrier_releases():
+    """The shared barrier manager relays homeless releases too: still one
+    copy per non-root node per round, but no longer one N-1 burst."""
+    direct = _homeless_sor_16()
+    relay = _homeless_sor_16(release_fanout=4)
+    for result in (direct, relay):
+        rounds = result.stats.events["barrier_round"]
+        assert rounds > 0
+        assert result.stats.msg_count[MsgCategory.BARRIER_RELEASE] == (
+            15 * rounds
+        )
+    assert relay.execution_time_us < direct.execution_time_us
+
+
+def test_homeless_runs_on_a_hierarchical_topology():
+    flat = _homeless_sor_16()
+    hier = _homeless_sor_16(topology="hier:leaf=4:oversub=4:hop=2.5")
+    assert hier.execution_time_us > flat.execution_time_us
 
 
 def test_result_reports_homeless():
@@ -48,7 +90,6 @@ def test_diffs_fetched_on_demand_not_pushed():
     gos = HomelessObjectSpace(3, FAST_ETHERNET)
     obj = gos.alloc_array(4)
     lock = gos.alloc_lock(home=0)
-    from repro.cluster.message import MsgCategory
 
     def writer():
         ctx = ThreadContext(gos, tid=0, node=1)

@@ -140,7 +140,6 @@ EPISODES = {
                 trace_path=str(tmp / "trace.jsonl"),
                 metrics=True,
                 log_level="debug",
-                heartbeat_events=200,
             ),
         )
     ),

@@ -159,23 +159,6 @@ def test_determinism_across_instances():
 # -- run(until=...) edge cases with argument-carrying event tuples ---------
 
 
-def test_heartbeat_run_until_stops_early(sim):
-    """The instrumented (heartbeat) drain honours ``until`` exactly like
-    the plain drain: later events stay queued, the clock lands on
-    ``until``, and the heartbeat saw only the executed prefix."""
-    ran = []
-    beats = []
-    sim.set_heartbeat(2, lambda s: beats.append(s.events_processed))
-    for t in (1.0, 2.0, 3.0, 10.0, 11.0):
-        sim.at(t, ran.append, t)
-    assert sim.run(until=5.0) == 5.0
-    assert ran == [1.0, 2.0, 3.0]
-    assert beats == [2]  # 3 events executed -> one full interval of 2
-    # the deferred tail runs on resume
-    assert sim.run() == 11.0
-    assert ran == [1.0, 2.0, 3.0, 10.0, 11.0]
-
-
 def test_zero_delay_ties_from_inside_callback_run_in_order(sim):
     """Events scheduled at the current instant from a running callback
     execute after already-queued ties, in scheduling order — for arg
