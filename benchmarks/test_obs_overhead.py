@@ -1,7 +1,8 @@
 """Microbenchmarks of telemetry overhead: disabled vs enabled paths.
 
 The observability layer's contract is that *disabled* instrumentation is
-free (one ``is not None`` check per site).  These benches time the event
+free (one ``is not None`` check per site).  Enabled, the engines' trace
+stream feeds the metrics and log sinks.  These benches time the event
 loop and one end-to-end DSM operation with telemetry off and on, so a
 regression in the guard structure shows up as a disabled-path slowdown.
 """
@@ -14,6 +15,7 @@ from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
 from repro.obs.logging import RunLogger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import LogSink, MetricsSink, observer
 from repro.sim.engine import Simulator
 
 
@@ -29,13 +31,12 @@ def test_event_loop(benchmark):
     benchmark(_run_10k_events)
 
 
-def _dsm_increment_ops(metrics, logger):
+def _dsm_increment_ops(tracer):
     gos = GlobalObjectSpace(
         nnodes=2,
         comm_model=FAST_ETHERNET,
         policy=AdaptiveThreshold(),
-        metrics=metrics,
-        logger=logger,
+        tracer=tracer,
     )
     obj = gos.alloc_fields(("v",), home=0)
     lock = gos.alloc_lock(home=0)
@@ -53,17 +54,20 @@ def _dsm_increment_ops(metrics, logger):
 
 
 def test_dsm_ops_telemetry_off(benchmark):
-    """The hot protocol path with every instrument handle None."""
-    benchmark(_dsm_increment_ops, None, None)
+    """The hot protocol path with no tracer."""
+    benchmark(_dsm_increment_ops, None)
 
 
 def test_dsm_ops_telemetry_on(benchmark):
-    """The same ops with metrics + debug logging to an in-memory sink."""
+    """The same ops with the metrics and debug-log sinks (an in-memory
+    stream) on the trace stream."""
 
     def run():
         return _dsm_increment_ops(
-            MetricsRegistry(),
-            RunLogger(level="debug", stream=io.StringIO()),
+            observer(
+                MetricsSink(MetricsRegistry(), nodes=2),
+                LogSink(RunLogger(level="debug", stream=io.StringIO())),
+            )
         )
 
     benchmark(run)

@@ -1,10 +1,9 @@
 """Runtime protocol invariant checker over the trace-event stream.
 
-:class:`InvariantChecker` subscribes to a live
-:class:`~repro.trace.recorder.TraceRecorder`
-(``tracer.subscribe(checker.on_event)``) and replays protocol-level
-state machines from the event stream *online*, flagging violations as
-strings rather than raising (the episode runner aggregates them).
+:class:`InvariantChecker` is a tracer (``DistributedJVM(tracer=checker)``)
+that replays protocol-level state machines from the event stream
+*online*, as the engines emit it, flagging violations as strings rather
+than raising (the episode runner aggregates them).
 
 Checked invariants (``docs/PROTOCOL.md`` §13):
 
@@ -40,6 +39,7 @@ The checker is observation-only: it must never mutate protocol state.
 from __future__ import annotations
 
 from repro.core.threshold import adaptive_threshold
+from repro.trace.events import TraceEvent
 
 
 class InvariantChecker:
@@ -114,8 +114,18 @@ class InvariantChecker:
 
     # -- event intake --------------------------------------------------------
 
+    def wants(self, kind: str) -> bool:
+        """Tracer protocol: every trace kind is inspected."""
+        return True
+
+    def record(
+        self, kind: str, time_us: float, oid: int, node: int, **detail
+    ) -> None:
+        """Tracer protocol: check one event as the engines emit it."""
+        self.on_event(TraceEvent(time_us, kind, oid, node, detail))
+
     def on_event(self, event) -> None:
-        """Trace-recorder subscriber entry point."""
+        """Check one :class:`~repro.trace.events.TraceEvent`."""
         self.events_seen += 1
         handler = self._handlers.get(event.kind)
         if handler is not None:

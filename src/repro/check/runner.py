@@ -32,7 +32,6 @@ from repro.check.mutations import (
 )
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
-from repro.trace.recorder import TraceRecorder
 
 
 @dataclass
@@ -97,19 +96,17 @@ def run_episode(
     if spec is None:
         spec = generate_program(seed, flavor=flavor)
     program = SpecProgram(spec)
-    tracer = TraceRecorder()
     checker = InvariantChecker(
         nnodes=spec.nnodes,
         policy_name=spec.policy_name,
         policy_params=spec.policy_params,
     )
-    tracer.subscribe(checker.on_event)
     jvm = DistributedJVM(
         nodes=spec.nnodes,
         comm_model=FAST_ETHERNET,
         policy=spec.build_policy(),
         mechanism=spec.build_mechanism(),
-        tracer=tracer,
+        tracer=checker,
         lock_discipline=spec.lock_discipline,
         seed=spec.seed,
     )

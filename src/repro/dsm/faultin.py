@@ -325,9 +325,6 @@ class FaultInMixin:
                 if sp is not None:
                     op_kind = "write_miss" if for_write else "read_miss"
                     op = sp.open(op_kind, self.sim.now, oid, node)
-                m_fault = self._m_fault_us
-                if m_fault is not None:
-                    started = self.sim.now
                 try:
                     min_version = self.required_version.get(oid, 0)
                     hops = 0
@@ -403,8 +400,6 @@ class FaultInMixin:
                             f"fault-in of oid {oid} at node {node} exceeded "
                             f"{MAX_REDIRECTIONS} redirections"
                         )
-                    if m_fault is not None:
-                        m_fault.observe(self.sim.now - started)
                     if sp is not None:
                         sp.close(op, op_kind, self.sim.now, oid, node)
                 finally:
@@ -473,8 +468,15 @@ class FaultInMixin:
         events = self.stats.events
         state.record_remote_read(requester, request.hops)
         events["remote_read"] += 1
-        if self._m_redirect_hops is not None:
-            self._m_redirect_hops.observe(request.hops)
+        if self._tr_serve:
+            self.tracer.record(
+                "serve",
+                self.sim.now,
+                oid,
+                self.node_id,
+                requester=requester,
+                hops=request.hops,
+            )
         size_bytes = state.object_bytes
         alpha = home_access_coefficient(
             size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes

@@ -206,8 +206,11 @@ class IntervalMixin:
             if cached.mode is _READ:
                 cached.mode = _INVALID
 
-    def collect_garbage(self, released: dict[int, int]) -> None:
-        """Barrier-epoch memory GC (``docs/PROTOCOL.md`` §12).
+    def collect_garbage(
+        self, released: dict[int, int], barrier_id: int
+    ) -> None:
+        """Barrier-epoch memory GC (``docs/PROTOCOL.md`` §12) after a
+        release of barrier ``barrier_id``.
 
         Runs after ``apply_notices``/``invalidate_all_cached`` of a
         barrier release.  Two reclamations, both behaviour-free:
@@ -229,7 +232,9 @@ class IntervalMixin:
 
         Deliberately touches no :class:`ClusterStats` counters, sends
         no messages, and consumes no simulated time: results and the
-        determinism digest are bit-identical with GC on or off.
+        determinism digest are bit-identical with GC on or off.  The
+        node's footprint after the sweep goes out as a ``barrier_epoch``
+        trace event (role ``gc``) when the tracer wants one.
         """
         cache = self.cache
         required = self.required_version
@@ -276,18 +281,18 @@ class IntervalMixin:
                 del required[oid]
             self.gc_notice_prunes += len(prunable)
         self.gc_notice_prunes += elided
-        if self.metrics is not None:
+        if self._tr_barrier_epoch:
             arena_stats = self.arena.stats()
-            node = self.node_id
-            self.metrics.gauge("dsm_arena_live_bytes", node=node).set(
-                arena_stats["live_bytes"]
-            )
-            self.metrics.gauge("dsm_arena_pooled_bytes", node=node).set(
-                arena_stats["pooled_bytes"]
-            )
-            self.metrics.gauge("dsm_cache_entries", node=node).set(len(cache))
-            self.metrics.gauge("dsm_notice_floors", node=node).set(
-                len(required)
+            self.tracer.record(
+                "barrier_epoch",
+                self.sim.now,
+                barrier_id,
+                self.node_id,
+                role="gc",
+                live_bytes=arena_stats["live_bytes"],
+                pooled_bytes=arena_stats["pooled_bytes"],
+                cache_entries=len(cache),
+                notice_floors=len(required),
             )
 
     def _handle_diff(self, msg: DiffMsg) -> None:
@@ -329,8 +334,6 @@ class IntervalMixin:
         events = self.stats.events
         events["diff"] += 1
         events["remote_write"] += 1
-        if self._m_diff_bytes is not None:
-            self._m_diff_bytes.observe(size_bytes)
         self._send(
             msg.writer,
             _DIFF_ACK,

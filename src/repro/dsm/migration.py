@@ -55,44 +55,23 @@ class MigrationMixin:
         alpha: float,
         migrated: bool,
     ) -> None:
-        """Report one Eq-2 decision to whoever watches decisions (called
-        only when ``_watch_decisions``)."""
-        traced = self.tracer is not None and self.tracer.wants("decision")
-        metered = self.metrics is not None
-        log_debug = self.logger is not None and self.logger.enabled_for("debug")
-        threshold = self.policy.current_threshold(state, alpha)
-        if traced:
-            self.tracer.record(
-                "decision",
-                self.sim.now,
-                oid,
-                self.node_id,
-                requester=requester,
-                threshold=threshold,
-                consecutive=state.consecutive_writes,
-                exclusive_home_writes=state.exclusive_home_writes,
-                redirections=state.redirections,
-                migrated=migrated,
-                writer=state.consecutive_writer,
-                alpha=alpha,
-                base=state.threshold_base,
-            )
-        if metered:
-            if threshold is not None:
-                self.metrics.gauge("dsm_threshold", oid=oid).set(threshold)
-            self.metrics.counter(
-                "dsm_decisions_total", node=self.node_id, migrated=migrated
-            ).inc()
-        if log_debug:
-            self.logger.debug(
-                "decision",
-                node=self.node_id,
-                oid=oid,
-                requester=requester,
-                threshold=threshold,
-                consecutive=state.consecutive_writes,
-                migrated=migrated,
-            )
+        """Trace one Eq-2 decision (called only when
+        ``_watch_decisions``)."""
+        self.tracer.record(
+            "decision",
+            self.sim.now,
+            oid,
+            self.node_id,
+            requester=requester,
+            threshold=self.policy.current_threshold(state, alpha),
+            consecutive=state.consecutive_writes,
+            exclusive_home_writes=state.exclusive_home_writes,
+            redirections=state.redirections,
+            migrated=migrated,
+            writer=state.consecutive_writer,
+            alpha=alpha,
+            base=state.threshold_base,
+        )
 
     # -- the hand-off ---------------------------------------------------
 
@@ -125,16 +104,6 @@ class MigrationMixin:
                 self.sim.now,
                 oid,
                 node,
-                old_home=node,
-                new_home=new_home,
-                frozen_threshold=state.threshold_base,
-            )
-        if self._m_migrations is not None:
-            self._m_migrations.inc()
-        if self._log_info:
-            self.logger.info(
-                "migration",
-                oid=oid,
                 old_home=node,
                 new_home=new_home,
                 frozen_threshold=state.threshold_base,

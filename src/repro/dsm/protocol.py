@@ -50,7 +50,6 @@ from repro.dsm.redirection import NotificationMechanism
 from repro.dsm.sync import SyncManager, SyncMixin
 from repro.memory.arena import Arena, new_arena
 from repro.memory.heap import ObjectHeap
-from repro.obs.timers import EpochTimer, SpanTracker
 from repro.sim.future import Future
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,8 +76,6 @@ class DsmEngine(
         tracer=None,
         lock_discipline: str = "fifo",
         seed: int = 0,
-        metrics=None,
-        logger=None,
         arenas: "list[Arena] | None" = None,
         gc_enabled: bool = True,
         spans=None,
@@ -113,53 +110,9 @@ class DsmEngine(
 
         self._rng = random.Random(10_007 * (node_id + 1) + seed)
 
-        # -- telemetry (optional; every site guards on a cached handle so
-        # the disabled path costs one `is not None` check) ------------------
-        self.metrics = metrics
-        self.logger = logger
-        if metrics is not None:
-            self._m_fault_us = metrics.histogram(
-                "dsm_fault_in_us", node=node_id
-            )
-            self._m_redirect_hops = metrics.histogram(
-                "dsm_redirect_chain_length",
-                buckets=(0, 1, 2, 4, 8, 16, 32, 64),
-                node=node_id,
-            )
-            self._m_diff_bytes = metrics.histogram(
-                "dsm_diff_bytes", node=node_id
-            )
-            self._m_migrations = metrics.counter(
-                "dsm_migrations_total", node=node_id
-            )
-            self._m_lock_epoch_us = metrics.histogram(
-                "dsm_lock_epoch_us", node=node_id
-            )
-            self._m_barrier_interval_us = metrics.histogram(
-                "dsm_barrier_interval_us", node=node_id
-            )
-            self._lock_epochs: SpanTracker | None = SpanTracker()
-            self._barrier_epochs: dict[int, EpochTimer] = {}
-        else:
-            self._m_fault_us = None
-            self._m_redirect_hops = None
-            self._m_diff_bytes = None
-            self._m_migrations = None
-            self._m_lock_epoch_us = None
-            self._m_barrier_interval_us = None
-            self._lock_epochs = None
-            self._barrier_epochs = {}
-        self._log_info = logger is not None and logger.enabled_for("info")
-        #: Whether anything observes Eq-2 decisions (trace, metrics, debug
-        #: log), resolved once: unobserved, a decision costs no call.
-        self._watch_decisions = (
-            (tracer is not None and tracer.wants("decision"))
-            or metrics is not None
-            or (logger is not None and logger.enabled_for("debug"))
-        )
-
-        # -- conformance-stream guards (cached so the hot paths pay one
-        # attribute read when tracing is off; see PROTOCOL.md §13) ---------
+        # -- trace guards, the engine's only observation output (cached so
+        # the hot paths pay one attribute read when tracing is off; see
+        # PROTOCOL.md §9 and §13) -------------------------------------------
         self._tr_twin_create = tracer is not None and tracer.wants("twin_create")
         self._tr_twin_free = tracer is not None and tracer.wants("twin_free")
         self._tr_diff_send = tracer is not None and tracer.wants("diff_send")
@@ -168,6 +121,13 @@ class DsmEngine(
             tracer is not None and tracer.wants("home_install")
         )
         self._tr_ship = tracer is not None and tracer.wants("ship")
+        #: Unobserved, an Eq-2 decision costs no call.
+        self._watch_decisions = tracer is not None and tracer.wants("decision")
+        # values only the metrics sink reads (PROTOCOL.md §9)
+        self._tr_serve = tracer is not None and tracer.wants("serve")
+        self._tr_barrier_epoch = (
+            tracer is not None and tracer.wants("barrier_epoch")
+        )
 
         # -- causal span layer (repro.obs.spans): one SpanTracer is shared
         # by every engine of the run; the cached handle is None unless the

@@ -47,7 +47,6 @@ from repro.dsm.wire import (
     LockGrantMsg,
     LockReleaseMsg,
 )
-from repro.obs.timers import EpochTimer
 from repro.sim.future import Future
 from repro.sim.process import Delay
 
@@ -313,8 +312,6 @@ class SyncMixin:
         self.interval += 1
         if sp is not None:
             sp.close(op, "lock_acquire", self.sim.now, lock_id, node)
-        if self._m_lock_epoch_us is not None:
-            self._lock_epochs.begin(lock_id, self.sim.now)
 
     def _acquire_retry(
         self, handle: LockHandle, own_notices: dict[int, int]
@@ -357,10 +354,6 @@ class SyncMixin:
         """Flush this interval's diffs, then release the lock with notices."""
         node = self.node_id
         lock_id = handle.lock_id
-        if self._m_lock_epoch_us is not None:
-            span = self._lock_epochs.end(lock_id, self.sim.now)
-            if span is not None:
-                self._m_lock_epoch_us.observe(span)
         sp = self._sp
         op = None
         if sp is not None:
@@ -441,7 +434,7 @@ class SyncMixin:
         self.invalidate_all_cached()
         self.interval += 1
         if self.gc_enabled:
-            self.collect_garbage(release.notices)
+            self.collect_garbage(release.notices, handle.barrier_id)
         if sp is not None:
             sp.close(
                 op,
@@ -455,14 +448,17 @@ class SyncMixin:
     def _round_complete(
         self, barrier_id: int, writers: dict[int, set[int]]
     ) -> dict[int, int]:
-        """Barrier manager hook (:class:`SyncManager`): time the barrier
-        interval, then order any JiaJia barrier migrations, whose new
-        homes ride on the release."""
-        if self._m_barrier_interval_us is not None:
-            timer = self._barrier_epochs.setdefault(barrier_id, EpochTimer())
-            span = timer.lap(self.sim.now)
-            if span is not None:
-                self._m_barrier_interval_us.observe(span)
+        """Barrier manager hook (:class:`SyncManager`): mark the round's
+        close on the trace stream, then order any JiaJia barrier
+        migrations, whose new homes ride on the release."""
+        if self._tr_barrier_epoch:
+            self.tracer.record(
+                "barrier_epoch",
+                self.sim.now,
+                barrier_id,
+                self.node_id,
+                role="manager",
+            )
         if self.policy.wants_barrier_migration():
             return self._order_barrier_migrations(writers)
         return {}

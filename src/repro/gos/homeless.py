@@ -34,7 +34,7 @@ class HomelessObjectSpace(GlobalObjectSpace):
     Takes :class:`~repro.gos.space.GlobalObjectSpace`'s keyword options;
     topology and ``release_fanout`` act as there, FIFO is the only lock
     discipline, and the home-based ones (policy, mechanism, seed,
-    tracing, metrics, logging) have nothing to act on here.
+    tracing) have nothing to act on here.
     """
 
     def __init__(

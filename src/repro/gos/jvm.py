@@ -24,6 +24,7 @@ from repro.dsm.redirection import (
 from repro.gos import homeless
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
+from repro.obs.sinks import LogSink, MetricsSink, observer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import DsmApplication
@@ -133,11 +134,14 @@ class DistributedJVM:
         self.tracer = tracer
         self.lock_discipline = lock_discipline
         self.seed = seed
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` threaded
-        #: into the engines of every home-based run; every run adds its
+        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`: every
+        #: home-based run folds its trace stream into it
+        #: (:class:`~repro.obs.sinks.MetricsSink`), and every run adds its
         #: per-category ``net_*`` traffic counters when it ends.
         self.metrics = metrics
-        #: Optional :class:`~repro.obs.logging.RunLogger`.
+        #: Optional :class:`~repro.obs.logging.RunLogger`: run lifecycle
+        #: lines, plus the migration/decision lines of home-based runs
+        #: (:class:`~repro.obs.sinks.LogSink`).
         self.logger = logger
         #: Barrier-epoch memory GC in the home-based engines (``--no-gc``
         #: escape hatch turns it off; results are identical either way,
@@ -164,6 +168,18 @@ class DistributedJVM:
         with _cycle_collector_paused():
             return self._run(app, nthreads)
 
+    def _observer(self):
+        """The one tracer a run's engines emit into: the caller's tracer
+        and, on home-based runs, the metrics and log sinks."""
+        if self.protocol == "homeless":  # its engines emit nothing
+            return self.tracer
+        tracers = [self.tracer]
+        if self.metrics is not None:
+            tracers.append(MetricsSink(self.metrics, self.nodes))
+        if self.logger is not None and self.logger.enabled_for("info"):
+            tracers.append(LogSink(self.logger))
+        return observer(*tracers)
+
     def _run(self, app: "DsmApplication", nthreads: int | None) -> RunResult:
         threads = nthreads if nthreads is not None else app.default_threads(self.nodes)
         if threads < 1:
@@ -180,11 +196,9 @@ class DistributedJVM:
             policy=self.policy,
             mechanism=self.mechanism,
             service_us=self.service_us,
-            tracer=self.tracer,
+            tracer=self._observer(),
             lock_discipline=self.lock_discipline,
             seed=self.seed,
-            metrics=self.metrics,
-            logger=self.logger,
             gc_enabled=self.gc_enabled,
             topology=self.topology,
             release_fanout=self.release_fanout,

@@ -43,8 +43,6 @@ class GlobalObjectSpace:
         tracer=None,
         lock_discipline: str = "fifo",
         seed: int = 0,
-        metrics=None,
-        logger=None,
         gc_enabled: bool = True,
         topology=None,
         release_fanout: int | None = None,
@@ -55,6 +53,9 @@ class GlobalObjectSpace:
         self.mechanism = (
             mechanism if mechanism is not None else ForwardingPointerMechanism()
         )
+        #: The engines' one observation output: trace events and spans.
+        #: Metrics and the run log attach as sinks on it
+        #: (:mod:`repro.obs.sinks`).
         self.tracer = tracer
         #: Causal span layer: one shared :class:`~repro.obs.spans.SpanTracer`
         #: makes op ids run-unique across all engines.  It disables itself
@@ -62,11 +63,6 @@ class GlobalObjectSpace:
         #: ``kinds=("migration",)`` recorder (e.g. the determinism digest)
         #: pays one cached ``None`` check per operation.
         self.spans = SpanTracer(tracer) if tracer is not None else None
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` shared by
-        #: every engine; ``None`` keeps the hot path bare.
-        self.metrics = metrics
-        #: Optional :class:`~repro.obs.logging.RunLogger` for the engines.
-        self.logger = logger
         #: Opt-in interconnect topology (PROTOCOL.md §15) — a
         #: :class:`~repro.cluster.topology.ClusterTopology`, spec string
         #: or dict; ``None`` keeps the seed's ideal single switch.
@@ -81,17 +77,11 @@ class GlobalObjectSpace:
         #: :class:`~repro.memory.arena.Arena`).
         self.arenas = [new_arena(label=f"node{i}") for i in range(nnodes)]
         self.gc_enabled = gc_enabled
-        engine_logger = (
-            logger.child(clock=lambda: self.sim.now)
-            if logger is not None
-            else None
-        )
         self.engines = [
             self._new_engine(
                 i,
                 lock_discipline=lock_discipline,
                 seed=seed,
-                logger=engine_logger,
                 release_fanout=release_fanout,
             )
             for i in range(nnodes)
@@ -111,7 +101,6 @@ class GlobalObjectSpace:
             policy=self.policy,
             mechanism=self.mechanism,
             tracer=self.tracer,
-            metrics=self.metrics,
             arenas=self.arenas,
             gc_enabled=self.gc_enabled,
             spans=self.spans,

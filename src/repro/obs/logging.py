@@ -12,15 +12,16 @@ is grep-able and machine-parseable without a format string per site.
 
 Loggers are explicit objects passed down the stack (no global mutable
 configuration): the CLI builds one from ``--log-level`` and hands it to
-the bench executor, which hands it to the JVM, GOS and protocol engines.
-:meth:`RunLogger.child` binds contextual fields (e.g. ``node=3``) once so
-per-site calls stay terse.
+the bench executor, which hands it to the JVM.  The protocol engines
+never see it: the JVM attaches a :class:`~repro.obs.sinks.LogSink` to
+the run's trace stream, which writes each migration (and, at debug, each
+Eq-2 decision) with the event's simulated time as ``sim_us=``.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, TextIO
+from typing import Any, TextIO
 
 #: Recognised level names, most to least verbose.  ``"off"`` disables
 #: every site, including errors — useful as an explicit null logger.
@@ -52,29 +53,21 @@ def _format_value(value: Any) -> str:
 
 
 class RunLogger:
-    """A structured logger gated by a fixed level.
+    """A structured logger gated by a fixed level, writing to ``stream``
+    (``sys.stderr`` when ``None``)."""
 
-    ``clock`` (optional, zero-arg) stamps each line with simulated time
-    as ``sim_us=``; bound fields (from the constructor or :meth:`child`)
-    are emitted on every line before the per-call fields.
-    """
-
-    __slots__ = ("name", "level", "_levelno", "_stream", "_clock", "_bound")
+    __slots__ = ("name", "level", "_levelno", "_stream")
 
     def __init__(
         self,
         level: str = "info",
         name: str = "repro",
         stream: TextIO | None = None,
-        clock: Callable[[], float] | None = None,
-        **bound: Any,
     ) -> None:
         self.name = name
         self.level = level
         self._levelno = _levelno(level)
         self._stream = stream
-        self._clock = clock
-        self._bound = bound
 
     # -- gating -------------------------------------------------------------
 
@@ -90,10 +83,6 @@ class RunLogger:
         if levelno < self._levelno:
             return
         parts = [f"[{level}]", self.name, event]
-        if self._clock is not None:
-            parts.append(f"sim_us={self._clock():.6g}")
-        for key, value in self._bound.items():
-            parts.append(f"{key}={_format_value(value)}")
         for key, value in fields.items():
             parts.append(f"{key}={_format_value(value)}")
         stream = self._stream if self._stream is not None else sys.stderr
@@ -118,23 +107,6 @@ class RunLogger:
         """Log at error level (failed runs)."""
         if self._levelno <= 40:
             self.log("error", event, **fields)
-
-    # -- derivation ---------------------------------------------------------
-
-    def child(
-        self, clock: Callable[[], float] | None = None, **bound: Any
-    ) -> "RunLogger":
-        """A logger sharing level/stream with extra bound fields (and an
-        optionally overridden clock)."""
-        merged = dict(self._bound)
-        merged.update(bound)
-        return RunLogger(
-            level=self.level,
-            name=self.name,
-            stream=self._stream,
-            clock=clock if clock is not None else self._clock,
-            **merged,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RunLogger {self.name} level={self.level}>"

@@ -1,19 +1,19 @@
 """Labeled run metrics: counters, gauges and histograms in a registry.
 
 The registry is the numeric backbone of the observability layer: the
-protocol, the run driver (network traffic, derived at run end) and the
-bench executor record into it when (and only when) a registry is
-attached, so the disabled path costs one ``is not None`` check per site.  Everything the paper plots is expressible as a metric —
+protocol's trace stream (folded by :class:`~repro.obs.sinks.MetricsSink`),
+the run driver (network traffic, derived at run end) and the bench
+executor record into it when (and only when) a registry is attached.
+Everything the paper plots is expressible as a metric —
 threshold values, redirection chain lengths, diff sizes, fault-in
 latencies in simulated microseconds, migration counts — labeled by node,
 object or policy as appropriate.
 
 Design constraints:
 
-* **hot-path cheap** — instruments are plain ``__slots__`` objects whose
-  ``inc``/``set``/``observe`` are attribute arithmetic; callers that sit
-  on hot paths cache the instrument handle once instead of re-resolving
-  the ``(name, labels)`` key per event;
+* **cheap** — instruments are plain ``__slots__`` objects whose
+  ``inc``/``set``/``observe`` are attribute arithmetic that rejects
+  non-finite values;
 * **cross-process aggregation** — :meth:`MetricsRegistry.snapshot` is a
   stable, JSON-friendly plain structure; :meth:`MetricsRegistry.merge`
   folds another registry *or* a snapshot dict in (counters and
@@ -25,6 +25,7 @@ Design constraints:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Mapping
 
 #: Default histogram bucket upper bounds — log-spaced to cover everything
@@ -37,6 +38,12 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 _LabelsKey = tuple[tuple[str, Any], ...]
 
 
+def _finite(value: float, what: str) -> None:
+    """Reject NaN and ±inf: one would poison the instrument for good."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} needs a finite value, got {value!r}")
+
+
 class Counter:
     """A monotonically increasing count (events, messages, migrations)."""
 
@@ -46,7 +53,8 @@ class Counter:
         self.value: float = 0
 
     def inc(self, n: float = 1) -> None:
-        """Add ``n`` (must be non-negative) to the counter."""
+        """Add ``n`` (must be finite and non-negative) to the counter."""
+        _finite(n, "Counter.inc")
         if n < 0:
             raise ValueError(f"cannot decrement a counter by {n}")
         self.value += n
@@ -61,7 +69,8 @@ class Gauge:
         self.value: float = 0.0
 
     def set(self, value: float) -> None:
-        """Overwrite the gauge with the latest observation."""
+        """Overwrite the gauge with the latest (finite) observation."""
+        _finite(value, "Gauge.set")
         self.value = value
 
 
@@ -86,7 +95,8 @@ class Histogram:
         self.max: float | None = None
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one (finite) observation."""
+        _finite(value, "Histogram.observe")
         idx = len(self.buckets)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
@@ -177,21 +187,6 @@ class MetricsRegistry:
             c.value for (n, _), c in self._counters.items() if n == name
         )
 
-    def gauge_value(self, name: str, **labels: Any) -> float:
-        """Current value of a gauge (0.0 if never touched)."""
-        entry = self._gauges.get((name, _labels_key(labels)))
-        return entry.value if entry is not None else 0.0
-
-    def gauge_total(self, name: str) -> float:
-        """Sum of a gauge over all label sets (0.0 if never touched).
-
-        Meaningful for per-node resource gauges (arena bytes, cache
-        entries) whose cluster-wide footprint is the sum over nodes.
-        """
-        return sum(
-            g.value for (n, _), g in self._gauges.items() if n == name
-        )
-
     def __len__(self) -> int:
         return (
             len(self._counters) + len(self._gauges) + len(self._histograms)
@@ -248,6 +243,7 @@ class MetricsRegistry:
         Returns ``self`` for chaining.
         """
         snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
+        self._check_mergeable(snap)
         for entry in snap.get("counters", ()):
             self.counter(entry["name"], **entry["labels"]).inc(entry["value"])
         for entry in snap.get("gauges", ()):
@@ -256,12 +252,6 @@ class MetricsRegistry:
             hist = self.histogram(
                 entry["name"], buckets=entry["buckets"], **entry["labels"]
             )
-            if list(hist.buckets) != list(entry["buckets"]):
-                raise ValueError(
-                    f"cannot merge histogram {entry['name']!r}: bucket "
-                    f"bounds differ ({list(hist.buckets)} vs "
-                    f"{entry['buckets']})"
-                )
             for i, n in enumerate(entry["bucket_counts"]):
                 hist.bucket_counts[i] += n
             hist.count += entry["count"]
@@ -277,6 +267,51 @@ class MetricsRegistry:
                     theirs if ours is None else pick(ours, theirs),
                 )
         return self
+
+    def _check_mergeable(self, snap: dict) -> None:
+        """Reject a snapshot :meth:`merge` would fold in only partly.
+
+        Checked before anything is folded, so a rejected snapshot leaves
+        the registry unchanged: finite values, non-negative counters,
+        and histograms with ascending bounds (the same as this
+        registry's instrument, if it has one), one count per bucket plus
+        the overflow, and counts that sum to ``count``.
+        """
+        for section in ("counters", "gauges"):
+            for entry in snap.get(section, ()):
+                value = entry["value"]
+                if not math.isfinite(value) or (
+                    section == "counters" and value < 0
+                ):
+                    raise ValueError(
+                        f"cannot merge {section[:-1]} {entry['name']!r}: "
+                        f"value {value!r}"
+                    )
+        for entry in snap.get("histograms", ()):
+            name = entry["name"]
+            buckets = list(entry["buckets"])
+            counts = entry["bucket_counts"]
+            mine = self._histograms.get((name, _labels_key(entry["labels"])))
+            if not buckets or buckets != sorted(buckets):
+                problem = f"bucket bounds {buckets} are not ascending"
+            elif mine is not None and list(mine.buckets) != buckets:
+                problem = (
+                    f"bucket bounds differ ({list(mine.buckets)} vs "
+                    f"{buckets})"
+                )
+            elif len(counts) != len(buckets) + 1:
+                problem = (
+                    f"{len(counts)} bucket counts for {len(buckets)} "
+                    f"bounds (need {len(buckets) + 1})"
+                )
+            elif sum(counts) != entry["count"]:
+                problem = (
+                    f"bucket counts sum to {sum(counts)}, count is "
+                    f"{entry['count']}"
+                )
+            else:
+                continue
+            raise ValueError(f"cannot merge histogram {name!r}: {problem}")
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "MetricsRegistry":

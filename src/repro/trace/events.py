@@ -17,6 +17,8 @@ KINDS = frozenset(
         "diff_apply",
         "twin_create",
         "twin_free",
+        "serve",
+        "barrier_epoch",
         "span_open",
         "span_close",
     }
@@ -56,31 +58,15 @@ def validate_kinds(kinds: Iterable[str] | None) -> frozenset[str]:
 class TraceEvent:
     """One timestamped protocol event.
 
-    ``detail`` carries kind-specific fields:
-
-    * ``migration`` — ``old_home``, ``new_home``, ``frozen_threshold``
-    * ``redirect``  — ``obsolete_home``, ``requester``
-    * ``decision``  — ``requester``, ``threshold``, ``consecutive``,
-      ``exclusive_home_writes``, ``redirections``, ``migrated``,
-      ``writer``, ``alpha``, ``base``
-    * ``ship``      — ``home``, ``requester``
-    * ``home_install`` — ``origin`` (``"initial"`` | ``"reply-mig"`` |
-      ``"transfer"``), ``version``
-    * ``diff_send``  — ``target``, ``size_bytes``, ``base_version``
-    * ``diff_apply`` — ``writer``, ``size_bytes``, ``version_before``,
-      ``version_after``
-    * ``twin_create`` / ``twin_free`` — ``interval``
-    * ``span_open``  — ``op`` (run-unique id), ``op_kind``, ``parent``
-      (``op`` of the causing span or ``None``), plus kind-specific
-      fields (``docs/PROTOCOL.md`` §14)
-    * ``span_close`` — ``op``, ``op_kind``, plus kind-specific fields
-
-    The first four kinds are the analysis timeline the bench reports
-    consume; the next five are the conformance stream
-    :class:`~repro.check.invariants.InvariantChecker` replays protocol
-    invariants from (``docs/PROTOCOL.md`` §13); the span pair is the
-    causal layer emitted by :class:`~repro.obs.spans.SpanTracer` that
-    ``repro-bench analyze`` reconstructs operation trees from.
+    ``detail`` carries the kind-specific fields listed per kind in
+    ``docs/PROTOCOL.md`` §9.  The first four kinds are the analysis
+    timeline the bench reports consume; the next five are the
+    conformance stream :class:`~repro.check.invariants.InvariantChecker`
+    replays protocol invariants from (§13); ``serve`` and
+    ``barrier_epoch`` carry what only the metrics sink reads
+    (:class:`~repro.obs.sinks.MetricsSink`); the span pair is the causal
+    layer emitted by :class:`~repro.obs.spans.SpanTracer` that
+    ``repro-bench analyze`` reconstructs operation trees from (§14).
     """
 
     time_us: float

@@ -48,18 +48,6 @@ class TraceRecorder:
         self.events: MutableSequence[TraceEvent] = (
             [] if max_events is None else deque(maxlen=max_events)
         )
-        #: Online subscribers: each is called with every captured event,
-        #: in record order, before the call site regains control.  The
-        #: conformance layer's invariant checker consumes the stream this
-        #: way (``repro.check.invariants``); subscribers must not mutate
-        #: protocol state.
-        self._listeners: list = []
-
-    def subscribe(self, listener) -> None:
-        """Register ``listener(event)`` to receive every captured event."""
-        if not callable(listener):
-            raise TypeError(f"listener must be callable, got {listener!r}")
-        self._listeners.append(listener)
 
     def wants(self, kind: str) -> bool:
         """True when events of ``kind`` are captured (cheap hot-path guard)."""
@@ -82,8 +70,6 @@ class TraceRecorder:
                 detail=detail,
             )
             self.events.append(event)
-            for listener in self._listeners:
-                listener(event)
 
     # -- queries ------------------------------------------------------------
 

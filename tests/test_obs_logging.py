@@ -35,9 +35,11 @@ def test_unknown_level_rejected():
 
 
 def test_structured_fields_and_clock():
+    """Simulated time is an ordinary field, first after the event name
+    (the log sink stamps it from the trace event's time)."""
     buf = io.StringIO()
-    log = RunLogger(level="info", stream=buf, clock=lambda: 1234.5)
-    log.info("migration", oid=3, new_home=2)
+    log = RunLogger(level="info", stream=buf)
+    log.info("migration", sim_us=1234.5, oid=3, new_home=2)
     line = buf.getvalue().strip()
     assert line == "[info] repro migration sim_us=1234.5 oid=3 new_home=2"
 
@@ -49,18 +51,6 @@ def test_values_with_spaces_are_quoted():
     line = buf.getvalue().strip()
     assert "msg='two words'" in line
     assert "eq='a=b'" in line
-
-
-def test_child_binds_fields_and_clock():
-    buf = io.StringIO()
-    parent = RunLogger(level="info", stream=buf, run="r1")
-    child = parent.child(clock=lambda: 7.0, node=3)
-    child.info("event", x=1)
-    line = buf.getvalue().strip()
-    assert "sim_us=7" in line
-    assert "run=r1" in line
-    assert "node=3" in line
-    assert "x=1" in line
 
 
 def test_off_level_disables_everything():

@@ -122,3 +122,65 @@ def test_empty_registry_snapshot():
     reg = MetricsRegistry()
     assert reg.snapshot() == {"counters": [], "gauges": [], "histograms": []}
     assert len(reg) == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_are_rejected(bad):
+    reg = MetricsRegistry()
+    counter, gauge = reg.counter("c"), reg.gauge("g")
+    hist = reg.histogram("h", buckets=(1.0, 2.0))
+    hist.observe(1.5)
+    for instrument_call in (counter.inc, gauge.set, hist.observe):
+        with pytest.raises(ValueError, match="finite"):
+            instrument_call(bad)
+    assert counter.value == 0 and gauge.value == 0.0
+    assert (hist.count, hist.min, hist.max) == (1, 1.5, 1.5)
+    hist.observe(0.5)
+    assert (hist.min, hist.max) == (0.5, 1.5)
+
+
+def _one_histogram_snapshot(**overrides) -> dict:
+    source = MetricsRegistry()
+    source.counter("c", node=0).inc(3)
+    source.histogram("h", buckets=(1.0, 2.0), node=0).observe(1.5)
+    snap = source.snapshot()
+    snap["histograms"][0].update(overrides)
+    return snap
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"bucket_counts": [0, 1, 0, 0]},  # longer than bounds + overflow
+        {"bucket_counts": [1]},  # shorter
+        {"bucket_counts": [0, 1, 1]},  # sums to 2, count says 1
+        {"buckets": [2.0, 1.0]},  # bounds not ascending
+    ],
+)
+def test_merge_rejects_malformed_snapshot_and_leaves_registry_unchanged(
+    overrides,
+):
+    reg = MetricsRegistry()
+    reg.counter("c", node=0).inc(1)
+    reg.histogram("h", buckets=(1.0, 2.0), node=0).observe(0.5)
+    before = reg.snapshot()
+    with pytest.raises(ValueError, match="cannot merge histogram 'h'"):
+        reg.merge(_one_histogram_snapshot(**overrides))
+    assert reg.snapshot() == before
+
+
+def test_merge_rejects_non_finite_snapshot_values():
+    reg = MetricsRegistry()
+    snap = _one_histogram_snapshot()
+    snap["counters"][0]["value"] = float("nan")
+    with pytest.raises(ValueError, match="cannot merge counter 'c'"):
+        reg.merge(snap)
+    assert len(reg) == 0
+
+
+def test_merge_bucket_mismatch_leaves_counters_unfolded():
+    a = MetricsRegistry()
+    a.histogram("h", buckets=(10.0, 20.0), node=0).observe(15.0)
+    with pytest.raises(ValueError, match="bucket bounds differ"):
+        a.merge(_one_histogram_snapshot())
+    assert a.counter_value("c", node=0) == 0

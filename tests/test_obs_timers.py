@@ -1,6 +1,6 @@
-"""Tests for phase timers, epoch timers and span trackers."""
+"""Tests for phase timers."""
 
-from repro.obs.timers import EpochTimer, PhaseTimer, SpanTracker
+from repro.obs.timers import PhaseTimer
 
 
 def _fake_clock(times):
@@ -45,20 +45,3 @@ def test_phase_timer_merge():
     # merging a plain report dict works the same way
     a.merge({"verify": {"wall_s": 0.5, "sim_us": 0.0, "count": 1}})
     assert a.report()["verify"]["count"] == 1
-
-
-def test_epoch_timer_laps():
-    timer = EpochTimer()
-    assert timer.lap(10.0) is None  # first lap arms
-    assert timer.lap(25.0) == 15.0
-    assert timer.lap(100.0) == 75.0
-
-
-def test_span_tracker_matched_and_unmatched():
-    spans = SpanTracker()
-    spans.begin("lock-1", 10.0)
-    spans.begin("lock-2", 12.0)
-    assert spans.end("lock-1", 30.0) == 20.0
-    assert spans.end("lock-1", 40.0) is None  # already closed
-    assert spans.end("never-opened", 50.0) is None
-    assert len(spans) == 1  # lock-2 still open
