@@ -4,8 +4,7 @@ Times a small Figure-2-shaped sweep at ``jobs=1`` and ``jobs=auto`` and
 records the wall-clock ratio.  Correctness (bit-identical results) is
 asserted; the speedup itself is *reported, not asserted* — CI machines
 may expose a single core, where the ratio is ~1x and pool overhead can
-even make it slightly negative.  The checked-in ``BENCH_PR1.json``
-records the measured trajectory per PR.
+even make it slightly negative.
 """
 
 from repro.bench.executor import RunSpec, default_jobs, execute

@@ -6,7 +6,10 @@ the event loop, the twin/diff pipeline, and the end-to-end cost of one
 simulated DSM operation.  Regressions here make the --full sweeps slow.
 """
 
+import time
+
 import numpy as np
+import pytest
 
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.core.policies import AdaptiveThreshold
@@ -99,3 +102,69 @@ def test_dsm_barrier_round_cost(benchmark):
         return gos.sim.run()
 
     benchmark(hundred_barriers)
+
+
+
+#: Hard floor on compiled/python event-loop speedup.  The compiled kernel
+#: measures ~4-5x on the raw loop; 2x leaves room for allocator and
+#: scheduler noise while still catching "the extension degenerated into
+#: a Python-speed shim".  No pinned baseline: both backends run here.
+MIN_COMPILED_SPEEDUP = 2.0
+LOOP_EVENTS = 30_000
+RATIO_ROUNDS = 3  # interleaved python/compiled rounds
+
+
+def _noop():
+    pass
+
+
+def _loop_wall(sim_cls) -> float:
+    """Wall seconds to schedule and drain ``LOOP_EVENTS`` no-op events."""
+    sim = sim_cls()
+    schedule = sim.schedule
+    start = time.perf_counter()
+    for i in range(LOOP_EVENTS):
+        schedule(float(i % 97), _noop)
+    sim.run()
+    return time.perf_counter() - start
+
+
+def _backend_classes():
+    """(PySimulator, CompiledSimulator), or skip when there is no kernel."""
+    from repro import _kernel
+    from repro.sim import engine
+
+    kernel = _kernel.kernel()
+    if kernel is None:
+        reason = _kernel.backend_info()["reason"]
+        pytest.skip(f"compiled backend unavailable: {reason}")
+    compiled = engine.CompiledSimulator or engine._build_compiled_class(kernel)
+    return engine.PySimulator, compiled
+
+
+def measure_backend_ratio() -> float:
+    """Best-python-wall / best-compiled-wall, rounds interleaved.
+
+    Interleaving matters: load spikes on a shared host come in
+    multi-second epochs, so timing all of one backend then all of the
+    other would let a single spike masquerade as a backend difference.
+    """
+    py_cls, compiled_cls = _backend_classes()
+    _loop_wall(py_cls)  # warm both paths (imports, allocator)
+    _loop_wall(compiled_cls)
+    best_py = best_compiled = float("inf")
+    for _ in range(RATIO_ROUNDS):
+        best_py = min(best_py, _loop_wall(py_cls))
+        best_compiled = min(best_compiled, _loop_wall(compiled_cls))
+    return best_py / best_compiled
+
+
+def test_compiled_backend_speedup():
+    """HARD gate: a same-process ratio is immune to host speed, so this
+    asserts on every runner that can build the extension."""
+    ratio = measure_backend_ratio()
+    assert ratio >= MIN_COMPILED_SPEEDUP, (
+        f"compiled event loop is only {ratio:.2f}x the pure-Python one "
+        f"(hard floor {MIN_COMPILED_SPEEDUP}x, interleaved best-of-"
+        f"{RATIO_ROUNDS}); the kernel hot path regressed"
+    )

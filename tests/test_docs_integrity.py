@@ -74,3 +74,29 @@ def test_experiments_claims_match_checked_in_results():
     assert re.search(r"16\s+NM\s+4104\s+0\s+4096\s+0\s+8200", results)
     # FT1 at r=16
     assert re.search(r"16\s+FT1\s+263\s+256\s+256\s+1537", results)
+
+
+#: Repo paths a doc may name: a script, a benchmark file, or a root
+#: report (root reports are named in capitals, e.g. BENCHMARK.json).
+_REPO_PATH = re.compile(
+    r"(?<![\w/.:-])(scripts/[\w./-]+\.py|benchmarks/[\w./-]+\.(?:py|json)"
+    r"|[A-Z][\w-]*\.json)\b"
+)
+
+
+def test_named_scripts_benchmarks_and_reports_exist():
+    """Every such path a user-facing doc names in backticks, or a CI step
+    runs, exists (CHANGES.md and ROADMAP.md are history, not checked)."""
+    docs = ("README.md", "docs/PROTOCOL.md", "docs/API.md",
+            "results/README.md", "results/profiles/README.md",
+            ".claude/skills/verify/SKILL.md")
+    chunks = {name: re.findall(r"`([^`\n]+)`", _doc(name)) for name in docs}
+    chunks["ci.yml"] = [
+        line
+        for line in _doc(".github/workflows/ci.yml").splitlines()
+        if not line.lstrip().startswith("#")
+    ]
+    for name, texts in chunks.items():
+        for text in texts:
+            for match in _REPO_PATH.findall(text):
+                assert (ROOT / match).exists(), f"{name} references {match}"
