@@ -6,7 +6,8 @@ lists, acquiring the guarding lock around each critical section and
 hitting the global barrier between phases.
 
 Every executed operation is appended to :attr:`SpecProgram.execution_log`
-as ``(tid, op, observed)`` at the moment its effect lands.  The
+(a columnar :class:`~repro.check.oracle.ExecutionLog`) as
+``(tid, op, observed)`` at the moment its effect lands.  The
 simulator is single-threaded and deterministic, so the append order *is*
 the execution order — and because fuzzed programs are data-race-free by
 construction (see :mod:`repro.check.fuzz`), that order is a legal
@@ -46,6 +47,9 @@ class SpecProgram(DsmApplication):
     name = "fromspec"
 
     def __init__(self, spec: "ProgramSpec"):
+        # Local import: the repro.check package imports this module.
+        from repro.check.oracle import ExecutionLog
+
         self.spec = spec
         self.objects: dict[str, Any] = {}
         self.locks: list[Any] = []
@@ -53,7 +57,7 @@ class SpecProgram(DsmApplication):
         #: ``(tid, op, observed)`` triples in execution order; the
         #: oracle's input.  ``observed`` is the value a ``read`` or
         #: ``ship_add`` saw, ``None`` for pure writes.
-        self.execution_log: list[tuple[int, tuple, float | None]] = []
+        self.execution_log = ExecutionLog()
 
     def default_threads(self, nnodes: int) -> int:
         """The spec fixes its own thread count."""
@@ -88,13 +92,16 @@ class SpecProgram(DsmApplication):
         frame, and ``observed`` is what a ``read`` or ``ship_add`` saw
         (``None`` for writes).
 
-        Sections labelled with a ``request`` class are bracketed in a
-        ``request`` causal span (lock wait included), feeding the SLO
-        pipeline; spans read only the tracer and virtual clock, so the
-        simulated schedule and results are bit-identical with tracing
-        on or off.
+        A section's ``think_us`` is waited out before anything else, so
+        it never lands inside a request span.  Sections labelled with a
+        ``request`` class are bracketed in a ``request`` causal span
+        (lock wait included), feeding the SLO pipeline; spans read only
+        the tracer and virtual clock, so the simulated schedule and
+        results are bit-identical with tracing on or off.
         """
         log = self.execution_log
+        log_tid, log_op, log_observed = (
+            log.tids.append, log.ops.append, log.observed.append)
         objects = self.objects
         read, write = ctx.read, ctx.write
         sim = ctx.gos.sim
@@ -102,6 +109,8 @@ class SpecProgram(DsmApplication):
         sp = spans if (spans is not None and spans.enabled) else None
         for epoch, phase in enumerate(self.spec.phases):
             for section in phase[tid]:
+                if section.think_us > 0:
+                    yield Delay(section.think_us)
                 req = None
                 if sp is not None and section.request is not None:
                     oid = (
@@ -117,7 +126,7 @@ class SpecProgram(DsmApplication):
                 for op in section.ops:
                     kind = op[0]
                     obj = objects[op[1]]
-                    observed = None
+                    observed = 0.0  # the log's placeholder for a write
                     if kind == "read":
                         payload = yield from read(obj)
                         observed = float(payload[op[2]])
@@ -140,7 +149,9 @@ class SpecProgram(DsmApplication):
                         observed = float(result)
                     else:
                         raise ValueError(f"unknown op kind {kind!r}")
-                    log.append((tid, op, observed))
+                    log_tid(tid)
+                    log_op(op)
+                    log_observed(observed)
                 if section.compute_us > 0:
                     yield Delay(section.compute_us)
                 if section.lock is not None:

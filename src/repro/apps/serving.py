@@ -35,8 +35,9 @@ The traffic model (:class:`ServingSpec` is the knob set):
 * **Arrival processes** — ``open`` draws exponential inter-arrival
   gaps (a Poisson process in sim virtual time, mean ``mean_gap_us``)
   from the seeded RNG; ``closed`` waits a fixed ``think_us`` between
-  requests.  Gaps compile to zero-op compute sections *before* each
-  request, so measured request latency never includes think time.
+  requests.  Each request compiles to one section whose ``think_us``
+  holds its gap; the runner waits it out *before* opening the request
+  span, so measured request latency never includes think time.
 * **Node churn** — per phase, ``churn`` of the nodes go *quiet*
   (:func:`quiet_nodes`, a deterministic rotating window): their worker
   threads issue no requests that phase and just meet the barrier,
@@ -293,6 +294,9 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
 
     sampler = ZipfSampler(spec.keys, spec.zipf_s)
     owned_count = min(spec.keys, int(round(spec.owned_fraction * spec.keys)))
+    # Equal op tuples share one object: the operands are small integral
+    # floats (never -0.0 or NaN), so equal tuples are interchangeable.
+    interned: dict[tuple, tuple] = {}
     phases: list[list[list[SectionSpec]]] = []
     for phase in range(spec.phases):
         quiet = quiet_nodes(spec.nodes, phase, spec.churn)
@@ -316,14 +320,13 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
             tid = owner_of.get(key, active[i % len(active)])
             gap = _arrival_gap(rng, spec)
             obj = objects[key]
-            ops = _request_ops(rng, obj.name, obj.length, cls)
+            ops = [
+                interned.setdefault(op, op)
+                for op in _request_ops(rng, obj.name, obj.length, cls)
+            ]
             lock = None if key in owner_of else key % nlocks
-            if gap > 0.0:
-                sections_by_tid[tid].append(
-                    SectionSpec(lock=None, ops=[], compute_us=gap)
-                )
             sections_by_tid[tid].append(
-                SectionSpec(lock=lock, ops=ops, request=cls)
+                SectionSpec(lock, ops, 0.0, cls, gap if gap > 0.0 else 0.0)
             )
         phases.append(sections_by_tid)
 

@@ -85,7 +85,7 @@ class ObjectSpec:
     init: list[float]
 
 
-@dataclass
+@dataclass(slots=True)
 class SectionSpec:
     """One access block of a thread.
 
@@ -102,12 +102,16 @@ class SectionSpec:
     lock wait included — in a ``request`` causal span, which is what
     the SLO pipeline measures.  ``None`` (the default, and the only
     value the core fuzz generator emits) records no span.
+
+    ``think_us`` is virtual time waited *before* the section (a serving
+    client's arrival gap), outside any request span; 0.0 in core specs.
     """
 
     lock: int | None
     ops: list[tuple]
     compute_us: float = 0.0
     request: str | None = None
+    think_us: float = 0.0
 
 
 @dataclass
@@ -169,18 +173,7 @@ class ProgramSpec:
             "lock_homes": list(self.lock_homes),
             "barrier_home": self.barrier_home,
             "phases": [
-                [
-                    [
-                        {
-                            "lock": s.lock,
-                            "ops": [list(op) for op in s.ops],
-                            "compute_us": s.compute_us,
-                            "request": s.request,
-                        }
-                        for s in sections
-                    ]
-                    for sections in phase
-                ]
+                [[_section_dict(s) for s in sections] for sections in phase]
                 for phase in self.phases
             ],
         }
@@ -223,6 +216,7 @@ class ProgramSpec:
                             ops=[tuple(op) for op in s["ops"]],
                             compute_us=s["compute_us"],
                             request=s.get("request"),
+                            think_us=s.get("think_us", 0.0),
                         )
                         for s in sections
                     ]
@@ -231,6 +225,20 @@ class ProgramSpec:
                 for phase in data["phases"]
             ],
         )
+
+
+def _section_dict(s: SectionSpec) -> dict:
+    """Plain-data form of one section; ``think_us`` only when non-zero,
+    so specs without think time keep their historical JSON bytes."""
+    out = {
+        "lock": s.lock,
+        "ops": [list(op) for op in s.ops],
+        "compute_us": s.compute_us,
+        "request": s.request,
+    }
+    if s.think_us:
+        out["think_us"] = s.think_us
+    return out
 
 
 def build_policy(name: str, params: dict) -> MigrationPolicy:

@@ -25,12 +25,42 @@ not floating-point noise.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from array import array
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.fuzz import ProgramSpec
+
+#: Op kinds that observe nothing: their logged ``observed`` is ``None``.
+WRITE_KINDS = frozenset(("set", "add", "scale", "copy"))
+
+#: One logged step: ``(tid, op, observed)``.
+LogEntry = tuple[int, tuple, "float | None"]
+
+
+class ExecutionLog:
+    """An episode's execution log as three columns grown in lockstep:
+    ``tids`` (``array('i')``), ``ops`` (op tuple references) and
+    ``observed`` (``array('d')``, ``0.0`` in a write's row).  Iterating
+    yields the ``(tid, op, observed)`` triples, with ``observed`` derived
+    as ``None`` for the :data:`WRITE_KINDS`."""
+
+    __slots__ = ("tids", "ops", "observed")
+
+    def __init__(self) -> None:
+        self.tids = array("i")
+        self.ops: list[tuple] = []
+        self.observed = array("d")
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __iter__(self) -> Iterator[LogEntry]:
+        writes = WRITE_KINDS
+        for tid, op, value in zip(self.tids, self.ops, self.observed):
+            yield tid, op, (None if op[0] in writes else value)
 
 
 def reference_heap(spec: "ProgramSpec") -> dict[str, np.ndarray]:
@@ -77,7 +107,7 @@ def _same_scalar(a: float, b: float) -> bool:
 
 def replay(
     spec: "ProgramSpec",
-    log: list[tuple[int, tuple, float | None]],
+    log: Iterable[LogEntry],
 ) -> tuple[dict[str, np.ndarray], list[str]]:
     """Replay the execution log; return (final reference heap, violations).
 
@@ -101,7 +131,7 @@ def replay(
 
 def check_episode(
     spec: "ProgramSpec",
-    log: list[tuple[int, tuple, float | None]],
+    log: Iterable[LogEntry],
     final_heap: dict[str, np.ndarray] | None,
 ) -> list[str]:
     """Full oracle verdict for one episode.

@@ -106,9 +106,11 @@ class DsmEngine(
         #: Barrier-epoch GC tallies (observability only; never in stats).
         self.gc_cache_drops = 0
         self.gc_notice_prunes = 0
-        import random
+        if lock_discipline == "retry":
+            # Read only by the retry back-off (``SyncMixin._acquire_retry``).
+            import random
 
-        self._rng = random.Random(10_007 * (node_id + 1) + seed)
+            self._rng = random.Random(10_007 * (node_id + 1) + seed)
 
         # -- trace guards, the engine's only observation output (cached so
         # the hot paths pay one attribute read when tracing is off; see

@@ -37,6 +37,7 @@ from repro.apps.serving import (
     quiet_nodes,
     zipf_weights,
 )
+from repro.bench import serving as serving_bench
 from repro.check.fuzz import ProgramSpec, generate_program
 
 #: The skews the serving workloads actually draw from.
@@ -196,21 +197,78 @@ def test_fuzzer_serving_flavor_routes_to_generator():
     )
 
 
-def test_open_loop_gaps_precede_requests():
-    """Arrival gaps compile as zero-op sections before request sections,
-    so think time never lands inside a measured request."""
-    spec = build_serving_program(
-        ServingSpec(seed=0, nodes=3, keys=6, arrival="open")
+def test_open_loop_one_section_per_request():
+    """Each request is one section carrying its arrival gap as
+    ``think_us``; no zero-op section is emitted."""
+    sspec = ServingSpec(seed=0, nodes=3, keys=6, arrival="open")
+    spec = build_serving_program(sspec)
+    sections = [
+        s for phase in spec.phases for per_tid in phase for s in per_tid
+    ]
+    assert len(sections) == (
+        sspec.nthreads * sspec.requests_per_thread * sspec.phases
     )
-    saw_gap = False
-    for phase in spec.phases:
-        for sections in phase:
-            for prev, nxt in zip(sections, sections[1:]):
-                if prev.ops == [] and prev.compute_us > 0:
-                    saw_gap = True
-                    assert prev.request is None
-                    assert nxt.request in REQUEST_CLASSES
-    assert saw_gap
+    for s in sections:
+        assert s.request in REQUEST_CLASSES
+        assert s.ops
+        assert s.compute_us == 0.0
+        # exponential gaps are positive with probability one
+        assert s.think_us > 0.0
+
+
+class _RecordingCollector(serving_bench._RequestCollector):
+    """The serving collector, also keeping every request span's
+    (epoch, tid, open, close) times."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.requests: dict[tuple[int, int], list[list[float]]] = {}
+        self._where: dict[int, list[float]] = {}
+
+    def span_open(self, op, op_kind, time_us, oid, node, parent, detail):
+        super().span_open(op, op_kind, time_us, oid, node, parent, detail)
+        if op_kind == "request":
+            times = [time_us, None]
+            key = (detail["epoch"], detail["tid"])
+            self.requests.setdefault(key, []).append(times)
+            self._where[op] = times
+
+    def span_close(self, op, op_kind, time_us, oid, node, detail):
+        super().span_close(op, op_kind, time_us, oid, node, detail)
+        if op_kind == "request":
+            self._where.pop(op)[1] = time_us
+
+
+def test_think_time_precedes_request_spans(monkeypatch):
+    """Within a phase, each thread's request span opens exactly
+    ``think_us`` after its previous request span closed: think time
+    never lands inside a measured request."""
+    sspec = ServingSpec(seed=0, nodes=3, keys=6, arrival="open")
+    spec = build_serving_program(sspec)
+    collectors = []
+
+    def recording():
+        collectors.append(_RecordingCollector())
+        return collectors[-1]
+
+    monkeypatch.setattr(serving_bench, "_RequestCollector", recording)
+    report = serving_bench.run_serving(sspec)
+    (collector,) = collectors
+    checked = 0
+    for epoch, phase in enumerate(spec.phases):
+        for tid, sections in enumerate(phase):
+            spans = collector.requests.get((epoch, tid), [])
+            assert len(spans) == len(sections)
+            for prev, (open_us, close_us), section in zip(
+                spans, spans[1:], sections[1:]
+            ):
+                assert close_us >= open_us
+                assert open_us == prev[1] + section.think_us
+                checked += 1
+    assert checked > 0
+    assert report["requests"] == sum(
+        len(sections) for phase in spec.phases for sections in phase
+    )
 
 
 def test_bad_spec_rejected():

@@ -1,0 +1,168 @@
+"""Compatibility of the compact serving layout.
+
+A serving request is one :class:`~repro.check.fuzz.SectionSpec` whose
+``think_us`` carries its arrival gap, and the execution log is the
+columnar :class:`~repro.check.oracle.ExecutionLog`.  These tests pin
+that neither changed anything observable:
+
+* core-flavour specs serialize to the same bytes as before ``think_us``
+  existed (the field is written only when non-zero);
+* a spec with think time survives ``to_dict``/``from_dict``;
+* the older layout — each gap a zero-op compute section before its
+  request — still replays, to the same SLO report and execution log;
+* the columnar log yields exactly the triples a list would hold.
+"""
+
+import hashlib
+import math
+import struct
+
+import pytest
+
+from repro import DistributedJVM
+from repro.apps.fromspec import SpecProgram
+from repro.apps.serving import ServingSpec, build_serving_program
+from repro.bench import serving as serving_bench
+from repro.check.fuzz import ProgramSpec, SectionSpec, generate_program
+from repro.check.oracle import ExecutionLog, check_episode
+from repro.cluster.hockney import FAST_ETHERNET
+
+#: sha256 of ``generate_program(seed).to_json()`` for core seeds 0-4,
+#: taken before ``SectionSpec.think_us`` existed.
+CORE_JSON_SHA256 = {
+    0: "c50f817170089dd7ad59a18efc0cb0ce45b48cafabc4b161b6af628883fc3081",
+    1: "ada51f78cf5124b7c6b6cf6874b89608afb697fc3952f07d69cbc437184a52bc",
+    2: "6e41a053be4bdbb22493e73282c82a4fbf2026de1a9d95b3b4567991c6226ac4",
+    3: "646bd781d4d9d483b9dd504513e16eeceed26471d138e9bb4eeeb5b6e42e62be",
+    4: "cb526d057e311e6ee58f2103ea4af346326bbec0709bc65b4ea05fe939b37222",
+}
+
+#: Two serving episodes, one open-loop and one closed-loop with churn
+#: and retry locks, with the sha256 of their JSON in the gap-section
+#: layout that preceded ``think_us``.
+GAP_LAYOUT_SHA256 = [
+    (
+        ServingSpec(seed=0, nodes=3, keys=6, arrival="open"),
+        "d70ec7c2831894eee68fd2da37e2e12800ead0eb2b075ef28ef1b6399ce27a52",
+    ),
+    (
+        ServingSpec(
+            seed=1, nodes=4, keys=8, arrival="closed", churn=0.25,
+            lock_discipline="retry",
+        ),
+        "9dcb1686dfe97a789425640a5cd4b8e8be8efcfe97c70bdcd874baec8b900e09",
+    ),
+]
+
+
+def _sha(spec: ProgramSpec) -> str:
+    return hashlib.sha256(spec.to_json().encode()).hexdigest()
+
+
+def _gap_layout(spec: ProgramSpec) -> ProgramSpec:
+    """``spec`` re-expanded the old way: every ``think_us`` becomes a
+    zero-op compute section ahead of its (think-free) section."""
+    old = ProgramSpec.from_dict(spec.to_dict())
+    for phase in old.phases:
+        for tid, sections in enumerate(phase):
+            expanded = []
+            for s in sections:
+                if s.think_us > 0.0:
+                    expanded.append(SectionSpec(None, [], s.think_us))
+                expanded.append(
+                    SectionSpec(s.lock, s.ops, s.compute_us, s.request)
+                )
+            phase[tid] = expanded
+    return old
+
+
+def _run(spec: ProgramSpec):
+    """Run a spec bare; return (execution log triples, result)."""
+    program = SpecProgram(spec)
+    jvm = DistributedJVM(
+        nodes=spec.nnodes,
+        comm_model=FAST_ETHERNET,
+        policy=spec.build_policy(),
+        mechanism=spec.build_mechanism(),
+        lock_discipline=spec.lock_discipline,
+        seed=spec.seed,
+    )
+    result = jvm.run(program, nthreads=spec.nthreads)
+    assert check_episode(spec, program.execution_log, result.output) == []
+    return list(program.execution_log), result
+
+
+@pytest.mark.parametrize("seed", sorted(CORE_JSON_SHA256))
+def test_core_spec_json_unchanged(seed):
+    spec = generate_program(seed)
+    assert _sha(spec) == CORE_JSON_SHA256[seed]
+    assert ProgramSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_think_time_round_trips():
+    spec = build_serving_program(ServingSpec(seed=2, nodes=3, keys=6))
+    assert any(
+        s.think_us > 0.0
+        for phase in spec.phases
+        for sections in phase
+        for s in sections
+    )
+    clone = ProgramSpec.from_dict(spec.to_dict())
+    assert clone == spec
+    assert clone.to_json() == spec.to_json()
+
+
+@pytest.mark.parametrize(
+    "sspec, sha", GAP_LAYOUT_SHA256, ids=["open", "closed-retry"]
+)
+def test_gap_layout_replays_identically(sspec, sha, monkeypatch):
+    spec = build_serving_program(sspec)
+    old = _gap_layout(spec)
+    assert _sha(old) == sha
+
+    log, result = _run(spec)
+    old_log, old_result = _run(old)
+    assert log == old_log
+    assert result.execution_time_us == old_result.execution_time_us
+    assert result.gos.sim.events_processed == (
+        old_result.gos.sim.events_processed
+    )
+
+    digest = serving_bench.report_digest(serving_bench.run_serving(sspec))
+    monkeypatch.setattr(
+        serving_bench, "build_serving_program", lambda s: _gap_layout(
+            build_serving_program(s)
+        )
+    )
+    old_digest = serving_bench.report_digest(serving_bench.run_serving(sspec))
+    assert digest == old_digest
+
+
+def test_execution_log_yields_list_triples():
+    nan = float("nan")
+    rows = [
+        (0, ("read", "a", 0), 1.5),
+        (1, ("set", "a", 0, 2.0), None),
+        (2, ("add", "a", 1, -1.0), None),
+        (0, ("scale", "b", 0, 0.5, 1.0), None),
+        (3, ("copy", "b", 1, 0, 0.0), None),
+        (1, ("ship_add", "b", 0, 4.0), -0.0),
+        (2, ("read", "b", 1), nan),
+    ]
+    log = ExecutionLog()
+    for tid, op, observed in rows:  # as SpecProgram.thread_body fills it
+        log.tids.append(tid)
+        log.ops.append(op)
+        log.observed.append(0.0 if observed is None else observed)
+    assert len(log) == len(rows)
+    got = list(log)
+    for (tid, op, observed), (etid, eop, eobserved) in zip(got, rows):
+        assert (tid, op) == (etid, eop)
+        assert op is eop
+        if eobserved is None:
+            assert observed is None
+        else:
+            # bit-exact: keeps NaN and the sign of -0.0
+            assert struct.pack("<d", observed) == struct.pack("<d", eobserved)
+    assert math.copysign(1.0, got[5][2]) == -1.0
+    assert math.isnan(got[6][2])
