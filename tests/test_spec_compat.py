@@ -10,7 +10,9 @@ that neither changed anything observable:
 * a spec with think time survives ``to_dict``/``from_dict``;
 * the older layout — each gap a zero-op compute section before its
   request — still replays, to the same SLO report and execution log;
-* the columnar log yields exactly the triples a list would hold.
+* the columnar log yields exactly the triples a list would hold;
+* serving traffic expands to the same bytes as when every draw went
+  through ``randrange``/``randint``/``choice``.
 """
 
 import hashlib
@@ -21,7 +23,11 @@ import pytest
 
 from repro import DistributedJVM
 from repro.apps.fromspec import SpecProgram
-from repro.apps.serving import ServingSpec, build_serving_program
+from repro.apps.serving import (
+    ServingSpec,
+    build_serving_program,
+    generate_serving_program,
+)
 from repro.bench import serving as serving_bench
 from repro.check.fuzz import ProgramSpec, SectionSpec, generate_program
 from repro.check.oracle import ExecutionLog, check_episode
@@ -51,6 +57,47 @@ GAP_LAYOUT_SHA256 = [
             lock_discipline="retry",
         ),
         "9dcb1686dfe97a789425640a5cd4b8e8be8efcfe97c70bdcd874baec8b900e09",
+    ),
+]
+
+
+#: sha256 of ``generate_serving_program(seed).to_json()`` for seeds
+#: 0-9, taken while the request loop still drew through ``randrange``,
+#: ``randint`` and ``choice`` (it now calls ``_randbelow`` directly, as
+#: those do inside, so the bytes must not move on any interpreter).
+SERVING_JSON_SHA256 = {
+    0: "aef081cf12cb108611c6ce99c575722759e1ae349cf3cb0603c4db4426419398",
+    1: "768ac233e4d50d43110957c666746e03d24bc3a3576afdef1a6408f42d0840bb",
+    2: "e1943c71faf3a8a5260466772ff89477e52e99efc46714125a6063333ac28827",
+    3: "1c01a9c2e8287828a445a1cac1492f4851063e56d1358fe179caf62bfd3b1760",
+    4: "c7f7cb35ce8bcb11cd39b4b177ef76579d2c1b9b79719022510072b9c3ede363",
+    5: "e491f00933fad6e552961bea5a0dd7cb8ddd1a8cff96bf25bc9f9987c83fd07e",
+    6: "ec8eb8d3e7e9225eb5e337bfdc13976a3af78ee325ff012d3982590ab097dc48",
+    7: "009625e46e0e475a35d26888ea226da12d93e618819c519f0d132b97619218dd",
+    8: "b1e177f3f2a35312f5ea389609aa0f124bd5eca5a8e11c2c13e46e613cd5f8c6",
+    9: "44dc542063429020e85de83904c778d1c6ea1004689f5870465c9b752a015f22",
+}
+
+#: The same pin for three hand-shaped episodes: the cost ledger's
+#: 32-node serving shape at a read-heavy and a write-heavy mix (every
+#: put kind and the ``choice`` of a scale factor), and a closed loop
+#: over one-element keys (``randrange(1)`` still consumes a draw).
+_LEDGER_SHAPE = dict(
+    nodes=32, keys=64, phases=2, requests_per_thread=4, churn=0.125,
+    policy="AT",
+)
+SERVING_SPEC_SHA256 = [
+    (
+        ServingSpec(seed=0, read_fraction=0.1, **_LEDGER_SHAPE),
+        "97161ebf3987a45fd9ceb20592948acb2fe1c5a64b02130bee78c5ca58679182",
+    ),
+    (
+        ServingSpec(seed=0, read_fraction=0.9, **_LEDGER_SHAPE),
+        "bcc36b5b227c55a2225941a5abff72e6df7422e5a981b5ae5db2955815f5f580",
+    ),
+    (
+        ServingSpec(seed=3, nodes=4, keys=6, key_len=1, arrival="closed"),
+        "c2412cc4fda98980e604d5f52a9515c5a8a4e6b9d5cdb0eb981c5036c43faaa9",
     ),
 ]
 
@@ -97,6 +144,19 @@ def test_core_spec_json_unchanged(seed):
     spec = generate_program(seed)
     assert _sha(spec) == CORE_JSON_SHA256[seed]
     assert ProgramSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("seed", sorted(SERVING_JSON_SHA256))
+def test_serving_expansion_bytes_unchanged(seed):
+    assert _sha(generate_serving_program(seed)) == SERVING_JSON_SHA256[seed]
+
+
+@pytest.mark.parametrize(
+    "sspec, sha", SERVING_SPEC_SHA256,
+    ids=["ledger-put-heavy", "ledger-get-heavy", "closed-key-len-1"],
+)
+def test_shaped_serving_expansion_bytes_unchanged(sspec, sha):
+    assert _sha(build_serving_program(sspec)) == sha
 
 
 def test_think_time_round_trips():
