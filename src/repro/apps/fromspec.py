@@ -23,6 +23,7 @@ from typing import Any, Generator, TYPE_CHECKING
 import numpy as np
 
 from repro.apps.base import DsmApplication
+from repro.obs.spans import span_guard
 from repro.sim.process import Delay
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,8 +106,7 @@ class SpecProgram(DsmApplication):
         objects = self.objects
         read, write = ctx.read, ctx.write
         sim = ctx.gos.sim
-        spans = getattr(ctx.gos, "spans", None)
-        sp = spans if (spans is not None and spans.enabled) else None
+        sp = span_guard(getattr(ctx.gos, "spans", None), "request")
         for epoch, phase in enumerate(self.spec.phases):
             for section in phase[tid]:
                 if section.think_us > 0:

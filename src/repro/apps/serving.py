@@ -232,40 +232,6 @@ class ServingSpec:
         return max(1, self.keys // 4)
 
 
-def _request_ops(
-    rng: random.Random, key_name: str, key_len: int, cls: str
-) -> list[tuple]:
-    """The op list of one request, in the fuzz module's op vocabulary."""
-    idx = rng.randrange(key_len)
-    if cls == "get":
-        ops: list[tuple] = [("read", key_name, idx)]
-        if rng.random() < 0.3:
-            ops.append(("read", key_name, rng.randrange(key_len)))
-        return ops
-    # put: read-modify-write with an exactly-representable update
-    r = rng.random()
-    if r < 0.5:
-        op = ("add", key_name, idx, float(rng.randint(-6, 6)))
-    elif r < 0.8:
-        op = ("set", key_name, idx, float(rng.randint(-16, 16)))
-    else:
-        op = ("scale", key_name, idx, rng.choice([0.5, 2.0, -1.0]),
-              float(rng.randint(-4, 4)))
-    return [op, ("read", key_name, idx)]
-
-
-def _arrival_gap(rng: random.Random, spec: ServingSpec) -> float:
-    """One inter-arrival think time in virtual microseconds.
-
-    ``open`` draws from the exponential distribution (Poisson arrivals)
-    via inverse transform of one uniform; ``closed`` is the constant
-    think time of a closed-loop client.
-    """
-    if spec.arrival == "open":
-        return -spec.mean_gap_us * math.log1p(-rng.random())
-    return spec.think_us
-
-
 def build_serving_program(spec: ServingSpec) -> ProgramSpec:
     """Compile a :class:`ServingSpec` into a runnable ProgramSpec.
 
@@ -292,11 +258,20 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
     barrier_home = rng.randrange(spec.nodes)
     manager_node = rng.randrange(spec.nodes)
 
-    sampler = ZipfSampler(spec.keys, spec.zipf_s)
+    cdf = ZipfSampler(spec.keys, spec.zipf_s).cdf
     owned_count = min(spec.keys, int(round(spec.owned_fraction * spec.keys)))
+    # Draws go to ``_randbelow`` directly, as ``randrange(n)``,
+    # ``randint(a, b)`` and ``choice(seq)`` do inside, so the stream is
+    # the same: ``a + _randbelow(b - a + 1)``, ``seq[_randbelow(len(seq))]``.
+    uniform, below = rng.random, rng._randbelow
+    read_fraction = spec.read_fraction
+    # ``open`` gaps are exponential (Poisson arrivals, inverse transform
+    # of one uniform); ``closed`` waits the constant think time.
+    open_loop = spec.arrival == "open"
     # Equal op tuples share one object: the operands are small integral
     # floats (never -0.0 or NaN), so equal tuples are interchangeable.
     interned: dict[tuple, tuple] = {}
+    intern = interned.setdefault
     phases: list[list[list[SectionSpec]]] = []
     for phase in range(spec.phases):
         quiet = quiet_nodes(spec.nodes, phase, spec.churn)
@@ -314,16 +289,34 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
         sections_by_tid: list[list[SectionSpec]] = [[] for _ in range(nthreads)]
         total = len(active) * spec.requests_per_thread
         for i in range(total):
-            rank = sampler.sample(rng)
-            key = ranking[rank]
-            cls = "get" if rng.random() < spec.read_fraction else "put"
+            key = ranking[bisect.bisect_right(cdf, uniform())]
+            cls = "get" if uniform() < read_fraction else "put"
             tid = owner_of.get(key, active[i % len(active)])
-            gap = _arrival_gap(rng, spec)
+            gap = (-spec.mean_gap_us * math.log1p(-uniform()) if open_loop
+                   else spec.think_us)
             obj = objects[key]
-            ops = [
-                interned.setdefault(op, op)
-                for op in _request_ops(rng, obj.name, obj.length, cls)
-            ]
+            name, key_len = obj.name, obj.length
+            # one request, in the fuzz module's op vocabulary: a get
+            # reads (sometimes twice), a put is a read-modify-write with
+            # an exactly-representable update
+            idx = below(key_len)
+            read = ("read", name, idx)
+            read = intern(read, read)
+            if cls == "get":
+                ops = [read]
+                if uniform() < 0.3:
+                    op = ("read", name, below(key_len))
+                    ops.append(intern(op, op))
+            else:
+                r = uniform()
+                if r < 0.5:
+                    op = ("add", name, idx, float(below(13) - 6))
+                elif r < 0.8:
+                    op = ("set", name, idx, float(below(33) - 16))
+                else:
+                    op = ("scale", name, idx, (0.5, 2.0, -1.0)[below(3)],
+                          float(below(9) - 4))
+                ops = [intern(op, op), read]
             lock = None if key in owner_of else key % nlocks
             sections_by_tid[tid].append(
                 SectionSpec(lock, ops, 0.0, cls, gap if gap > 0.0 else 0.0)

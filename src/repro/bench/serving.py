@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, replace
+from functools import cached_property
 
 from repro.apps.fromspec import SpecProgram
 from repro.apps.serving import ServingSpec, build_serving_program
@@ -64,14 +65,18 @@ class _RequestCollector:
     Handed to :class:`~repro.gos.jvm.DistributedJVM` as ``tracer``.  It
     wants no trace-event kind and provides the span half of the tracer
     protocol (``repro.obs.spans``), so each span reaches it as one
-    positional call and no event object is ever built.  It holds
-    per-class histograms, per-epoch request counts, and the close time
-    of each barrier round (the epoch windows); everything it accumulates
-    is a deterministic function of the span stream.
+    positional call and no event object is ever built; no span kind but
+    the two it declares is opened.  It holds per-class latency counts
+    (:attr:`hists` folds them), per-epoch request counts, and the close
+    time of each barrier round (the epoch windows); everything it
+    accumulates is a deterministic function of the span stream.
     """
 
+    span_kinds = frozenset({"request", "barrier_wait"})
+
     def __init__(self) -> None:
-        self.hists: dict[str, LatencyHistogram] = {}
+        #: class -> latency -> count (most repeat: a local hit is 0.0 µs)
+        self._latencies: dict[str, dict[float, int]] = {}
         self.epoch_requests = EpochSeries()
         self.barrier_close: dict[int, float] = {}
         self.opened = 0
@@ -106,17 +111,31 @@ class _RequestCollector:
             if entry is not None:
                 open_us, cls, epoch = entry
                 self.closed += 1
-                hist = self.hists.get(cls)
-                if hist is None:
-                    hist = self.hists[cls] = LatencyHistogram()
-                hist.record(time_us - open_us)
-                self.epoch_requests.note(epoch)
+                counts = self._latencies.get(cls)
+                if counts is None:
+                    counts = self._latencies[cls] = {}
+                latency = time_us - open_us
+                counts[latency] = counts.get(latency, 0) + 1
+                epochs = self.epoch_requests.counts
+                epochs[epoch] = epochs.get(epoch, 0) + 1
         elif op_kind == "barrier_wait":
             round_no = self._open_barriers.pop(op, None)
             if round_no is not None:
                 prev = self.barrier_close.get(round_no)
                 if prev is None or time_us > prev:
                     self.barrier_close[round_no] = time_us
+
+    @cached_property
+    def hists(self) -> dict[str, LatencyHistogram]:
+        """Per-class latency histograms, folded on first read: each
+        distinct latency once with ``record(value, n)``, which is
+        bit-identical to recording every request (integer tick sum)."""
+        hists: dict[str, LatencyHistogram] = {}
+        for cls, counts in self._latencies.items():
+            hist = hists[cls] = LatencyHistogram()
+            for latency, n in counts.items():
+                hist.record(latency, n)
+        return hists
 
 
 def run_serving(spec: ServingSpec) -> dict:

@@ -207,7 +207,7 @@ class FaultInMixin:
             if compute_us > 0:
                 yield Delay(compute_us)
             return fn(entry.payload)
-        sp = self._sp
+        sp = self._sp_ship
         op = None
         if sp is not None:
             op = sp.open("ship", self.sim.now, oid, self.node_id)
@@ -250,8 +250,8 @@ class FaultInMixin:
             reply = yield fut
             if isinstance(reply, RedirectReply):
                 hops += 1
-                if sp is not None:
-                    sp.completed(
+                if self._sp_hop is not None:
+                    self._sp_hop.completed(
                         "redirect_hop",
                         sent_at,
                         self.sim.now,
@@ -320,7 +320,8 @@ class FaultInMixin:
                     payload = cached.payload
             else:
                 marker = inflight[oid] = self._Future("inflight")
-                sp = self._sp
+                sp = self._sp_write_miss if for_write else self._sp_read_miss
+                hop_sp = self._sp_hop
                 op = None
                 if sp is not None:
                     op_kind = "write_miss" if for_write else "read_miss"
@@ -354,7 +355,7 @@ class FaultInMixin:
                         request_id = (node, self._req_counter)
                         fut = self._Future("objreq")
                         self._reply_waiters[request_id] = fut
-                        if sp is not None:
+                        if hop_sp is not None:
                             sent_at = self.sim.now
                         self._send(
                             target,
@@ -371,11 +372,11 @@ class FaultInMixin:
                             break
                         # redirected: one more accumulated redirection
                         hops += 1
-                        if sp is not None:
+                        if hop_sp is not None:
                             # the hop's extent is only known now; the open
                             # carries the earlier send timestamp
                             # (consumers sort by time)
-                            sp.completed(
+                            hop_sp.completed(
                                 "redirect_hop",
                                 sent_at,
                                 self.sim.now,

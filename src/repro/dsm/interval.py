@@ -51,7 +51,7 @@ class IntervalMixin:
         notices: dict[int, int] = {}
         waits: list[tuple[int, CacheEntry, Future, int | None]] = []
         arena = self.arena
-        sp = self._sp
+        sp = self._sp_diff
         node = self.node_id
         for oid in sorted(self.dirty):
             cached = self.cache.get(oid)

@@ -109,10 +109,10 @@ class MigrationMixin:
                 frozen_threshold=state.threshold_base,
             )
         mig_op = None
-        if self._sp is not None:
+        if self._sp_migration is not None:
             # child of the triggering fault or ship (none for a barrier
             # order); closed by the new home in _become_home
-            mig_op = self._sp.open(
+            mig_op = self._sp_migration.open(
                 "migration",
                 self.sim.now,
                 oid,
@@ -178,8 +178,8 @@ class MigrationMixin:
                 origin=origin,
                 version=version,
             )
-        if self._sp is not None and op_id is not None:
-            self._sp.close(
+        if op_id is not None:  # only a node opening migration spans sets it
+            self._sp_migration.close(
                 op_id, "migration", self.sim.now, oid, self.node_id,
                 version=version,
             )

@@ -50,6 +50,7 @@ from repro.dsm.redirection import NotificationMechanism
 from repro.dsm.sync import SyncManager, SyncMixin
 from repro.memory.arena import Arena, new_arena
 from repro.memory.heap import ObjectHeap
+from repro.obs.spans import span_guard
 from repro.sim.future import Future
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,14 +133,20 @@ class DsmEngine(
         )
 
         # -- causal span layer (repro.obs.spans): one SpanTracer is shared
-        # by every engine of the run; the cached handle is None unless the
-        # tracer takes spans (SpanTracer.enabled), so disabled runs pay a
-        # single `is not None` per operation.  Span sites never touch stats,
-        # message sizes or simulated time — the determinism digest is
-        # bit-identical with spans on or off.
-        self._sp = (
-            spans if (spans is not None and spans.enabled) else None
-        )
+        # by every engine of the run; each span kind has its own cached
+        # handle, None unless a consumer takes that kind, so an untaken
+        # kind pays a single `is not None` per operation.  Span sites never
+        # touch stats, message sizes or simulated time — the determinism
+        # digest is bit-identical with spans on or off.
+        self._sp_read_miss = span_guard(spans, "read_miss")
+        self._sp_write_miss = span_guard(spans, "write_miss")
+        self._sp_hop = span_guard(spans, "redirect_hop")
+        self._sp_diff = span_guard(spans, "diff_flush")
+        self._sp_migration = span_guard(spans, "migration")
+        self._sp_acquire = span_guard(spans, "lock_acquire")
+        self._sp_release = span_guard(spans, "lock_release")
+        self._sp_barrier = span_guard(spans, "barrier_wait")
+        self._sp_ship = span_guard(spans, "ship")
 
         self.cache = CacheIndex()
         self.homes: dict[int, HomeEntry] = {}

@@ -268,7 +268,7 @@ class SyncMixin:
         self.stats.events["lock_acquire"] += 1
         node = self.node_id
         lock_id = handle.lock_id
-        sp = self._sp
+        sp = self._sp_acquire
         op = None
         if sp is not None:
             op = sp.open(
@@ -354,7 +354,7 @@ class SyncMixin:
         """Flush this interval's diffs, then release the lock with notices."""
         node = self.node_id
         lock_id = handle.lock_id
-        sp = self._sp
+        sp = self._sp_release
         op = None
         if sp is not None:
             op = sp.open(
@@ -385,7 +385,7 @@ class SyncMixin:
         self, handle: BarrierHandle, round_no: int
     ) -> Generator[Any, Any, None]:
         """One barrier round: flush diffs, arrive, wait for the release."""
-        sp = self._sp
+        sp = self._sp_barrier
         op = None
         if sp is not None:
             op = sp.open(

@@ -158,6 +158,9 @@ class GlobalObjectSpace:
 
     def current_home(self, obj: SharedObject) -> int:
         """The node currently homing ``obj`` (simulation-level view)."""
+        initial = self.heap.initial_home(obj.oid)
+        if obj.oid in self.engines[initial].homes:  # a home is unique
+            return initial
         for engine in self.engines:
             if obj.oid in engine.homes:
                 return engine.node_id

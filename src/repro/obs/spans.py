@@ -20,7 +20,9 @@ called positionally::
     span_close(op, op_kind, time_us, oid, node, detail)
 
 ``detail`` (the kind-specific fields) is borrowed: a sink must neither
-keep nor mutate it.  For a tracer without that pair
+keep nor mutate it.  A sink may also declare ``span_kinds``, the
+frozenset of kinds it reads; a kind it does not read is never opened
+(:func:`span_guard`).  For a tracer without that pair
 (:class:`~repro.trace.recorder.TraceRecorder`,
 :class:`~repro.obs.export.JsonlTraceWriter`, any ``wants``/``record``
 duck type) a span is recorded as two ordinary trace events:
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-__all__ = ["SPAN_KINDS", "SPAN_OPEN", "SPAN_CLOSE", "SpanTracer"]
+__all__ = ["SPAN_KINDS", "SPAN_OPEN", "SPAN_CLOSE", "SpanTracer", "span_guard"]
 
 #: Logical operation kinds a span may carry (``op_kind`` detail field).
 #: ``request`` is the application-level kind: one serving-tier request
@@ -75,13 +77,14 @@ class SpanTracer:
 
     One ``SpanTracer`` is shared by all engines of a run (constructed in
     :class:`~repro.gos.space.GlobalObjectSpace`), which is what makes the
-    ids run-unique.  ``enabled`` — the tracer provides the span pair of
-    methods, or wants both span kinds — is resolved once at construction
-    so hot paths can guard on a cached ``None``-or-tracer reference.
+    ids run-unique.  ``kinds``, resolved once at construction, is a
+    sink's declared ``span_kinds`` (all if none), every kind for a
+    record-only tracer wanting both span events, else none; ``enabled``
+    means at least one.  Hot paths guard on :func:`span_guard`.
     """
 
     __slots__ = (
-        "tracer", "wall_clock", "enabled", "_next_id",
+        "tracer", "wall_clock", "kinds", "enabled", "_next_id",
         "_sink_open", "_sink_close",
     )
 
@@ -95,11 +98,22 @@ class SpanTracer:
         sink = hasattr(tracer, "span_open") and hasattr(tracer, "span_close")
         self._sink_open = tracer.span_open if sink else None
         self._sink_close = tracer.span_close if sink else None
-        self.enabled = sink or (
+        if sink:
+            kinds = frozenset(getattr(tracer, "span_kinds", SPAN_KINDS))
+            if not kinds <= SPAN_KINDS:
+                raise ValueError(
+                    f"{type(tracer).__name__} declares unknown span kinds "
+                    f"{sorted(kinds - SPAN_KINDS)}; known: {sorted(SPAN_KINDS)}")
+        elif (
             tracer is not None
             and tracer.wants(SPAN_OPEN)
             and tracer.wants(SPAN_CLOSE)
-        )
+        ):
+            kinds = SPAN_KINDS
+        else:
+            kinds = frozenset()
+        self.kinds = kinds
+        self.enabled = bool(kinds)
         self._next_id = 0
 
     @property
@@ -188,3 +202,9 @@ class SpanTracer:
         op = self.open(op_kind, open_us, oid, node, parent=parent, **detail)
         self.close(op, op_kind, close_us, oid, node)
         return op
+
+
+def span_guard(spans: SpanTracer | None, kind: str) -> SpanTracer | None:
+    """``spans`` if it opens ``kind``, else ``None``: a call site's cached
+    guard, so an untaken kind costs one ``is not None`` check."""
+    return spans if spans is not None and kind in spans.kinds else None

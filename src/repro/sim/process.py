@@ -21,7 +21,6 @@ like straight-line threaded code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MethodType
 from typing import Any, Generator, TYPE_CHECKING
 
@@ -34,19 +33,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
 class Delay:
     """Effect: advance simulated time by ``duration_us`` for this process."""
 
-    duration_us: float
+    __slots__ = ("duration_us",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, duration_us: float) -> None:
         # the same check and message as Simulator.schedule (both backends)
-        if not 0.0 <= self.duration_us < _INF:
+        if not 0.0 <= duration_us < _INF:
             raise SimulationError(
-                f"delay must be finite and non-negative, got "
-                f"{self.duration_us!r}"
+                f"delay must be finite and non-negative, got {duration_us!r}"
             )
+        self.duration_us = duration_us
 
 
 class Process:

@@ -7,9 +7,10 @@ no wrapper generators around it and no repeated local probe
 (docs/PROTOCOL.md §11, DESIGN.md §6.12).  These tests pin that shape:
 
 * a **call budget** — Python ``call`` events (function calls and
-  generator resumptions, as ``sys.setprofile`` reports them) of two small
-  fixed episodes may not exceed the measured count by more than 5 %, so
-  a wrapper frame creeping back onto a per-message path fails here;
+  generator resumptions, as ``sys.setprofile`` reports them) of three
+  small fixed episodes may not exceed the measured count by more than
+  5 %, so a wrapper frame creeping back onto a per-message path, or a
+  per-request watching call back into the serving tier, fails here;
 * the **structure** — ``ctx.acquire``/``release``/``barrier`` hand back
   the engine method's own generator, a remote read miss suspends exactly
   one DSM generator under the thread body, and the local probe runs once
@@ -19,13 +20,15 @@ no wrapper generators around it and no repeated local probe
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro import _kernel
-from repro.apps import Asp, SingleWriterBenchmark
+from repro.apps import Asp, ServingSpec, SingleWriterBenchmark
 from repro.bench.runner import make_policy
+from repro.bench.serving import run_serving
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.dsm.protocol import DsmEngine
 from repro.gos.jvm import DistributedJVM
@@ -40,27 +43,34 @@ from repro.gos.thread import ThreadContext
 CALL_BUDGET = {
     "synthetic-at-4": {"python": 19272, "compiled": 5876},
     "asp-nm-4": {"python": 45254, "compiled": 13732},
+    "serving-16": {"python": 25081, "compiled": 11393},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)
 
 
 def _episode(name: str):
+    """The named episode as a zero-argument call."""
+    if name == "serving-16":
+        return partial(run_serving, ServingSpec(seed=0, nodes=16))
     if name == "synthetic-at-4":
-        return (
-            DistributedJVM(nodes=4, comm_model=FAST_ETHERNET, policy=make_policy("AT")),
-            SingleWriterBenchmark(schedule=[(96, 2), (96, 16)]),
+        jvm = DistributedJVM(
+            nodes=4, comm_model=FAST_ETHERNET, policy=make_policy("AT")
         )
-    return (
-        DistributedJVM(nodes=4, comm_model=FAST_ETHERNET, policy=make_policy("NM")),
-        Asp(size=24),
+        app = SingleWriterBenchmark(schedule=[(96, 2), (96, 16)])
+        return partial(jvm.run, app)
+    jvm = DistributedJVM(
+        nodes=4, comm_model=FAST_ETHERNET, policy=make_policy("NM")
     )
+    return partial(jvm.run, Asp(size=24))
 
 
 def python_calls(name: str) -> int:
-    """Python ``call`` events while ``DistributedJVM.run`` executes the
-    named episode (cluster build included, verification included)."""
-    jvm, app = _episode(name)
+    """Python ``call`` events while the named episode runs: for the batch
+    episodes ``DistributedJVM.run`` (cluster build and verification
+    included), for ``serving-16`` all of ``run_serving`` (traffic
+    expansion, the SLO collector and the report included)."""
+    run = _episode(name)
     calls = 0
 
     def count(frame, event, arg):
@@ -70,7 +80,7 @@ def python_calls(name: str) -> int:
 
     sys.setprofile(count)
     try:
-        jvm.run(app)
+        run()
     finally:
         sys.setprofile(None)
     return calls

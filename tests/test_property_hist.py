@@ -200,3 +200,36 @@ def test_property_sum_is_order_independent(values):
             rel_tol=1e-3,
             abs_tol=0.5 / TICKS_PER_UNIT,
         )
+
+
+# Distinct latencies with repeat counts, as the serving collector keeps
+# them: exact zeros, subnormals, the realistic range and huge values
+# (bounded so ``value * TICKS_PER_UNIT`` stays finite).
+_counted = st.dictionaries(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.2e-308),
+        st.floats(min_value=1e-3, max_value=1e8),
+        st.floats(min_value=1e250, max_value=1e300),
+    ),
+    st.integers(min_value=1, max_value=40),
+    max_size=30,
+)
+
+
+@settings(derandomize=True)
+@given(counts=_counted, rng=st.randoms(use_true_random=False))
+def test_property_fold_per_distinct_value_equals_single_records(counts, rng):
+    """``record(v, n)`` once per distinct value is bit-identical to n
+    single ``record(v)`` calls, whatever order either side runs in."""
+    singles = [value for value, n in counts.items() for _ in range(n)]
+    rng.shuffle(singles)
+    items = list(counts.items())
+    rng.shuffle(items)
+    folded = LatencyHistogram()
+    for value, n in items:
+        folded.record(value, n)
+    whole = _single_shot(singles)
+    assert folded == whole
+    assert folded.summary() == whole.summary()
+    assert folded.to_dict() == whole.to_dict()

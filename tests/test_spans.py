@@ -22,15 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import Asp
+from repro.apps import Asp, ServingSpec
 from repro.apps.synthetic import SingleWriterBenchmark
 from repro.bench.executor import ObsSpec, RunSpec, run_spec
 from repro.bench.runner import make_mechanism, make_policy
+from repro.bench.serving import run_serving
 from repro.check.invariants import InvariantChecker
 from repro.cluster.hockney import FAST_ETHERNET
+from repro.gos import space as space_module
 from repro.gos.jvm import DistributedJVM
 from repro.obs.export import JsonlTraceWriter
-from repro.obs.spans import SPAN_KINDS, SpanTracer
+from repro.obs.spans import SPAN_KINDS, SpanTracer, span_guard
 from repro.trace.events import TraceEvent
 from repro.trace.recorder import TraceRecorder
 
@@ -257,6 +259,125 @@ def test_half_span_pair_filter_rejected(half, tmp_path):
     with pytest.raises(ValueError, match=f"add '{missing}'"):
         run_spec(spec)
     assert not path.exists()
+
+
+# -- declared span kinds: a kind no consumer takes is never opened ----------
+
+
+class _KindSink(_Sink):
+    """A span sink that declares the kinds it reads."""
+
+    def __init__(self, kinds):
+        super().__init__()
+        self.span_kinds = frozenset(kinds)
+
+
+def test_declared_kinds_resolve_once():
+    sink = _KindSink({"request", "barrier_wait"})
+    spans = SpanTracer(sink)
+    assert spans.kinds == {"request", "barrier_wait"}
+    assert spans.enabled is True
+    assert span_guard(spans, "request") is spans
+    assert span_guard(spans, "diff_flush") is None
+    assert span_guard(None, "request") is None
+    # no declaration: a sink takes every kind; so does a recorder
+    assert SpanTracer(_Sink()).kinds == SPAN_KINDS
+    assert SpanTracer(TraceRecorder()).kinds == SPAN_KINDS
+    assert SpanTracer(_RecordOnly()).kinds == SPAN_KINDS
+    assert SpanTracer(TraceRecorder(kinds=("migration",))).kinds == set()
+    empty = SpanTracer(_KindSink(()))
+    assert empty.enabled is False
+    assert span_guard(empty, "request") is None
+
+
+def test_unknown_declared_kind_rejected_at_construction():
+    with pytest.raises(ValueError, match=r"unknown span kinds \['disk_seek'\]"):
+        SpanTracer(_KindSink({"read_miss", "disk_seek"}))
+
+
+def _kind_episode(name):
+    if name == "asp":
+        return Asp(size=24)
+    return SingleWriterBenchmark(
+        total_updates=64, repetition=4, use_shipping=name == "ship"
+    )
+
+
+#: The span kinds each small AT/4 episode opens (a live run per kind).
+KIND_EPISODES = {
+    "read_miss": "asp",
+    "write_miss": "asp",
+    "redirect_hop": "asp",
+    "diff_flush": "asp",
+    "migration": "asp",
+    "barrier_wait": "asp",
+    "lock_acquire": "locks",
+    "lock_release": "locks",
+    "ship": "ship",
+}
+
+
+def _run_with(tracer, episode):
+    jvm = DistributedJVM(
+        nodes=4,
+        comm_model=FAST_ETHERNET,
+        policy=make_policy("AT"),
+        mechanism=make_mechanism("forwarding-pointer"),
+        tracer=tracer,
+    )
+    return jvm.run(_kind_episode(episode))
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_EPISODES))
+def test_sink_receives_only_its_declared_kind(kind):
+    """Each call-site family's guard: a sink declaring one kind gets
+    exactly the spans of that kind a full recorder sees, no other kind
+    is opened (``issued`` counts only opened spans), and virtual time
+    does not move."""
+    episode = KIND_EPISODES[kind]
+    recorder = TraceRecorder()
+    full = _run_with(recorder, episode)
+    _assert_well_formed(recorder)
+    opened = [
+        e for e in recorder.of_kind("span_open")
+        if e.detail["op_kind"] == kind
+    ]
+    assert opened, f"{episode} opens no {kind} span"
+
+    sink = _KindSink({kind})
+    result = _run_with(sink, episode)
+    assert {event[2] for event in sink.seen} == {kind}
+    opens = [event for event in sink.seen if event[0] == "open"]
+    closes = [event for event in sink.seen if event[0] == "close"]
+    assert len(opens) == len(closes) == len(opened)
+    assert result.gos.spans.issued == len(opened)
+    assert [event[3] for event in opens] == [e.time_us for e in opened]
+    assert result.execution_time_us == full.execution_time_us
+    assert result.stats.snapshot() == full.stats.snapshot()
+
+
+def test_serving_run_opens_only_requests_and_barrier_waits(monkeypatch):
+    """The SLO collector reads two kinds, so a serving run opens exactly
+    one span per request and one per barrier wait."""
+    tracers = []
+
+    class Capturing(SpanTracer):
+        __slots__ = ()
+
+        def __init__(self, tracer):
+            super().__init__(tracer)
+            tracers.append(self)
+
+    monkeypatch.setattr(space_module, "SpanTracer", Capturing)
+    sspec = ServingSpec(seed=0, nodes=4, keys=12, phases=2)
+    report = run_serving(sspec)
+    (spans,) = tracers
+    assert spans.kinds == {"request", "barrier_wait"}
+    barrier_waits = sspec.nthreads * sspec.phases
+    assert report["spans"] == {
+        "opened": report["requests"], "closed": report["requests"]
+    }
+    assert spans.issued == report["requests"] + barrier_waits
 
 
 # -- live-run causal trees ----------------------------------------------------
