@@ -1,8 +1,8 @@
 """Compiled-kernel backend selection for the repro package.
 
 The hot kernels of the reproduction (event-heap drain, network send and
-delivery, the local-hit access paths, ``compute_diff``, the threshold
-update rule) have a compiled C implementation in ``_kernelc.c``.  This
+delivery, the local-hit access paths, ``compute_diff``) have a compiled
+C implementation in ``_kernelc.c``.  This
 module owns building, loading and selecting it:
 
 * ``kernel()`` returns the loaded extension module, or ``None`` when the
@@ -17,8 +17,8 @@ module owns building, loading and selecting it:
   ``select_backend()`` does.
 * ``select_backend()`` re-resolves at runtime (used by the CLI
   ``--backend`` flag) and rebinds every module that resolved the kernel
-  once at import (``repro.sim.engine.Simulator``, ``compute_diff``'s
-  and ``adaptive_threshold``'s kernel handle).
+  once at import (``repro.sim.engine.Simulator`` and ``compute_diff``'s
+  kernel handle).
 
 The extension is compiled at first use with the toolchain recorded in
 Python's sysconfig (override with ``REPRO_KERNEL_CC``), into
@@ -180,9 +180,7 @@ _MIN_KERNEL_API = 7
 
 #: Modules that resolve the kernel once at import; ``select_backend()``
 #: re-points each through its ``_rebind_kernel()``.
-_REBOUND_MODULES = (
-    "repro.sim.engine", "repro.memory.diff", "repro.core.threshold",
-)
+_REBOUND_MODULES = ("repro.sim.engine", "repro.memory.diff")
 
 
 def _load_or_build() -> Any:
@@ -292,7 +290,7 @@ def build_hash() -> str | None:
     The 16-hex-digit cache key the compiled extension was built under
     (C source bytes + interpreter + numpy versions), or ``None`` when
     the pure-Python backend is active.  Recorded in trace metadata and
-    printed in the ``repro-bench report`` header so a trace can always
+    printed on stderr by ``repro-bench analyze`` so a trace can always
     be tied back to the exact kernel build that produced it.
     """
     kernel()

@@ -1,9 +1,9 @@
 /* Compiled hot kernels for the repro package.
  *
- * A C twin exists only for a path that runs per access, per message or
- * per slot per epoch on a benchmark leg (the table in PROTOCOL.md §11 names
- * the counter that pays for each); deferral and per-epoch dict paths stay
- * Python.  Among them:
+ * A C twin stays only while removing it would cost more wall time than
+ * the noise on some benchmark leg, or would add a Python call per access
+ * or per message (the table in PROTOCOL.md §11 gives the measured cost of
+ * each); everything else is one Python path.  Among them:
  *
  *   Engine            -- the event-heap core of repro.sim.engine (push +
  *                        drain).  repro.sim.engine.CompiledSimulator
@@ -11,7 +11,6 @@
  *                        deadlock bookkeeping on top.
  *   diff_arrays       -- the element-wise scan behind
  *                        repro.memory.diff.compute_diff.
- *   adaptive_threshold -- Equation 2 of the paper (repro.core.threshold).
  *   NetFabric         -- the compiled twin of repro.cluster.network's
  *                        Network.send, with per-node DeliveryPorts that call
  *                        each node's category -> handler table.
@@ -21,8 +20,6 @@
  * any conforming priority queue pops the identical sequence heapq does.
  * Float comparisons in diff_arrays use the C `!=` operator, which matches
  * numpy's element-wise `!=` (NaN != NaN is true, -0.0 != 0.0 is false).
- * The threshold update applies the same IEEE-754 operations in the same
- * order as the Python expression.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -692,79 +689,6 @@ diff_arrays(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 
     result = Py_BuildValue("(NNn)", indices, values, (Py_ssize_t)nruns);
     return result;
-}
-
-/* ====================================================================== */
-/* adaptive_threshold: Equation 2                                          */
-/* ====================================================================== */
-
-static PyObject *
-kernel_adaptive_threshold(PyObject *mod, PyObject *const *args,
-                          Py_ssize_t nargs)
-{
-    double base, redirections, exclusive, alpha, lam, t_init, result;
-
-    if (nargs != 6) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "adaptive_threshold() requires (base, redirections, "
-            "exclusive_home_writes, alpha, lam, t_init)");
-        return NULL;
-    }
-    base = PyFloat_AsDouble(args[0]);
-    if (base == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    redirections = PyFloat_AsDouble(args[1]);
-    if (redirections == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    exclusive = PyFloat_AsDouble(args[2]);
-    if (exclusive == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    alpha = PyFloat_AsDouble(args[3]);
-    if (alpha == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    lam = PyFloat_AsDouble(args[4]);
-    if (lam == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    t_init = PyFloat_AsDouble(args[5]);
-    if (t_init == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-
-    if (base < t_init) {
-        PyErr_Format(PyExc_ValueError, "threshold base %S below floor %S",
-                     args[0], args[5]);
-        return NULL;
-    }
-    if (redirections < 0.0 || exclusive < 0.0) {
-        PyErr_Format(PyExc_ValueError,
-                     "feedback counters must be non-negative, got R=%S, E=%S",
-                     args[1], args[2]);
-        return NULL;
-    }
-    if (alpha <= 0.0) {
-        PyErr_Format(PyExc_ValueError, "alpha must be positive, got %S",
-                     args[3]);
-        return NULL;
-    }
-    if (lam < 0.0) {
-        PyErr_Format(PyExc_ValueError, "lambda must be non-negative, got %S",
-                     args[4]);
-        return NULL;
-    }
-
-    /* Same IEEE-754 operation order as the Python expression:
-     * base + lam * (R - alpha * E), floored at t_init. */
-    result = base + lam * (redirections - alpha * exclusive);
-    if (result < t_init) {
-        result = t_init;
-    }
-    return PyFloat_FromDouble(result);
 }
 
 /* ====================================================================== */
@@ -3190,12 +3114,6 @@ static PyMethodDef kernel_methods[] = {
      "Single-scan diff of two matching 1-D arrays.  Returns None when "
      "equal, (indices, values, nruns) when changed, or NotImplemented "
      "for layouts/dtypes the kernel does not handle."},
-    {"adaptive_threshold",
-     (PyCFunction)(void (*)(void))kernel_adaptive_threshold, METH_FASTCALL,
-     "adaptive_threshold(base, redirections, exclusive_home_writes, alpha, "
-     "lam, t_init)\n--\n\n"
-     "Equation 2: max(base + lam * (R - alpha * E), t_init), with the "
-     "pure-Python function's validation."},
     {"cache_sweep_invalid",
      (PyCFunction)(void (*)(void))kernel_cache_sweep, METH_FASTCALL,
      "cache_sweep_invalid(cache, invalid_mode, free)\n--\n\n"
@@ -3214,8 +3132,7 @@ static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernel._kernelc",
     .m_doc = "Compiled hot kernels: event-heap engine, network send and "
-             "delivery, local-hit access, diff scan, threshold "
-             "update.",
+             "delivery, local-hit access, diff scan.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -12,8 +12,8 @@
 * :mod:`repro.bench.executor` — declarative :class:`RunSpec` sweeps fanned
   out over a process pool (every driver takes ``jobs=N`` and optional
   ``obs=``/``progress=`` telemetry hooks);
-* :mod:`repro.bench.obs_report` — offline reports over saved JSONL traces
-  (the CLI's ``report`` target);
+* :mod:`repro.bench.analyze` — the offline reader of saved JSONL traces
+  (the CLI's ``analyze`` target);
 * :mod:`repro.bench.cli` — ``python -m repro.bench <figure> [--full]
   [--jobs N] [--trace-out PATH] [--metrics-out PATH] [--log-level L]
   [--progress]`` (installed as ``repro-bench``).
@@ -29,7 +29,6 @@ from repro.bench.executor import (
     default_jobs,
     execute,
 )
-from repro.bench.obs_report import render_trace_report
 from repro.bench.runner import POLICIES, make_policy, run_once
 
 __all__ = [
@@ -40,6 +39,5 @@ __all__ = [
     "default_jobs",
     "execute",
     "make_policy",
-    "render_trace_report",
     "run_once",
 ]

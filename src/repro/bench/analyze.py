@@ -1,7 +1,17 @@
-"""Offline SLO analytics over causal span traces (``repro-bench analyze``).
+"""Offline analytics over saved JSONL traces (``repro-bench analyze``).
 
-Consumes a JSONL trace recorded with span kinds enabled
-(``repro.obs.spans``) and reconstructs, in virtual time:
+Consumes a JSONL trace (``--trace-out`` on any sweep,
+``scripts/record_trace.py`` or :func:`~repro.obs.export.dump_trace`)
+and reports, for any trace:
+
+* **Event counts** — what the trace captured, per event kind;
+* **One object's story** — the migration hops of one object (``oid``,
+  by default the most-migrated one) with the threshold frozen at each,
+  its home path, and its Eq-2 threshold series at every migration
+  decision.
+
+From a trace recorded with span kinds enabled (``repro.obs.spans``,
+the default) it also reconstructs, in virtual time:
 
 * **Per-kind latency** — a deterministic
   :class:`~repro.obs.hist.LatencyHistogram` per operation kind with
@@ -11,8 +21,8 @@ Consumes a JSONL trace recorded with span kinds enabled
   the residual home-queue + network time;
 * **Chain lengths** — redirection hops per fault, the paper's ``R``
   signal seen end-to-end;
-* **Migration timelines** — per object, the Eq-2 threshold trajectory
-  at every decision vs. the migrations that actually fired;
+* **Migration timelines** — for the most-migrated objects, the Eq-2
+  threshold range over their decisions vs. the migrations that fired;
 * **Epoch throughput** — spans closed per barrier epoch and ops/sec of
   simulated time.
 
@@ -26,6 +36,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,7 +46,7 @@ from repro.bench.report import format_table
 
 __all__ = ["analyze_trace", "render_analysis", "REPORT_SCHEMA"]
 
-REPORT_SCHEMA = "repro-slo-report-v1"
+REPORT_SCHEMA = "repro-slo-report-v2"
 
 #: Stable display/report order for span kinds.
 KIND_ORDER = (
@@ -58,11 +69,18 @@ THROUGHPUT_KINDS = frozenset(
      "lock_acquire", "lock_release"}
 )
 
+#: What a report on a trace without spans opens with.
+NO_SPANS_HINT = (
+    "no spans in this trace — re-record it with span kinds enabled (the "
+    "default for repro-bench --trace-out and scripts/record_trace.py) to "
+    "get causal analytics"
+)
+
 #: Exemplar critical paths listed for the slowest read misses.
 MAX_CRITICAL_PATHS = 5
 #: Objects listed in the migration-timeline section.
 MAX_MIGRATION_OBJECTS = 8
-#: Rows in the hottest object's decision timeline.
+#: Rows shown of any long series (hops, threshold samples, epochs).
 MAX_TIMELINE_ROWS = 12
 
 
@@ -92,10 +110,12 @@ def _load(path: str):
     unmatched_close = 0
     decisions: dict[int, list[dict]] = {}
     migrations: dict[int, list[dict]] = {}
-    total_events = 0
+    kind_counts: Counter = Counter()
+    oid_counts: Counter = Counter()
     for event in iter_trace(path):
-        total_events += 1
         kind = event.kind
+        kind_counts[kind] += 1
+        oid_counts[event.oid] += 1
         if kind == "span_open":
             d = event.detail
             op = d["op"]
@@ -141,7 +161,8 @@ def _load(path: str):
                     "frozen_threshold": d.get("frozen_threshold"),
                 }
             )
-    return spans, decisions, migrations, total_events, double_close, unmatched_close
+    return (spans, decisions, migrations, kind_counts, oid_counts,
+            double_close, unmatched_close)
 
 
 def _critical_path(span: _Span, spans: dict[int, _Span]) -> dict:
@@ -174,10 +195,54 @@ def _critical_path(span: _Span, spans: dict[int, _Span]) -> dict:
     }
 
 
-def analyze_trace(path: str) -> dict:
-    """Build the SLO report dict for one span-enabled trace file."""
-    (spans, decisions, migrations, total_events,
+def _pick_oid(migrations: dict, oid_counts: Counter) -> int | None:
+    """The object with the most migrations (ties: lowest oid), else the
+    most-traced object, else ``None`` for an empty trace."""
+    for counts in ({oid: len(m) for oid, m in migrations.items()}, oid_counts):
+        if counts:
+            return min(counts, key=lambda oid: (-counts[oid], oid))
+    return None
+
+
+def _object_section(oid: int, decisions: dict, migrations: dict) -> dict:
+    """One object's migration hops, home path and Eq-2 threshold series."""
+    hops = migrations.get(oid, [])
+    series = [d for d in decisions.get(oid, []) if d["threshold"] is not None]
+    threshold = None
+    if series:
+        values = [d["threshold"] for d in series]
+        threshold = {
+            "points": len(series),
+            "first": values[0],
+            "last": values[-1],
+            "min": min(values),
+            "max": max(values),
+            "samples": _sample_rows(series, MAX_TIMELINE_ROWS),
+        }
+    return {
+        "oid": oid,
+        "hops": hops,
+        "home_path": _home_path(hops),
+        "threshold": threshold,
+    }
+
+
+def _home_path(hops: list[dict]) -> list:
+    """The homes an object lived at: origin, then each hop's new home."""
+    return [hops[0]["old_home"]] + [h["new_home"] for h in hops] if hops else []
+
+
+def analyze_trace(path: str, oid: int | None = None) -> dict:
+    """Build the report dict for one trace file.
+
+    ``oid`` picks the object of the object section (default: the one
+    with the most migrations, ties to the lowest oid, else the
+    most-traced object).
+    """
+    (spans, decisions, migrations, kind_counts, oid_counts,
      double_close, unmatched_close) = _load(path)
+    if oid is None:
+        oid = _pick_oid(migrations, oid_counts)
 
     completed = [s for s in spans.values() if s.close_us is not None]
     unclosed = [s for s in spans.values() if s.close_us is None]
@@ -232,29 +297,24 @@ def analyze_trace(path: str) -> dict:
         migrations, key=lambda oid: (-len(migrations[oid]), oid)
     )[:MAX_MIGRATION_OBJECTS]
     migration_objects = []
-    for oid in hot_oids:
-        migs = migrations[oid]
-        decs = decisions.get(oid, [])
+    for hot in hot_oids:
+        migs = migrations[hot]
+        decs = decisions.get(hot, [])
         thresholds = [
             d["threshold"] for d in decs if d["threshold"] is not None
         ]
         migration_objects.append(
             {
-                "oid": oid,
+                "oid": hot,
                 "migrations": len(migs),
                 "decisions": len(decs),
                 "threshold_first": thresholds[0] if thresholds else None,
                 "threshold_last": thresholds[-1] if thresholds else None,
                 "threshold_min": min(thresholds) if thresholds else None,
                 "threshold_max": max(thresholds) if thresholds else None,
-                "path": [migs[0]["old_home"]] + [m["new_home"] for m in migs]
-                if migs else [],
+                "path": _home_path(migs),
             }
         )
-    hottest_timeline = []
-    if hot_oids:
-        for dec in decisions.get(hot_oids[0], []):
-            hottest_timeline.append(dec)
 
     # -- epoch throughput ---------------------------------------------------
     # Epoch i ends when every thread's barrier_wait span for round i has
@@ -336,7 +396,12 @@ def analyze_trace(path: str) -> dict:
 
     return {
         "schema": REPORT_SCHEMA,
-        "events": total_events,
+        "events": sum(kind_counts.values()),
+        "event_counts": dict(sorted(kind_counts.items())),
+        "object": (
+            None if oid is None
+            else _object_section(oid, decisions, migrations)
+        ),
         "spans": {
             "opened": len(spans),
             "closed": len(completed),
@@ -352,7 +417,6 @@ def analyze_trace(path: str) -> dict:
         },
         "critical_paths": critical_paths,
         "migration_objects": migration_objects,
-        "hottest_decision_timeline": hottest_timeline,
         "epoch_throughput": epochs,
         "epoch_ops": epoch_series.to_dict(),
         "epoch_fanout": fanout_epochs,
@@ -368,23 +432,34 @@ def _fmt(value: Any, precision: int = 1) -> str:
 
 
 def render_analysis(report: dict) -> str:
-    """Render the SLO report as markdown-flavoured plain text.
+    """Render the report as markdown-flavoured plain text.
 
     Deterministic and backend-independent: contains only values from
-    the report dict (no paths, no backend names, no wall time).
+    the report dict (no paths, no backend names, no wall time).  A
+    trace without spans opens with how to re-record it instead of the
+    span sections.
     """
     blocks: list[str] = []
     sp = report["spans"]
+    if sp["opened"] == 0:
+        blocks.append(NO_SPANS_HINT)
+    else:
+        blocks.append(
+            f"# SLO report — {report['events']} events, "
+            f"{sp['opened']} spans"
+        )
+        blocks.append(
+            f"span health: {sp['closed']} closed, {sp['unclosed']} "
+            f"unclosed, {sp['orphans']} orphans, {sp['double_close']} "
+            f"double-closes, {sp['unmatched_close']} unmatched closes"
+        )
     blocks.append(
-        f"# SLO report — {report['events']} events, "
-        f"{sp['opened']} spans"
+        format_table(
+            ["kind", "events"],
+            [[kind, n] for kind, n in report["event_counts"].items()],
+            title=f"Trace events by kind — {report['events']} events",
+        )
     )
-    health = (
-        f"span health: {sp['closed']} closed, {sp['unclosed']} unclosed, "
-        f"{sp['orphans']} orphans, {sp['double_close']} double-closes, "
-        f"{sp['unmatched_close']} unmatched closes"
-    )
-    blocks.append(health)
 
     rows = []
     for kind, summary in report["latency_us"].items():
@@ -468,30 +543,10 @@ def render_analysis(report: dict) -> str:
             )
         )
 
-    timeline = report["hottest_decision_timeline"]
-    if timeline:
-        shown = _sample_rows(timeline, MAX_TIMELINE_ROWS)
-        rows = [
-            [
-                _fmt(d["t"]),
-                _fmt(d["threshold"], 3),
-                d["consecutive"],
-                d["requester"],
-                "migrate" if d["migrated"] else "stay",
-            ]
-            for d in shown
-        ]
-        oid = report["migration_objects"][0]["oid"]
-        blocks.append(
-            format_table(
-                ["t_us", "threshold", "C", "requester", "decision"],
-                rows,
-                title=(
-                    f"Threshold trajectory vs Eq-2 decisions — oid {oid} "
-                    f"({len(timeline)} decisions, sampled)"
-                ),
-            )
-        )
+    if report["object"] is None:
+        blocks.append("(empty trace: no events to report on)")
+    else:
+        blocks.extend(_render_object(report["object"]))
 
     if report.get("epoch_fanout"):
         rows = [
@@ -536,12 +591,57 @@ def render_analysis(report: dict) -> str:
             )
         )
 
-    if sp["opened"] == 0:
-        blocks.append(
-            "no spans in this trace — record with span kinds enabled "
-            "(the default) to get causal analytics"
-        )
     return "\n\n".join(blocks) + "\n"
+
+
+def _render_object(obj: dict) -> list[str]:
+    """The object section: migration hops, home path, threshold series."""
+    oid = obj["oid"]
+    blocks = []
+    hops = obj["hops"]
+    if hops:
+        path = obj["home_path"]
+        path_text = " -> ".join(map(str, path[:MAX_TIMELINE_ROWS]))
+        if len(path) > MAX_TIMELINE_ROWS:
+            path_text += f" -> ... ({len(hops)} hops)"
+        rows = [
+            [_fmt(h["t"]), h["old_home"], h["new_home"],
+             _fmt(h["frozen_threshold"], 3)]
+            for h in _sample_rows(hops, MAX_TIMELINE_ROWS)
+        ]
+        blocks.append(
+            format_table(
+                ["time_us", "old_home", "new_home", "frozen_T"],
+                rows,
+                title=f"Object {oid} — {len(hops)} migrations "
+                f"(home path {path_text})",
+            )
+        )
+    else:
+        blocks.append(f"Object {oid}: no migration events in this trace")
+    thr = obj["threshold"]
+    if thr is None:
+        blocks.append(
+            f"Object {oid}: no threshold series (decision events absent "
+            "or kind-filtered)"
+        )
+        return blocks
+    summary = format_table(
+        ["points", "first", "last", "min", "max"],
+        [[thr["points"], _fmt(thr["first"], 3), _fmt(thr["last"], 3),
+          _fmt(thr["min"], 3), _fmt(thr["max"], 3)]],
+        title=f"Object {oid} — adaptive threshold at migration decisions",
+    )
+    samples = format_table(
+        ["t_us", "threshold", "C", "requester", "decision"],
+        [
+            [_fmt(d["t"]), _fmt(d["threshold"], 3), d["consecutive"],
+             d["requester"], "migrate" if d["migrated"] else "stay"]
+            for d in thr["samples"]
+        ],
+    )
+    blocks.append(summary + "\n" + samples)
+    return blocks
 
 
 def _sample_rows(rows: list, limit: int) -> list:

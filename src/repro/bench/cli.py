@@ -2,9 +2,9 @@
 (also installed as the ``repro-bench`` console script).
 
 Targets: ``figure2``, ``figure3``, ``figure5``, ``ablation``, ``all``,
-``report``, ``check``, ``analyze``.  ``--full`` uses the paper's problem
-sizes (slow); the
-default quick sizes preserve every qualitative shape.  ``--jobs N``
+``check``, ``analyze``, ``sweep``, ``serve``.  ``--full`` uses the
+paper's problem sizes (slow); the default quick sizes preserve every
+qualitative shape.  ``--jobs N``
 fans each sweep's independent runs out over N worker processes
 (default: all usable cores; results are bit-identical for any value).
 ``--json PATH`` additionally dumps the raw result dictionaries to a
@@ -14,8 +14,8 @@ Observability flags (sweep targets): ``--trace-out PATH`` streams every
 run's trace to per-run JSONL files; ``--metrics-out PATH`` writes the
 merged cross-run metrics snapshot as JSON; ``--log-level LEVEL``
 enables structured run logging on stderr; ``--progress`` prints a
-heartbeat line as each run completes.  The ``report`` target renders a
-saved trace offline: ``repro-bench report --trace PATH [--oid N]``.
+heartbeat line as each run completes.  The ``analyze`` target (below)
+renders a saved trace offline.
 
 The ``check`` target runs the protocol conformance harness
 (:mod:`repro.check`): ``repro-bench check --episodes N --seed S``
@@ -34,13 +34,17 @@ home manager beat the forwarding pointer on simulated time.
 markdown table and ``--json PATH`` the raw grid (the CI scale-smoke
 artifacts).
 
-The ``analyze`` target runs the causal SLO analytics engine
-(:mod:`repro.bench.analyze`) over a span-enabled trace:
-``repro-bench analyze trace.jsonl [--json slo.json]`` prints the
-markdown report (per-kind latency percentiles, read-miss critical
-paths, redirection chain lengths, migration-decision timelines,
-per-barrier-epoch throughput); ``--json`` additionally writes the raw
-report dict.  Record a suitable trace with
+The ``analyze`` target is the one offline trace reader
+(:mod:`repro.bench.analyze`):
+``repro-bench analyze trace.jsonl [--oid N] [--json slo.json]`` (or
+``--trace PATH``) prints the markdown report — per-kind event counts,
+object N's migration hops, home path and Eq-2 threshold series
+(default: the most-migrated object) and, for a trace recorded with
+spans, per-kind latency percentiles, read-miss critical paths,
+redirection chain lengths, migration-decision timelines and
+per-barrier-epoch throughput; ``--json`` additionally writes the raw
+report dict.  The trace's backend and kernel build go to stderr, so
+stdout is identical across backends.  Record a trace with
 ``scripts/record_trace.py`` or any ``--trace-out`` sweep.
 
 The ``serve`` target runs the serving-traffic workload tier
@@ -81,8 +85,8 @@ from repro.obs.logging import LEVELS
 from repro.obs.metrics import MetricsRegistry
 
 TARGETS = (
-    "figure2", "figure3", "figure5", "ablation", "all", "report", "check",
-    "analyze", "sweep", "serve",
+    "figure2", "figure3", "figure5", "ablation", "all", "check", "analyze",
+    "sweep", "serve",
 )
 
 
@@ -301,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "path",
         nargs="?",
-        help="(analyze target) span-enabled JSONL trace to analyze "
+        help="(analyze target) saved JSONL trace to analyze "
         "(equivalent to --trace PATH)",
     )
     parser.add_argument(
@@ -346,13 +350,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="(report target) saved JSONL trace file to render",
+        help="(analyze target) saved JSONL trace file to render",
     )
     parser.add_argument(
         "--oid",
         type=int,
         metavar="N",
-        help="(report target) object id to report on "
+        help="(analyze target) object id to report on "
         "(default: the most-migrated object)",
     )
     parser.add_argument(
@@ -495,14 +499,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.target == "serve":
         return _run_serve_target(args, parser)
 
-    if args.target == "report":
-        if not args.trace:
-            parser.error("the report target requires --trace PATH")
-        from repro.bench.obs_report import render_trace_report
-
-        print(render_trace_report(args.trace, oid=args.oid))
-        return 0
-
     if args.target == "analyze":
         trace_path = args.path or args.trace
         if not trace_path:
@@ -515,19 +511,16 @@ def main(argv: list[str] | None = None) -> int:
             render_analysis,
             write_json_report,
         )
+        from repro.obs.export import read_trace_meta
 
-        slo = analyze_trace(trace_path)
-        if slo["spans"]["opened"] == 0:
-            # Not an error: the trace is valid, it just wasn't recorded
-            # with span kinds.  Say exactly how to get an analyzable one
-            # instead of printing a report full of empty sections.
-            print(
-                f"{trace_path}: no spans in this trace — re-record it "
-                f"with span kinds enabled (the default for repro-bench "
-                f"--trace-out and scripts/record_trace.py) to get causal "
-                f"analytics"
-            )
-            return 0
+        slo = analyze_trace(trace_path, oid=args.oid)
+        # provenance goes to stderr so stdout stays byte-diffable across
+        # backends (the CI analyze smoke diffs the rendered reports)
+        meta = read_trace_meta(trace_path)
+        provenance = f"{trace_path}: backend {meta.get('backend', 'unrecorded')}"
+        if meta.get("kernel_build_hash"):
+            provenance += f", kernel build {meta['kernel_build_hash']}"
+        print(provenance, file=sys.stderr)
         print(render_analysis(slo), end="")
         if args.json:
             write_json_report(slo, args.json)

@@ -12,23 +12,11 @@ isolation from the protocol machinery:
 
 from __future__ import annotations
 
-from repro import _kernel
-
 #: The paper's initial threshold ``T_init = 1`` (§4.2).
 T_INIT = 1.0
 
 #: The paper's feedback coefficient ``lambda = 1`` (§4.2).
 LAMBDA = 1.0
-
-#: The compiled kernel module, or ``None``: resolved once at import and
-#: re-pointed by :func:`repro._kernel.select_backend`, never per call.
-_kernel_module = _kernel.kernel()
-
-
-def _rebind_kernel() -> None:
-    """Re-resolve the kernel (called by ``select_backend``)."""
-    global _kernel_module
-    _kernel_module = _kernel.kernel()
 
 
 def adaptive_threshold(
@@ -45,26 +33,6 @@ def adaptive_threshold(
     ``redirections``/``exclusive_home_writes`` are the feedback counters
     accumulated since then; ``alpha`` is the home access coefficient.
     """
-    kernel_module = _kernel_module
-    if kernel_module is not None:
-        # Same validation messages and IEEE-754 operation order in C.
-        return kernel_module.adaptive_threshold(
-            base, redirections, exclusive_home_writes, alpha, lam, t_init
-        )
-    return _py_adaptive_threshold(
-        base, redirections, exclusive_home_writes, alpha, lam, t_init
-    )
-
-
-def _py_adaptive_threshold(
-    base: float,
-    redirections: int,
-    exclusive_home_writes: int,
-    alpha: float,
-    lam: float = LAMBDA,
-    t_init: float = T_INIT,
-) -> float:
-    """The pure-Python update rule (the compiled kernel's ground truth)."""
     if base < t_init:
         raise ValueError(f"threshold base {base} below floor {t_init}")
     if redirections < 0 or exclusive_home_writes < 0:

@@ -35,15 +35,13 @@ duck type) a span is recorded as two ordinary trace events:
 Determinism: ids come from deterministic allocation order (the simulator
 dispatches events in a bit-identical order under both backends), and
 this module never consults the wall clock — virtual timestamps are
-passed in by the caller.  An optional ``wall_clock`` callable may be
-injected by an embedder that wants wall-time annotations; it is ``None``
-by default and never required (``tests/test_seed_discipline.py`` audits
-this file for wall-clock imports).
+passed in by the caller (``tests/test_seed_discipline.py`` audits this
+file for wall-clock reads).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["SPAN_KINDS", "SPAN_OPEN", "SPAN_CLOSE", "SpanTracer", "span_guard"]
 
@@ -84,17 +82,11 @@ class SpanTracer:
     """
 
     __slots__ = (
-        "tracer", "wall_clock", "kinds", "enabled", "_next_id",
-        "_sink_open", "_sink_close",
+        "tracer", "kinds", "enabled", "_next_id", "_sink_open", "_sink_close",
     )
 
-    def __init__(
-        self,
-        tracer: Any,
-        wall_clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, tracer: Any) -> None:
         self.tracer = tracer
-        self.wall_clock = wall_clock
         sink = hasattr(tracer, "span_open") and hasattr(tracer, "span_close")
         self._sink_open = tracer.span_open if sink else None
         self._sink_close = tracer.span_close if sink else None
@@ -135,8 +127,6 @@ class SpanTracer:
             raise ValueError(f"unknown span kind {op_kind!r}")
         op = self._next_id
         self._next_id = op + 1
-        if self.wall_clock is not None:
-            detail["wall_s"] = self.wall_clock()
         sink = self._sink_open
         if sink is not None:
             sink(op, op_kind, time_us, oid, node, parent, detail)
@@ -165,8 +155,6 @@ class SpanTracer:
         """Close a previously opened span."""
         if op_kind not in SPAN_KINDS:
             raise ValueError(f"unknown span kind {op_kind!r}")
-        if self.wall_clock is not None:
-            detail["wall_s"] = self.wall_clock()
         sink = self._sink_close
         if sink is not None:
             sink(op, op_kind, time_us, oid, node, detail)
@@ -206,5 +194,12 @@ class SpanTracer:
 
 def span_guard(spans: SpanTracer | None, kind: str) -> SpanTracer | None:
     """``spans`` if it opens ``kind``, else ``None``: a call site's cached
-    guard, so an untaken kind costs one ``is not None`` check."""
+    guard, so an untaken kind costs one ``is not None`` check.
+
+    ``kind`` is checked even without a tracer, so a misspelt call-site
+    kind fails at construction instead of never being opened.
+    """
+    if kind not in SPAN_KINDS:
+        raise ValueError(
+            f"unknown span kind {kind!r}; known: {sorted(SPAN_KINDS)}")
     return spans if spans is not None and kind in spans.kinds else None

@@ -10,7 +10,9 @@ surface of ``repro-bench analyze``:
   chain lengths and p99 read-miss critical paths with a
   forwarding-vs-home decomposition;
 * migration timelines pair each object's Eq-2 threshold trajectory
-  with the decisions that fired;
+  with the decisions that fired, and the object section (``--oid``)
+  gives one object's hops, home path and threshold series — on span
+  and span-less traces alike;
 * the report is backend-independent and deterministic: analyzing the
   same trace twice is identical, the rendered markdown round-trips
   through the CLI, and the JSON dump is stable.
@@ -124,10 +126,14 @@ def test_migration_timeline_tracks_threshold_vs_decisions(asp_trace):
         # home path has one more node than migrations (origin included)
         assert len(entry["path"]) == entry["migrations"] + 1
         assert entry["threshold_min"] <= entry["threshold_max"]
-    timeline = report["hottest_decision_timeline"]
-    assert timeline
-    assert any(d["migrated"] for d in timeline)
-    times = [d["t"] for d in timeline]
+    obj = report["object"]
+    assert obj["oid"] == objects[0]["oid"]  # the most-migrated object
+    assert len(obj["hops"]) == objects[0]["migrations"]
+    assert obj["home_path"] == objects[0]["path"]
+    thr = obj["threshold"]
+    assert thr["points"] >= len(obj["hops"])
+    assert thr["min"] <= thr["first"] <= thr["max"]
+    times = [d["t"] for d in thr["samples"]]
     assert times == sorted(times)
 
 
@@ -284,10 +290,11 @@ def test_empty_span_trace_renders_gracefully(tmp_path):
     assert "no spans in this trace" in text
 
 
-def test_cli_analyze_spans_disabled_trace_is_one_line_and_exit_0(tmp_path):
-    """``repro-bench analyze`` on a spans-disabled trace prints a single
-    actionable line (how to re-record) and exits 0 — a filtered trace is
-    not an error condition."""
+def test_cli_analyze_spans_disabled_trace_hints_and_exit_0(tmp_path):
+    """``repro-bench analyze`` on a spans-disabled trace opens with one
+    actionable line (how to re-record), still renders the event counts
+    and the object section, and exits 0 — a filtered trace is not an
+    error condition."""
     path = tmp_path / "nospans.jsonl"
     record_trace(str(path), app="asp", app_kwargs={"size": 20},
                  policy="NM", nodes=4)
@@ -308,6 +315,41 @@ def test_cli_analyze_spans_disabled_trace_is_one_line_and_exit_0(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     out_lines = proc.stdout.strip().splitlines()
-    assert len(out_lines) == 1, proc.stdout
     assert "no spans in this trace" in out_lines[0]
     assert "re-record" in out_lines[0]
+    assert "Trace events by kind" in proc.stdout
+    assert "Object " in proc.stdout
+
+
+def test_object_section_follows_oid(asp_trace):
+    """``oid`` picks the object section; each section is self-consistent."""
+    default = analyze_trace(asp_trace)
+    counts = default["event_counts"]
+    assert sum(counts.values()) == default["events"]
+    assert counts["migration"] >= sum(
+        m["migrations"] for m in default["migration_objects"]
+    )
+    for entry in default["migration_objects"][:3]:
+        report = analyze_trace(asp_trace, oid=entry["oid"])
+        obj = report["object"]
+        assert obj["oid"] == entry["oid"]
+        assert len(obj["hops"]) == entry["migrations"]
+        assert [h["new_home"] for h in obj["hops"]] == obj["home_path"][1:]
+        # everything but the object section is independent of the oid
+        del report["object"]
+        assert report == {k: v for k, v in default.items() if k != "object"}
+        text = render_analysis(analyze_trace(asp_trace, oid=entry["oid"]))
+        assert f"Object {entry['oid']} — {entry['migrations']} migrations" in text
+        assert "adaptive threshold at migration decisions" in text
+        assert "Trace events by kind" in text
+
+
+def test_object_section_for_an_unknown_or_missing_object(asp_trace, tmp_path):
+    text = render_analysis(analyze_trace(asp_trace, oid=10**6))
+    assert f"Object {10**6}: no migration events in this trace" in text
+    assert f"Object {10**6}: no threshold series" in text
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(Path(asp_trace).read_text().splitlines()[0] + "\n")
+    report = analyze_trace(str(empty))
+    assert report["object"] is None and report["events"] == 0
+    assert "empty trace" in render_analysis(report)

@@ -143,9 +143,9 @@ from repro.bench.executor import RunSpec, run_spec
 # Episodes chosen to exercise every compiled fast path: ASP/NM drives
 # fault-in + diff propagation through the per-node delivery ports with no
 # migration; tokenring/AT is lock-transfer heavy (ReplyRouter and C
-# Futures on every grant, home migrations); the homeless SOR leg uses
-# the fallback engine whose accesses bypass the LocalAccess shadows
-# entirely.
+# Futures on every grant) and migrates homes through Eq. 2, which is
+# Python under both backends; the homeless SOR leg uses the fallback
+# engine whose accesses bypass the LocalAccess shadows entirely.
 specs = [
     RunSpec(app="asp", app_kwargs={"size": 20}, policy="NM", nodes=8,
             tag="fp-asp"),

@@ -11,6 +11,7 @@ Skips (with the reason) when the extension is unavailable, e.g. under
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -207,53 +208,6 @@ def test_compute_diff_skips_ndarray_subclasses(km):
     current[3] += 1.0
     diff = compute_diff(1, current, twin)
     np.testing.assert_array_equal(diff.indices, [3])
-
-
-# --------------------------------------------------------------------------
-# adaptive_threshold
-# --------------------------------------------------------------------------
-
-
-def test_adaptive_threshold_matches_expression(km):
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        red, excl = rng.uniform(0, 50, 2)
-        alpha, lam = rng.uniform(0.01, 3.0, 2)
-        t_init = rng.uniform(0, 10)
-        base = t_init + rng.uniform(0, 50)
-        got = km.adaptive_threshold(base, red, excl, alpha, lam, t_init)
-        want = base + lam * (red - alpha * excl)
-        if want < t_init:
-            want = t_init
-        assert got == want  # bit-identical, not approx
-
-
-def test_adaptive_threshold_error_messages_match(km):
-    from repro.core import threshold
-
-    cases = [
-        {"base": -1.0},
-        {"redirections": -1.0},
-        {"exclusive_home_writes": -2.0},
-        {"alpha": -0.5},
-        {"alpha": 0.0},
-        {"lam": -2.0},
-    ]
-    for overrides in cases:
-        kwargs = dict(
-            base=5.0, redirections=2.0, exclusive_home_writes=1.0,
-            alpha=0.5, lam=1.0, t_init=1.0,
-        )
-        kwargs.update(overrides)
-        with pytest.raises(ValueError) as compiled_err:
-            km.adaptive_threshold(
-                kwargs["base"], kwargs["redirections"],
-                kwargs["exclusive_home_writes"], kwargs["alpha"],
-                kwargs["lam"], kwargs["t_init"],
-            )
-        with pytest.raises(ValueError) as python_err:
-            threshold._py_adaptive_threshold(**kwargs)
-        assert str(compiled_err.value) == str(python_err.value)
 
 
 # --------------------------------------------------------------------------
@@ -779,12 +733,12 @@ def test_unknown_backend_is_rejected_on_env_and_call_paths():
     assert proc.stderr.strip().splitlines()[-1] == f"ValueError: {message}"
 
 
-#: The extension's public names, each a twin the exact counters pay for
-#: (PROTOCOL.md §11 names the counter): a path that runs per access, per
-#: message or per slot per epoch on a benchmark leg.  A new twin must be
-#: added here and to that table.
+#: The extension's public names, each a twin whose removal measurably
+#: costs wall time on a benchmark leg or adds a Python call per access or
+#: per message (PROTOCOL.md §11's kept-twin table gives the measurement).
+#: A new twin must be added here and to that table.
 LEDGERED_TWINS = {
-    "Engine", "diff_arrays", "adaptive_threshold",
+    "Engine", "diff_arrays",
     "LocalAccess", "Accessor", "Ready",
     "DeliveryPort", "NetFabric", "FabricSender",
     "Future", "ReplyRouter", "Arena",
@@ -798,3 +752,18 @@ def test_kernel_exports_only_ledgered_twins(km):
         if not name.startswith("_") and name != "KERNEL_API"
     }
     assert public == LEDGERED_TWINS
+
+
+def test_protocol_twin_table_names_the_ledgered_twins():
+    """PROTOCOL.md §11's kept-twin table lists exactly ``LEDGERED_TWINS``.
+
+    Reads only the document, so it runs under either backend.
+    """
+    text = (ROOT / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
+    section = text.split("\n## 11.", 1)[1].split("\n## 12.", 1)[0]
+    rows = section.split("\n| C twin |", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for row in rows.splitlines()[2:]:
+        first_cell = row.split("|")[1]
+        named.update(re.findall(r"`(\w+)`", first_cell))
+    assert named == LEDGERED_TWINS

@@ -1,10 +1,10 @@
-"""End-to-end tests: telemetry through the executor, CLI and report."""
+"""End-to-end tests: telemetry through the executor, CLI and trace reader."""
 
 import json
 from dataclasses import replace
 
 from repro.bench.executor import ObsSpec, RunSpec, execute, run_spec
-from repro.bench.obs_report import render_trace_report
+from repro.bench.analyze import analyze_trace, render_analysis
 from repro.obs.export import load_trace
 from repro.obs.metrics import MetricsRegistry
 
@@ -90,7 +90,10 @@ def test_render_trace_report(tmp_path):
     trace = str(tmp_path / "run.jsonl")
     obs = ObsSpec(trace_path=trace)
     outcome = run_spec(replace(SPEC, obs=obs))
-    report = render_trace_report(trace)
+    analysis = analyze_trace(trace)
+    assert analysis["event_counts"]["migration"] == outcome.migrations
+    assert analysis["object"]["threshold"]["points"] > 0
+    report = render_analysis(analysis)
     assert "migrations" in report
     assert str(outcome.migrations) in report
     assert "threshold" in report
@@ -118,11 +121,18 @@ def test_cli_observability_flags(tmp_path, capsys):
     assert len(produced) == snap["runs"]
 
 
-def test_cli_report_target(tmp_path, capsys):
+def test_cli_analyze_oid_target(tmp_path, capsys):
     from repro.bench.cli import main
 
     trace = str(tmp_path / "run.jsonl")
-    run_spec(replace(SPEC, obs=ObsSpec(trace_path=trace)))
-    assert main(["report", "--trace", trace]) == 0
-    out = capsys.readouterr().out
-    assert "migrations" in out
+    outcome = run_spec(replace(SPEC, obs=ObsSpec(trace_path=trace)))
+    oid = analyze_trace(trace)["object"]["oid"]
+    assert main(["analyze", "--trace", trace, "--oid", str(oid)]) == 0
+    captured = capsys.readouterr()
+    assert "migrations" in captured.out
+    assert f"Object {oid} — " in captured.out
+    assert str(outcome.migrations) in captured.out
+    assert "threshold" in captured.out
+    # provenance on stderr only: stdout is the backend-free rendering
+    assert "backend" in captured.err
+    assert captured.out == render_analysis(analyze_trace(trace, oid=oid))

@@ -65,8 +65,8 @@ def test_no_global_rng_use():
 
 #: Wall-clock spellings forbidden in the span layer: span ids and
 #: timestamps feed the determinism digest and the backend-parity trace
-#: diff, so ``spans.py`` must never read host time on its own — wall
-#: time enters only via the explicit ``wall_clock`` injection hook.
+#: diff, so ``spans.py`` must never read host time: every timestamp it
+#: records is a virtual time passed in by the caller.
 WALL_CLOCK = re.compile(
     r"""
     (?<![\w.])time\.(time|perf_counter|monotonic|process_time|
@@ -82,7 +82,7 @@ WALL_CLOCK_FREE = ("src/repro/obs/spans.py",)
 
 
 def test_span_layer_has_no_wall_clock():
-    """spans.py must not read host time — only injected clocks."""
+    """spans.py must not read host time — only virtual timestamps."""
     hits = []
     for rel in WALL_CLOCK_FREE:
         path = REPO / rel
@@ -95,7 +95,7 @@ def test_span_layer_has_no_wall_clock():
                 hits.append(f"{rel}:{lineno}: {line.strip()}")
     assert not hits, (
         "wall-clock use in the span layer — span timestamps are virtual "
-        "time; wall time may only arrive via the wall_clock parameter:\n"
+        "time passed in by the caller:\n"
         + "\n".join(hits)
     )
 

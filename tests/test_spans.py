@@ -3,8 +3,8 @@
 Three layers of coverage:
 
 * ``SpanTracer`` in isolation — id allocation, enable gating, event
-  shape, kind validation, retro-dated ``completed`` spans, the optional
-  wall-clock hook;
+  shape, kind validation, retro-dated ``completed`` spans, call-site
+  guards;
 * live runs — every span a real ASP (barriers) and synthetic-benchmark
   (locks) run emits opens exactly once, closes exactly once, and links
   children to already-open parents, i.e. the causal tree reconstructs;
@@ -86,6 +86,20 @@ def test_span_tracer_rejects_unknown_kind():
         spans.close(op, "disk_seek", 1.0, oid=0, node=0)
 
 
+def test_span_guard_rejects_unknown_kind_even_without_a_tracer():
+    """A misspelt call-site kind fails loudly instead of never opening."""
+    spans = SpanTracer(TraceRecorder())
+    for tracer in (None, spans):
+        with pytest.raises(ValueError) as err:
+            span_guard(tracer, "read_mis")
+        message = str(err.value)
+        assert "\n" not in message
+        assert "'read_mis'" in message
+        assert all(kind in message for kind in SPAN_KINDS)
+    assert span_guard(None, "read_miss") is None
+    assert span_guard(spans, "read_miss") is spans
+
+
 def test_span_tracer_completed_is_retro_dated():
     """completed() opens at the earlier send time, closes at arrival."""
     recorder = TraceRecorder()
@@ -100,36 +114,17 @@ def test_span_tracer_completed_is_retro_dated():
     assert opens[0].detail["target"] == 5
 
 
-def test_span_tracer_wall_clock_hook_annotates_events():
-    """The injected clock stamps wall_s; absent by default."""
-    recorder = TraceRecorder()
-    ticks = iter([1.5, 2.5])
-    spans = SpanTracer(recorder, wall_clock=lambda: next(ticks))
-    op = spans.open("barrier_wait", 0.0, oid=0, node=0)
-    spans.close(op, "barrier_wait", 1.0, oid=0, node=0)
-    assert recorder.of_kind("span_open")[0].detail["wall_s"] == 1.5
-    assert recorder.of_kind("span_close")[0].detail["wall_s"] == 2.5
-    bare = SpanTracer(TraceRecorder())
-    bare.open("barrier_wait", 0.0, oid=0, node=0)
-    assert "wall_s" not in bare.tracer.of_kind("span_open")[0].detail
-
-
 # -- the two-part tracer protocol: record-only tracers vs span sinks ---------
 
 
 def _scripted(spans):
-    """One open/child-open/close/completed script, wall-clock hook on."""
+    """One open/child-open/close/completed script."""
     a = spans.open("lock_acquire", 5.0, 7, 3, home=2)
     b = spans.open("read_miss", 6.0, 8, 1, parent=a, version=4)
     spans.close(b, "read_miss", 8.5, 8, 1, hops=1)
     c = spans.completed("redirect_hop", 6.5, 7.5, 8, 1, parent=b, target=5)
     spans.close(a, "lock_acquire", 9.0, 7, 3)
     return a, b, c
-
-
-def _clock():
-    ticks = iter(range(100, 200))
-    return lambda: next(ticks)
 
 
 #: What the script above records through ``record(...)`` — kinds, times
@@ -139,19 +134,19 @@ def _clock():
 SCRIPT_EVENTS = [
     ("span_open", 5.0, 7, 3,
      [("op", 0), ("op_kind", "lock_acquire"), ("parent", None),
-      ("home", 2), ("wall_s", 100)]),
+      ("home", 2)]),
     ("span_open", 6.0, 8, 1,
      [("op", 1), ("op_kind", "read_miss"), ("parent", 0),
-      ("version", 4), ("wall_s", 101)]),
+      ("version", 4)]),
     ("span_close", 8.5, 8, 1,
-     [("op", 1), ("op_kind", "read_miss"), ("hops", 1), ("wall_s", 102)]),
+     [("op", 1), ("op_kind", "read_miss"), ("hops", 1)]),
     ("span_open", 6.5, 8, 1,
      [("op", 2), ("op_kind", "redirect_hop"), ("parent", 1),
-      ("target", 5), ("wall_s", 103)]),
+      ("target", 5)]),
     ("span_close", 7.5, 8, 1,
-     [("op", 2), ("op_kind", "redirect_hop"), ("wall_s", 104)]),
+     [("op", 2), ("op_kind", "redirect_hop")]),
     ("span_close", 9.0, 7, 3,
-     [("op", 0), ("op_kind", "lock_acquire"), ("wall_s", 105)]),
+     [("op", 0), ("op_kind", "lock_acquire")]),
 ]
 
 
@@ -193,7 +188,7 @@ class _Sink:
 
 def test_record_only_tracer_gets_the_pinned_event_sequence():
     tracer = _RecordOnly()
-    spans = SpanTracer(tracer, wall_clock=_clock())
+    spans = SpanTracer(tracer)
     assert spans.enabled is True
     assert _scripted(spans) == (0, 1, 2)
     assert tracer.seen == SCRIPT_EVENTS
@@ -201,7 +196,7 @@ def test_record_only_tracer_gets_the_pinned_event_sequence():
 
 def test_trace_recorder_gets_the_pinned_event_sequence():
     recorder = TraceRecorder()
-    _scripted(SpanTracer(recorder, wall_clock=_clock()))
+    _scripted(SpanTracer(recorder))
     assert [
         (e.kind, e.time_us, e.oid, e.node, list(e.detail.items()))
         for e in recorder.events
@@ -211,7 +206,7 @@ def test_trace_recorder_gets_the_pinned_event_sequence():
 def test_span_sink_gets_the_same_values_positionally():
     """Same script, same values — as arguments, never through record()."""
     sink = _Sink()
-    spans = SpanTracer(sink, wall_clock=_clock())
+    spans = SpanTracer(sink)
     assert spans.enabled is True  # the pair of methods enables it
     assert _scripted(spans) == (0, 1, 2)
     assert spans.issued == 3
@@ -237,7 +232,7 @@ def test_half_a_sink_is_a_record_only_tracer():
             raise AssertionError("half a span pair must not be called")
 
     tracer = HalfSink()
-    _scripted(SpanTracer(tracer, wall_clock=_clock()))
+    _scripted(SpanTracer(tracer))
     assert tracer.seen == SCRIPT_EVENTS
 
 
