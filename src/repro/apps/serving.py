@@ -58,6 +58,8 @@ import random
 from dataclasses import dataclass, field
 
 from repro.check.fuzz import ObjectSpec, ProgramSpec, SectionSpec, _draw_policy
+from repro.core.policies import make_policy
+from repro.dsm.redirection import make_mechanism
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -218,6 +220,9 @@ class ServingSpec:
             raise ValueError(
                 f"release_fanout must be >= 2, got {self.release_fanout}"
             )
+        # Resolved only to be refused here; the run builds its own.
+        make_policy(self.policy, **self.policy_params)
+        make_mechanism(self.mechanism)
 
     @property
     def nthreads(self) -> int:

@@ -29,7 +29,8 @@ from repro.bench.executor import (
     default_jobs,
     execute,
 )
-from repro.bench.runner import POLICIES, make_policy, run_once
+from repro.bench.runner import run_once
+from repro.core.policies import POLICIES, make_policy
 
 __all__ = [
     "POLICIES",

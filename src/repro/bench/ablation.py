@@ -23,8 +23,8 @@ from repro.bench.executor import (
     execute,
 )
 from repro.bench.report import format_table
-from repro.bench.runner import MECHANISMS
 from repro.cluster.message import MsgCategory
+from repro.dsm.redirection import MECHANISMS
 
 NODES = 9
 
@@ -175,13 +175,6 @@ def run_homeless_ablation(
             ),
         }
     return rows
-
-
-def make_dsm_policy(name: str):
-    """Late-bound policy factory (avoids an import cycle with runner)."""
-    from repro.bench.runner import make_policy
-
-    return make_policy(name)
 
 
 def run_lock_discipline_ablation(

@@ -45,11 +45,8 @@ from repro.apps import (
     Tsp,
 )
 from repro.cluster.hockney import HockneyModel
-from repro.core.policies import (
-    AdaptiveThreshold,
-    AdaptiveThresholdDecay,
-    FixedThreshold,
-)
+from repro.core.policies import make_policy
+from repro.dsm.redirection import make_mechanism
 
 #: Application factories by registry name (the picklable way to say
 #: "an ``Asp(size=192)``" without capturing a closure).
@@ -62,15 +59,6 @@ APP_FACTORIES: dict[str, Callable[..., Any]] = {
     "tokenring": TokenRing,
     "synthetic": SingleWriterBenchmark,
 }
-
-#: Parameterizable policy classes, for specs that carry ``policy_kwargs``
-#: (e.g. ``AT`` with a non-default ``lam``, or the §6 decay heuristic).
-POLICY_CLASSES: dict[str, Callable[..., Any]] = {
-    "AT": AdaptiveThreshold,
-    "ATD": AdaptiveThresholdDecay,
-    "FT": FixedThreshold,
-}
-
 
 @dataclass(frozen=True)
 class ObsSpec:
@@ -226,29 +214,6 @@ def _make_app(spec: RunSpec) -> Any:
     return factory(**kwargs)
 
 
-def _make_policy(spec: RunSpec) -> Any:
-    """Instantiate the spec's migration policy, honouring kwargs."""
-    from repro.bench.runner import POLICIES, make_policy
-
-    if spec.policy_kwargs:
-        try:
-            cls = POLICY_CLASSES[spec.policy]
-        except KeyError:
-            raise ValueError(
-                f"policy {spec.policy!r} does not accept kwargs; "
-                f"parameterizable policies: {sorted(POLICY_CLASSES)}"
-            ) from None
-        return cls(**dict(spec.policy_kwargs))
-    if spec.policy in POLICIES:
-        return make_policy(spec.policy)
-    if spec.policy in POLICY_CLASSES:
-        return POLICY_CLASSES[spec.policy]()
-    raise ValueError(
-        f"unknown policy {spec.policy!r}; choose from "
-        f"{sorted(set(POLICIES) | set(POLICY_CLASSES))}"
-    )
-
-
 def _build_obs(obs: ObsSpec):
     """Realize an :class:`ObsSpec` into live instruments.
 
@@ -282,7 +247,7 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     metrics snapshot and the trace-file summary.
     """
     from repro import _kernel
-    from repro.bench.runner import make_comm_model, make_mechanism
+    from repro.bench.runner import make_comm_model
     from repro.gos.jvm import DistributedJVM
 
     obs = spec.obs if spec.obs is not None and spec.obs.enabled else None
@@ -311,7 +276,9 @@ def run_spec(spec: RunSpec) -> RunOutcome:
                 nodes=spec.nodes,
                 comm_model=comm_model,
                 policy=(
-                    None if spec.protocol == "homeless" else _make_policy(spec)
+                    None
+                    if spec.protocol == "homeless"
+                    else make_policy(spec.policy, **spec.policy_kwargs)
                 ),
                 mechanism=make_mechanism(spec.mechanism),
                 protocol=spec.protocol,

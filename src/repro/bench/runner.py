@@ -1,46 +1,17 @@
-"""Single-run driver and the policy registry used by all figures."""
+"""Single-run driver and the communication-model registry.
+
+Policy and mechanism names resolve where their classes live:
+:func:`repro.core.policies.make_policy` and
+:func:`repro.dsm.redirection.make_mechanism`.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.apps.base import DsmApplication
 from repro.cluster.hockney import FAST_ETHERNET, GIGABIT, MYRINET, HockneyModel
-from repro.core.policies import (
-    AdaptiveThreshold,
-    BarrierMigration,
-    FixedThreshold,
-    LazyFlushing,
-    MigratingHome,
-    MigrationPolicy,
-    NoMigration,
-)
-from repro.dsm.redirection import (
-    BroadcastMechanism,
-    ForwardingPointerMechanism,
-    HomeManagerMechanism,
-    NotificationMechanism,
-)
+from repro.core.policies import MigrationPolicy, make_policy
+from repro.dsm.redirection import NotificationMechanism, make_mechanism
 from repro.gos.jvm import DistributedJVM, RunResult
-
-#: Policy factories by report name.
-POLICIES: dict[str, Callable[[], MigrationPolicy]] = {
-    "NM": NoMigration,
-    "FT1": lambda: FixedThreshold(1),
-    "FT2": lambda: FixedThreshold(2),
-    "AT": AdaptiveThreshold,
-    "JUMP": MigratingHome,
-    "LF": LazyFlushing,
-    "JIAJIA": BarrierMigration,
-}
-
-#: Notification mechanism factories by report name.
-MECHANISMS: dict[str, Callable[[], NotificationMechanism]] = {
-    "forwarding-pointer": ForwardingPointerMechanism,
-    "broadcast": BroadcastMechanism,
-    "home-manager": HomeManagerMechanism,
-}
-
 
 #: Communication models by report name (used by picklable run specs,
 #: which cannot carry the module-level singletons by identity).
@@ -57,60 +28,6 @@ def make_comm_model(name: str) -> HockneyModel:
         raise ValueError(
             f"unknown comm model {name!r}; choose from {sorted(COMM_MODELS)}"
         ) from None
-
-
-def make_policy(name: str) -> MigrationPolicy:
-    """Instantiate a migration policy from its report name."""
-    try:
-        return POLICIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; choose from {sorted(POLICIES)}"
-        ) from None
-
-
-#: Integer parameters accepted after the mechanism name
-#: (``"home-manager:shards=4"``, ``"broadcast:fanout=4"``,
-#: ``"home-manager:manager=3:shards=2"``).
-_MECHANISM_PARAMS: dict[str, dict[str, str]] = {
-    "broadcast": {"fanout": "fanout"},
-    "home-manager": {"manager": "manager_node", "shards": "shards"},
-}
-
-
-def make_mechanism(name: str) -> NotificationMechanism:
-    """Instantiate a notification mechanism from its report name.
-
-    The name may carry colon-separated integer parameters —
-    ``"broadcast:fanout=4"`` or ``"home-manager:shards=8"`` — mapping
-    onto the mechanism's constructor; a bare name keeps the defaults.
-    """
-    base, _, rest = name.partition(":")
-    try:
-        factory = MECHANISMS[base]
-    except KeyError:
-        raise ValueError(
-            f"unknown mechanism {name!r}; choose from {sorted(MECHANISMS)}"
-        ) from None
-    if not rest:
-        return factory()
-    accepted = _MECHANISM_PARAMS.get(base, {})
-    kwargs: dict[str, int] = {}
-    for part in rest.split(":"):
-        key, sep, value = part.partition("=")
-        if not sep or key not in accepted:
-            raise ValueError(
-                f"bad mechanism parameter {part!r} in {name!r}; "
-                f"{base} accepts {sorted(accepted)}"
-            )
-        try:
-            kwargs[accepted[key]] = int(value)
-        except ValueError:
-            raise ValueError(
-                f"mechanism parameter {key}={value!r} in {name!r} "
-                f"is not an integer"
-            ) from None
-    return factory(**kwargs)
 
 
 def run_once(

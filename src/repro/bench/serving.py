@@ -20,9 +20,9 @@ quantiles (too few samples to resolve p999 below the max — see
 a ``~`` marker instead of masquerading as resolved percentiles.
 
 :func:`run_serving_race` runs the same traffic under several migration
-policies (NM/AT/ATD/JUMP/LF/JIAJIA, any of
-:data:`repro.check.fuzz.POLICY_NAMES`) and tabulates them side by side
-— racing policies on SLO terms rather than wall clock alone.
+policies (any names of :data:`repro.core.policies.POLICIES` that need no
+parameters, e.g. NM/FT1/AT/ATD/JUMP) and tabulates them side by side —
+racing policies on SLO terms rather than wall clock alone.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from functools import cached_property
 from repro.apps.fromspec import SpecProgram
 from repro.apps.serving import ServingSpec, build_serving_program
 from repro.bench.report import format_table
-from repro.check.fuzz import build_mechanism, build_policy
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM, _cycle_collector_paused
 from repro.obs.hist import EpochSeries, LatencyHistogram
@@ -53,9 +52,9 @@ __all__ = [
 #: Schema tag stamped on every serve report dict.
 SERVE_SCHEMA = "repro-serve-report-v1"
 
-#: Policies the serve CLI can race: every family that instantiates
-#: without mandatory parameters (FT needs an explicit threshold, so it
-#: stays a library-level option via ``ServingSpec.policy_params``).
+#: Policies the serve CLI's ``--policy`` accepts and races.  Any name of
+#: :data:`repro.core.policies.POLICIES` works through
+#: :class:`~repro.apps.serving.ServingSpec`; this is the CLI's menu.
 SERVE_POLICIES = ("NM", "AT", "ATD", "JUMP", "LF", "JIAJIA")
 
 
@@ -163,8 +162,8 @@ def _serve(spec: ServingSpec) -> dict:
     jvm = DistributedJVM(
         nodes=pspec.nnodes,
         comm_model=FAST_ETHERNET,
-        policy=build_policy(spec.policy, dict(spec.policy_params)),
-        mechanism=build_mechanism(spec.mechanism, pspec.manager_node),
+        policy=pspec.build_policy(),
+        mechanism=pspec.build_mechanism(),
         tracer=collector,
         lock_discipline=spec.lock_discipline,
         seed=spec.seed,

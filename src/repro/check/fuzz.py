@@ -48,30 +48,13 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from repro.core.policies import (
-    AdaptiveThreshold,
-    AdaptiveThresholdDecay,
-    BarrierMigration,
-    FixedThreshold,
-    LazyFlushing,
-    MigratingHome,
-    MigrationPolicy,
-    NoMigration,
-)
-from repro.dsm.redirection import (
-    BroadcastMechanism,
-    ForwardingPointerMechanism,
-    HomeManagerMechanism,
-    NotificationMechanism,
-)
+from repro.core.policies import MigrationPolicy, make_policy
+from repro.dsm.redirection import NotificationMechanism, make_mechanism
 
 #: Operation kinds a generated program may contain.
 OP_KINDS = ("read", "set", "add", "scale", "copy", "ship_add")
 
-#: Policy names the generator draws from (with their parameter menus).
-POLICY_NAMES = ("NM", "FT", "AT", "ATD", "JUMP", "LF", "JIAJIA")
-
-#: Mechanism names the generator draws from.
+#: Mechanism names the generator draws from (the order fixes the draws).
 MECHANISM_NAMES = ("forwarding-pointer", "broadcast", "home-manager")
 
 
@@ -141,11 +124,13 @@ class ProgramSpec:
 
     def build_policy(self) -> MigrationPolicy:
         """Instantiate the migration policy this spec names."""
-        return build_policy(self.policy_name, self.policy_params)
+        return make_policy(self.policy_name, **self.policy_params)
 
     def build_mechanism(self) -> NotificationMechanism:
-        """Instantiate the stale-hint notification mechanism."""
-        return build_mechanism(self.mechanism_name, self.manager_node)
+        """Instantiate the stale-hint notification mechanism; the spec
+        string may carry ``:key=int`` parameters, and a home manager
+        defaults to :attr:`manager_node`."""
+        return make_mechanism(self.mechanism_name, self.manager_node)
 
     # -- serialization -----------------------------------------------------
 
@@ -239,44 +224,6 @@ def _section_dict(s: SectionSpec) -> dict:
     if s.think_us:
         out["think_us"] = s.think_us
     return out
-
-
-def build_policy(name: str, params: dict) -> MigrationPolicy:
-    """Instantiate a migration policy from its (name, params) draw."""
-    if name == "NM":
-        return NoMigration()
-    if name == "FT":
-        return FixedThreshold(params["threshold"])
-    if name == "AT":
-        return AdaptiveThreshold(
-            lam=params.get("lam", 1.0),
-            t_init=params.get("t_init", 1.0),
-            fixed_alpha=params.get("fixed_alpha"),
-        )
-    if name == "ATD":
-        return AdaptiveThresholdDecay(
-            gamma=params.get("gamma", 0.9),
-            lam=params.get("lam", 1.0),
-            t_init=params.get("t_init", 1.0),
-        )
-    if name == "JUMP":
-        return MigratingHome()
-    if name == "LF":
-        return LazyFlushing()
-    if name == "JIAJIA":
-        return BarrierMigration()
-    raise ValueError(f"unknown policy name {name!r}")
-
-
-def build_mechanism(name: str, manager_node: int = 0) -> NotificationMechanism:
-    """Instantiate a notification mechanism from its name draw."""
-    if name == "forwarding-pointer":
-        return ForwardingPointerMechanism()
-    if name == "broadcast":
-        return BroadcastMechanism()
-    if name == "home-manager":
-        return HomeManagerMechanism(manager_node=manager_node)
-    raise ValueError(f"unknown mechanism name {name!r}")
 
 
 def _draw_policy(rng: random.Random) -> tuple[str, dict]:

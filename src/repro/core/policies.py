@@ -18,11 +18,17 @@ Implemented policies:
 
 Policies are stateless and shareable across objects and runs; all mutable
 numbers live in :class:`~repro.core.state.ObjectAccessState`.
+
+:data:`POLICIES` is the one name vocabulary for them (report names such
+as ``"FT1"`` and ``"AT"``); :func:`make_policy` resolves a name and its
+parameters, for every entry point from ``run_once`` to the fuzzer.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
+from typing import Callable
 
 from repro.core.state import ObjectAccessState
 from repro.core.threshold import LAMBDA, T_INIT, adaptive_threshold
@@ -277,3 +283,33 @@ class BarrierMigration(MigrationPolicy):
         if len(state.interval_writers) == 1:
             return next(iter(state.interval_writers))
         return None
+
+
+#: Policy factories by report name; :func:`make_policy` passes its
+#: keyword parameters through (``FT`` needs ``threshold=``).
+POLICIES: dict[str, Callable[..., MigrationPolicy]] = {
+    "NM": NoMigration,
+    "FT": FixedThreshold,
+    "FT1": partial(FixedThreshold, 1),
+    "FT2": partial(FixedThreshold, 2),
+    "AT": AdaptiveThreshold,
+    "ATD": AdaptiveThresholdDecay,
+    "JUMP": MigratingHome,
+    "LF": LazyFlushing,
+    "JIAJIA": BarrierMigration,
+}
+
+
+def make_policy(name: str, **params) -> MigrationPolicy:
+    """Instantiate a policy by report name; a bad name or parameter is
+    one ``ValueError`` line."""
+    try:
+        factory = POLICIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown policy {name!r}; choose from {sorted(POLICIES)}"
+        ) from None
+    try:
+        return factory(**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for policy {name!r}: {exc}") from None

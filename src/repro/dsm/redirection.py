@@ -26,6 +26,10 @@ Every old home always retains the local pointer (it costs nothing and the
 real implementation needs it to forward in-flight traffic); mechanisms
 differ in the *extra messages* they send at migration time and in how an
 obsolete home tells a requester to proceed.
+
+:data:`MECHANISMS` names the three; :func:`make_mechanism` parses a spec
+string — the name plus colon-separated integer parameters, e.g.
+``"broadcast:fanout=4"`` or ``"home-manager:manager=3:shards=2"``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ class NotificationMechanism(ABC):
     """Strategy for publishing a new home location."""
 
     name: str = "mechanism"
+
+    #: Spec-string parameter -> constructor keyword (:func:`make_mechanism`).
+    spec_params: dict[str, str] = {}
 
     def validate(self, nnodes: int) -> None:
         """Check the configuration against the actual cluster size.
@@ -115,6 +122,7 @@ class BroadcastMechanism(NotificationMechanism):
     """
 
     name = "broadcast"
+    spec_params = {"fanout": "fanout"}
 
     def __init__(self, fanout: int | None = None):
         if fanout is not None and fanout < 2:
@@ -175,6 +183,7 @@ class HomeManagerMechanism(NotificationMechanism):
     """
 
     name = "home-manager"
+    spec_params = {"manager": "manager_node", "shards": "shards"}
 
     def __init__(self, manager_node: int = 0, shards: int = 1):
         if manager_node < 0:
@@ -221,3 +230,46 @@ class HomeManagerMechanism(NotificationMechanism):
             "kind": "manager",
             "manager": self.shard_for(oid, obsolete_home.network.nnodes),
         }
+
+
+#: Notification mechanism classes by report name.
+MECHANISMS: dict[str, type[NotificationMechanism]] = {
+    "forwarding-pointer": ForwardingPointerMechanism,
+    "broadcast": BroadcastMechanism,
+    "home-manager": HomeManagerMechanism,
+}
+
+
+def make_mechanism(name: str, manager_node: int = 0) -> NotificationMechanism:
+    """Instantiate a notification mechanism from its spec string.
+
+    ``manager_node`` places the home manager unless the spec says
+    ``manager=``; the other mechanisms ignore it.  A malformed spec is
+    one ``ValueError`` line.
+    """
+    base, _, rest = name.partition(":")
+    try:
+        cls = MECHANISMS[base]
+    except KeyError:
+        raise ValueError(
+            f"unknown mechanism {name!r}; choose from {sorted(MECHANISMS)}"
+        ) from None
+    kwargs: dict[str, int] = {}
+    if cls is HomeManagerMechanism:
+        kwargs["manager_node"] = manager_node
+    accepted = cls.spec_params
+    for part in rest.split(":") if rest else ():
+        key, sep, value = part.partition("=")
+        if not sep or key not in accepted:
+            raise ValueError(
+                f"bad mechanism parameter {part!r} in {name!r}; "
+                f"{base} accepts {sorted(accepted)}"
+            )
+        try:
+            kwargs[accepted[key]] = int(value)
+        except ValueError:
+            raise ValueError(
+                f"mechanism parameter {key}={value!r} in {name!r} "
+                f"is not an integer"
+            ) from None
+    return cls(**kwargs)

@@ -1,23 +1,27 @@
-"""Tests for the bench runner and registries."""
+"""Tests for the bench runner and the policy/mechanism registries."""
 
 import pytest
 
 from repro.apps import SingleWriterBenchmark, Sor
-from repro.bench.runner import (
-    MECHANISMS,
+from repro.bench.runner import run_once
+from repro.core.policies import (
     POLICIES,
-    make_mechanism,
+    AdaptiveThreshold,
+    FixedThreshold,
     make_policy,
-    run_once,
 )
-from repro.core.policies import AdaptiveThreshold, FixedThreshold
+from repro.dsm.redirection import MECHANISMS, make_mechanism
 
 
 def test_policy_registry_complete():
-    assert set(POLICIES) == {"NM", "FT1", "FT2", "AT", "JUMP", "LF", "JIAJIA"}
+    assert set(POLICIES) == {
+        "NM", "FT", "FT1", "FT2", "AT", "ATD", "JUMP", "LF", "JIAJIA"
+    }
     for name in POLICIES:
-        policy = make_policy(name)
-        assert policy.name == name
+        if name == "FT":
+            assert make_policy(name, threshold=3).name == "FT3"
+        else:
+            assert make_policy(name).name == name
 
 
 def test_mechanism_registry_complete():

@@ -14,7 +14,6 @@ import math
 import pytest
 
 from repro.bench.executor import RunSpec, run_spec
-from repro.bench.runner import make_mechanism
 from repro.check.runner import run_episode
 from repro.check.fuzz import generate_program
 from repro.dsm.redirection import (
@@ -22,6 +21,7 @@ from repro.dsm.redirection import (
     ForwardingPointerMechanism,
     HomeManagerMechanism,
     fanout_children,
+    make_mechanism,
 )
 
 
@@ -200,25 +200,17 @@ def test_fanned_broadcast_matches_flat_broadcast_outcome():
 def _forced_manager_episode(seed: int, shards: int):
     """One fuzzer episode with the mechanism pinned to a home manager."""
     spec = generate_program(seed)
-    spec.mechanism_name = "home-manager"
-    if shards > 1:
-        spec.build_mechanism = lambda: HomeManagerMechanism(  # type: ignore[method-assign]
-            manager_node=spec.manager_node,
-            shards=min(shards, spec.nnodes),
-        )
+    spec.mechanism_name = f"home-manager:shards={min(shards, spec.nnodes)}"
     return run_episode(spec=spec)
 
 
 def test_single_shard_matches_classic_manager_on_corpus():
     """``shards=1`` is the classic manager episode for episode."""
     for seed in range(10):
-        classic = _forced_manager_episode(seed, shards=1)
         spec = generate_program(seed)
         spec.mechanism_name = "home-manager"
-        spec.build_mechanism = lambda: HomeManagerMechanism(  # type: ignore[method-assign]
-            manager_node=spec.manager_node, shards=1
-        )
-        sharded = run_episode(spec=spec)
+        classic = run_episode(spec=spec)
+        sharded = _forced_manager_episode(seed, shards=1)
         assert classic.verdict() == sharded.verdict()
         assert classic.ok, f"seed {seed} episode not clean"
 

@@ -321,6 +321,25 @@ BAD_SERVING_SPECS = {
     "release_fanout of one": (
         {"release_fanout": 1}, "release_fanout must be >= 2, got 1"
     ),
+    "unknown policy": (
+        {"policy": "bogus"},
+        "unknown policy 'bogus'; choose from ['AT', 'ATD', 'FT', 'FT1', "
+        "'FT2', 'JIAJIA', 'JUMP', 'LF', 'NM']",
+    ),
+    "FT without threshold": (
+        {"policy": "FT"},
+        "bad parameters for policy 'FT': FixedThreshold.__init__() "
+        "missing 1 required positional argument: 'threshold'",
+    ),
+    "parameter the policy rejects": (
+        {"policy": "NM", "policy_params": {"lam": 0.5}},
+        "bad parameters for policy 'NM': NoMigration() takes no arguments",
+    ),
+    "unknown mechanism": (
+        {"mechanism": "gossip"},
+        "unknown mechanism 'gossip'; choose from ['broadcast', "
+        "'forwarding-pointer', 'home-manager']",
+    ),
 }
 
 
