@@ -354,3 +354,53 @@ def test_one_hand_off_for_every_trigger(trigger, backend):
     assert monitor.redirections == 1
     assert seen == [2.0]
     assert gos.read_global(obj)[0] == 2.0
+
+
+# -- LazyFlushing's copyset, end to end (3 nodes, object homed at node 0) ------
+
+
+def _reader_turn(gos, obj, lock, node):
+    """One synchronized read from `node` (a read fault at the home)."""
+    ctx = ThreadContext(gos, tid=node, node=node)
+    yield from ctx.acquire(lock)
+    yield from ctx.read(obj)
+    yield from ctx.release(lock)
+
+
+def _lf_cluster():
+    gos = make_gos(nnodes=3, policy=LazyFlushing())
+    return gos, gos.alloc_fields(("v",), home=0), gos.alloc_lock(home=0)
+
+
+def test_lazy_flushing_migrates_to_sole_reader_writer(backend):
+    gos, obj, lock = _lf_cluster()
+    run_threads(gos, _reader_turn(gos, obj, lock, node=1))
+    assert gos.current_home(obj) == 0  # a read request never migrates
+    # node 1 is the only node to have read: its write fault moves the home
+    run_threads(gos, single_writer_turns(gos, obj, lock, node=1, turns=1))
+    assert gos.current_home(obj) == 1
+    assert gos.stats.events["migration"] == 1
+    assert gos.read_global(obj)[0] == 1.0
+
+
+def test_lazy_flushing_stays_once_a_second_node_read(backend):
+    gos, obj, lock = _lf_cluster()
+    run_threads(gos, _reader_turn(gos, obj, lock, node=2))
+    run_threads(gos, _reader_turn(gos, obj, lock, node=1))
+    run_threads(gos, single_writer_turns(gos, obj, lock, node=1, turns=2))
+    assert gos.current_home(obj) == 0
+    assert gos.stats.events["migration"] == 0
+    assert gos.read_global(obj)[0] == 2.0
+
+
+def test_lazy_flushing_copyset_resets_at_migration(backend):
+    gos, obj, lock = _lf_cluster()
+    run_threads(gos, single_writer_turns(gos, obj, lock, node=1, turns=1))
+    assert gos.current_home(obj) == 1
+    # node 1's read before the hand-off is forgotten: node 2 is now the
+    # only reader since the last migration, so its write fault moves the
+    # home again
+    run_threads(gos, single_writer_turns(gos, obj, lock, node=2, turns=1))
+    assert gos.current_home(obj) == 2
+    assert gos.stats.events["migration"] == 2
+    assert gos.read_global(obj)[0] == 2.0
