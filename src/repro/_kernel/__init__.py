@@ -173,10 +173,11 @@ def _load_from_path(path: Path) -> Any:
 # (level 6: set_topology takes tier vectors + class costs; level 7: the
 # engine re-queues arrivals as DeliveryPort.deliver events — an older
 # build batches them and drifts events_processed from the Python
-# backend); an installed in-place build predating them must lose to a
+# backend; level 8: LocalAccess reads the engine's cache as a plain
+# dict); an installed in-place build predating them must lose to a
 # fresh first-use build rather than load and misbehave.  Dropping a
 # symbol the Python side no longer calls needs no bump.
-_MIN_KERNEL_API = 7
+_MIN_KERNEL_API = 8
 
 #: Modules that resolve the kernel once at import; ``select_backend()``
 #: re-points each through its ``_rebind_kernel()``.

@@ -44,8 +44,6 @@ static PyObject *str_read_interval = NULL;
 static PyObject *str_write_interval = NULL;
 static PyObject *str_homes = NULL;
 static PyObject *str_cache = NULL;
-static PyObject *str_index = NULL;
-static PyObject *str_slots = NULL;
 static PyObject *str_dirty = NULL;
 static PyObject *str_home_dirty = NULL;
 static PyObject *str_try_read_local = NULL;
@@ -58,13 +56,11 @@ static PyObject *str_last_writer = NULL;
 static PyObject *str_consecutive_writes = NULL;
 static PyObject *str_consecutive_writer = NULL;
 static PyObject *str_upgrade_to_write = NULL;
-static PyObject *str_twin = NULL;
 static PyObject *str_request_id = NULL;
 static PyObject *str_resolve = NULL;
 static PyObject *str_arena = NULL;
 static PyObject *str_stats = NULL;
 static PyObject *str_events = NULL;
-static PyObject *str_live = NULL;
 static PyObject *str_oid = NULL;
 
 /* ClusterStats.events keys (identical to the Python literals). */
@@ -696,7 +692,7 @@ diff_arrays(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 /*                                                                         */
 /* C twins of the per-access and per-message protocol bodies: the          */
 /* try_read_local / try_write_local hit paths (LocalAccess, reading the    */
-/* flat CacheIndex slots directly), the fused thread accessor, the reply   */
+/* engine's cache dict directly), the fused thread accessor, the reply     */
 /* router, and the network send + delivery boundary (NetFabric /           */
 /* DeliveryPort / FabricSender).  Each reproduces the pure-Python          */
 /* semantics bit for bit; cold paths fall back to the bound Python         */
@@ -763,8 +759,7 @@ typedef struct {
     PyObject_HEAD
     PyObject *engine;       /* protocol engine, owned */
     PyObject *homes;        /* engine.homes dict */
-    PyObject *index;        /* engine.cache._index dict (never rebound) */
-    PyObject *slots;        /* engine.cache._slots list (never rebound) */
+    PyObject *cache;        /* engine.cache dict (never rebound) */
     PyObject *dirty;        /* engine.dirty set */
     PyObject *home_dirty;   /* engine.home_dirty set */
     PyObject *events;       /* engine.stats.events Counter (dict subclass) */
@@ -779,7 +774,7 @@ typedef struct {
 static int
 LocalAccess_init(LocalAccessObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *engine, *invalid_mode, *write_mode, *cache;
+    PyObject *engine, *invalid_mode, *write_mode;
     int fast_cache_write;
 
     if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
@@ -803,15 +798,8 @@ LocalAccess_init(LocalAccessObject *self, PyObject *args, PyObject *kwds)
     if (self->homes == NULL || !PyDict_Check(self->homes)) {
         goto bad_engine;
     }
-    cache = PyObject_GetAttr(engine, str_cache);
-    if (cache == NULL) {
-        return -1;
-    }
-    Py_XSETREF(self->index, PyObject_GetAttr(cache, str_index));
-    Py_XSETREF(self->slots, PyObject_GetAttr(cache, str_slots));
-    Py_DECREF(cache);
-    if (self->index == NULL || !PyDict_Check(self->index) ||
-        self->slots == NULL || !PyList_Check(self->slots)) {
+    Py_XSETREF(self->cache, PyObject_GetAttr(engine, str_cache));
+    if (self->cache == NULL || !PyDict_Check(self->cache)) {
         goto bad_engine;
     }
     Py_XSETREF(self->dirty, PyObject_GetAttr(engine, str_dirty));
@@ -848,35 +836,9 @@ bad_engine:
     if (!PyErr_Occurred()) {
         PyErr_SetString(PyExc_TypeError,
                         "LocalAccess() requires a protocol engine with dict "
-                        "homes, a CacheIndex cache, and set dirty tracking");
+                        "homes and cache, and set dirty tracking");
     }
     return -1;
-}
-
-static PyObject *
-local_cache_entry(LocalAccessObject *self, PyObject *oid)
-{
-    /* Borrowed live CacheEntry, Py_None for a dead/absent slot, NULL on
-     * error. */
-    PyObject *slot = PyDict_GetItemWithError(self->index, oid);
-    Py_ssize_t i;
-
-    if (slot == NULL) {
-        if (PyErr_Occurred()) {
-            return NULL;
-        }
-        return Py_None;
-    }
-    i = PyLong_AsSsize_t(slot);
-    if (i == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    if (i < 0 || i >= PyList_GET_SIZE(self->slots)) {
-        PyErr_Format(PyExc_IndexError,
-                     "cache index slot %zd out of range", i);
-        return NULL;
-    }
-    return PyList_GET_ITEM(self->slots, i);
 }
 
 /* Home-copy read hit, including the once-per-interval read trap
@@ -1015,11 +977,11 @@ LocalAccess_try_read(LocalAccessObject *self, PyObject *oid)
         Py_DECREF(home);
         return payload;
     }
-    entry = local_cache_entry(self, oid);
+    entry = PyDict_GetItemWithError(self->cache, oid);  /* borrowed */
     if (entry == NULL) {
-        return NULL;
-    }
-    if (entry == Py_None) {
+        if (PyErr_Occurred()) {
+            return NULL;
+        }
         Py_RETURN_NONE;
     }
     mode = PyObject_GetAttr(entry, str_mode);
@@ -1050,11 +1012,11 @@ LocalAccess_try_write(LocalAccessObject *self, PyObject *oid)
         Py_DECREF(home);
         return payload;
     }
-    entry = local_cache_entry(self, oid);
+    entry = PyDict_GetItemWithError(self->cache, oid);  /* borrowed */
     if (entry == NULL) {
-        return NULL;
-    }
-    if (entry == Py_None) {
+        if (PyErr_Occurred()) {
+            return NULL;
+        }
         Py_RETURN_NONE;
     }
     Py_INCREF(entry);
@@ -1101,8 +1063,7 @@ LocalAccess_traverse(LocalAccessObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->engine);
     Py_VISIT(self->homes);
-    Py_VISIT(self->index);
-    Py_VISIT(self->slots);
+    Py_VISIT(self->cache);
     Py_VISIT(self->dirty);
     Py_VISIT(self->home_dirty);
     Py_VISIT(self->events);
@@ -1119,8 +1080,7 @@ LocalAccess_clear_gc(LocalAccessObject *self)
 {
     Py_CLEAR(self->engine);
     Py_CLEAR(self->homes);
-    Py_CLEAR(self->index);
-    Py_CLEAR(self->slots);
+    Py_CLEAR(self->cache);
     Py_CLEAR(self->dirty);
     Py_CLEAR(self->home_dirty);
     Py_CLEAR(self->events);
@@ -1156,7 +1116,7 @@ static PyTypeObject LocalAccessType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._kernel._kernelc.LocalAccess",
     .tp_doc = "Compiled try_read_local/try_write_local hit paths over the "
-              "flat CacheIndex of one protocol engine.",
+              "homes and cache dicts of one protocol engine.",
     .tp_basicsize = sizeof(LocalAccessObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = PyType_GenericNew,
@@ -2171,169 +2131,6 @@ static PyTypeObject FabricType = {
 /* module                                                                  */
 /* ====================================================================== */
 
-/* cache_sweep_invalid(cache, invalid_mode, free): barrier-GC sweep of the
- * flat CacheIndex — pool every INVALID twinless entry's payload and
- * tombstone its slot, returning the drop count.  Mirrors the Python
- * dead-scan + pop + free loop of collect_garbage. */
-static PyObject *
-kernel_cache_sweep(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *cache, *invalid, *freefn, *slots, *live, *adjusted;
-    Py_ssize_t i, ndead = 0;
-
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "cache_sweep_invalid expects 3 arguments, got %zd",
-                     nargs);
-        return NULL;
-    }
-    cache = args[0];
-    invalid = args[1];
-    freefn = args[2];
-    slots = PyObject_GetAttr(cache, str_slots);
-    if (slots == NULL) {
-        return NULL;
-    }
-    if (!PyList_Check(slots)) {
-        Py_DECREF(slots);
-        PyErr_SetString(PyExc_TypeError,
-                        "cache_sweep_invalid needs a CacheIndex");
-        return NULL;
-    }
-    for (i = 0; i < PyList_GET_SIZE(slots); i++) {
-        PyObject *entry = PyList_GET_ITEM(slots, i);
-        PyObject *mode, *twin, *payload, *r;
-        int dead;
-
-        if (entry == Py_None) {
-            continue;
-        }
-        mode = PyObject_GetAttr(entry, str_mode);
-        if (mode == NULL) {
-            goto fail;
-        }
-        dead = (mode == invalid);
-        Py_DECREF(mode);
-        if (!dead) {
-            continue;
-        }
-        twin = PyObject_GetAttr(entry, str_twin);
-        if (twin == NULL) {
-            goto fail;
-        }
-        dead = (twin == Py_None);
-        Py_DECREF(twin);
-        if (!dead) {
-            continue;
-        }
-        payload = PyObject_GetAttr(entry, str_payload);
-        if (payload == NULL) {
-            goto fail;
-        }
-        /* pop: tombstone the slot (the index entry stays sticky) */
-        Py_INCREF(Py_None);
-        if (PyList_SetItem(slots, i, Py_None) < 0) {
-            Py_DECREF(payload);
-            goto fail;
-        }
-        r = PyObject_CallOneArg(freefn, payload);
-        Py_DECREF(payload);
-        if (r == NULL) {
-            goto fail;
-        }
-        Py_DECREF(r);
-        ndead++;
-    }
-    Py_DECREF(slots);
-    /* cache._live -= ndead (pop's bookkeeping, batched) */
-    live = PyObject_GetAttr(cache, str_live);
-    if (live == NULL) {
-        return NULL;
-    }
-    {
-        PyObject *delta = PyLong_FromSsize_t(ndead);
-        if (delta == NULL) {
-            Py_DECREF(live);
-            return NULL;
-        }
-        adjusted = PyNumber_Subtract(live, delta);
-        Py_DECREF(delta);
-    }
-    Py_DECREF(live);
-    if (adjusted == NULL) {
-        return NULL;
-    }
-    if (PyObject_SetAttr(cache, str_live, adjusted) < 0) {
-        Py_DECREF(adjusted);
-        return NULL;
-    }
-    Py_DECREF(adjusted);
-    return PyLong_FromSsize_t(ndead);
-
-fail:
-    Py_DECREF(slots);
-    return NULL;
-}
-
-/* cache_invalidate_read(cache, read_mode, invalid_mode): the Java-
- * consistency cache flush of invalidate_all_cached — flip every READ
- * entry of the flat CacheIndex to INVALID (identity compare on the
- * enum members, like the Python `is` check), returning the flip
- * count.  Dirty WRITE copies and tombstones are untouched. */
-static PyObject *
-kernel_cache_invalidate_read(PyObject *mod, PyObject *const *args,
-                             Py_ssize_t nargs)
-{
-    PyObject *cache, *readm, *invalid, *slots;
-    Py_ssize_t i, nswept = 0;
-
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "cache_invalidate_read expects 3 arguments, got %zd",
-                     nargs);
-        return NULL;
-    }
-    cache = args[0];
-    readm = args[1];
-    invalid = args[2];
-    slots = PyObject_GetAttr(cache, str_slots);
-    if (slots == NULL) {
-        return NULL;
-    }
-    if (!PyList_Check(slots)) {
-        Py_DECREF(slots);
-        PyErr_SetString(PyExc_TypeError,
-                        "cache_invalidate_read needs a CacheIndex");
-        return NULL;
-    }
-    for (i = 0; i < PyList_GET_SIZE(slots); i++) {
-        PyObject *entry = PyList_GET_ITEM(slots, i);
-        PyObject *mode;
-        int is_read;
-
-        if (entry == Py_None) {
-            continue;
-        }
-        mode = PyObject_GetAttr(entry, str_mode);
-        if (mode == NULL) {
-            Py_DECREF(slots);
-            return NULL;
-        }
-        is_read = (mode == readm);
-        Py_DECREF(mode);
-        if (!is_read) {
-            continue;
-        }
-        if (PyObject_SetAttr(entry, str_mode, invalid) < 0) {
-            Py_DECREF(slots);
-            return NULL;
-        }
-        nswept++;
-    }
-    Py_DECREF(slots);
-    return PyLong_FromSsize_t(nswept);
-}
-
 /* ---------------------------------------------------------------------- */
 /* Future: one-shot resolvable value (C twin of repro.sim.future.Future)   */
 /* ---------------------------------------------------------------------- */
@@ -3114,17 +2911,6 @@ static PyMethodDef kernel_methods[] = {
      "Single-scan diff of two matching 1-D arrays.  Returns None when "
      "equal, (indices, values, nruns) when changed, or NotImplemented "
      "for layouts/dtypes the kernel does not handle."},
-    {"cache_sweep_invalid",
-     (PyCFunction)(void (*)(void))kernel_cache_sweep, METH_FASTCALL,
-     "cache_sweep_invalid(cache, invalid_mode, free)\n--\n\n"
-     "Barrier-GC sweep of a CacheIndex: pool every INVALID twinless "
-     "entry's payload via free(), tombstone its slot, return the count."},
-    {"cache_invalidate_read",
-     (PyCFunction)(void (*)(void))kernel_cache_invalidate_read,
-     METH_FASTCALL,
-     "cache_invalidate_read(cache, read_mode, invalid_mode)\n--\n\n"
-     "Java-consistency flush of a CacheIndex: flip every READ entry to "
-     "INVALID, return the flip count."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3159,8 +2945,6 @@ PyInit__kernelc(void)
     INTERN(str_write_interval, "write_interval");
     INTERN(str_homes, "homes");
     INTERN(str_cache, "cache");
-    INTERN(str_index, "_index");
-    INTERN(str_slots, "_slots");
     INTERN(str_dirty, "dirty");
     INTERN(str_home_dirty, "home_dirty");
     INTERN(str_try_read_local, "try_read_local");
@@ -3173,13 +2957,11 @@ PyInit__kernelc(void)
     INTERN(str_consecutive_writes, "consecutive_writes");
     INTERN(str_consecutive_writer, "consecutive_writer");
     INTERN(str_upgrade_to_write, "upgrade_to_write");
-    INTERN(str_twin, "twin");
     INTERN(str_request_id, "request_id");
     INTERN(str_resolve, "resolve");
     INTERN(str_arena, "arena");
     INTERN(str_stats, "stats");
     INTERN(str_events, "events");
-    INTERN(str_live, "_live");
     INTERN(str_oid, "oid");
     INTERN(ev_home_write, "home_write");
     INTERN(ev_exclusive_home_write, "exclusive_home_write");
@@ -3220,7 +3002,7 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "Arena", (PyObject *)&ArenaType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 7) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 8) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

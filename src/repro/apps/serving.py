@@ -58,6 +58,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.check.fuzz import ObjectSpec, ProgramSpec, SectionSpec, _draw_policy
+from repro.cluster.topology import make_topology
 from repro.core.policies import make_policy
 from repro.dsm.redirection import make_mechanism
 
@@ -220,9 +221,15 @@ class ServingSpec:
             raise ValueError(
                 f"release_fanout must be >= 2, got {self.release_fanout}"
             )
+        if self.lock_discipline not in ("fifo", "retry"):
+            raise ValueError(
+                f"lock_discipline must be 'fifo' or 'retry', got "
+                f"{self.lock_discipline!r}"
+            )
         # Resolved only to be refused here; the run builds its own.
         make_policy(self.policy, **self.policy_params)
         make_mechanism(self.mechanism)
+        make_topology(self.topology, self.nodes)
 
     @property
     def nthreads(self) -> int:

@@ -242,8 +242,9 @@ class LazyFlushing(MigrationPolicy):
     (no other node fetched a copy since the last ownership change), with
     the total number of ownership transitions bounded — Jackal caps it at
     five.  The copyset is the home's approximation (nodes seen requesting
-    since the last migration), which matches Jackal's "not shared by any
-    other node" test at the fidelity our simulator observes.
+    since the last migration, summarised as ``state.sharer``), which
+    matches Jackal's "not shared by any other node" test at the fidelity
+    our simulator observes.
     """
 
     name = "LF"
@@ -258,8 +259,8 @@ class LazyFlushing(MigrationPolicy):
     def should_migrate(self, state, requester, alpha, for_write) -> bool:
         if not for_write or state.transitions >= self.max_transitions:
             return False
-        others = state.sharers - {requester}
-        return not others
+        sharer = state.sharer
+        return sharer is None or sharer == requester
 
 
 class BarrierMigration(MigrationPolicy):

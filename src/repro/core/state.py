@@ -26,6 +26,9 @@ from dataclasses import dataclass, field
 
 #: Sentinel writer id meaning "the home node itself wrote".
 HOME_WRITER = -1
+#: ``ObjectAccessState.sharer`` once a second node read since the last
+#: migration.
+SHARED = -2
 
 
 @dataclass
@@ -59,9 +62,11 @@ class ObjectAccessState:
     #: Exponentially weighted average of observed diff sizes (bytes);
     #: initialised to the full object size until the first diff arrives.
     diff_bytes_avg: float = 0.0
-    #: Nodes that fetched a copy since the last migration (approximate
-    #: copyset, used by the Jackal-style LazyFlushing baseline).
-    sharers: set[int] = field(default_factory=set)
+    #: The approximate copyset since the last migration, summarised for
+    #: the Jackal-style LazyFlushing baseline's sole-sharer test: None
+    #: before any remote read, the one node that read, or SHARED once a
+    #: second node read.
+    sharer: int | None = None
     #: Remote nodes that wrote in the current barrier interval (used by the
     #: JiaJia-style BarrierMigration baseline); cleared at each barrier.
     interval_writers: set[int] = field(default_factory=set)
@@ -121,7 +126,11 @@ class ObjectAccessState:
         if hops < 0:
             raise ValueError(f"hops must be non-negative, got {hops}")
         self.remote_reads += 1
-        self.sharers.add(reader)
+        sharer = self.sharer
+        if sharer is None:
+            self.sharer = reader
+        elif sharer != reader:
+            self.sharer = SHARED
         self.redirections += hops
 
     def record_home_read(self) -> None:
@@ -143,6 +152,6 @@ class ObjectAccessState:
         self.consecutive_writer = None
         self.exclusive_home_writes = 0
         self.redirections = 0
-        self.sharers = set()
+        self.sharer = None
         # The new home's first write follows a remote epoch: not exclusive.
         self.last_writer = None

@@ -104,104 +104,3 @@ class CacheEntry:
             pool.free(self.twin)
         self.twin = None
 
-
-class CacheIndex:
-    """Flat per-node cache map: a sticky ``oid -> slot`` index plus a
-    slot array, shared between both backends.
-
-    The compiled kernel's ``LocalAccess`` fast path serves read/write
-    hits straight from ``_index``/``_slots`` without touching Python
-    method dispatch, so those two containers are **never rebound** after
-    construction — the C side caches direct references to them.  An oid
-    keeps its slot for the lifetime of the engine: ``pop`` only writes
-    ``None`` into the slot, and a re-inserted oid reuses it.  That keeps
-    the index dict insert-free (hence resize-free) on the steady-state
-    hit path.
-
-    Mapping semantics match the plain dict this replaced, with one
-    deliberate difference: iteration yields entries in first-touch slot
-    order rather than dict insertion order.  Every iterating consumer
-    (`invalidate_all_cached`, barrier GC, footprint accounting) is
-    order-insensitive, and the determinism digest does not hash cache
-    iteration order.
-    """
-
-    __slots__ = ("_index", "_slots", "_oids", "_live")
-
-    def __init__(self) -> None:
-        self._index: dict[int, int] = {}
-        self._slots: list[CacheEntry | None] = []
-        self._oids: list[int] = []
-        self._live = 0
-
-    def get(self, oid: int, default: "CacheEntry | None" = None):
-        slot = self._index.get(oid)
-        if slot is None:
-            return default
-        entry = self._slots[slot]
-        return default if entry is None else entry
-
-    def __getitem__(self, oid: int) -> CacheEntry:
-        entry = self.get(oid)
-        if entry is None:
-            raise KeyError(oid)
-        return entry
-
-    def __setitem__(self, oid: int, entry: CacheEntry) -> None:
-        if entry is None:
-            raise ValueError("cache entries cannot be None")
-        self.replace(oid, entry)
-
-    def replace(self, oid: int, entry: CacheEntry) -> "CacheEntry | None":
-        """Install ``entry`` for ``oid``; return the live entry it
-        displaced, or ``None`` (a ``get`` and a set in one call)."""
-        slot = self._index.get(oid)
-        if slot is None:
-            self._index[oid] = len(self._slots)
-            self._slots.append(entry)
-            self._oids.append(oid)
-            self._live += 1
-            return None
-        slots = self._slots
-        old = slots[slot]
-        if old is None:
-            self._live += 1
-        slots[slot] = entry
-        return old
-
-    def pop(self, oid: int, *default):
-        slot = self._index.get(oid)
-        entry = None if slot is None else self._slots[slot]
-        if entry is None:
-            if default:
-                return default[0]
-            raise KeyError(oid)
-        self._slots[slot] = None
-        self._live -= 1
-        return entry
-
-    def __contains__(self, oid: int) -> bool:
-        slot = self._index.get(oid)
-        return slot is not None and self._slots[slot] is not None
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def values(self):
-        """Live entries in first-touch slot order."""
-        return (entry for entry in self._slots if entry is not None)
-
-    def items(self):
-        """Live ``(oid, entry)`` pairs in first-touch slot order."""
-        oids = self._oids
-        return (
-            (oids[slot], entry)
-            for slot, entry in enumerate(self._slots)
-            if entry is not None
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<CacheIndex live={self._live} slots={len(self._slots)}>"

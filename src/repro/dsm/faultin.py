@@ -134,7 +134,7 @@ class FaultInMixin:
                 # a co-located thread is already fetching it
                 leftover_local.append(oid)
                 continue
-            target = self.home_hint.get(oid, self.heap.initial_home(oid))
+            target = self.home_hint.get(oid, self.heap.initial_homes[oid])
             if target == self.node_id:
                 if oid not in self.forwards:
                     # inbound transfer in flight: take the singular path,
@@ -142,7 +142,7 @@ class FaultInMixin:
                     leftover_local.append(oid)
                     continue
                 target = self.forwards[oid]
-                self.home_hint[oid] = target
+                self._learn_home(oid, target)
             by_target.setdefault(target, []).append(oid)
         pending: list[Future] = []
         for target, group in sorted(by_target.items()):
@@ -166,10 +166,9 @@ class FaultInMixin:
                     leftovers.append(oid)  # stale (rare race): refetch singly
                     self.arena.free(data)
                     continue
-                self.home_hint[oid] = reply.home
-                self._free_dead_entry(
-                    self.cache.replace(oid, CacheEntry(data, version))
-                )
+                self._learn_home(oid, reply.home)
+                self._free_dead_entry(self.cache.get(oid))
+                self.cache[oid] = CacheEntry(data, version)
             leftovers.extend(reply.missing)
         for oid in leftovers:
             if oid in self.homes:
@@ -213,7 +212,7 @@ class FaultInMixin:
             op = sp.open("ship", self.sim.now, oid, self.node_id)
         hops = 0
         for _attempt in range(MAX_REDIRECTIONS):
-            target = self.home_hint.get(oid, self.heap.initial_home(oid))
+            target = self.home_hint.get(oid, self.heap.initial_homes[oid])
             if target == self.node_id:
                 if oid in self.homes:
                     # recursion takes the local-home branch: no new span
@@ -222,7 +221,7 @@ class FaultInMixin:
                         sp.close(op, "ship", self.sim.now, oid, self.node_id)
                     return result
                 if oid in self.forwards:
-                    self.home_hint[oid] = self.forwards[oid]
+                    self._learn_home(oid, self.forwards[oid])
                     continue
                 fut = self._Future(label="inbound-home")
                 self._local_home_waits.setdefault(oid, []).append(fut)
@@ -262,12 +261,12 @@ class FaultInMixin:
                     )
                 directive = reply.directive
                 if directive["kind"] == "redirect":
-                    self.home_hint[oid] = directive["target"]
+                    self._learn_home(oid, directive["target"])
                 else:
                     home = yield from self._query_manager(
                         oid, directive["manager"]
                     )
-                    self.home_hint[oid] = home
+                    self._learn_home(oid, home)
                 continue
             if isinstance(reply, ObjReply):
                 # the policy moved the home to us; install it and run
@@ -277,7 +276,7 @@ class FaultInMixin:
                 if sp is not None:
                     sp.close(op, "ship", self.sim.now, oid, self.node_id)
                 return result
-            self.home_hint[oid] = reply.home
+            self._learn_home(oid, reply.home)
             if self.carry_notices.get(oid, 0) < reply.version:
                 self.carry_notices[oid] = reply.version
             cached = self.cache.get(oid)
@@ -332,7 +331,7 @@ class FaultInMixin:
                     for _attempt in range(MAX_REDIRECTIONS):
                         target = self.home_hint.get(oid)
                         if target is None:
-                            target = self.heap.initial_home(oid)
+                            target = self.heap.initial_homes[oid]
                         if target == node:
                             entry = self.homes.get(oid)
                             if entry is not None:
@@ -341,7 +340,7 @@ class FaultInMixin:
                             if oid in self.forwards:
                                 # stale self-hint after we migrated the
                                 # home away
-                                self.home_hint[oid] = self.forwards[oid]
+                                self._learn_home(oid, self.forwards[oid])
                                 continue
                             # announced as the new home but the transfer
                             # is still in flight: wait for it
@@ -387,11 +386,12 @@ class FaultInMixin:
                             )
                         directive = reply.directive
                         if directive["kind"] == "redirect":
-                            self.home_hint[oid] = directive["target"]
+                            self._learn_home(oid, directive["target"])
                         elif directive["kind"] == "manager":
-                            self.home_hint[oid] = yield from self._query_manager(
+                            home = yield from self._query_manager(
                                 oid, directive["manager"]
                             )
+                            self._learn_home(oid, home)
                         else:  # pragma: no cover - defensive
                             raise RuntimeError(
                                 f"unknown miss directive {directive!r}"
@@ -428,14 +428,20 @@ class FaultInMixin:
                 oid, reply.data, reply.version, reply.monitor, "reply-mig",
                 reply.op_id,
             )
-        self.home_hint[oid] = reply.home
+        # _learn_home, inline: this runs once per remote read
+        if reply.home == self.heap.initial_homes[oid]:
+            self.home_hint.pop(oid, None)
+        else:
+            self.home_hint[oid] = reply.home
         required = self.required_version.get(oid, 0)
         if reply.version < required:  # pragma: no cover - protocol invariant
             raise RuntimeError(
                 f"home replied version {reply.version} < required {required} "
                 f"for oid {oid}"
             )
-        old = self.cache.replace(oid, CacheEntry(reply.data, reply.version))
+        cache = self.cache
+        old = cache.get(oid)
+        cache[oid] = CacheEntry(reply.data, reply.version)
         # _free_dead_entry, inline: this runs once per remote read
         if old is not None and old.mode is _INVALID and old.twin is None:
             self.arena.free(old.payload)

@@ -80,7 +80,7 @@ class IntervalMixin:
             self._reply_waiters[request_id] = fut
             target = self.home_hint.get(oid)
             if target is None:
-                target = self.heap.initial_home(oid)
+                target = self.heap.initial_homes[oid]
             d_op = None
             if sp is not None:
                 d_op = sp.open(
@@ -128,9 +128,15 @@ class IntervalMixin:
             cached.mode = _READ
             waits.append((oid, cached, fut, d_op))
         self.dirty.clear()
+        home_hint = self.home_hint
+        initial_homes = self.heap.initial_homes
         for oid, cached, fut, d_op in waits:
             ack: DiffAck = yield fut
-            self.home_hint[oid] = ack.home
+            # _learn_home, inline: this runs once per diff
+            if ack.home == initial_homes[oid]:
+                home_hint.pop(oid, None)
+            else:
+                home_hint[oid] = ack.home
             if cached.twin is not None:
                 # a co-located thread already opened the next write
                 # interval on the post-diff image: just advance the version
@@ -197,10 +203,9 @@ class IntervalMixin:
         Dirty WRITE copies are spared: their diffs have not been flushed
         yet (LRC multiple-writer semantics keep them coherent via twins).
 
-        Hot at scale — every node sweeps its whole cache at every
-        synchronization point — so under the compiled backend the engine
-        binds this name to the C sweep itself (same identity compare,
-        same attribute writes).
+        It walks only the entries the node holds now (PROTOCOL.md §12),
+        so it is one Python loop on both backends; a lock acquire runs
+        the same loop inline.
         """
         for cached in self.cache.values():
             if cached.mode is _READ:
@@ -256,20 +261,15 @@ class IntervalMixin:
         if peaks.get("notice_floors", 0) < len(required) + elided:
             peaks["notice_floors"] = len(required) + elided
         if cache:
-            if self._kernel is not None:
-                self.gc_cache_drops += self._kernel.cache_sweep_invalid(
-                    cache, _INVALID, self.arena.free
-                )
-            else:
-                dead = [
-                    oid
-                    for oid, entry in cache.items()
-                    if entry.mode is _INVALID and entry.twin is None
-                ]
-                arena = self.arena
-                for oid in dead:
-                    arena.free(cache.pop(oid).payload)
-                self.gc_cache_drops += len(dead)
+            dead = [
+                oid
+                for oid, entry in cache.items()
+                if entry.mode is _INVALID and entry.twin is None
+            ]
+            arena = self.arena
+            for oid in dead:
+                arena.free(cache.pop(oid).payload)
+            self.gc_cache_drops += len(dead)
         if required:
             homes = self.homes
             prunable = [

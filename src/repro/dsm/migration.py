@@ -148,7 +148,7 @@ class MigrationMixin:
         )
         del self.homes[oid]
         self.forwards[oid] = new_home
-        self.home_hint[oid] = new_home
+        self._learn_home(oid, new_home)
         self.cache[oid] = CacheEntry(entry.payload, entry.version)
         self.mechanism.on_migration(self, oid, new_home)
         for pending in entry.pending.drain():
@@ -168,7 +168,7 @@ class MigrationMixin:
         foreign requests, parked diffs, local threads waiting for it."""
         self.forwards.pop(oid, None)  # we are home again: drop stale pointer
         self.homes[oid] = HomeEntry(payload=payload, version=version, state=monitor)
-        self.home_hint[oid] = self.node_id
+        self._learn_home(oid, self.node_id)
         if self._tr_home_install:
             self.tracer.record(
                 "home_install",
@@ -303,7 +303,7 @@ class MigrationMixin:
                 self.network.nnodes,
             ):
                 self._send(dst, MsgCategory.HOME_BCAST, NOTIFY_BYTES, payload)
-        self.home_hint[payload["oid"]] = payload["new_home"]
+        self._learn_home(payload["oid"], payload["new_home"])
 
     def _on_home_update(self, payload: dict) -> None:
         self.manager_home_map[payload["oid"]] = payload["new_home"]

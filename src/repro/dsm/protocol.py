@@ -32,7 +32,6 @@ increments the positive feedback ``E``.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, TYPE_CHECKING
 
 from repro.cluster.message import MsgCategory
@@ -41,7 +40,7 @@ from repro.cluster.stats import ClusterStats
 from repro.core.coefficient import home_access_coefficient
 from repro.core.policies import MigrationPolicy
 from repro.core.state import ObjectAccessState
-from repro.dsm.cache import AccessMode, CacheEntry, CacheIndex
+from repro.dsm.cache import AccessMode, CacheEntry
 from repro.dsm.faultin import FaultInMixin
 from repro.dsm.home import HomeEntry
 from repro.dsm.interval import IntervalMixin
@@ -56,7 +55,6 @@ from repro.sim.future import Future
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-_READ = AccessMode.READ
 _INVALID = AccessMode.INVALID
 
 
@@ -148,9 +146,13 @@ class DsmEngine(
         self._sp_barrier = span_guard(spans, "barrier_wait")
         self._sp_ship = span_guard(spans, "ship")
 
-        self.cache = CacheIndex()
+        #: Live cached copies of objects homed elsewhere.  Never rebound:
+        #: the compiled LocalAccess holds this dict.
+        self.cache: dict[int, CacheEntry] = {}
         self.homes: dict[int, HomeEntry] = {}
         self.forwards: dict[int, int] = {}
+        #: Homes learned to differ from the object's initial home; every
+        #: reader falls back to ``heap.initial_home`` (see _learn_home).
         self.home_hint: dict[int, int] = {}
         self.required_version: dict[int, int] = {}
         self.dirty: set[int] = set()
@@ -174,7 +176,7 @@ class DsmEngine(
 
         kernel_module = self._kernel
         # Protocol fast paths (PR 8).  Compiled backend: the local-hit
-        # read/write bodies run in C against the flat cache index, with
+        # read/write bodies run in C against the homes and cache dicts, with
         # cold paths (trap bookkeeping, twin creation, tracing) falling
         # back to the bound Python methods captured at construction.
         if kernel_module is not None:
@@ -186,11 +188,6 @@ class DsmEngine(
             )
             self.try_read_local = local_access.try_read
             self.try_write_local = local_access.try_write
-            # The Java-consistency flush is the C sweep itself, over the
-            # never-rebound cache.
-            self.invalidate_all_cached = partial(
-                kernel_module.cache_invalidate_read, self.cache, _READ, _INVALID
-            )
         # The network delivers through per-node ports (in C under the
         # compiled engine); it binds this engine's sender once every node
         # has registered.
@@ -244,6 +241,18 @@ class DsmEngine(
         if self.arenas is not None:
             return self.arenas[node]
         return self.arena
+
+    def _learn_home(self, oid: int, home: int) -> None:
+        """Record that ``oid``'s home is ``home``.
+
+        ``home_hint`` keeps only homes that moved: learning the initial
+        home again drops the hint, so the map holds what has migrated,
+        not everything this node has touched (PROTOCOL.md §12).
+        """
+        if home == self.heap.initial_homes[oid]:
+            self.home_hint.pop(oid, None)
+        else:
+            self.home_hint[oid] = home
 
     def _free_dead_entry(self, entry: CacheEntry | None) -> None:
         """Pool a dropped entry's payload iff it is provably dead.

@@ -35,6 +35,7 @@ from typing import Any, Generator
 
 from repro import _kernel
 from repro.cluster.message import MsgCategory, NOTICE_ENTRY_BYTES
+from repro.dsm.cache import AccessMode
 from repro.dsm.barrier import BarrierHandle, BarrierState
 from repro.dsm.locks import LockHandle, LockTable
 from repro.dsm.redirection import fanout_children
@@ -59,6 +60,8 @@ _LOCK_GRANT = MsgCategory.LOCK_GRANT
 _LOCK_RELEASE = MsgCategory.LOCK_RELEASE
 _BARRIER_ARRIVE = MsgCategory.BARRIER_ARRIVE
 _BARRIER_RELEASE = MsgCategory.BARRIER_RELEASE
+_READ = AccessMode.READ
+_INVALID = AccessMode.INVALID
 
 
 class SyncManager:
@@ -308,7 +311,10 @@ class SyncMixin:
         for oid, version in notices.items():
             if version > required.get(oid, 0):
                 required[oid] = version
-        self.invalidate_all_cached()
+        # invalidate_all_cached, inline: this runs once per lock acquire
+        for cached in self.cache.values():
+            if cached.mode is _READ:
+                cached.mode = _INVALID
         self.interval += 1
         if sp is not None:
             sp.close(op, "lock_acquire", self.sim.now, lock_id, node)
@@ -430,7 +436,8 @@ class SyncMixin:
         # (that is the memory-ablation leg), so merge as before.
         if not self.gc_enabled:
             self.apply_notices(release.notices)
-        self.home_hint.update(release.new_homes)
+        for oid, home in release.new_homes.items():
+            self._learn_home(oid, home)
         self.invalidate_all_cached()
         self.interval += 1
         if self.gc_enabled:

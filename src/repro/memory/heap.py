@@ -18,7 +18,9 @@ class ObjectHeap:
 
     def __init__(self) -> None:
         self._objects: dict[int, SharedObject] = {}
-        self._initial_home: dict[int, int] = {}
+        #: oid -> initial home: the well-known mapping (read it, never
+        #: write it; the protocol's hot paths index it directly).
+        self.initial_homes: dict[int, int] = {}
         #: Initial payload images (used by the homeless protocol, whose
         #: nodes all start from identical images, and by verification).
         self.initial_values: dict[int, "object"] = {}
@@ -58,7 +60,7 @@ class ObjectHeap:
         obj = SharedObject(oid=self._next_oid, spec=spec, label=label, meta=meta)
         self._next_oid += 1
         self._objects[obj.oid] = obj
-        self._initial_home[obj.oid] = home
+        self.initial_homes[obj.oid] = home
         return obj
 
     def get(self, oid: int) -> SharedObject:
@@ -67,7 +69,7 @@ class ObjectHeap:
 
     def initial_home(self, oid: int) -> int:
         """The well-known initial home node of ``oid``."""
-        return self._initial_home[oid]
+        return self.initial_homes[oid]
 
     def total_data_bytes(self) -> int:
         """Sum of every allocated object's payload data bytes.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.state import HOME_WRITER, ObjectAccessState
+from repro.core.state import HOME_WRITER, SHARED, ObjectAccessState
 
 
 def make_state(**kwargs):
@@ -116,7 +116,7 @@ def test_reset_after_migration():
     assert state.exclusive_home_writes == 0
     assert state.redirections == 0
     assert state.last_writer is None
-    assert state.sharers == set()
+    assert state.sharer is None
 
 
 def test_first_home_write_after_migration_not_exclusive():
@@ -129,10 +129,14 @@ def test_first_home_write_after_migration_not_exclusive():
 
 def test_sharers_tracking():
     state = make_state()
+    assert state.sharer is None
     state.record_remote_read(1)
+    state.record_remote_read(1)
+    assert state.sharer == 1  # one reader, however often it reads
     state.record_remote_read(2)
+    assert state.sharer == SHARED
     state.record_remote_read(1)
-    assert state.sharers == {1, 2}
+    assert state.sharer == SHARED  # a second reader is never forgotten
 
 
 def test_interval_writers_tracking():

@@ -14,9 +14,10 @@ import json
 
 import numpy as np
 
-from repro.apps import Sor
+from repro.apps import Asp, Sor
 from repro.bench.runner import make_mechanism, make_policy
 from repro.cluster.hockney import FAST_ETHERNET
+from repro.dsm.cache import AccessMode
 from repro.gos.jvm import DistributedJVM
 
 
@@ -103,3 +104,52 @@ def test_peaks_channel_is_excluded_from_stats_snapshot():
     assert "peaks" not in snapshot
     peaks = result.stats.memory_snapshot()
     assert peaks.get("cache_entries", 0) > 0
+
+
+def _asp_nm_64(size):
+    jvm = DistributedJVM(
+        nodes=64,
+        comm_model=FAST_ETHERNET,
+        policy=make_policy("NM"),
+        mechanism=make_mechanism("forwarding-pointer"),
+    )
+    return jvm.run(Asp(size=size, seed=3))
+
+
+def _per_engine_maps(result):
+    """(hint count, cache count) per engine, after checking that each map
+    holds only what the node still needs."""
+    heap = result.gos.heap
+    maps = []
+    for engine in result.gos.engines:
+        # hints hold only moved homes, and NM moves none
+        assert not [
+            oid for oid, home in engine.home_hint.items()
+            if home == heap.initial_home(oid)
+        ]
+        # the cache holds live entries only: the barrier GC left no dead
+        # (invalid, twinless) copy behind
+        live = [
+            entry for entry in engine.cache.values()
+            if not (entry.mode is AccessMode.INVALID and entry.twin is None)
+        ]
+        assert len(engine.cache) == len(live)
+        maps.append((len(engine.home_hint), len(engine.cache)))
+    return maps
+
+
+def test_per_node_state_tracks_live_set_not_history(backend):
+    # 64 nodes read every ASP row once per round: per-node maps that
+    # grew with each object touched would double with the iterations
+    short = _asp_nm_64(size=64)
+    long = _asp_nm_64(size=128)
+    maps_short = _per_engine_maps(short)
+    maps_long = _per_engine_maps(long)
+    for node, (before, after) in enumerate(zip(maps_short, maps_long)):
+        assert after[0] <= before[0] and after[1] <= before[1], (
+            node, before, after
+        )
+    # each thread of the longer run also writes two remote-homed rows
+    peaks_short = short.gos.memory_footprint()["peaks"]
+    peaks_long = long.gos.memory_footprint()["peaks"]
+    assert peaks_long["cache_entries"] <= peaks_short["cache_entries"] + 2

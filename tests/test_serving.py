@@ -340,6 +340,18 @@ BAD_SERVING_SPECS = {
         "unknown mechanism 'gossip'; choose from ['broadcast', "
         "'forwarding-pointer', 'home-manager']",
     ),
+    "unknown topology": (
+        {"topology": "bogus"},
+        "unknown topology kind 'bogus'; choose from ['fat-tree', 'flat', "
+        "'hier']",
+    ),
+    "fat-tree with empty edge switches": (
+        {"topology": "fat-tree:edge=0"}, "edge_size must be >= 1, got 0"
+    ),
+    "unknown lock discipline": (
+        {"lock_discipline": "nope"},
+        "lock_discipline must be 'fifo' or 'retry', got 'nope'",
+    ),
 }
 
 
