@@ -16,7 +16,7 @@ Run:  python examples/custom_policy.py
 
 from repro import DistributedJVM, FAST_ETHERNET
 from repro.apps import SingleWriterBenchmark
-from repro.bench.runner import make_policy
+from repro.core.policies import make_policy
 from repro.core.policies import MigrationPolicy
 from repro.core.state import ObjectAccessState
 

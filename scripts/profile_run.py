@@ -43,27 +43,17 @@ def make_app(name: str, size: int):
 
 
 def memory_profile(app, args) -> None:
-    """Run ``app`` under tracemalloc and report top allocation sites.
-
-    Builds the JVM directly (instead of ``run_once``) so the ``--no-gc``
-    contrast leg can disable barrier-epoch memory GC.
-    """
+    """Run ``app`` under AT with tracemalloc on and report the top
+    allocation sites; ``--no-gc`` is the contrast leg without
+    barrier-epoch memory GC."""
     import tracemalloc
 
-    from repro.cluster.hockney import FAST_ETHERNET
-    from repro.core.policies import AdaptiveThreshold
-    from repro.dsm.redirection import ForwardingPointerMechanism
-    from repro.gos.jvm import DistributedJVM
+    from repro.bench.runner import run_once
 
-    jvm = DistributedJVM(
-        nodes=args.nodes,
-        comm_model=FAST_ETHERNET,
-        policy=AdaptiveThreshold(),
-        mechanism=ForwardingPointerMechanism(),
-        gc_enabled=not args.no_gc,
-    )
     tracemalloc.start(25)
-    result = jvm.run(app)
+    result = run_once(
+        app, nodes=args.nodes, gc_enabled=not args.no_gc, verify=False
+    )
     current, peak = tracemalloc.get_traced_memory()
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()

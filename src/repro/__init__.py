@@ -20,11 +20,10 @@ discrete-event cluster simulator:
 
 Quickstart::
 
-    from repro import DistributedJVM, AdaptiveThreshold, FAST_ETHERNET
+    from repro import ClusterSpec, DistributedJVM
     from repro.apps import Sor
 
-    jvm = DistributedJVM(nodes=8, comm_model=FAST_ETHERNET,
-                         policy=AdaptiveThreshold())
+    jvm = DistributedJVM(ClusterSpec(nodes=8, policy="AT"))
     result = jvm.run(Sor(size=256, iterations=10))
     print(result.execution_time_us, result.stats.events["migration"])
 """
@@ -45,7 +44,7 @@ from repro.dsm.redirection import (
     HomeManagerMechanism,
     NotificationMechanism,
 )
-from repro.gos.jvm import DistributedJVM, RunResult
+from repro.gos.jvm import ClusterSpec, DistributedJVM, RunResult
 from repro.trace import TraceRecorder
 
 __version__ = "1.0.0"
@@ -54,6 +53,7 @@ __all__ = [
     "AdaptiveThreshold",
     "BarrierMigration",
     "BroadcastMechanism",
+    "ClusterSpec",
     "DistributedJVM",
     "FAST_ETHERNET",
     "FixedThreshold",

@@ -57,10 +57,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.check.fuzz import ObjectSpec, ProgramSpec, SectionSpec, _draw_policy
-from repro.cluster.topology import make_topology
-from repro.core.policies import make_policy
-from repro.dsm.redirection import make_mechanism
+from repro.check.fuzz import MECHANISM_NAMES, ObjectSpec, ProgramSpec
+from repro.check.fuzz import SectionSpec, _draw_policy
+from repro.gos.jvm import ClusterSpec
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -162,9 +161,10 @@ class ServingSpec:
     :func:`build_serving_program`; every field is plain data so the spec
     is picklable and JSON-friendly.  ``threads`` defaults to one worker
     per node; ``hot_shift`` defaults to a quarter of the key space.
-    ``topology`` and ``release_fanout`` are run-level knobs (PROTOCOL.md
-    §15) consumed by :mod:`repro.bench.serving`, not by the program
-    expansion.
+    The cluster settings (``nodes`` and ``policy`` on) are flat fields
+    with :class:`~repro.gos.jvm.ClusterSpec`'s names, checked at
+    construction (:meth:`cluster`); ``topology`` and ``release_fanout``
+    are run-level knobs (PROTOCOL.md §15) the program expansion ignores.
     """
 
     seed: int = 0
@@ -193,7 +193,7 @@ class ServingSpec:
         # Malformed traffic is rejected here, with one line naming the
         # field and its value, rather than expanding to an empty or
         # silently thinned episode (or dying deep inside the expansion).
-        for name in ("nodes", "keys", "key_len", "phases", "requests_per_thread"):
+        for name in ("keys", "key_len", "phases", "requests_per_thread"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
@@ -217,19 +217,12 @@ class ServingSpec:
             )
         if not 0.0 <= self.churn < 1.0:
             raise ValueError(f"churn must be in [0, 1), got {self.churn!r}")
-        if self.release_fanout is not None and self.release_fanout < 2:
-            raise ValueError(
-                f"release_fanout must be >= 2, got {self.release_fanout}"
-            )
-        if self.lock_discipline not in ("fifo", "retry"):
-            raise ValueError(
-                f"lock_discipline must be 'fifo' or 'retry', got "
-                f"{self.lock_discipline!r}"
-            )
-        # Resolved only to be refused here; the run builds its own.
-        make_policy(self.policy, **self.policy_params)
-        make_mechanism(self.mechanism)
-        make_topology(self.topology, self.nodes)
+        self.cluster()
+
+    def cluster(self, manager_node: int = 0) -> ClusterSpec:
+        """The episode's machine; the expansion draws ``manager_node``
+        (:attr:`ProgramSpec.manager_node`)."""
+        return ClusterSpec.of(self, manager_node=manager_node)
 
     @property
     def nthreads(self) -> int:
@@ -337,12 +330,12 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
 
     return ProgramSpec(
         seed=spec.seed,
-        nnodes=spec.nodes,
+        nodes=spec.nodes,
         nthreads=nthreads,
         placement=placement,
-        policy_name=spec.policy,
+        policy=spec.policy,
         policy_params=dict(spec.policy_params),
-        mechanism_name=spec.mechanism,
+        mechanism=spec.mechanism,
         manager_node=manager_node,
         lock_discipline=spec.lock_discipline,
         objects=objects,
@@ -380,9 +373,7 @@ def generate_serving_program(seed: int) -> ProgramSpec:
         churn=rng.choice([0.0, 0.0, 0.25]),
         policy=policy_name,
         policy_params=policy_params,
-        mechanism=rng.choice(
-            ["forwarding-pointer", "broadcast", "home-manager"]
-        ),
+        mechanism=rng.choice(MECHANISM_NAMES),
         lock_discipline=rng.choice(["fifo", "retry"]),
     )
     return build_serving_program(spec)

@@ -297,12 +297,12 @@ def run_decay_ablation(
         ),
         RunSpec(
             app="synthetic", app_kwargs=app_kwargs, policy="ATD",
-            policy_kwargs={"gamma": 0.9},
+            policy_params={"gamma": 0.9},
             nodes=NODES, verify=verify, tag="ATD g=0.9",
         ),
         RunSpec(
             app="synthetic", app_kwargs=app_kwargs, policy="ATD",
-            policy_kwargs={"gamma": 0.5},
+            policy_params={"gamma": 0.5},
             nodes=NODES, verify=verify, tag="ATD g=0.5",
         ),
     ]
@@ -334,7 +334,7 @@ def run_lambda_ablation(
                 "total_updates": total_updates, "repetition": repetition,
             },
             policy="AT",
-            policy_kwargs={"lam": lam},
+            policy_params={"lam": lam},
             nodes=NODES,
             verify=verify,
             tag=lam,

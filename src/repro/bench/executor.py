@@ -45,8 +45,7 @@ from repro.apps import (
     Tsp,
 )
 from repro.cluster.hockney import HockneyModel
-from repro.core.policies import make_policy
-from repro.dsm.redirection import make_mechanism
+from repro.gos.jvm import ClusterSpec
 
 #: Application factories by registry name (the picklable way to say
 #: "an ``Asp(size=192)``" without capturing a closure).
@@ -109,17 +108,17 @@ class RunSpec:
     required for multi-process execution) or a zero-argument callable
     returning a :class:`~repro.apps.base.DsmApplication` (convenient in
     tests; forces the sequential fallback when it cannot be pickled).
-    ``comm_model`` is either a registry name understood by
-    :func:`repro.bench.runner.make_comm_model` or a
-    :class:`~repro.cluster.hockney.HockneyModel` instance.  ``tag`` is an
-    arbitrary picklable label the sweep uses to map outcomes back to its
-    own result structure.
+    The cluster settings are flat fields with
+    :class:`~repro.gos.jvm.ClusterSpec`'s names, checked at construction
+    (:attr:`cluster`), so a malformed spec fails where it is written, not
+    in a sweep worker.  ``tag`` is an arbitrary picklable label the sweep
+    uses to map outcomes back to its own result structure.
     """
 
     app: str | Callable[..., Any]
     app_kwargs: Mapping[str, Any] = field(default_factory=dict)
     policy: str = "AT"
-    policy_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    policy_params: Mapping[str, Any] = field(default_factory=dict)
     nodes: int = 8
     mechanism: str = "forwarding-pointer"
     comm_model: str | HockneyModel = "fast-ethernet"
@@ -138,6 +137,14 @@ class RunSpec:
     topology: str | None = None
     #: Opt-in k-ary multicast relay for barrier releases.
     release_fanout: int | None = None
+
+    def __post_init__(self) -> None:
+        ClusterSpec.of(self)  # a bad cluster setting fails here
+
+    @property
+    def cluster(self) -> ClusterSpec:
+        """The run's machine, from the flat cluster fields."""
+        return ClusterSpec.of(self)
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,6 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     metrics snapshot and the trace-file summary.
     """
     from repro import _kernel
-    from repro.bench.runner import make_comm_model
     from repro.gos.jvm import DistributedJVM
 
     obs = spec.obs if spec.obs is not None and spec.obs.enabled else None
@@ -267,29 +273,8 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     try:
         with timer.phase("build") if timer else _null_context():
             app = _make_app(spec)
-            comm_model = (
-                make_comm_model(spec.comm_model)
-                if isinstance(spec.comm_model, str)
-                else spec.comm_model
-            )
             jvm = DistributedJVM(
-                nodes=spec.nodes,
-                comm_model=comm_model,
-                policy=(
-                    None
-                    if spec.protocol == "homeless"
-                    else make_policy(spec.policy, **spec.policy_kwargs)
-                ),
-                mechanism=make_mechanism(spec.mechanism),
-                protocol=spec.protocol,
-                lock_discipline=spec.lock_discipline,
-                seed=spec.seed,
-                tracer=writer,
-                metrics=metrics,
-                logger=logger,
-                gc_enabled=spec.gc_enabled,
-                topology=spec.topology,
-                release_fanout=spec.release_fanout,
+                spec.cluster, tracer=writer, metrics=metrics, logger=logger
             )
         with timer.phase("simulate") if timer else _null_context():
             result = jvm.run(app, nthreads=spec.nthreads)

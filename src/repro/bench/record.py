@@ -14,36 +14,16 @@ from repro.bench.executor import ObsSpec, RunOutcome, RunSpec, run_spec
 __all__ = ["record_trace"]
 
 
-def record_trace(
-    out: str,
-    app: str = "asp",
-    app_kwargs: dict | None = None,
-    policy: str = "AT",
-    policy_kwargs: dict | None = None,
-    nodes: int = 8,
-    seed: int = 0,
-    mechanism: str = "forwarding-pointer",
-    comm_model: str = "fast-ethernet",
-    verify: bool = True,
-) -> RunOutcome:
+def record_trace(out: str, app: str = "asp", **fields) -> RunOutcome:
     """Run one workload with full tracing on, writing the trace to ``out``.
 
-    All trace kinds are captured (``trace_kinds=None``), so the file
-    contains the span layer plus the decision/migration events the
-    analyzer correlates against.  The run itself is deterministic; only
-    the trace meta line (backend name, kernel build hash) varies with
-    the execution environment.
+    ``fields`` are :class:`RunSpec` fields (``app_kwargs``, ``policy``,
+    ``nodes``, ``seed``, ...; its defaults otherwise).  All trace kinds
+    are captured (``trace_kinds=None``), so the file contains the span
+    layer plus the decision/migration events the analyzer correlates
+    against.  The run itself is deterministic; only the trace meta line
+    (backend name, kernel build hash) varies with the execution
+    environment.
     """
-    spec = RunSpec(
-        app=app,
-        app_kwargs=app_kwargs or {},
-        policy=policy,
-        policy_kwargs=policy_kwargs or {},
-        nodes=nodes,
-        mechanism=mechanism,
-        comm_model=comm_model,
-        seed=seed,
-        verify=verify,
-        obs=ObsSpec(trace_path=out, trace_kinds=None),
-    )
-    return run_spec(spec)
+    obs = ObsSpec(trace_path=out, trace_kinds=None)
+    return run_spec(RunSpec(app=app, obs=obs, **fields))

@@ -35,7 +35,6 @@ from functools import cached_property
 from repro.apps.fromspec import SpecProgram
 from repro.apps.serving import ServingSpec, build_serving_program
 from repro.bench.report import format_table
-from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM, _cycle_collector_paused
 from repro.obs.hist import EpochSeries, LatencyHistogram
 
@@ -159,17 +158,7 @@ def _serve(spec: ServingSpec) -> dict:
     pspec = build_serving_program(spec)
     program = SpecProgram(pspec)
     collector = _RequestCollector()
-    jvm = DistributedJVM(
-        nodes=pspec.nnodes,
-        comm_model=FAST_ETHERNET,
-        policy=pspec.build_policy(),
-        mechanism=pspec.build_mechanism(),
-        tracer=collector,
-        lock_discipline=spec.lock_discipline,
-        seed=spec.seed,
-        topology=spec.topology,
-        release_fanout=spec.release_fanout,
-    )
+    jvm = DistributedJVM(spec.cluster(pspec.manager_node), tracer=collector)
     result = jvm.run(program, nthreads=pspec.nthreads)
 
     latency: dict[str, dict] = {
@@ -206,7 +195,7 @@ def _serve(spec: ServingSpec) -> dict:
     return {
         "schema": SERVE_SCHEMA,
         "config": asdict(spec),
-        "nodes": pspec.nnodes,
+        "nodes": pspec.nodes,
         "threads": pspec.nthreads,
         "policy": spec.policy,
         "requests": collector.closed,

@@ -48,8 +48,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from repro.core.policies import MigrationPolicy, make_policy
-from repro.dsm.redirection import NotificationMechanism, make_mechanism
+from repro.gos.jvm import ClusterSpec
 
 #: Operation kinds a generated program may contain.
 OP_KINDS = ("read", "set", "add", "scale", "copy", "ship_add")
@@ -103,16 +102,19 @@ class ProgramSpec:
 
     ``phases[p][tid]`` is the ordered list of :class:`SectionSpec` thread
     ``tid`` executes in phase ``p``; every thread ends every phase at the
-    global barrier.
+    global barrier.  The cluster fields carry
+    :class:`~repro.gos.jvm.ClusterSpec`'s names (:attr:`cluster`); the
+    JSON form keeps the historical keys ``nnodes``, ``policy_name`` and
+    ``mechanism_name``.
     """
 
     seed: int
-    nnodes: int
+    nodes: int
     nthreads: int
     placement: list[int]
-    policy_name: str
+    policy: str
     policy_params: dict
-    mechanism_name: str
+    mechanism: str
     manager_node: int
     lock_discipline: str
     objects: list[ObjectSpec] = field(default_factory=list)
@@ -120,17 +122,10 @@ class ProgramSpec:
     barrier_home: int = 0
     phases: list[list[list[SectionSpec]]] = field(default_factory=list)
 
-    # -- construction of engine collaborators -----------------------------
-
-    def build_policy(self) -> MigrationPolicy:
-        """Instantiate the migration policy this spec names."""
-        return make_policy(self.policy_name, **self.policy_params)
-
-    def build_mechanism(self) -> NotificationMechanism:
-        """Instantiate the stale-hint notification mechanism; the spec
-        string may carry ``:key=int`` parameters, and a home manager
-        defaults to :attr:`manager_node`."""
-        return make_mechanism(self.mechanism_name, self.manager_node)
+    @property
+    def cluster(self) -> ClusterSpec:
+        """The episode's machine (every other setting at its default)."""
+        return ClusterSpec.of(self)
 
     # -- serialization -----------------------------------------------------
 
@@ -138,12 +133,12 @@ class ProgramSpec:
         """Plain-data form (JSON round-trippable via :meth:`from_dict`)."""
         return {
             "seed": self.seed,
-            "nnodes": self.nnodes,
+            "nnodes": self.nodes,
             "nthreads": self.nthreads,
             "placement": list(self.placement),
-            "policy_name": self.policy_name,
+            "policy_name": self.policy,
             "policy_params": dict(self.policy_params),
-            "mechanism_name": self.mechanism_name,
+            "mechanism_name": self.mechanism,
             "manager_node": self.manager_node,
             "lock_discipline": self.lock_discipline,
             "objects": [
@@ -174,12 +169,12 @@ class ProgramSpec:
         """Rebuild a spec from :meth:`to_dict` output."""
         return cls(
             seed=data["seed"],
-            nnodes=data["nnodes"],
+            nodes=data["nnodes"],
             nthreads=data["nthreads"],
             placement=list(data["placement"]),
-            policy_name=data["policy_name"],
+            policy=data["policy_name"],
             policy_params=dict(data["policy_params"]),
-            mechanism_name=data["mechanism_name"],
+            mechanism=data["mechanism_name"],
             manager_node=data["manager_node"],
             lock_discipline=data["lock_discipline"],
             objects=[
@@ -331,7 +326,7 @@ def generate_program(seed: int, flavor: str = "core") -> ProgramSpec:
     barrier_home = rng.randrange(nnodes)
 
     policy_name, policy_params = _draw_policy(rng)
-    mechanism_name = rng.choice(list(MECHANISM_NAMES))
+    mechanism_name = rng.choice(MECHANISM_NAMES)
     manager_node = rng.randrange(nnodes)
     lock_discipline = rng.choice(["fifo", "retry"])
 
@@ -408,12 +403,12 @@ def generate_program(seed: int, flavor: str = "core") -> ProgramSpec:
 
     return ProgramSpec(
         seed=seed,
-        nnodes=nnodes,
+        nodes=nnodes,
         nthreads=nthreads,
         placement=placement,
-        policy_name=policy_name,
+        policy=policy_name,
         policy_params=policy_params,
-        mechanism_name=mechanism_name,
+        mechanism=mechanism_name,
         manager_node=manager_node,
         lock_discipline=lock_discipline,
         objects=objects,

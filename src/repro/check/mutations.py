@@ -128,12 +128,12 @@ def self_test_spec(policy_name: str, policy_params: dict) -> ProgramSpec:
     ]
     return ProgramSpec(
         seed=-1,
-        nnodes=3,
+        nodes=3,
         nthreads=3,
         placement=[0, 1, 2],
-        policy_name=policy_name,
+        policy=policy_name,
         policy_params=policy_params,
-        mechanism_name="forwarding-pointer",
+        mechanism="forwarding-pointer",
         manager_node=0,
         lock_discipline="fifo",
         objects=[ObjectSpec(name="obj0", length=2, home=0, init=[0.0, 0.0])],

@@ -30,7 +30,6 @@ from repro.check.mutations import (
     apply_mutation,
     mutation_spec,
 )
-from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
 
 
@@ -97,19 +96,11 @@ def run_episode(
         spec = generate_program(seed, flavor=flavor)
     program = SpecProgram(spec)
     checker = InvariantChecker(
-        nnodes=spec.nnodes,
-        policy_name=spec.policy_name,
+        nnodes=spec.nodes,
+        policy_name=spec.policy,
         policy_params=spec.policy_params,
     )
-    jvm = DistributedJVM(
-        nodes=spec.nnodes,
-        comm_model=FAST_ETHERNET,
-        policy=spec.build_policy(),
-        mechanism=spec.build_mechanism(),
-        tracer=checker,
-        lock_discipline=spec.lock_discipline,
-        seed=spec.seed,
-    )
+    jvm = DistributedJVM(spec.cluster, tracer=checker)
     final_heap = None
     run_error = None
     migrations = 0

@@ -81,3 +81,19 @@ GIGABIT = HockneyModel(startup_us=30.0, bandwidth_mb_s=110.0, name="gigabit")
 
 #: Myrinet/GM-class user-level network (for sensitivity studies).
 MYRINET = HockneyModel(startup_us=8.0, bandwidth_mb_s=240.0, name="myrinet")
+
+#: Communication models by report name (used by picklable run specs,
+#: which cannot carry the module-level singletons by identity).
+COMM_MODELS: dict[str, HockneyModel] = {
+    model.name: model for model in (FAST_ETHERNET, GIGABIT, MYRINET)
+}
+
+
+def make_comm_model(name: str) -> HockneyModel:
+    """Look up a communication model from its report name."""
+    try:
+        return COMM_MODELS[name]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown comm model {name!r}; choose from {sorted(COMM_MODELS)}"
+        ) from None

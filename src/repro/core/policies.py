@@ -78,10 +78,6 @@ class MigrationPolicy(ABC):
         """Whether the barrier manager should run this policy at barriers."""
         return False
 
-    def barrier_migrate_target(self, state: ObjectAccessState) -> int | None:
-        """Barrier-time migration target (JiaJia-style policies only)."""
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"
 
@@ -279,11 +275,6 @@ class BarrierMigration(MigrationPolicy):
 
     def wants_barrier_migration(self) -> bool:
         return True
-
-    def barrier_migrate_target(self, state: ObjectAccessState) -> int | None:
-        if len(state.interval_writers) == 1:
-            return next(iter(state.interval_writers))
-        return None
 
 
 #: Policy factories by report name; :func:`make_policy` passes its

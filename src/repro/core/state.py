@@ -22,7 +22,7 @@ continues the feedback loop where the old one left off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Sentinel writer id meaning "the home node itself wrote".
 HOME_WRITER = -1
@@ -67,9 +67,6 @@ class ObjectAccessState:
     #: before any remote read, the one node that read, or SHARED once a
     #: second node read.
     sharer: int | None = None
-    #: Remote nodes that wrote in the current barrier interval (used by the
-    #: JiaJia-style BarrierMigration baseline); cleared at each barrier.
-    interval_writers: set[int] = field(default_factory=set)
     #: Owner-transition count (LazyFlushing's max-5 bound).
     transitions: int = 0
 
@@ -96,7 +93,6 @@ class ObjectAccessState:
             self.consecutive_writer = writer
             self.consecutive_writes = 1
         self.last_writer = writer
-        self.interval_writers.add(writer)
         self.diff_bytes_avg = (
             self._DIFF_EWMA * diff_bytes
             + (1.0 - self._DIFF_EWMA) * self.diff_bytes_avg

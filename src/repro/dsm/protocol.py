@@ -58,6 +58,15 @@ if TYPE_CHECKING:  # pragma: no cover
 _INVALID = AccessMode.INVALID
 
 
+def check_lock_discipline(lock_discipline: str) -> None:
+    """Refuse a lock discipline the engines do not offer, in one line."""
+    if lock_discipline not in ("fifo", "retry"):
+        raise ValueError(
+            f"lock_discipline must be 'fifo' or 'retry', got "
+            f"{lock_discipline!r}"
+        )
+
+
 class DsmEngine(
     FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin, SyncManager
 ):
@@ -80,11 +89,7 @@ class DsmEngine(
         spans=None,
         release_fanout: int | None = None,
     ):
-        if lock_discipline not in ("fifo", "retry"):
-            raise ValueError(
-                f"lock_discipline must be 'fifo' or 'retry', got "
-                f"{lock_discipline!r}"
-            )
+        check_lock_discipline(lock_discipline)
         mechanism.validate(network.nnodes)
         super().__init__(node_id, sim, network, heap, stats, release_fanout)
         self.policy = policy

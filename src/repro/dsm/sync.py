@@ -64,6 +64,12 @@ _READ = AccessMode.READ
 _INVALID = AccessMode.INVALID
 
 
+def check_release_fanout(release_fanout: int | None) -> None:
+    """Refuse a barrier-release relay of fewer than two children."""
+    if release_fanout is not None and release_fanout < 2:
+        raise ValueError(f"release_fanout must be >= 2, got {release_fanout}")
+
+
 class SyncManager:
     """Lock and barrier managers plus the request/reply helpers: the base
     of both protocol engines (see the module docstring for what each
@@ -80,10 +86,7 @@ class SyncManager:
     ):
         """Declare the state both engines share: the node's identity,
         the request/reply maps and the manager state."""
-        if release_fanout is not None and release_fanout < 2:
-            raise ValueError(
-                f"release_fanout must be >= 2, got {release_fanout}"
-            )
+        check_release_fanout(release_fanout)
         self.node_id = node_id
         self.sim = sim
         self.network = network

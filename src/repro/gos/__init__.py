@@ -9,16 +9,19 @@ cluster" (§1).  This package provides:
 * :class:`~repro.gos.thread.ThreadContext` — the API simulated Java
   threads program against (object read/write, field access, synchronized
   sections, barriers, compute charging);
+* :class:`~repro.gos.jvm.ClusterSpec` — the one description of a
+  simulated machine, every setting checked at construction;
 * :class:`~repro.gos.jvm.DistributedJVM` — one-call construction of the
   whole simulated machine and execution of a DSM application.
 """
 
 from repro.gos.distribution import round_robin_homes
-from repro.gos.jvm import DistributedJVM, RunResult
+from repro.gos.jvm import ClusterSpec, DistributedJVM, RunResult
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
 
 __all__ = [
+    "ClusterSpec",
     "DistributedJVM",
     "GlobalObjectSpace",
     "RunResult",

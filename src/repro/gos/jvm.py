@@ -1,4 +1,5 @@
-"""DistributedJVM: build the simulated machine, run an application.
+"""ClusterSpec and DistributedJVM: describe the simulated machine, run
+an application on it.
 
 Mirrors the paper's execution model (§5): "A Java application is started
 in one cluster node.  When a Java thread is created, it is automatically
@@ -11,16 +12,16 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator, TYPE_CHECKING
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterator, Mapping, TYPE_CHECKING
 
-from repro.cluster.hockney import HockneyModel
+from repro.cluster.hockney import FAST_ETHERNET, HockneyModel, make_comm_model
 from repro.cluster.stats import ClusterStats
-from repro.core.policies import MigrationPolicy, NoMigration
-from repro.dsm.redirection import (
-    ForwardingPointerMechanism,
-    NotificationMechanism,
-)
+from repro.cluster.topology import make_topology
+from repro.core.policies import MigrationPolicy, make_policy
+from repro.dsm.protocol import check_lock_discipline
+from repro.dsm.redirection import NotificationMechanism, make_mechanism
+from repro.dsm.sync import check_release_fanout
 from repro.gos import homeless
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
@@ -95,70 +96,123 @@ class RunResult:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class ClusterSpec:
+    """The one description of a simulated machine.
+
+    ``nodes`` nodes on a Hockney-modelled network (``comm_model``) under
+    one coherence ``protocol``, one migration ``policy`` (``NM`` when
+    ``None``; ``policy_params`` go to a named policy's constructor) and
+    one §3.2 notification ``mechanism`` (forwarding pointers when
+    ``None``; a ``home-manager`` defaults to ``manager_node``).  Policy,
+    mechanism and comm model each take a registry name or an instance;
+    ``topology`` (PROTOCOL.md §15) a spec string, dict or built topology,
+    ``None`` for the ideal switch; ``release_fanout`` the k-ary barrier
+    release relay, ``None`` for the direct burst; ``gc_enabled`` the
+    barrier-epoch memory GC (results are identical either way).  Every
+    setting is checked here, at construction, and a bad one is one
+    ``ValueError`` line; what they resolve to is kept in the
+    ``resolved_*`` attributes.
+    """
+
+    nodes: int
+    comm_model: str | HockneyModel = FAST_ETHERNET.name
+    protocol: str = "home-based"
+    policy: str | MigrationPolicy | None = None
+    policy_params: Mapping[str, Any] = field(default_factory=dict)
+    mechanism: str | NotificationMechanism | None = None
+    manager_node: int = 0
+    lock_discipline: str = "fifo"
+    topology: Any = None
+    release_fanout: int | None = None
+    gc_enabled: bool = True
+    seed: int = 0
+    service_us: float | None = None
+    resolved_comm_model: HockneyModel = field(init=False, repr=False, compare=False)
+    resolved_policy: MigrationPolicy = field(init=False, repr=False, compare=False)
+    resolved_mechanism: NotificationMechanism = field(
+        init=False, repr=False, compare=False
+    )
+    resolved_topology: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.nodes < 1:
+            raise ValueError(f"need at least one node, got {self.nodes}")
+        if self.protocol not in ("home-based", "homeless"):
+            raise ValueError(
+                f"protocol must be 'home-based' or 'homeless', got {self.protocol!r}"
+            )
+        check_lock_discipline(self.lock_discipline)
+        if self.protocol == "homeless" and self.lock_discipline != "fifo":
+            raise ValueError(homeless.RETRY_UNSUPPORTED)
+        check_release_fanout(self.release_fanout)
+        comm, policy, mechanism = self.comm_model, self.policy, self.mechanism
+        if not isinstance(comm, HockneyModel):
+            comm = make_comm_model(comm)
+        if policy is None:
+            policy = "NM"
+        if not isinstance(policy, MigrationPolicy):
+            policy = make_policy(policy, **self.policy_params)
+        elif self.policy_params:
+            raise ValueError("policy_params need a policy name, not an instance")
+        if mechanism is None:
+            mechanism = "forwarding-pointer"
+        if not isinstance(mechanism, NotificationMechanism):
+            mechanism = make_mechanism(mechanism, self.manager_node)
+        mechanism.validate(self.nodes)
+        topology = make_topology(self.topology, self.nodes)
+        setattr_ = object.__setattr__  # the spec is frozen
+        setattr_(self, "resolved_comm_model", comm)
+        setattr_(self, "resolved_policy", policy)
+        setattr_(self, "resolved_mechanism", mechanism)
+        setattr_(self, "resolved_topology", topology)
+
+    @classmethod
+    def of(cls, spec, **settings) -> "ClusterSpec":
+        """The cluster of ``spec``, a dataclass that spells its cluster
+        fields with this class's names (``RunSpec``, ``ServingSpec``,
+        ``ProgramSpec``); ``settings`` add what it does not hold."""
+        held = {f.name for f in fields(spec)}
+        given = {
+            f.name: getattr(spec, f.name)
+            for f in fields(cls) if f.init and f.name in held
+        }
+        return cls(**given, **settings)
+
+
 class DistributedJVM:
-    """One-call façade: configure the cluster once, run applications."""
+    """One-call façade: configure the cluster once, run applications.
+
+    Takes a :class:`ClusterSpec`, or its settings as keywords
+    (``DistributedJVM(nodes=8, policy="AT")``), and the observers: a
+    ``tracer``; a :class:`~repro.obs.metrics.MetricsRegistry` that
+    home-based runs fold their trace stream into and every run adds its
+    ``net_*`` traffic counters to; a :class:`~repro.obs.logging.RunLogger`
+    for run lifecycle lines (and, home-based, migration/decision lines).
+    """
 
     def __init__(
         self,
-        nodes: int,
-        comm_model: HockneyModel,
-        policy: MigrationPolicy | None = None,
-        mechanism: NotificationMechanism | None = None,
-        service_us: float | None = None,
-        protocol: str = "home-based",
+        cluster: ClusterSpec | None = None,
+        *,
         tracer=None,
-        lock_discipline: str = "fifo",
-        seed: int = 0,
         metrics=None,
         logger=None,
-        gc_enabled: bool = True,
-        topology=None,
-        release_fanout: int | None = None,
+        **settings,
     ):
-        if nodes < 1:
-            raise ValueError(f"need at least one node, got {nodes}")
-        if protocol not in ("home-based", "homeless"):
-            raise ValueError(
-                f"protocol must be 'home-based' or 'homeless', got {protocol!r}"
-            )
-        if protocol == "homeless" and lock_discipline != "fifo":
-            raise ValueError(homeless.RETRY_UNSUPPORTED)
-        self.nodes = nodes
-        self.comm_model = comm_model
-        self.policy = policy if policy is not None else NoMigration()
-        self.mechanism = (
-            mechanism if mechanism is not None else ForwardingPointerMechanism()
-        )
-        self.service_us = service_us
-        self.protocol = protocol
+        if cluster is None:
+            cluster = ClusterSpec(**settings)
+        elif settings:
+            raise TypeError("pass a ClusterSpec or its settings, not both")
+        self.cluster = cluster
         self.tracer = tracer
-        self.lock_discipline = lock_discipline
-        self.seed = seed
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`: every
-        #: home-based run folds its trace stream into it
-        #: (:class:`~repro.obs.sinks.MetricsSink`), and every run adds its
-        #: per-category ``net_*`` traffic counters when it ends.
         self.metrics = metrics
-        #: Optional :class:`~repro.obs.logging.RunLogger`: run lifecycle
-        #: lines, plus the migration/decision lines of home-based runs
-        #: (:class:`~repro.obs.sinks.LogSink`).
         self.logger = logger
-        #: Barrier-epoch memory GC in the home-based engines (``--no-gc``
-        #: escape hatch turns it off; results are identical either way,
-        #: only the memory footprint differs).
-        self.gc_enabled = gc_enabled
-        #: Opt-in interconnect topology (spec string, dict or
-        #: :class:`~repro.cluster.topology.ClusterTopology`); ``None``
-        #: keeps the seed's ideal single switch (PROTOCOL.md §15).
-        self.topology = topology
-        #: Opt-in k-ary multicast relay for barrier releases; ``None``
-        #: keeps the legacy direct burst.
-        self.release_fanout = release_fanout
 
     def run(
         self, app: "DsmApplication", nthreads: int | None = None
     ) -> RunResult:
-        """Execute ``app`` on a freshly built cluster; verify its output.
+        """Execute ``app`` on a freshly built cluster.
 
         Each run constructs a new :class:`GlobalObjectSpace` (fresh
         simulator, network, heap, engines), so runs are independent and
@@ -171,37 +225,37 @@ class DistributedJVM:
     def _observer(self):
         """The one tracer a run's engines emit into: the caller's tracer
         and, on home-based runs, the metrics and log sinks."""
-        if self.protocol == "homeless":  # its engines emit nothing
+        if self.cluster.protocol == "homeless":  # its engines emit nothing
             return self.tracer
         tracers = [self.tracer]
         if self.metrics is not None:
-            tracers.append(MetricsSink(self.metrics, self.nodes))
+            tracers.append(MetricsSink(self.metrics, self.cluster.nodes))
         if self.logger is not None and self.logger.enabled_for("info"):
             tracers.append(LogSink(self.logger))
         return observer(*tracers)
 
     def _run(self, app: "DsmApplication", nthreads: int | None) -> RunResult:
-        threads = nthreads if nthreads is not None else app.default_threads(self.nodes)
+        cluster = self.cluster
+        nodes, homeless_run = cluster.nodes, cluster.protocol == "homeless"
+        threads = nthreads if nthreads is not None else app.default_threads(nodes)
         if threads < 1:
             raise ValueError(f"need at least one thread, got {threads}")
         # resolved per run, so a patched HomelessObjectSpace takes effect
         space_class = (
-            homeless.HomelessObjectSpace
-            if self.protocol == "homeless"
-            else GlobalObjectSpace
+            homeless.HomelessObjectSpace if homeless_run else GlobalObjectSpace
         )
         gos = space_class(
-            nnodes=self.nodes,
-            comm_model=self.comm_model,
-            policy=self.policy,
-            mechanism=self.mechanism,
-            service_us=self.service_us,
+            nnodes=nodes,
+            comm_model=cluster.resolved_comm_model,
+            policy=cluster.resolved_policy,
+            mechanism=cluster.resolved_mechanism,
+            service_us=cluster.service_us,
             tracer=self._observer(),
-            lock_discipline=self.lock_discipline,
-            seed=self.seed,
-            gc_enabled=self.gc_enabled,
-            topology=self.topology,
-            release_fanout=self.release_fanout,
+            lock_discipline=cluster.lock_discipline,
+            seed=cluster.seed,
+            gc_enabled=cluster.gc_enabled,
+            topology=cluster.resolved_topology,
+            release_fanout=cluster.release_fanout,
         )
         log = self.logger
         log_info = log is not None and log.enabled_for("info")
@@ -209,14 +263,14 @@ class DistributedJVM:
             log.info(
                 "run_start",
                 app=app.name,
-                protocol=self.protocol,
-                nodes=self.nodes,
+                protocol=cluster.protocol,
+                nodes=nodes,
                 threads=threads,
             )
         app.setup(gos, threads)
         processes = []
         for tid in range(threads):
-            node = app.placement(tid, self.nodes, threads)
+            node = app.placement(tid, nodes, threads)
             ctx = ThreadContext(gos, tid, node)
             processes.append(
                 gos.sim.spawn(app.thread_body(ctx, tid), name=f"{app.name}-t{tid}")
@@ -268,10 +322,10 @@ class DistributedJVM:
         return RunResult(
             app_name=app.name,
             policy_name=(
-                "HOMELESS" if self.protocol == "homeless" else self.policy.name
+                "HOMELESS" if homeless_run else cluster.resolved_policy.name
             ),
-            mechanism_name=self.mechanism.name,
-            nnodes=self.nodes,
+            mechanism_name=cluster.resolved_mechanism.name,
+            nnodes=nodes,
             nthreads=threads,
             execution_time_us=execution_time,
             stats=gos.stats,

@@ -52,7 +52,7 @@ def test_asp_correct_on_dsm(nodes, threads):
 
 def test_asp_correct_under_all_policies():
     for policy in ("NM", "FT1", "FT2", "AT", "JIAJIA"):
-        from repro.bench.runner import make_policy
+        from repro.core.policies import make_policy
 
         app = Asp(size=16, seed=2)
         result = make_jvm(nodes=4, policy=make_policy(policy)).run(app)

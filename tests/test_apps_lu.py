@@ -43,7 +43,7 @@ def test_lu_correct_on_dsm(nodes, threads):
 
 
 def test_lu_correct_under_policies():
-    from repro.bench.runner import make_policy
+    from repro.core.policies import make_policy
 
     for policy in ("NM", "AT", "JIAJIA", "FT2"):
         app = Lu(size=16)

@@ -53,7 +53,7 @@ def test_sor_correct_on_dsm(nodes, threads):
 
 
 def test_sor_correct_under_all_policies():
-    from repro.bench.runner import make_policy
+    from repro.core.policies import make_policy
 
     for policy in ("NM", "FT1", "FT2", "AT", "JIAJIA", "JUMP"):
         app = Sor(size=12, iterations=2)

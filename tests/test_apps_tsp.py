@@ -61,7 +61,7 @@ def test_tsp_finds_optimum_on_dsm(nodes):
 
 def test_tsp_correct_under_nm_and_at():
     for policy in ("NM", "AT"):
-        from repro.bench.runner import make_policy
+        from repro.core.policies import make_policy
 
         app = Tsp(cities=7, seed=5)
         result = make_jvm(nodes=3, policy=make_policy(policy)).run(app)

@@ -90,7 +90,7 @@ def test_policy_kwargs_and_registries():
             app="synthetic",
             app_kwargs={"total_updates": 32, "repetition": 4},
             policy="AT",
-            policy_kwargs={"lam": 2.0},
+            policy_params={"lam": 2.0},
             nodes=4,
         )
     )
@@ -111,7 +111,7 @@ def test_policy_kwargs_and_registries():
                 app="sor",
                 app_kwargs={"size": 8, "iterations": 1},
                 policy="JUMP",
-                policy_kwargs={"zap": 1},
+                policy_params={"zap": 1},
             )
         )
 

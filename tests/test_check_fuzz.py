@@ -40,14 +40,14 @@ def test_episode_seed_sequence_is_deterministic():
 def test_specs_are_structurally_valid():
     for seed in SEEDS:
         spec = generate_program(seed)
-        assert 2 <= spec.nnodes <= 5
+        assert 2 <= spec.nodes <= 5
         assert 2 <= spec.nthreads <= 5
         assert len(spec.placement) == spec.nthreads
-        assert all(0 <= node < spec.nnodes for node in spec.placement)
+        assert all(0 <= node < spec.nodes for node in spec.placement)
         assert spec.objects
         names = {obj.name for obj in spec.objects}
-        assert all(0 <= obj.home < spec.nnodes for obj in spec.objects)
-        assert all(0 <= home < spec.nnodes for home in spec.lock_homes)
+        assert all(0 <= obj.home < spec.nodes for obj in spec.objects)
+        assert all(0 <= home < spec.nodes for home in spec.lock_homes)
         for phase in spec.phases:
             assert len(phase) == spec.nthreads
             for sections in phase:
@@ -86,9 +86,9 @@ def test_specs_are_drf_by_construction():
 def test_policy_and_mechanism_build():
     for seed in SEEDS:
         spec = generate_program(seed)
-        policy = spec.build_policy()
-        mechanism = spec.build_mechanism()
-        assert policy is not None and mechanism is not None
+        cluster = spec.cluster
+        assert cluster.resolved_policy.name.startswith(spec.policy)
+        assert cluster.resolved_mechanism.name == spec.mechanism
 
 
 def test_from_dict_rejects_incomplete_payload():

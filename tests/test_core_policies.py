@@ -188,16 +188,6 @@ def test_barrier_migration_never_fires_on_requests():
     assert policy.wants_barrier_migration()
 
 
-def test_barrier_migration_target_single_writer():
-    policy = BarrierMigration()
-    state = make_state()
-    state.record_remote_write(4, 10)
-    assert policy.barrier_migrate_target(state) == 4
-    state.record_remote_write(5, 10)
-    assert policy.barrier_migrate_target(state) is None
-
-
 def test_non_barrier_policies_decline_barrier_hook():
     for policy in (NoMigration(), FixedThreshold(1), AdaptiveThreshold()):
         assert not policy.wants_barrier_migration()
-        assert policy.barrier_migrate_target(make_state()) is None

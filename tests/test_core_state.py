@@ -137,10 +137,3 @@ def test_sharers_tracking():
     assert state.sharer == SHARED
     state.record_remote_read(1)
     assert state.sharer == SHARED  # a second reader is never forgotten
-
-
-def test_interval_writers_tracking():
-    state = make_state()
-    state.record_remote_write(3, 10)
-    state.record_remote_write(5, 10)
-    assert state.interval_writers == {3, 5}

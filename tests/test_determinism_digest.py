@@ -24,7 +24,8 @@ import hashlib
 import json
 
 from repro.apps import Asp
-from repro.bench.runner import make_mechanism, make_policy
+from repro.core.policies import make_policy
+from repro.dsm.redirection import make_mechanism
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
 from repro.trace.recorder import TraceRecorder

@@ -27,7 +27,7 @@ import pytest
 
 from repro import _kernel
 from repro.apps import Asp, ServingSpec, SingleWriterBenchmark
-from repro.bench.runner import make_policy
+from repro.core.policies import make_policy
 from repro.bench.serving import run_serving
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.dsm.protocol import DsmEngine

@@ -373,7 +373,7 @@ def test_accessor_hit_and_miss_paths(km):
     faults in through the protocol generator — and the run's result is
     what the Python wrapper would produce."""
     from repro.apps.base import DsmApplication
-    from repro.bench.runner import make_comm_model
+    from repro.cluster.hockney import make_comm_model
     from repro.gos.jvm import DistributedJVM
 
     class Probe(DsmApplication):
@@ -407,7 +407,7 @@ def test_accessor_hit_and_miss_paths(km):
 def test_thread_context_binds_accessor_methods(km):
     """Under the compiled backend the context's read/write are the C
     Accessor's bound methods, not the Python wrappers."""
-    from repro.bench.runner import make_comm_model
+    from repro.cluster.hockney import make_comm_model
     from repro.gos.space import GlobalObjectSpace
     from repro.gos.thread import ThreadContext
 

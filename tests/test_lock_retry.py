@@ -101,7 +101,7 @@ def test_retry_produces_consecutive_turn_repeats():
 
 def test_synthetic_verifies_under_retry_for_all_policies():
     for policy_name in ("NM", "FT1", "FT2", "AT"):
-        from repro.bench.runner import make_policy
+        from repro.core.policies import make_policy
 
         app = SingleWriterBenchmark(total_updates=128, repetition=4)
         result = retry_jvm(policy=make_policy(policy_name), seed=7).run(app)

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from repro.apps import Asp
 from repro.bench.executor import ObsSpec, RunSpec, run_spec
-from repro.bench.runner import make_policy
+from repro.core.policies import make_policy
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
 from repro.obs.metrics import MetricsRegistry

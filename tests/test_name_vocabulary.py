@@ -21,8 +21,8 @@ TINY_SERVING = dict(seed=1, nodes=4, keys=8, phases=1, requests_per_thread=2)
 
 def test_program_spec_passes_policy_params():
     spec = generate_program(0)
-    spec.policy_name, spec.policy_params = "LF", {"max_transitions": 2}
-    assert spec.build_policy().max_transitions == 2
+    spec.policy, spec.policy_params = "LF", {"max_transitions": 2}
+    assert spec.cluster.resolved_policy.max_transitions == 2
 
 
 def test_run_spec_passes_policy_kwargs_to_every_policy():
@@ -31,7 +31,7 @@ def test_run_spec_passes_policy_kwargs_to_every_policy():
             app="synthetic",
             app_kwargs={"total_updates": 32, "repetition": 2},
             policy="LF",
-            policy_kwargs={"max_transitions": 2},
+            policy_params={"max_transitions": 2},
             nodes=3,
         )
     )
@@ -47,7 +47,7 @@ def test_serving_accepts_fixed_threshold_names():
 def test_serving_mechanism_parameters_keep_the_drawn_manager():
     spec = ServingSpec(mechanism="home-manager:shards=2", **TINY_SERVING)
     pspec = build_serving_program(spec)
-    mech = pspec.build_mechanism()
+    mech = spec.cluster(pspec.manager_node).resolved_mechanism
     assert isinstance(mech, HomeManagerMechanism)
     assert (mech.manager_node, mech.shards) == (pspec.manager_node, 2)
     assert run_serving(spec)["requests"] > 0

@@ -15,7 +15,8 @@ import json
 import numpy as np
 
 from repro.apps import Asp, Sor
-from repro.bench.runner import make_mechanism, make_policy
+from repro.core.policies import make_policy
+from repro.dsm.redirection import make_mechanism
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.dsm.cache import AccessMode
 from repro.gos.jvm import DistributedJVM

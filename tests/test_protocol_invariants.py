@@ -8,7 +8,9 @@ every policy and mechanism.
 import pytest
 
 from repro.apps import Asp, Lu, SingleWriterBenchmark, Sor, Tsp
-from repro.bench.runner import make_mechanism, make_policy, run_once
+from repro.bench.runner import run_once
+from repro.core.policies import make_policy
+from repro.dsm.redirection import make_mechanism
 from repro.cluster.message import MsgCategory
 
 CONFIGS = [

@@ -105,16 +105,16 @@ def test_shard_for_routing():
 
 
 def test_run_spec_rejects_out_of_range_manager():
-    spec = RunSpec(
-        app="synthetic",
-        app_kwargs={"total_updates": 8, "repetition": 2},
-        policy="NM",
-        nodes=4,
-        mechanism="home-manager:manager=9",
-        verify=False,
-    )
+    """Refused when the spec is written, before any run."""
     with pytest.raises(ValueError, match="outside the 4-node cluster"):
-        run_spec(spec)
+        RunSpec(
+            app="synthetic",
+            app_kwargs={"total_updates": 8, "repetition": 2},
+            policy="NM",
+            nodes=4,
+            mechanism="home-manager:manager=9",
+            verify=False,
+        )
 
 
 # -- colon-parameter mechanism specs ---------------------------------------
@@ -200,7 +200,7 @@ def test_fanned_broadcast_matches_flat_broadcast_outcome():
 def _forced_manager_episode(seed: int, shards: int):
     """One fuzzer episode with the mechanism pinned to a home manager."""
     spec = generate_program(seed)
-    spec.mechanism_name = f"home-manager:shards={min(shards, spec.nnodes)}"
+    spec.mechanism = f"home-manager:shards={min(shards, spec.nodes)}"
     return run_episode(spec=spec)
 
 
@@ -208,7 +208,7 @@ def test_single_shard_matches_classic_manager_on_corpus():
     """``shards=1`` is the classic manager episode for episode."""
     for seed in range(10):
         spec = generate_program(seed)
-        spec.mechanism_name = "home-manager"
+        spec.mechanism = "home-manager"
         classic = run_episode(spec=spec)
         sharded = _forced_manager_episode(seed, shards=1)
         assert classic.verdict() == sharded.verdict()

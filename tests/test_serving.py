@@ -28,6 +28,7 @@ from repro.check.runner import run_check, run_episode
 from repro.obs.hist import EpochSeries, LatencyHistogram
 from repro.trace.events import TraceEvent
 from repro.trace.recorder import TraceRecorder
+from tests.test_cluster_spec import BAD_CLUSTERS, cases_for
 
 SPEC = ServingSpec(seed=0, nodes=4, keys=12, phases=2, requests_per_thread=4)
 
@@ -310,7 +311,6 @@ BAD_SERVING_SPECS = {
         {"requests_per_thread": -1}, "requests_per_thread must be >= 1, got -1"
     ),
     "no phases": ({"phases": 0}, "phases must be >= 1, got 0"),
-    "no nodes": ({"nodes": 0}, "nodes must be >= 1, got 0"),
     "no keys": ({"keys": 0}, "keys must be >= 1, got 0"),
     "empty records": ({"key_len": 0}, "key_len must be >= 1, got 0"),
     "no threads": ({"threads": 0}, "threads must be None or >= 1, got 0"),
@@ -318,48 +318,17 @@ BAD_SERVING_SPECS = {
         {"arrival": "bursty"}, "arrival must be 'open' or 'closed', got 'bursty'"
     ),
     "churn of every node": ({"churn": 1.0}, "churn must be in [0, 1), got 1.0"),
-    "release_fanout of one": (
-        {"release_fanout": 1}, "release_fanout must be >= 2, got 1"
-    ),
-    "unknown policy": (
-        {"policy": "bogus"},
-        "unknown policy 'bogus'; choose from ['AT', 'ATD', 'FT', 'FT1', "
-        "'FT2', 'JIAJIA', 'JUMP', 'LF', 'NM']",
-    ),
-    "FT without threshold": (
-        {"policy": "FT"},
-        "bad parameters for policy 'FT': FixedThreshold.__init__() "
-        "missing 1 required positional argument: 'threshold'",
-    ),
-    "parameter the policy rejects": (
-        {"policy": "NM", "policy_params": {"lam": 0.5}},
-        "bad parameters for policy 'NM': NoMigration() takes no arguments",
-    ),
-    "unknown mechanism": (
-        {"mechanism": "gossip"},
-        "unknown mechanism 'gossip'; choose from ['broadcast', "
-        "'forwarding-pointer', 'home-manager']",
-    ),
-    "unknown topology": (
-        {"topology": "bogus"},
-        "unknown topology kind 'bogus'; choose from ['fat-tree', 'flat', "
-        "'hier']",
-    ),
-    "fat-tree with empty edge switches": (
-        {"topology": "fat-tree:edge=0"}, "edge_size must be >= 1, got 0"
-    ),
-    "unknown lock discipline": (
-        {"lock_discipline": "nope"},
-        "lock_discipline must be 'fifo' or 'retry', got 'nope'",
-    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_SERVING_SPECS))
+@pytest.mark.parametrize(
+    "case", sorted(BAD_SERVING_SPECS) + cases_for(ServingSpec)
+)
 def test_malformed_serving_spec_rejected(case, backend):
     """Each malformed field is refused at construction, before any
-    expansion or simulation, with one line naming the field and value."""
-    kwargs, message = BAD_SERVING_SPECS[case]
+    expansion or simulation, with one line naming the field and value;
+    the cluster cases come from the shared ``BAD_CLUSTERS`` table."""
+    kwargs, message = BAD_SERVING_SPECS.get(case) or BAD_CLUSTERS[case]
     with pytest.raises(ValueError) as err:
         ServingSpec(**kwargs)
     assert str(err.value) == message
@@ -368,7 +337,7 @@ def test_malformed_serving_spec_rejected(case, backend):
 def test_cli_serve_rejects_malformed_traffic(capsys):
     with pytest.raises(SystemExit):
         cli_main(["serve", "--nodes", "0"])
-    assert "nodes must be >= 1, got 0" in capsys.readouterr().err
+    assert "need at least one node, got 0" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         cli_main(["serve", "--release-fanout", "1"])
     assert "release_fanout must be >= 2, got 1" in capsys.readouterr().err

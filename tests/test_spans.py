@@ -25,7 +25,8 @@ import pytest
 from repro.apps import Asp, ServingSpec
 from repro.apps.synthetic import SingleWriterBenchmark
 from repro.bench.executor import ObsSpec, RunSpec, run_spec
-from repro.bench.runner import make_mechanism, make_policy
+from repro.core.policies import make_policy
+from repro.dsm.redirection import make_mechanism
 from repro.bench.serving import run_serving
 from repro.check.invariants import InvariantChecker
 from repro.cluster.hockney import FAST_ETHERNET

@@ -31,7 +31,6 @@ from repro.apps.serving import (
 from repro.bench import serving as serving_bench
 from repro.check.fuzz import ProgramSpec, SectionSpec, generate_program
 from repro.check.oracle import ExecutionLog, check_episode
-from repro.cluster.hockney import FAST_ETHERNET
 
 #: sha256 of ``generate_program(seed).to_json()`` for core seeds 0-4,
 #: taken before ``SectionSpec.think_us`` existed.
@@ -126,14 +125,7 @@ def _gap_layout(spec: ProgramSpec) -> ProgramSpec:
 def _run(spec: ProgramSpec):
     """Run a spec bare; return (execution log triples, result)."""
     program = SpecProgram(spec)
-    jvm = DistributedJVM(
-        nodes=spec.nnodes,
-        comm_model=FAST_ETHERNET,
-        policy=spec.build_policy(),
-        mechanism=spec.build_mechanism(),
-        lock_discipline=spec.lock_discipline,
-        seed=spec.seed,
-    )
+    jvm = DistributedJVM(spec.cluster)
     result = jvm.run(program, nthreads=spec.nthreads)
     assert check_episode(spec, program.execution_log, result.output) == []
     return list(program.execution_log), result

@@ -163,7 +163,7 @@ def test_home_path_with_migrations_filtered_out():
 
 def test_jiajia_barrier_migrations_traced():
     from repro.apps import Sor
-    from repro.bench.runner import make_policy
+    from repro.core.policies import make_policy
 
     tracer = TraceRecorder(kinds=["migration"])
     app = Sor(size=12, iterations=2)
