@@ -12,7 +12,7 @@ the raw pstats file, so profiles can be diffed across PRs with
 ``--memory`` switches the profiler from cProfile to tracemalloc: the run
 executes under allocation tracing and the report is the top source lines
 by residual allocated bytes at run end — the where-does-the-memory-live
-view that motivated the arena/GC work.  ``--save PATH`` then writes the
+view that motivated the barrier-epoch GC work.  ``--save PATH`` then writes the
 text report (default: ``results/profiles/memory-<app>-<size>.txt``).
 
 Usage:
@@ -43,8 +43,8 @@ def make_app(name: str, size: int):
 
 
 def memory_profile(app, args) -> None:
-    """Run ``app`` under AT with tracemalloc on and report the top
-    allocation sites; ``--no-gc`` is the contrast leg without
+    """Run ``app`` under ``--policy`` with tracemalloc on and report the
+    top allocation sites; ``--no-gc`` is the contrast leg without
     barrier-epoch memory GC."""
     import tracemalloc
 
@@ -52,36 +52,30 @@ def memory_profile(app, args) -> None:
 
     tracemalloc.start(25)
     result = run_once(
-        app, nodes=args.nodes, gc_enabled=not args.no_gc, verify=False
+        app, policy=args.policy, nodes=args.nodes,
+        gc_enabled=not args.no_gc, verify=False,
     )
     current, peak = tracemalloc.get_traced_memory()
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
 
     lines = [
-        f"memory profile: {args.app}({args.size}) under AT on "
+        f"memory profile: {args.app}({args.size}) under {args.policy} on "
         f"{args.nodes} nodes (gc {'off' if args.no_gc else 'on'})",
         f"simulated {result.execution_time_s:.2f}s, "
         f"{result.stats.total_messages()} messages, "
         f"{result.gos.sim.events_processed} engine events",
         f"tracemalloc: peak {peak / 1e6:.2f} MB, residual {current / 1e6:.2f} MB",
     ]
-    footprint = getattr(result.gos, "memory_footprint", None)
-    if footprint is not None:
-        fp = footprint()
-        arena = fp["arena"]
-        lines += [
-            f"arena: live {arena['live_bytes'] / 1e6:.2f} MB in "
-            f"{arena['slabs']} slabs, pooled {arena['pooled_buffers']} "
-            f"buffers ({arena['pooled_bytes'] / 1e6:.2f} MB), "
-            f"{arena['carves']} carves / {arena['reuses']} reuses",
-            f"end state: {fp['cache_entries']} cache entries "
-            f"({fp['cache_payload_bytes'] / 1e6:.2f} MB payloads), "
-            f"{fp['notice_floors']} notice floors; "
-            f"gc dropped {fp['gc_cache_drops']} entries, "
-            f"pruned {fp['gc_notice_prunes']} floors",
-            f"peaks: {fp['peaks']}",
-        ]
+    fp = result.gos.memory_footprint()
+    lines += [
+        f"end state: {fp['cache_entries']} cache entries "
+        f"({fp['cache_payload_bytes'] / 1e6:.2f} MB payloads), "
+        f"{fp['notice_floors']} notice floors; "
+        f"gc dropped {fp['gc_cache_drops']} entries, "
+        f"pruned {fp['gc_notice_prunes']} floors",
+        f"peaks: {fp['peaks']}",
+    ]
     lines.append("")
     lines.append(f"=== top {args.top} source lines by residual bytes ===")
     for stat in snapshot.statistics("lineno")[: args.top]:

@@ -174,10 +174,12 @@ def _load_from_path(path: Path) -> Any:
 # engine re-queues arrivals as DeliveryPort.deliver events — an older
 # build batches them and drifts events_processed from the Python
 # backend; level 8: LocalAccess reads the engine's cache as a plain
-# dict); an installed in-place build predating them must lose to a
-# fresh first-use build rather than load and misbehave.  Dropping a
-# symbol the Python side no longer calls needs no bump.
-_MIN_KERNEL_API = 8
+# dict; level 9: LocalAccess no longer reads ``engine.arena`` and calls
+# ``upgrade_to_write()`` with no argument); an installed in-place build
+# predating them must lose to a fresh first-use build rather than load
+# and misbehave.  Dropping a symbol the Python side no longer calls
+# needs no bump.
+_MIN_KERNEL_API = 9
 
 #: Modules that resolve the kernel once at import; ``select_backend()``
 #: re-points each through its ``_rebind_kernel()``.

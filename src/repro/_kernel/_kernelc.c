@@ -58,7 +58,6 @@ static PyObject *str_consecutive_writer = NULL;
 static PyObject *str_upgrade_to_write = NULL;
 static PyObject *str_request_id = NULL;
 static PyObject *str_resolve = NULL;
-static PyObject *str_arena = NULL;
 static PyObject *str_stats = NULL;
 static PyObject *str_events = NULL;
 static PyObject *str_oid = NULL;
@@ -763,7 +762,6 @@ typedef struct {
     PyObject *dirty;        /* engine.dirty set */
     PyObject *home_dirty;   /* engine.home_dirty set */
     PyObject *events;       /* engine.stats.events Counter (dict subclass) */
-    PyObject *arena;        /* engine.arena (twin pool) */
     PyObject *py_read;      /* bound pure-Python try_read_local */
     PyObject *py_write;     /* bound pure-Python try_write_local */
     PyObject *invalid_mode; /* AccessMode.INVALID (identity-compared) */
@@ -818,10 +816,6 @@ LocalAccess_init(LocalAccessObject *self, PyObject *args, PyObject *kwds)
     }
     if (self->events == NULL || !PyDict_Check(self->events)) {
         goto bad_engine;
-    }
-    Py_XSETREF(self->arena, PyObject_GetAttr(engine, str_arena));
-    if (self->arena == NULL) {
-        return -1;
     }
     /* The bound class methods, captured before the engine shadows them
      * with this object's fast entry points. */
@@ -1037,10 +1031,9 @@ LocalAccess_try_write(LocalAccessObject *self, PyObject *oid)
         return PyObject_CallOneArg(self->py_write, oid);
     }
     if (mode != self->write_mode) {
-        /* READ copy: snapshot the twin and upgrade (arena-pooled), then
-         * continue on the common dirty-mark path below. */
-        PyObject *r = PyObject_CallMethodObjArgs(
-            entry, str_upgrade_to_write, self->arena, NULL);
+        /* READ copy: snapshot the twin and upgrade, then continue on
+         * the common dirty-mark path below. */
+        PyObject *r = PyObject_CallMethodNoArgs(entry, str_upgrade_to_write);
         if (r == NULL) {
             Py_DECREF(mode);
             Py_DECREF(entry);
@@ -1067,7 +1060,6 @@ LocalAccess_traverse(LocalAccessObject *self, visitproc visit, void *arg)
     Py_VISIT(self->dirty);
     Py_VISIT(self->home_dirty);
     Py_VISIT(self->events);
-    Py_VISIT(self->arena);
     Py_VISIT(self->py_read);
     Py_VISIT(self->py_write);
     Py_VISIT(self->invalid_mode);
@@ -1084,7 +1076,6 @@ LocalAccess_clear_gc(LocalAccessObject *self)
     Py_CLEAR(self->dirty);
     Py_CLEAR(self->home_dirty);
     Py_CLEAR(self->events);
-    Py_CLEAR(self->arena);
     Py_CLEAR(self->py_read);
     Py_CLEAR(self->py_write);
     Py_CLEAR(self->invalid_mode);
@@ -2403,497 +2394,6 @@ static PyTypeObject FutureType = {
     .tp_members = Future_members,
 };
 
-/* ---------------------------------------------------------------------- */
-/* Arena: slab allocator with exact-size free lists (C twin of            */
-/* repro.memory.arena.Arena; byte-identical accounting)                    */
-/* ---------------------------------------------------------------------- */
-
-#define ARENA_ALIGN_BYTES 16
-#define ARENA_DEFAULT_SLAB_BYTES (1 << 20)
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *label;   /* owned */
-    PyObject *slab;    /* owned uint8 ndarray or NULL */
-    PyObject *free;    /* owned dict: (length, dtype) -> list of views */
-    PyObject *scratch; /* owned bool ndarray */
-    long long slab_bytes;
-    long long offset;
-    long long slabs_allocated;
-    long long slab_bytes_total;
-    long long carve_count;
-    long long reuse_count;
-    long long free_count;
-    long long live_bytes;
-    long long pooled_bytes;
-} ArenaObject;
-
-static int
-Arena_init(ArenaObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"slab_bytes", "label", NULL};
-    long long slab_bytes = ARENA_DEFAULT_SLAB_BYTES;
-    PyObject *label = NULL, *free_dict, *scratch;
-    npy_intp zero = 0;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|LO:Arena", kwlist,
-                                     &slab_bytes, &label)) {
-        return -1;
-    }
-    if (slab_bytes < ARENA_ALIGN_BYTES) {
-        PyErr_Format(PyExc_ValueError,
-                     "slab_bytes must be >= %d, got %lld",
-                     ARENA_ALIGN_BYTES, slab_bytes);
-        return -1;
-    }
-    if (label == NULL) {
-        label = PyUnicode_FromString("");
-        if (label == NULL) {
-            return -1;
-        }
-    }
-    else {
-        Py_INCREF(label);
-    }
-    free_dict = PyDict_New();
-    if (free_dict == NULL) {
-        Py_DECREF(label);
-        return -1;
-    }
-    scratch = PyArray_SimpleNew(1, &zero, NPY_BOOL);
-    if (scratch == NULL) {
-        Py_DECREF(label);
-        Py_DECREF(free_dict);
-        return -1;
-    }
-    Py_XSETREF(self->label, label);
-    Py_XSETREF(self->free, free_dict);
-    Py_XSETREF(self->scratch, scratch);
-    Py_CLEAR(self->slab);
-    self->slab_bytes = slab_bytes;
-    self->offset = 0;
-    self->slabs_allocated = 0;
-    self->slab_bytes_total = 0;
-    self->carve_count = 0;
-    self->reuse_count = 0;
-    self->free_count = 0;
-    self->live_bytes = 0;
-    self->pooled_bytes = 0;
-    return 0;
-}
-
-/* Carve a fresh view from the current slab (Arena._carve).  Steals no
- * references; returns a new writeable 1-D view of `length` elements of
- * `descr` backed by the slab. */
-static PyObject *
-arena_carve(ArenaObject *self, npy_intp length, PyArray_Descr *descr)
-{
-    long long nbytes = (long long)length * PyDataType_ELSIZE(descr);
-    long long aligned =
-        (nbytes + ARENA_ALIGN_BYTES - 1) / ARENA_ALIGN_BYTES *
-        ARENA_ALIGN_BYTES;
-    PyArrayObject *slab = (PyArrayObject *)self->slab;
-    PyObject *view;
-    npy_intp dims[1];
-    long long start;
-
-    if (slab == NULL ||
-        self->offset + aligned > (long long)PyArray_DIM(slab, 0)) {
-        long long size =
-            self->slab_bytes > aligned ? self->slab_bytes : aligned;
-        npy_intp slab_dims[1];
-
-        slab_dims[0] = (npy_intp)size;
-        slab = (PyArrayObject *)PyArray_SimpleNew(1, slab_dims, NPY_UINT8);
-        if (slab == NULL) {
-            return NULL;
-        }
-        Py_XSETREF(self->slab, (PyObject *)slab);
-        self->offset = 0;
-        self->slabs_allocated += 1;
-        self->slab_bytes_total += size;
-    }
-    start = self->offset;
-    self->offset = start + aligned;
-    dims[0] = length;
-    Py_INCREF(descr);
-    view = PyArray_NewFromDescr(&PyArray_Type, descr, 1, dims, NULL,
-                                PyArray_BYTES(slab) + start,
-                                NPY_ARRAY_CARRAY, NULL);
-    if (view == NULL) {
-        return NULL;
-    }
-    Py_INCREF(slab);
-    if (PyArray_SetBaseObject((PyArrayObject *)view, (PyObject *)slab) < 0) {
-        Py_DECREF(view);
-        return NULL;
-    }
-    return view;
-}
-
-/* Shared alloc body: returns a new reference, `descr` is borrowed. */
-static PyObject *
-arena_alloc_impl(ArenaObject *self, npy_intp length, PyArray_Descr *descr)
-{
-    PyObject *key, *stack, *view;
-    long long nbytes;
-
-    if (length <= 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "allocation length must be positive, got %zd",
-                     (Py_ssize_t)length);
-        return NULL;
-    }
-    key = Py_BuildValue("(nO)", (Py_ssize_t)length, (PyObject *)descr);
-    if (key == NULL) {
-        return NULL;
-    }
-    stack = PyDict_GetItemWithError(self->free, key);
-    Py_DECREF(key);
-    if (stack == NULL && PyErr_Occurred()) {
-        return NULL;
-    }
-    nbytes = (long long)length * PyDataType_ELSIZE(descr);
-    if (stack != NULL && PyList_GET_SIZE(stack) > 0) {
-        Py_ssize_t last = PyList_GET_SIZE(stack) - 1;
-
-        view = PyList_GET_ITEM(stack, last);
-        Py_INCREF(view);
-        if (PyList_SetSlice(stack, last, last + 1, NULL) < 0) {
-            Py_DECREF(view);
-            return NULL;
-        }
-        self->reuse_count += 1;
-        self->pooled_bytes -= nbytes;
-        self->live_bytes += nbytes;
-        return view;
-    }
-    view = arena_carve(self, length, descr);
-    if (view == NULL) {
-        return NULL;
-    }
-    self->carve_count += 1;
-    self->live_bytes += nbytes;
-    return view;
-}
-
-/* Parse the (length, dtype=...) argument pair shared by alloc/zeros. */
-static int
-arena_parse_alloc_args(PyObject *const *args, Py_ssize_t nargs,
-                       const char *name, npy_intp *length,
-                       PyArray_Descr **descr)
-{
-    Py_ssize_t n;
-
-    if (nargs < 1 || nargs > 2) {
-        PyErr_Format(PyExc_TypeError, "%s expects (length[, dtype]), got "
-                     "%zd arguments", name, nargs);
-        return -1;
-    }
-    n = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
-    if (n == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    *length = (npy_intp)n;
-    if (nargs == 2) {
-        if (!PyArray_DescrConverter(args[1], descr)) {
-            return -1;
-        }
-    }
-    else {
-        *descr = PyArray_DescrFromType(NPY_FLOAT64);
-        if (*descr == NULL) {
-            return -1;
-        }
-    }
-    return 0;
-}
-
-static PyObject *
-Arena_alloc(ArenaObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    npy_intp length;
-    PyArray_Descr *descr;
-    PyObject *view;
-
-    if (arena_parse_alloc_args(args, nargs, "alloc", &length, &descr) < 0) {
-        return NULL;
-    }
-    view = arena_alloc_impl(self, length, descr);
-    Py_DECREF(descr);
-    return view;
-}
-
-static PyObject *
-Arena_zeros(ArenaObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    npy_intp length;
-    PyArray_Descr *descr;
-    PyObject *view;
-
-    if (arena_parse_alloc_args(args, nargs, "zeros", &length, &descr) < 0) {
-        return NULL;
-    }
-    view = arena_alloc_impl(self, length, descr);
-    Py_DECREF(descr);
-    if (view == NULL) {
-        return NULL;
-    }
-    memset(PyArray_DATA((PyArrayObject *)view), 0,
-           (size_t)PyArray_NBYTES((PyArrayObject *)view));
-    return view;
-}
-
-static PyObject *
-Arena_take_copy(ArenaObject *self, PyObject *src_obj)
-{
-    PyArrayObject *src, *dst;
-    PyObject *view;
-
-    if (!PyArray_Check(src_obj)) {
-        PyErr_Format(PyExc_TypeError, "take_copy expects an ndarray, got %s",
-                     Py_TYPE(src_obj)->tp_name);
-        return NULL;
-    }
-    src = (PyArrayObject *)src_obj;
-    if (PyArray_NDIM(src) != 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "arenas hold 1-D buffers, got ndim=%d",
-                     PyArray_NDIM(src));
-        return NULL;
-    }
-    view = arena_alloc_impl(self, PyArray_DIM(src, 0), PyArray_DESCR(src));
-    if (view == NULL) {
-        return NULL;
-    }
-    dst = (PyArrayObject *)view;
-    if (PyArray_ISCARRAY_RO(src)) {
-        memcpy(PyArray_DATA(dst), PyArray_DATA(src),
-               (size_t)PyArray_NBYTES(src));
-    }
-    else if (PyArray_CopyInto(dst, src) < 0) {
-        Py_DECREF(view);
-        return NULL;
-    }
-    return view;
-}
-
-static PyObject *
-Arena_free(ArenaObject *self, PyObject *buf_obj)
-{
-    PyArrayObject *buf;
-    PyObject *key, *stack;
-    long long nbytes;
-
-    if (!PyArray_Check(buf_obj)) {
-        PyErr_Format(PyExc_TypeError, "free expects an ndarray, got %s",
-                     Py_TYPE(buf_obj)->tp_name);
-        return NULL;
-    }
-    buf = (PyArrayObject *)buf_obj;
-    if (PyArray_NDIM(buf) != 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "arenas hold 1-D buffers, got ndim=%d",
-                     PyArray_NDIM(buf));
-        return NULL;
-    }
-    key = Py_BuildValue("(nO)", (Py_ssize_t)PyArray_DIM(buf, 0),
-                        (PyObject *)PyArray_DESCR(buf));
-    if (key == NULL) {
-        return NULL;
-    }
-    stack = PyDict_GetItemWithError(self->free, key);
-    if (stack == NULL) {
-        if (PyErr_Occurred()) {
-            Py_DECREF(key);
-            return NULL;
-        }
-        stack = PyList_New(0);
-        if (stack == NULL || PyDict_SetItem(self->free, key, stack) < 0) {
-            Py_XDECREF(stack);
-            Py_DECREF(key);
-            return NULL;
-        }
-        Py_DECREF(stack); /* dict holds it */
-    }
-    Py_DECREF(key);
-    if (PyList_Append(stack, buf_obj) < 0) {
-        return NULL;
-    }
-    nbytes = (long long)PyArray_NBYTES(buf);
-    self->free_count += 1;
-    self->pooled_bytes += nbytes;
-    self->live_bytes -= nbytes;
-    if (self->live_bytes < 0) {
-        self->live_bytes = 0;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Arena_bool_scratch(ArenaObject *self, PyObject *length_obj)
-{
-    Py_ssize_t length = PyNumber_AsSsize_t(length_obj, PyExc_OverflowError);
-    PyArrayObject *scratch;
-    PyObject *view;
-    npy_intp dims[1];
-
-    if (length == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    scratch = (PyArrayObject *)self->scratch;
-    if (PyArray_DIM(scratch, 0) < (npy_intp)length) {
-        npy_intp grown = 2 * PyArray_DIM(scratch, 0);
-
-        dims[0] = (npy_intp)length > grown ? (npy_intp)length : grown;
-        scratch = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_BOOL);
-        if (scratch == NULL) {
-            return NULL;
-        }
-        Py_XSETREF(self->scratch, (PyObject *)scratch);
-    }
-    dims[0] = (npy_intp)length;
-    view = PyArray_NewFromDescr(&PyArray_Type,
-                                PyArray_DescrFromType(NPY_BOOL), 1, dims,
-                                NULL, PyArray_DATA(scratch),
-                                NPY_ARRAY_CARRAY, NULL);
-    if (view == NULL) {
-        return NULL;
-    }
-    Py_INCREF(scratch);
-    if (PyArray_SetBaseObject((PyArrayObject *)view,
-                              (PyObject *)scratch) < 0) {
-        Py_DECREF(view);
-        return NULL;
-    }
-    return view;
-}
-
-static PyObject *
-Arena_stats(ArenaObject *self, PyObject *noarg)
-{
-    PyObject *out, *val, *stack;
-    Py_ssize_t pos = 0, pooled_buffers = 0;
-    PyObject *key;
-
-    (void)noarg;
-    while (PyDict_Next(self->free, &pos, &key, &stack)) {
-        pooled_buffers += PyList_GET_SIZE(stack);
-    }
-    out = PyDict_New();
-    if (out == NULL) {
-        return NULL;
-    }
-#define STATS_SET(name, expr)                                              \
-    do {                                                                   \
-        val = (expr);                                                      \
-        if (val == NULL || PyDict_SetItemString(out, name, val) < 0) {     \
-            Py_XDECREF(val);                                               \
-            Py_DECREF(out);                                                \
-            return NULL;                                                   \
-        }                                                                  \
-        Py_DECREF(val);                                                    \
-    } while (0)
-    STATS_SET("label", (Py_INCREF(self->label), self->label));
-    STATS_SET("slabs", PyLong_FromLongLong(self->slabs_allocated));
-    STATS_SET("slab_bytes", PyLong_FromLongLong(self->slab_bytes_total));
-    STATS_SET("carves", PyLong_FromLongLong(self->carve_count));
-    STATS_SET("reuses", PyLong_FromLongLong(self->reuse_count));
-    STATS_SET("frees", PyLong_FromLongLong(self->free_count));
-    STATS_SET("live_bytes", PyLong_FromLongLong(self->live_bytes));
-    STATS_SET("pooled_bytes", PyLong_FromLongLong(self->pooled_bytes));
-    STATS_SET("pooled_buffers", PyLong_FromSsize_t(pooled_buffers));
-    STATS_SET("scratch_bytes",
-              PyLong_FromLongLong(
-                  (long long)PyArray_NBYTES(
-                      (PyArrayObject *)self->scratch)));
-#undef STATS_SET
-    return out;
-}
-
-static int
-Arena_traverse(ArenaObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->label);
-    Py_VISIT(self->slab);
-    Py_VISIT(self->free);
-    Py_VISIT(self->scratch);
-    return 0;
-}
-
-static int
-Arena_clear_gc(ArenaObject *self)
-{
-    Py_CLEAR(self->label);
-    Py_CLEAR(self->slab);
-    Py_CLEAR(self->free);
-    Py_CLEAR(self->scratch);
-    return 0;
-}
-
-static void
-Arena_dealloc(ArenaObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Arena_clear_gc(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyMethodDef Arena_methods[] = {
-    {"alloc", (PyCFunction)(void (*)(void))Arena_alloc, METH_FASTCALL,
-     "alloc(length, dtype='float64')\n--\n\n"
-     "An uninitialised 1-D buffer; reuses a pooled same-shape buffer "
-     "when one exists, else carves fresh slab space."},
-    {"zeros", (PyCFunction)(void (*)(void))Arena_zeros, METH_FASTCALL,
-     "zeros(length, dtype='float64')\n--\n\n"
-     "A zeroed buffer (pool-reuse equivalent of np.zeros)."},
-    {"take_copy", (PyCFunction)Arena_take_copy, METH_O,
-     "take_copy(src)\n--\n\n"
-     "A pooled copy of 1-D src (pool-reuse equivalent of .copy())."},
-    {"free", (PyCFunction)Arena_free, METH_O,
-     "free(buf)\n--\n\n"
-     "Return buf to the pool for same-shape reuse."},
-    {"bool_scratch", (PyCFunction)Arena_bool_scratch, METH_O,
-     "bool_scratch(length)\n--\n\n"
-     "The shared grow-only boolean scratch buffer, sliced to length."},
-    {"stats", (PyCFunction)Arena_stats, METH_NOARGS,
-     "stats()\n--\n\n"
-     "Plain-dict accounting snapshot (telemetry and tests)."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyMemberDef Arena_members[] = {
-    {"label", T_OBJECT_EX, offsetof(ArenaObject, label), 0, NULL},
-    {"slab_bytes", T_LONGLONG, offsetof(ArenaObject, slab_bytes), 0, NULL},
-    {"slabs_allocated", T_LONGLONG,
-     offsetof(ArenaObject, slabs_allocated), 0, NULL},
-    {"slab_bytes_total", T_LONGLONG,
-     offsetof(ArenaObject, slab_bytes_total), 0, NULL},
-    {"carve_count", T_LONGLONG, offsetof(ArenaObject, carve_count), 0, NULL},
-    {"reuse_count", T_LONGLONG, offsetof(ArenaObject, reuse_count), 0, NULL},
-    {"free_count", T_LONGLONG, offsetof(ArenaObject, free_count), 0, NULL},
-    {"live_bytes", T_LONGLONG, offsetof(ArenaObject, live_bytes), 0, NULL},
-    {"pooled_bytes", T_LONGLONG,
-     offsetof(ArenaObject, pooled_bytes), 0, NULL},
-    {NULL, 0, 0, 0, NULL},
-};
-
-static PyTypeObject ArenaType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._kernel._kernelc.Arena",
-    .tp_doc = "Slab allocator with exact-size free lists (C twin of "
-              "repro.memory.arena.Arena; byte-identical accounting).",
-    .tp_basicsize = sizeof(ArenaObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Arena_init,
-    .tp_dealloc = (destructor)Arena_dealloc,
-    .tp_traverse = (traverseproc)Arena_traverse,
-    .tp_clear = (inquiry)Arena_clear_gc,
-    .tp_methods = Arena_methods,
-    .tp_members = Arena_members,
-};
-
 static PyObject *
 kernel_install(PyObject *mod, PyObject *exc)
 {
@@ -2959,7 +2459,6 @@ PyInit__kernelc(void)
     INTERN(str_upgrade_to_write, "upgrade_to_write");
     INTERN(str_request_id, "request_id");
     INTERN(str_resolve, "resolve");
-    INTERN(str_arena, "arena");
     INTERN(str_stats, "stats");
     INTERN(str_events, "events");
     INTERN(str_oid, "oid");
@@ -2977,7 +2476,7 @@ PyInit__kernelc(void)
         PyType_Ready(&LocalAccessType) < 0 || PyType_Ready(&PortType) < 0 ||
         PyType_Ready(&FabricType) < 0 || PyType_Ready(&SenderType) < 0 ||
         PyType_Ready(&ReadyType) < 0 || PyType_Ready(&RouterType) < 0 ||
-        PyType_Ready(&FutureType) < 0 || PyType_Ready(&ArenaType) < 0 ||
+        PyType_Ready(&FutureType) < 0 ||
         PyType_Ready(&AccessorType) < 0) {
         return NULL;
     }
@@ -2999,10 +2498,9 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "ReplyRouter",
                               (PyObject *)&RouterType) < 0 ||
         PyModule_AddObjectRef(mod, "Future", (PyObject *)&FutureType) < 0 ||
-        PyModule_AddObjectRef(mod, "Arena", (PyObject *)&ArenaType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 8) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 9) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -15,12 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.memory.arena import Arena
 
 
 class AccessMode(enum.Enum):
@@ -44,13 +40,8 @@ class CacheEntry:
     def writable(self) -> bool:
         return self.mode is AccessMode.WRITE
 
-    def upgrade_to_write(self, pool: "Arena | None" = None) -> None:
-        """Write fault on a READ copy: snapshot the twin, allow writes.
-
-        With ``pool`` set, the twin buffer is carved from (and later
-        returned to) that arena, so repeated write intervals on the same
-        object recycle one buffer instead of churning the allocator.
-        """
+    def upgrade_to_write(self) -> None:
+        """Write fault on a READ copy: snapshot the twin, allow writes."""
         if self.mode is AccessMode.WRITE:
             return
         if self.mode is AccessMode.INVALID:
@@ -59,7 +50,7 @@ class CacheEntry:
         payload = self.payload
         if payload.ndim != 1:
             raise ValueError(f"payloads are 1-D arrays, got ndim={payload.ndim}")
-        self.twin = payload.copy() if pool is None else pool.take_copy(payload)
+        self.twin = payload.copy()
         self.mode = AccessMode.WRITE
 
     def invalidate(self) -> None:
@@ -71,9 +62,7 @@ class CacheEntry:
             )
         self.mode = AccessMode.INVALID
 
-    def downgrade_after_flush(
-        self, acked_version: int, pool: "Arena | None" = None
-    ) -> None:
+    def downgrade_after_flush(self, acked_version: int) -> None:
         """After the diff was acked by the home, drop the twin.
 
         If the ack shows our update applied directly on top of the version
@@ -82,9 +71,6 @@ class CacheEntry:
         diff interleaved (multiple-writer interval) and our copy misses its
         updates, so it must be invalidated.
         """
-        # _drop_twin, inline: this runs once per acked diff
-        if self.twin is not None and pool is not None:
-            pool.free(self.twin)
         self.twin = None
         if acked_version == self.version + 1:
             self.version = acked_version
@@ -93,14 +79,9 @@ class CacheEntry:
             self.mode = AccessMode.INVALID
             self.version = acked_version
 
-    def downgrade_clean(self, pool: "Arena | None" = None) -> None:
+    def downgrade_clean(self) -> None:
         """Release with no actual changes: drop twin, back to READ."""
-        self._drop_twin(pool)
+        self.twin = None
         if self.mode is AccessMode.WRITE:
             self.mode = AccessMode.READ
-
-    def _drop_twin(self, pool: "Arena | None") -> None:
-        if self.twin is not None and pool is not None:
-            pool.free(self.twin)
-        self.twin = None
 

@@ -53,7 +53,6 @@ _REDIRECT = MsgCategory.REDIRECT
 _SHIP_REQUEST = MsgCategory.SHIP_REQUEST
 _SHIP_REPLY = MsgCategory.SHIP_REPLY
 _READ = AccessMode.READ
-_INVALID = AccessMode.INVALID
 
 
 class FaultInMixin:
@@ -109,7 +108,7 @@ class FaultInMixin:
                     self.node_id,
                     interval=self.interval,
                 )
-            cached.upgrade_to_write(self.arena)
+            cached.upgrade_to_write()
             self.dirty.add(oid)
             return cached.payload
         return None
@@ -164,10 +163,8 @@ class FaultInMixin:
             for oid, version, data in reply.items:
                 if version < self.required_version.get(oid, 0):
                     leftovers.append(oid)  # stale (rare race): refetch singly
-                    self.arena.free(data)
                     continue
                 self._learn_home(oid, reply.home)
-                self._free_dead_entry(self.cache.get(oid))
                 self.cache[oid] = CacheEntry(data, version)
             leftovers.extend(reply.missing)
         for oid in leftovers:
@@ -423,7 +420,7 @@ class FaultInMixin:
         """Install a fault or ship reply: a cached copy, or — for a
         hand-off — the home itself, adopting the received buffer."""
         if reply.migrated:
-            self._free_dead_entry(self.cache.pop(oid, None))
+            self.cache.pop(oid, None)
             return self._become_home(
                 oid, reply.data, reply.version, reply.monitor, "reply-mig",
                 reply.op_id,
@@ -439,12 +436,7 @@ class FaultInMixin:
                 f"home replied version {reply.version} < required {required} "
                 f"for oid {oid}"
             )
-        cache = self.cache
-        old = cache.get(oid)
-        cache[oid] = CacheEntry(reply.data, reply.version)
-        # _free_dead_entry, inline: this runs once per remote read
-        if old is not None and old.mode is _INVALID and old.twin is None:
-            self.arena.free(old.payload)
+        self.cache[oid] = CacheEntry(reply.data, reply.version)
         return reply.data
 
     # ------------------------------------------------------------------
@@ -500,10 +492,7 @@ class FaultInMixin:
                 request.request_id, request.op_id,
             )
             return
-        arenas = self.arenas
-        data = (
-            arenas[requester] if arenas is not None else self.arena
-        ).take_copy(entry.payload)
+        data = entry.payload.copy()
         events["obj"] += 1
         self._send(
             requester,
@@ -527,7 +516,7 @@ class FaultInMixin:
                 (
                     oid,
                     entry.version,
-                    self._dst_arena(request.requester).take_copy(entry.payload),
+                    entry.payload.copy(),
                 )
             )
         size = REQUEST_BYTES + sum(

@@ -51,7 +51,6 @@ from repro.dsm.wire import (
     LockGrantMsg,
     LockReleaseMsg,
 )
-from repro.memory.arena import Arena, new_arena
 from repro.memory.diff import Diff, apply_diff, compute_diff
 from repro.memory.heap import ObjectHeap
 from repro.memory.twin import make_twin
@@ -121,14 +120,9 @@ class HomelessEngine(SyncManager):
         network: Network,
         heap: ObjectHeap,
         stats: ClusterStats,
-        arena: Arena | None = None,
         release_fanout: int | None = None,
     ):
         super().__init__(node_id, sim, network, heap, stats, release_fanout)
-        #: Pooled payload/twin storage (same discipline as DsmEngine;
-        #: replica payloads and twins are strictly node-local here, so
-        #: no cross-arena traffic exists at all).
-        self.arena: Arena = arena if arena is not None else new_arena()
         self.replicas: dict[int, _Replica] = {}
         #: Our own diff history per object (retained for remote fetches).
         self.history: dict[int, list[_StampedDiff]] = {}
@@ -166,7 +160,7 @@ class HomelessEngine(SyncManager):
         if replica is None:
             # materialise the initial image locally, as TreadMarks
             # processes share identical initial pages
-            payload = self.heap.get(oid).new_payload(self.arena)
+            payload = self.heap.get(oid).new_payload()
             initial = getattr(self.heap, "initial_values", {}).get(oid)
             if initial is not None:
                 payload[:] = initial
@@ -203,7 +197,7 @@ class HomelessEngine(SyncManager):
         ):
             return None
         if replica.twin is None:
-            replica.twin = make_twin(replica.payload, self.arena)
+            replica.twin = make_twin(replica.payload)
             replica.mode = AccessMode.WRITE
         self.dirty.add(oid)
         return replica.payload
@@ -227,7 +221,7 @@ class HomelessEngine(SyncManager):
             if replica.mode is AccessMode.INVALID:
                 replica.mode = AccessMode.READ
         if replica.twin is None:
-            replica.twin = make_twin(replica.payload, self.arena)
+            replica.twin = make_twin(replica.payload)
             replica.mode = AccessMode.WRITE
         self.dirty.add(oid)
         return replica.payload
@@ -304,13 +298,7 @@ class HomelessEngine(SyncManager):
             replica = self.replicas.get(oid)
             if replica is None or replica.twin is None:
                 continue
-            diff = compute_diff(
-                oid,
-                replica.twin,
-                replica.payload,
-                scratch=self.arena.bool_scratch(replica.payload.size),
-            )
-            self.arena.free(replica.twin)
+            diff = compute_diff(oid, replica.twin, replica.payload)
             replica.twin = None
             replica.mode = AccessMode.READ
             if diff is None:

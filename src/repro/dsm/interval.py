@@ -50,19 +50,13 @@ class IntervalMixin:
         """
         notices: dict[int, int] = {}
         waits: list[tuple[int, CacheEntry, Future, int | None]] = []
-        arena = self.arena
         sp = self._sp_diff
         node = self.node_id
         for oid in sorted(self.dirty):
             cached = self.cache.get(oid)
             if cached is None or cached.twin is None:
                 continue
-            diff = compute_diff(
-                oid,
-                cached.twin,
-                cached.payload,
-                scratch=arena.bool_scratch(cached.payload.size),
-            )
+            diff = compute_diff(oid, cached.twin, cached.payload)
             if diff is None:
                 if self._tr_twin_free:
                     self.tracer.record(
@@ -72,7 +66,7 @@ class IntervalMixin:
                         node,
                         interval=self.interval,
                     )
-                cached.downgrade_clean(arena)
+                cached.downgrade_clean()
                 continue
             self._req_counter += 1
             request_id = (node, self._req_counter)
@@ -123,7 +117,6 @@ class IntervalMixin:
                     node,
                     interval=self.interval,
                 )
-            arena.free(cached.twin)
             cached.twin = None
             cached.mode = _READ
             waits.append((oid, cached, fut, d_op))
@@ -142,7 +135,7 @@ class IntervalMixin:
                 # interval on the post-diff image: just advance the version
                 cached.version = ack.version
             else:
-                cached.downgrade_after_flush(ack.version, arena)
+                cached.downgrade_after_flush(ack.version)
             notices[oid] = ack.version
             if d_op is not None:
                 sp.close(
@@ -220,13 +213,14 @@ class IntervalMixin:
         Runs after ``apply_notices``/``invalidate_all_cached`` of a
         barrier release.  Two reclamations, both behaviour-free:
 
-        * **Invalid cached copies** are dropped and their payload
-          buffers pooled.  Every later access re-faults anyway (Java
-          consistency invalidated them wholesale), and
-          ``_install_home_transfer`` falls back to the transferred image
-          when no cached array exists, so nothing observes the missing
-          entry.  Without this, every node's cache accumulates one dead
-          payload per object it ever touched.
+        * **Invalid cached copies** are dropped; numpy frees each
+          payload with its last reference.  Every later access
+          re-faults anyway (Java consistency invalidated them
+          wholesale), and ``_install_home_transfer`` falls back to the
+          transferred image when no cached array exists, so nothing
+          observes the missing entry.  Without this, every node's
+          cache accumulates one dead payload per object it ever
+          touched.
         * **Write-notice floors** (``required_version``) are pruned up
           to the release's version horizon: home versions are monotone
           and travel with migration, and a notice is only emitted after
@@ -266,9 +260,8 @@ class IntervalMixin:
                 for oid, entry in cache.items()
                 if entry.mode is _INVALID and entry.twin is None
             ]
-            arena = self.arena
             for oid in dead:
-                arena.free(cache.pop(oid).payload)
+                del cache[oid]
             self.gc_cache_drops += len(dead)
         if required:
             homes = self.homes
@@ -282,15 +275,12 @@ class IntervalMixin:
             self.gc_notice_prunes += len(prunable)
         self.gc_notice_prunes += elided
         if self._tr_barrier_epoch:
-            arena_stats = self.arena.stats()
             self.tracer.record(
                 "barrier_epoch",
                 self.sim.now,
                 barrier_id,
                 self.node_id,
                 role="gc",
-                live_bytes=arena_stats["live_bytes"],
-                pooled_bytes=arena_stats["pooled_bytes"],
                 cache_entries=len(cache),
                 notice_floors=len(required),
             )

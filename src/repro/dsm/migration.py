@@ -139,7 +139,7 @@ class MigrationMixin:
                 oid,
                 request_id,
                 entry.version,
-                self._dst_arena(new_home).take_copy(entry.payload),
+                entry.payload.copy(),
                 new_home,
                 True,
                 state,
@@ -250,12 +250,7 @@ class MigrationMixin:
             payload = cached.payload
             local_diff = None
             if cached.twin is not None:
-                local_diff = compute_diff(
-                    oid,
-                    cached.twin,
-                    cached.payload,
-                    scratch=self.arena.bool_scratch(cached.payload.size),
-                )
+                local_diff = compute_diff(oid, cached.twin, cached.payload)
                 if self._tr_twin_free:
                     self.tracer.record(
                         "twin_free",
@@ -264,12 +259,8 @@ class MigrationMixin:
                         self.node_id,
                         interval=self.interval,
                     )
-                self.arena.free(cached.twin)
                 cached.twin = None
             payload[:] = msg.data
-            # the transferred image was absorbed into the cached array;
-            # its receive buffer (carved from our arena) is dead
-            self.arena.free(msg.data)
             if local_diff is not None:
                 apply_diff(payload, local_diff)
                 self.dirty.discard(oid)

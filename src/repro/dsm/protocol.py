@@ -47,15 +47,12 @@ from repro.dsm.interval import IntervalMixin
 from repro.dsm.migration import MigrationMixin
 from repro.dsm.redirection import NotificationMechanism
 from repro.dsm.sync import SyncManager, SyncMixin
-from repro.memory.arena import Arena, new_arena
 from repro.memory.heap import ObjectHeap
 from repro.obs.spans import span_guard
 from repro.sim.future import Future
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-
-_INVALID = AccessMode.INVALID
 
 
 def check_lock_discipline(lock_discipline: str) -> None:
@@ -84,7 +81,6 @@ class DsmEngine(
         tracer=None,
         lock_discipline: str = "fifo",
         seed: int = 0,
-        arenas: "list[Arena] | None" = None,
         gc_enabled: bool = True,
         spans=None,
         release_fanout: int | None = None,
@@ -96,16 +92,6 @@ class DsmEngine(
         self.mechanism = mechanism
         self.tracer = tracer
         self.lock_discipline = lock_discipline
-        #: Shared per-node arena list (index = node id).  Reply payload
-        #: copies are carved from the *receiver's* arena — modelling the
-        #: receive-side buffer a real transport would fill — so that every
-        #: payload living on a node came from that node's arena and the
-        #: free/reuse cycle closes locally.  Standalone engines (unit
-        #: tests) get a private arena and skip the cross-node discipline.
-        self.arenas = arenas
-        self.arena: Arena = (
-            arenas[node_id] if arenas is not None else new_arena()
-        )
         self.gc_enabled = gc_enabled
         #: Barrier-epoch GC tallies (observability only; never in stats).
         self.gc_cache_drops = 0
@@ -206,7 +192,7 @@ class DsmEngine(
         """Materialise the home entry for an object initially homed here."""
         obj = self.heap.get(oid)
         self.homes[oid] = HomeEntry(
-            payload=obj.new_payload(self.arena),
+            payload=obj.new_payload(),
             version=0,
             state=ObjectAccessState(
                 oid=oid,
@@ -236,17 +222,6 @@ class DsmEngine(
     ) -> None:
         self.network.send(self.node_id, dst, category, size_bytes, payload)
 
-    def _dst_arena(self, node: int) -> Arena:
-        """The arena a payload copy destined for ``node`` is carved from.
-
-        Models the receive buffer the destination allocates: the copy's
-        lifetime is entirely on the receiving node, so its storage should
-        come from — and eventually return to — that node's pool.
-        """
-        if self.arenas is not None:
-            return self.arenas[node]
-        return self.arena
-
     def _learn_home(self, oid: int, home: int) -> None:
         """Record that ``oid``'s home is ``home``.
 
@@ -258,22 +233,6 @@ class DsmEngine(
             self.home_hint.pop(oid, None)
         else:
             self.home_hint[oid] = home
-
-    def _free_dead_entry(self, entry: CacheEntry | None) -> None:
-        """Pool a dropped entry's payload iff it is provably dead.
-
-        Only ``INVALID`` twinless copies qualify: application threads
-        re-fault after every synchronization point, so nothing can still
-        reach an invalid copy's buffer (see ``docs/PROTOCOL.md`` §12).
-        READ/WRITE copies are never freed here — a local thread may hold
-        the payload reference within the current interval.
-        """
-        if (
-            entry is not None
-            and entry.mode is _INVALID
-            and entry.twin is None
-        ):
-            self.arena.free(entry.payload)
 
     # ------------------------------------------------------------------
     # message handling

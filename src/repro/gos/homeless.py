@@ -4,7 +4,7 @@ Lets the same applications and :class:`~repro.gos.jvm.DistributedJVM`
 machinery run on the TreadMarks-style baseline
 (:class:`~repro.dsm.homeless.HomelessEngine`) for the home-based vs
 homeless ablation.  The cluster build — simulator, network and
-topology, heap, arenas, lock and barrier allocation — is
+topology, heap, lock and barrier allocation — is
 :class:`~repro.gos.space.GlobalObjectSpace`'s; this subclass swaps the
 engines and replaces what needs a home: the global read/write view and
 diff garbage collection.
@@ -74,7 +74,6 @@ class HomelessObjectSpace(GlobalObjectSpace):
             network=self.network,
             heap=self.heap,
             stats=self.stats,
-            arena=self.arenas[node_id],
             release_fanout=release_fanout,
         )
 

@@ -13,7 +13,6 @@ from repro.dsm.redirection import (
     ForwardingPointerMechanism,
     NotificationMechanism,
 )
-from repro.memory.arena import Arena, new_arena
 from repro.memory.heap import ObjectHeap
 from repro.memory.objects import SharedObject
 from repro.obs.spans import SpanTracer
@@ -71,11 +70,6 @@ class GlobalObjectSpace:
             topology=topology,
         )
         self.heap = ObjectHeap()
-        #: One arena per node, shared across engines so reply payload
-        #: copies are carved from the *receiving* node's pool (the
-        #: free/reuse cycle then closes inside each node; see
-        #: :class:`~repro.memory.arena.Arena`).
-        self.arenas = [new_arena(label=f"node{i}") for i in range(nnodes)]
         self.gc_enabled = gc_enabled
         self.engines = [
             self._new_engine(
@@ -101,7 +95,6 @@ class GlobalObjectSpace:
             policy=self.policy,
             mechanism=self.mechanism,
             tracer=self.tracer,
-            arenas=self.arenas,
             gc_enabled=self.gc_enabled,
             spans=self.spans,
             **engine_kwargs,
@@ -217,28 +210,13 @@ class GlobalObjectSpace:
         }
 
     def memory_footprint(self) -> dict:
-        """Cluster-wide memory-engine snapshot (arena + GC + cache state).
+        """Cluster-wide memory-engine snapshot (GC + cache state).
 
-        Everything the memory tier reports: summed arena accounting,
-        live protocol state sizes, and the heap's payload denominator
+        Everything the memory tier reports: live protocol state sizes,
+        GC tallies, and the heap's payload denominator
         (one full replica set costs ``heap_data_bytes``).  Pure
         introspection — reading it changes nothing.
         """
-        arena_totals = {
-            "slabs": 0,
-            "slab_bytes": 0,
-            "carves": 0,
-            "reuses": 0,
-            "frees": 0,
-            "live_bytes": 0,
-            "pooled_bytes": 0,
-            "pooled_buffers": 0,
-            "scratch_bytes": 0,
-        }
-        for arena in self.arenas:
-            snap = arena.stats()
-            for key in arena_totals:
-                arena_totals[key] += snap[key]
         cache_entries = 0
         cache_payload = 0
         notice_floors = 0
@@ -253,7 +231,6 @@ class GlobalObjectSpace:
             gc_cache_drops += engine.gc_cache_drops
             gc_notice_prunes += engine.gc_notice_prunes
         return {
-            "arena": arena_totals,
             "cache_entries": cache_entries,
             "cache_payload_bytes": cache_payload,
             "notice_floors": notice_floors,

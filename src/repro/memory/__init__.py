@@ -11,7 +11,6 @@ the set of changed elements, run-length encoded for sizing — is shipped
 to the home and applied there.
 """
 
-from repro.memory.arena import Arena
 from repro.memory.diff import Diff, apply_diff, compute_diff, diff_size_bytes
 from repro.memory.heap import ObjectHeap
 from repro.memory.objects import FieldsSpec, ArraySpec, SharedObject
@@ -19,7 +18,6 @@ from repro.memory.twin import make_twin
 from repro.memory.version import WriteNotice
 
 __all__ = [
-    "Arena",
     "ArraySpec",
     "Diff",
     "FieldsSpec",

@@ -80,22 +80,12 @@ class Diff:
         return f"<Diff oid={self.oid} changed={self.nchanged} {self.size_bytes}B>"
 
 
-def compute_diff(
-    oid: int,
-    twin: np.ndarray,
-    current: np.ndarray,
-    scratch: np.ndarray | None = None,
-) -> Diff | None:
+def compute_diff(oid: int, twin: np.ndarray, current: np.ndarray) -> Diff | None:
     """Diff ``current`` against ``twin``; ``None`` when nothing changed.
 
     Comparison is exact bit-for-bit (``!=`` on the arrays); NaNs compare
     unequal to themselves, which conservatively treats a written NaN as a
     change — acceptable since our applications never store NaN.
-
-    ``scratch`` (a bool buffer of at least ``current.size`` elements,
-    typically :meth:`~repro.memory.arena.Arena.bool_scratch`) receives
-    the element-wise comparison in place of a fresh temporary; its
-    contents afterwards are unspecified.
     """
     if twin.shape != current.shape or twin.dtype != current.dtype:
         raise ValueError(
@@ -133,10 +123,7 @@ def compute_diff(
     # index extraction, and (via ``_runs``) the wire-size computation.
     # Most sync intervals leave most twins untouched, so the ``not
     # neq.any()`` exit fires far more often than the materialisation.
-    if scratch is not None and scratch.size >= current.size:
-        neq = np.not_equal(current, twin, out=scratch[: current.size])
-    else:
-        neq = current != twin
+    neq = current != twin
     if not neq.any():
         return None
     changed = np.flatnonzero(neq)

@@ -76,7 +76,7 @@ class ObjectHeap:
 
         The denominator for memory-footprint reporting: one full replica
         set of the heap costs exactly this much payload storage, so
-        arena/GC telemetry can express live cache bytes as a multiple of
+        GC telemetry can express live cache bytes as a multiple of
         the heap's data size.
         """
         return sum(obj.spec.data_bytes for obj in self._objects.values())

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, TYPE_CHECKING
+from typing import Mapping
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.memory.arena import Arena
 
 #: JVM-like per-object header (mark word, class pointer, array length).
 OBJECT_HEADER_BYTES = 16
@@ -44,9 +41,7 @@ class ArraySpec:
     def itemsize(self) -> int:
         return np.dtype(self.dtype).itemsize
 
-    def new_payload(self, arena: "Arena | None" = None) -> np.ndarray:
-        if arena is not None:
-            return arena.zeros(self.length, self.dtype)
+    def new_payload(self) -> np.ndarray:
         return np.zeros(self.length, dtype=self.dtype)
 
     @cached_property
@@ -82,9 +77,7 @@ class FieldsSpec:
         except ValueError:
             raise KeyError(f"object has no field {name!r}") from None
 
-    def new_payload(self, arena: "Arena | None" = None) -> np.ndarray:
-        if arena is not None:
-            return arena.zeros(len(self.fields), self.dtype)
+    def new_payload(self) -> np.ndarray:
         return np.zeros(len(self.fields), dtype=self.dtype)
 
     @cached_property
@@ -115,13 +108,9 @@ class SharedObject:
     def itemsize(self) -> int:
         return self.spec.itemsize
 
-    def new_payload(self, arena: "Arena | None" = None) -> np.ndarray:
-        """A fresh zeroed payload with this object's layout.
-
-        With ``arena`` set, the buffer comes from that node's pooled
-        slabs instead of a standalone numpy allocation.
-        """
-        return self.spec.new_payload(arena)
+    def new_payload(self) -> np.ndarray:
+        """A fresh zeroed payload with this object's layout."""
+        return self.spec.new_payload()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = self.label or type(self.spec).__name__

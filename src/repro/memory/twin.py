@@ -3,33 +3,18 @@
 A *twin* is the pristine copy of an object snapshot taken immediately
 before the first write in a synchronization interval (TreadMarks' write
 trapping).  The diff at release is ``current - twin``; see
-:mod:`repro.memory.diff`.
-
-Twins are never exposed to application code, which makes them the ideal
-pooling target: created at the first write of an interval, dead the
-moment the diff is computed at release.  Passing an
-:class:`~repro.memory.arena.Arena` as ``pool`` draws the snapshot from
-(and lets the caller return it to) that pool instead of allocating fresh.
+:mod:`repro.memory.diff`.  Twins are never exposed to application code:
+created at the first write of an interval, dropped once the diff is
+computed at release.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.memory.arena import Arena
 
-
-def make_twin(payload: np.ndarray, pool: "Arena | None" = None) -> np.ndarray:
-    """Snapshot ``payload`` into an independent twin copy.
-
-    With ``pool`` set, the twin buffer comes from the arena's free list
-    (the caller frees it back after the interval's diff is flushed).
-    """
+def make_twin(payload: np.ndarray) -> np.ndarray:
+    """Snapshot ``payload`` into an independent twin copy."""
     if payload.ndim != 1:
         raise ValueError(f"payloads are 1-D arrays, got ndim={payload.ndim}")
-    if pool is not None:
-        return pool.take_copy(payload)
     return payload.copy()

@@ -28,8 +28,6 @@ _NODE_HISTOGRAMS = (
 
 #: Gauge name -> field of a ``barrier_epoch`` event with role ``gc``.
 _GC_GAUGES = (
-    ("dsm_arena_live_bytes", "live_bytes"),
-    ("dsm_arena_pooled_bytes", "pooled_bytes"),
     ("dsm_cache_entries", "cache_entries"),
     ("dsm_notice_floors", "notice_floors"),
 )

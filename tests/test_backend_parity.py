@@ -164,7 +164,7 @@ print(hashlib.sha256("\\n".join(blobs).encode()).hexdigest())
 
 def test_fastpath_episodes_identical_across_backends():
     """Episode hashes across the PR-8 fast paths (local-access shadows,
-    port delivery, reply router, C futures/arenas) are identical
+    port delivery, reply router, C futures) are identical
     under both backends."""
     digests = _run_both(FASTPATH_CODE)
     assert digests["python"] == digests["compiled"]

@@ -41,9 +41,9 @@ from repro.gos.thread import ThreadContext
 #: monitor and the deferral queues are Python on both backends).  The
 #: assert allows 5 % on top.
 CALL_BUDGET = {
-    "synthetic-at-4": {"python": 18214, "compiled": 5702},
-    "asp-nm-4": {"python": 41357, "compiled": 12769},
-    "serving-16": {"python": 23543, "compiled": 11123},
+    "synthetic-at-4": {"python": 17480, "compiled": 5661},
+    "asp-nm-4": {"python": 37014, "compiled": 12556},
+    "serving-16": {"python": 22606, "compiled": 11123},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)

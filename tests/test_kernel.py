@@ -294,60 +294,6 @@ def test_process_blocks_on_compiled_future(km, sim_classes):
 
 
 # --------------------------------------------------------------------------
-# Arena: the C twin of repro.memory.arena.Arena
-# --------------------------------------------------------------------------
-
-
-def _arena_transcript(cls):
-    """One allocation workout; returns (stats dict, error messages)."""
-    arena = cls(1024, "t")
-    a = arena.zeros(10)
-    b = arena.take_copy(np.arange(5, dtype=np.float64))
-    arena.free(a)
-    c = arena.alloc(10)  # exact-shape reuse of a
-    assert c.base is not None
-    scratch = arena.bool_scratch(100)
-    assert scratch.dtype == np.bool_ and scratch.size == 100
-    errors = []
-    for thunk in (
-        lambda: arena.alloc(0),
-        lambda: arena.take_copy(np.zeros((2, 2))),
-        lambda: cls(8),
-    ):
-        try:
-            thunk()
-        except ValueError as exc:
-            errors.append(str(exc))
-    np.testing.assert_array_equal(b, np.arange(5, dtype=np.float64))
-    return arena.stats(), errors
-
-
-def test_arena_twin_matches_python(km):
-    from repro.memory.arena import Arena as PyArena
-
-    py_stats, py_errors = _arena_transcript(PyArena)
-    c_stats, c_errors = _arena_transcript(km.Arena)
-    assert py_stats == c_stats
-    assert py_errors == c_errors
-
-
-def test_arena_twin_zeroes_and_isolates_reuse(km):
-    """Pooled reuse can never leak stale bytes through ``zeros``."""
-    arena = km.Arena(1024, "reuse")
-    first = arena.zeros(16)
-    first[:] = 7.5
-    arena.free(first)
-    again = arena.zeros(16)
-    np.testing.assert_array_equal(again, np.zeros(16))
-
-
-def test_new_arena_returns_backend_class(km):
-    from repro.memory.arena import new_arena
-
-    assert type(new_arena(label="x")).__module__ == "repro._kernel._kernelc"
-
-
-# --------------------------------------------------------------------------
 # Ready + Accessor: the fused local-access fast path
 # --------------------------------------------------------------------------
 
@@ -681,7 +627,7 @@ def test_stale_inplace_build_is_rejected(km, cacheless_src, tmp_path):
     back to Python instead of loading the stale module."""
     import shutil
 
-    assert km.KERNEL_API == _kernel._MIN_KERNEL_API == 8
+    assert km.KERNEL_API == _kernel._MIN_KERNEL_API == 9
     src = tmp_path / "src"
     shutil.copytree(cacheless_src, src)
     (src / "repro" / "_kernel" / "_kernelc.py").write_text(
@@ -741,7 +687,7 @@ LEDGERED_TWINS = {
     "Engine", "diff_arrays",
     "LocalAccess", "Accessor", "Ready",
     "DeliveryPort", "NetFabric", "FabricSender",
-    "Future", "ReplyRouter", "Arena",
+    "Future", "ReplyRouter",
 }
 
 

@@ -272,11 +272,12 @@ def test_think_time_precedes_request_spans(monkeypatch):
 
 
 def test_bad_spec_rejected():
-    """Arrival mode and churn are validated at expansion time."""
-    with pytest.raises(ValueError):
-        build_serving_program(ServingSpec(arrival="bursty"))
-    with pytest.raises(ValueError):
-        build_serving_program(ServingSpec(churn=1.0))
+    """Arrival mode and churn are rejected where the spec is built, and
+    Zipf weights need at least one key."""
+    with pytest.raises(ValueError, match="arrival must be"):
+        ServingSpec(arrival="bursty")
+    with pytest.raises(ValueError, match="churn must be"):
+        ServingSpec(churn=1.0)
     with pytest.raises(ValueError):
         zipf_weights(0, 0.99)
 
