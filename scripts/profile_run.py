@@ -12,8 +12,8 @@ the raw pstats file, so profiles can be diffed across PRs with
 ``--memory`` switches the profiler from cProfile to tracemalloc: the run
 executes under allocation tracing and the report is the top source lines
 by residual allocated bytes at run end — the where-does-the-memory-live
-view that motivated the barrier-epoch GC work.  ``--save PATH`` then writes the
-text report (default: ``results/profiles/memory-<app>-<size>.txt``).
+view that motivated the barrier-epoch GC work.  The report is printed;
+``--save PATH`` also writes it to ``PATH`` (nothing is written without it).
 
 Usage:
     python scripts/profile_run.py [--app {asp,sor,nbody,tsp}] [--size N]
@@ -70,10 +70,8 @@ def memory_profile(app, args) -> None:
     fp = result.gos.memory_footprint()
     lines += [
         f"end state: {fp['cache_entries']} cache entries "
-        f"({fp['cache_payload_bytes'] / 1e6:.2f} MB payloads), "
-        f"{fp['notice_floors']} notice floors; "
-        f"gc dropped {fp['gc_cache_drops']} entries, "
-        f"pruned {fp['gc_notice_prunes']} floors",
+        f"({fp['cache_payload_bytes'] / 1e6:.2f} MB payloads); "
+        f"gc dropped {fp['gc_cache_drops']} entries",
         f"peaks: {fp['peaks']}",
     ]
     lines.append("")
@@ -87,13 +85,11 @@ def memory_profile(app, args) -> None:
     report = "\n".join(lines) + "\n"
     print(report)
 
-    save = args.save or os.path.join(
-        "results", "profiles", f"memory-{args.app}-{args.size}.txt"
-    )
-    os.makedirs(os.path.dirname(save) or ".", exist_ok=True)
-    with open(save, "w") as fh:
-        fh.write(report)
-    print(f"report written to {save}")
+    if args.save:
+        os.makedirs(os.path.dirname(args.save) or ".", exist_ok=True)
+        with open(args.save, "w") as fh:
+            fh.write(report)
+        print(f"report written to {args.save}")
 
 
 def main() -> None:

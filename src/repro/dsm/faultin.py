@@ -6,11 +6,10 @@ redirections (§3.2) until the current home answers.  The home records a
 remote read, applies the Eq-2 test (:meth:`FaultInMixin._serve_request`)
 and replies with the image — or, when the policy fires, hands the home
 itself over (:meth:`~repro.dsm.migration.MigrationMixin._hand_off_home`).
-A request demanding a version the home has not reached parks on the
-home entry; one reaching a node whose inbound hand-off is still in
-flight parks on the engine.  The two §5.1 optimizations, batched
-fault-in (object pushing) and synchronized method shipping, live here
-too: a ship is a request the home serves by executing it.
+A request reaching a node whose inbound hand-off is still in flight
+parks on the engine until the home lands.  The two §5.1 optimizations,
+batched fault-in (object pushing) and synchronized method shipping,
+live here too: a ship is a request the home serves by executing it.
 
 State is declared in :class:`~repro.dsm.protocol.DsmEngine`'s
 constructor; this mixin only contributes methods.
@@ -118,11 +117,13 @@ class FaultInMixin:
 
         Ensures a readable copy of every object; objects already valid
         locally cost nothing.  Objects the presumed home no longer hosts
-        fall back to the singular redirect-following path.  Models the
-        paper's connectivity-based object pushing optimization.
+        fall back to the singular redirect-following path, and so does
+        an item a co-located sync point overtook (PROTOCOL.md §12).
+        Models the paper's connectivity-based object pushing
+        optimization.
         """
         by_target: dict[int, list[int]] = {}
-        leftover_local: list[int] = []
+        leftovers: list[int] = []
         for oid in oids:
             if oid in self.homes:
                 continue
@@ -131,19 +132,22 @@ class FaultInMixin:
                 continue
             if oid in self._inflight:
                 # a co-located thread is already fetching it
-                leftover_local.append(oid)
+                leftovers.append(oid)
                 continue
             target = self.home_hint.get(oid, self.heap.initial_homes[oid])
             if target == self.node_id:
                 if oid not in self.forwards:
                     # inbound transfer in flight: take the singular path,
                     # which waits for it
-                    leftover_local.append(oid)
+                    leftovers.append(oid)
                     continue
                 target = self.forwards[oid]
                 self._learn_home(oid, target)
             by_target.setdefault(target, []).append(oid)
         pending: list[Future] = []
+        floors: dict[int, int] = {}
+        if by_target:
+            self._batches[id(floors)] = (by_target, floors)
         for target, group in sorted(by_target.items()):
             request_id = self._next_request_id()
             fut = self._Future(label="batchreq")
@@ -157,16 +161,17 @@ class FaultInMixin:
                 ),
             )
             pending.append(fut)
-        leftovers: list[int] = list(leftover_local)
         for fut in pending:
             reply: ObjBatchReply = yield fut
             for oid, version, data in reply.items:
-                if version < self.required_version.get(oid, 0):
-                    leftovers.append(oid)  # stale (rare race): refetch singly
+                if version < floors.get(oid, 0):
+                    leftovers.append(oid)  # overtaken: refetch singly
                     continue
                 self._learn_home(oid, reply.home)
                 self.cache[oid] = CacheEntry(data, version)
             leftovers.extend(reply.missing)
+        if by_target:
+            del self._batches[id(floors)]
         for oid in leftovers:
             if oid in self.homes:
                 continue
@@ -279,6 +284,9 @@ class FaultInMixin:
             cached = self.cache.get(oid)
             if cached is not None and cached.mode is _READ:
                 cached.invalidate()
+            if self._inflight or self._batches:
+                # a co-located fetch may predate the shipped update
+                self._overtake_fetches({oid: reply.version})
             if sp is not None:
                 sp.close(op, "ship", self.sim.now, oid, self.node_id)
             return reply.result
@@ -298,9 +306,12 @@ class FaultInMixin:
         one request per object is outstanding per node, and piggybacking
         threads re-check local state once it completes.  A write ends in
         the write probe (twin, or home-write trap after a migration), and
-        faults again in the rare case the copy went stale meanwhile.
+        faults again in the rare case the copy went stale meanwhile.  A
+        reply a co-located sync point overtook is not installed: the
+        fault asks again (PROTOCOL.md §12).
         """
         inflight = self._inflight
+        overtaken = self._overtaken
         node = self.node_id
         while True:
             marker = inflight.get(oid)
@@ -323,7 +334,6 @@ class FaultInMixin:
                     op_kind = "write_miss" if for_write else "read_miss"
                     op = sp.open(op_kind, self.sim.now, oid, node)
                 try:
-                    min_version = self.required_version.get(oid, 0)
                     hops = 0
                     for _attempt in range(MAX_REDIRECTIONS):
                         target = self.home_hint.get(oid)
@@ -358,14 +368,20 @@ class FaultInMixin:
                             _OBJ_REQUEST,
                             REQUEST_BYTES,
                             ObjRequest(
-                                oid, node, request_id, min_version, hops,
-                                for_write, op,
+                                oid, node, request_id, hops, for_write, op,
                             ),
                         )
                         reply = yield fut
                         if type(reply) is ObjReply:
-                            payload = self._install_reply(oid, reply)
-                            break
+                            if (
+                                reply.version >= overtaken.get(oid, 0)
+                                or reply.migrated
+                            ):
+                                payload = self._install_reply(oid, reply)
+                                break
+                            # older than a notice that arrived meanwhile
+                            self._learn_home(oid, reply.home)
+                            continue
                         # redirected: one more accumulated redirection
                         hops += 1
                         if hop_sp is not None:
@@ -402,6 +418,8 @@ class FaultInMixin:
                         sp.close(op, op_kind, self.sim.now, oid, node)
                 finally:
                     del inflight[oid]
+                    if overtaken:
+                        overtaken.pop(oid, None)
                     marker.resolve(None)
             if not for_write:
                 return payload
@@ -430,14 +448,29 @@ class FaultInMixin:
             self.home_hint.pop(oid, None)
         else:
             self.home_hint[oid] = reply.home
-        required = self.required_version.get(oid, 0)
-        if reply.version < required:  # pragma: no cover - protocol invariant
-            raise RuntimeError(
-                f"home replied version {reply.version} < required {required} "
-                f"for oid {oid}"
-            )
         self.cache[oid] = CacheEntry(reply.data, reply.version)
         return reply.data
+
+    def _overtake_fetches(self, notices: dict[int, int]) -> None:
+        """Record ``notices`` a sync point delivered against the fetches
+        in flight.
+
+        A reply to a request sent before the notices arrived may predate
+        them: under a topology a small grant can overtake a large reply
+        (PROTOCOL.md §12).  Such a reply must meet the versions recorded
+        here or the fetch asks again.  Costs O(fetches in flight).
+        """
+        overtaken = self._overtaken
+        for oid in self._inflight:
+            version = notices.get(oid)
+            if version is not None and version > overtaken.get(oid, 0):
+                overtaken[oid] = version
+        for groups, floors in self._batches.values():
+            for group in groups.values():
+                for oid in group:
+                    version = notices.get(oid)
+                    if version is not None and version > floors.get(oid, 0):
+                        floors[oid] = version
 
     # ------------------------------------------------------------------
     # home side
@@ -451,10 +484,6 @@ class FaultInMixin:
         entry = self.homes.get(oid)
         if entry is None:
             self._answer_not_home(oid, request)
-            return
-        if entry.version < request.min_version:
-            self.stats.events["deferred_request"] += 1
-            entry.pending.push(request.min_version, request)
             return
         self._serve_request(entry, request)
 
@@ -570,7 +599,6 @@ class FaultInMixin:
             )
         result = request.fn(entry.payload)
         entry.version += 1
-        self._recheck_pending(oid)
         reply = ShipReply(oid, request.request_id, entry.version, self.node_id, result)
         if request.compute_us > 0:
             self.sim.schedule(
@@ -620,22 +648,3 @@ class FaultInMixin:
         else:
             events["deferred_request"] += 1
             self.pending_foreign.setdefault(oid, []).append(request)
-
-    def _recheck_pending(self, oid: int) -> None:
-        """Serve version-deferred requests the latest bump made eligible.
-
-        The version index pops exactly the newly-eligible requests (in
-        arrival order), so a bump costs O(k log n) for k served instead
-        of an O(n) full rescan, which was once by far the hottest call
-        site of a protocol run.  If serving one of them migrates the
-        home away, the rest of the batch chases the new home like any
-        other stale-hint request.
-        """
-        entry = self.homes.get(oid)
-        if entry is None or not entry.pending:
-            return
-        for request in entry.pending.pop_ready(entry.version):
-            if oid in self.homes:
-                self._serve_request(entry, request)
-            else:
-                self._handle_obj_request(request)

@@ -16,12 +16,11 @@ the copy is re-protected at each release/acquire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.state import ObjectAccessState
-from repro.dsm.pending import VersionIndexedQueue
 
 
 @dataclass(slots=True)
@@ -36,11 +35,6 @@ class HomeEntry:
     #: (-1 = never); used to trap at most one fault per interval.
     read_interval: int = -1
     write_interval: int = -1
-
-    #: Requests deferred because the entry has not yet reached the
-    #: requester's required version (safety net; see protocol notes),
-    #: indexed by that version so a bump pops only newly-eligible ones.
-    pending: VersionIndexedQueue = field(default_factory=VersionIndexedQueue)
 
     def trap_home_read(self, interval: int) -> bool:
         """Record a home read fault once per interval; True if trapped now."""

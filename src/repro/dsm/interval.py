@@ -159,8 +159,6 @@ class IntervalMixin:
                     continue  # migrated away mid-interval; notice carried
                 entry.version += 1
                 notices[oid] = entry.version
-                if entry.pending:
-                    self._recheck_pending(oid)
             self.home_dirty.clear()
         if self.carry_notices:
             for oid, version in self.carry_notices.items():
@@ -168,19 +166,6 @@ class IntervalMixin:
                     notices[oid] = version
             self.carry_notices.clear()
         return notices
-
-    def apply_notices(self, notices: dict[int, int]) -> None:
-        """Record incoming write notices (version floor for fault-ins).
-
-        Hot path: barrier releases carry O(#written objects) notices per
-        round.  Cache invalidation is *not* done here — both call sites
-        (acquire, barrier) follow with :meth:`invalidate_all_cached`
-        (Java consistency), which subsumes per-notice invalidation.
-        """
-        required = self.required_version
-        for oid, version in notices.items():
-            if version > required.get(oid, 0):
-                required[oid] = version
 
     def invalidate_all_cached(self) -> None:
         """Java-consistency cache flush at a synchronization point.
@@ -204,30 +189,18 @@ class IntervalMixin:
             if cached.mode is _READ:
                 cached.mode = _INVALID
 
-    def collect_garbage(
-        self, released: dict[int, int], barrier_id: int
-    ) -> None:
+    def collect_garbage(self, barrier_id: int) -> None:
         """Barrier-epoch memory GC (``docs/PROTOCOL.md`` §12) after a
         release of barrier ``barrier_id``.
 
-        Runs after ``apply_notices``/``invalidate_all_cached`` of a
-        barrier release.  Two reclamations, both behaviour-free:
-
-        * **Invalid cached copies** are dropped; numpy frees each
-          payload with its last reference.  Every later access
-          re-faults anyway (Java consistency invalidated them
-          wholesale), and ``_install_home_transfer`` falls back to the
-          transferred image when no cached array exists, so nothing
-          observes the missing entry.  Without this, every node's
-          cache accumulates one dead payload per object it ever
-          touched.
-        * **Write-notice floors** (``required_version``) are pruned up
-          to the release's version horizon: home versions are monotone
-          and travel with migration, and a notice is only emitted after
-          its home reached that version — so a floor at or below the
-          version this release announced (or whose object is homed
-          here, where the floor is moot) can never defer a future
-          request.  The floor map stops growing with run history.
+        Runs after the release's :meth:`invalidate_all_cached` and drops
+        every invalid twinless cached copy; numpy frees each payload
+        with its last reference.  Every later access re-faults anyway
+        (Java consistency invalidated them wholesale), and
+        ``_install_home_transfer`` falls back to the transferred image
+        when no cached array exists, so nothing observes the missing
+        entry.  Without this, every node's cache accumulates one dead
+        payload per object it ever touched.
 
         Deliberately touches no :class:`ClusterStats` counters, sends
         no messages, and consumes no simulated time: results and the
@@ -236,24 +209,10 @@ class IntervalMixin:
         trace event (role ``gc``) when the tracer wants one.
         """
         cache = self.cache
-        required = self.required_version
-        # The release's floors are no longer merged into
-        # required_version (see barrier(): merge-then-prune was a
-        # no-op), so reconstruct the legacy pre-GC accounting exactly:
-        # the floors this epoch *would* have held are the own floors
-        # plus the release's not-already-present ones, and every elided
-        # floor counts as pruned (it was reclaimed by never being
-        # retained).  Both counters stay bit-identical to the
-        # merge-then-prune implementation.
-        elided = len(released)
-        if required:
-            elided -= len(required.keys() & released.keys())
-        # pre-GC footprint peaks: the bounded-steady-state evidence
+        # pre-GC footprint peak: the bounded-steady-state evidence
         peaks = self.stats.peaks
         if peaks.get("cache_entries", 0) < len(cache):
             peaks["cache_entries"] = len(cache)
-        if peaks.get("notice_floors", 0) < len(required) + elided:
-            peaks["notice_floors"] = len(required) + elided
         if cache:
             dead = [
                 oid
@@ -263,17 +222,6 @@ class IntervalMixin:
             for oid in dead:
                 del cache[oid]
             self.gc_cache_drops += len(dead)
-        if required:
-            homes = self.homes
-            prunable = [
-                oid
-                for oid, floor in required.items()
-                if floor <= released.get(oid, 0) or oid in homes
-            ]
-            for oid in prunable:
-                del required[oid]
-            self.gc_notice_prunes += len(prunable)
-        self.gc_notice_prunes += elided
         if self._tr_barrier_epoch:
             self.tracer.record(
                 "barrier_epoch",
@@ -282,7 +230,6 @@ class IntervalMixin:
                 self.node_id,
                 role="gc",
                 cache_entries=len(cache),
-                notice_floors=len(required),
             )
 
     def _handle_diff(self, msg: DiffMsg) -> None:
@@ -330,5 +277,3 @@ class IntervalMixin:
             ACK_BYTES,
             DiffAck(oid, msg.request_id, entry.version, self.node_id),
         )
-        if entry.pending:
-            self._recheck_pending(oid)

@@ -92,8 +92,9 @@ class MigrationMixin:
         monitor itself, so the feedback loop continues at the new home.
         This node keeps its payload array as a valid cached copy behind
         a forwarding pointer, so a local thread holding a reference from
-        this interval keeps writing into the node's own copy.  Requests
-        parked on a version the home had not reached chase the new home.
+        this interval keeps writing into the node's own copy.  The
+        version travels with the home, so the new home never answers
+        below a notice already issued (PROTOCOL.md §12).
         """
         state = entry.state
         node = self.node_id
@@ -151,8 +152,6 @@ class MigrationMixin:
         self._learn_home(oid, new_home)
         self.cache[oid] = CacheEntry(entry.payload, entry.version)
         self.mechanism.on_migration(self, oid, new_home)
-        for pending in entry.pending.drain():
-            self._handle_obj_request(pending)
 
     def _become_home(
         self,

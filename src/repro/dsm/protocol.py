@@ -95,7 +95,6 @@ class DsmEngine(
         self.gc_enabled = gc_enabled
         #: Barrier-epoch GC tallies (observability only; never in stats).
         self.gc_cache_drops = 0
-        self.gc_notice_prunes = 0
         if lock_discipline == "retry":
             # Read only by the retry back-off (``SyncMixin._acquire_retry``).
             import random
@@ -145,7 +144,6 @@ class DsmEngine(
         #: Homes learned to differ from the object's initial home; every
         #: reader falls back to ``heap.initial_home`` (see _learn_home).
         self.home_hint: dict[int, int] = {}
-        self.required_version: dict[int, int] = {}
         self.dirty: set[int] = set()
         self.home_dirty: set[int] = set()
         self.carry_notices: dict[int, int] = {}
@@ -164,6 +162,13 @@ class DsmEngine(
         #: Fault coalescing: one outstanding fault-in per object per node;
         #: co-located threads piggyback on it.
         self._inflight: dict[int, Future] = {}
+        #: Fetches a co-located sync point overtook (PROTOCOL.md §12): per
+        #: in-flight fault, the highest version a notice announced while
+        #: it was out (empty unless a thread synchronizes mid-fetch); and
+        #: every batch in flight, keyed by the ``id`` of its own such
+        #: floor map, with the groups it asked for.
+        self._overtaken: dict[int, int] = {}
+        self._batches: dict[int, tuple[dict[int, list[int]], dict[int, int]]] = {}
 
         kernel_module = self._kernel
         # Protocol fast paths (PR 8).  Compiled backend: the local-hit

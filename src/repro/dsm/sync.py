@@ -22,11 +22,13 @@ side lives with its engine.  Every home-based synchronization flushes
 the interval's diffs first
 (:meth:`~repro.dsm.interval.IntervalMixin.flush_diffs`), so its write
 notices ride on the acquire, release or arrival message; an acquire or
-a barrier release then applies the notices it receives and invalidates
-every cached copy (Java consistency).  Each blocking operation runs on
-one generator frame (DESIGN.md §6.12).  A home-based barrier manager
-may also order JiaJia-style migrations, whose new homes ride on the
-release.
+a barrier release then invalidates every cached copy (Java
+consistency).  It keeps nothing of the notices it receives, as each
+announces a version its home already holds; only a fetch still in
+flight from a co-located thread is checked against them.  Each
+blocking operation runs on one generator frame (DESIGN.md §6.12).  A
+home-based barrier manager may also order JiaJia-style migrations,
+whose new homes ride on the release.
 """
 
 from __future__ import annotations
@@ -263,13 +265,17 @@ class SyncMixin:
     # -- locks ------------------------------------------------------------
 
     def acquire(self, handle: LockHandle) -> Generator[Any, Any, None]:
-        """Acquire a distributed lock; applies piggybacked write notices.
+        """Acquire a distributed lock, then invalidate the cached copies.
 
         Acquiring closes the current interval: pending diffs are flushed
         first (so every synchronized update propagates separately — the
         GOS reflects remote writes at each synchronization point), and the
-        interval's notices ride on the acquire message.  The whole FIFO
-        hand-off runs in this one generator frame.
+        interval's notices ride on the acquire message.  The grant's
+        notices are kept nowhere: each announces a version its home
+        already holds, so the next fault-in sees it.  Only a fetch a
+        co-located thread has in flight is checked against them
+        (PROTOCOL.md §12).  The whole FIFO hand-off runs in this one
+        generator frame.
         """
         self.stats.events["lock_acquire"] += 1
         node = self.node_id
@@ -309,11 +315,9 @@ class SyncMixin:
                     fut = self._Future("lock")
                     self._reply_waiters[request_id] = fut
                     notices = (yield fut).notices
-        # apply_notices, inline: the grant raises the fault-in floors
-        required = self.required_version
-        for oid, version in notices.items():
-            if version > required.get(oid, 0):
-                required[oid] = version
+        if self._inflight or self._batches:
+            # a co-located fetch may predate the grant's notices
+            self._overtake_fetches(notices)
         # invalidate_all_cached, inline: this runs once per lock acquire
         for cached in self.cache.values():
             if cached.mode is _READ:
@@ -427,24 +431,14 @@ class SyncMixin:
                 arrive,
             )
         release: BarrierReleaseMsg = yield fut
-        # With barrier-epoch GC on, merging the release's notices into
-        # required_version is a provable no-op: collect_garbage (called
-        # synchronously below, nothing observes the floors in between)
-        # prunes exactly the floors at or below the released versions,
-        # and every merged floor is by construction == its released
-        # version.  Skipping the merge leaves required_version
-        # bit-identical and removes an O(#notices) sweep per node per
-        # epoch — the difference between O(N^2) and O(N^3) total work
-        # for N-node barrier apps.  With GC off the floors accumulate
-        # (that is the memory-ablation leg), so merge as before.
-        if not self.gc_enabled:
-            self.apply_notices(release.notices)
+        if self._inflight or self._batches:
+            self._overtake_fetches(release.notices)
         for oid, home in release.new_homes.items():
             self._learn_home(oid, home)
         self.invalidate_all_cached()
         self.interval += 1
         if self.gc_enabled:
-            self.collect_garbage(release.notices, handle.barrier_id)
+            self.collect_garbage(handle.barrier_id)
         if sp is not None:
             sp.close(
                 op,

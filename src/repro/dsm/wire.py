@@ -30,12 +30,12 @@ class ObjRequest:
     oid: int
     requester: int
     request_id: tuple[int, int]
-    min_version: int
     hops: int
     for_write: bool
     #: Causal span id of the fault that sent this request (``None`` when
-    #: span tracing is off); travels through pending queues unchanged so
-    #: a deferred serve still links to its cause.  See repro.obs.spans.
+    #: span tracing is off); travels with a request parked behind an
+    #: inbound hand-off, so a deferred serve still links to its cause.
+    #: See repro.obs.spans.
     op_id: int | None = None
 
 

@@ -219,23 +219,17 @@ class GlobalObjectSpace:
         """
         cache_entries = 0
         cache_payload = 0
-        notice_floors = 0
         gc_cache_drops = 0
-        gc_notice_prunes = 0
         for engine in self.engines:
             cache_entries += len(engine.cache)
             cache_payload += sum(
                 entry.payload.nbytes for entry in engine.cache.values()
             )
-            notice_floors += len(engine.required_version)
             gc_cache_drops += engine.gc_cache_drops
-            gc_notice_prunes += engine.gc_notice_prunes
         return {
             "cache_entries": cache_entries,
             "cache_payload_bytes": cache_payload,
-            "notice_floors": notice_floors,
             "gc_cache_drops": gc_cache_drops,
-            "gc_notice_prunes": gc_notice_prunes,
             "gc_enabled": self.gc_enabled,
             "heap_data_bytes": self.heap.total_data_bytes(),
             "peaks": self.stats.memory_snapshot(),

@@ -26,12 +26,6 @@ _NODE_HISTOGRAMS = (
     "dsm_barrier_interval_us",
 )
 
-#: Gauge name -> field of a ``barrier_epoch`` event with role ``gc``.
-_GC_GAUGES = (
-    ("dsm_cache_entries", "cache_entries"),
-    ("dsm_notice_floors", "notice_floors"),
-)
-
 _MISS_KINDS = frozenset({"read_miss", "write_miss"})
 
 #: Logged kinds: level and fields, in line order after ``sim_us``.
@@ -128,8 +122,9 @@ class MetricsSink:
 
     def _barrier_epoch(self, time_us, oid, node, detail) -> None:
         if detail["role"] == "gc":
-            for name, field in _GC_GAUGES:
-                self.registry.gauge(name, node=node).set(detail[field])
+            self.registry.gauge("dsm_cache_entries", node=node).set(
+                detail["cache_entries"]
+            )
             return
         previous = self._last_round.get((node, oid))
         self._last_round[(node, oid)] = time_us

@@ -46,9 +46,3 @@ def test_reads_and_writes_trap_independently():
     trapped, _ = entry.trap_home_write(1)
     assert trapped
 
-
-def test_pending_queue_starts_empty():
-    entry = make_home()
-    assert not entry.pending
-    assert len(entry.pending) == 0
-    assert list(entry.pending) == []

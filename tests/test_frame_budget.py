@@ -37,13 +37,12 @@ from repro.gos.thread import ThreadContext
 
 #: Python ``call`` events of one episode, measured per backend on
 #: CPython 3.11 (the compiled backend runs the event loop, the arrival
-#: re-queue, delivery and hit paths in C; the lock table, the request
-#: monitor and the deferral queues are Python on both backends).  The
-#: assert allows 5 % on top.
+#: re-queue, delivery and hit paths in C; the lock table and the request
+#: monitor are Python on both backends).  The assert allows 5 % on top.
 CALL_BUDGET = {
-    "synthetic-at-4": {"python": 17480, "compiled": 5661},
-    "asp-nm-4": {"python": 37014, "compiled": 12556},
-    "serving-16": {"python": 22606, "compiled": 11123},
+    "synthetic-at-4": {"python": 17425, "compiled": 5606},
+    "asp-nm-4": {"python": 36990, "compiled": 12532},
+    "serving-16": {"python": 22493, "compiled": 11020},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)

@@ -1,4 +1,4 @@
-"""Remaining branch coverage: render details, batch staleness, misc."""
+"""Remaining branch coverage: render details, misc."""
 
 import numpy as np
 
@@ -24,38 +24,6 @@ def test_figure2_render_includes_speedup_row():
     assert "HM/NoHM" in out
     assert "HM speedup" in out
     assert "2.00x" in out  # speedup at P=4 relative to P=2
-
-
-def test_batch_reply_stale_version_refetched_singularly():
-    """If a batched copy arrives below the requester's required version
-    (a rare notice race), it is discarded and refetched via the
-    deferring singular path."""
-    gos = make_gos(nnodes=3)
-    obj = gos.alloc_array(4, home=0)
-    engine2 = gos.engines[2]
-    # fabricate: node 2 believes version 1 is required, but home is at 0
-    engine2.required_version[obj.oid] = 1
-    fetched = []
-
-    def reader():
-        ctx = ThreadContext(gos, tid=0, node=2)
-        yield from ctx.read_many([obj])
-        payload = yield from ctx.read(obj)
-        fetched.append(payload.copy())
-
-    def writer():
-        ctx = ThreadContext(gos, tid=1, node=1)
-        lock = gos.alloc_lock(home=1)
-        yield from ctx.acquire(lock)
-        payload = yield from ctx.write(obj)
-        payload[0] = 9.0
-        yield from ctx.release(lock)
-
-    run_threads(gos, reader(), writer())
-    # the reader discarded the stale batched copy and eventually saw
-    # version >= 1 (the write) through the singular path
-    assert fetched[0][0] == 9.0
-    assert gos.stats.events["obj"] >= 2  # the refetch happened
 
 
 def test_downgrade_clean_on_read_copy_is_noop():

@@ -2,9 +2,8 @@
 
 The memory-engine GC (``ProtocolEngine.collect_garbage``) runs at every
 barrier release and must be a pure *storage* operation: dropping dead
-INVALID cache entries, pruning version-horizon-covered write-notice
-floors, and compacting pending-work maps may never change simulated
-time, message traffic, stats, or application output.  These tests pin
+INVALID cache entries may never change simulated time, message
+traffic, stats, or application output.  These tests pin
 that contract and the boundedness claims the large-workload tier
 measures.
 """
@@ -62,12 +61,8 @@ def test_gc_drops_dead_cache_entries_and_notice_floors():
     assert fp_off["gc_enabled"] is False
     # with GC the run ends drained; without it, history accretes
     assert fp_on["cache_entries"] == 0
-    assert fp_on["notice_floors"] == 0
     assert fp_on["gc_cache_drops"] > 0
-    assert fp_on["gc_notice_prunes"] > 0
     assert fp_off["gc_cache_drops"] == 0
-    assert fp_off["gc_notice_prunes"] == 0
-    assert fp_off["notice_floors"] > 0
     assert fp_off["cache_payload_bytes"] > fp_on["cache_payload_bytes"]
 
 
@@ -79,16 +74,14 @@ def test_gc_bounds_steady_state_independent_of_run_length():
     peaks_short = short.gos.memory_footprint()["peaks"]
     peaks_long = long.gos.memory_footprint()["peaks"]
     assert peaks_long["cache_entries"] <= peaks_short["cache_entries"] + 2
-    assert peaks_long["notice_floors"] <= peaks_short["notice_floors"] + 2
 
 
 def test_no_migration_policy_also_gc_neutral():
-    # the notice-horizon rule must hold when homes never move
+    # dropping dead entries is neutral when homes never move, too
     on = _run(gc_enabled=True, policy="NM")
     off = _run(gc_enabled=False, policy="NM")
     assert _digest(on) == _digest(off)
     np.testing.assert_array_equal(on.output, off.output)
-    assert on.gos.memory_footprint()["notice_floors"] == 0
 
 
 def test_peaks_channel_is_excluded_from_stats_snapshot():

@@ -1,0 +1,352 @@
+"""A write notice never outruns its diff (PROTOCOL.md §12).
+
+A notice is emitted only after the home acked that version, a home
+version is monotone and travels with every hand-off, so every fault-in
+sent after a notice arrived reaches a home at or above it.  Nodes
+therefore keep no per-notice version floor and homes park no request
+on a version.  A reply to a request sent *before* the notice arrived
+may still predate it — under a topology a small grant can overtake a
+large reply — so a fetch in flight across a co-located sync point is
+checked against that point's notices and asks again when overtaken.
+
+These tests check both halves: directed 3-node runs where the grant's
+path is shorter than the diff's or the reply's, and a test-side shadow
+of the retired floors over fuzzed conformance episodes (on the flat
+switch and on oversubscribed topologies, with threads sharing nodes)
+that every installed copy must meet.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+import repro.check.runner as check_runner
+from repro.check.fuzz import episode_seeds, generate_program
+from repro.check.runner import run_episode
+from repro.cluster.hockney import FAST_ETHERNET
+from repro.cluster.message import MsgCategory
+from repro.cluster.topology import ClusterTopology
+from repro.core.policies import NoMigration
+from repro.dsm.protocol import DsmEngine
+from repro.dsm.wire import ObjBatchReply, ObjReply
+from repro.gos.space import GlobalObjectSpace
+from repro.gos.thread import ThreadContext
+
+from tests.conftest import run_threads
+
+
+class NoticeShadow:
+    """The retired floors, kept test-side: per node, the highest version
+    of each object announced by a lock grant or barrier release the node
+    has received.  Every installed copy is checked against them; a reply
+    that arrives below them is only counted (its fetch must ask again)."""
+
+    def __init__(self) -> None:
+        self.floors: dict[int, dict[int, int]] = {}
+        self.violations: list[tuple[int, int, int, int]] = []
+        self.checked = 0
+        self.overtaken = 0
+
+    def receive(self, node: int, notices: dict[int, int]) -> None:
+        floors = self.floors.setdefault(node, {})
+        for oid, version in notices.items():
+            if version > floors.get(oid, 0):
+                floors[oid] = version
+
+    def floor(self, node: int, oid: int) -> int:
+        return self.floors.get(node, {}).get(oid, 0)
+
+    def arrived(self, node: int, oid: int, version: int) -> None:
+        if version < self.floor(node, oid):
+            self.overtaken += 1
+
+    def installed(self, node: int, oid: int, version: int) -> None:
+        self.checked += 1
+        floor = self.floor(node, oid)
+        if version < floor:
+            self.violations.append((node, oid, version, floor))
+
+
+def _install_shadow(monkeypatch) -> NoticeShadow:
+    """Wrap the grant and release paths, the reply routes and the
+    install points of every home-based engine built from now on."""
+    shadow = NoticeShadow()
+    build_dispatch = DsmEngine._build_dispatch
+    on_barrier_release = DsmEngine._on_barrier_release
+
+    def barrier_release(engine, release):
+        shadow.receive(engine.node_id, release.notices)
+        on_barrier_release(engine, release)
+
+    def build(engine):
+        node = engine.node_id
+        table = build_dispatch(engine)
+        lock_table = engine.lock_table
+        table_acquire, table_release = lock_table.acquire, lock_table.release
+
+        def acquire(lock_id, requester, request_id, notices):
+            grant = table_acquire(lock_id, requester, request_id, notices)
+            if grant is not None and requester == node:
+                shadow.receive(node, grant)
+            return grant
+
+        def release(lock_id, releaser, notices):
+            handed = table_release(lock_id, releaser, notices)
+            if handed is not None and handed[0][0] == node:
+                shadow.receive(node, handed[1])
+            return handed
+
+        lock_table.acquire, lock_table.release = acquire, release
+        grant_route = table[MsgCategory.LOCK_GRANT]
+
+        def on_grant(grant):
+            shadow.receive(node, grant.notices)
+            grant_route(grant)
+
+        table[MsgCategory.LOCK_GRANT] = on_grant
+        for category in (MsgCategory.OBJ_REPLY, MsgCategory.OBJ_REPLY_MIG):
+            table[category] = _arrivals(table[category], shadow, node)
+        _wrap_installs(engine, shadow)
+        return table
+
+    monkeypatch.setattr(DsmEngine, "_build_dispatch", build)
+    monkeypatch.setattr(DsmEngine, "_on_barrier_release", barrier_release)
+    return shadow
+
+
+def _arrivals(route, shadow: NoticeShadow, node: int):
+    def deliver(reply):
+        if type(reply) is ObjReply:
+            shadow.arrived(node, reply.oid, reply.version)
+        elif type(reply) is ObjBatchReply:
+            for oid, version, _data in reply.items:
+                shadow.arrived(node, oid, version)
+        route(reply)
+
+    return deliver
+
+
+def _wrap_installs(engine: DsmEngine, shadow: NoticeShadow) -> None:
+    """Check every singular install, and every copy a batch leaves."""
+    node = engine.node_id
+    install_reply, read_many = engine._install_reply, engine.read_many
+
+    def install(oid, reply):
+        shadow.installed(node, oid, reply.version)
+        return install_reply(oid, reply)
+
+    def batch(oids):
+        yield from read_many(oids)
+        for oid in oids:
+            cached = engine.cache.get(oid)
+            if cached is not None and cached.readable():
+                if oid not in engine.homes:
+                    shadow.installed(node, oid, cached.version)
+
+    engine._install_reply, engine.read_many = install, batch
+
+
+def _slow_node_zero(hop_us: float) -> ClusterTopology:
+    """Three nodes: 1 and 2 share a switch, node 0 sits behind another,
+    so every message to or from node 0 pays ``hop_us`` more."""
+    topology = ClusterTopology(3)
+    topology.set_tiers([[1, 0, 0]], [(0.0, 0.0), (hop_us, 0.0)], nlinks=2)
+    return topology
+
+
+def test_grant_on_a_short_path_never_outruns_the_diff(backend, monkeypatch):
+    """Writer on node 1, object homed on node 0, lock homed on node 2.
+    The release reaches the lock's home long before a diff could cross
+    to node 0, yet the reader's first fault after its acquire is served
+    at or above the grant's notice and sees the write."""
+    shadow = _install_shadow(monkeypatch)
+    topology = _slow_node_zero(hop_us=2_000.0)
+    assert topology.pair(1, 0)[0] > topology.pair(1, 2)[0]
+    gos = GlobalObjectSpace(
+        nnodes=3, comm_model=FAST_ETHERNET, policy=NoMigration(),
+        topology=topology,
+    )
+    obj = gos.alloc_fields(("v",), home=0)
+    lock = gos.alloc_lock(home=2)
+    seen = []
+
+    def writer():
+        ctx = ThreadContext(gos, tid=1, node=1)
+        yield from ctx.acquire(lock)
+        payload = yield from ctx.write(obj)
+        payload[0] = 7.0
+        yield from ctx.release(lock)
+
+    def reader():
+        ctx = ThreadContext(gos, tid=2, node=2)
+        before = yield from ctx.read(obj)  # a cached copy at version 0
+        seen.append(float(before[0]))
+        yield from ctx.compute(100.0)  # the writer holds the lock by now
+        yield from ctx.acquire(lock)
+        installs_before = shadow.checked
+        payload = yield from ctx.read(obj)
+        seen.append(float(payload[0]))
+        seen.append(shadow.checked - installs_before)
+        yield from ctx.release(lock)
+
+    run_threads(gos, writer(), reader())
+
+    assert shadow.floor(2, obj.oid) == 1  # the grant announced version 1
+    assert seen == [0.0, 7.0, 1]  # one fault after the acquire, fresh
+    assert shadow.violations == []
+    assert gos.stats.events.get("deferred_request", 0) == 0
+
+
+#: A 64 KB object crossing a 4:1 uplink pays about 15 ms of transfer
+#: penalty; a small grant or release pays almost none, so it overtakes.
+_LARGE = 8192
+
+
+def _overtaking_run(monkeypatch, sync: str, batched: bool, discipline="fifo"):
+    """Home 0 and writer 1 share a leaf; the reader node 2 runs two
+    threads.  Thread A's request reaches the home just before the
+    writer's diff, so the large reply carries version 0; the writer's
+    release and the small cross-leaf grant (or barrier release) reach
+    thread B about 15 ms before that reply does.  Returns the shadow,
+    the space, the object and what A and B read."""
+    shadow = _install_shadow(monkeypatch)
+    gos = GlobalObjectSpace(
+        nnodes=3, comm_model=FAST_ETHERNET, policy=NoMigration(),
+        topology="hier:leaf=2:oversub=4", lock_discipline=discipline,
+    )
+    obj = gos.alloc_array(_LARGE, home=0)
+    lock = gos.alloc_lock(home=0)
+    barrier = gos.alloc_barrier(2, home=0)  # the writer and thread B
+    seen = {}
+
+    def writer():
+        ctx = ThreadContext(gos, tid=1, node=1)
+        if sync == "lock":
+            yield from ctx.acquire(lock)
+        payload = yield from ctx.write(obj)
+        yield from ctx.compute(100_000.0 - ctx.now)
+        payload[0] = 7.0
+        if sync == "lock":
+            yield from ctx.release(lock)
+        else:
+            yield from ctx.barrier(barrier)
+
+    def fetcher():
+        ctx = ThreadContext(gos, tid=2, node=2)
+        yield from ctx.compute(97_000.0)  # the home serves before the diff
+        if batched:
+            yield from ctx.read_many([obj])
+        payload = yield from ctx.read(obj)
+        seen["a"] = float(payload[0])
+
+    def waiter():
+        ctx = ThreadContext(gos, tid=3, node=2)
+        yield from ctx.compute(50_000.0)
+        if sync == "lock":
+            yield from ctx.acquire(lock)  # queued behind the writer
+        else:
+            yield from ctx.barrier(barrier)
+        seen["synced"] = ctx.now
+        if batched:
+            yield from ctx.compute(20_000.0)  # A's batch lands meanwhile
+        payload = yield from ctx.read(obj)  # or joins A's fetch
+        seen["b"] = float(payload[0])
+        if sync == "lock":
+            yield from ctx.release(lock)
+
+    run_threads(gos, writer(), fetcher(), waiter())
+    assert seen["synced"] < 115_000.0  # before A's reply could land
+    return shadow, gos, obj, seen
+
+
+@pytest.mark.parametrize("batched", (False, True), ids=("fault", "batch"))
+@pytest.mark.parametrize(
+    "sync, discipline",
+    (("lock", "fifo"), ("lock", "retry"), ("barrier", "fifo")),
+    ids=("lock-fifo", "lock-retry", "barrier"),
+)
+def test_sync_overtaking_an_in_flight_reply_refetches(
+    backend, monkeypatch, sync, discipline, batched
+):
+    """B's read after its acquire or barrier — joining A's fetch, or
+    after A's batch landed — sees the write, and so does A."""
+    shadow, gos, obj, seen = _overtaking_run(
+        monkeypatch, sync, batched, discipline
+    )
+    assert shadow.overtaken >= 1  # the race did happen
+    assert shadow.violations == []
+    assert (seen["a"], seen["b"]) == (7.0, 7.0)
+    assert gos.read_global(obj)[0] == 7.0
+
+
+def test_ship_overtaking_an_in_flight_reply_refetches(backend, monkeypatch):
+    """A thread that shipped an update reads it back, although a
+    co-located fetch of the object sent before the ship lands later."""
+    shadow = _install_shadow(monkeypatch)
+    gos = GlobalObjectSpace(
+        nnodes=3, comm_model=FAST_ETHERNET, policy=NoMigration(),
+        topology="hier:leaf=2:oversub=4",
+    )
+    obj = gos.alloc_array(_LARGE, home=0)
+    lock = gos.alloc_lock(home=2)
+    seen = {}
+
+    def fetcher():
+        ctx = ThreadContext(gos, tid=1, node=2)
+        yield from ctx.compute(95_000.0)
+        payload = yield from ctx.read(obj)
+        seen["a"] = float(payload[0])
+
+    def set_seven(payload):
+        payload[0] = 7.0
+
+    def shipper():
+        ctx = ThreadContext(gos, tid=2, node=2)
+        yield from ctx.compute(100_000.0)
+        yield from ctx.acquire(lock)
+        yield from ctx.ship(obj, set_seven)
+        yield from ctx.compute(20_000.0)  # the fetch lands meanwhile
+        payload = yield from ctx.read(obj)
+        seen["b"] = float(payload[0])
+        yield from ctx.release(lock)
+
+    run_threads(gos, fetcher(), shipper())
+
+    assert (seen["a"], seen["b"]) == (7.0, 7.0)
+    assert shadow.violations == []
+
+
+def _spread(spec):
+    """The episode with its threads packed onto half the nodes, so that
+    co-located threads synchronize while another one fetches."""
+    used = max(1, (spec.nodes + 1) // 2)
+    return replace(spec, placement=[t % used for t in range(spec.nthreads)])
+
+
+@pytest.mark.parametrize(
+    "topology", (None, "hier:leaf=2:oversub=4", "fat-tree:edge=2:pod=2:oversub=2")
+)
+@pytest.mark.parametrize("flavor", ("core", "serving"))
+def test_every_installed_copy_meets_the_shadow_floors(
+    flavor, topology, backend, monkeypatch
+):
+    shadow = _install_shadow(monkeypatch)
+    if topology is not None:
+        build_jvm = check_runner.DistributedJVM
+
+        def priced(cluster, **observers):
+            return build_jvm(replace(cluster, topology=topology), **observers)
+
+        monkeypatch.setattr(check_runner, "DistributedJVM", priced)
+    for seed in episode_seeds(0, 25):
+        shadow.floors.clear()  # node and object ids restart every episode
+        spec = generate_program(seed, flavor=flavor)
+        if topology is not None:
+            spec = _spread(spec)
+        result = run_episode(spec=spec)
+        assert result.ok, result.verdict()
+    assert shadow.checked > 0
+    assert shadow.floors
+    assert shadow.violations == []

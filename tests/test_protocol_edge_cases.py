@@ -51,45 +51,6 @@ def test_diff_forwarded_along_migration_chain():
     assert final[1] == 1.0 and final[2] == 3.0
 
 
-def test_version_deferred_request_served_after_diff():
-    """A request demanding a version the home has not reached yet parks
-    in the home entry's pending list and is served when the diff lands."""
-    gos = make_gos(nnodes=3, policy=NoMigration())
-    obj = gos.alloc_array(4, home=0)
-    engine = gos.engines[0]
-    # fabricate a request from node 2 demanding version 1
-    request = ObjRequest(
-        oid=obj.oid,
-        requester=2,
-        request_id=(2, 999),
-        min_version=1,
-        hops=0,
-        for_write=False,
-    )
-    waiter = Future(label="test-wait")
-    gos.engines[2]._reply_waiters[(2, 999)] = waiter
-    engine._handle_obj_request(request)
-    assert gos.stats.events["deferred_request"] == 1
-    assert engine.homes[obj.oid].pending
-
-    # now a writer's diff bumps the home to version 1
-    lock = gos.alloc_lock(home=0)
-
-    def writer():
-        ctx = ThreadContext(gos, tid=0, node=1)
-        yield from ctx.acquire(lock)
-        payload = yield from ctx.write(obj)
-        payload[0] = 5.0
-        yield from ctx.release(lock)
-
-    run_threads(gos, writer())
-    assert not engine.homes[obj.oid].pending
-    assert waiter.resolved
-    reply = waiter.value
-    assert reply.version == 1
-    assert reply.data[0] == 5.0
-
-
 def test_transfer_race_deferrals_served_in_fifo_order(backend):
     """Two requests and a diff reach the announced new home before its
     home transfer lands: all three park (``deferred_request`` via
@@ -128,7 +89,6 @@ def test_transfer_race_deferrals_served_in_fifo_order(backend):
             oid=obj.oid,
             requester=request_id[0],
             request_id=request_id,
-            min_version=version,
             hops=0,
             for_write=False,
         )
