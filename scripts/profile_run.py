@@ -12,13 +12,13 @@ the raw pstats file, so profiles can be diffed across PRs with
 ``--memory`` switches the profiler from cProfile to tracemalloc: the run
 executes under allocation tracing and the report is the top source lines
 by residual allocated bytes at run end — the where-does-the-memory-live
-view that motivated the barrier-epoch GC work.  The report is printed;
+view — and the cluster's end-state cache footprint.  The report is printed;
 ``--save PATH`` also writes it to ``PATH`` (nothing is written without it).
 
 Usage:
     python scripts/profile_run.py [--app {asp,sor,nbody,tsp}] [--size N]
                                   [--policy NAME] [--nodes P] [--top K]
-                                  [--save PATH] [--memory] [--no-gc]
+                                  [--save PATH] [--memory]
 """
 
 import argparse
@@ -44,16 +44,14 @@ def make_app(name: str, size: int):
 
 def memory_profile(app, args) -> None:
     """Run ``app`` under ``--policy`` with tracemalloc on and report the
-    top allocation sites; ``--no-gc`` is the contrast leg without
-    barrier-epoch memory GC."""
+    top allocation sites."""
     import tracemalloc
 
     from repro.bench.runner import run_once
 
     tracemalloc.start(25)
     result = run_once(
-        app, policy=args.policy, nodes=args.nodes,
-        gc_enabled=not args.no_gc, verify=False,
+        app, policy=args.policy, nodes=args.nodes, verify=False,
     )
     current, peak = tracemalloc.get_traced_memory()
     snapshot = tracemalloc.take_snapshot()
@@ -61,7 +59,7 @@ def memory_profile(app, args) -> None:
 
     lines = [
         f"memory profile: {args.app}({args.size}) under {args.policy} on "
-        f"{args.nodes} nodes (gc {'off' if args.no_gc else 'on'})",
+        f"{args.nodes} nodes",
         f"simulated {result.execution_time_s:.2f}s, "
         f"{result.stats.total_messages()} messages, "
         f"{result.gos.sim.events_processed} engine events",
@@ -70,8 +68,7 @@ def memory_profile(app, args) -> None:
     fp = result.gos.memory_footprint()
     lines += [
         f"end state: {fp['cache_entries']} cache entries "
-        f"({fp['cache_payload_bytes'] / 1e6:.2f} MB payloads); "
-        f"gc dropped {fp['gc_cache_drops']} entries",
+        f"({fp['cache_payload_bytes'] / 1e6:.2f} MB payloads)",
         f"peaks: {fp['peaks']}",
     ]
     lines.append("")
@@ -112,10 +109,6 @@ def main() -> None:
     parser.add_argument(
         "--memory", action="store_true",
         help="profile allocations with tracemalloc instead of time",
-    )
-    parser.add_argument(
-        "--no-gc", action="store_true",
-        help="disable barrier-epoch memory GC (contrast leg for --memory)",
     )
     parser.add_argument(
         "--backend", choices=("auto", "python", "compiled"), default="auto",

@@ -175,11 +175,13 @@ def _load_from_path(path: Path) -> Any:
 # build batches them and drifts events_processed from the Python
 # backend; level 8: LocalAccess reads the engine's cache as a plain
 # dict; level 9: LocalAccess no longer reads ``engine.arena`` and calls
-# ``upgrade_to_write()`` with no argument); an installed in-place build
+# ``upgrade_to_write()`` with no argument; level 10: LocalAccess takes
+# only the engine and the fast-write flag, and reads a cache entry's
+# ``twin`` instead of its retired ``mode``); an installed in-place build
 # predating them must lose to a fresh first-use build rather than load
 # and misbehave.  Dropping a symbol the Python side no longer calls
 # needs no bump.
-_MIN_KERNEL_API = 9
+_MIN_KERNEL_API = 10
 
 #: Modules that resolve the kernel once at import; ``select_backend()``
 #: re-points each through its ``_rebind_kernel()``.

@@ -38,7 +38,7 @@ static PyObject *SimError = NULL;
 
 static PyObject *str_payload = NULL;
 static PyObject *str_value = NULL;
-static PyObject *str_mode = NULL;
+static PyObject *str_twin = NULL;
 static PyObject *str_interval = NULL;
 static PyObject *str_read_interval = NULL;
 static PyObject *str_write_interval = NULL;
@@ -764,15 +764,13 @@ typedef struct {
     PyObject *events;       /* engine.stats.events Counter (dict subclass) */
     PyObject *py_read;      /* bound pure-Python try_read_local */
     PyObject *py_write;     /* bound pure-Python try_write_local */
-    PyObject *invalid_mode; /* AccessMode.INVALID (identity-compared) */
-    PyObject *write_mode;   /* AccessMode.WRITE */
     int fast_cache_write;
 } LocalAccessObject;
 
 static int
 LocalAccess_init(LocalAccessObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *engine, *invalid_mode, *write_mode;
+    PyObject *engine;
     int fast_cache_write;
 
     if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
@@ -780,16 +778,12 @@ LocalAccess_init(LocalAccessObject *self, PyObject *args, PyObject *kwds)
                         "LocalAccess() takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "OOOp:LocalAccess", &engine, &invalid_mode,
-                          &write_mode, &fast_cache_write)) {
+    if (!PyArg_ParseTuple(args, "Op:LocalAccess", &engine,
+                          &fast_cache_write)) {
         return -1;
     }
     Py_INCREF(engine);
     Py_XSETREF(self->engine, engine);
-    Py_INCREF(invalid_mode);
-    Py_XSETREF(self->invalid_mode, invalid_mode);
-    Py_INCREF(write_mode);
-    Py_XSETREF(self->write_mode, write_mode);
     self->fast_cache_write = fast_cache_write;
 
     Py_XSETREF(self->homes, PyObject_GetAttr(engine, str_homes));
@@ -959,7 +953,7 @@ fail:
 static PyObject *
 LocalAccess_try_read(LocalAccessObject *self, PyObject *oid)
 {
-    PyObject *home, *entry, *mode, *payload;
+    PyObject *home, *entry, *payload;
 
     home = PyDict_GetItemWithError(self->homes, oid);
     if (home == NULL && PyErr_Occurred()) {
@@ -978,23 +972,13 @@ LocalAccess_try_read(LocalAccessObject *self, PyObject *oid)
         }
         Py_RETURN_NONE;
     }
-    mode = PyObject_GetAttr(entry, str_mode);
-    if (mode == NULL) {
-        return NULL;
-    }
-    if (mode == self->invalid_mode) {
-        Py_DECREF(mode);
-        Py_RETURN_NONE;
-    }
-    Py_DECREF(mode);
-    payload = PyObject_GetAttr(entry, str_payload);
-    return payload;
+    return PyObject_GetAttr(entry, str_payload);
 }
 
 static PyObject *
 LocalAccess_try_write(LocalAccessObject *self, PyObject *oid)
 {
-    PyObject *home, *entry, *mode, *payload;
+    PyObject *home, *entry, *twin, *payload;
 
     home = PyDict_GetItemWithError(self->homes, oid);
     if (home == NULL && PyErr_Occurred()) {
@@ -1013,35 +997,27 @@ LocalAccess_try_write(LocalAccessObject *self, PyObject *oid)
         }
         Py_RETURN_NONE;
     }
+    if (!self->fast_cache_write) {
+        /* Tracer armed: twin-create tracing needs the Python body. */
+        return PyObject_CallOneArg(self->py_write, oid);
+    }
     Py_INCREF(entry);
-    mode = PyObject_GetAttr(entry, str_mode);
-    if (mode == NULL) {
+    twin = PyObject_GetAttr(entry, str_twin);
+    if (twin == NULL) {
         Py_DECREF(entry);
         return NULL;
     }
-    if (mode == self->invalid_mode) {
-        Py_DECREF(mode);
-        Py_DECREF(entry);
-        Py_RETURN_NONE;
-    }
-    if (!self->fast_cache_write) {
-        /* Tracer armed: twin-create tracing needs the Python body. */
-        Py_DECREF(mode);
-        Py_DECREF(entry);
-        return PyObject_CallOneArg(self->py_write, oid);
-    }
-    if (mode != self->write_mode) {
-        /* READ copy: snapshot the twin and upgrade, then continue on
-         * the common dirty-mark path below. */
+    Py_DECREF(twin);
+    if (twin == Py_None) {
+        /* Read-only copy: snapshot the twin, then continue on the
+         * common dirty-mark path below. */
         PyObject *r = PyObject_CallMethodNoArgs(entry, str_upgrade_to_write);
         if (r == NULL) {
-            Py_DECREF(mode);
             Py_DECREF(entry);
             return NULL;
         }
         Py_DECREF(r);
     }
-    Py_DECREF(mode);
     if (PySet_Add(self->dirty, oid) < 0) {
         Py_DECREF(entry);
         return NULL;
@@ -1062,8 +1038,6 @@ LocalAccess_traverse(LocalAccessObject *self, visitproc visit, void *arg)
     Py_VISIT(self->events);
     Py_VISIT(self->py_read);
     Py_VISIT(self->py_write);
-    Py_VISIT(self->invalid_mode);
-    Py_VISIT(self->write_mode);
     return 0;
 }
 
@@ -1078,8 +1052,6 @@ LocalAccess_clear_gc(LocalAccessObject *self)
     Py_CLEAR(self->events);
     Py_CLEAR(self->py_read);
     Py_CLEAR(self->py_write);
-    Py_CLEAR(self->invalid_mode);
-    Py_CLEAR(self->write_mode);
     return 0;
 }
 
@@ -2439,7 +2411,7 @@ PyInit__kernelc(void)
     } while (0)
     INTERN(str_payload, "payload");
     INTERN(str_value, "value");
-    INTERN(str_mode, "mode");
+    INTERN(str_twin, "twin");
     INTERN(str_interval, "interval");
     INTERN(str_read_interval, "read_interval");
     INTERN(str_write_interval, "write_interval");
@@ -2500,7 +2472,7 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "Future", (PyObject *)&FutureType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 9) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 10) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -129,9 +129,6 @@ class RunSpec:
     verify: bool = True
     tag: Any = None
     obs: ObsSpec | None = None
-    #: Barrier-epoch memory GC in the engines (results are identical
-    #: either way; ``False`` is the memory-ablation leg).
-    gc_enabled: bool = True
     #: Opt-in interconnect topology spec string (PROTOCOL.md §15), e.g.
     #: ``"hier:leaf=16:oversub=4"``; ``None`` keeps the ideal switch.
     topology: str | None = None

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cluster.message import MsgCategory
 from repro.core.coefficient import home_access_coefficient
-from repro.dsm.cache import AccessMode, CacheEntry
+from repro.dsm.cache import CacheEntry
 from repro.dsm.home import HomeEntry
 from repro.dsm.wire import (
     REPLY_EXTRA_BYTES,
@@ -51,7 +51,6 @@ _OBJ_REPLY_MIG = MsgCategory.OBJ_REPLY_MIG
 _REDIRECT = MsgCategory.REDIRECT
 _SHIP_REQUEST = MsgCategory.SHIP_REQUEST
 _SHIP_REPLY = MsgCategory.SHIP_REPLY
-_READ = AccessMode.READ
 
 
 class FaultInMixin:
@@ -76,7 +75,7 @@ class FaultInMixin:
             entry.trap_home_read(self.interval)
             return entry.payload
         cached = self.cache.get(oid)
-        if cached is not None and cached.readable():
+        if cached is not None:
             return cached.payload
         return None
 
@@ -98,7 +97,7 @@ class FaultInMixin:
             self.home_dirty.add(oid)
             return entry.payload
         cached = self.cache.get(oid)
-        if cached is not None and cached.readable():
+        if cached is not None:
             if self._tr_twin_create and cached.twin is None:
                 self.tracer.record(
                     "twin_create",
@@ -125,10 +124,7 @@ class FaultInMixin:
         by_target: dict[int, list[int]] = {}
         leftovers: list[int] = []
         for oid in oids:
-            if oid in self.homes:
-                continue
-            cached = self.cache.get(oid)
-            if cached is not None and cached.readable():
+            if oid in self.homes or oid in self.cache:
                 continue
             if oid in self._inflight:
                 # a co-located thread is already fetching it
@@ -173,10 +169,7 @@ class FaultInMixin:
         if by_target:
             del self._batches[id(floors)]
         for oid in leftovers:
-            if oid in self.homes:
-                continue
-            cached = self.cache.get(oid)
-            if cached is not None and cached.readable():
+            if oid in self.homes or oid in self.cache:
                 continue
             yield from self._fault_in(False, oid)
 
@@ -282,8 +275,8 @@ class FaultInMixin:
             if self.carry_notices.get(oid, 0) < reply.version:
                 self.carry_notices[oid] = reply.version
             cached = self.cache.get(oid)
-            if cached is not None and cached.mode is _READ:
-                cached.invalidate()
+            if cached is not None and cached.twin is None:
+                del self.cache[oid]
             if self._inflight or self._batches:
                 # a co-located fetch may predate the shipped update
                 self._overtake_fetches({oid: reply.version})
@@ -322,7 +315,7 @@ class FaultInMixin:
                     payload = entry.payload
                 else:
                     cached = self.cache.get(oid)
-                    if cached is None or not cached.readable():
+                    if cached is None:
                         continue
                     payload = cached.payload
             else:

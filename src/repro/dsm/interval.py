@@ -1,6 +1,6 @@
 """The LRC interval: diffs out and write notices in at every
-synchronization point, the Java-consistency cache flush, barrier-epoch
-GC, and the home applying a received diff.
+synchronization point, the Java-consistency cache flush, and the home
+applying a received diff.
 
 At a release, acquire or barrier, each dirty cached object's diff (its
 twin against the working copy) ships to the home, which applies it,
@@ -18,20 +18,18 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.cluster.message import MsgCategory
-from repro.dsm.cache import AccessMode, CacheEntry
+from repro.dsm.cache import CacheEntry
 from repro.dsm.wire import ACK_BYTES, REQUEST_BYTES, DiffAck, DiffMsg
 from repro.memory.diff import apply_diff, compute_diff
 from repro.sim.future import Future
 
 _DIFF = MsgCategory.DIFF
 _DIFF_ACK = MsgCategory.DIFF_ACK
-_READ = AccessMode.READ
-_INVALID = AccessMode.INVALID
 
 
 class IntervalMixin:
-    """Diff flush, notices, invalidation, barrier GC and diff service
-    (a mixin of :class:`~repro.dsm.protocol.DsmEngine`)."""
+    """Diff flush, notices, invalidation and diff service (a mixin of
+    :class:`~repro.dsm.protocol.DsmEngine`)."""
 
     def flush_diffs(
         self, parent_op: int | None = None
@@ -66,7 +64,7 @@ class IntervalMixin:
                         node,
                         interval=self.interval,
                     )
-                cached.downgrade_clean()
+                cached.twin = None
                 continue
             self._req_counter += 1
             request_id = (node, self._req_counter)
@@ -118,9 +116,9 @@ class IntervalMixin:
                     interval=self.interval,
                 )
             cached.twin = None
-            cached.mode = _READ
             waits.append((oid, cached, fut, d_op))
         self.dirty.clear()
+        cache = self.cache
         home_hint = self.home_hint
         initial_homes = self.heap.initial_homes
         for oid, cached, fut, d_op in waits:
@@ -130,12 +128,19 @@ class IntervalMixin:
                 home_hint.pop(oid, None)
             else:
                 home_hint[oid] = ack.home
-            if cached.twin is not None:
-                # a co-located thread already opened the next write
-                # interval on the post-diff image: just advance the version
-                cached.version = ack.version
-            else:
-                cached.downgrade_after_flush(ack.version)
+            # A co-located sync point may have dropped the copy meanwhile
+            # (and a fault re-fetched it): then the ack has nothing to
+            # update.  A live copy advances to the acked version if a
+            # co-located thread already opened the next write interval on
+            # the post-diff image, or if our diff applied directly on top
+            # of the fetched version, so the copy equals the home copy.
+            # Otherwise another writer's diff interleaved and the copy
+            # misses it: drop it.
+            if cache.get(oid) is cached:
+                if cached.twin is not None or ack.version == cached.version + 1:
+                    cached.version = ack.version
+                else:
+                    del cache[oid]
             notices[oid] = ack.version
             if d_op is not None:
                 sp.close(
@@ -178,59 +183,16 @@ class IntervalMixin:
         is what makes the per-access fault stream of Figure 5 come out:
         each synchronized update by a non-home writer re-faults the object.
 
-        Dirty WRITE copies are spared: their diffs have not been flushed
-        yet (LRC multiple-writer semantics keep them coherent via twins).
-
-        It walks only the entries the node holds now (PROTOCOL.md §12),
-        so it is one Python loop on both backends; a lock acquire runs
-        the same loop inline.
-        """
-        for cached in self.cache.values():
-            if cached.mode is _READ:
-                cached.mode = _INVALID
-
-    def collect_garbage(self, barrier_id: int) -> None:
-        """Barrier-epoch memory GC (``docs/PROTOCOL.md`` §12) after a
-        release of barrier ``barrier_id``.
-
-        Runs after the release's :meth:`invalidate_all_cached` and drops
-        every invalid twinless cached copy; numpy frees each payload
-        with its last reference.  Every later access re-faults anyway
-        (Java consistency invalidated them wholesale), and
-        ``_install_home_transfer`` falls back to the transferred image
-        when no cached array exists, so nothing observes the missing
-        entry.  Without this, every node's cache accumulates one dead
-        payload per object it ever touched.
-
-        Deliberately touches no :class:`ClusterStats` counters, sends
-        no messages, and consumes no simulated time: results and the
-        determinism digest are bit-identical with GC on or off.  The
-        node's footprint after the sweep goes out as a ``barrier_epoch``
-        trace event (role ``gc``) when the tracer wants one.
+        Every clean copy (one without a twin) is dropped, so an
+        invalidated copy is gone, not kept as a tombstone: its next
+        access faults.  Dirty copies are spared: their diffs have not
+        been flushed yet (LRC multiple-writer semantics keep them
+        coherent via twins).  A lock acquire runs the same loop inline.
         """
         cache = self.cache
-        # pre-GC footprint peak: the bounded-steady-state evidence
-        peaks = self.stats.peaks
-        if peaks.get("cache_entries", 0) < len(cache):
-            peaks["cache_entries"] = len(cache)
-        if cache:
-            dead = [
-                oid
-                for oid, entry in cache.items()
-                if entry.mode is _INVALID and entry.twin is None
-            ]
-            for oid in dead:
+        for oid, cached in [*cache.items()]:
+            if cached.twin is None:
                 del cache[oid]
-            self.gc_cache_drops += len(dead)
-        if self._tr_barrier_epoch:
-            self.tracer.record(
-                "barrier_epoch",
-                self.sim.now,
-                barrier_id,
-                self.node_id,
-                role="gc",
-                cache_entries=len(cache),
-            )
 
     def _handle_diff(self, msg: DiffMsg) -> None:
         oid = msg.oid

@@ -16,7 +16,7 @@ dispatch table and the shared helpers:
 * :mod:`repro.dsm.faultin` — §3.1 fault-in and the home serving it,
   where the Eq-2 test runs; §5.1 object pushing and method shipping;
 * :mod:`repro.dsm.interval` — twins, diffs and write notices; the
-  Java-consistency flush; barrier-epoch GC;
+  Java-consistency flush;
 * :mod:`repro.dsm.migration` — the home hand-off and its install
   (§3.1), barrier-ordered migration, the §3.2 home-location messages;
 * :mod:`repro.dsm.sync` — locks and barriers: the managers and the
@@ -40,7 +40,7 @@ from repro.cluster.stats import ClusterStats
 from repro.core.coefficient import home_access_coefficient
 from repro.core.policies import MigrationPolicy
 from repro.core.state import ObjectAccessState
-from repro.dsm.cache import AccessMode, CacheEntry
+from repro.dsm.cache import CacheEntry
 from repro.dsm.faultin import FaultInMixin
 from repro.dsm.home import HomeEntry
 from repro.dsm.interval import IntervalMixin
@@ -81,7 +81,6 @@ class DsmEngine(
         tracer=None,
         lock_discipline: str = "fifo",
         seed: int = 0,
-        gc_enabled: bool = True,
         spans=None,
         release_fanout: int | None = None,
     ):
@@ -92,9 +91,6 @@ class DsmEngine(
         self.mechanism = mechanism
         self.tracer = tracer
         self.lock_discipline = lock_discipline
-        self.gc_enabled = gc_enabled
-        #: Barrier-epoch GC tallies (observability only; never in stats).
-        self.gc_cache_drops = 0
         if lock_discipline == "retry":
             # Read only by the retry back-off (``SyncMixin._acquire_retry``).
             import random
@@ -177,10 +173,7 @@ class DsmEngine(
         # back to the bound Python methods captured at construction.
         if kernel_module is not None:
             local_access = kernel_module.LocalAccess(
-                self,
-                AccessMode.INVALID,
-                AccessMode.WRITE,
-                not self._tr_twin_create,
+                self, not self._tr_twin_create
             )
             self.try_read_local = local_access.try_read
             self.try_write_local = local_access.try_write

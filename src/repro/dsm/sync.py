@@ -22,7 +22,7 @@ side lives with its engine.  Every home-based synchronization flushes
 the interval's diffs first
 (:meth:`~repro.dsm.interval.IntervalMixin.flush_diffs`), so its write
 notices ride on the acquire, release or arrival message; an acquire or
-a barrier release then invalidates every cached copy (Java
+a barrier release then drops every clean cached copy (Java
 consistency).  It keeps nothing of the notices it receives, as each
 announces a version its home already holds; only a fetch still in
 flight from a co-located thread is checked against them.  Each
@@ -37,7 +37,6 @@ from typing import Any, Generator
 
 from repro import _kernel
 from repro.cluster.message import MsgCategory, NOTICE_ENTRY_BYTES
-from repro.dsm.cache import AccessMode
 from repro.dsm.barrier import BarrierHandle, BarrierState
 from repro.dsm.locks import LockHandle, LockTable
 from repro.dsm.redirection import fanout_children
@@ -62,8 +61,6 @@ _LOCK_GRANT = MsgCategory.LOCK_GRANT
 _LOCK_RELEASE = MsgCategory.LOCK_RELEASE
 _BARRIER_ARRIVE = MsgCategory.BARRIER_ARRIVE
 _BARRIER_RELEASE = MsgCategory.BARRIER_RELEASE
-_READ = AccessMode.READ
-_INVALID = AccessMode.INVALID
 
 
 def check_release_fanout(release_fanout: int | None) -> None:
@@ -265,7 +262,7 @@ class SyncMixin:
     # -- locks ------------------------------------------------------------
 
     def acquire(self, handle: LockHandle) -> Generator[Any, Any, None]:
-        """Acquire a distributed lock, then invalidate the cached copies.
+        """Acquire a distributed lock, then drop the clean cached copies.
 
         Acquiring closes the current interval: pending diffs are flushed
         first (so every synchronized update propagates separately — the
@@ -319,9 +316,10 @@ class SyncMixin:
             # a co-located fetch may predate the grant's notices
             self._overtake_fetches(notices)
         # invalidate_all_cached, inline: this runs once per lock acquire
-        for cached in self.cache.values():
-            if cached.mode is _READ:
-                cached.mode = _INVALID
+        cache = self.cache
+        for oid, cached in [*cache.items()]:
+            if cached.twin is None:
+                del cache[oid]
         self.interval += 1
         if sp is not None:
             sp.close(op, "lock_acquire", self.sim.now, lock_id, node)
@@ -435,10 +433,21 @@ class SyncMixin:
             self._overtake_fetches(release.notices)
         for oid, home in release.new_homes.items():
             self._learn_home(oid, home)
+        # the footprint before the drop: the bounded-steady-state evidence
+        peaks = self.stats.peaks
+        if peaks.get("cache_entries", 0) < len(self.cache):
+            peaks["cache_entries"] = len(self.cache)
         self.invalidate_all_cached()
         self.interval += 1
-        if self.gc_enabled:
-            self.collect_garbage(handle.barrier_id)
+        if self._tr_barrier_epoch:
+            self.tracer.record(
+                "barrier_epoch",
+                self.sim.now,
+                handle.barrier_id,
+                self.node_id,
+                role="gc",
+                cache_entries=len(self.cache),
+            )
         if sp is not None:
             sp.close(
                 op,

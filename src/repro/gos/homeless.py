@@ -6,8 +6,8 @@ machinery run on the TreadMarks-style baseline
 homeless ablation.  The cluster build — simulator, network and
 topology, heap, lock and barrier allocation — is
 :class:`~repro.gos.space.GlobalObjectSpace`'s; this subclass swaps the
-engines and replaces what needs a home: the global read/write view and
-diff garbage collection.
+engines and replaces what needs a home: the global read/write view, the
+memory report and diff garbage collection.
 """
 
 from __future__ import annotations
@@ -103,6 +103,17 @@ class HomelessObjectSpace(GlobalObjectSpace):
     def retained_diff_bytes(self) -> int:
         """Bytes of diffs currently held across all writers."""
         return sum(engine.retained_bytes for engine in self.engines)
+
+    def memory_footprint(self) -> dict:
+        """The home-based report's keys, with each node's replicas as its
+        cached copies, plus the diffs retained at writers; there are no
+        homes, so no monitors or forwarding pointers."""
+        footprint = self._copies_footprint(
+            [engine.replicas for engine in self.engines]
+        )
+        footprint["monitor_bytes"] = footprint["forwarding_bytes"] = 0
+        footprint["retained_diff_bytes"] = self.retained_diff_bytes()
+        return footprint
 
     def _maybe_gc(self) -> None:
         if self.retained_diff_bytes() > self.gc_threshold_bytes:

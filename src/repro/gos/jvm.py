@@ -35,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
 def _cycle_collector_paused() -> Iterator[None]:
     """Run one episode with CPython's cyclic collector paused.
 
-    Not the protocol's barrier-epoch GC (``gc_enabled``): this is host
-    memory management.  An episode allocates no reference cycles — its
+    Host memory management, not the protocol's: the engines drop a
+    cached copy when they invalidate it.  An episode allocates no reference cycles — its
     objects die by reference counting or stay reachable from the result —
     so a collection inside it finds nothing to free and only costs wall
     time.  The collector instead runs once at the boundary: ``collect(1)``
@@ -108,8 +108,7 @@ class ClusterSpec:
     mechanism and comm model each take a registry name or an instance;
     ``topology`` (PROTOCOL.md §15) a spec string, dict or built topology,
     ``None`` for the ideal switch; ``release_fanout`` the k-ary barrier
-    release relay, ``None`` for the direct burst; ``gc_enabled`` the
-    barrier-epoch memory GC (results are identical either way).  Every
+    release relay, ``None`` for the direct burst.  Every
     setting is checked here, at construction, and a bad one is one
     ``ValueError`` line; what they resolve to is kept in the
     ``resolved_*`` attributes.
@@ -125,7 +124,6 @@ class ClusterSpec:
     lock_discipline: str = "fifo"
     topology: Any = None
     release_fanout: int | None = None
-    gc_enabled: bool = True
     seed: int = 0
     service_us: float | None = None
     resolved_comm_model: HockneyModel = field(init=False, repr=False, compare=False)
@@ -253,7 +251,6 @@ class DistributedJVM:
             tracer=self._observer(),
             lock_discipline=cluster.lock_discipline,
             seed=cluster.seed,
-            gc_enabled=cluster.gc_enabled,
             topology=cluster.resolved_topology,
             release_fanout=cluster.release_fanout,
         )

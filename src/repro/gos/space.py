@@ -42,7 +42,6 @@ class GlobalObjectSpace:
         tracer=None,
         lock_discipline: str = "fifo",
         seed: int = 0,
-        gc_enabled: bool = True,
         topology=None,
         release_fanout: int | None = None,
     ):
@@ -70,7 +69,6 @@ class GlobalObjectSpace:
             topology=topology,
         )
         self.heap = ObjectHeap()
-        self.gc_enabled = gc_enabled
         self.engines = [
             self._new_engine(
                 i,
@@ -95,7 +93,6 @@ class GlobalObjectSpace:
             policy=self.policy,
             mechanism=self.mechanism,
             tracer=self.tracer,
-            gc_enabled=self.gc_enabled,
             spans=self.spans,
             **engine_kwargs,
         )
@@ -182,55 +179,38 @@ class GlobalObjectSpace:
         """Total home migrations performed so far."""
         return self.stats.events.get("migration", 0)
 
-    def protocol_memory_estimate(self) -> dict:
-        """Estimated protocol metadata footprint in bytes, per concern.
+    def memory_footprint(self) -> dict:
+        """Cluster-wide memory snapshot; reading it changes nothing.
 
-        Models the paper's §5 containment claim: the adaptive protocol's
-        extra memory — the per-object monitor counters (threshold,
-        consecutive writes, redirections, exclusive home writes) — exists
-        only for objects that actually have a home entry, plus one word
-        per forwarding pointer left behind by migrations.  Cached copies
-        are the data cost any DSM pays and are reported separately.
+        Cached copies are the data cost any DSM pays: their count and
+        payload bytes, against the heap's denominator (one full replica
+        set costs ``heap_data_bytes``).  The adaptive protocol's own
+        extra memory is the paper's §5 containment claim: the per-object
+        monitor counters (threshold, consecutive writes, redirections,
+        exclusive home writes) exist only for objects with a home entry,
+        plus one word per forwarding pointer left behind by migrations.
+        ``peaks`` holds the largest cache seen at a barrier release.
         """
         MONITOR_BYTES = 48  # T, C+writer, E, R, diff-EWMA, counters
         POINTER_BYTES = 8
-        monitor = 0
-        forwards = 0
-        cache_payload = 0
-        for engine in self.engines:
-            monitor += MONITOR_BYTES * len(engine.homes)
-            forwards += POINTER_BYTES * len(engine.forwards)
-            cache_payload += sum(
-                entry.payload.nbytes for entry in engine.cache.values()
-            )
-        return {
-            "monitor_bytes": monitor,
-            "forwarding_bytes": forwards,
-            "cache_payload_bytes": cache_payload,
-        }
+        footprint = self._copies_footprint(
+            [engine.cache for engine in self.engines]
+        )
+        footprint["monitor_bytes"] = MONITOR_BYTES * sum(
+            len(engine.homes) for engine in self.engines
+        )
+        footprint["forwarding_bytes"] = POINTER_BYTES * sum(
+            len(engine.forwards) for engine in self.engines
+        )
+        return footprint
 
-    def memory_footprint(self) -> dict:
-        """Cluster-wide memory-engine snapshot (GC + cache state).
-
-        Everything the memory tier reports: live protocol state sizes,
-        GC tallies, and the heap's payload denominator
-        (one full replica set costs ``heap_data_bytes``).  Pure
-        introspection — reading it changes nothing.
-        """
-        cache_entries = 0
-        cache_payload = 0
-        gc_cache_drops = 0
-        for engine in self.engines:
-            cache_entries += len(engine.cache)
-            cache_payload += sum(
-                entry.payload.nbytes for entry in engine.cache.values()
-            )
-            gc_cache_drops += engine.gc_cache_drops
+    def _copies_footprint(self, maps: list[dict]) -> dict:
+        """The keys every protocol reports, over one copy map per node."""
         return {
-            "cache_entries": cache_entries,
-            "cache_payload_bytes": cache_payload,
-            "gc_cache_drops": gc_cache_drops,
-            "gc_enabled": self.gc_enabled,
+            "cache_entries": sum(len(held) for held in maps),
+            "cache_payload_bytes": sum(
+                copy.payload.nbytes for held in maps for copy in held.values()
+            ),
             "heap_data_bytes": self.heap.total_data_bytes(),
             "peaks": self.stats.memory_snapshot(),
         }

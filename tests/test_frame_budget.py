@@ -40,9 +40,9 @@ from repro.gos.thread import ThreadContext
 #: re-queue, delivery and hit paths in C; the lock table and the request
 #: monitor are Python on both backends).  The assert allows 5 % on top.
 CALL_BUDGET = {
-    "synthetic-at-4": {"python": 17425, "compiled": 5606},
-    "asp-nm-4": {"python": 36990, "compiled": 12532},
-    "serving-16": {"python": 22493, "compiled": 11020},
+    "synthetic-at-4": {"python": 17207, "compiled": 5539},
+    "asp-nm-4": {"python": 35970, "compiled": 11926},
+    "serving-16": {"python": 21925, "compiled": 10870},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)

@@ -2,8 +2,8 @@
 
 ``DistributedJVM.run`` and ``run_serving`` pause CPython's cyclic
 collector for the call and collect the young generations once on entry
-(DESIGN.md §6.13, docs/PROTOCOL.md §12).  This is not the protocol's
-barrier-epoch GC (``gc_enabled``).  The pause is memory-safe only while
+(DESIGN.md §6.13, docs/PROTOCOL.md §12).  This is host memory
+management, not the protocol's.  The pause is memory-safe only while
 an episode allocates no reference cycles, so the first half of this file
 pins that invariant over every subsystem: from a clean slate, with the
 run's result still referenced, no collection may find an unreachable

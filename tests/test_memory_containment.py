@@ -11,14 +11,15 @@ import numpy as np
 from repro.apps import DsmApplication, Sor, SingleWriterBenchmark
 from repro.bench.runner import run_once
 from repro.cluster.hockney import FAST_ETHERNET
+from repro.gos.homeless import HomelessObjectSpace
 from repro.gos.jvm import DistributedJVM
 
 
 def test_monitor_memory_scales_with_objects_only():
     small = run_once(Sor(size=16, iterations=2), policy="AT", nodes=4)
     large = run_once(Sor(size=32, iterations=2), policy="AT", nodes=4)
-    small_mem = small.gos.protocol_memory_estimate()
-    large_mem = large.gos.protocol_memory_estimate()
+    small_mem = small.gos.memory_footprint()
+    large_mem = large.gos.memory_footprint()
     # monitor bytes = 48 per shared object, independent of activity
     assert small_mem["monitor_bytes"] == 48 * len(small.gos.heap)
     assert large_mem["monitor_bytes"] == 48 * len(large.gos.heap)
@@ -27,8 +28,8 @@ def test_monitor_memory_scales_with_objects_only():
 def test_migration_adds_only_pointer_words():
     nm = run_once(Sor(size=24, iterations=3), policy="NM", nodes=4)
     at = run_once(Sor(size=24, iterations=3), policy="AT", nodes=4)
-    nm_mem = nm.gos.protocol_memory_estimate()
-    at_mem = at.gos.protocol_memory_estimate()
+    nm_mem = nm.gos.memory_footprint()
+    at_mem = at.gos.memory_footprint()
     # identical monitor footprint; AT adds 8 bytes per migration chain hop
     assert at_mem["monitor_bytes"] == nm_mem["monitor_bytes"]
     assert nm_mem["forwarding_bytes"] == 0
@@ -41,10 +42,38 @@ def test_metadata_dwarfed_by_data():
         policy="AT",
         nodes=5,
     )
-    mem = result.gos.protocol_memory_estimate()
+    mem = result.gos.memory_footprint()
     total_meta = mem["monitor_bytes"] + mem["forwarding_bytes"]
     # one shared counter: tens of bytes of protocol metadata in total
     assert total_meta < 200
+
+
+def test_memory_footprint_reports_both_protocols(backend):
+    keys = {
+        "cache_entries", "cache_payload_bytes", "monitor_bytes",
+        "forwarding_bytes", "heap_data_bytes", "peaks",
+    }
+    home_based = DistributedJVM(nodes=4).run(Sor(size=16, iterations=2))
+    homeless = DistributedJVM(nodes=4, protocol="homeless").run(
+        Sor(size=16, iterations=2)
+    )
+    assert isinstance(homeless.gos, HomelessObjectSpace)
+    assert set(home_based.gos.memory_footprint()) == keys
+    fp = homeless.gos.memory_footprint()
+    assert set(fp) == keys | {"retained_diff_bytes"}
+    replicas = [
+        replica
+        for engine in homeless.gos.engines
+        for replica in engine.replicas.values()
+    ]
+    # every node materialises what it touches and keeps it
+    assert fp["cache_entries"] == len(replicas) > 0
+    assert fp["cache_payload_bytes"] == sum(r.payload.nbytes for r in replicas)
+    assert fp["monitor_bytes"] == fp["forwarding_bytes"] == 0
+    assert fp["retained_diff_bytes"] == homeless.gos.retained_diff_bytes() > 0
+    assert fp["heap_data_bytes"] == home_based.gos.memory_footprint()[
+        "heap_data_bytes"
+    ]
 
 
 class _HeldPayload(DsmApplication):
@@ -71,7 +100,7 @@ class _HeldPayload(DsmApplication):
         if tid == 1:
             held = yield from ctx.read(self.a)
             self.seen["a"] = held.copy()
-        # invalidates node 1's copy of ``a``; the barrier GC drops it
+        # drops node 1's copy of ``a``
         yield from ctx.barrier(self.gate)
         if tid == 1:
             yield from ctx.read(self.b)

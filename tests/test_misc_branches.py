@@ -1,9 +1,6 @@
 """Remaining branch coverage: render details, misc."""
 
-import numpy as np
-
 from repro.bench.figure2 import render_figure2
-from repro.dsm.cache import AccessMode, CacheEntry
 from repro.gos.thread import ThreadContext
 
 from tests.conftest import make_gos, run_threads
@@ -24,13 +21,6 @@ def test_figure2_render_includes_speedup_row():
     assert "HM/NoHM" in out
     assert "HM speedup" in out
     assert "2.00x" in out  # speedup at P=4 relative to P=2
-
-
-def test_downgrade_clean_on_read_copy_is_noop():
-    entry = CacheEntry(payload=np.zeros(4), version=1)
-    entry.downgrade_clean()
-    assert entry.mode is AccessMode.READ
-    assert entry.twin is None
 
 
 def test_lu_with_more_threads_than_rows():

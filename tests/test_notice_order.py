@@ -13,7 +13,10 @@ These tests check both halves: directed 3-node runs where the grant's
 path is shorter than the diff's or the reply's, and a test-side shadow
 of the retired floors over fuzzed conformance episodes (on the flat
 switch and on oversubscribed topologies, with threads sharing nodes)
-that every installed copy must meet.
+that every installed copy must meet.  The same episodes check that a
+cached copy holds a twin exactly when its object is dirty after every
+acquire and barrier release, and a directed run pins that a diff ack
+never revives a copy a co-located acquire dropped.
 """
 
 from __future__ import annotations
@@ -141,11 +144,39 @@ def _wrap_installs(engine: DsmEngine, shadow: NoticeShadow) -> None:
         yield from read_many(oids)
         for oid in oids:
             cached = engine.cache.get(oid)
-            if cached is not None and cached.readable():
+            if cached is not None:
                 if oid not in engine.homes:
                     shadow.installed(node, oid, cached.version)
 
     engine._install_reply, engine.read_many = install, batch
+
+
+def _twins_track_dirty(monkeypatch) -> list:
+    """After every lock acquire and barrier release, the cached copies
+    holding a twin must be exactly the objects in ``dirty``: the flush
+    diffs only ``dirty``, and the invalidation sweep spares only copies
+    with a twin.  Returns the checks, ``(node, oids breaking it)``."""
+    checks = []
+
+    def check(engine):
+        twinned = {
+            oid for oid, cached in engine.cache.items()
+            if cached.twin is not None
+        }
+        checks.append((engine.node_id, sorted(twinned ^ engine.dirty)))
+
+    def checked(method):
+        def run(engine, *args):
+            yield from method(engine, *args)
+            check(engine)
+
+        return run
+
+    for name in ("acquire", "barrier"):
+        monkeypatch.setattr(
+            DsmEngine, name, checked(getattr(DsmEngine, name))
+        )
+    return checks
 
 
 def _slow_node_zero(hop_us: float) -> ClusterTopology:
@@ -197,6 +228,54 @@ def test_grant_on_a_short_path_never_outruns_the_diff(backend, monkeypatch):
     assert seen == [0.0, 7.0, 1]  # one fault after the acquire, fresh
     assert shadow.violations == []
     assert gos.stats.events.get("deferred_request", 0) == 0
+
+
+def test_ack_never_revives_a_copy_a_co_located_acquire_dropped(backend):
+    """Threads A and B share node 1; the object is homed on the far
+    node 0.  A's release waits for its diff ack while B acquires a lock
+    homed nearby, which drops A's copy.  The ack then finds no copy to
+    update: B's next read is a remote read, not a revived local hit."""
+    topology = _slow_node_zero(hop_us=2_000.0)
+    gos = GlobalObjectSpace(
+        nnodes=3, comm_model=FAST_ETHERNET, policy=NoMigration(),
+        topology=topology,
+    )
+    obj = gos.alloc_fields(("v",), home=0)
+    own_lock = gos.alloc_lock(home=1)
+    near_lock = gos.alloc_lock(home=2)
+    engine = gos.engines[1]
+    times = {}
+
+    def writer():
+        ctx = ThreadContext(gos, tid=1, node=1)
+        yield from ctx.acquire(own_lock)
+        payload = yield from ctx.write(obj)
+        payload[0] = 7.0
+        times["flush"] = ctx.now
+        yield from ctx.release(own_lock)  # blocks on the far ack
+        times["acked"] = ctx.now
+
+    def acquirer():
+        ctx = ThreadContext(gos, tid=2, node=1)
+        yield from ctx.compute(5_000.0)  # A faulted in and is flushing
+        yield from ctx.acquire(near_lock)
+        times["acquired"] = ctx.now
+        yield from ctx.compute(20_000.0)  # A's ack lands meanwhile
+        times["cached"] = obj.oid in engine.cache
+        reads = gos.stats.events.get("remote_read", 0)
+        payload = yield from ctx.read(obj)
+        times["remote_reads"] = gos.stats.events.get("remote_read", 0) - reads
+        times["seen"] = float(payload[0])
+        yield from ctx.release(near_lock)
+
+    run_threads(gos, writer(), acquirer())
+
+    # B's acquire fell inside A's ack window, and the ack landed before B read
+    assert times["flush"] < times["acquired"] < times["acked"]
+    assert times["acked"] < 5_000.0 + 20_000.0
+    assert times["cached"] is False
+    assert times["remote_reads"] == 1
+    assert times["seen"] == 7.0
 
 
 #: A 64 KB object crossing a 4:1 uplink pays about 15 ms of transfer
@@ -333,6 +412,7 @@ def test_every_installed_copy_meets_the_shadow_floors(
     flavor, topology, backend, monkeypatch
 ):
     shadow = _install_shadow(monkeypatch)
+    checks = _twins_track_dirty(monkeypatch)
     if topology is not None:
         build_jvm = check_runner.DistributedJVM
 
@@ -350,3 +430,5 @@ def test_every_installed_copy_meets_the_shadow_floors(
     assert shadow.checked > 0
     assert shadow.floors
     assert shadow.violations == []
+    assert checks
+    assert [check for check in checks if check[1]] == []
