@@ -12,7 +12,9 @@ the raw pstats file, so profiles can be diffed across PRs with
 ``--memory`` switches the profiler from cProfile to tracemalloc: the run
 executes under allocation tracing and the report is the top source lines
 by residual allocated bytes at run end — the where-does-the-memory-live
-view — and the cluster's end-state cache footprint.  The report is printed;
+view — the cluster's end-state cache footprint, and the fixed bytes per
+node that the cluster build and the threads cost before the first event
+(measured on a separate build of the same cluster).  The report is printed;
 ``--save PATH`` also writes it to ``PATH`` (nothing is written without it).
 
 Usage:
@@ -42,6 +44,40 @@ def make_app(name: str, size: int):
     raise ValueError(f"unknown app {name!r}")
 
 
+def fixed_bytes_per_node(app, args) -> tuple[float, float]:
+    """Tracemalloc bytes per node that ``app``'s cluster build and its
+    threads (contexts and spawned bodies) cost before the first event,
+    on a build of its own that never runs."""
+    import gc
+    import tracemalloc
+
+    from repro.gos.jvm import ClusterSpec
+    from repro.gos.space import GlobalObjectSpace
+    from repro.gos.thread import ThreadContext
+
+    cluster = ClusterSpec(nodes=args.nodes, policy=args.policy)
+    nodes = cluster.nodes
+    threads = app.default_threads(nodes)
+    gc.collect()
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    gos = GlobalObjectSpace(
+        nnodes=nodes,
+        comm_model=cluster.resolved_comm_model,
+        policy=cluster.resolved_policy,
+        mechanism=cluster.resolved_mechanism,
+    )
+    built = tracemalloc.get_traced_memory()[0]
+    app.setup(gos, threads)
+    set_up = tracemalloc.get_traced_memory()[0]
+    for tid in range(threads):
+        ctx = ThreadContext(gos, tid, app.placement(tid, nodes, threads))
+        gos.sim.spawn(app.thread_body(ctx, tid), name=f"{app.name}-t{tid}")
+    spawned = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return (built - start) / nodes, (spawned - set_up) / nodes
+
+
 def memory_profile(app, args) -> None:
     """Run ``app`` under ``--policy`` with tracemalloc on and report the
     top allocation sites."""
@@ -49,6 +85,7 @@ def memory_profile(app, args) -> None:
 
     from repro.bench.runner import run_once
 
+    build_bytes, thread_bytes = fixed_bytes_per_node(app, args)
     tracemalloc.start(25)
     result = run_once(
         app, policy=args.policy, nodes=args.nodes, verify=False,
@@ -70,6 +107,8 @@ def memory_profile(app, args) -> None:
         f"end state: {fp['cache_entries']} cache entries "
         f"({fp['cache_payload_bytes'] / 1e6:.2f} MB payloads)",
         f"peaks: {fp['peaks']}",
+        f"fixed bytes per node before the first event: cluster build "
+        f"{build_bytes:.0f} B, threads {thread_bytes:.0f} B",
     ]
     lines.append("")
     lines.append(f"=== top {args.top} source lines by residual bytes ===")

@@ -177,11 +177,15 @@ def _load_from_path(path: Path) -> Any:
 # dict; level 9: LocalAccess no longer reads ``engine.arena`` and calls
 # ``upgrade_to_write()`` with no argument; level 10: LocalAccess takes
 # only the engine and the fast-write flag, and reads a cache entry's
-# ``twin`` instead of its retired ``mode``); an installed in-place build
+# ``twin`` instead of its retired ``mode``; level 11: a DeliveryPort
+# calls ``handler(owner, payload)`` from a shared table, ``route_reply``
+# replaces the ReplyRouter type, the Accessor enters one miss generator
+# ``_fault_in(for_write, oid)``, and LocalAccess's cold write calls the
+# engine's ``_write_local``); an installed in-place build
 # predating them must lose to a fresh first-use build rather than load
 # and misbehave.  Dropping a symbol the Python side no longer calls
 # needs no bump.
-_MIN_KERNEL_API = 10
+_MIN_KERNEL_API = 11
 
 #: Modules that resolve the kernel once at import; ``select_backend()``
 #: re-points each through its ``_rebind_kernel()``.

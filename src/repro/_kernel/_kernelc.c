@@ -13,7 +13,8 @@
  *                        repro.memory.diff.compute_diff.
  *   NetFabric         -- the compiled twin of repro.cluster.network's
  *                        Network.send, with per-node DeliveryPorts that call
- *                        each node's category -> handler table.
+ *                        handler(owner, payload) from the engine class's
+ *                        shared category -> handler table.
  *
  * Determinism contract: every kernel reproduces the pure-Python semantics
  * bit for bit.  The event heap orders by (time, seq) with seq unique, so
@@ -46,8 +47,7 @@ static PyObject *str_homes = NULL;
 static PyObject *str_cache = NULL;
 static PyObject *str_dirty = NULL;
 static PyObject *str_home_dirty = NULL;
-static PyObject *str_try_read_local = NULL;
-static PyObject *str_try_write_local = NULL;
+static PyObject *str_write_local = NULL;
 static PyObject *str_state = NULL;
 static PyObject *str_home_reads = NULL;
 static PyObject *str_home_writes = NULL;
@@ -57,6 +57,7 @@ static PyObject *str_consecutive_writes = NULL;
 static PyObject *str_consecutive_writer = NULL;
 static PyObject *str_upgrade_to_write = NULL;
 static PyObject *str_request_id = NULL;
+static PyObject *str_reply_waiters = NULL;
 static PyObject *str_resolve = NULL;
 static PyObject *str_stats = NULL;
 static PyObject *str_events = NULL;
@@ -275,7 +276,8 @@ Engine_call_soon(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
  * arrival event has the port itself as its callback. */
 typedef struct {
     PyObject_HEAD
-    PyObject *dispatch;    /* category -> handler dict */
+    PyObject *table;       /* category -> handler(owner, payload) dict */
+    PyObject *owner;       /* the node's endpoint, each handler's first arg */
     double service;
     PyObject *deliver_cb;  /* bound self.deliver */
 } PortObject;
@@ -691,10 +693,10 @@ diff_arrays(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 /*                                                                         */
 /* C twins of the per-access and per-message protocol bodies: the          */
 /* try_read_local / try_write_local hit paths (LocalAccess, reading the    */
-/* engine's cache dict directly), the fused thread accessor, the reply     */
-/* router, and the network send + delivery boundary (NetFabric /           */
+/* engine's cache dict directly), the fused thread accessor, route_reply,  */
+/* and the network send + delivery boundary (NetFabric /                   */
 /* DeliveryPort / FabricSender).  Each reproduces the pure-Python          */
-/* semantics bit for bit; cold paths fall back to the bound Python         */
+/* semantics bit for bit; cold paths fall back to the engine's Python      */
 /* methods.                                                                */
 /* ====================================================================== */
 
@@ -762,8 +764,6 @@ typedef struct {
     PyObject *dirty;        /* engine.dirty set */
     PyObject *home_dirty;   /* engine.home_dirty set */
     PyObject *events;       /* engine.stats.events Counter (dict subclass) */
-    PyObject *py_read;      /* bound pure-Python try_read_local */
-    PyObject *py_write;     /* bound pure-Python try_write_local */
     int fast_cache_write;
 } LocalAccessObject;
 
@@ -810,13 +810,6 @@ LocalAccess_init(LocalAccessObject *self, PyObject *args, PyObject *kwds)
     }
     if (self->events == NULL || !PyDict_Check(self->events)) {
         goto bad_engine;
-    }
-    /* The bound class methods, captured before the engine shadows them
-     * with this object's fast entry points. */
-    Py_XSETREF(self->py_read, PyObject_GetAttr(engine, str_try_read_local));
-    Py_XSETREF(self->py_write, PyObject_GetAttr(engine, str_try_write_local));
-    if (self->py_read == NULL || self->py_write == NULL) {
-        return -1;
     }
     return 0;
 
@@ -999,7 +992,7 @@ LocalAccess_try_write(LocalAccessObject *self, PyObject *oid)
     }
     if (!self->fast_cache_write) {
         /* Tracer armed: twin-create tracing needs the Python body. */
-        return PyObject_CallOneArg(self->py_write, oid);
+        return PyObject_CallMethodOneArg(self->engine, str_write_local, oid);
     }
     Py_INCREF(entry);
     twin = PyObject_GetAttr(entry, str_twin);
@@ -1036,8 +1029,6 @@ LocalAccess_traverse(LocalAccessObject *self, visitproc visit, void *arg)
     Py_VISIT(self->dirty);
     Py_VISIT(self->home_dirty);
     Py_VISIT(self->events);
-    Py_VISIT(self->py_read);
-    Py_VISIT(self->py_write);
     return 0;
 }
 
@@ -1050,8 +1041,6 @@ LocalAccess_clear_gc(LocalAccessObject *self)
     Py_CLEAR(self->dirty);
     Py_CLEAR(self->home_dirty);
     Py_CLEAR(self->events);
-    Py_CLEAR(self->py_read);
-    Py_CLEAR(self->py_write);
     return 0;
 }
 
@@ -1191,13 +1180,13 @@ static PyTypeObject ReadyType = {
 
 /* One C call replaces the whole Python access wrapper: fetch ``obj.oid``,
  * probe the LocalAccess hit path, and either wrap the payload in a Ready
- * (hit) or delegate to the engine's miss generator.  Side effects are the
- * wrapper's exactly — same probe, same miss call, same iterator type. */
+ * (hit) or enter the engine's miss generator with the access's flag.  Side
+ * effects are the wrapper's exactly — same probe, same miss call, same
+ * iterator type. */
 typedef struct {
     PyObject_HEAD
-    PyObject *la;         /* kernel LocalAccess, owned */
-    PyObject *miss_read;  /* bound engine.read (miss generator) */
-    PyObject *miss_write; /* bound engine.write (miss generator) */
+    PyObject *la;       /* kernel LocalAccess, owned */
+    PyObject *fault_in; /* bound engine._fault_in(for_write, oid) */
 } AccessorObject;
 
 static PyTypeObject AccessorType; /* forward */
@@ -1205,23 +1194,19 @@ static PyTypeObject AccessorType; /* forward */
 static int
 Accessor_init(AccessorObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *la, *miss_read, *miss_write;
+    PyObject *la, *fault_in;
 
     if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
         PyErr_SetString(PyExc_TypeError,
                         "Accessor() takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!OO:Accessor", &LocalAccessType, &la,
-                          &miss_read, &miss_write)) {
+    if (!PyArg_ParseTuple(args, "O!O:Accessor", &LocalAccessType, &la,
+                          &fault_in)) {
         return -1;
     }
-    Py_INCREF(la);
-    Py_XSETREF(self->la, la);
-    Py_INCREF(miss_read);
-    Py_XSETREF(self->miss_read, miss_read);
-    Py_INCREF(miss_write);
-    Py_XSETREF(self->miss_write, miss_write);
+    Py_XSETREF(self->la, Py_NewRef(la));
+    Py_XSETREF(self->fault_in, Py_NewRef(fault_in));
     return 0;
 }
 
@@ -1256,7 +1241,9 @@ Accessor_read(AccessorObject *self, PyObject *obj)
     }
     if (payload == Py_None) {
         Py_DECREF(payload);
-        gen = PyObject_CallOneArg(self->miss_read, oid);
+        PyObject *argv[2] = {Py_False, oid};
+
+        gen = PyObject_Vectorcall(self->fault_in, argv, 2, NULL);
         Py_DECREF(oid);
         return gen;
     }
@@ -1280,7 +1267,9 @@ Accessor_write(AccessorObject *self, PyObject *obj)
     }
     if (payload == Py_None) {
         Py_DECREF(payload);
-        gen = PyObject_CallOneArg(self->miss_write, oid);
+        PyObject *argv[2] = {Py_True, oid};
+
+        gen = PyObject_Vectorcall(self->fault_in, argv, 2, NULL);
         Py_DECREF(oid);
         return gen;
     }
@@ -1292,8 +1281,7 @@ static int
 Accessor_traverse(AccessorObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->la);
-    Py_VISIT(self->miss_read);
-    Py_VISIT(self->miss_write);
+    Py_VISIT(self->fault_in);
     return 0;
 }
 
@@ -1301,8 +1289,7 @@ static int
 Accessor_clear_gc(AccessorObject *self)
 {
     Py_CLEAR(self->la);
-    Py_CLEAR(self->miss_read);
-    Py_CLEAR(self->miss_write);
+    Py_CLEAR(self->fault_in);
     return 0;
 }
 
@@ -1341,134 +1328,76 @@ static PyTypeObject AccessorType = {
 };
 
 /* ---------------------------------------------------------------------- */
-/* ReplyRouter: pop-and-resolve reply dispatch                             */
+/* route_reply: pop-and-resolve reply dispatch                            */
 /* ---------------------------------------------------------------------- */
 
-typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
-    PyObject *waiters; /* request_id -> Future dict, owned, never rebound */
-} RouterObject;
-
+/* route_reply(engine, payload): the handler of every reply category.  Pops
+ * the future keyed by payload.request_id from engine._reply_waiters and
+ * resolves it with the payload -- SyncManager._resolve_reply, without a
+ * Python frame. */
 static PyObject *
-Router_vectorcall(PyObject *op, PyObject *const *args, size_t nargsf,
-                  PyObject *kwnames)
+route_reply(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    RouterObject *self = (RouterObject *)op;
-    PyObject *payload, *rid, *fut, *res;
+    PyObject *waiters, *rid, *fut, *res;
 
-    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames) > 0) {
+    if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError,
-                        "ReplyRouter takes no keyword arguments");
+                        "route_reply() requires (engine, payload)");
         return NULL;
     }
-    if (PyVectorcall_NARGS(nargsf) != 1) {
-        PyErr_Format(PyExc_TypeError,
-                     "ReplyRouter expects exactly one payload, got %zd",
-                     PyVectorcall_NARGS(nargsf));
+    waiters = PyObject_GetAttr(args[0], str_reply_waiters);
+    if (waiters == NULL) {
         return NULL;
     }
-    payload = args[0];
-    rid = PyObject_GetAttr(payload, str_request_id);
+    if (!PyDict_Check(waiters)) {
+        PyErr_SetString(PyExc_TypeError, "engine._reply_waiters is not a dict");
+        Py_DECREF(waiters);
+        return NULL;
+    }
+    rid = PyObject_GetAttr(args[1], str_request_id);
     if (rid == NULL) {
+        Py_DECREF(waiters);
         return NULL;
     }
-    fut = PyDict_GetItemWithError(self->waiters, rid);
+    fut = PyDict_GetItemWithError(waiters, rid); /* borrowed */
     if (fut == NULL) {
         if (!PyErr_Occurred()) {
             /* identical failure to dict.pop without default */
             PyErr_SetObject(PyExc_KeyError, rid);
         }
-        Py_DECREF(rid);
-        return NULL;
     }
-    Py_INCREF(fut);
-    if (PyDict_DelItem(self->waiters, rid) < 0) {
-        Py_DECREF(fut);
-        Py_DECREF(rid);
-        return NULL;
+    else {
+        Py_INCREF(fut);
+        if (PyDict_DelItem(waiters, rid) < 0) {
+            Py_CLEAR(fut);
+        }
     }
     Py_DECREF(rid);
-    res = PyObject_CallMethodObjArgs(fut, str_resolve, payload, NULL);
+    Py_DECREF(waiters);
+    if (fut == NULL) {
+        return NULL;
+    }
+    res = PyObject_CallMethodObjArgs(fut, str_resolve, args[1], NULL);
     Py_DECREF(fut);
     return res;
 }
-
-static int
-Router_init(RouterObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *waiters;
-
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "ReplyRouter() takes no keyword arguments");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!:ReplyRouter", &PyDict_Type, &waiters)) {
-        return -1;
-    }
-    Py_INCREF(waiters);
-    Py_XSETREF(self->waiters, waiters);
-    self->vectorcall = Router_vectorcall;
-    return 0;
-}
-
-static int
-Router_traverse(RouterObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->waiters);
-    return 0;
-}
-
-static int
-Router_clear_gc(RouterObject *self)
-{
-    Py_CLEAR(self->waiters);
-    return 0;
-}
-
-static void
-Router_dealloc(RouterObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Router_clear_gc(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyTypeObject RouterType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._kernel._kernelc.ReplyRouter",
-    .tp_doc = "Callable reply handler: pops the waiter future keyed by "
-              "payload.request_id and resolves it with the payload "
-              "(the C twin of _resolve_reply).",
-    .tp_basicsize = sizeof(RouterObject),
-    .tp_vectorcall_offset = offsetof(RouterObject, vectorcall),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
-                Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Router_init,
-    .tp_call = PyVectorcall_Call,
-    .tp_dealloc = (destructor)Router_dealloc,
-    .tp_traverse = (traverseproc)Router_traverse,
-    .tp_clear = (inquiry)Router_clear_gc,
-};
 
 /* ---------------------------------------------------------------------- */
 /* DeliveryPort: per-node message delivery                                 */
 /* ---------------------------------------------------------------------- */
 
-/* deliver(category, payload): run the node's handler for one message. */
+/* deliver(category, payload): run table[category](owner, payload). */
 static PyObject *
 Port_deliver(PortObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *handler, *res;
+    PyObject *handler, *res, *argv[2];
 
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError,
                         "deliver() requires (category, payload)");
         return NULL;
     }
-    handler = PyDict_GetItemWithError(self->dispatch, args[0]);
+    handler = PyDict_GetItemWithError(self->table, args[0]);
     if (handler == NULL) {
         if (!PyErr_Occurred()) {
             PyErr_Format(PyExc_RuntimeError,
@@ -1476,8 +1405,10 @@ Port_deliver(PortObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
         return NULL;
     }
+    argv[0] = self->owner;
+    argv[1] = args[1];
     Py_INCREF(handler);
-    res = PyObject_CallOneArg(handler, args[1]);
+    res = PyObject_Vectorcall(handler, argv, 2, NULL);
     Py_DECREF(handler);
     return res;
 }
@@ -1485,7 +1416,8 @@ Port_deliver(PortObject *self, PyObject *const *args, Py_ssize_t nargs)
 static int
 Port_traverse(PortObject *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->dispatch);
+    Py_VISIT(self->table);
+    Py_VISIT(self->owner);
     Py_VISIT(self->deliver_cb);
     return 0;
 }
@@ -1493,7 +1425,8 @@ Port_traverse(PortObject *self, visitproc visit, void *arg)
 static int
 Port_clear_gc(PortObject *self)
 {
-    Py_CLEAR(self->dispatch);
+    Py_CLEAR(self->table);
+    Py_CLEAR(self->owner);
     Py_CLEAR(self->deliver_cb);
     return 0;
 }
@@ -1509,14 +1442,15 @@ Port_dealloc(PortObject *self)
 static PyMethodDef Port_methods[] = {
     {"deliver", (PyCFunction)(void (*)(void))Port_deliver, METH_FASTCALL,
      "deliver(category, payload)\n--\n\n"
-     "Run this node's handler for one message."},
+     "Run this node's handler for one message: "
+     "table[category](owner, payload)."},
     {NULL, NULL, 0, NULL},
 };
 
 static int
 Port_init(PortObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *dispatch;
+    PyObject *table, *owner;
     double service;
 
     if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
@@ -1524,16 +1458,16 @@ Port_init(PortObject *self, PyObject *args, PyObject *kwds)
                         "DeliveryPort() takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!d:DeliveryPort", &PyDict_Type, &dispatch,
-                          &service)) {
+    if (!PyArg_ParseTuple(args, "O!Od:DeliveryPort", &PyDict_Type, &table,
+                          &owner, &service)) {
         return -1;
     }
     if (service < 0.0) {
         PyErr_SetString(PyExc_ValueError, "service_us must be >= 0");
         return -1;
     }
-    Py_INCREF(dispatch);
-    Py_XSETREF(self->dispatch, dispatch);
+    Py_XSETREF(self->table, Py_NewRef(table));
+    Py_XSETREF(self->owner, Py_NewRef(owner));
     self->service = service;
     Py_XSETREF(self->deliver_cb,
                PyObject_GetAttrString((PyObject *)self, "deliver"));
@@ -1658,9 +1592,9 @@ Fabric_add_port(FabricObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *port;
 
-    if (nargs != 2) {
+    if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError,
-                        "add_port() requires (dispatch, service_us)");
+                        "add_port() requires (table, owner, service_us)");
         return NULL;
     }
     if (PyList_GET_SIZE(self->ports) >= self->nnodes) {
@@ -1668,8 +1602,8 @@ Fabric_add_port(FabricObject *self, PyObject *const *args, Py_ssize_t nargs)
                         "add_port() called more times than nnodes");
         return NULL;
     }
-    port = PyObject_CallFunction((PyObject *)&PortType, "Od", args[0],
-                                 PyFloat_AsDouble(args[1]));
+    port = PyObject_CallFunction((PyObject *)&PortType, "OOd", args[0],
+                                 args[1], PyFloat_AsDouble(args[2]));
     if (port == NULL) {
         return NULL;
     }
@@ -2057,7 +1991,7 @@ Fabric_sender(FabricObject *self, PyObject *src)
 static PyMethodDef Fabric_methods[] = {
     {"add_port", (PyCFunction)(void (*)(void))Fabric_add_port,
      METH_FASTCALL,
-     "add_port(dispatch, service_us)\n--\n\n"
+     "add_port(table, owner, service_us)\n--\n\n"
      "Register the next node's delivery port (call once per node, in "
      "node order); returns the DeliveryPort."},
     {"send", (PyCFunction)(void (*)(void))Fabric_send,
@@ -2378,6 +2312,10 @@ static PyMethodDef kernel_methods[] = {
     {"_install", kernel_install, METH_O,
      "_install(exc_type)\n--\n\n"
      "Register the SimulationError class the Engine raises."},
+    {"route_reply", (PyCFunction)(void (*)(void))route_reply, METH_FASTCALL,
+     "route_reply(engine, payload)\n--\n\n"
+     "Resolve the future engine._reply_waiters holds for "
+     "payload.request_id with the payload, popping it."},
     {"diff_arrays", (PyCFunction)(void (*)(void))diff_arrays, METH_FASTCALL,
      "diff_arrays(current, twin)\n--\n\n"
      "Single-scan diff of two matching 1-D arrays.  Returns None when "
@@ -2419,8 +2357,7 @@ PyInit__kernelc(void)
     INTERN(str_cache, "cache");
     INTERN(str_dirty, "dirty");
     INTERN(str_home_dirty, "home_dirty");
-    INTERN(str_try_read_local, "try_read_local");
-    INTERN(str_try_write_local, "try_write_local");
+    INTERN(str_write_local, "_write_local");
     INTERN(str_state, "state");
     INTERN(str_home_reads, "home_reads");
     INTERN(str_home_writes, "home_writes");
@@ -2430,6 +2367,7 @@ PyInit__kernelc(void)
     INTERN(str_consecutive_writer, "consecutive_writer");
     INTERN(str_upgrade_to_write, "upgrade_to_write");
     INTERN(str_request_id, "request_id");
+    INTERN(str_reply_waiters, "_reply_waiters");
     INTERN(str_resolve, "resolve");
     INTERN(str_stats, "stats");
     INTERN(str_events, "events");
@@ -2447,7 +2385,7 @@ PyInit__kernelc(void)
     if (PyType_Ready(&EngineType) < 0 ||
         PyType_Ready(&LocalAccessType) < 0 || PyType_Ready(&PortType) < 0 ||
         PyType_Ready(&FabricType) < 0 || PyType_Ready(&SenderType) < 0 ||
-        PyType_Ready(&ReadyType) < 0 || PyType_Ready(&RouterType) < 0 ||
+        PyType_Ready(&ReadyType) < 0 ||
         PyType_Ready(&FutureType) < 0 ||
         PyType_Ready(&AccessorType) < 0) {
         return NULL;
@@ -2467,12 +2405,10 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "FabricSender",
                               (PyObject *)&SenderType) < 0 ||
         PyModule_AddObjectRef(mod, "Ready", (PyObject *)&ReadyType) < 0 ||
-        PyModule_AddObjectRef(mod, "ReplyRouter",
-                              (PyObject *)&RouterType) < 0 ||
         PyModule_AddObjectRef(mod, "Future", (PyObject *)&FutureType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 10) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 11) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -41,14 +41,18 @@ class _PyDeliveryPort:
     A message's arrival event calls :meth:`arrive`, which schedules one
     :meth:`deliver` event after the node's service overhead; the
     compiled engine does the same re-queue in its drain loop without a
-    call (PROTOCOL.md §8).
+    call (PROTOCOL.md §8).  Delivery runs ``table[category](owner,
+    payload)``: the table is shared by every node of one engine class.
     """
 
-    __slots__ = ("_schedule", "_dispatch", "_service", "_deliver")
+    __slots__ = ("_schedule", "_table", "_owner", "_service", "_deliver")
 
-    def __init__(self, sim: "Simulator", dispatch: dict, service_us: float):
+    def __init__(
+        self, sim: "Simulator", table: dict, owner: Any, service_us: float
+    ):
         self._schedule = sim.schedule
-        self._dispatch = dispatch
+        self._table = table
+        self._owner = owner
         self._service = service_us
         self._deliver = self.deliver
 
@@ -56,20 +60,21 @@ class _PyDeliveryPort:
         self._schedule(self._service, self._deliver, category, payload)
 
     def deliver(self, category: MsgCategory, payload: Any) -> None:
-        handler = self._dispatch.get(category)
+        handler = self._table.get(category)
         if handler is None:
             raise RuntimeError(f"unhandled message category {category!r}")
-        handler(payload)
+        handler(self._owner, payload)
 
 
 class Network:
     """The cluster interconnect: owns the nodes and delivers messages.
 
-    Every endpoint registers a category -> handler table
-    (:meth:`register_fast_dispatch`); once all have, :meth:`send` is the
-    one send body and each node's arrivals flow through its delivery
-    port.  Under the compiled engine the kernel's ``NetFabric``
-    (the C twin of :meth:`send`) replaces the body at activation.
+    Every endpoint registers a category -> ``handler(owner, payload)``
+    table and its owner (:meth:`register_fast_dispatch`); once all have,
+    :meth:`send` is the one send body and each node's arrivals flow
+    through its delivery port.  Under the compiled engine the kernel's
+    ``NetFabric`` (the C twin of :meth:`send`) replaces the body at
+    activation.
     """
 
     def __init__(
@@ -100,11 +105,10 @@ class Network:
         self._startup_us = comm_model.startup_us
         self._sim_at = sim.at
         #: Delivery state, filled by :meth:`register_fast_dispatch`: each
-        #: node's handler table and sender binder, then (once every node
-        #: is in) one delivery port per node — Python ports, or the
-        #: compiled fabric's when the simulator is the compiled Engine.
-        self._dispatch: dict[int, dict] = {}
-        self._bind: dict[int, Callable] = {}
+        #: node's (table, owner, sender binder), then (once every node is
+        #: in) one delivery port per node — Python ports, or the compiled
+        #: fabric's when the simulator is the compiled Engine.
+        self._endpoints: dict[int, tuple] = {}
         self._ports: list[_PyDeliveryPort] | None = None
         self._fabric = None
         #: Optional interconnect topology (PROTOCOL.md §15).  ``None``
@@ -123,23 +127,28 @@ class Network:
             self._topo_pair = None
 
     def register_fast_dispatch(
-        self, node_id: int, dispatch: dict, bind_sender: Callable
+        self,
+        node_id: int,
+        table: dict,
+        owner: Any,
+        bind_sender: Callable | None = None,
     ) -> None:
         """Register one node's endpoint (exactly once per node).
 
-        ``dispatch`` is the engine's category -> payload handler dict
-        (held by reference, so later handler swaps stay visible);
-        ``bind_sender`` is called with a per-node send callable
+        ``table`` maps a category to a plain function; the node's port
+        delivers a message as ``table[category](owner, payload)``, so
+        one table (held by reference) serves every node of an engine
+        class.  ``bind_sender``, if given, is called as
+        ``bind_sender(owner, sender)`` with a per-node send callable
         ``(dst, category, size_bytes, payload)`` once *every* node has
         registered.  Until then :meth:`send` refuses to inject.
         """
         if not 0 <= node_id < self.nnodes:
             raise ValueError(f"node {node_id} outside cluster")
-        if node_id in self._dispatch:
+        if node_id in self._endpoints:
             raise RuntimeError(f"node {node_id} already registered a handler")
-        self._dispatch[node_id] = dispatch
-        self._bind[node_id] = bind_sender
-        if len(self._dispatch) == self.nnodes:
+        self._endpoints[node_id] = (table, owner, bind_sender)
+        if len(self._endpoints) == self.nnodes:
             self._activate()
 
     def _activate(self) -> None:
@@ -166,7 +175,7 @@ class Network:
                     topo.group_ids, topo.class_costs, topo.nlinks, topo.contention
                 )
             self._ports = [
-                fabric.add_port(self._dispatch[i], self.nodes[i].service_us)
+                fabric.add_port(*self._endpoints[i][:2], self.nodes[i].service_us)
                 for i in range(self.nnodes)
             ]
             senders = [fabric.sender(i) for i in range(self.nnodes)]
@@ -175,12 +184,16 @@ class Network:
             self.send = fabric.send
         else:
             self._ports = [
-                _PyDeliveryPort(sim, self._dispatch[i], self.nodes[i].service_us)
+                _PyDeliveryPort(
+                    sim, *self._endpoints[i][:2], self.nodes[i].service_us
+                )
                 for i in range(self.nnodes)
             ]
             senders = [partial(self.send, i) for i in range(self.nnodes)]
         for i in range(self.nnodes):
-            self._bind[i](senders[i])
+            _table, owner, bind_sender = self._endpoints[i]
+            if bind_sender is not None:
+                bind_sender(owner, senders[i])
 
     def send(
         self,
@@ -209,7 +222,7 @@ class Network:
             raise ValueError(f"endpoints {src}->{dst} outside cluster")
         ports = self._ports
         if ports is None:
-            missing = [i for i in range(nnodes) if i not in self._dispatch]
+            missing = [i for i in range(nnodes) if i not in self._endpoints]
             raise RuntimeError(
                 f"send before every node registered a handler; "
                 f"unregistered nodes: {missing}"

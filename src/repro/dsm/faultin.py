@@ -17,7 +17,6 @@ constructor; this mixin only contributes methods.
 
 from __future__ import annotations
 
-from functools import partialmethod
 from typing import Any, Generator
 
 import numpy as np
@@ -58,17 +57,20 @@ class FaultInMixin:
     home side of a request (a mixin of
     :class:`~repro.dsm.protocol.DsmEngine`)."""
 
+    __slots__ = ()
+
     # ------------------------------------------------------------------
     # thread side
     # ------------------------------------------------------------------
 
-    def try_read_local(self, oid: int) -> np.ndarray | None:
+    def _read_local(self, oid: int) -> np.ndarray | None:
         """Readable payload if no communication is needed, else ``None``.
 
         The local half of a read (home-read trap included) as a plain
-        call: the caller builds no generator on the overwhelmingly common
-        local hit, and on ``None`` enters :attr:`read_miss` directly.
-        Payloads are always arrays, so ``None`` is unambiguous.
+        call, bound as the engine's ``try_read_local`` under the Python
+        backend: the caller builds no generator on the overwhelmingly
+        common local hit, and on ``None`` enters :meth:`_fault_in`
+        directly.  Payloads are always arrays, so ``None`` is unambiguous.
         """
         entry = self.homes.get(oid)
         if entry is not None:
@@ -79,12 +81,14 @@ class FaultInMixin:
             return cached.payload
         return None
 
-    def try_write_local(self, oid: int) -> np.ndarray | None:
+    def _write_local(self, oid: int) -> np.ndarray | None:
         """Writable payload if no communication is needed, else ``None``.
 
         The local half of a write (home-write trap, twin creation, dirty
-        tracking) as a plain call; on ``None`` the caller enters
-        :attr:`write_miss`, which ends in this probe again.
+        tracking) as a plain call, bound as the engine's
+        ``try_write_local`` under the Python backend (the compiled probe
+        calls it when twin creation is traced); on ``None`` the caller
+        enters :meth:`_fault_in`, which ends in the write probe again.
         """
         entry = self.homes.get(oid)
         if entry is not None:
@@ -294,10 +298,13 @@ class FaultInMixin:
         the home, following redirections (``home_hint`` falls back to the
         object's initial home).
 
-        Entered right after the caller's ``try_*_local`` probe failed, as
-        :attr:`read_miss`/:attr:`write_miss`.  Co-located faults coalesce:
-        one request per object is outstanding per node, and piggybacking
-        threads re-check local state once it completes.  A write ends in
+        The miss entry point, the same on both protocol engines: entered
+        with the access's ``for_write`` flag right after the caller's
+        ``try_*_local`` probe returned ``None``; the caller yields from
+        this generator itself, with no wrapper frame.  Co-located faults
+        coalesce: one request per object is outstanding per node, and
+        piggybacking threads re-check local state once it completes.
+        A write ends in
         the write probe (twin, or home-write trap after a migration), and
         faults again in the rare case the copy went stale meanwhile.  A
         reply a co-located sync point overtook is not installed: the
@@ -419,13 +426,6 @@ class FaultInMixin:
             payload = self.try_write_local(oid)
             if payload is not None:
                 return payload
-
-    #: The miss entry points, the same on both protocol engines: call
-    #: with an oid only after its ``try_read_local``/``try_write_local``
-    #: probe returned ``None``; each returns the :meth:`_fault_in`
-    #: generator itself, with no wrapper frame.
-    read_miss = partialmethod(_fault_in, False)
-    write_miss = partialmethod(_fault_in, True)
 
     def _install_reply(self, oid: int, reply: ObjReply) -> np.ndarray:
         """Install a fault or ship reply: a cached copy, or — for a

@@ -99,7 +99,7 @@ class _GcTraffic:
     phase: str  # "contribute" or "rebase"
 
     @staticmethod
-    def on_arrival(traffic: "_GcTraffic") -> None:
+    def on_arrival(engine: "HomelessEngine", traffic: "_GcTraffic") -> None:
         """Arrival handler: nothing to do, the GC already ran."""
 
 
@@ -109,6 +109,11 @@ class HomelessEngine(SyncManager):
     Notices are ``(oid, writer) -> seq`` maps; ``required`` accumulates
     the highest seq this node must have applied before reading an object.
     """
+
+    __slots__ = (
+        "replicas", "history", "retained_bytes", "on_barrier_complete",
+        "_own_seq", "dirty", "required",
+    )
 
     #: One homeless write notice: oid + writer + seq.
     NOTICE_BYTES = 16
@@ -135,20 +140,23 @@ class HomelessEngine(SyncManager):
         self.dirty: set[int] = set()
         #: (oid, writer) -> seq this node must reach before reading.
         self.required: dict[tuple[int, int], int] = {}
-        network.register_fast_dispatch(
-            node_id,
-            {
-                MsgCategory.OBJ_REQUEST: self._handle_diff_request,
-                MsgCategory.OBJ_REPLY: self._reply_route,
-                MsgCategory.LOCK_ACQUIRE: self._handle_lock_acquire,
-                MsgCategory.LOCK_GRANT: self._reply_route,
-                MsgCategory.LOCK_RELEASE: self._manager_release,
-                MsgCategory.BARRIER_ARRIVE: self._manager_barrier_arrive,
-                MsgCategory.BARRIER_RELEASE: self._on_barrier_release,
-                MsgCategory.CONTROL: _GcTraffic.on_arrival,
-            },
-            self._bind_sender,
-        )
+        self._register_endpoint()
+
+    @classmethod
+    def _build_dispatch(cls, route_reply: Any) -> dict[MsgCategory, Any]:
+        """Category -> ``handler(engine, payload)``, shared by every
+        homeless engine (see
+        :meth:`~repro.dsm.sync.SyncManager._handler_table`)."""
+        return {
+            MsgCategory.OBJ_REQUEST: cls._handle_diff_request,
+            MsgCategory.OBJ_REPLY: route_reply,
+            MsgCategory.LOCK_ACQUIRE: cls._handle_lock_acquire,
+            MsgCategory.LOCK_GRANT: route_reply,
+            MsgCategory.LOCK_RELEASE: cls._manager_release,
+            MsgCategory.BARRIER_ARRIVE: cls._manager_barrier_arrive,
+            MsgCategory.BARRIER_RELEASE: cls._on_barrier_release,
+            MsgCategory.CONTROL: _GcTraffic.on_arrival,
+        }
 
     # -- helpers -----------------------------------------------------------
 
@@ -180,7 +188,7 @@ class HomelessEngine(SyncManager):
         lets :class:`~repro.gos.thread.ThreadContext` skip generator
         construction on local hits.  Materialising the initial replica
         is a local operation, so it happens here exactly as in
-        :meth:`read_miss`.
+        :meth:`_fault_in`.
         """
         replica = self._replica(oid)
         if replica.mode is AccessMode.INVALID or self._missing_writers(
@@ -202,28 +210,22 @@ class HomelessEngine(SyncManager):
         self.dirty.add(oid)
         return replica.payload
 
-    def read_miss(self, oid: int) -> Generator[Any, Any, np.ndarray]:
-        """Miss entry point: fetch the diffs this replica lags behind."""
+    def _fault_in(
+        self, for_write: bool, oid: int
+    ) -> Generator[Any, Any, np.ndarray]:
+        """The miss entry point, as on the home-based engine: fetch the
+        diffs this replica lags behind; a write then twins it."""
         replica = self._replica(oid)
         missing = self._missing_writers(oid, replica)
         if missing or replica.mode is AccessMode.INVALID:
             yield from self._fetch_diffs(oid, replica, missing)
             if replica.mode is AccessMode.INVALID:
                 replica.mode = AccessMode.READ
-        return replica.payload
-
-    def write_miss(self, oid: int) -> Generator[Any, Any, np.ndarray]:
-        """Miss entry point for writes: :meth:`read_miss`, then twin."""
-        replica = self._replica(oid)
-        missing = self._missing_writers(oid, replica)
-        if missing or replica.mode is AccessMode.INVALID:
-            yield from self._fetch_diffs(oid, replica, missing)
-            if replica.mode is AccessMode.INVALID:
-                replica.mode = AccessMode.READ
-        if replica.twin is None:
-            replica.twin = make_twin(replica.payload)
-            replica.mode = AccessMode.WRITE
-        self.dirty.add(oid)
+        if for_write:
+            if replica.twin is None:
+                replica.twin = make_twin(replica.payload)
+                replica.mode = AccessMode.WRITE
+            self.dirty.add(oid)
         return replica.payload
 
     def _missing_writers(
@@ -278,7 +280,7 @@ class HomelessEngine(SyncManager):
         """The homeless protocol has no home to batch against: fetches
         happen per lagging writer anyway, so this is a sequential walk."""
         for oid in oids:
-            yield from self.read_miss(oid)
+            yield from self._fault_in(False, oid)
 
     def ship(self, oid: int, fn, compute_us: float = 0.0, args_bytes: int = 8):
         """Unsupported: method shipping needs a home to ship to."""

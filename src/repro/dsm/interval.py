@@ -31,6 +31,8 @@ class IntervalMixin:
     """Diff flush, notices, invalidation and diff service (a mixin of
     :class:`~repro.dsm.protocol.DsmEngine`)."""
 
+    __slots__ = ()
+
     def flush_diffs(
         self, parent_op: int | None = None
     ) -> Generator[Any, Any, dict[int, int]]:

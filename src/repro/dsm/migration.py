@@ -47,6 +47,8 @@ class MigrationMixin:
     """Decision tracing, the hand-off, its install and barrier-ordered
     migration (a mixin of :class:`~repro.dsm.protocol.DsmEngine`)."""
 
+    __slots__ = ()
+
     def _trace_decision(
         self,
         oid: int,

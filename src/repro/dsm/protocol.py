@@ -5,13 +5,14 @@ object cache, the home entries of objects homed here, the forwarding
 pointers of objects that migrated away, and the manager-side state of
 locks and barriers homed here.  Thread-facing operations are the local
 probes ``try_read_local``/``try_write_local`` (plain calls) and the
-generators the simulation engine drives: ``read_miss``/``write_miss``,
+generators the simulation engine drives: ``_fault_in`` (the miss path),
 ``read_many``, ``ship``, ``acquire``, ``release`` and ``barrier``.
-Message handling is plain callbacks, dispatched by category.
+Message handling is plain functions ``handler(engine, payload)``, in one
+category table per engine class that every engine shares.
 
 The class is assembled from one mixin per part of the paper; this
-module holds the constructor — the one place that declares state — the
-dispatch table and the shared helpers:
+module holds the constructor and ``__slots__`` — the one place that
+declares state — the handler table and the shared helpers:
 
 * :mod:`repro.dsm.faultin` — §3.1 fault-in and the home serving it,
   where the Eq-2 test runs; §5.1 object pushing and method shipping;
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, TYPE_CHECKING
 
+from repro import _kernel
 from repro.cluster.message import MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
@@ -67,7 +69,30 @@ def check_lock_discipline(lock_discipline: str) -> None:
 class DsmEngine(
     FaultInMixin, IntervalMixin, MigrationMixin, SyncMixin, SyncManager
 ):
-    """Home-based LRC protocol instance on one node."""
+    """Home-based LRC protocol instance on one node.
+
+    Slotted: a node pays for its own state only, and shares its class's
+    methods and handler table with every other node.
+    """
+
+    __slots__ = (
+        "policy", "mechanism", "tracer", "lock_discipline", "_rng",
+        # trace guards and span handles (see __init__)
+        "_tr_twin_create", "_tr_twin_free", "_tr_diff_send",
+        "_tr_diff_apply", "_tr_home_install", "_tr_ship",
+        "_watch_decisions", "_tr_serve", "_tr_barrier_epoch",
+        "_sp_read_miss", "_sp_write_miss", "_sp_hop", "_sp_diff",
+        "_sp_migration", "_sp_acquire", "_sp_release", "_sp_barrier",
+        "_sp_ship",
+        # protocol state
+        "cache", "homes", "forwards", "home_hint", "dirty", "home_dirty",
+        "carry_notices", "interval", "manager_home_map", "pending_foreign",
+        "_pending_diffs", "_local_home_waits", "_inflight", "_overtaken",
+        "_batches",
+        # the local probes: the kernel's LocalAccess methods when
+        # compiled, else the bound _read_local/_write_local
+        "try_read_local", "try_write_local",
+    )
 
     def __init__(
         self,
@@ -166,23 +191,24 @@ class DsmEngine(
         self._overtaken: dict[int, int] = {}
         self._batches: dict[int, tuple[dict[int, list[int]], dict[int, int]]] = {}
 
-        kernel_module = self._kernel
-        # Protocol fast paths (PR 8).  Compiled backend: the local-hit
-        # read/write bodies run in C against the homes and cache dicts, with
-        # cold paths (trap bookkeeping, twin creation, tracing) falling
-        # back to the bound Python methods captured at construction.
+        kernel_module = _kernel.kernel()
+        # Protocol fast paths.  Compiled backend: the local-hit read/write
+        # bodies run in C against the homes and cache dicts, with cold
+        # paths (trap bookkeeping, twin creation, tracing) falling back to
+        # the Python bodies.
         if kernel_module is not None:
             local_access = kernel_module.LocalAccess(
                 self, not self._tr_twin_create
             )
             self.try_read_local = local_access.try_read
             self.try_write_local = local_access.try_write
+        else:
+            self.try_read_local = self._read_local
+            self.try_write_local = self._write_local
         # The network delivers through per-node ports (in C under the
         # compiled engine); it binds this engine's sender once every node
         # has registered.
-        network.register_fast_dispatch(
-            node_id, self._build_dispatch(), self._bind_sender
-        )
+        self._register_endpoint()
 
     # -- helpers ------------------------------------------------------------
 
@@ -215,11 +241,6 @@ class DsmEngine(
             obj.size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes
         )
 
-    def _send(
-        self, dst: int, category: MsgCategory, size_bytes: int, payload: Any
-    ) -> None:
-        self.network.send(self.node_id, dst, category, size_bytes, payload)
-
     def _learn_home(self, oid: int, home: int) -> None:
         """Record that ``oid``'s home is ``home``.
 
@@ -236,28 +257,30 @@ class DsmEngine(
     # message handling
     # ------------------------------------------------------------------
 
-    def _build_dispatch(self) -> dict[MsgCategory, Any]:
-        """Category -> bound payload handler (built once per engine)."""
-        resolve_reply = self._reply_route
+    @classmethod
+    def _build_dispatch(cls, route_reply: Any) -> dict[MsgCategory, Any]:
+        """Category -> ``handler(engine, payload)``: the class's plain
+        functions, built once per backend (see
+        :meth:`~repro.dsm.sync.SyncManager._handler_table`)."""
         return {
-            MsgCategory.OBJ_REQUEST: self._handle_obj_request,
-            MsgCategory.OBJ_REPLY: resolve_reply,
-            MsgCategory.OBJ_REPLY_MIG: resolve_reply,
-            MsgCategory.REDIRECT: resolve_reply,
-            MsgCategory.SHIP_REQUEST: self._handle_ship,
-            MsgCategory.SHIP_REPLY: resolve_reply,
-            MsgCategory.DIFF: self._handle_diff,
-            MsgCategory.DIFF_ACK: resolve_reply,
-            MsgCategory.LOCK_ACQUIRE: self._handle_lock_acquire,
-            MsgCategory.LOCK_GRANT: resolve_reply,
-            MsgCategory.LOCK_RELEASE: self._manager_release,
-            MsgCategory.BARRIER_ARRIVE: self._manager_barrier_arrive,
-            MsgCategory.BARRIER_RELEASE: self._on_barrier_release,
-            MsgCategory.HOME_BCAST: self._on_home_bcast,
-            MsgCategory.HOME_UPDATE: self._on_home_update,
-            MsgCategory.HOME_QUERY: self._handle_home_query,
-            MsgCategory.HOME_ANSWER: resolve_reply,
-            MsgCategory.CONTROL: self._on_control,
+            MsgCategory.OBJ_REQUEST: cls._handle_obj_request,
+            MsgCategory.OBJ_REPLY: route_reply,
+            MsgCategory.OBJ_REPLY_MIG: route_reply,
+            MsgCategory.REDIRECT: route_reply,
+            MsgCategory.SHIP_REQUEST: cls._handle_ship,
+            MsgCategory.SHIP_REPLY: route_reply,
+            MsgCategory.DIFF: cls._handle_diff,
+            MsgCategory.DIFF_ACK: route_reply,
+            MsgCategory.LOCK_ACQUIRE: cls._handle_lock_acquire,
+            MsgCategory.LOCK_GRANT: route_reply,
+            MsgCategory.LOCK_RELEASE: cls._manager_release,
+            MsgCategory.BARRIER_ARRIVE: cls._manager_barrier_arrive,
+            MsgCategory.BARRIER_RELEASE: cls._on_barrier_release,
+            MsgCategory.HOME_BCAST: cls._on_home_bcast,
+            MsgCategory.HOME_UPDATE: cls._on_home_update,
+            MsgCategory.HOME_QUERY: cls._handle_home_query,
+            MsgCategory.HOME_ANSWER: route_reply,
+            MsgCategory.CONTROL: cls._on_control,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -63,6 +63,12 @@ _BARRIER_ARRIVE = MsgCategory.BARRIER_ARRIVE
 _BARRIER_RELEASE = MsgCategory.BARRIER_RELEASE
 
 
+#: Handler tables by (engine class, kernel module or None): one
+#: ``category -> handler(engine, payload)`` dict per engine class and
+#: backend, shared by every engine (see :meth:`SyncManager._handler_table`).
+_HANDLER_TABLES: dict[tuple[type, Any], dict] = {}
+
+
 def check_release_fanout(release_fanout: int | None) -> None:
     """Refuse a barrier-release relay of fewer than two children."""
     if release_fanout is not None and release_fanout < 2:
@@ -73,6 +79,12 @@ class SyncManager:
     """Lock and barrier managers plus the request/reply helpers: the base
     of both protocol engines (see the module docstring for what each
     engine supplies)."""
+
+    __slots__ = (
+        "node_id", "sim", "network", "heap", "stats", "release_fanout",
+        "_Future", "lock_table", "barriers", "_reply_waiters",
+        "_barrier_waiters", "_req_counter", "_send",
+    )
 
     #: Wire bytes of one write notice.
     NOTICE_BYTES = NOTICE_ENTRY_BYTES
@@ -96,9 +108,7 @@ class SyncManager:
         #: relays releases through a k-ary tree instead, bounding any
         #: single NIC's injection run at k messages.
         self.release_fanout = release_fanout
-        #: Resolved kernel module (or None), cached once: the hot paths
-        #: branch on it per call and must not pay re-resolution.
-        self._kernel = kernel_module = _kernel.kernel()
+        kernel_module = _kernel.kernel()
         #: Hot-path Future class: the C twin when compiled (request/reply
         #: round trips create tens of thousands per run), else the
         #: pure-Python reference.  Interchangeable by contract.  Labels on
@@ -111,16 +121,8 @@ class SyncManager:
         self.barriers: dict[int, BarrierState] = {}
         #: Request id -> future of every outstanding request/reply round
         #: trip: request ids are unique per node, so one map serves every
-        #: reply category.
+        #: reply category (``route_reply`` pops it).
         self._reply_waiters: dict[tuple[int, int], Any] = {}
-        #: The dispatch entry of every reply category: the kernel's C
-        #: twin of :meth:`_resolve_reply` over the same waiter dict
-        #: (never rebound) when compiled.
-        self._reply_route = (
-            kernel_module.ReplyRouter(self._reply_waiters)
-            if kernel_module is not None
-            else self._resolve_reply
-        )
         self._barrier_waiters: dict[tuple[int, int], list] = {}
         self._req_counter = 0
 
@@ -133,11 +135,43 @@ class SyncManager:
     def _bind_sender(self, sender: Any) -> None:
         """Install the network's per-node send callable as this engine's
         ``_send`` (``(dst, category, size_bytes, payload)``; the node id
-        is pre-bound)."""
+        is pre-bound).  The network calls it once every node registered;
+        until then an engine has no ``_send``."""
         self._send = sender
 
     def _resolve_reply(self, payload: Any) -> None:
+        """The handler of every reply category: resolve the round trip's
+        future with the reply (the kernel's ``route_reply`` when
+        compiled)."""
         self._reply_waiters.pop(payload.request_id).resolve(payload)
+
+    @classmethod
+    def _handler_table(cls, kernel_module: Any) -> dict:
+        """This engine class's ``category -> handler(engine, payload)``
+        table under ``kernel_module``'s backend: built once by
+        :meth:`_build_dispatch` and shared by every engine of the class,
+        whose delivery port passes the engine as the first argument."""
+        key = (cls, kernel_module)
+        table = _HANDLER_TABLES.get(key)
+        if table is None:
+            route_reply = (
+                kernel_module.route_reply
+                if kernel_module is not None
+                else SyncManager._resolve_reply
+            )
+            table = _HANDLER_TABLES[key] = cls._build_dispatch(route_reply)
+        return table
+
+    def _register_endpoint(self) -> None:
+        """Register with the network as node ``node_id``'s endpoint: the
+        class's shared handler table, this engine as the owner every
+        handler receives, and :meth:`_bind_sender`."""
+        self.network.register_fast_dispatch(
+            self.node_id,
+            self._handler_table(_kernel.kernel()),
+            self,
+            SyncManager._bind_sender,
+        )
 
     # -- locks ----------------------------------------------------------------
 
@@ -258,6 +292,8 @@ class SyncMixin:
     """Home-based thread-side lock and barrier operations (a mixin of
     :class:`~repro.dsm.protocol.DsmEngine`; state is declared in its
     constructor)."""
+
+    __slots__ = ()
 
     # -- locks ------------------------------------------------------------
 

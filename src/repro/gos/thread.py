@@ -18,7 +18,7 @@ synchronization points (DESIGN.md, decision 2).
 
 from __future__ import annotations
 
-from typing import Any, Generator, TYPE_CHECKING
+from typing import Any, Generator, Iterable, TYPE_CHECKING
 
 import numpy as np
 
@@ -58,8 +58,72 @@ class _PyReady:
         raise StopIteration(value)
 
 
+class _PyAccessor:
+    """Pure-Python twin of the kernel ``Accessor``: the ``read`` and
+    ``write`` bodies of one thread over its engine's probes and miss
+    generator.  A context holds this object's bound methods, which do
+    not point back at the context, so a finished thread is freed by
+    reference counting."""
+
+    __slots__ = ("_try_read", "_try_write", "_fault_in", "_ready")
+
+    def __init__(self, try_read, try_write, fault_in, ready):
+        self._try_read = try_read
+        self._try_write = try_write
+        self._fault_in = fault_in
+        self._ready = ready
+
+    def read(self, obj: SharedObject) -> Generator[Any, Any, np.ndarray]:
+        """Readable payload of ``obj`` (may fault in from the home)."""
+        # Local hits (home copy or valid cached copy) resolve without a
+        # generator frame: the Ready iterator finishes immediately under
+        # ``yield from``.  The protocol generator is only built when
+        # communication is actually needed.  Same side effects either way.
+        payload = self._try_read(obj.oid)
+        if payload is None:
+            return self._fault_in(False, obj.oid)
+        return self._ready(payload)
+
+    def write(self, obj: SharedObject) -> Generator[Any, Any, np.ndarray]:
+        """Writable payload of ``obj`` (faults, twins, or home-write traps)."""
+        payload = self._try_write(obj.oid)
+        if payload is None:
+            return self._fault_in(True, obj.oid)
+        return self._ready(payload)
+
+
 class ThreadContext:
-    """One simulated application thread pinned to one cluster node."""
+    """One simulated application thread pinned to one cluster node.
+
+    Slotted, like the engines: a thread carries only its pre-bound entry
+    points.  ``read``/``write`` are per-instance callables, the methods
+    of the compiled ``Accessor`` or of its Python twin.
+    """
+
+    __slots__ = {
+        "gos": "The owning GlobalObjectSpace.",
+        "tid": "Thread id.",
+        "node": "The node the thread is pinned to.",
+        "engine": "That node's protocol engine.",
+        "_barrier_rounds": None,
+        "acquire": (
+            "acquire(lock): enter a synchronized section (Java "
+            "monitorenter), flushing the interval's diffs; the engine's "
+            "own generator method."
+        ),
+        "release": (
+            "release(lock): leave a synchronized section, flushing the "
+            "interval's diffs; the engine's own generator method."
+        ),
+        "read": (
+            "read(obj): readable payload of ``obj`` (may fault in from "
+            "the home); ``yield from`` the result."
+        ),
+        "write": (
+            "write(obj): writable payload of ``obj`` (faults, twins, or "
+            "home-write traps); ``yield from`` the result."
+        ),
+    }
 
     def __init__(self, gos: "GlobalObjectSpace", tid: int, node: int):
         if not 0 <= node < gos.nnodes:
@@ -70,55 +134,34 @@ class ThreadContext:
         self.engine = engine = gos.engines[node]
         self._barrier_rounds: dict[int, int] = {}
         kernel_module = _kernel.kernel()
-        self._ready = (
-            kernel_module.Ready if kernel_module is not None else _PyReady
-        )
-        # Hot-path pre-binds: both protocol engines expose the same probe
-        # and miss entry points, installed at construction and never
-        # rebound, so one attribute resolution here replaces two per
-        # access.  A miss enters the engine's fault generator directly.
-        self._try_read = engine.try_read_local
-        self._try_write = engine.try_write_local
-        self._miss_read = engine.read_miss
-        self._miss_write = engine.write_miss
-        #: ``acquire(lock)`` enters a synchronized section (Java
-        #: monitorenter) and ``release(lock)`` leaves it, flushing the
-        #: interval's diffs: both are the engine's own generator methods,
-        #: bound here so a lock operation costs no wrapper call.
+        # Bound here so a lock operation costs no wrapper call.
         self.acquire = engine.acquire
         self.release = engine.release
-        # The compiled home-based engine's probes are methods of its
-        # kernel LocalAccess: then the whole read/write body collapses
-        # into one C call (instance attributes shadow the class methods
-        # below; same probe, same miss generator, same Ready iterator).
+        # Both protocol engines expose the same probes and the same miss
+        # entry ``_fault_in(for_write, oid)``, never rebound: the accessor
+        # resolves them once, and a miss enters the engine's fault
+        # generator directly.  The compiled home-based engine's probes
+        # are methods of its kernel LocalAccess: then the whole read/write
+        # body collapses into one C call (same probe, same miss
+        # generator, same Ready iterator as the Python twin).
+        try_read = engine.try_read_local
         if kernel_module is not None and isinstance(
-            self._try_read.__self__, kernel_module.LocalAccess
+            try_read.__self__, kernel_module.LocalAccess
         ):
             accessor = kernel_module.Accessor(
-                self._try_read.__self__, self._miss_read, self._miss_write
+                try_read.__self__, engine._fault_in
             )
-            self.read = accessor.read
-            self.write = accessor.write
+        else:
+            accessor = _PyAccessor(
+                try_read,
+                engine.try_write_local,
+                engine._fault_in,
+                kernel_module.Ready if kernel_module is not None else _PyReady,
+            )
+        self.read = accessor.read
+        self.write = accessor.write
 
     # -- object access --------------------------------------------------
-
-    def read(self, obj: SharedObject) -> Generator[Any, Any, np.ndarray]:
-        """Readable payload of ``obj`` (may fault in from the home)."""
-        # Local hits (home copy or valid cached copy) resolve without a
-        # generator frame: the Ready iterator finishes immediately under
-        # ``yield from``.  The protocol generator is only built when
-        # communication is actually needed.  Same side effects either way.
-        payload = self._try_read(obj.oid)
-        if payload is None:
-            return self._miss_read(obj.oid)
-        return self._ready(payload)
-
-    def write(self, obj: SharedObject) -> Generator[Any, Any, np.ndarray]:
-        """Writable payload of ``obj`` (faults, twins, or home-write traps)."""
-        payload = self._try_write(obj.oid)
-        if payload is None:
-            return self._miss_write(obj.oid)
-        return self._ready(payload)
 
     def read_many(
         self, objs: list[SharedObject]
@@ -178,16 +221,21 @@ class ThreadContext:
 
     # -- local work --------------------------------------------------------
 
-    def compute(self, duration_us: float) -> Generator[Any, Any, None]:
+    def compute(self, duration_us: float) -> Iterable[Delay]:
         """Charge ``duration_us`` of local CPU time (finite, non-negative;
-        zero charges nothing)."""
+        zero charges nothing): ``yield from`` the result.
+
+        A plain call, no generator: a positive duration is one
+        :class:`~repro.sim.process.Delay`, zero an empty tuple.
+        """
         # the same check and message as Delay, before anything is charged
         if not 0.0 <= duration_us < _INF:
             raise SimulationError(
                 f"delay must be finite and non-negative, got {duration_us!r}"
             )
         if duration_us > 0:
-            yield Delay(duration_us)
+            return (Delay(duration_us),)
+        return ()
 
     @property
     def now(self) -> float:

@@ -142,7 +142,7 @@ import hashlib, json
 from repro.bench.executor import RunSpec, run_spec
 # Episodes chosen to exercise every compiled fast path: ASP/NM drives
 # fault-in + diff propagation through the per-node delivery ports with no
-# migration; tokenring/AT is lock-transfer heavy (ReplyRouter and C
+# migration; tokenring/AT is lock-transfer heavy (route_reply and C
 # Futures on every grant) and migrates homes through Eq. 2, which is
 # Python under both backends; the homeless SOR leg uses the fallback
 # engine whose accesses bypass the LocalAccess shadows entirely.

@@ -130,7 +130,7 @@ def test_handler_installed_twice_rejected():
 def test_send_before_registration_rejected(backend):
     net = Network(make_simulator(), MODEL, 4, ClusterStats())
     for node in (0, 2):
-        net.register_fast_dispatch(node, {}, lambda sender: None)
+        net.register_fast_dispatch(node, {}, node)
     with pytest.raises(RuntimeError) as err:
         net.send(0, 2, MsgCategory.CONTROL, 8)
     assert str(err.value) == (
@@ -143,12 +143,12 @@ def test_dispatch_registered_twice_rejected(backend):
     """A second table for one node would leave the activated ports
     holding the stale one, so it is refused, before and after activation."""
     net = Network(make_simulator(), MODEL, 2, ClusterStats())
-    net.register_fast_dispatch(0, {}, lambda sender: None)
+    net.register_fast_dispatch(0, {}, 0)
     with pytest.raises(RuntimeError, match="node 0 already registered"):
-        net.register_fast_dispatch(0, {}, lambda sender: None)
-    net.register_fast_dispatch(1, {}, lambda sender: None)
+        net.register_fast_dispatch(0, {}, 0)
+    net.register_fast_dispatch(1, {}, 1)
     with pytest.raises(RuntimeError, match="node 1 already registered"):
-        net.register_fast_dispatch(1, {}, lambda sender: None)
+        net.register_fast_dispatch(1, {}, 1)
 
 
 def test_send_defaults_to_no_payload():
@@ -169,15 +169,13 @@ def _same_instant_pair(service_us):
     net = Network(sim, MODEL, 3, ClusterStats(), service_us=service_us)
     log = []
 
-    def handler(payload):
+    def handler(_node, payload):
         log.append(("handler", payload, sim.now))
         if payload == 1:
             sim.call_soon(lambda: log.append(("callback", 1, sim.now)))
 
     for node in range(3):
-        net.register_fast_dispatch(
-            node, {MsgCategory.CONTROL: handler}, lambda sender: None
-        )
+        net.register_fast_dispatch(node, {MsgCategory.CONTROL: handler}, node)
     net.send(0, 2, MsgCategory.CONTROL, 460, 1)
     net.send(1, 2, MsgCategory.CONTROL, 460, 2)
     return sim, log

@@ -42,19 +42,42 @@ def test_readme_example_references_exist():
         assert (ROOT / match).exists(), f"README references {match}"
 
 
-def test_readme_module_references_import():
+def _resolves(reference: str) -> bool:
+    """``repro.a.b.C.d`` names an importable module followed by
+    attributes that exist."""
     import importlib
 
-    text = _doc("README.md")
-    for match in set(re.findall(r"`(repro\.[\w.]+)`", text)):
-        module_path = match
-        # strip trailing attribute if it is not a module
+    parts = reference.split(".")
+    for cut in range(len(parts), 0, -1):
         try:
-            importlib.import_module(module_path)
+            target = importlib.import_module(".".join(parts[:cut]))
         except ModuleNotFoundError:
-            parent, _, attr = module_path.rpartition(".")
-            module = importlib.import_module(parent)
-            assert hasattr(module, attr), f"README references {match}"
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def _unresolved(name: str) -> list[str]:
+    references = set(re.findall(r"`(repro\.[\w.]+)`", _doc(name)))
+    return sorted(ref for ref in references if not _resolves(ref.rstrip(".")))
+
+
+def test_readme_module_references_import():
+    assert not _unresolved("README.md"), "README references missing code"
+
+
+def test_design_api_and_protocol_references_resolve():
+    """Every backticked ``repro.*`` name in DESIGN.md, docs/API.md and
+    docs/PROTOCOL.md is a module or attribute that exists."""
+    missing = {
+        name: _unresolved(name)
+        for name in ("DESIGN.md", "docs/API.md", "docs/PROTOCOL.md")
+    }
+    assert not any(missing.values()), missing
 
 
 def test_cli_targets_documented_match_registry():

@@ -389,8 +389,8 @@ def _fast_network(sim_cls, nnodes, topology):
     for node in range(nnodes):
         net.register_fast_dispatch(
             node,
-            {MsgCategory.DIFF: lambda tag, node=node: log.append((tag, node, sim.now))},
-            lambda sender: None,
+            {MsgCategory.DIFF: lambda node, tag: log.append((tag, node, sim.now))},
+            node,
         )
     return sim, net, log
 
@@ -627,7 +627,7 @@ def test_stale_inplace_build_is_rejected(km, cacheless_src, tmp_path):
     back to Python instead of loading the stale module."""
     import shutil
 
-    assert km.KERNEL_API == _kernel._MIN_KERNEL_API == 10
+    assert km.KERNEL_API == _kernel._MIN_KERNEL_API == 11
     src = tmp_path / "src"
     shutil.copytree(cacheless_src, src)
     (src / "repro" / "_kernel" / "_kernelc.py").write_text(
@@ -687,7 +687,7 @@ LEDGERED_TWINS = {
     "Engine", "diff_arrays",
     "LocalAccess", "Accessor", "Ready",
     "DeliveryPort", "NetFabric", "FabricSender",
-    "Future", "ReplyRouter",
+    "Future", "route_reply",
 }
 
 

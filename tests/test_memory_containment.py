@@ -6,13 +6,21 @@ each shared Java object ... the memory consumption of the adaptive home
 migration protocol is well contained."
 """
 
-import numpy as np
+import gc
+import sys
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from repro import _kernel
 from repro.apps import DsmApplication, Sor, SingleWriterBenchmark
 from repro.bench.runner import run_once
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.homeless import HomelessObjectSpace
 from repro.gos.jvm import DistributedJVM
+from repro.gos.space import GlobalObjectSpace
+from repro.gos.thread import ThreadContext
 
 
 def test_monitor_memory_scales_with_objects_only():
@@ -119,3 +127,69 @@ def test_held_payload_is_never_recycled(backend):
     seen = jvm.run(app, nthreads=2).output
     np.testing.assert_array_equal(seen["a"], np.arange(1.0, 9.0))
     np.testing.assert_array_equal(seen["held"], seen["a"])
+
+
+# -- the fixed cost every node pays before it holds anything ------------------
+
+FIXED_COST_TOPOLOGY = "fat-tree:edge=16:pod=4:oversub=2:contention=1"
+FIXED_COST_NODES = 256
+#: tracemalloc bytes per node of a freshly built 256-node cluster with one
+#: ThreadContext per node, measured per backend on CPython 3.11, plus 10 %
+#: (re-measure: python tests/test_memory_containment.py).
+FIXED_BYTES_PER_NODE = {"python": 3_590 * 1.1, "compiled": 3_500 * 1.1}
+MEASURED_ON = (3, 11)
+
+
+def fixed_cluster(nnodes: int):
+    """A fresh ``nnodes``-node fat-tree cluster with one thread context
+    per node, and the tracemalloc bytes per node the two cost together."""
+    # a small build first, so import-time and once-per-class state
+    # (the shared handler table) is not billed to the measured nodes
+    warm = GlobalObjectSpace(nnodes=4, comm_model=FAST_ETHERNET)
+    [ThreadContext(warm, node, node) for node in range(4)]
+    del warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gos = GlobalObjectSpace(
+            nnodes=nnodes, comm_model=FAST_ETHERNET,
+            topology=FIXED_COST_TOPOLOGY,
+        )
+        threads = [ThreadContext(gos, node, node) for node in range(nnodes)]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return gos, threads, (after - before) / nnodes
+
+
+def test_nodes_share_what_they_have_the_same_of(backend):
+    """Engines and contexts carry no ``__dict__``, and every engine of a
+    run registered the same handler table."""
+    gos, threads, _per_node = fixed_cluster(8)
+    assert not any(hasattr(engine, "__dict__") for engine in gos.engines)
+    assert not any(hasattr(ctx, "__dict__") for ctx in threads)
+    tables = {id(table) for table, _owner, _bind in gos.network._endpoints.values()}
+    assert len(tables) == 1
+    owners = [owner for _table, owner, _bind in gos.network._endpoints.values()]
+    assert owners == gos.engines
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != MEASURED_ON,
+    reason="the budget is measured on CPython 3.11; other interpreters "
+    "size objects differently",
+)
+def test_fixed_cost_per_node_fits_its_budget(backend):
+    _gos, _threads, per_node = fixed_cluster(FIXED_COST_NODES)
+    budget = FIXED_BYTES_PER_NODE[backend]
+    assert per_node <= budget, (
+        f"{per_node:.0f} B per node of a fresh {FIXED_COST_NODES}-node "
+        f"cluster with its threads, over the {budget:.0f} B budget"
+    )
+
+
+if __name__ == "__main__":  # re-measure: python tests/test_memory_containment.py
+    for name in ("python", "compiled"):
+        _kernel.select_backend(name)
+        print(name, round(fixed_cluster(FIXED_COST_NODES)[2]))

@@ -26,6 +26,7 @@ from dataclasses import replace
 import pytest
 
 import repro.check.runner as check_runner
+from repro import _kernel
 from repro.check.fuzz import episode_seeds, generate_program
 from repro.check.runner import run_episode
 from repro.cluster.hockney import FAST_ETHERNET
@@ -76,16 +77,29 @@ def _install_shadow(monkeypatch) -> NoticeShadow:
     """Wrap the grant and release paths, the reply routes and the
     install points of every home-based engine built from now on."""
     shadow = NoticeShadow()
-    build_dispatch = DsmEngine._build_dispatch
+    # the run's shared table, taken before any handler is patched
+    table = dict(DsmEngine._handler_table(_kernel.kernel()))
     on_barrier_release = DsmEngine._on_barrier_release
+    engine_init = DsmEngine.__init__
 
     def barrier_release(engine, release):
         shadow.receive(engine.node_id, release.notices)
         on_barrier_release(engine, release)
 
-    def build(engine):
+    grant_route = table[MsgCategory.LOCK_GRANT]
+
+    def on_grant(engine, grant):
+        shadow.receive(engine.node_id, grant.notices)
+        grant_route(engine, grant)
+
+    table[MsgCategory.LOCK_GRANT] = on_grant
+    table[MsgCategory.BARRIER_RELEASE] = barrier_release
+    for category in (MsgCategory.OBJ_REPLY, MsgCategory.OBJ_REPLY_MIG):
+        table[category] = _arrivals(table[category], shadow)
+
+    def init(engine, *args, **kwargs):
+        engine_init(engine, *args, **kwargs)
         node = engine.node_id
-        table = build_dispatch(engine)
         lock_table = engine.lock_table
         table_acquire, table_release = lock_table.acquire, lock_table.release
 
@@ -102,53 +116,47 @@ def _install_shadow(monkeypatch) -> NoticeShadow:
             return handed
 
         lock_table.acquire, lock_table.release = acquire, release
-        grant_route = table[MsgCategory.LOCK_GRANT]
 
-        def on_grant(grant):
-            shadow.receive(node, grant.notices)
-            grant_route(grant)
-
-        table[MsgCategory.LOCK_GRANT] = on_grant
-        for category in (MsgCategory.OBJ_REPLY, MsgCategory.OBJ_REPLY_MIG):
-            table[category] = _arrivals(table[category], shadow, node)
-        _wrap_installs(engine, shadow)
-        return table
-
-    monkeypatch.setattr(DsmEngine, "_build_dispatch", build)
+    monkeypatch.setattr(
+        DsmEngine, "_handler_table", classmethod(lambda cls, kernel: table)
+    )
     monkeypatch.setattr(DsmEngine, "_on_barrier_release", barrier_release)
+    monkeypatch.setattr(DsmEngine, "__init__", init)
+    _wrap_installs(monkeypatch, shadow)
     return shadow
 
 
-def _arrivals(route, shadow: NoticeShadow, node: int):
-    def deliver(reply):
+def _arrivals(route, shadow: NoticeShadow):
+    def deliver(engine, reply):
+        node = engine.node_id
         if type(reply) is ObjReply:
             shadow.arrived(node, reply.oid, reply.version)
         elif type(reply) is ObjBatchReply:
             for oid, version, _data in reply.items:
                 shadow.arrived(node, oid, version)
-        route(reply)
+        route(engine, reply)
 
     return deliver
 
 
-def _wrap_installs(engine: DsmEngine, shadow: NoticeShadow) -> None:
+def _wrap_installs(monkeypatch, shadow: NoticeShadow) -> None:
     """Check every singular install, and every copy a batch leaves."""
-    node = engine.node_id
-    install_reply, read_many = engine._install_reply, engine.read_many
+    install_reply, read_many = DsmEngine._install_reply, DsmEngine.read_many
 
-    def install(oid, reply):
-        shadow.installed(node, oid, reply.version)
-        return install_reply(oid, reply)
+    def install(engine, oid, reply):
+        shadow.installed(engine.node_id, oid, reply.version)
+        return install_reply(engine, oid, reply)
 
-    def batch(oids):
-        yield from read_many(oids)
+    def batch(engine, oids):
+        yield from read_many(engine, oids)
         for oid in oids:
             cached = engine.cache.get(oid)
             if cached is not None:
                 if oid not in engine.homes:
-                    shadow.installed(node, oid, cached.version)
+                    shadow.installed(engine.node_id, oid, cached.version)
 
-    engine._install_reply, engine.read_many = install, batch
+    monkeypatch.setattr(DsmEngine, "_install_reply", install)
+    monkeypatch.setattr(DsmEngine, "read_many", batch)
 
 
 def _twins_track_dirty(monkeypatch) -> list:

@@ -3,6 +3,7 @@ file only where ``--save`` points, so a profiling run never touches the
 committed reports under ``results/profiles/``."""
 
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -37,6 +38,10 @@ def test_memory_profile_without_save_writes_nothing():
     before = _tree(PROFILES)
     out = _profile()
     assert "memory profile: sor(16) under AT on 2 nodes" in out
+    assert re.search(
+        r"^fixed bytes per node before the first event: cluster build "
+        r"\d+ B, threads \d+ B$", out, re.MULTILINE,
+    )
     assert "report written" not in out
     assert _tree(PROFILES) == before
 

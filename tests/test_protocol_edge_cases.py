@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.message import MsgCategory
 from repro.core.policies import FixedThreshold, NoMigration
+from repro.dsm.protocol import DsmEngine
 from repro.dsm.wire import DiffMsg, MigrateOrderMsg, ObjRequest
 from repro.memory.diff import compute_diff
 from repro.dsm.redirection import HomeManagerMechanism
@@ -51,7 +52,7 @@ def test_diff_forwarded_along_migration_chain():
     assert final[1] == 1.0 and final[2] == 3.0
 
 
-def test_transfer_race_deferrals_served_in_fifo_order(backend):
+def test_transfer_race_deferrals_served_in_fifo_order(backend, monkeypatch):
     """Two requests and a diff reach the announced new home before its
     home transfer lands: all three park (``deferred_request`` via
     ``pending_foreign``, ``deferred_diff`` via ``_pending_diffs``) and
@@ -62,18 +63,20 @@ def test_transfer_race_deferrals_served_in_fifo_order(backend):
     old_home, new_home = gos.engines[0], gos.engines[1]
     version = old_home.homes[obj.oid].version
     served = []
-    serve_request, handle_diff = new_home._serve_request, new_home._handle_diff
+    serve_request, handle_diff = DsmEngine._serve_request, DsmEngine._handle_diff
 
-    def record_request(entry, request):
-        served.append(request.request_id)
-        serve_request(entry, request)
+    def record_request(engine, entry, request):
+        if engine is new_home:
+            served.append(request.request_id)
+        serve_request(engine, entry, request)
 
-    def record_diff(msg):
-        served.append(msg.request_id)
-        handle_diff(msg)
+    def record_diff(engine, msg):
+        if engine is new_home:
+            served.append(msg.request_id)
+        handle_diff(engine, msg)
 
-    new_home._serve_request = record_request
-    new_home._handle_diff = record_diff
+    monkeypatch.setattr(DsmEngine, "_serve_request", record_request)
+    monkeypatch.setattr(DsmEngine, "_handle_diff", record_diff)
 
     replies = {}
     for request_id in ((2, 901), (3, 902)):
@@ -97,7 +100,7 @@ def test_transfer_race_deferrals_served_in_fifo_order(backend):
     written[3] = 42.0
     diff = compute_diff(obj.oid, np.arange(4.0), written)
     new_home._handle_obj_request(request((2, 901)))
-    handle_diff(DiffMsg(obj.oid, 3, (3, 903), diff))
+    handle_diff(new_home, DiffMsg(obj.oid, 3, (3, 903), diff))
     new_home._handle_obj_request(request((3, 902)))
     events = gos.stats.events
     assert events["deferred_request"] == 2
