@@ -96,7 +96,8 @@ class SpecProgram(DsmApplication):
         A section's ``think_us`` is waited out before anything else, so
         it never lands inside a request span.  Sections labelled with a
         ``request`` class are bracketed in a ``request`` causal span
-        (lock wait included), feeding the SLO pipeline; spans read only
+        (lock wait included) and handed over once, at its close, feeding
+        the SLO pipeline; spans read only
         the tracer and virtual clock, so the simulated schedule and
         results are bit-identical with tracing on or off.
         """
@@ -111,16 +112,9 @@ class SpecProgram(DsmApplication):
             for section in phase[tid]:
                 if section.think_us > 0:
                     yield Delay(section.think_us)
-                req = None
+                opened = None
                 if sp is not None and section.request is not None:
-                    oid = (
-                        objects[section.ops[0][1]].oid
-                        if section.ops else -1
-                    )
-                    req = sp.open(
-                        "request", sim.now, oid, ctx.node,
-                        cls=section.request, epoch=epoch, tid=tid,
-                    )
+                    opened = sim.now
                 if section.lock is not None:
                     yield from ctx.acquire(self.locks[section.lock])
                 for op in section.ops:
@@ -156,8 +150,15 @@ class SpecProgram(DsmApplication):
                     yield Delay(section.compute_us)
                 if section.lock is not None:
                     yield from ctx.release(self.locks[section.lock])
-                if req is not None:
-                    sp.close(req, "request", sim.now, oid, ctx.node)
+                if opened is not None:
+                    oid = (
+                        objects[section.ops[0][1]].oid
+                        if section.ops else -1
+                    )
+                    sp.completed(
+                        "request", opened, sim.now, oid, ctx.node,
+                        cls=section.request, epoch=epoch, tid=tid,
+                    )
             yield from ctx.barrier(self.barrier_handle)
 
     def finalize(self, gos: "GlobalObjectSpace") -> dict[str, np.ndarray]:

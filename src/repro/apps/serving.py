@@ -265,10 +265,12 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
 
     cdf = ZipfSampler(spec.keys, spec.zipf_s).cdf
     owned_count = min(spec.keys, int(round(spec.owned_fraction * spec.keys)))
-    # Draws go to ``_randbelow`` directly, as ``randrange(n)``,
-    # ``randint(a, b)`` and ``choice(seq)`` do inside, so the stream is
-    # the same: ``a + _randbelow(b - a + 1)``, ``seq[_randbelow(len(seq))]``.
-    uniform, below = rng.random, rng._randbelow
+    # A bounded int ``n`` is drawn inline the way ``randrange(n)``,
+    # ``randint(a, b)`` and ``choice(seq)`` draw it (``_randbelow``: the
+    # same ``getrandbits(n.bit_length())`` calls, rejecting r >= n), so
+    # the stream is the same and no helper frame runs per draw.
+    uniform, bits = rng.random, rng.getrandbits
+    key_len, key_bits = spec.key_len, spec.key_len.bit_length()
     read_fraction = spec.read_fraction
     # ``open`` gaps are exponential (Poisson arrivals, inverse transform
     # of one uniform); ``closed`` waits the constant think time.
@@ -299,28 +301,38 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
             tid = owner_of.get(key, active[i % len(active)])
             gap = (-spec.mean_gap_us * math.log1p(-uniform()) if open_loop
                    else spec.think_us)
-            obj = objects[key]
-            name, key_len = obj.name, obj.length
+            name = objects[key].name
             # one request, in the fuzz module's op vocabulary: a get
             # reads (sometimes twice), a put is a read-modify-write with
             # an exactly-representable update
-            idx = below(key_len)
+            while (idx := bits(key_bits)) >= key_len:
+                pass
             read = ("read", name, idx)
             read = intern(read, read)
             if cls == "get":
                 ops = [read]
                 if uniform() < 0.3:
-                    op = ("read", name, below(key_len))
+                    while (v := bits(key_bits)) >= key_len:
+                        pass
+                    op = ("read", name, v)
                     ops.append(intern(op, op))
             else:
                 r = uniform()
                 if r < 0.5:
-                    op = ("add", name, idx, float(below(13) - 6))
+                    while (v := bits(4)) >= 13:
+                        pass
+                    op = ("add", name, idx, float(v - 6))
                 elif r < 0.8:
-                    op = ("set", name, idx, float(below(33) - 16))
+                    while (v := bits(6)) >= 33:
+                        pass
+                    op = ("set", name, idx, float(v - 16))
                 else:
-                    op = ("scale", name, idx, (0.5, 2.0, -1.0)[below(3)],
-                          float(below(9) - 4))
+                    while (m := bits(2)) >= 3:
+                        pass
+                    while (v := bits(4)) >= 9:
+                        pass
+                    op = ("scale", name, idx, (0.5, 2.0, -1.0)[m],
+                          float(v - 4))
                 ops = [intern(op, op), read]
             lock = None if key in owner_of else key % nlocks
             sections_by_tid[tid].append(

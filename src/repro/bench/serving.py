@@ -5,7 +5,7 @@ spans folded *where they are emitted* — the run's tracer is the
 collector itself, a span sink (``repro.obs.spans``) that folds every
 ``request`` span into per-class
 :class:`~repro.obs.hist.LatencyHistogram` instances and a per-epoch
-:class:`~repro.obs.hist.EpochSeries` as it is opened and closed, so a
+:class:`~repro.obs.hist.EpochSeries` in one call at its close, so a
 256-node run materializes neither a JSONL trace nor an in-memory event
 list — and renders a deterministic SLO report: per-epoch request
 throughput and p50/p99/p999 request latency per request class.
@@ -64,7 +64,9 @@ class _RequestCollector:
     wants no trace-event kind and provides the span half of the tracer
     protocol (``repro.obs.spans``), so each span reaches it as one
     positional call and no event object is ever built; no span kind but
-    the two it declares is opened.  It holds per-class latency counts
+    the two it declares is opened.  A request reaches it once, completed
+    at its close (:meth:`span_completed`, its one fold path); a barrier
+    wait as an open and a close.  It holds per-class latency counts
     (:attr:`hists` folds them), per-epoch request counts, and the close
     time of each barrier round (the epoch windows); everything it
     accumulates is a deterministic function of the span stream.
@@ -77,51 +79,40 @@ class _RequestCollector:
         self._latencies: dict[str, dict[float, int]] = {}
         self.epoch_requests = EpochSeries()
         self.barrier_close: dict[int, float] = {}
-        self.opened = 0
-        self.closed = 0
-        self._open: dict[int, tuple[float, str, int]] = {}
+        self.requests = 0
         self._open_barriers: dict[int, int] = {}
 
     def wants(self, kind: str) -> bool:
-        """No trace event is captured; spans arrive through the sink pair."""
+        """No trace event is captured; spans arrive through the sink calls."""
         return False
 
+    def span_completed(
+        self, op, op_kind, open_us, close_us, oid, node, parent, detail
+    ):
+        """Span sink: fold one request (the only kind it reads completed)."""
+        self.requests += 1
+        cls = detail["cls"]
+        counts = self._latencies.get(cls)
+        if counts is None:
+            counts = self._latencies[cls] = {}
+        latency = close_us - open_us
+        counts[latency] = counts.get(latency, 0) + 1
+        epochs = self.epoch_requests.counts
+        epoch = detail["epoch"]
+        epochs[epoch] = epochs.get(epoch, 0) + 1
+
     def span_open(self, op, op_kind, time_us, oid, node, parent, detail):
-        """Span sink: note an opening ``request`` or ``barrier_wait``."""
-        if op_kind == "request":
-            self.opened += 1
-            self._open[op] = (
-                time_us, detail.get("cls", "?"), detail.get("epoch", 0)
-            )
-        elif op_kind == "barrier_wait":
-            round_no = detail.get("round")
-            if round_no is not None:
-                self._open_barriers[op] = round_no
+        """Span sink: note an opening ``barrier_wait``."""
+        self._open_barriers[op] = detail["round"]
 
     def span_close(self, op, op_kind, time_us, oid, node, detail):
-        """Span sink: fold a closing span.
-
-        A close with no matching open is ignored; it leaves
-        ``opened != closed`` in the report as the evidence.
-        """
-        if op_kind == "request":
-            entry = self._open.pop(op, None)
-            if entry is not None:
-                open_us, cls, epoch = entry
-                self.closed += 1
-                counts = self._latencies.get(cls)
-                if counts is None:
-                    counts = self._latencies[cls] = {}
-                latency = time_us - open_us
-                counts[latency] = counts.get(latency, 0) + 1
-                epochs = self.epoch_requests.counts
-                epochs[epoch] = epochs.get(epoch, 0) + 1
-        elif op_kind == "barrier_wait":
-            round_no = self._open_barriers.pop(op, None)
-            if round_no is not None:
-                prev = self.barrier_close.get(round_no)
-                if prev is None or time_us > prev:
-                    self.barrier_close[round_no] = time_us
+        """Span sink: a closing ``barrier_wait`` may end its round's
+        window; a close with no matching open is ignored."""
+        round_no = self._open_barriers.pop(op, None)
+        if round_no is not None:
+            prev = self.barrier_close.get(round_no)
+            if prev is None or time_us > prev:
+                self.barrier_close[round_no] = time_us
 
     @cached_property
     def hists(self) -> dict[str, LatencyHistogram]:
@@ -198,8 +189,8 @@ def _serve(spec: ServingSpec) -> dict:
         "nodes": pspec.nodes,
         "threads": pspec.nthreads,
         "policy": spec.policy,
-        "requests": collector.closed,
-        "spans": {"opened": collector.opened, "closed": collector.closed},
+        "requests": collector.requests,
+        "spans": {"opened": collector.requests, "closed": collector.requests},
         "sim_time_us": result.execution_time_us,
         "migrations": result.migrations,
         "messages": stats.total_messages(),

@@ -26,6 +26,7 @@ Design constraints:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Iterable, Mapping
 
 #: Default histogram bucket upper bounds — log-spaced to cover everything
@@ -96,13 +97,10 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one (finite) observation."""
-        _finite(value, "Histogram.observe")
-        idx = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
-        self.bucket_counts[idx] += 1
+        if not -math.inf < value < math.inf:
+            _finite(value, "Histogram.observe")
+        # the first bound >= value; past the last, the overflow slot
+        self.bucket_counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:

@@ -1,16 +1,19 @@
 """Sinks on the engines' one observation output, the trace stream.
 
-The protocol engines emit only trace events and spans
-(``wants(kind)``/``record(kind, time_us, oid, node, **detail)``).
-Metrics and the run log are plain tracers folding that stream:
-:class:`MetricsSink` into a :class:`~repro.obs.metrics.MetricsRegistry`
-(``docs/API.md`` "Metrics" maps each instrument to its events),
-:class:`LogSink` into a :class:`~repro.obs.logging.RunLogger`.
-:func:`observer` gives a run the one tracer its engines emit into.
+The protocol engines emit only trace events
+(``wants(kind)``/``record(kind, time_us, oid, node, **detail)``) and
+spans (:mod:`repro.obs.spans`).  Metrics and the run log are sinks
+folding that stream: :class:`MetricsSink` into a
+:class:`~repro.obs.metrics.MetricsRegistry` (``docs/API.md`` "Metrics"
+maps each instrument to its events), :class:`LogSink` into a
+:class:`~repro.obs.logging.RunLogger`.  :func:`observer` gives a run the
+one tracer its engines emit into.
 """
 
 from __future__ import annotations
 
+from repro.obs.metrics import DEFAULT_BUCKETS
+from repro.obs.spans import span_consumer
 from repro.trace.events import KINDS
 
 __all__ = ["LogSink", "MetricsSink", "TraceFanout", "observer"]
@@ -18,15 +21,14 @@ __all__ = ["LogSink", "MetricsSink", "TraceFanout", "observer"]
 #: Bucket bounds of ``dsm_redirect_chain_length`` (hops, not µs).
 REDIRECT_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64)
 
-#: Per-node histograms with the default bounds.
-_NODE_HISTOGRAMS = (
-    "dsm_fault_in_us",
-    "dsm_diff_bytes",
-    "dsm_lock_epoch_us",
-    "dsm_barrier_interval_us",
-)
-
-_MISS_KINDS = frozenset({"read_miss", "write_miss"})
+#: Per-node histograms and their bucket bounds.
+_NODE_HISTOGRAMS = {
+    "dsm_fault_in_us": DEFAULT_BUCKETS,
+    "dsm_diff_bytes": DEFAULT_BUCKETS,
+    "dsm_lock_epoch_us": DEFAULT_BUCKETS,
+    "dsm_barrier_interval_us": DEFAULT_BUCKETS,
+    "dsm_redirect_chain_length": REDIRECT_BUCKETS,
+}
 
 #: Logged kinds: level and fields, in line order after ``sim_us``.
 _LOG_LINES = {
@@ -41,27 +43,33 @@ _LOG_LINES = {
 class MetricsSink:
     """Folds the trace stream into a :class:`MetricsRegistry`.
 
-    ``nodes`` pre-creates every node's histograms and migration counter,
-    so a snapshot lists them even where nothing was observed.  One sink
-    serves one run: it pairs miss-span opens with their closes, and each
-    lock acquire with the same node's next release of that lock.
+    It reads spans as a span sink (:mod:`repro.obs.spans`) of the miss
+    and lock kinds only, so no other kind is opened for it, and the
+    other instruments' trace events through ``record``.  Each per-node
+    instrument is resolved once.  ``nodes`` pre-creates every node's
+    histograms and migration counter, so a snapshot lists them even
+    where nothing was observed.  One sink serves one run: it pairs
+    miss-span opens with their closes, and each lock acquire with the
+    same node's next release of that lock.
     """
+
+    span_kinds = frozenset(
+        {"read_miss", "write_miss", "lock_acquire", "lock_release"}
+    )
 
     def __init__(self, registry, nodes: int = 0) -> None:
         self.registry = registry
+        #: name -> node -> histogram
+        self._hists: dict[str, dict] = {name: {} for name in _NODE_HISTOGRAMS}
         for node in range(nodes):
             registry.counter("dsm_migrations_total", node=node)
-            registry.histogram(
-                "dsm_redirect_chain_length", REDIRECT_BUCKETS, node=node
-            )
-            for name in _NODE_HISTOGRAMS:
-                registry.histogram(name, node=node)
+            for name, buckets in _NODE_HISTOGRAMS.items():
+                self._hists[name][node] = registry.histogram(
+                    name, buckets, node=node)
         self._misses: dict[int, float] = {}  # op -> open time
         self._lock_held: dict[tuple[int, int], float] = {}  # (node, lock)
         self._last_round: dict[tuple[int, int], float] = {}  # (node, barrier)
         self._fold = {
-            "span_open": self._span_open,
-            "span_close": self._span_close,
             "decision": self._decision,
             "migration": self._migration,
             "diff_apply": self._diff_apply,
@@ -80,25 +88,27 @@ class MetricsSink:
             fold(time_us, oid, node, detail)
 
     def _observe(self, name: str, node: int, value: float) -> None:
-        self.registry.histogram(name, node=node).observe(value)
+        hist = self._hists[name].get(node)
+        if hist is None:  # resolved once per (name, node)
+            hist = self._hists[name][node] = self.registry.histogram(
+                name, _NODE_HISTOGRAMS[name], node=node)
+        hist.observe(value)
 
-    def _span_open(self, time_us, oid, node, detail) -> None:
-        op_kind = detail["op_kind"]
-        if op_kind in _MISS_KINDS:
-            self._misses[detail["op"]] = time_us
-        elif op_kind == "lock_release":
+    def span_open(self, op, op_kind, time_us, oid, node, parent, detail):
+        if op_kind == "lock_release":
             acquired = self._lock_held.pop((node, oid), None)
             if acquired is not None:
                 self._observe("dsm_lock_epoch_us", node, time_us - acquired)
+        elif op_kind != "lock_acquire":  # a miss
+            self._misses[op] = time_us
 
-    def _span_close(self, time_us, oid, node, detail) -> None:
-        op_kind = detail["op_kind"]
-        if op_kind in _MISS_KINDS:
-            opened = self._misses.pop(detail["op"], None)
+    def span_close(self, op, op_kind, time_us, oid, node, detail):
+        if op_kind == "lock_acquire":
+            self._lock_held[(node, oid)] = time_us
+        elif op_kind != "lock_release":  # a miss
+            opened = self._misses.pop(op, None)
             if opened is not None:
                 self._observe("dsm_fault_in_us", node, time_us - opened)
-        elif op_kind == "lock_acquire":
-            self._lock_held[(node, oid)] = time_us
 
     def _decision(self, time_us, oid, node, detail) -> None:
         if detail["threshold"] is not None:
@@ -116,9 +126,7 @@ class MetricsSink:
         self._observe("dsm_diff_bytes", node, detail["size_bytes"])
 
     def _serve(self, time_us, oid, node, detail) -> None:
-        self.registry.histogram(
-            "dsm_redirect_chain_length", REDIRECT_BUCKETS, node=node
-        ).observe(detail["hops"])
+        self._observe("dsm_redirect_chain_length", node, detail["hops"])
 
     def _barrier_epoch(self, time_us, oid, node, detail) -> None:
         if detail["role"] == "gc":
@@ -162,23 +170,29 @@ class LogSink:
 
 
 class TraceFanout:
-    """One record-only tracer over several; each trace kind goes only to
-    the tracers that want it (resolved once, at construction).  A tracer
-    consuming spans through ``span_open``/``span_close`` would get
-    nothing here, so it must be a run's only tracer and is rejected."""
+    """One tracer over several.  Each trace kind goes only to the tracers
+    that want it, and each span kind only to the tracers that read it
+    (:func:`~repro.obs.spans.span_consumer`), both resolved once, at
+    construction.  The fanout is a span sink over the union of their
+    span kinds; when one tracer reads spans, its own span calls are the
+    fanout's, so a span costs no forwarding frame."""
 
     def __init__(self, tracers) -> None:
         self.tracers = tuple(tracers)
-        for tracer in self.tracers:
-            if hasattr(tracer, "span_open"):
-                raise ValueError(
-                    f"{type(tracer).__name__} consumes spans directly: it "
-                    "must be the run's only tracer"
-                )
         self._routes = {
             kind: tuple(t.record for t in self.tracers if t.wants(kind))
             for kind in KINDS
         }
+        readers = [c for c in map(span_consumer, self.tracers) if c[0]]
+        self.span_kinds = frozenset().union(*(r[0] for r in readers))
+        #: kind -> (opens, closes, completes) of the tracers reading it
+        self._spans = {
+            kind: tuple(zip(*(r[1:] for r in readers if kind in r[0])))
+            for kind in self.span_kinds
+        }
+        if len(readers) == 1:
+            _, self.span_open, self.span_close, self.span_completed = (
+                readers[0])
 
     def wants(self, kind: str) -> bool:
         return bool(self._routes.get(kind))
@@ -188,6 +202,20 @@ class TraceFanout:
     ) -> None:
         for record in self._routes[kind]:
             record(kind, time_us, oid, node, **detail)
+
+    def span_open(self, op, op_kind, time_us, oid, node, parent, detail):
+        for call in self._spans[op_kind][0]:
+            call(op, op_kind, time_us, oid, node, parent, detail)
+
+    def span_close(self, op, op_kind, time_us, oid, node, detail):
+        for call in self._spans[op_kind][1]:
+            call(op, op_kind, time_us, oid, node, detail)
+
+    def span_completed(
+        self, op, op_kind, open_us, close_us, oid, node, parent, detail
+    ):
+        for call in self._spans[op_kind][2]:
+            call(op, op_kind, open_us, close_us, oid, node, parent, detail)
 
 
 def observer(*tracers):

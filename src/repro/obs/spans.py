@@ -13,15 +13,20 @@ Where a span goes is the tracer's choice — the tracer protocol has two
 parts.  Every tracer has ``wants(kind)``/``record(...)`` for trace
 events.  A tracer that *consumes* spans rather than storing them (the
 serving tier's SLO collector, ``repro.bench.serving``) may also provide
-the span half, resolved once at :class:`SpanTracer` construction and
-called positionally::
+the span half, resolved once at :class:`SpanTracer` construction
+(:func:`span_consumer`) and called positionally::
 
     span_open(op, op_kind, time_us, oid, node, parent, detail)
     span_close(op, op_kind, time_us, oid, node, detail)
+    span_completed(op, op_kind, open_us, close_us, oid, node, parent, detail)
 
-``detail`` (the kind-specific fields) is borrowed: a sink must neither
-keep nor mutate it.  A sink may also declare ``span_kinds``, the
-frozenset of kinds it reads; a kind it does not read is never opened
+``span_completed`` is optional: it takes, in one call, a span whose
+extent is final only at its close (:meth:`SpanTracer.completed`: a
+redirection hop, a serving request); a sink without it gets that span
+as a ``span_open`` and a ``span_close``, both at the close.  ``detail``
+(the kind-specific fields) is borrowed: a sink must neither keep nor
+mutate it.  A sink may also declare ``span_kinds``, the frozenset of
+kinds it reads; a kind it does not read is never opened
 (:func:`span_guard`).  For a tracer without that pair
 (:class:`~repro.trace.recorder.TraceRecorder`,
 :class:`~repro.obs.export.JsonlTraceWriter`, any ``wants``/``record``
@@ -43,7 +48,8 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["SPAN_KINDS", "SPAN_OPEN", "SPAN_CLOSE", "SpanTracer", "span_guard"]
+__all__ = ["SPAN_KINDS", "SPAN_OPEN", "SPAN_CLOSE", "SpanTracer",
+           "span_consumer", "span_guard"]
 
 #: Logical operation kinds a span may carry (``op_kind`` detail field).
 #: ``request`` is the application-level kind: one serving-tier request
@@ -70,42 +76,68 @@ SPAN_OPEN = "span_open"
 SPAN_CLOSE = "span_close"
 
 
+def span_consumer(tracer: Any) -> tuple:
+    """Resolve how ``tracer`` takes spans: ``(kinds, open, close,
+    completed)``, the kinds it reads and the three positional calls that
+    hand it an opened, a closed and a completed span.
+
+    A span sink (``span_open`` and ``span_close``) reads its declared
+    ``span_kinds`` (every kind if it declares none) through its own
+    methods; without ``span_completed`` a completed span reaches it as
+    an open and a close, both at the close.  A record-only tracer that
+    wants both span events reads every kind as those two events; any
+    other tracer reads none.
+    """
+    if hasattr(tracer, "span_open") and hasattr(tracer, "span_close"):
+        kinds = frozenset(getattr(tracer, "span_kinds", SPAN_KINDS))
+        if not kinds <= SPAN_KINDS:
+            raise ValueError(
+                f"{type(tracer).__name__} declares unknown span kinds "
+                f"{sorted(kinds - SPAN_KINDS)}; known: {sorted(SPAN_KINDS)}")
+        span_open, span_close = tracer.span_open, tracer.span_close
+        completed = getattr(tracer, "span_completed", None)
+    elif (tracer is not None and tracer.wants(SPAN_OPEN)
+          and tracer.wants(SPAN_CLOSE)):
+        kinds, record, completed = SPAN_KINDS, tracer.record, None
+
+        def span_open(op, op_kind, time_us, oid, node, parent, detail):
+            record(SPAN_OPEN, time_us, oid, node,
+                   op=op, op_kind=op_kind, parent=parent, **detail)
+
+        def span_close(op, op_kind, time_us, oid, node, detail):
+            record(SPAN_CLOSE, time_us, oid, node,
+                   op=op, op_kind=op_kind, **detail)
+    else:
+        return frozenset(), None, None, None
+    if completed is None:
+        def completed(op, op_kind, open_us, close_us, oid, node, parent,
+                      detail):
+            span_open(op, op_kind, open_us, oid, node, parent, detail)
+            span_close(op, op_kind, close_us, oid, node, {})
+    return kinds, span_open, span_close, completed
+
+
 class SpanTracer:
-    """Allocates run-unique op ids and records span open/close events.
+    """Allocates run-unique op ids and hands each span to the tracer.
 
     One ``SpanTracer`` is shared by all engines of a run (constructed in
     :class:`~repro.gos.space.GlobalObjectSpace`), which is what makes the
-    ids run-unique.  ``kinds``, resolved once at construction, is a
-    sink's declared ``span_kinds`` (all if none), every kind for a
-    record-only tracer wanting both span events, else none; ``enabled``
-    means at least one.  Hot paths guard on :func:`span_guard`.
+    ids run-unique.  ``kinds`` and the delivery calls are the tracer's
+    :func:`span_consumer`, resolved once; ``enabled`` means at least one
+    kind.  Hot paths guard on :func:`span_guard`, which checks the kind
+    when the call site is built, so a span call checks nothing.
     """
 
     __slots__ = (
-        "tracer", "kinds", "enabled", "_next_id", "_sink_open", "_sink_close",
+        "tracer", "kinds", "enabled", "_next_id", "_open", "_close",
+        "_completed",
     )
 
     def __init__(self, tracer: Any) -> None:
         self.tracer = tracer
-        sink = hasattr(tracer, "span_open") and hasattr(tracer, "span_close")
-        self._sink_open = tracer.span_open if sink else None
-        self._sink_close = tracer.span_close if sink else None
-        if sink:
-            kinds = frozenset(getattr(tracer, "span_kinds", SPAN_KINDS))
-            if not kinds <= SPAN_KINDS:
-                raise ValueError(
-                    f"{type(tracer).__name__} declares unknown span kinds "
-                    f"{sorted(kinds - SPAN_KINDS)}; known: {sorted(SPAN_KINDS)}")
-        elif (
-            tracer is not None
-            and tracer.wants(SPAN_OPEN)
-            and tracer.wants(SPAN_CLOSE)
-        ):
-            kinds = SPAN_KINDS
-        else:
-            kinds = frozenset()
-        self.kinds = kinds
-        self.enabled = bool(kinds)
+        self.kinds, self._open, self._close, self._completed = (
+            span_consumer(tracer))
+        self.enabled = bool(self.kinds)
         self._next_id = 0
 
     @property
@@ -123,24 +155,9 @@ class SpanTracer:
         **detail: Any,
     ) -> int:
         """Open a span and return its run-unique op id."""
-        if op_kind not in SPAN_KINDS:
-            raise ValueError(f"unknown span kind {op_kind!r}")
         op = self._next_id
         self._next_id = op + 1
-        sink = self._sink_open
-        if sink is not None:
-            sink(op, op_kind, time_us, oid, node, parent, detail)
-        else:
-            self.tracer.record(
-                SPAN_OPEN,
-                time_us,
-                oid,
-                node,
-                op=op,
-                op_kind=op_kind,
-                parent=parent,
-                **detail,
-            )
+        self._open(op, op_kind, time_us, oid, node, parent, detail)
         return op
 
     def close(
@@ -153,21 +170,7 @@ class SpanTracer:
         **detail: Any,
     ) -> None:
         """Close a previously opened span."""
-        if op_kind not in SPAN_KINDS:
-            raise ValueError(f"unknown span kind {op_kind!r}")
-        sink = self._sink_close
-        if sink is not None:
-            sink(op, op_kind, time_us, oid, node, detail)
-        else:
-            self.tracer.record(
-                SPAN_CLOSE,
-                time_us,
-                oid,
-                node,
-                op=op,
-                op_kind=op_kind,
-                **detail,
-            )
+        self._close(op, op_kind, time_us, oid, node, detail)
 
     def completed(
         self,
@@ -179,16 +182,18 @@ class SpanTracer:
         parent: int | None = None,
         **detail: Any,
     ) -> int:
-        """Record a span whose extent is only known after the fact.
+        """Record a span whose extent is final only at its close.
 
-        Used for redirection hops: the hop's duration is measured when
-        the redirect reply arrives, so both events are recorded then —
-        the ``span_open`` carries the earlier send timestamp.  Trace
-        consumers must therefore sort by time rather than assume the
-        stream is monotonic across kinds.
+        Used for redirection hops (the hop's duration is measured when
+        the redirect reply arrives) and serving requests: the span is
+        handed over once, at the close, and its open carries the earlier
+        timestamp.  Trace consumers must therefore sort by time rather
+        than assume the stream is monotonic across kinds.
         """
-        op = self.open(op_kind, open_us, oid, node, parent=parent, **detail)
-        self.close(op, op_kind, close_us, oid, node)
+        op = self._next_id
+        self._next_id = op + 1
+        self._completed(op, op_kind, open_us, close_us, oid, node, parent,
+                        detail)
         return op
 
 

@@ -7,10 +7,11 @@ no wrapper generators around it and no repeated local probe
 (docs/PROTOCOL.md §11, DESIGN.md §6.12).  These tests pin that shape:
 
 * a **call budget** — Python ``call`` events (function calls and
-  generator resumptions, as ``sys.setprofile`` reports them) of three
+  generator resumptions, as ``sys.setprofile`` reports them) of four
   small fixed episodes may not exceed the measured count by more than
-  5 %, so a wrapper frame creeping back onto a per-message path, or a
-  per-request watching call back into the serving tier, fails here;
+  5 %, so a wrapper frame creeping back onto a per-message path, a
+  per-request watching call back into the serving tier, or a per-span
+  call back into a metered run (metrics and an info log), fails here;
 * the **structure** — ``ctx.acquire``/``release``/``barrier`` hand back
   the engine method's own generator, a remote read miss suspends exactly
   one DSM generator under the thread body, and the local probe runs once
@@ -19,6 +20,7 @@ no wrapper generators around it and no repeated local probe
 
 from __future__ import annotations
 
+import io
 import sys
 from functools import partial
 
@@ -34,6 +36,8 @@ from repro.dsm.protocol import DsmEngine
 from repro.gos.jvm import DistributedJVM
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
+from repro.obs.logging import RunLogger
+from repro.obs.metrics import MetricsRegistry
 
 #: Python ``call`` events of one episode, measured per backend on
 #: CPython 3.11 (the compiled backend runs the event loop, the arrival
@@ -41,8 +45,9 @@ from repro.gos.thread import ThreadContext
 #: monitor are Python on both backends).  The assert allows 5 % on top.
 CALL_BUDGET = {
     "synthetic-at-4": {"python": 17207, "compiled": 5539},
+    "synthetic-at-4-metered": {"python": 23484, "compiled": 10600},
     "asp-nm-4": {"python": 35970, "compiled": 11926},
-    "serving-16": {"python": 21925, "compiled": 10870},
+    "serving-16": {"python": 20560, "compiled": 9489},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)
@@ -52,9 +57,15 @@ def _episode(name: str):
     """The named episode as a zero-argument call."""
     if name == "serving-16":
         return partial(run_serving, ServingSpec(seed=0, nodes=16))
-    if name == "synthetic-at-4":
+    if name.startswith("synthetic-at-4"):
+        obs = {}
+        if name == "synthetic-at-4-metered":
+            obs = dict(
+                metrics=MetricsRegistry(),
+                logger=RunLogger(level="info", stream=io.StringIO()),
+            )
         jvm = DistributedJVM(
-            nodes=4, comm_model=FAST_ETHERNET, policy=make_policy("AT")
+            nodes=4, comm_model=FAST_ETHERNET, policy=make_policy("AT"), **obs
         )
         app = SingleWriterBenchmark(schedule=[(96, 2), (96, 16)])
         return partial(jvm.run, app)
@@ -67,7 +78,8 @@ def _episode(name: str):
 def python_calls(name: str) -> int:
     """Python ``call`` events while the named episode runs: for the batch
     episodes ``DistributedJVM.run`` (cluster build and verification
-    included), for ``serving-16`` all of ``run_serving`` (traffic
+    included; the metered one with a metrics registry and an info-level
+    run log), for ``serving-16`` all of ``run_serving`` (traffic
     expansion, the SLO collector and the report included)."""
     run = _episode(name)
     calls = 0

@@ -44,7 +44,8 @@ from repro.gos.thread import ThreadContext
 from repro.obs.export import JsonlTraceWriter
 from repro.obs.logging import RunLogger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import MetricsSink, TraceFanout, observer
+from repro.obs.sinks import LogSink, MetricsSink, TraceFanout, observer
+from repro.obs.spans import SPAN_KINDS, SpanTracer
 from repro.trace.recorder import TraceRecorder
 
 PINS = pathlib.Path(__file__).parent / "pins" / "obs_stream"
@@ -186,19 +187,71 @@ def test_fanout_routes_each_kind_to_the_tracers_that_want_it():
     assert observer(None, None) is None
 
 
-def test_fanout_rejects_a_span_consuming_tracer():
-    class SpanConsumer:
-        def wants(self, kind):
-            return False
+class _SpanReader:
+    """A span sink declaring ``kinds``, keeping what reaches it."""
 
-        def span_open(self, *args):
-            pass
+    def __init__(self, kinds):
+        self.span_kinds = frozenset(kinds)
+        self.seen = []
 
-        def span_close(self, *args):
-            pass
+    def wants(self, kind):
+        return False
 
-    with pytest.raises(ValueError, match="only tracer"):
-        TraceFanout([SpanConsumer(), MetricsSink(MetricsRegistry())])
+    def span_open(self, op, op_kind, *rest):
+        self.seen.append(("open", op, op_kind))
+
+    def span_close(self, op, op_kind, *rest):
+        self.seen.append(("close", op, op_kind))
+
+    def span_completed(self, op, op_kind, *rest):
+        self.seen.append(("completed", op, op_kind))
+
+
+def _span_script(spans):
+    a = spans.open("lock_acquire", 5.0, 7, 3, home=2)
+    b = spans.open("read_miss", 6.0, 8, 1, parent=a)
+    spans.close(b, "read_miss", 8.5, 8, 1)
+    spans.completed("redirect_hop", 6.5, 7.5, 8, 1, parent=b, target=5)
+    spans.completed("request", 1.0, 9.0, 8, 1, cls="get", epoch=0, tid=0)
+    spans.close(a, "lock_acquire", 9.0, 7, 3)
+
+
+def _events(recorder):
+    return [
+        (e.kind, e.time_us, e.oid, e.node, list(e.detail.items()))
+        for e in recorder.events
+    ]
+
+
+def test_fanout_forwards_spans_to_the_tracers_that_read_them():
+    """Each span kind reaches only the tracers reading it; a recorder
+    beside span sinks records what it records alone."""
+    alone = TraceRecorder()
+    _span_script(SpanTracer(alone))
+    recorder, misses, requests = (
+        TraceRecorder(), _SpanReader({"read_miss"}), _SpanReader({"request"})
+    )
+    fanout = observer(misses, recorder, requests)
+    assert fanout.span_kinds == SPAN_KINDS  # the recorder reads every kind
+    _span_script(SpanTracer(fanout))
+    assert _events(recorder) == _events(alone)
+    assert misses.seen == [("open", 1, "read_miss"), ("close", 1, "read_miss")]
+    assert requests.seen == [("completed", 3, "request")]
+    # sinks only: the union of their kinds is opened, nothing else
+    sinks = observer(misses, requests)
+    assert sinks.span_kinds == {"read_miss", "request"}
+    assert SpanTracer(sinks).kinds == {"read_miss", "request"}
+
+
+def test_fanout_binds_the_one_span_reader_in_place():
+    """Metrics beside the run log: the sink's own span calls are the
+    fanout's, so a span costs it no forwarding frame."""
+    sink = MetricsSink(MetricsRegistry(), nodes=2)
+    fanout = observer(sink, LogSink(RunLogger(level="info")))
+    assert isinstance(fanout, TraceFanout)
+    assert fanout.span_kinds == MetricsSink.span_kinds
+    assert fanout.span_open == sink.span_open
+    assert fanout.span_close == sink.span_close
 
 
 if __name__ == "__main__":  # regenerate the pins

@@ -218,25 +218,20 @@ def test_open_loop_one_section_per_request():
 
 class _RecordingCollector(serving_bench._RequestCollector):
     """The serving collector, also keeping every request span's
-    (epoch, tid, open, close) times."""
+    (epoch, tid) -> [open, close] times."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.requests: dict[tuple[int, int], list[list[float]]] = {}
-        self._where: dict[int, list[float]] = {}
+        self.spans: dict[tuple[int, int], list[list[float]]] = {}
 
-    def span_open(self, op, op_kind, time_us, oid, node, parent, detail):
-        super().span_open(op, op_kind, time_us, oid, node, parent, detail)
-        if op_kind == "request":
-            times = [time_us, None]
-            key = (detail["epoch"], detail["tid"])
-            self.requests.setdefault(key, []).append(times)
-            self._where[op] = times
-
-    def span_close(self, op, op_kind, time_us, oid, node, detail):
-        super().span_close(op, op_kind, time_us, oid, node, detail)
-        if op_kind == "request":
-            self._where.pop(op)[1] = time_us
+    def span_completed(
+        self, op, op_kind, open_us, close_us, oid, node, parent, detail
+    ):
+        super().span_completed(
+            op, op_kind, open_us, close_us, oid, node, parent, detail
+        )
+        key = (detail["epoch"], detail["tid"])
+        self.spans.setdefault(key, []).append([open_us, close_us])
 
 
 def test_think_time_precedes_request_spans(monkeypatch):
@@ -257,7 +252,7 @@ def test_think_time_precedes_request_spans(monkeypatch):
     checked = 0
     for epoch, phase in enumerate(spec.phases):
         for tid, sections in enumerate(phase):
-            spans = collector.requests.get((epoch, tid), [])
+            spans = collector.spans.get((epoch, tid), [])
             assert len(spans) == len(sections)
             for prev, (open_us, close_us), section in zip(
                 spans, spans[1:], sections[1:]

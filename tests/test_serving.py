@@ -25,7 +25,10 @@ from repro.bench.serving import (
     run_serving_race,
 )
 from repro.check.runner import run_check, run_episode
+from repro.gos.jvm import DistributedJVM
 from repro.obs.hist import EpochSeries, LatencyHistogram
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import TraceFanout
 from repro.trace.events import TraceEvent
 from repro.trace.recorder import TraceRecorder
 from tests.test_cluster_spec import BAD_CLUSTERS, cases_for
@@ -88,6 +91,7 @@ def _fold_offline(events) -> dict:
         "barrier_close": barrier_close,
         "opened": opened,
         "closed": closed,
+        "requests": closed,
     }
 
 
@@ -104,7 +108,7 @@ class _ReferenceCollector(TraceRecorder):
 
     def __getattr__(self, name):
         if name not in ("hists", "epoch_requests", "barrier_close",
-                        "opened", "closed"):
+                        "opened", "closed", "requests"):
             raise AttributeError(name)
         self.__dict__.update(_fold_offline(self.events))
         return self.__dict__[name]
@@ -116,6 +120,7 @@ def reference_report(spec: ServingSpec) -> dict:
     with mock.patch.object(serving, "_RequestCollector", lambda: recorder):
         report = run_serving(spec)
     assert len(recorder.events) >= 2 * report["requests"] > 0
+    assert recorder.opened == recorder.closed == report["requests"]
     return report
 
 
@@ -145,23 +150,52 @@ def test_run_serving_builds_no_trace_event_and_no_recorder(monkeypatch):
     assert built == [TraceRecorder, TraceEvent]
 
 
-def test_collector_ignores_unmatched_and_double_close():
-    """A stray close is dropped; opened != closed is the evidence."""
+def test_collector_folds_requests_at_their_close():
+    """A request is folded in one completed call; a stray barrier close
+    is dropped."""
     collector = serving._RequestCollector()
     assert not any(collector.wants(kind) for kind in ("span_open", "ship"))
-    collector.span_close(9, "request", 5.0, 0, 0, {})  # never opened
-    collector.span_open(1, "request", 1.0, 0, 0, None,
-                        {"cls": "put", "epoch": 0})
-    collector.span_close(1, "request", 3.0, 0, 0, {})
-    collector.span_close(1, "request", 4.0, 0, 0, {})  # double close
-    collector.span_open(2, "request", 2.0, 0, 0, None,
-                        {"cls": "put", "epoch": 1})  # never closed
+    collector.span_completed(1, "request", 1.0, 3.0, 0, 0, None,
+                             {"cls": "put", "epoch": 0, "tid": 0})
+    collector.span_completed(2, "request", 2.0, 2.0, 0, 0, None,
+                             {"cls": "get", "epoch": 1, "tid": 0})
     collector.span_close(7, "barrier_wait", 6.0, 0, 0, {"round": 0})
-    assert (collector.opened, collector.closed) == (2, 1)
+    collector.span_open(8, "barrier_wait", 6.0, 0, 0, None, {"round": 1})
+    collector.span_close(8, "barrier_wait", 9.0, 0, 0, {"round": 1})
+    assert collector.requests == 2
     assert collector.hists["put"].count == 1
     assert collector.hists["put"].max == 2.0
-    assert collector.epoch_requests.to_dict() == {"0": 1}
-    assert collector.barrier_close == {}
+    assert collector.hists["get"].max == 0.0
+    assert collector.epoch_requests.to_dict() == {"0": 1, "1": 1}
+    assert collector.barrier_close == {1: 9.0}
+
+
+def test_metrics_beside_the_collector_change_no_report(backend):
+    """A metrics sink beside the collector meets it in a TraceFanout:
+    the report digest is the collector-only one, and the metrics see
+    the run's misses."""
+    spec = ServingSpec(seed=0, nodes=16)
+    alone = report_digest(run_serving(spec))
+    registry = MetricsRegistry()
+    tracers = []
+
+    class Metered(DistributedJVM):
+        def __init__(self, cluster, tracer):
+            super().__init__(cluster, tracer=tracer, metrics=registry)
+
+        def _observer(self):
+            tracers.append(super()._observer())
+            return tracers[-1]
+
+    with mock.patch.object(serving, "DistributedJVM", Metered):
+        assert report_digest(run_serving(spec)) == alone
+    (fanout,) = tracers
+    assert isinstance(fanout, TraceFanout)
+    misses = [
+        entry for entry in registry.snapshot()["histograms"]
+        if entry["name"] == "dsm_fault_in_us" and entry["count"]
+    ]
+    assert misses
 
 
 def test_report_shape_and_accounting():

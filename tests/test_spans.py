@@ -3,8 +3,8 @@
 Three layers of coverage:
 
 * ``SpanTracer`` in isolation — id allocation, enable gating, event
-  shape, kind validation, retro-dated ``completed`` spans, call-site
-  guards;
+  shape, retro-dated ``completed`` spans, call-site guards, and a static
+  scan of every call site's kind;
 * live runs — every span a real ASP (barriers) and synthetic-benchmark
   (locks) run emits opens exactly once, closes exactly once, and links
   children to already-open parents, i.e. the causal tree reconstructs;
@@ -16,6 +16,7 @@ Three layers of coverage:
   kind mismatch, never closed).
 """
 
+import ast
 import importlib.util
 import warnings
 from pathlib import Path
@@ -78,13 +79,65 @@ def test_span_tracer_close_records_matching_event():
     assert recorder.of_kind("span_open")[0].detail["home"] == 2
 
 
-def test_span_tracer_rejects_unknown_kind():
-    spans = SpanTracer(TraceRecorder())
-    with pytest.raises(ValueError, match="unknown span kind"):
-        spans.open("disk_seek", 0.0, oid=0, node=0)
-    op = spans.open("read_miss", 0.0, oid=0, node=0)
-    with pytest.raises(ValueError, match="unknown span kind"):
-        spans.close(op, "disk_seek", 1.0, oid=0, node=0)
+#: The ``SpanTracer`` methods whose kind argument the static scan
+#: checks -> position of the kind among the arguments (``span_guard``
+#: takes it second).
+_KIND_ARG = {"open": 0, "close": 1, "completed": 0}
+
+
+def call_site_kinds(source: str, filename: str = "<src>"):
+    """``(line, kind)`` of every string literal passed as the kind of a
+    ``span_guard``, ``.open``, ``.close`` or ``.completed`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "span_guard":
+            position = 1
+        elif isinstance(func, ast.Attribute) and func.attr in _KIND_ARG:
+            position = _KIND_ARG[func.attr]
+        else:
+            continue
+        if len(node.args) > position:
+            arg = node.args[position]
+            found.extend(
+                (sub.lineno, sub.value)
+                for sub in ast.walk(arg)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            )
+    return found
+
+
+def test_every_call_site_kind_is_a_span_kind():
+    """``SpanTracer.open``/``close``/``completed`` check no kind per call:
+    every literal kind in ``src/repro`` is checked here, statically."""
+    seen = set()
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for line, kind in call_site_kinds(path.read_text(encoding="utf-8")):
+            assert kind in SPAN_KINDS, (
+                f"{path.relative_to(ROOT)}:{line}: unknown span kind {kind!r}"
+            )
+            seen.add(kind)
+    assert seen == SPAN_KINDS  # every kind has a checked call site
+
+
+def test_call_site_scan_catches_a_misspelt_kind():
+    source = (
+        "sp = span_guard(spans, 'read_mis')\n"
+        "op = sp.open('lock_acquire', now, oid, node)\n"
+        "sp.close(op, 'lock_aquire', now, oid, node)\n"
+        "sp.completed('request', t0, t1, oid, node, cls='get')\n"
+        "handle.close()\n"
+    )
+    kinds = call_site_kinds(source)
+    assert kinds == [
+        (1, "read_mis"), (2, "lock_acquire"), (3, "lock_aquire"),
+        (4, "request"),
+    ]
+    assert [k for _, k in kinds if k not in SPAN_KINDS] == [
+        "read_mis", "lock_aquire"
+    ]
 
 
 def test_span_guard_rejects_unknown_kind_even_without_a_tracer():
@@ -223,6 +276,28 @@ def test_span_sink_gets_the_same_values_positionally():
         else:
             expected.append(("close", op, op_kind, time_us, oid, node, detail))
     assert sink.seen == expected
+
+
+class _CompletingSink(_Sink):
+    """A span sink that also takes completed spans in one call."""
+
+    def span_completed(self, op, op_kind, open_us, close_us, oid, node,
+                       parent, detail):
+        self.seen.append(("completed", op, op_kind, open_us, close_us, oid,
+                          node, parent, dict(detail)))
+
+
+def test_completed_span_reaches_a_sink_in_one_call():
+    """A sink with ``span_completed`` gets a completed span once, at its
+    close; without it (above) the same span arrives as open + close."""
+    sink = _CompletingSink()
+    assert _scripted(SpanTracer(sink)) == (0, 1, 2)
+    assert [event[0] for event in sink.seen] == [
+        "open", "open", "close", "completed", "close"
+    ]
+    assert sink.seen[3] == (
+        "completed", 2, "redirect_hop", 6.5, 7.5, 8, 1, 1, {"target": 5}
+    )
 
 
 def test_half_a_sink_is_a_record_only_tracer():
