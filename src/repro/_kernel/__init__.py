@@ -181,11 +181,12 @@ def _load_from_path(path: Path) -> Any:
 # calls ``handler(owner, payload)`` from a shared table, ``route_reply``
 # replaces the ReplyRouter type, the Accessor enters one miss generator
 # ``_fault_in(for_write, oid)``, and LocalAccess's cold write calls the
-# engine's ``_write_local``); an installed in-place build
-# predating them must lose to a fresh first-use build rather than load
+# engine's ``_write_local``; level 12: LocalAccess traps no home read,
+# and its home-write trap calls the engine's ``_trap_home_write``); an
+# installed in-place build predating them must lose to a fresh first-use build rather than load
 # and misbehave.  Dropping a symbol the Python side no longer calls
 # needs no bump.
-_MIN_KERNEL_API = 11
+_MIN_KERNEL_API = 12
 
 #: Modules that resolve the kernel once at import; ``select_backend()``
 #: re-points each through its ``_rebind_kernel()``.

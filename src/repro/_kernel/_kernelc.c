@@ -41,35 +41,21 @@ static PyObject *str_payload = NULL;
 static PyObject *str_value = NULL;
 static PyObject *str_twin = NULL;
 static PyObject *str_interval = NULL;
-static PyObject *str_read_interval = NULL;
 static PyObject *str_write_interval = NULL;
 static PyObject *str_homes = NULL;
 static PyObject *str_cache = NULL;
 static PyObject *str_dirty = NULL;
 static PyObject *str_home_dirty = NULL;
 static PyObject *str_write_local = NULL;
-static PyObject *str_state = NULL;
-static PyObject *str_home_reads = NULL;
-static PyObject *str_home_writes = NULL;
-static PyObject *str_exclusive_home_writes = NULL;
-static PyObject *str_last_writer = NULL;
-static PyObject *str_consecutive_writes = NULL;
-static PyObject *str_consecutive_writer = NULL;
+static PyObject *str_trap_home_write = NULL;
 static PyObject *str_upgrade_to_write = NULL;
 static PyObject *str_request_id = NULL;
 static PyObject *str_reply_waiters = NULL;
 static PyObject *str_resolve = NULL;
-static PyObject *str_stats = NULL;
-static PyObject *str_events = NULL;
 static PyObject *str_oid = NULL;
-
-/* ClusterStats.events keys (identical to the Python literals). */
-static PyObject *ev_home_write = NULL;
-static PyObject *ev_exclusive_home_write = NULL;
 
 static PyObject *zero_long = NULL;
 static PyObject *one_long = NULL;
-static PyObject *minus_one_long = NULL;
 
 static PyObject *
 sim_error_class(void)
@@ -700,28 +686,6 @@ diff_arrays(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 /* methods.                                                                */
 /* ====================================================================== */
 
-/* obj.name += 1 through the attribute protocol (plain-int counters on
- * dataclass monitors). */
-static int
-attr_incr(PyObject *obj, PyObject *name)
-{
-    PyObject *cur = PyObject_GetAttr(obj, name);
-    PyObject *next;
-    int rc;
-
-    if (cur == NULL) {
-        return -1;
-    }
-    next = PyNumber_Add(cur, one_long);
-    Py_DECREF(cur);
-    if (next == NULL) {
-        return -1;
-    }
-    rc = PyObject_SetAttr(obj, name, next);
-    Py_DECREF(next);
-    return rc;
-}
-
 /* counter[key] += delta with collections.Counter semantics: a missing key
  * reads as 0 (__missing__ does not insert), and the sum is computed with
  * PyNumber_Add so numpy integer operands keep their dtype exactly as in
@@ -763,7 +727,6 @@ typedef struct {
     PyObject *cache;        /* engine.cache dict (never rebound) */
     PyObject *dirty;        /* engine.dirty set */
     PyObject *home_dirty;   /* engine.home_dirty set */
-    PyObject *events;       /* engine.stats.events Counter (dict subclass) */
     int fast_cache_write;
 } LocalAccessObject;
 
@@ -800,17 +763,6 @@ LocalAccess_init(LocalAccessObject *self, PyObject *args, PyObject *kwds)
         self->home_dirty == NULL || !PyAnySet_Check(self->home_dirty)) {
         goto bad_engine;
     }
-    {
-        PyObject *stats = PyObject_GetAttr(engine, str_stats);
-        if (stats == NULL) {
-            return -1;
-        }
-        Py_XSETREF(self->events, PyObject_GetAttr(stats, str_events));
-        Py_DECREF(stats);
-    }
-    if (self->events == NULL || !PyDict_Check(self->events)) {
-        goto bad_engine;
-    }
     return 0;
 
 bad_engine:
@@ -822,59 +774,16 @@ bad_engine:
     return -1;
 }
 
-/* Home-copy read hit, including the once-per-interval read trap
- * (trap_home_read + record_home_read inlined).  `home` is borrowed and
- * kept alive by the caller; returns a new payload reference. */
-static PyObject *
-la_home_read(LocalAccessObject *self, PyObject *home)
-{
-    PyObject *iv, *ri, *state;
-    int hit;
-
-    iv = PyObject_GetAttr(self->engine, str_interval);
-    if (iv == NULL) {
-        return NULL;
-    }
-    ri = PyObject_GetAttr(home, str_read_interval);
-    if (ri == NULL) {
-        goto fail;
-    }
-    hit = PyObject_RichCompareBool(ri, iv, Py_EQ);
-    Py_DECREF(ri);
-    if (hit < 0) {
-        goto fail;
-    }
-    if (!hit) {
-        /* trap_home_read: mark this interval, bump the monitor count. */
-        if (PyObject_SetAttr(home, str_read_interval, iv) < 0) {
-            goto fail;
-        }
-        state = PyObject_GetAttr(home, str_state);
-        if (state == NULL) {
-            goto fail;
-        }
-        if (attr_incr(state, str_home_reads) < 0) {
-            Py_DECREF(state);
-            goto fail;
-        }
-        Py_DECREF(state);
-    }
-    Py_DECREF(iv);
-    return PyObject_GetAttr(home, str_payload);
-
-fail:
-    Py_DECREF(iv);
-    return NULL;
-}
-
-/* Home-copy write hit, including the once-per-interval write trap
- * (trap_home_write + record_home_write + the home_write /
- * exclusive_home_write stats, all inlined). */
+/* Home-copy write hit.  C keeps only the mechanism: the interval test
+ * and the dirty-set add.  The once-per-interval trap itself (E and the
+ * break of the C chain) is the engine's Python `_trap_home_write`, the
+ * one body of the rule under both backends.  `home` is borrowed and kept
+ * alive by the caller; returns a new payload reference. */
 static PyObject *
 la_home_write(LocalAccessObject *self, PyObject *oid, PyObject *home)
 {
-    PyObject *iv, *wi, *state, *last;
-    int hit, exclusive;
+    PyObject *iv, *wi;
+    int hit;
 
     iv = PyObject_GetAttr(self->engine, str_interval);
     if (iv == NULL) {
@@ -882,81 +791,40 @@ la_home_write(LocalAccessObject *self, PyObject *oid, PyObject *home)
     }
     wi = PyObject_GetAttr(home, str_write_interval);
     if (wi == NULL) {
-        goto fail;
+        Py_DECREF(iv);
+        return NULL;
     }
     hit = PyObject_RichCompareBool(wi, iv, Py_EQ);
     Py_DECREF(wi);
+    Py_DECREF(iv);
     if (hit < 0) {
-        goto fail;
+        return NULL;
     }
     if (!hit) {
-        if (PyObject_SetAttr(home, str_write_interval, iv) < 0) {
-            goto fail;
+        PyObject *r = PyObject_CallMethodOneArg(self->engine,
+                                                str_trap_home_write, home);
+        if (r == NULL) {
+            return NULL;
         }
-        state = PyObject_GetAttr(home, str_state);
-        if (state == NULL) {
-            goto fail;
-        }
-        /* record_home_write: E bumps only when no remote write broke the
-         * home-write chain (last_writer still HOME_WRITER == -1). */
-        if (attr_incr(state, str_home_writes) < 0) {
-            goto fail_state;
-        }
-        last = PyObject_GetAttr(state, str_last_writer);
-        if (last == NULL) {
-            goto fail_state;
-        }
-        exclusive = PyObject_RichCompareBool(last, minus_one_long, Py_EQ);
-        Py_DECREF(last);
-        if (exclusive < 0) {
-            goto fail_state;
-        }
-        if (exclusive &&
-            attr_incr(state, str_exclusive_home_writes) < 0) {
-            goto fail_state;
-        }
-        if (PyObject_SetAttr(state, str_last_writer, minus_one_long) < 0 ||
-            PyObject_SetAttr(state, str_consecutive_writes, zero_long) < 0 ||
-            PyObject_SetAttr(state, str_consecutive_writer, Py_None) < 0) {
-            goto fail_state;
-        }
-        Py_DECREF(state);
-        if (counter_add(self->events, ev_home_write, one_long) < 0) {
-            goto fail;
-        }
-        if (exclusive &&
-            counter_add(self->events, ev_exclusive_home_write,
-                        one_long) < 0) {
-            goto fail;
-        }
+        Py_DECREF(r);
     }
-    Py_DECREF(iv);
     if (PySet_Add(self->home_dirty, oid) < 0) {
         return NULL;
     }
     return PyObject_GetAttr(home, str_payload);
-
-fail_state:
-    Py_DECREF(state);
-fail:
-    Py_DECREF(iv);
-    return NULL;
 }
 
 static PyObject *
 LocalAccess_try_read(LocalAccessObject *self, PyObject *oid)
 {
-    PyObject *home, *entry, *payload;
+    PyObject *home, *entry;
 
-    home = PyDict_GetItemWithError(self->homes, oid);
+    home = PyDict_GetItemWithError(self->homes, oid);  /* borrowed */
     if (home == NULL && PyErr_Occurred()) {
         return NULL;
     }
     if (home != NULL) {
-        Py_INCREF(home);
-        payload = la_home_read(self, home);
-        Py_DECREF(home);
-        return payload;
+        return PyObject_GetAttr(home, str_payload);
     }
     entry = PyDict_GetItemWithError(self->cache, oid);  /* borrowed */
     if (entry == NULL) {
@@ -1028,7 +896,6 @@ LocalAccess_traverse(LocalAccessObject *self, visitproc visit, void *arg)
     Py_VISIT(self->cache);
     Py_VISIT(self->dirty);
     Py_VISIT(self->home_dirty);
-    Py_VISIT(self->events);
     return 0;
 }
 
@@ -1040,7 +907,6 @@ LocalAccess_clear_gc(LocalAccessObject *self)
     Py_CLEAR(self->cache);
     Py_CLEAR(self->dirty);
     Py_CLEAR(self->home_dirty);
-    Py_CLEAR(self->events);
     return 0;
 }
 
@@ -1055,12 +921,12 @@ LocalAccess_dealloc(LocalAccessObject *self)
 static PyMethodDef LocalAccess_methods[] = {
     {"try_read", (PyCFunction)LocalAccess_try_read, METH_O,
      "try_read(oid)\n--\n\n"
-     "Serve a local read hit (home or valid cached copy); None on miss. "
-     "Cold paths (trap bookkeeping) fall back to the Python body."},
+     "Serve a local read hit (home or valid cached copy); None on miss."},
     {"try_write", (PyCFunction)LocalAccess_try_write, METH_O,
      "try_write(oid)\n--\n\n"
-     "Serve a local write hit; None on miss.  Twin creation and trap "
-     "bookkeeping fall back to the Python body."},
+     "Serve a local write hit; None on miss.  The home-write trap runs "
+     "the engine's _trap_home_write, and traced twin creation the "
+     "engine's _write_local."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2351,34 +2217,22 @@ PyInit__kernelc(void)
     INTERN(str_value, "value");
     INTERN(str_twin, "twin");
     INTERN(str_interval, "interval");
-    INTERN(str_read_interval, "read_interval");
     INTERN(str_write_interval, "write_interval");
     INTERN(str_homes, "homes");
     INTERN(str_cache, "cache");
     INTERN(str_dirty, "dirty");
     INTERN(str_home_dirty, "home_dirty");
     INTERN(str_write_local, "_write_local");
-    INTERN(str_state, "state");
-    INTERN(str_home_reads, "home_reads");
-    INTERN(str_home_writes, "home_writes");
-    INTERN(str_exclusive_home_writes, "exclusive_home_writes");
-    INTERN(str_last_writer, "last_writer");
-    INTERN(str_consecutive_writes, "consecutive_writes");
-    INTERN(str_consecutive_writer, "consecutive_writer");
+    INTERN(str_trap_home_write, "_trap_home_write");
     INTERN(str_upgrade_to_write, "upgrade_to_write");
     INTERN(str_request_id, "request_id");
     INTERN(str_reply_waiters, "_reply_waiters");
     INTERN(str_resolve, "resolve");
-    INTERN(str_stats, "stats");
-    INTERN(str_events, "events");
     INTERN(str_oid, "oid");
-    INTERN(ev_home_write, "home_write");
-    INTERN(ev_exclusive_home_write, "exclusive_home_write");
 #undef INTERN
     zero_long = PyLong_FromLong(0);
     one_long = PyLong_FromLong(1);
-    minus_one_long = PyLong_FromLong(-1);
-    if (zero_long == NULL || one_long == NULL || minus_one_long == NULL) {
+    if (zero_long == NULL || one_long == NULL) {
         return NULL;
     }
 
@@ -2408,7 +2262,7 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "Future", (PyObject *)&FutureType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 11) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 12) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -130,7 +130,9 @@ class _TelemetryHarvest:
 
     Merges every run's metrics snapshot into one registry (counters and
     histograms add; see :meth:`~repro.obs.metrics.MetricsRegistry.merge`)
-    and optionally prints a per-run completion heartbeat.
+    in spec order, the order the executor reports runs in, so the merged
+    float sums are the same whatever ``--jobs`` is; and optionally
+    prints a per-run completion heartbeat.
     """
 
     def __init__(self, show_progress: bool, collect_metrics: bool) -> None:

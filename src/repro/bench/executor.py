@@ -363,10 +363,12 @@ def execute(
     ``obs`` applies one observability configuration to every spec that
     does not already carry its own (per-run trace files are derived via
     :meth:`ObsSpec.for_run`).  ``progress`` is called as
-    ``progress(done, total, outcome)`` after each run finishes, in
-    completion order — use it for live heartbeats and for harvesting
-    telemetry incrementally.  Neither affects the deterministic fields
-    of the outcomes.
+    ``progress(done, total, outcome)`` once per run, in spec order on
+    both paths: a pool reports a finished run as soon as every earlier
+    spec has finished too, so a hook that folds outcomes (the CLI's
+    merged metrics, whose float sums depend on the fold order) folds
+    them in one order whatever ``jobs`` is.  Neither affects the
+    deterministic fields of the outcomes.
     """
     spec_list = list(specs)
     if jobs is None:
@@ -393,14 +395,15 @@ def execute(
                 pool.submit(run_spec, spec): i
                 for i, spec in enumerate(spec_list)
             }
-            results: list[RunOutcome | None] = [None] * len(spec_list)
+            total = len(spec_list)
+            results: list[RunOutcome | None] = [None] * total
             done = 0
             for future in as_completed(futures):
-                outcome = future.result()
-                results[futures[future]] = outcome
-                done += 1
-                if progress is not None:
-                    progress(done, len(spec_list), outcome)
+                results[futures[future]] = future.result()
+                while done < total and results[done] is not None:
+                    done += 1
+                    if progress is not None:
+                        progress(done, total, results[done - 1])
             return results  # type: ignore[return-value]
     except (OSError, BrokenProcessPool):
         return _execute_sequential(spec_list, progress)

@@ -4,8 +4,8 @@ The home monitors, per object:
 
 * **remote reads** — object fault-in requests arriving at the home;
 * **remote writes** — diffs received at synchronization points;
-* **home reads / home writes** — access faults of the home copy itself,
-  trapped by invalidating it on acquire and write-protecting it on release;
+* **home writes** — write faults of the home copy itself, trapped by
+  write-protecting it on release;
 * ``C`` — *consecutive remote writes*: writes from one remote node not
   interleaved with writes from the home or other remote nodes;
 * ``E`` — *exclusive home writes* since the last migration: a home write
@@ -51,7 +51,6 @@ class ObjectAccessState:
 
     # -- lifetime statistics ------------------------------------------------
     migrations: int = 0
-    home_reads: int = 0
     home_writes: int = 0
     remote_reads: int = 0
     remote_writes: int = 0
@@ -128,10 +127,6 @@ class ObjectAccessState:
         elif sharer != reader:
             self.sharer = SHARED
         self.redirections += hops
-
-    def record_home_read(self) -> None:
-        """The home node read its own copy (trapped home read fault)."""
-        self.home_reads += 1
 
     def record_redirections(self, hops: int) -> None:
         """An arriving request was forwarded ``hops`` times (accumulation)."""

@@ -66,15 +66,14 @@ class FaultInMixin:
     def _read_local(self, oid: int) -> np.ndarray | None:
         """Readable payload if no communication is needed, else ``None``.
 
-        The local half of a read (home-read trap included) as a plain
-        call, bound as the engine's ``try_read_local`` under the Python
-        backend: the caller builds no generator on the overwhelmingly
-        common local hit, and on ``None`` enters :meth:`_fault_in`
-        directly.  Payloads are always arrays, so ``None`` is unambiguous.
+        The local half of a read as a plain call, bound as the engine's
+        ``try_read_local`` under the Python backend: the caller builds no
+        generator on the overwhelmingly common local hit, and on ``None``
+        enters :meth:`_fault_in` directly.  Payloads are always arrays,
+        so ``None`` is unambiguous.
         """
         entry = self.homes.get(oid)
         if entry is not None:
-            entry.trap_home_read(self.interval)
             return entry.payload
         cached = self.cache.get(oid)
         if cached is not None:
@@ -84,20 +83,16 @@ class FaultInMixin:
     def _write_local(self, oid: int) -> np.ndarray | None:
         """Writable payload if no communication is needed, else ``None``.
 
-        The local half of a write (home-write trap, twin creation, dirty
-        tracking) as a plain call, bound as the engine's
+        The local half of a write (the home-write trap, twin creation,
+        dirty tracking) as a plain call, bound as the engine's
         ``try_write_local`` under the Python backend (the compiled probe
         calls it when twin creation is traced); on ``None`` the caller
         enters :meth:`_fault_in`, which ends in the write probe again.
         """
         entry = self.homes.get(oid)
         if entry is not None:
-            trapped, exclusive = entry.trap_home_write(self.interval)
-            if trapped:
-                events = self.stats.events
-                events["home_write"] += 1
-                if exclusive:
-                    events["exclusive_home_write"] += 1
+            if entry.write_interval != self.interval:
+                self._trap_home_write(entry)
             self.home_dirty.add(oid)
             return entry.payload
         cached = self.cache.get(oid)
@@ -114,6 +109,23 @@ class FaultInMixin:
             self.dirty.add(oid)
             return cached.payload
         return None
+
+    def _trap_home_write(self, entry: HomeEntry) -> None:
+        """The home-write trap (§3.3): the first write of the home copy
+        in this local interval.
+
+        The one body of the trap, whoever writes the home copy: the
+        write probe of either backend (the compiled one calls it on its
+        trap branch), a ship served at the home, and a barrier-ordered
+        transfer replaying a local write.  The caller has checked
+        ``entry.write_interval != self.interval``; the E / C-chain rule
+        itself is :meth:`~repro.core.state.ObjectAccessState.record_home_write`.
+        """
+        entry.write_interval = self.interval
+        events = self.stats.events
+        events["home_write"] += 1
+        if entry.state.record_home_write():
+            events["exclusive_home_write"] += 1
 
     def read_many(self, oids: list[int]) -> Generator[Any, Any, None]:
         """Batched read fault-in: one request per (presumed) home node.
@@ -196,11 +208,8 @@ class FaultInMixin:
         """
         entry = self.homes.get(oid)
         if entry is not None:
-            trapped, exclusive = entry.trap_home_write(self.interval)
-            if trapped:
-                self.stats.incr("home_write")
-                if exclusive:
-                    self.stats.incr("exclusive_home_write")
+            if entry.write_interval != self.interval:
+                self._trap_home_write(entry)
             self.home_dirty.add(oid)
             if compute_us > 0:
                 yield Delay(compute_us)

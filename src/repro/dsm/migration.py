@@ -163,12 +163,18 @@ class MigrationMixin:
         monitor: ObjectAccessState,
         origin: str,
         op_id: int | None,
+        written: bool = False,
     ) -> np.ndarray:
         """Install the home of ``oid`` here: the receiving half of every
-        migration.  Then serve what raced the hand-off, in order: parked
-        foreign requests, parked diffs, local threads waiting for it."""
+        migration.  ``written`` marks a payload a local write already
+        changed: the new home traps it as this interval's home write.
+        Then serve what raced the hand-off, in order: parked foreign
+        requests, parked diffs, local threads waiting for it."""
         self.forwards.pop(oid, None)  # we are home again: drop stale pointer
-        self.homes[oid] = HomeEntry(payload=payload, version=version, state=monitor)
+        entry = HomeEntry(payload=payload, version=version, state=monitor)
+        self.homes[oid] = entry
+        if written:
+            self._trap_home_write(entry)
         self._learn_home(oid, self.node_id)
         if self._tr_home_install:
             self.tracer.record(
@@ -241,10 +247,12 @@ class MigrationMixin:
         this interval keeps pointing at the node's authoritative copy.  A
         dirty WRITE copy (the local thread started writing before the
         transfer arrived) additionally has its uncommitted changes replayed
-        on top of the transferred image and becomes a pending home write.
+        on top of the transferred image, and the new home traps that
+        replay as this interval's home write before serving anything.
         """
         oid = msg.oid
         cached = self.cache.pop(oid, None)
+        written = False
         if cached is None:
             payload = msg.data
         else:
@@ -266,9 +274,10 @@ class MigrationMixin:
                 apply_diff(payload, local_diff)
                 self.dirty.discard(oid)
                 self.home_dirty.add(oid)
-                msg.monitor.record_home_write()
+                written = True
         self._become_home(
-            oid, payload, msg.version, msg.monitor, "transfer", msg.op_id
+            oid, payload, msg.version, msg.monitor, "transfer", msg.op_id,
+            written,
         )
 
     def _on_control(self, payload: Any) -> None:

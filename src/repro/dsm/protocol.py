@@ -25,10 +25,10 @@ declares state — the handler table and the shared helpers:
   home-based thread side;
 * :mod:`repro.dsm.wire` — the message payloads and their byte sizes.
 
-**Home accesses** are trapped once per local synchronization interval,
-mirroring §3.3's invalid-on-acquire / read-only-on-release protection of
-the home copy (:mod:`repro.dsm.home`); an exclusive home write
-increments the positive feedback ``E``.
+**Home writes** are trapped once per local synchronization interval,
+mirroring §3.3's read-only-on-release protection of the home copy
+(:meth:`~repro.dsm.faultin.FaultInMixin._trap_home_write`); an exclusive
+home write increments the positive feedback ``E``.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ class DsmEngine(
         kernel_module = _kernel.kernel()
         # Protocol fast paths.  Compiled backend: the local-hit read/write
         # bodies run in C against the homes and cache dicts, with cold
-        # paths (trap bookkeeping, twin creation, tracing) falling back to
-        # the Python bodies.
+        # paths (the home-write trap, twin creation, tracing) falling back
+        # to the Python bodies.
         if kernel_module is not None:
             local_access = kernel_module.LocalAccess(
                 self, not self._tr_twin_create

@@ -304,3 +304,79 @@ def test_slo_report_identical_across_backends():
     """The rendered SLO analysis is byte-identical under both backends."""
     digests = _run_both(ANALYZE_CODE)
     assert digests["python"] == digests["compiled"]
+
+
+EQ2_MUTATION_CODE = """\
+import json
+from repro.check.fuzz import episode_seeds
+from repro.core.state import HOME_WRITER, ObjectAccessState as S
+from repro.check.runner import run_episode
+
+
+def over_count_r(record):
+    # R over-counted: every request arriving at a home adds one more hop
+    if record.__name__ == "record_remote_read":
+        return lambda self, reader, hops=0: record(self, reader, hops + 1)
+    return lambda self, hops: record(self, hops + 1)
+
+
+def always_exclusive(record):
+    def record_home_write(self):
+        self.last_writer = HOME_WRITER
+        return record(self)
+    return record_home_write
+
+
+def keeps_c_chain(record):
+    def record_home_write(self):
+        chain = self.consecutive_writes, self.consecutive_writer
+        exclusive = record(self)
+        self.consecutive_writes, self.consecutive_writer = chain
+        return exclusive
+    return record_home_write
+
+
+MUTATIONS = {
+    "none": {},
+    "over_count_r": {
+        "record_remote_read": over_count_r,
+        "record_redirections": over_count_r,
+    },
+    "always_exclusive": {"record_home_write": always_exclusive},
+    "keeps_c_chain": {"record_home_write": keeps_c_chain},
+}
+counts = {}
+for name, patches in MUTATIONS.items():
+    saved = {method: getattr(S, method) for method in patches}
+    for method, mutate in patches.items():
+        setattr(S, method, mutate(saved[method]))
+    try:
+        for flavor in ("core", "serving"):
+            counts[name + "/" + flavor] = [
+                run_episode(seed=seed, flavor=flavor).migrations
+                for seed in episode_seeds(0, 25)
+            ]
+    finally:
+        for method, original in saved.items():
+            setattr(S, method, original)
+print(json.dumps(counts, sort_keys=True))
+"""
+
+
+def test_eq2_mutations_bite_the_same_under_both_backends():
+    """Each Eq-2 input has one Python body: a mutation of the rule that
+    counts R, E or the break of the C chain changes the per-episode
+    migration counts of both backends alike (25 core and 25 serving
+    fuzz episodes), because the compiled hit path keeps no copy of it."""
+    import json
+
+    runs = _run_both(EQ2_MUTATION_CODE)
+    assert runs["python"] == runs["compiled"]
+    counts = json.loads(runs["python"])
+    # Teeth: the R and C-chain mutations move counts on these episodes.
+    # An all-exclusive E moves none on these episodes (more E only lowers
+    # T, which Eq. 2 floors at T_init) but stays in the matrix.
+    for name in ("over_count_r", "keeps_c_chain"):
+        mutated = counts[f"{name}/core"] + counts[f"{name}/serving"]
+        baseline = counts["none/core"] + counts["none/serving"]
+        assert mutated != baseline, f"{name} changes no migration count"

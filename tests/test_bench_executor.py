@@ -54,6 +54,31 @@ def test_result_order_matches_spec_order():
     assert [o.tag for o in outcomes] == [s.tag for s in specs]
 
 
+def test_pool_reports_progress_in_spec_order():
+    """A pool reports runs in spec order even when a later spec finishes
+    first, so a hook that folds outcomes (the CLI's merged metrics, whose
+    float sums depend on the order) folds them alike under any --jobs."""
+    slow = RunSpec(
+        app="sor", app_kwargs={"size": 48, "iterations": 8}, policy="AT",
+        nodes=8, tag="slow",
+    )
+    fast = [
+        RunSpec(app="synthetic", app_kwargs={"total_updates": 8},
+                policy="NM", nodes=2, tag=f"fast{i}")
+        for i in range(2)
+    ]
+    specs = [slow, *fast]
+    seen = []
+    outcomes = execute(
+        specs, jobs=2,
+        progress=lambda done, total, outcome: seen.append(
+            (done, total, outcome.tag)
+        ),
+    )
+    assert seen == [(1, 3, "slow"), (2, 3, "fast0"), (3, 3, "fast1")]
+    assert [o.tag for o in outcomes] == ["slow", "fast0", "fast1"]
+
+
 def test_specs_are_picklable():
     for spec in _sweep_specs():
         clone = pickle.loads(pickle.dumps(spec))

@@ -627,7 +627,7 @@ def test_stale_inplace_build_is_rejected(km, cacheless_src, tmp_path):
     back to Python instead of loading the stale module."""
     import shutil
 
-    assert km.KERNEL_API == _kernel._MIN_KERNEL_API == 11
+    assert km.KERNEL_API == _kernel._MIN_KERNEL_API == 12
     src = tmp_path / "src"
     shutil.copytree(cacheless_src, src)
     (src / "repro" / "_kernel" / "_kernelc.py").write_text(
