@@ -5,8 +5,12 @@ The guides' rule — no optimization without measuring — applied to the
 harness itself.  Profiles one application run (ASP, the heaviest figure
 workload, by default) with cProfile and prints the top functions by
 cumulative and internal time, so hot-path regressions in the
-engine/protocol are easy to localise.  ``--save PATH`` additionally dumps
-the raw pstats file, so profiles can be diffed across PRs with
+engine/protocol are easy to localise.  The rows come from
+``Profile.getstats()``, one per code object, labelled with the
+function's qualified name, file and line: ``pstats`` keys its table by
+(file, line, name), under which every dataclass-generated ``__init__``
+collides and one row hides the others.  ``--save PATH`` additionally
+dumps the raw pstats file, so profiles can be diffed across PRs with
 ``pstats.Stats(path_a, path_b)`` or snakeviz.
 
 ``--memory`` switches the profiler from cProfile to tracemalloc: the run
@@ -25,8 +29,10 @@ Usage:
 
 import argparse
 import cProfile
+import gc
 import os
 import pstats
+import types
 
 
 def make_app(name: str, size: int):
@@ -42,6 +48,47 @@ def make_app(name: str, size: int):
     if name == "tsp":
         return Tsp(cities=min(size, 12))
     raise ValueError(f"unknown app {name!r}")
+
+
+def profile_rows(profiler: cProfile.Profile) -> list[tuple]:
+    """``(calls, tottime, cumtime, label)`` per code object of the run.
+
+    A code object's label is the qualified name of the live function that
+    runs it (so a generated ``__init__`` reads ``CacheEntry.__init__``,
+    not ``__create_fn__.<locals>.__init__``), else its ``co_qualname``
+    (its ``co_name`` before Python 3.11), plus its file and first line;
+    a C function keeps its repr.
+    """
+    qualnames = {
+        fn.__code__: fn.__qualname__
+        for fn in gc.get_objects()
+        if isinstance(fn, types.FunctionType)
+    }
+    rows = []
+    for entry in profiler.getstats():
+        code = entry.code
+        if isinstance(code, str):
+            label = code
+        else:
+            name = qualnames.get(code) or getattr(
+                code, "co_qualname", code.co_name  # 3.11+
+            )
+            label = f"{name} ({code.co_filename}:{code.co_firstlineno})"
+        rows.append(
+            (entry.callcount, entry.inlinetime, entry.totaltime, label)
+        )
+    return rows
+
+
+def print_rows(rows: list[tuple], title: str, column: int, top: int) -> None:
+    """The ``top`` rows by ``column`` (1 internal, 2 cumulative time)."""
+    print(f"=== top by {title} time ===")
+    print(f"{'ncalls':>10} {'tottime':>9} {'cumtime':>9}  function")
+    for calls, tottime, cumtime, label in sorted(
+        rows, key=lambda row: row[column], reverse=True
+    )[:top]:
+        print(f"{calls:>10} {tottime:>9.3f} {cumtime:>9.3f}  {label}")
+    print()
 
 
 def fixed_bytes_per_node(app, args) -> tuple[float, float]:
@@ -183,16 +230,12 @@ def main() -> None:
         f"{result.stats.total_messages()} messages, "
         f"{result.gos.sim.events_processed} engine events\n"
     )
-    stats = pstats.Stats(profiler)
     if args.save:
-        stats.dump_stats(args.save)
+        pstats.Stats(profiler).dump_stats(args.save)
         print(f"raw pstats written to {args.save}\n")
-    stats.sort_stats("cumulative")
-    print("=== top by cumulative time ===")
-    stats.print_stats(args.top)
-    stats.sort_stats("tottime")
-    print("=== top by internal time ===")
-    stats.print_stats(args.top)
+    rows = profile_rows(profiler)
+    print_rows(rows, "cumulative", 2, args.top)
+    print_rows(rows, "internal", 1, args.top)
 
 
 if __name__ == "__main__":

@@ -313,6 +313,8 @@ class FaultInMixin:
         this generator itself, with no wrapper frame.  Co-located faults
         coalesce: one request per object is outstanding per node, and
         piggybacking threads re-check local state once it completes.
+        ``_inflight[oid]`` is ``None`` while nobody joins; the first
+        joiner stores the future that the fetch resolves when it ends.
         A write ends in
         the write probe (twin, or home-write trap after a migration), and
         faults again in the rare case the copy went stale meanwhile.  A
@@ -323,8 +325,10 @@ class FaultInMixin:
         overtaken = self._overtaken
         node = self.node_id
         while True:
-            marker = inflight.get(oid)
-            if marker is not None:
+            if oid in inflight:
+                marker = inflight[oid]
+                if marker is None:
+                    marker = inflight[oid] = self._Future("inflight")
                 yield marker
                 entry = self.homes.get(oid)
                 if entry is not None:
@@ -335,7 +339,7 @@ class FaultInMixin:
                         continue
                     payload = cached.payload
             else:
-                marker = inflight[oid] = self._Future("inflight")
+                inflight[oid] = None
                 sp = self._sp_write_miss if for_write else self._sp_read_miss
                 hop_sp = self._sp_hop
                 op = None
@@ -426,10 +430,11 @@ class FaultInMixin:
                     if sp is not None:
                         sp.close(op, op_kind, self.sim.now, oid, node)
                 finally:
-                    del inflight[oid]
+                    marker = inflight.pop(oid)
                     if overtaken:
                         overtaken.pop(oid, None)
-                    marker.resolve(None)
+                    if marker is not None:
+                        marker.resolve(None)
             if not for_write:
                 return payload
             payload = self.try_write_local(oid)

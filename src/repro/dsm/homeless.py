@@ -382,20 +382,13 @@ class HomelessEngine(SyncManager):
         return
         yield  # pragma: no cover - keeps this a generator
 
-    def barrier(
-        self, handle: BarrierHandle, round_no: int
-    ) -> Generator[Any, Any, None]:
+    def barrier(self, handle: BarrierHandle) -> Generator[Any, Any, None]:
+        barrier_id = handle.barrier_id
+        round_no = self._barrier_rounds.get(barrier_id, 0)
         notices = self._gossip_notices()
         fut = self._Future(label="hl-barrier")
-        self._barrier_waiters.setdefault(
-            (handle.barrier_id, round_no), []
-        ).append(fut)
-        arrive = BarrierArriveMsg(
-            barrier_id=handle.barrier_id,
-            node=self.node_id,
-            round_no=round_no,
-            notices=notices,
-        )
+        self._barrier_waiters.setdefault(barrier_id, []).append(fut)
+        arrive = BarrierArriveMsg(barrier_id, self.node_id, round_no, notices)
         if handle.home == self.node_id:
             self._manager_barrier_arrive(arrive)
         else:

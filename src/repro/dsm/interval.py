@@ -189,7 +189,8 @@ class IntervalMixin:
         invalidated copy is gone, not kept as a tombstone: its next
         access faults.  Dirty copies are spared: their diffs have not
         been flushed yet (LRC multiple-writer semantics keep them
-        coherent via twins).  A lock acquire runs the same loop inline.
+        coherent via twins).  A twinned copy is always in ``dirty``, so
+        a sync point with ``dirty`` empty clears the cache instead.
         """
         cache = self.cache
         for oid, cached in [*cache.items()]:

@@ -181,8 +181,8 @@ class DsmEngine(
         #: transfer message arrives).
         self._local_home_waits: dict[int, list[Future]] = {}
         #: Fault coalescing: one outstanding fault-in per object per node;
-        #: co-located threads piggyback on it.
-        self._inflight: dict[int, Future] = {}
+        #: co-located threads piggyback on it (``None`` until one joins).
+        self._inflight: dict[int, Future | None] = {}
         #: Fetches a co-located sync point overtook (PROTOCOL.md §12): per
         #: in-flight fault, the highest version a notice announced while
         #: it was out (empty unless a thread synchronizes mid-fetch); and

@@ -46,19 +46,18 @@ if TYPE_CHECKING:  # pragma: no cover
 NOTIFY_BYTES = 8
 
 
-def fanout_children(node: int, root: int, fanout: int, nnodes: int):
+def fanout_children(node: int, root: int, fanout: int, nnodes: int) -> list:
     """The nodes ``node`` forwards to in a k-ary multicast tree.
 
     The tree spans all ``nnodes`` nodes rooted at ``root``: node ids are
     mapped to virtual indices ``v = (node - root) % nnodes`` (the root is
     ``v == 0``) and the children of ``v`` are ``k*v + 1 .. k*v + k`` —
     heap numbering, so every non-root index has exactly one parent and
-    the relay depth is ``ceil(log_k N)``.  Yields real node ids.
+    the relay depth is ``ceil(log_k N)``.  Returns real node ids.
     """
-    v = (node - root) % nnodes
-    first = fanout * v + 1
-    for child in range(first, min(first + fanout, nnodes)):
-        yield (root + child) % nnodes
+    first = fanout * ((node - root) % nnodes) + 1
+    last = min(first + fanout, nnodes)
+    return [(root + child) % nnodes for child in range(first, last)]
 
 
 class NotificationMechanism(ABC):

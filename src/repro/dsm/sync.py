@@ -83,7 +83,7 @@ class SyncManager:
     __slots__ = (
         "node_id", "sim", "network", "heap", "stats", "release_fanout",
         "_Future", "lock_table", "barriers", "_reply_waiters",
-        "_barrier_waiters", "_req_counter", "_send",
+        "_barrier_rounds", "_barrier_waiters", "_req_counter", "_send",
     )
 
     #: Wire bytes of one write notice.
@@ -123,7 +123,10 @@ class SyncManager:
         #: trip: request ids are unique per node, so one map serves every
         #: reply category (``route_reply`` pops it).
         self._reply_waiters: dict[tuple[int, int], Any] = {}
-        self._barrier_waiters: dict[tuple[int, int], list] = {}
+        #: Barrier id -> the node's current round (the releases it got)
+        #: and the futures of its threads waiting in that round.
+        self._barrier_rounds: dict[int, int] = {}
+        self._barrier_waiters: dict[int, list] = {}
         self._req_counter = 0
 
     # -- request/reply helpers ----------------------------------------------
@@ -259,8 +262,8 @@ class SyncManager:
         self._on_barrier_release(release)
 
     def _on_barrier_release(self, release: BarrierReleaseMsg) -> None:
-        """Relay a multicast release to this node's tree children, then
-        wake this node's waiters for the round.
+        """Relay a multicast release to this node's tree children, open
+        the node's next round of the barrier, then wake its waiters.
 
         Every non-root node receives exactly one copy (N-1 messages
         total, like the direct burst) but no NIC injects more than
@@ -282,9 +285,9 @@ class SyncManager:
                 )
                 for dst in fanout_children(self.node_id, root, fanout, nnodes):
                     self._send(dst, _BARRIER_RELEASE, size, release)
-        for fut in self._barrier_waiters.pop(
-            (release.barrier_id, release.round_no), ()
-        ):
+        barrier_id = release.barrier_id
+        self._barrier_rounds[barrier_id] = release.round_no + 1
+        for fut in self._barrier_waiters.pop(barrier_id, ()):
             fut.resolve(release)
 
 
@@ -351,11 +354,10 @@ class SyncMixin:
         if self._inflight or self._batches:
             # a co-located fetch may predate the grant's notices
             self._overtake_fetches(notices)
-        # invalidate_all_cached, inline: this runs once per lock acquire
-        cache = self.cache
-        for oid, cached in [*cache.items()]:
-            if cached.twin is None:
-                del cache[oid]
+        if self.dirty:
+            self.invalidate_all_cached()
+        else:  # no copy holds a twin: every copy is clean
+            self.cache.clear()
         self.interval += 1
         if sp is not None:
             sp.close(op, "lock_acquire", self.sim.now, lock_id, node)
@@ -428,17 +430,18 @@ class SyncMixin:
 
     # -- barriers ---------------------------------------------------------
 
-    def barrier(
-        self, handle: BarrierHandle, round_no: int
-    ) -> Generator[Any, Any, None]:
-        """One barrier round: flush diffs, arrive, wait for the release."""
+    def barrier(self, handle: BarrierHandle) -> Generator[Any, Any, None]:
+        """One barrier round, the node's current one: flush diffs,
+        arrive, wait for the release."""
+        barrier_id = handle.barrier_id
+        round_no = self._barrier_rounds.get(barrier_id, 0)
         sp = self._sp_barrier
         op = None
         if sp is not None:
             op = sp.open(
                 "barrier_wait",
                 self.sim.now,
-                handle.barrier_id,
+                barrier_id,
                 self.node_id,
                 round=round_no,
             )
@@ -449,12 +452,8 @@ class SyncMixin:
         else:
             notices = {}
         fut = self._Future("barrier")
-        self._barrier_waiters.setdefault(
-            (handle.barrier_id, round_no), []
-        ).append(fut)
-        arrive = BarrierArriveMsg(
-            handle.barrier_id, self.node_id, round_no, notices
-        )
+        self._barrier_waiters.setdefault(barrier_id, []).append(fut)
+        arrive = BarrierArriveMsg(barrier_id, self.node_id, round_no, notices)
         if handle.home == self.node_id:
             self._manager_barrier_arrive(arrive)
         else:
@@ -473,13 +472,16 @@ class SyncMixin:
         peaks = self.stats.peaks
         if peaks.get("cache_entries", 0) < len(self.cache):
             peaks["cache_entries"] = len(self.cache)
-        self.invalidate_all_cached()
+        if self.dirty:
+            self.invalidate_all_cached()
+        else:  # no copy holds a twin: every copy is clean
+            self.cache.clear()
         self.interval += 1
         if self._tr_barrier_epoch:
             self.tracer.record(
                 "barrier_epoch",
                 self.sim.now,
-                handle.barrier_id,
+                barrier_id,
                 self.node_id,
                 role="gc",
                 cache_entries=len(self.cache),
@@ -489,7 +491,7 @@ class SyncMixin:
                 op,
                 "barrier_wait",
                 self.sim.now,
-                handle.barrier_id,
+                barrier_id,
                 self.node_id,
                 round=round_no,
             )

@@ -9,7 +9,7 @@ thread bodies are generator functions that compose them::
         counter = yield from ctx.write(counter_obj)
         counter[0] += 1
         yield from ctx.release(lock)
-        yield from ctx.barrier()
+        yield from ctx.barrier(barrier)
 
 Element-level mutation happens directly on the returned numpy payload —
 protocol-equivalent under LRC because access states only change at
@@ -23,7 +23,6 @@ from typing import Any, Generator, Iterable, TYPE_CHECKING
 import numpy as np
 
 from repro import _kernel
-from repro.dsm.barrier import BarrierHandle
 from repro.memory.objects import FieldsSpec, SharedObject
 from repro.sim.errors import SimulationError
 from repro.sim.process import Delay
@@ -105,7 +104,6 @@ class ThreadContext:
         "tid": "Thread id.",
         "node": "The node the thread is pinned to.",
         "engine": "That node's protocol engine.",
-        "_barrier_rounds": None,
         "acquire": (
             "acquire(lock): enter a synchronized section (Java "
             "monitorenter), flushing the interval's diffs; the engine's "
@@ -114,6 +112,10 @@ class ThreadContext:
         "release": (
             "release(lock): leave a synchronized section, flushing the "
             "interval's diffs; the engine's own generator method."
+        ),
+        "barrier": (
+            "barrier(handle): the node's current round of a barrier, "
+            "flushing the interval's diffs; the engine's own generator."
         ),
         "read": (
             "read(obj): readable payload of ``obj`` (may fault in from "
@@ -132,11 +134,11 @@ class ThreadContext:
         self.tid = tid
         self.node = node
         self.engine = engine = gos.engines[node]
-        self._barrier_rounds: dict[int, int] = {}
         kernel_module = _kernel.kernel()
-        # Bound here so a lock operation costs no wrapper call.
+        # Bound here so a sync operation costs no wrapper call.
         self.acquire = engine.acquire
         self.release = engine.release
+        self.barrier = engine.barrier
         # Both protocol engines expose the same probes and the same miss
         # entry ``_fault_in(for_write, oid)``, never rebound: the accessor
         # resolves them once, and a miss enters the engine's fault
@@ -207,17 +209,6 @@ class ThreadContext:
         return self.engine.ship(
             obj.oid, fn, compute_us=compute_us, args_bytes=args_bytes
         )
-
-    # -- synchronization --------------------------------------------------
-    # ``acquire``/``release`` are the engine's methods, bound in __init__;
-    # ``barrier`` returns the engine's own generator: each blocking
-    # operation runs in that one frame, with no wrapper generator.
-
-    def barrier(self, handle: BarrierHandle) -> Generator[Any, Any, None]:
-        """One barrier episode; rounds are tracked per thread."""
-        round_no = self._barrier_rounds.get(handle.barrier_id, 0)
-        self._barrier_rounds[handle.barrier_id] = round_no + 1
-        return self.engine.barrier(handle, round_no)
 
     # -- local work --------------------------------------------------------
 

@@ -13,9 +13,13 @@ These tests check both halves: directed 3-node runs where the grant's
 path is shorter than the diff's or the reply's, and a test-side shadow
 of the retired floors over fuzzed conformance episodes (on the flat
 switch and on oversubscribed topologies, with threads sharing nodes)
-that every installed copy must meet.  The same episodes check that a
-cached copy holds a twin exactly when its object is dirty after every
-acquire and barrier release, and a directed run pins that a diff ack
+that every installed copy must meet.  The same episodes check that
+every twinned copy is dirty before each step of every acquire and
+barrier, which is what lets a sync point with nothing dirty drop the
+cache with ``cache.clear()``, and that a cached copy holds a twin
+exactly when its object is dirty after each one; directed runs pin
+the other branch (a co-located thread writes while a sync point
+waits, and its twinned copy survives the drop) and that a diff ack
 never revives a copy a co-located acquire dropped.
 """
 
@@ -159,24 +163,41 @@ def _wrap_installs(monkeypatch, shadow: NoticeShadow) -> None:
     monkeypatch.setattr(DsmEngine, "read_many", batch)
 
 
-def _twins_track_dirty(monkeypatch) -> list:
-    """After every lock acquire and barrier release, the cached copies
-    holding a twin must be exactly the objects in ``dirty``: the flush
-    diffs only ``dirty``, and the invalidation sweep spares only copies
-    with a twin.  Returns the checks, ``(node, oids breaking it)``."""
-    checks = []
+def _twinned(engine) -> set[int]:
+    return {
+        oid for oid, cached in engine.cache.items() if cached.twin is not None
+    }
 
-    def check(engine):
-        twinned = {
-            oid for oid, cached in engine.cache.items()
-            if cached.twin is not None
-        }
-        checks.append((engine.node_id, sorted(twinned ^ engine.dirty)))
+
+def _twins_track_dirty(monkeypatch) -> list:
+    """Before every step of a lock acquire or a barrier, and so before
+    its drop of the cached copies, every copy holding a twin must have
+    its oid in ``dirty``: with ``dirty`` empty the drop clears the whole
+    cache, which is sound only then.  After the last step the twinned
+    copies must be exactly ``dirty``: the flush diffs only ``dirty``,
+    and the drop spares only copies with a twin.  Returns the checks,
+    ``(node, oids breaking them)``."""
+    checks = []
 
     def checked(method):
         def run(engine, *args):
-            yield from method(engine, *args)
-            check(engine)
+            steps = method(engine, *args)
+            step, value = steps.send, None
+            while True:
+                checks.append(
+                    (engine.node_id, sorted(_twinned(engine) - engine.dirty))
+                )
+                try:
+                    effect = step(value)
+                except StopIteration:
+                    break
+                try:  # a failed future is thrown in, as into the method
+                    step, value = steps.send, (yield effect)
+                except Exception as error:
+                    step, value = steps.throw, error
+            checks.append(
+                (engine.node_id, sorted(_twinned(engine) ^ engine.dirty))
+            )
 
         return run
 
@@ -440,3 +461,66 @@ def test_every_installed_copy_meets_the_shadow_floors(
     assert shadow.violations == []
     assert checks
     assert [check for check in checks if check[1]] == []
+
+
+def _co_located_writer_run(sync: str):
+    """Node 1 runs two threads.  B holds a clean copy of ``clean`` and
+    then blocks in an acquire (the lock is held on node 2 until 5 ms) or
+    a barrier (node 2's party arrives at 5 ms); meanwhile A write-faults
+    ``dirty``, so B's drop runs with ``dirty`` non-empty.  Returns the
+    space, both objects and what B saw right after its sync point."""
+    gos = GlobalObjectSpace(
+        nnodes=3, comm_model=FAST_ETHERNET, policy=NoMigration()
+    )
+    clean = gos.alloc_array(4, home=0)
+    dirty = gos.alloc_array(4, home=0)
+    lock = gos.alloc_lock(home=2)
+    barrier = gos.alloc_barrier(parties=2, home=2)
+    engine = gos.engines[1]
+    seen = {}
+
+    def holder():
+        ctx = ThreadContext(gos, tid=0, node=2)
+        if sync == "acquire":
+            yield from ctx.acquire(lock)
+        yield from ctx.compute(5_000.0)
+        if sync == "acquire":
+            yield from ctx.release(lock)
+        else:
+            yield from ctx.barrier(barrier)
+
+    def writer():
+        ctx = ThreadContext(gos, tid=1, node=1)
+        yield from ctx.compute(2_000.0)  # B is blocked by now
+        payload = yield from ctx.write(dirty)
+        payload[0] = 7.0
+        seen["written"] = ctx.now
+
+    def syncer():
+        ctx = ThreadContext(gos, tid=2, node=1)
+        yield from ctx.read(clean)
+        if sync == "acquire":
+            yield from ctx.acquire(lock)
+        else:
+            yield from ctx.barrier(barrier)
+        seen["synced"] = ctx.now
+        seen["cache"] = {
+            oid: cached.twin is not None
+            for oid, cached in engine.cache.items()
+        }
+        seen["dirty"] = set(engine.dirty)
+        if sync == "acquire":
+            yield from ctx.release(lock)
+
+    run_threads(gos, holder(), writer(), syncer())
+    return gos, clean, dirty, seen
+
+
+@pytest.mark.parametrize("sync", ("acquire", "barrier"))
+def test_a_drop_with_dirty_non_empty_spares_only_the_twinned_copy(
+    backend, sync
+):
+    gos, clean, dirty, seen = _co_located_writer_run(sync)
+    assert seen["written"] < seen["synced"]
+    assert seen["dirty"] == {dirty.oid}
+    assert seen["cache"] == {dirty.oid: True}  # the clean copy went
