@@ -1,7 +1,8 @@
 """Offline analytics over saved JSONL traces (``repro-bench analyze``).
 
 Consumes a JSONL trace (``--trace-out`` on any sweep,
-``scripts/record_trace.py`` or :func:`~repro.obs.export.dump_trace`)
+:func:`~repro.bench.record.record_trace` or
+:func:`~repro.obs.export.dump_trace`)
 and reports, for any trace:
 
 * **Event counts** — what the trace captured, per event kind;
@@ -72,8 +73,8 @@ THROUGHPUT_KINDS = frozenset(
 #: What a report on a trace without spans opens with.
 NO_SPANS_HINT = (
     "no spans in this trace — re-record it with span kinds enabled (the "
-    "default for repro-bench --trace-out and scripts/record_trace.py) to "
-    "get causal analytics"
+    "default for repro-bench --trace-out and "
+    "repro.bench.record.record_trace) to get causal analytics"
 )
 
 #: Exemplar critical paths listed for the slowest read misses.

@@ -45,7 +45,7 @@ redirection chain lengths, migration-decision timelines and
 per-barrier-epoch throughput; ``--json`` additionally writes the raw
 report dict.  The trace's backend and kernel build go to stderr, so
 stdout is identical across backends.  Record a trace with
-``scripts/record_trace.py`` or any ``--trace-out`` sweep.
+:func:`repro.bench.record.record_trace` or any ``--trace-out`` sweep.
 
 The ``serve`` target runs the serving-traffic workload tier
 (:mod:`repro.bench.serving`): ``repro-bench serve --nodes 16

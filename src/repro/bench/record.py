@@ -2,8 +2,7 @@
 
 Thin convenience over the bench executor: build a :class:`RunSpec` whose
 :class:`ObsSpec` streams every trace kind (spans included) to a JSONL
-file, run it in-process, and hand back the outcome.  Used by the CI
-analyze-smoke job (via ``scripts/record_trace.py``) and by tests that
+file, run it in-process, and hand back the outcome.  Used by tests that
 need a real trace file without spelling out the executor plumbing.
 """
 

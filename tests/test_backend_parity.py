@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_pins import PINS
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -74,31 +76,23 @@ def _run_both(code: str) -> dict[str, str]:
     return out
 
 
-DIGEST_CODE = """\
-import importlib.util, pathlib
-path = pathlib.Path({root!r}) / "tests" / "test_determinism_digest.py"
-spec = importlib.util.spec_from_file_location("tdd", path)
-mod = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(mod)
-from repro import _kernel
-assert _kernel.backend_name() == {backend_expr}, _kernel.backend_info()
-print(mod._digest(mod._run_payload()))
-""".format(root=str(ROOT), backend_expr="__import__('os').environ['REPRO_BACKEND']")
+def _pin_code(name: str) -> str:
+    """Code printing pin ``name`` of the manifest (tests/test_pins.py)."""
+    return (
+        "import os\n"
+        "from repro import _kernel\n"
+        "from tests.test_pins import PINS\n"
+        "assert _kernel.backend_name() == os.environ['REPRO_BACKEND'], "
+        "_kernel.backend_info()\n"
+        f"print(PINS[{name!r}][0]())\n"
+    )
 
 
 def test_determinism_digest_identical_across_backends():
     """The pinned ASP/AT/4 digest is the same hash under both backends."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "tdd", ROOT / "tests" / "test_determinism_digest.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-
-    digests = _run_both(DIGEST_CODE)
+    digests = _run_both(_pin_code("determinism"))
     assert digests["python"] == digests["compiled"]
-    assert digests["python"] == mod.EXPECTED_DIGEST
+    assert digests["python"] == PINS["determinism"][1]
 
 
 SWEEP_CELL_CODE = """\
@@ -238,30 +232,13 @@ def test_span_trace_identical_across_backends():
     assert digests["python"] == digests["compiled"]
 
 
-SERVING_CODE = """\
-from repro.apps.serving import ServingSpec
-from repro.bench.serving import run_serving, report_digest
-spec = ServingSpec(seed=0, nodes=64, keys=96, phases=3,
-                   requests_per_thread=4, churn=0.125, policy="AT",
-                   topology="fat-tree:edge=8:pod=2:oversub=2")
-print(report_digest(run_serving(spec)))
-"""
-
-#: Pinned digest of the 64-node serving leg above; recompute with the
-#: SERVING_CODE snippet if the traffic generator or report schema
-#: changes intentionally.
-SERVING_DIGEST = (
-    "fa4c2938a6b8baf7f569ae2654d3d3e84a0f12dd001a08af0ab77d27587216a8"
-)
-
-
 def test_serving_report_identical_across_backends():
     """A 64-node churned serving episode over a fat tree produces the
     pinned SLO-report digest under both backends — arrivals, request
     spans, epoch windows and tail quantiles all bit-identical."""
-    digests = _run_both(SERVING_CODE)
+    digests = _run_both(_pin_code("serving_parity"))
     assert digests["python"] == digests["compiled"]
-    assert digests["python"] == SERVING_DIGEST
+    assert digests["python"] == PINS["serving_parity"][1]
 
 
 REFERENCE_FOLD_CODE = """\
@@ -287,21 +264,26 @@ def test_serving_report_equals_offline_fold_under_both_backends():
 ANALYZE_CODE = """\
 import hashlib, tempfile, os
 from repro.bench.record import record_trace
-from repro.bench.analyze import analyze_trace, render_analysis
-fd, path = tempfile.mkstemp(suffix=".jsonl")
-os.close(fd)
-try:
-    record_trace(path, app="asp", app_kwargs={"size": 20}, policy="AT",
+from repro.bench.analyze import (
+    analyze_trace, render_analysis, write_json_report,
+)
+with tempfile.TemporaryDirectory() as tmp:
+    trace = os.path.join(tmp, "trace.jsonl")
+    payload = os.path.join(tmp, "slo.json")
+    record_trace(trace, app="asp", app_kwargs={"size": 20}, policy="AT",
                  nodes=4)
-    report = render_analysis(analyze_trace(path))
-finally:
-    os.unlink(path)
-print(hashlib.sha256(report.encode()).hexdigest())
+    slo = analyze_trace(trace)
+    write_json_report(slo, payload)
+    with open(payload, "rb") as handle:
+        raw = handle.read()
+markdown = render_analysis(slo).encode()
+print(hashlib.sha256(markdown).hexdigest(), hashlib.sha256(raw).hexdigest())
 """
 
 
 def test_slo_report_identical_across_backends():
-    """The rendered SLO analysis is byte-identical under both backends."""
+    """The rendered SLO analysis and its ``analyze --json`` payload are
+    byte-identical under both backends."""
     digests = _run_both(ANALYZE_CODE)
     assert digests["python"] == digests["compiled"]
 

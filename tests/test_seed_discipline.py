@@ -1,6 +1,6 @@
 """Seed-discipline audit: no module-level RNG anywhere in the tree.
 
-Determinism is a hard gate here (``test_determinism_digest.py``), and
+Determinism is a hard gate here (``test_pins.py``), and
 the conformance harness promises byte-identical episodes per seed.  Both
 break silently the moment any code draws from a *shared global* RNG —
 ``random.random()``, ``np.random.rand()``, ``random.seed(...)`` — whose

@@ -17,7 +17,6 @@ Three layers of coverage:
 """
 
 import ast
-import importlib.util
 import warnings
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from repro.obs.export import JsonlTraceWriter
 from repro.obs.spans import SPAN_KINDS, SpanTracer, span_guard
 from repro.trace.events import TraceEvent
 from repro.trace.recorder import TraceRecorder
+from tests.test_pins import PINS, determinism_payload, digest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -554,47 +554,16 @@ def test_redirect_hops_nest_under_their_fault():
 # -- determinism: spans are observation-only ---------------------------------
 
 
-def _digest_module():
-    spec = importlib.util.spec_from_file_location(
-        "tdd", ROOT / "tests" / "test_determinism_digest.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_digest_unchanged_with_spans_enabled():
     """The pinned digest must not move when span recording is on.
 
-    The digest's own harness records migrations only (spans disabled);
-    re-running the identical workload with an unfiltered recorder proves
-    the instrumentation never perturbs stats, scheduling or timing.
+    The manifest's determinism pin records migrations only (spans
+    disabled); re-running the identical workload with an unfiltered
+    recorder proves the instrumentation never perturbs stats, scheduling
+    or timing.
     """
-    mod = _digest_module()
     tracer = TraceRecorder()
-    jvm = DistributedJVM(
-        nodes=4,
-        comm_model=FAST_ETHERNET,
-        policy=make_policy("AT"),
-        mechanism=make_mechanism("forwarding-pointer"),
-        tracer=tracer,
-    )
-    result = jvm.run(Asp(size=64))
-    payload = {
-        "stats": result.stats.snapshot(),
-        "time_us": result.execution_time_us,
-        "migrations": [
-            [
-                event.time_us,
-                event.oid,
-                event.node,
-                event.detail.get("old_home"),
-                event.detail.get("new_home"),
-            ]
-            for event in tracer.migrations()
-        ],
-    }
-    assert mod._digest(payload) == mod.EXPECTED_DIGEST
+    assert digest(determinism_payload(tracer)) == PINS["determinism"][1]
     _assert_well_formed(tracer)
 
 
