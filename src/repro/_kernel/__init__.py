@@ -171,7 +171,7 @@ def _load_from_path(path: Path) -> Any:
 # Oldest extension ABI this selection layer can drive.  Bumped when the
 # Python side starts depending on new C symbols or a changed contract
 # (level 6: set_topology takes tier vectors + class costs; level 7: the
-# engine re-queues arrivals as DeliveryPort.deliver events — an older
+# engine re-queues arrivals as DeliveryPort delivery events — an older
 # build batches them and drifts events_processed from the Python
 # backend; level 8: LocalAccess reads the engine's cache as a plain
 # dict; level 9: LocalAccess no longer reads ``engine.arena`` and calls

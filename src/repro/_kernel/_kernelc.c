@@ -72,6 +72,7 @@ typedef struct {
     long long seq;
     PyObject *cb;   /* callback, owned */
     PyObject *args; /* argument tuple, owned; NULL for the no-arg fast path */
+    int delivery;   /* cb is a DeliveryPort past the message's arrival */
 } Ev;
 
 typedef struct {
@@ -192,6 +193,7 @@ engine_push_common(EngineObject *self, double time, PyObject *const *argv,
     Py_INCREF(argv[0]);
     ev.cb = argv[0];
     ev.args = args;
+    ev.delivery = 0;
     heap_push(self, ev);
     Py_RETURN_NONE;
 }
@@ -259,16 +261,37 @@ Engine_call_soon(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* One node's delivery endpoint (see DeliveryPort below).  A message's
- * arrival event has the port itself as its callback. */
+ * arrival and delivery events have the port itself as their callback
+ * and (category, payload) as their arguments. */
 typedef struct {
     PyObject_HEAD
     PyObject *table;       /* category -> handler(owner, payload) dict */
     PyObject *owner;       /* the node's endpoint, each handler's first arg */
     double service;
-    PyObject *deliver_cb;  /* bound self.deliver */
 } PortObject;
 
 static PyTypeObject PortType;
+
+/* A delivery: run table[category](owner, payload). */
+static PyObject *
+port_deliver(PortObject *port, PyObject *args)
+{
+    PyObject *res, *argv[2] = {port->owner, PyTuple_GET_ITEM(args, 1)};
+    PyObject *handler = PyDict_GetItemWithError(port->table,
+                                                PyTuple_GET_ITEM(args, 0));
+
+    if (handler == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(PyExc_RuntimeError, "unhandled message category %R",
+                         PyTuple_GET_ITEM(args, 0));
+        }
+        return NULL;
+    }
+    Py_INCREF(handler);
+    res = PyObject_Vectorcall(handler, argv, 2, NULL);
+    Py_DECREF(handler);
+    return res;
+}
 
 /* _drain(until_or_None)
  *
@@ -278,8 +301,8 @@ static PyTypeObject PortType;
  * exact when a callback raises, mirroring the Python try/finally.
  *
  * An arrival event (callback a DeliveryPort) makes no call: it goes back
- * on the heap as the port's delivery at now + service_us with the next
- * seq, keeping its (category, payload) tuple -- the event the Python
+ * on the heap marked as the port's delivery at now + service_us with the
+ * next seq, keeping its (category, payload) tuple -- the event the Python
  * backend's _PyDeliveryPort.arrive schedules. */
 static PyObject *
 Engine_drain(EngineObject *self, PyObject *arg)
@@ -308,29 +331,28 @@ Engine_drain(EngineObject *self, PyObject *arg)
         self->now = ev.time;
         self->processed++;
         if (Py_IS_TYPE(ev.cb, &PortType)) {
-            PortObject *port = (PortObject *)ev.cb;
-
-            /* the pop freed the slot this push refills */
-            ev.time = self->now + port->service;
-            ev.seq = self->seq++;
-            ev.cb = Py_NewRef(port->deliver_cb);
-            Py_DECREF(port);
-            heap_push(self, ev);
+            if (!ev.delivery) {
+                /* the pop freed the slot this push refills */
+                ev.time = self->now + ((PortObject *)ev.cb)->service;
+                ev.seq = self->seq++;
+                ev.delivery = 1;
+                heap_push(self, ev);
+                continue;
+            }
+            res = port_deliver((PortObject *)ev.cb, ev.args);
+        }
+        else if (ev.args != NULL) {
+            res = PyObject_Call(ev.cb, ev.args, NULL);
         }
         else {
-            if (ev.args != NULL) {
-                res = PyObject_Call(ev.cb, ev.args, NULL);
-            }
-            else {
-                res = PyObject_CallNoArgs(ev.cb);
-            }
-            Py_DECREF(ev.cb);
-            Py_XDECREF(ev.args);
-            if (res == NULL) {
-                return NULL;
-            }
-            Py_DECREF(res);
+            res = PyObject_CallNoArgs(ev.cb);
         }
+        Py_DECREF(ev.cb);
+        Py_XDECREF(ev.args);
+        if (res == NULL) {
+            return NULL;
+        }
+        Py_DECREF(res);
     }
     Py_RETURN_FALSE;
 }
@@ -1252,39 +1274,11 @@ route_reply(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* DeliveryPort: per-node message delivery                                 */
 /* ---------------------------------------------------------------------- */
 
-/* deliver(category, payload): run table[category](owner, payload). */
-static PyObject *
-Port_deliver(PortObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *handler, *res, *argv[2];
-
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "deliver() requires (category, payload)");
-        return NULL;
-    }
-    handler = PyDict_GetItemWithError(self->table, args[0]);
-    if (handler == NULL) {
-        if (!PyErr_Occurred()) {
-            PyErr_Format(PyExc_RuntimeError,
-                         "unhandled message category %R", args[0]);
-        }
-        return NULL;
-    }
-    argv[0] = self->owner;
-    argv[1] = args[1];
-    Py_INCREF(handler);
-    res = PyObject_Vectorcall(handler, argv, 2, NULL);
-    Py_DECREF(handler);
-    return res;
-}
-
 static int
 Port_traverse(PortObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->table);
     Py_VISIT(self->owner);
-    Py_VISIT(self->deliver_cb);
     return 0;
 }
 
@@ -1293,7 +1287,6 @@ Port_clear_gc(PortObject *self)
 {
     Py_CLEAR(self->table);
     Py_CLEAR(self->owner);
-    Py_CLEAR(self->deliver_cb);
     return 0;
 }
 
@@ -1304,14 +1297,6 @@ Port_dealloc(PortObject *self)
     Port_clear_gc(self);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
-
-static PyMethodDef Port_methods[] = {
-    {"deliver", (PyCFunction)(void (*)(void))Port_deliver, METH_FASTCALL,
-     "deliver(category, payload)\n--\n\n"
-     "Run this node's handler for one message: "
-     "table[category](owner, payload)."},
-    {NULL, NULL, 0, NULL},
-};
 
 static int
 Port_init(PortObject *self, PyObject *args, PyObject *kwds)
@@ -1335,17 +1320,16 @@ Port_init(PortObject *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->table, Py_NewRef(table));
     Py_XSETREF(self->owner, Py_NewRef(owner));
     self->service = service;
-    Py_XSETREF(self->deliver_cb,
-               PyObject_GetAttrString((PyObject *)self, "deliver"));
-    return self->deliver_cb == NULL ? -1 : 0;
+    return 0;
 }
 
 static PyTypeObject PortType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._kernel._kernelc.DeliveryPort",
     .tp_doc = "Delivery endpoint for one node: an arrival event whose "
-              "callback is the port is re-queued by Engine._drain as one "
-              "deliver() event service_us later.",
+              "callback is the port is re-queued by Engine._drain as the "
+              "port's delivery service_us later, which runs "
+              "table[category](owner, payload).",
     .tp_basicsize = sizeof(PortObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = PyType_GenericNew,
@@ -1353,7 +1337,6 @@ static PyTypeObject PortType = {
     .tp_dealloc = (destructor)Port_dealloc,
     .tp_traverse = (traverseproc)Port_traverse,
     .tp_clear = (inquiry)Port_clear_gc,
-    .tp_methods = Port_methods,
 };
 
 /* ---------------------------------------------------------------------- */
@@ -1706,6 +1689,7 @@ fabric_send_core(FabricObject *f, PyObject *src_obj, PyObject *dst_obj,
     ev.seq = eng->seq++;
     ev.cb = Py_NewRef((PyObject *)port); /* an arrival: see Engine_drain */
     ev.args = evargs;
+    ev.delivery = 0;
     heap_push(eng, ev);
     Py_RETURN_NONE;
 }

@@ -38,14 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class _PyDeliveryPort:
     """Pure-Python twin of the kernel's ``DeliveryPort``.
 
-    A message's arrival event calls :meth:`arrive`, which schedules one
-    :meth:`deliver` event after the node's service overhead; the
-    compiled engine does the same re-queue in its drain loop without a
-    call (PROTOCOL.md §8).  Delivery runs ``table[category](owner,
-    payload)``: the table is shared by every node of one engine class.
+    A message's arrival event calls :meth:`arrive`, which schedules the
+    port itself as the delivery event after the node's service overhead;
+    the compiled engine does the same re-queue in its drain loop without
+    a call (PROTOCOL.md §8).  Delivery (calling the port) runs
+    ``table[category](owner, payload)``: the table is shared by every
+    node of one engine class.
     """
 
-    __slots__ = ("_schedule", "_table", "_owner", "_service", "_deliver")
+    __slots__ = ("_schedule", "_table", "_owner", "_service")
 
     def __init__(
         self, sim: "Simulator", table: dict, owner: Any, service_us: float
@@ -54,12 +55,11 @@ class _PyDeliveryPort:
         self._table = table
         self._owner = owner
         self._service = service_us
-        self._deliver = self.deliver
 
     def arrive(self, category: MsgCategory, payload: Any) -> None:
-        self._schedule(self._service, self._deliver, category, payload)
+        self._schedule(self._service, self, category, payload)
 
-    def deliver(self, category: MsgCategory, payload: Any) -> None:
+    def __call__(self, category: MsgCategory, payload: Any) -> None:
         handler = self._table.get(category)
         if handler is None:
             raise RuntimeError(f"unhandled message category {category!r}")

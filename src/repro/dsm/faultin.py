@@ -3,9 +3,10 @@ serves a request.
 
 A faulting node sends OBJ_REQUEST to its best-known home and follows
 redirections (§3.2) until the current home answers.  The home records a
-remote read, applies the Eq-2 test (:meth:`FaultInMixin._serve_request`)
-and replies with the image — or, when the policy fires, hands the home
-itself over (:meth:`~repro.dsm.migration.MigrationMixin._hand_off_home`).
+remote read, applies the Eq-2 test
+(:meth:`FaultInMixin._handle_obj_request`) and replies with the version's
+read-only snapshot — or, when the policy fires, hands the home itself
+over (:meth:`~repro.dsm.migration.MigrationMixin._hand_off_home`).
 A request reaching a node whose inbound hand-off is still in flight
 parks on the engine until the home lands.  The two §5.1 optimizations,
 batched fault-in (object pushing) and synchronized method shipping,
@@ -484,6 +485,8 @@ class FaultInMixin:
     # ------------------------------------------------------------------
 
     def _handle_obj_request(self, request: ObjRequest) -> None:
+        """Serve one fault: record the remote read, apply the Eq-2 test,
+        and reply with the version's snapshot or hand the home over."""
         if type(request) is ObjBatchRequest:
             self._handle_batch_request(request)
             return
@@ -492,12 +495,6 @@ class FaultInMixin:
         if entry is None:
             self._answer_not_home(oid, request)
             return
-        self._serve_request(entry, request)
-
-    def _serve_request(self, entry: HomeEntry, request: ObjRequest) -> None:
-        """Serve one fault: record the remote read, apply the Eq-2 test,
-        and reply with the image or hand the home over."""
-        oid = request.oid
         requester = request.requester
         state = entry.state
         events = self.stats.events
@@ -528,7 +525,12 @@ class FaultInMixin:
                 request.request_id, request.op_id,
             )
             return
-        data = entry.payload.copy()
+        # Replies share the version's read-only snapshot; an open home
+        # write takes a fresh one per reply (every version bump drops it).
+        data = entry.snapshot
+        if data is None or oid in self.home_dirty:
+            data = entry.snapshot = entry.payload.copy()
+            data.setflags(False)  # write=False; the keyword form costs 2x
         events["obj"] += 1
         self._send(
             requester,
@@ -548,13 +550,11 @@ class FaultInMixin:
             entry.state.record_remote_read(request.requester)
             self.stats.incr("remote_read")
             self.stats.incr("obj")
-            items.append(
-                (
-                    oid,
-                    entry.version,
-                    entry.payload.copy(),
-                )
-            )
+            data = entry.snapshot  # the snapshot rule of _handle_obj_request
+            if data is None or oid in self.home_dirty:
+                data = entry.snapshot = entry.payload.copy()
+                data.setflags(False)
+            items.append((oid, entry.version, data))
         size = REQUEST_BYTES + sum(
             self.heap.get(oid).size_bytes + REPLY_EXTRA_BYTES
             for oid, _v, _d in items
@@ -606,6 +606,7 @@ class FaultInMixin:
             )
         result = request.fn(entry.payload)
         entry.version += 1
+        entry.snapshot = None
         reply = ShipReply(oid, request.request_id, entry.version, self.node_id, result)
         if request.compute_us > 0:
             self.sim.schedule(

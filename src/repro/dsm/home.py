@@ -37,3 +37,6 @@ class HomeEntry:
     #: Local interval id of the last trapped home write (-1 = never);
     #: used to trap at most one write fault per interval.
     write_interval: int = -1
+    #: Read-only image of this version that every reply shares, made at
+    #: the first serve; dropped at each version bump (PROTOCOL.md §2).
+    snapshot: np.ndarray | None = None

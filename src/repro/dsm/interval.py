@@ -165,6 +165,7 @@ class IntervalMixin:
                 if entry is None:
                     continue  # migrated away mid-interval; notice carried
                 entry.version += 1
+                entry.snapshot = None
                 notices[oid] = entry.version
             self.home_dirty.clear()
         if self.carry_notices:
@@ -221,6 +222,7 @@ class IntervalMixin:
         # module-global lookup on purpose: the skip_diff mutation patches it
         apply_diff(entry.payload, msg.diff)
         entry.version += 1
+        entry.snapshot = None
         entry.state.record_remote_write(msg.writer, size_bytes)
         if self._tr_diff_apply:
             self.tracer.record(

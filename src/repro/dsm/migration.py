@@ -3,7 +3,7 @@ its installation, barrier-ordered migration, and the home-location
 messages.
 
 A migration is one handshake whatever triggers it: a served fault
-(:meth:`~repro.dsm.faultin.FaultInMixin._serve_request`, where the Eq-2
+(:meth:`~repro.dsm.faultin.FaultInMixin._handle_obj_request`, where the Eq-2
 test runs), a served ship, or a barrier manager's order (JiaJia).  The
 old home calls :meth:`MigrationMixin._hand_off_home`, which ships the
 image together with the access monitor in one
@@ -90,7 +90,7 @@ class MigrationMixin:
         """Ship the home of ``oid`` to ``new_home``: the sending half of
         every migration, whatever triggered it.
 
-        The message carries a snapshot of the image and the access
+        The message carries a private copy of the image and the access
         monitor itself, so the feedback loop continues at the new home.
         This node keeps its payload array as a valid cached copy behind
         a forwarding pointer, so a local thread holding a reference from
@@ -242,18 +242,20 @@ class MigrationMixin:
     def _install_home_transfer(self, msg: ObjReply) -> None:
         """Become the home of ``oid`` on a barrier-ordered hand-off.
 
-        If we hold a cached copy, the home payload reuses *that array
-        object* (updated in place), so any reference a local thread took
-        this interval keeps pointing at the node's authoritative copy.  A
-        dirty WRITE copy (the local thread started writing before the
-        transfer arrived) additionally has its uncommitted changes replayed
-        on top of the transferred image, and the new home traps that
-        replay as this interval's home write before serving anything.
+        If we hold a private cached copy, the home payload reuses *that
+        array object* (updated in place), so any reference a local thread
+        took this interval keeps pointing at the node's authoritative
+        copy; a clean fetched snapshot is read-only, so the home adopts
+        the shipped image instead.  A dirty WRITE copy (the local thread
+        started writing before the transfer arrived) additionally has its
+        uncommitted changes replayed on top of the transferred image, and
+        the new home traps that replay as this interval's home write
+        before serving anything.
         """
         oid = msg.oid
         cached = self.cache.pop(oid, None)
         written = False
-        if cached is None:
+        if cached is None or not cached.payload.flags.writeable:
             payload = msg.data
         else:
             payload = cached.payload

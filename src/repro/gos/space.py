@@ -172,8 +172,9 @@ class GlobalObjectSpace:
         phase; objects "exhibit the single-writer access pattern *after*
         they are initialized", §5.1).
         """
-        payload = self.engines[self.current_home(obj)].homes[obj.oid].payload
-        payload[:] = values
+        entry = self.engines[self.current_home(obj)].homes[obj.oid]
+        entry.payload[:] = values
+        entry.snapshot = None
 
     def migration_count(self) -> int:
         """Total home migrations performed so far."""

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
+import repro.check.runner as check_runner
 from repro import _kernel
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.cluster.network import Network
@@ -94,3 +96,21 @@ def run_threads(gos: GlobalObjectSpace, *bodies) -> float:
         if process.finished.exception is not None:
             raise process.finished.exception
     return end
+
+
+def packed(spec):
+    """A conformance episode with its threads packed onto half the nodes,
+    so that co-located threads synchronize while another one fetches."""
+    used = max(1, (spec.nodes + 1) // 2)
+    return replace(spec, placement=[t % used for t in range(spec.nthreads)])
+
+
+def episodes_on(monkeypatch, topology: str) -> None:
+    """Build the cluster of every conformance episode run from now on
+    over ``topology``."""
+    build_jvm = check_runner.DistributedJVM
+
+    def priced(cluster, **observers):
+        return build_jvm(replace(cluster, topology=topology), **observers)
+
+    monkeypatch.setattr(check_runner, "DistributedJVM", priced)

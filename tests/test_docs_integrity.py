@@ -80,6 +80,42 @@ def test_design_api_and_protocol_references_resolve():
     assert not any(missing.values()), missing
 
 
+#: Where a code name a document cites must occur: the source, tests,
+#: scripts and benchmarks (their Python, C and JSON files).
+_CODE_DIRS = ("src", "tests", "scripts", "benchmarks")
+
+
+def _code_words() -> set[str]:
+    words: set[str] = set()
+    for top in _CODE_DIRS:
+        for path in (ROOT / top).rglob("*"):
+            if path.suffix in (".py", ".c", ".json") and path.is_file():
+                words.update(re.findall(r"\w+", str(path.relative_to(ROOT))))
+                words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return words
+
+
+def test_protocol_and_design_code_names_resolve():
+    """Every backticked identifier containing ``_`` in docs/PROTOCOL.md
+    and DESIGN.md occurs as a word in a Python, C or JSON file (its text
+    or its path) under ``src/``, ``tests/``, ``scripts/`` or
+    ``benchmarks/``; a name ending in ``_``, as in ``twin_*``, is a
+    prefix and resolves when some word starts with it.  A document may
+    describe deleted code in words, but not cite it by a name that no
+    longer exists."""
+    words = _code_words()
+    missing = {}
+    for doc in ("docs/PROTOCOL.md", "DESIGN.md"):
+        for span in re.findall(r"`([^`\n]+)`", _doc(doc)):
+            for name in re.findall(r"[A-Za-z_]\w*", span):
+                if "_" not in name or name in words:
+                    continue
+                if name.endswith("_") and any(w.startswith(name) for w in words):
+                    continue
+                missing.setdefault(doc, set()).add(name)
+    assert not missing, missing
+
+
 def test_cli_targets_documented_match_registry():
     from repro.bench.cli import TARGETS
 

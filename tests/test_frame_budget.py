@@ -44,10 +44,10 @@ from repro.obs.metrics import MetricsRegistry
 #: re-queue, delivery and hit paths in C; the lock table and the request
 #: monitor are Python on both backends).  The assert allows 5 % on top.
 CALL_BUDGET = {
-    "synthetic-at-4": {"python": 16788, "compiled": 5539},
-    "synthetic-at-4-metered": {"python": 23110, "compiled": 10600},
-    "asp-nm-4": {"python": 33699, "compiled": 11921},
-    "serving-16": {"python": 19866, "compiled": 9423},
+    "synthetic-at-4": {"python": 16701, "compiled": 5539},
+    "synthetic-at-4-metered": {"python": 23023, "compiled": 10600},
+    "asp-nm-4": {"python": 33213, "compiled": 11435},
+    "serving-16": {"python": 19753, "compiled": 9310},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)

@@ -25,11 +25,8 @@ never revives a copy a co-located acquire dropped.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-import repro.check.runner as check_runner
 from repro import _kernel
 from repro.check.fuzz import episode_seeds, generate_program
 from repro.check.runner import run_episode
@@ -42,7 +39,7 @@ from repro.dsm.wire import ObjBatchReply, ObjReply
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
 
-from tests.conftest import run_threads
+from tests.conftest import episodes_on, packed, run_threads
 
 
 class NoticeShadow:
@@ -426,13 +423,6 @@ def test_ship_overtaking_an_in_flight_reply_refetches(backend, monkeypatch):
     assert shadow.violations == []
 
 
-def _spread(spec):
-    """The episode with its threads packed onto half the nodes, so that
-    co-located threads synchronize while another one fetches."""
-    used = max(1, (spec.nodes + 1) // 2)
-    return replace(spec, placement=[t % used for t in range(spec.nthreads)])
-
-
 @pytest.mark.parametrize(
     "topology", (None, "hier:leaf=2:oversub=4", "fat-tree:edge=2:pod=2:oversub=2")
 )
@@ -443,17 +433,12 @@ def test_every_installed_copy_meets_the_shadow_floors(
     shadow = _install_shadow(monkeypatch)
     checks = _twins_track_dirty(monkeypatch)
     if topology is not None:
-        build_jvm = check_runner.DistributedJVM
-
-        def priced(cluster, **observers):
-            return build_jvm(replace(cluster, topology=topology), **observers)
-
-        monkeypatch.setattr(check_runner, "DistributedJVM", priced)
+        episodes_on(monkeypatch, topology)
     for seed in episode_seeds(0, 25):
         shadow.floors.clear()  # node and object ids restart every episode
         spec = generate_program(seed, flavor=flavor)
         if topology is not None:
-            spec = _spread(spec)
+            spec = packed(spec)
         result = run_episode(spec=spec)
         assert result.ok, result.verdict()
     assert shadow.checked > 0

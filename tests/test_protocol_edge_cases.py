@@ -63,19 +63,21 @@ def test_transfer_race_deferrals_served_in_fifo_order(backend, monkeypatch):
     old_home, new_home = gos.engines[0], gos.engines[1]
     version = old_home.homes[obj.oid].version
     served = []
-    serve_request, handle_diff = DsmEngine._serve_request, DsmEngine._handle_diff
+    handle_request, handle_diff = (
+        DsmEngine._handle_obj_request, DsmEngine._handle_diff
+    )
 
-    def record_request(engine, entry, request):
-        if engine is new_home:
-            served.append(request.request_id)
-        serve_request(engine, entry, request)
+    def record_request(engine, request):
+        if engine is new_home and request.oid in engine.homes:
+            served.append(request.request_id)  # served, not parked
+        handle_request(engine, request)
 
     def record_diff(engine, msg):
         if engine is new_home:
             served.append(msg.request_id)
         handle_diff(engine, msg)
 
-    monkeypatch.setattr(DsmEngine, "_serve_request", record_request)
+    monkeypatch.setattr(DsmEngine, "_handle_obj_request", record_request)
     monkeypatch.setattr(DsmEngine, "_handle_diff", record_diff)
 
     replies = {}
