@@ -16,13 +16,13 @@ from repro.core.policies import AdaptiveThreshold
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
 from repro.memory.diff import apply_diff, compute_diff
-from repro.sim.engine import Simulator
+from repro.sim.engine import make_simulator
 from repro.sim.process import Delay
 
 
 def test_event_loop_throughput(benchmark):
     def run_10k_events():
-        sim = Simulator()
+        sim = make_simulator()
         for i in range(10_000):
             sim.schedule(float(i % 97), lambda: None)
         return sim.run()
@@ -32,7 +32,7 @@ def test_event_loop_throughput(benchmark):
 
 def test_process_switch_throughput(benchmark):
     def run_process_chain():
-        sim = Simulator()
+        sim = make_simulator()
 
         def body():
             for _ in range(2_000):
@@ -130,16 +130,20 @@ def _loop_wall(sim_cls) -> float:
 
 
 def _backend_classes():
-    """(PySimulator, CompiledSimulator), or skip when there is no kernel."""
+    """The simulator classes over the Python and the C event core (built
+    under each backend's seam table), or skip when there is no kernel."""
     from repro import _kernel
-    from repro.sim import engine
 
     kernel = _kernel.kernel()
     if kernel is None:
         reason = _kernel.backend_info()["reason"]
         pytest.skip(f"compiled backend unavailable: {reason}")
-    compiled = engine.CompiledSimulator or engine._build_compiled_class(kernel)
-    return engine.PySimulator, compiled
+    classes = []
+    for table in (_kernel.seam_table(None), _kernel.seam_table(kernel)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "SEAMS", table)
+            classes.append(type(make_simulator()))
+    return tuple(classes)
 
 
 def measure_backend_ratio() -> float:

@@ -16,11 +16,11 @@ from repro.gos.thread import ThreadContext
 from repro.obs.logging import RunLogger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import LogSink, MetricsSink, observer
-from repro.sim.engine import Simulator
+from repro.sim.engine import make_simulator
 
 
 def _run_10k_events():
-    sim = Simulator()
+    sim = make_simulator()
     for i in range(10_000):
         sim.schedule(float(i % 97), lambda: None)
     return sim.run()

@@ -2,23 +2,24 @@
 
 The hot kernels of the reproduction (event-heap drain, network send and
 delivery, the local-hit access paths, ``compute_diff``) have a compiled
-C implementation in ``_kernelc.c``.  This
-module owns building, loading and selecting it:
+C implementation in ``_kernelc.c``.  This module owns building, loading
+and selecting it, and it alone decides what runs:
 
+* ``SEAMS`` is the one read-only table of the hot seams
+  (:class:`Seams`): under the compiled backend each entry is the C
+  object, else its Python twin of the same constructor and call shape.
+  Consumers read ``_kernel.SEAMS`` when they are built
+  (``compute_diff`` on each call); none holds the extension module.
 * ``kernel()`` returns the loaded extension module, or ``None`` when the
-  pure-Python backend is active.  Resolution is lazy: the first call
-  triggers a build (a few seconds, cached afterwards) unless the
-  environment opts out.
+  pure-Python backend is active.
 * ``REPRO_BACKEND`` (``auto`` | ``python`` | ``compiled``) overrides
-  autodetection.  ``auto`` (the default) tries the compiled backend and
-  falls back to pure Python with a one-line warning; ``python`` skips the
-  build entirely; ``compiled`` raises when the extension is unavailable.
-  Any other value raises :class:`ValueError`, exactly as
-  ``select_backend()`` does.
+  autodetection, read when this module is first imported.  ``auto`` (the
+  default) tries the compiled backend and falls back to pure Python with
+  a one-line warning; ``python`` skips the build entirely; ``compiled``
+  raises when the extension is unavailable.  Any other value raises
+  :class:`ValueError`, exactly as ``select_backend()`` does.
 * ``select_backend()`` re-resolves at runtime (used by the CLI
-  ``--backend`` flag) and rebinds every module that resolved the kernel
-  once at import (``repro.sim.engine.Simulator`` and ``compute_diff``'s
-  kernel handle).
+  ``--backend`` flag) and replaces the table.
 
 The extension is compiled at first use with the toolchain recorded in
 Python's sysconfig (override with ``REPRO_KERNEL_CC``), into
@@ -27,9 +28,9 @@ versions, so stale caches can never be loaded.  A ``setup.py`` build
 (``python setup.py build_ext --inplace``) that produced an importable
 ``repro._kernel._kernelc`` takes precedence.
 
-Both backends are bit-identical by contract: the determinism digest, the
-conformance oracle and the backend-parity test suite all pass unchanged
-whichever backend is active.
+Both backends, and any mix :func:`seam_table` builds, are bit-identical
+by contract: the virtual-time pins, the conformance oracle and the
+backend-parity test suite all pass unchanged whichever is active.
 """
 
 from __future__ import annotations
@@ -44,14 +45,17 @@ import sys
 import sysconfig
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
+    "SEAMS",
+    "Seams",
     "backend_info",
     "backend_name",
     "build_hash",
     "build_log_path",
     "kernel",
+    "seam_table",
     "select_backend",
 ]
 
@@ -188,9 +192,59 @@ def _load_from_path(path: Path) -> Any:
 # needs no bump.
 _MIN_KERNEL_API = 12
 
-#: Modules that resolve the kernel once at import; ``select_backend()``
-#: re-points each through its ``_rebind_kernel()``.
-_REBOUND_MODULES = ("repro.sim.engine", "repro.memory.diff")
+
+class Seams(NamedTuple):
+    """The hot seams, each the C object or its Python twin: the event
+    core, the network send body, a home-based engine's local-hit probes,
+    a thread's read/write bodies, a local hit's finished ``yield from``
+    target, the request/reply futures, the reply handler and the diff
+    scan (see :func:`_python_twins` for where each twin lives)."""
+
+    Engine: type
+    NetFabric: type
+    LocalAccess: type
+    Accessor: type
+    Ready: type
+    Future: type
+    route_reply: Callable[[Any, Any], None]
+    diff_arrays: Callable[[Any, Any], Any]
+
+
+def _python_twins() -> Seams:
+    from repro.cluster.network import PyNetFabric
+    from repro.dsm.faultin import PyLocalAccess
+    from repro.dsm.sync import SyncManager
+    from repro.gos.thread import _PyAccessor, _PyReady
+    from repro.memory.diff import diff_arrays
+    from repro.sim.engine import PyEngine
+    from repro.sim.future import Future
+
+    return Seams(
+        PyEngine, PyNetFabric, PyLocalAccess, _PyAccessor, _PyReady, Future,
+        SyncManager._resolve_reply, diff_arrays,
+    )
+
+
+def seam_table(module: Any, python: Any = ()) -> Seams:
+    """The seam table over the extension ``module`` (``None``: every
+    Python twin), with the seams named in ``python`` swapped for their
+    Python twins.
+
+    Two pairings hold whatever is asked: the C ``NetFabric`` only over
+    the C ``Engine`` (it pushes onto the C heap), and the C ``Accessor``
+    only over the C ``LocalAccess`` (it calls its probes in C).  A mixed
+    table is a test's tool; the backends themselves build pure ones.
+    """
+    python = set(Seams._fields if module is None else python)
+    if "Engine" in python:
+        python.add("NetFabric")
+    if "LocalAccess" in python:
+        python.add("Accessor")
+    twins = _python_twins() if python else None
+    return Seams(*(
+        getattr(twins if name in python else module, name)
+        for name in Seams._fields
+    ))
 
 
 def _load_or_build() -> Any:
@@ -233,6 +287,8 @@ def _parse_backend(requested: str) -> str:
 
 
 def _resolve(name: str) -> None:
+    # the table is rebuilt from the new state on its next read
+    globals().pop("SEAMS", None)
     if name == "python":
         _state.update(
             resolved=True, module=None, name="python",
@@ -278,9 +334,8 @@ def _resolve(name: str) -> None:
 def kernel() -> Any:
     """The loaded extension module, or ``None`` for the pure-Python backend.
 
-    Resolves lazily on first call (honouring ``REPRO_BACKEND``); hot-path
-    consumers call this per operation, so after resolution it is a dict
-    lookup and a branch.
+    The backend is resolved when this module is first imported
+    (honouring ``REPRO_BACKEND``); consumers read :data:`SEAMS` instead.
     """
     if not _state["resolved"]:
         _resolve(_parse_backend(os.environ.get("REPRO_BACKEND", "auto")))
@@ -288,8 +343,7 @@ def kernel() -> Any:
 
 
 def backend_name() -> str:
-    """``"compiled"`` or ``"python"`` — the active backend (resolving
-    lazily, like :func:`kernel`)."""
+    """``"compiled"`` or ``"python"`` — the active backend."""
     kernel()
     return _state["name"]
 
@@ -329,20 +383,29 @@ def select_backend(name: str) -> str:
     """Force the backend at runtime; returns the active backend name.
 
     Sets ``REPRO_BACKEND`` (so worker subprocesses inherit the choice),
-    re-resolves, and rebinds ``repro.sim.engine.Simulator`` /
-    ``repro.sim.Simulator`` and the other ``_REBOUND_MODULES`` that are
-    already imported.
-    Raises :class:`ValueError` for an unknown name and
-    :class:`RuntimeError` for ``name="compiled"`` when the extension
-    cannot be built.  Call it before constructing simulators;
-    already-built simulators keep their original backend.
+    re-resolves, and replaces :data:`SEAMS`.  Raises :class:`ValueError`
+    for an unknown name and :class:`RuntimeError` for
+    ``name="compiled"`` when the extension cannot be built.  Call it
+    before constructing simulators; already-built simulators, networks,
+    engines and threads keep the seams they were built with.
     """
     name = _parse_backend(name)
     os.environ["REPRO_BACKEND"] = name
     _state["resolved"] = False
     _resolve(name)
-    for module_name in _REBOUND_MODULES:
-        module = sys.modules.get(module_name)
-        if module is not None:
-            module._rebind_kernel()
     return _state["name"]
+
+
+def __getattr__(name: str) -> Any:
+    # SEAMS is built on its first read, once every twin's module can be
+    # imported, and then lives in this module's namespace: later reads
+    # are plain attribute lookups.
+    if name == "SEAMS":
+        table = globals()["SEAMS"] = seam_table(kernel())
+        return table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# Resolve at import, so a bad REPRO_BACKEND fails the first import of
+# the package rather than its first simulation.
+kernel()

@@ -6,13 +6,13 @@
  * each); everything else is one Python path.  Among them:
  *
  *   Engine            -- the event-heap core of repro.sim.engine (push +
- *                        drain).  repro.sim.engine.CompiledSimulator
- *                        subclasses it from Python and layers the process /
- *                        deadlock bookkeeping on top.
+ *                        drain).  repro.sim.engine.make_simulator puts
+ *                        the one Simulator body (process / deadlock
+ *                        bookkeeping) on top of it, or of PyEngine.
  *   diff_arrays       -- the element-wise scan behind
  *                        repro.memory.diff.compute_diff.
  *   NetFabric         -- the compiled twin of repro.cluster.network's
- *                        Network.send, with per-node DeliveryPorts that call
+ *                        PyNetFabric, with per-node DeliveryPorts that call
  *                        handler(owner, payload) from the engine class's
  *                        shared category -> handler table.
  *
@@ -501,7 +501,7 @@ static PyTypeObject EngineType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._kernel._kernelc.Engine",
     .tp_doc = "Compiled event-heap simulator core (time, seq)-ordered, "
-              "subclassed by repro.sim.engine.CompiledSimulator.",
+              "under repro.sim.engine.Simulator (make_simulator).",
     .tp_basicsize = sizeof(EngineObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
     .tp_new = PyType_GenericNew,
@@ -700,7 +700,7 @@ diff_arrays(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 /* Protocol fast paths                                                     */
 /*                                                                         */
 /* C twins of the per-access and per-message protocol bodies: the          */
-/* try_read_local / try_write_local hit paths (LocalAccess, reading the    */
+/* try_read / try_write local-hit paths (LocalAccess, reading the          */
 /* engine's cache dict directly), the fused thread accessor, route_reply,  */
 /* and the network send + delivery boundary (NetFabric /                   */
 /* DeliveryPort / FabricSender).  Each reproduces the pure-Python          */
@@ -739,7 +739,7 @@ counter_add(PyObject *counter, PyObject *key, PyObject *delta)
 }
 
 /* ---------------------------------------------------------------------- */
-/* LocalAccess: try_read_local / try_write_local hit paths                 */
+/* LocalAccess: try_read / try_write local-hit paths                       */
 /* ---------------------------------------------------------------------- */
 
 typedef struct {
@@ -955,7 +955,7 @@ static PyMethodDef LocalAccess_methods[] = {
 static PyTypeObject LocalAccessType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._kernel._kernelc.LocalAccess",
-    .tp_doc = "Compiled try_read_local/try_write_local hit paths over the "
+    .tp_doc = "Compiled try_read/try_write local-hit paths over the "
               "homes and cache dicts of one protocol engine.",
     .tp_basicsize = sizeof(LocalAccessObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,

@@ -74,11 +74,6 @@ class ClusterStats:
 
     # -- memory telemetry --------------------------------------------------
 
-    def record_peak(self, name: str, value: int) -> None:
-        """Track the high-water mark of a memory-state quantity."""
-        if self.peaks.get(name, 0) < value:
-            self.peaks[name] = value
-
     def memory_snapshot(self) -> dict[str, int]:
         """Sorted copy of the peak telemetry (reports only, never hashed)."""
         return dict(sorted(self.peaks.items()))

@@ -44,6 +44,7 @@ behaviour bit for bit.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -121,20 +122,25 @@ class ClusterTopology:
         self.class_costs = costs
         #: Number of distinct shared uplinks (contention resources).
         self.nlinks = nlinks
-        # What pair() walks, as plain lists (they index several times faster
-        # than numpy scalars): per tier the group ids and, per source node,
-        # the ready-made triple of the class that tier opens.
-        tiers = ids.tolist()
-        self._same_switch = (*costs[0].tolist(), -1)
-        self._tiers = [
+        self.__dict__.pop("_pair_classes", None)
+
+    @cached_property
+    def _pair_classes(self) -> tuple:
+        """What :meth:`pair` walks, built on its first call, as plain
+        lists (they index several times faster than numpy scalars): the
+        same-switch triple and, per tier, the group ids and, per source
+        node, the ready-made triple of the class that tier opens."""
+        tiers = self.group_ids.tolist()
+        costs = self.class_costs
+        return (*costs[0].tolist(), -1), [
             (groups, [(hop, pen, link) for link in tiers[0]])
             for groups, (hop, pen) in zip(tiers, costs[1:].tolist())
         ]
 
     def pair(self, src: int, dst: int) -> tuple[float, float, int]:
         """``(hop_us, bw_penalty, link)`` for one ordered pair."""
-        triple = self._same_switch
-        for groups, triples in self._tiers:
+        triple, tiers = self._pair_classes
+        for groups, triples in tiers:
             if groups[src] == groups[dst]:
                 break
             triple = triples[src]

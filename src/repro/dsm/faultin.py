@@ -53,6 +53,20 @@ _SHIP_REQUEST = MsgCategory.SHIP_REQUEST
 _SHIP_REPLY = MsgCategory.SHIP_REPLY
 
 
+class PyLocalAccess:
+    """Pure-Python twin of the kernel's ``LocalAccess``: an engine's
+    local-hit probes ``try_read(oid)`` and ``try_write(oid)``, here its
+    own ``_read_local`` and ``_write_local`` bound as they are, so a
+    probe costs one call.  ``fast_write`` switches the C probe's untraced
+    twin creation; the Python body traces for itself."""
+
+    __slots__ = ("try_read", "try_write")
+
+    def __init__(self, engine: Any, fast_write: bool):
+        self.try_read = engine._read_local
+        self.try_write = engine._write_local
+
+
 class FaultInMixin:
     """Probes, the miss path, batched fault-in, method shipping and the
     home side of a request (a mixin of
@@ -67,8 +81,8 @@ class FaultInMixin:
     def _read_local(self, oid: int) -> np.ndarray | None:
         """Readable payload if no communication is needed, else ``None``.
 
-        The local half of a read as a plain call, bound as the engine's
-        ``try_read_local`` under the Python backend: the caller builds no
+        The local half of a read as a plain call, the Python
+        ``LocalAccess``'s ``try_read``: the caller builds no
         generator on the overwhelmingly common local hit, and on ``None``
         enters :meth:`_fault_in` directly.  Payloads are always arrays,
         so ``None`` is unambiguous.
@@ -85,9 +99,9 @@ class FaultInMixin:
         """Writable payload if no communication is needed, else ``None``.
 
         The local half of a write (the home-write trap, twin creation,
-        dirty tracking) as a plain call, bound as the engine's
-        ``try_write_local`` under the Python backend (the compiled probe
-        calls it when twin creation is traced); on ``None`` the caller
+        dirty tracking) as a plain call, the Python ``LocalAccess``'s
+        ``try_write`` (the compiled probe calls it when twin creation is
+        traced); on ``None`` the caller
         enters :meth:`_fault_in`, which ends in the write probe again.
         """
         entry = self.homes.get(oid)
@@ -438,7 +452,7 @@ class FaultInMixin:
                         marker.resolve(None)
             if not for_write:
                 return payload
-            payload = self.try_write_local(oid)
+            payload = self.local_access.try_write(oid)
             if payload is not None:
                 return payload
 

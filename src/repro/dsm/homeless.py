@@ -40,6 +40,7 @@ from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.dsm.barrier import BarrierHandle
 from repro.dsm.cache import AccessMode
+from repro.dsm.faultin import PyLocalAccess
 from repro.dsm.locks import LockHandle
 from repro.dsm.sync import SyncManager
 from repro.dsm.wire import (
@@ -112,7 +113,7 @@ class HomelessEngine(SyncManager):
 
     __slots__ = (
         "replicas", "history", "retained_bytes", "on_barrier_complete",
-        "_own_seq", "dirty", "required",
+        "_own_seq", "dirty", "required", "local_access",
     )
 
     #: One homeless write notice: oid + writer + seq.
@@ -140,6 +141,7 @@ class HomelessEngine(SyncManager):
         self.dirty: set[int] = set()
         #: (oid, writer) -> seq this node must reach before reading.
         self.required: dict[tuple[int, int], int] = {}
+        self.local_access = PyLocalAccess(self, True)
         self._register_endpoint()
 
     @classmethod
@@ -181,11 +183,12 @@ class HomelessEngine(SyncManager):
 
     # -- thread-facing operations -------------------------------------------
 
-    def try_read_local(self, oid: int) -> np.ndarray | None:
+    def _read_local(self, oid: int) -> np.ndarray | None:
         """Readable payload if up to date locally, else ``None``.
 
-        Same contract as the home-based protocol's ``try_read_local``:
-        lets :class:`~repro.gos.thread.ThreadContext` skip generator
+        Same contract as the home-based protocol's ``_read_local``, and
+        probed through the same Python ``LocalAccess`` twin on either
+        backend: lets :class:`~repro.gos.thread.ThreadContext` skip generator
         construction on local hits.  Materialising the initial replica
         is a local operation, so it happens here exactly as in
         :meth:`_fault_in`.
@@ -197,7 +200,7 @@ class HomelessEngine(SyncManager):
             return None
         return replica.payload
 
-    def try_write_local(self, oid: int) -> np.ndarray | None:
+    def _write_local(self, oid: int) -> np.ndarray | None:
         """Writable payload if up to date locally, else ``None``."""
         replica = self._replica(oid)
         if replica.mode is AccessMode.INVALID or self._missing_writers(

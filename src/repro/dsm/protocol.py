@@ -4,7 +4,7 @@ One :class:`DsmEngine` runs on every cluster node.  It owns the node's
 object cache, the home entries of objects homed here, the forwarding
 pointers of objects that migrated away, and the manager-side state of
 locks and barriers homed here.  Thread-facing operations are the local
-probes ``try_read_local``/``try_write_local`` (plain calls) and the
+probes ``local_access.try_read``/``try_write`` (plain calls) and the
 generators the simulation engine drives: ``_fault_in`` (the miss path),
 ``read_many``, ``ship``, ``acquire``, ``release`` and ``barrier``.
 Message handling is plain functions ``handler(engine, payload)``, in one
@@ -89,9 +89,9 @@ class DsmEngine(
         "carry_notices", "interval", "manager_home_map", "pending_foreign",
         "_pending_diffs", "_local_home_waits", "_inflight", "_overtaken",
         "_batches",
-        # the local probes: the kernel's LocalAccess methods when
-        # compiled, else the bound _read_local/_write_local
-        "try_read_local", "try_write_local",
+        # the local probes try_read/try_write: the seam table's
+        # LocalAccess over this engine
+        "local_access",
     )
 
     def __init__(
@@ -191,20 +191,11 @@ class DsmEngine(
         self._overtaken: dict[int, int] = {}
         self._batches: dict[int, tuple[dict[int, list[int]], dict[int, int]]] = {}
 
-        kernel_module = _kernel.kernel()
-        # Protocol fast paths.  Compiled backend: the local-hit read/write
-        # bodies run in C against the homes and cache dicts, with cold
-        # paths (the home-write trap, twin creation, tracing) falling back
-        # to the Python bodies.
-        if kernel_module is not None:
-            local_access = kernel_module.LocalAccess(
-                self, not self._tr_twin_create
-            )
-            self.try_read_local = local_access.try_read
-            self.try_write_local = local_access.try_write
-        else:
-            self.try_read_local = self._read_local
-            self.try_write_local = self._write_local
+        # The local-hit probes: the compiled LocalAccess runs the hit
+        # bodies in C, and the Python bodies it twins on cold paths.
+        self.local_access = _kernel.SEAMS.LocalAccess(
+            self, not self._tr_twin_create
+        )
         # The network delivers through per-node ports (in C under the
         # compiled engine); it binds this engine's sender once every node
         # has registered.

@@ -49,7 +49,6 @@ from repro.dsm.wire import (
     LockGrantMsg,
     LockReleaseMsg,
 )
-from repro.sim.future import Future
 from repro.sim.process import Delay
 
 #: Retry-discipline lock backoff: base + U(0, jitter) microseconds.
@@ -63,9 +62,10 @@ _BARRIER_ARRIVE = MsgCategory.BARRIER_ARRIVE
 _BARRIER_RELEASE = MsgCategory.BARRIER_RELEASE
 
 
-#: Handler tables by (engine class, kernel module or None): one
-#: ``category -> handler(engine, payload)`` dict per engine class and
-#: backend, shared by every engine (see :meth:`SyncManager._handler_table`).
+#: Handler tables by (engine class, reply handler): one ``category ->
+#: handler(engine, payload)`` dict per engine class and seam table's
+#: ``route_reply``, shared by every engine (see
+#: :meth:`SyncManager._handler_table`).
 _HANDLER_TABLES: dict[tuple[type, Any], dict] = {}
 
 
@@ -108,15 +108,11 @@ class SyncManager:
         #: relays releases through a k-ary tree instead, bounding any
         #: single NIC's injection run at k messages.
         self.release_fanout = release_fanout
-        kernel_module = _kernel.kernel()
-        #: Hot-path Future class: the C twin when compiled (request/reply
-        #: round trips create tens of thousands per run), else the
-        #: pure-Python reference.  Interchangeable by contract.  Labels on
-        #: these futures are static kind strings — per-call f-strings cost
-        #: more than the futures themselves at this volume.
-        self._Future = (
-            kernel_module.Future if kernel_module is not None else Future
-        )
+        #: The seam table's Future class (request/reply round trips
+        #: create tens of thousands per run).  Labels on these futures are
+        #: static kind strings — per-call f-strings cost more than the
+        #: futures themselves at this volume.
+        self._Future = _kernel.SEAMS.Future
         self.lock_table = LockTable()
         self.barriers: dict[int, BarrierState] = {}
         #: Request id -> future of every outstanding request/reply round
@@ -144,34 +140,31 @@ class SyncManager:
 
     def _resolve_reply(self, payload: Any) -> None:
         """The handler of every reply category: resolve the round trip's
-        future with the reply (the kernel's ``route_reply`` when
-        compiled)."""
+        future with the reply (the Python twin of the kernel's
+        ``route_reply``)."""
         self._reply_waiters.pop(payload.request_id).resolve(payload)
 
     @classmethod
-    def _handler_table(cls, kernel_module: Any) -> dict:
+    def _handler_table(cls, route_reply: Any) -> dict:
         """This engine class's ``category -> handler(engine, payload)``
-        table under ``kernel_module``'s backend: built once by
-        :meth:`_build_dispatch` and shared by every engine of the class,
-        whose delivery port passes the engine as the first argument."""
-        key = (cls, kernel_module)
+        table with ``route_reply`` for every reply category: built once
+        by :meth:`_build_dispatch` and shared by every engine of the
+        class, whose delivery port passes the engine as the first
+        argument."""
+        key = (cls, route_reply)
         table = _HANDLER_TABLES.get(key)
         if table is None:
-            route_reply = (
-                kernel_module.route_reply
-                if kernel_module is not None
-                else SyncManager._resolve_reply
-            )
             table = _HANDLER_TABLES[key] = cls._build_dispatch(route_reply)
         return table
 
     def _register_endpoint(self) -> None:
         """Register with the network as node ``node_id``'s endpoint: the
-        class's shared handler table, this engine as the owner every
-        handler receives, and :meth:`_bind_sender`."""
+        class's shared handler table over the seam table's
+        ``route_reply``, this engine as the owner every handler
+        receives, and :meth:`_bind_sender`."""
         self.network.register_fast_dispatch(
             self.node_id,
-            self._handler_table(_kernel.kernel()),
+            self._handler_table(_kernel.SEAMS.route_reply),
             self,
             SyncManager._bind_sender,
         )

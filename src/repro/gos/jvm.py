@@ -215,7 +215,9 @@ class DistributedJVM:
         Each run constructs a new :class:`GlobalObjectSpace` (fresh
         simulator, network, heap, engines), so runs are independent and
         deterministic.  CPython's cyclic collector is paused for the call
-        and the caller's collector state is restored afterwards.
+        and the caller's collector state is restored afterwards.  The
+        first thread that raises ends the run with its
+        :class:`~repro.sim.errors.ProcessFailed`.
         """
         with _cycle_collector_paused():
             return self._run(app, nthreads)
@@ -269,21 +271,21 @@ class DistributedJVM:
         for tid in range(threads):
             node = app.placement(tid, nodes, threads)
             ctx = ThreadContext(gos, tid, node)
-            processes.append(
-                gos.sim.spawn(app.thread_body(ctx, tid), name=f"{app.name}-t{tid}")
+            process = gos.sim.spawn(
+                app.thread_body(ctx, tid), name=f"{app.name}-t{tid}"
             )
+            # A failed thread ends the run: its peers may wait on it for
+            # ever (a held lock under the retry discipline never drains).
+            process.finished.add_done_callback(_raise_failure)
+            processes.append(process)
         try:
             execution_time = gos.sim.run()
         except Exception:
-            # a thread failure often surfaces as a deadlock of its peers;
-            # report the root cause instead
+            # report the failed thread's exception, not what it caused
             for process in processes:
                 if process.done and process.finished.exception is not None:
                     raise process.finished.exception from None
             raise
-        for process in processes:
-            if process.finished.exception is not None:
-                raise process.finished.exception
         output = app.finalize(gos)
         if self.metrics is not None:
             _count_traffic(self.metrics, gos.stats)
@@ -344,3 +346,10 @@ def _count_traffic(metrics, stats: ClusterStats) -> None:
         metrics.counter("net_bytes_total", category=label).inc(
             stats.msg_bytes[category]
         )
+
+
+def _raise_failure(finished) -> None:
+    """Done-callback of a thread's ``finished`` future: raise a failure
+    out of the simulator's drain."""
+    if finished.exception is not None:
+        raise finished.exception

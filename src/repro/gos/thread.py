@@ -59,18 +59,18 @@ class _PyReady:
 
 class _PyAccessor:
     """Pure-Python twin of the kernel ``Accessor``: the ``read`` and
-    ``write`` bodies of one thread over its engine's probes and miss
-    generator.  A context holds this object's bound methods, which do
-    not point back at the context, so a finished thread is freed by
-    reference counting."""
+    ``write`` bodies of one thread over its engine's local-hit probes
+    (a ``LocalAccess``) and miss generator.  A context holds this
+    object's bound methods, which do not point back at the context, so a
+    finished thread is freed by reference counting."""
 
     __slots__ = ("_try_read", "_try_write", "_fault_in", "_ready")
 
-    def __init__(self, try_read, try_write, fault_in, ready):
-        self._try_read = try_read
-        self._try_write = try_write
+    def __init__(self, local_access, fault_in):
+        self._try_read = local_access.try_read
+        self._try_write = local_access.try_write
         self._fault_in = fault_in
-        self._ready = ready
+        self._ready = _kernel.SEAMS.Ready
 
     def read(self, obj: SharedObject) -> Generator[Any, Any, np.ndarray]:
         """Readable payload of ``obj`` (may fault in from the home)."""
@@ -134,32 +134,24 @@ class ThreadContext:
         self.tid = tid
         self.node = node
         self.engine = engine = gos.engines[node]
-        kernel_module = _kernel.kernel()
         # Bound here so a sync operation costs no wrapper call.
         self.acquire = engine.acquire
         self.release = engine.release
         self.barrier = engine.barrier
-        # Both protocol engines expose the same probes and the same miss
-        # entry ``_fault_in(for_write, oid)``, never rebound: the accessor
-        # resolves them once, and a miss enters the engine's fault
-        # generator directly.  The compiled home-based engine's probes
-        # are methods of its kernel LocalAccess: then the whole read/write
-        # body collapses into one C call (same probe, same miss
-        # generator, same Ready iterator as the Python twin).
-        try_read = engine.try_read_local
-        if kernel_module is not None and isinstance(
-            try_read.__self__, kernel_module.LocalAccess
-        ):
-            accessor = kernel_module.Accessor(
-                try_read.__self__, engine._fault_in
-            )
-        else:
-            accessor = _PyAccessor(
-                try_read,
-                engine.try_write_local,
-                engine._fault_in,
-                kernel_module.Ready if kernel_module is not None else _PyReady,
-            )
+        # Both protocol engines expose their probes as ``local_access`` and
+        # the same miss entry ``_fault_in(for_write, oid)``, never rebound:
+        # the accessor resolves them once, and a miss enters the engine's
+        # fault generator directly.  Over the compiled LocalAccess the
+        # whole read/write body is one C call; the C Accessor drives no
+        # other probe, so the homeless engine's (the Python twin on
+        # either backend) gets the Python accessor.
+        seams = _kernel.SEAMS
+        local_access = engine.local_access
+        accessor = (
+            seams.Accessor
+            if type(local_access) is seams.LocalAccess
+            else _PyAccessor
+        )(local_access, engine._fault_in)
         self.read = accessor.read
         self.write = accessor.write
 

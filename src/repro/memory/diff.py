@@ -21,17 +21,6 @@ DIFF_HEADER_BYTES = 16
 #: Per-run overhead: 4-byte offset + 4-byte length.
 RUN_HEADER_BYTES = 8
 
-#: The compiled kernel module, or ``None``: resolved once at import and
-#: re-pointed by :func:`repro._kernel.select_backend`, never per call.
-_kernel_module = _kernel.kernel()
-
-
-def _rebind_kernel() -> None:
-    """Re-resolve the kernel (called by ``select_backend``)."""
-    global _kernel_module
-    _kernel_module = _kernel.kernel()
-
-
 def _runs(indices: np.ndarray) -> int:
     """Number of maximal runs of consecutive indices (indices sorted)."""
     n = int(indices.size)
@@ -80,6 +69,25 @@ class Diff:
         return f"<Diff oid={self.oid} changed={self.nchanged} {self.size_bytes}B>"
 
 
+def diff_arrays(
+    current: np.ndarray, twin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The scan of :func:`compute_diff` (pure-Python twin of the kernel's
+    ``diff_arrays``): ``None`` when the arrays are equal, else the
+    changed indices, their values and the run count.
+
+    One element-wise comparison feeds the cheap exit, the index
+    extraction and the run count.  Most sync intervals leave most twins
+    untouched, so the ``not neq.any()`` exit fires far more often than
+    the materialisation.
+    """
+    neq = current != twin
+    if not neq.any():
+        return None
+    changed = np.flatnonzero(neq)
+    return changed, current[changed], _runs(changed)  # fancy indexing copies
+
+
 def compute_diff(oid: int, twin: np.ndarray, current: np.ndarray) -> Diff | None:
     """Diff ``current`` against ``twin``; ``None`` when nothing changed.
 
@@ -92,47 +100,28 @@ def compute_diff(oid: int, twin: np.ndarray, current: np.ndarray) -> Diff | None
             f"twin/current layout mismatch for oid {oid}: "
             f"{twin.dtype}{twin.shape} vs {current.dtype}{current.shape}"
         )
-    # Compiled fast path: one C scan produces indices, values and the run
-    # count together.  Restricted to exact ndarray operands so subclasses
-    # keep their comparison-operator semantics (and the single-comparison
-    # contract below stays observable); the kernel returns NotImplemented
-    # for layouts/dtypes it does not handle, which fall through to the
-    # numpy path.
-    kernel_module = _kernel_module
-    if (
-        kernel_module is not None
-        and type(twin) is np.ndarray
-        and type(current) is np.ndarray
-    ):
-        scan = kernel_module.diff_arrays(current, twin)
-        if scan is None:
-            return None
-        if scan is not NotImplemented:
-            indices, values, nruns = scan
-            return Diff(
-                oid=oid,
-                indices=indices,
-                values=values,
-                size_bytes=(
-                    DIFF_HEADER_BYTES
-                    + nruns * RUN_HEADER_BYTES
-                    + int(indices.size) * current.dtype.itemsize
-                ),
-            )
-    # Single scan: one element-wise comparison feeds the cheap exit, the
-    # index extraction, and (via ``_runs``) the wire-size computation.
-    # Most sync intervals leave most twins untouched, so the ``not
-    # neq.any()`` exit fires far more often than the materialisation.
-    neq = current != twin
-    if not neq.any():
+    # The seam table's scan.  Only exact ndarray operands go to it, so
+    # subclasses keep their comparison-operator semantics (and the
+    # single-comparison contract stays observable); the kernel's scan
+    # returns NotImplemented for layouts and dtypes it does not handle,
+    # which take this module's.
+    scan = NotImplemented
+    if type(twin) is np.ndarray and type(current) is np.ndarray:
+        scan = _kernel.SEAMS.diff_arrays(current, twin)
+    if scan is NotImplemented:
+        scan = diff_arrays(current, twin)
+    if scan is None:
         return None
-    changed = np.flatnonzero(neq)
-    values = current[changed]  # fancy indexing already copies
+    indices, values, nruns = scan
     return Diff(
         oid=oid,
-        indices=changed,
+        indices=indices,
         values=values,
-        size_bytes=diff_size_bytes(changed, current.dtype.itemsize),
+        size_bytes=(
+            DIFF_HEADER_BYTES
+            + nruns * RUN_HEADER_BYTES
+            + int(indices.size) * current.dtype.itemsize
+        ),
     )
 
 

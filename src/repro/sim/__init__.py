@@ -1,7 +1,8 @@
 """Deterministic discrete-event simulation engine.
 
 The engine is deliberately minimal: a time-ordered event heap with
-deterministic FIFO tie-breaking (:class:`~repro.sim.engine.Simulator`),
+deterministic FIFO tie-breaking (:class:`~repro.sim.engine.Simulator`,
+built by :func:`~repro.sim.engine.make_simulator`),
 one-shot :class:`~repro.sim.future.Future` values, and generator-based
 cooperative :class:`~repro.sim.process.Process` coroutines.
 
@@ -11,7 +12,7 @@ the effect completes.  All state transitions happen at deterministic
 simulated times, so identical inputs always produce identical traces.
 """
 
-from repro.sim.engine import PySimulator, Simulator, make_simulator
+from repro.sim.engine import PyEngine, Simulator, make_simulator
 from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.future import Future
 from repro.sim.process import Delay, Process
@@ -21,7 +22,7 @@ __all__ = [
     "Delay",
     "Future",
     "Process",
-    "PySimulator",
+    "PyEngine",
     "SimulationError",
     "Simulator",
     "make_simulator",

@@ -1,25 +1,19 @@
 """The discrete-event simulator core: a deterministic time-ordered heap.
 
-Two interchangeable backends implement the same contract:
+A simulator is one :class:`Simulator` body — process spawning, the
+drain-and-deadlock ``run`` — over an *event core* that holds the heap:
+:class:`PyEngine` here, or the C ``Engine`` of :mod:`repro._kernel`,
+whichever the kernel's seam table names.  :func:`make_simulator` is the
+one constructor; it builds on the table's core at the time of the call,
+so a runtime :func:`repro._kernel.select_backend` takes effect.
 
-* :class:`PySimulator` — the pure-Python reference implementation;
-* :class:`CompiledSimulator` — a thin wrapper over the C event-heap in
-  :mod:`repro._kernel` (created only when the compiled backend is
-  active).
-
-``Simulator`` is bound to the active backend's class at import time
-(``REPRO_BACKEND`` selects it; see :mod:`repro._kernel`), and
-:func:`make_simulator` constructs an instance of whichever backend is
-active *now* — use it instead of ``Simulator()`` in library code so a
-runtime :func:`repro._kernel.select_backend` call takes effect.
-
-Both backends pop events in the identical (time, seq) order, so runs are
+Both cores pop events in the identical (time, seq) order, so runs are
 bit-for-bit reproducible whichever is active.
 """
 
 from __future__ import annotations
 
-import sys
+from functools import cache
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
@@ -31,8 +25,8 @@ from repro.sim.errors import DeadlockError, SimulationError
 _INF = float("inf")
 
 
-class PySimulator:
-    """Deterministic discrete-event simulator (pure-Python backend).
+class PyEngine:
+    """Deterministic event core (pure-Python twin of the kernel ``Engine``).
 
     Events are ``(time, seq, callback, args)`` tuples kept in a binary
     heap; the monotonically increasing ``seq`` breaks ties so that events
@@ -54,7 +48,6 @@ class PySimulator:
         self._now: float = 0.0
         self._seq: int = 0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._processes: list[Any] = []  # Process instances, for deadlock report
         self.events_processed: int = 0
 
     @property
@@ -96,25 +89,15 @@ class PySimulator:
         heappush(self._heap, (self._now, self._seq, callback, args))
         self._seq += 1
 
-    def spawn(
-        self, generator: Generator[Any, Any, Any], name: str = "proc"
-    ) -> "Process":
-        """Wrap ``generator`` in a :class:`Process` and start it immediately."""
-        from repro.sim.process import Process
+    @property
+    def _pending(self) -> int:
+        """Number of events currently queued."""
+        return len(self._heap)
 
-        process = Process(self, generator, name)
-        self._processes.append(process)
-        process.start()
-        return process
-
-    def run(self, until: float | None = None) -> float:
-        """Drain the event heap; return the final simulated time.
-
-        If ``until`` is given, stop once the next event lies beyond it (the
-        clock is then advanced exactly to ``until``).  If the heap drains
-        while spawned processes are still blocked, raise
-        :class:`~repro.sim.errors.DeadlockError` naming them.
-        """
+    def _drain(self, until: float | None) -> bool:
+        """Drain the heap; ``True`` when stopped early at ``until`` (the
+        clock then reads ``until`` and later events stay queued),
+        ``False`` when the heap ran empty."""
         # The unbounded drain is the hot loop of every simulation: keep
         # the heap and pop local, pop exactly once per iteration, and
         # batch the processed-event accounting (callbacks never read it
@@ -140,7 +123,7 @@ class PySimulator:
                     time = heap[0][0]
                     if time > until:
                         self._now = until
-                        return self._now
+                        return True
                     _, _seq, callback, args = pop(heap)
                     self._now = time
                     processed += 1
@@ -150,6 +133,50 @@ class PySimulator:
                         callback()
         finally:
             self.events_processed += processed
+        return False
+
+
+class Simulator:
+    """Deterministic discrete-event simulator: the one body over either
+    event core (build one with :func:`make_simulator`).
+
+    The core's entry points (``schedule``/``at``/``call_soon``, ``now``,
+    ``events_processed``) resolve straight to it — to C descriptors under
+    the compiled core, with no Python frame in between; this body adds
+    only the cold orchestration: process bookkeeping and the deadlock
+    report.
+    """
+
+    def __init__(self) -> None:
+        if type(self) is Simulator:
+            raise TypeError("Simulator is a body without a core: use make_simulator()")
+        super().__init__()
+        self._processes: list[Any] = []  # Process instances, for deadlock report
+
+    def spawn(
+        self, generator: Generator[Any, Any, Any], name: str = "proc"
+    ) -> "Process":
+        """Wrap ``generator`` in a :class:`Process` and start it immediately."""
+        from repro.sim.process import Process
+
+        process = Process(self, generator, name)
+        self._processes.append(process)
+        process.start()
+        return process
+
+    def run(self, until: float | None = None) -> float:
+        """Drain the event heap; return the final simulated time.
+
+        If ``until`` is given, stop once the next event lies beyond it (the
+        clock is then advanced exactly to ``until``).  If the heap drains
+        while spawned processes are still blocked, raise
+        :class:`~repro.sim.errors.DeadlockError` naming them.
+        """
+        if self._drain(until):
+            # Early stop at `until`: later events stay queued and a
+            # still-blocked process is not a deadlock — it may be
+            # waiting for events beyond the horizon.
+            return self._now
         blocked = [p.name for p in self._processes if not p.done]
         if blocked:
             raise DeadlockError(blocked)
@@ -159,110 +186,18 @@ class PySimulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Simulator now={self._now:.3f}us pending={len(self._heap)} "
+            f"<Simulator now={self._now:.3f}us pending={self._pending} "
             f"processed={self.events_processed}>"
         )
 
 
-def _build_compiled_class(kernel_module: Any) -> type:
-    """Create the CompiledSimulator class over the loaded C kernel.
-
-    The class subclasses the extension's ``Engine`` type, so the hot
-    entry points (``schedule``/``at``/``call_soon``, the ``_now`` and
-    ``events_processed`` attributes) resolve straight to C descriptors
-    with no Python frame in between; only the cold orchestration
-    (process bookkeeping, the deadlock report) stays in Python.
-    """
-
-    class CompiledSimulator(kernel_module.Engine):
-        """Deterministic discrete-event simulator (compiled backend).
-
-        Same contract as :class:`PySimulator` — identical event order
-        (``(time, seq)`` heap), identical ``run(until)``/deadlock
-        semantics, identical error messages — with the event
-        heap, pop loop and callback dispatch implemented in C by
-        :mod:`repro._kernel`.
-        """
-
-        def __init__(self) -> None:
-            super().__init__()
-            self._processes: list[Any] = []
-
-        def spawn(
-            self, generator: Generator[Any, Any, Any], name: str = "proc"
-        ) -> "Process":
-            """Wrap ``generator`` in a :class:`Process` and start it
-            immediately."""
-            from repro.sim.process import Process
-
-            process = Process(self, generator, name)
-            self._processes.append(process)
-            process.start()
-            return process
-
-        def run(self, until: float | None = None) -> float:
-            """Drain the event heap; return the final simulated time
-            (see :meth:`PySimulator.run`)."""
-            if self._drain(until):
-                # Early stop at `until`: later events stay queued and a
-                # still-blocked process is not a deadlock — it may be
-                # waiting for events beyond the horizon.
-                return self._now
-            blocked = [p.name for p in self._processes if not p.done]
-            if blocked:
-                raise DeadlockError(blocked)
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-
-        def __repr__(self) -> str:  # pragma: no cover - debug aid
-            return (
-                f"<Simulator now={self._now:.3f}us pending={self._pending} "
-                f"processed={self.events_processed}>"
-            )
-
-    CompiledSimulator.__module__ = __name__
-    CompiledSimulator.__qualname__ = "CompiledSimulator"
-    return CompiledSimulator
+@cache
+def _simulator_class(core: type) -> type:
+    """The :class:`Simulator` body over the event core ``core``."""
+    qualname = f"Simulator[{core.__name__}]"
+    return type("Simulator", (Simulator, core), {"__qualname__": qualname})
 
 
-#: The compiled backend's simulator class; ``None`` until (and unless)
-#: the compiled kernel is active.
-CompiledSimulator: type | None = None
-
-
-def _active_class() -> type:
-    """The simulator class of the currently active backend."""
-    kernel_module = _kernel.kernel()
-    if kernel_module is None:
-        return PySimulator
-    global CompiledSimulator
-    if CompiledSimulator is None:
-        CompiledSimulator = _build_compiled_class(kernel_module)
-    return CompiledSimulator
-
-
-def make_simulator() -> "PySimulator":
-    """Construct a simulator on the active backend.
-
-    Library code should prefer this over ``Simulator()``: the module-level
-    ``Simulator`` name is bound once at import, while this factory honours
-    a later :func:`repro._kernel.select_backend` call.
-    """
-    return _active_class()()
-
-
-def _rebind_kernel() -> None:
-    """Re-point ``Simulator`` here and in :mod:`repro.sim` at the active
-    backend (called by :func:`repro._kernel.select_backend`)."""
-    global Simulator
-    Simulator = _active_class()
-    sim_pkg = sys.modules.get("repro.sim")
-    if sim_pkg is not None:
-        sim_pkg.Simulator = Simulator
-
-
-#: The active backend's simulator class, selected at import from
-#: ``REPRO_BACKEND`` (``auto`` builds/loads the compiled kernel and falls
-#: back to :class:`PySimulator` with a one-line warning).
-Simulator: type = _active_class()
+def make_simulator() -> Simulator:
+    """Construct a simulator over the seam table's event core."""
+    return _simulator_class(_kernel.SEAMS.Engine)()

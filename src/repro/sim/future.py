@@ -96,26 +96,3 @@ class Future:
         state = "resolved" if self.resolved else "pending"
         return f"<Future {self.label!r} {state}>"
 
-
-def future_classes() -> tuple:
-    """Every Future implementation the process stepper must recognize.
-
-    The compiled kernel ships a C twin (``kernel().Future``) used by the
-    protocol engines on their request/reply hot paths; pure-Python code
-    (and the python backend) keeps this module's class.  Both satisfy the
-    same contract, so a yielded effect of either type blocks a process.
-    """
-    from repro import _kernel
-
-    kernel_module = _kernel.kernel()
-    if kernel_module is not None:
-        return (Future, kernel_module.Future)
-    return (Future,)
-
-
-def future_class() -> type:
-    """The hot-path Future class for the active backend."""
-    from repro import _kernel
-
-    kernel_module = _kernel.kernel()
-    return kernel_module.Future if kernel_module is not None else Future

@@ -24,8 +24,9 @@ from __future__ import annotations
 from types import MethodType
 from typing import Any, Generator, TYPE_CHECKING
 
+from repro import _kernel
 from repro.sim.errors import ProcessFailed, SimulationError
-from repro.sim.future import Future, future_classes
+from repro.sim.future import Future
 
 _INF = float("inf")
 
@@ -67,9 +68,9 @@ class Process:
         self._gen = generator
         self.finished: Future = Future(label=f"{name}.finished")
         self._started = False
-        # Effect classes that block this process: the Python Future plus
-        # the kernel's C twin when the compiled backend is active.
-        self._blocking = future_classes()
+        # Effect classes that block this process: the Python Future and
+        # the seam table's (the protocol's request/reply futures).
+        self._blocking = (Future, _kernel.SEAMS.Future)
         # A blocked future's done-callback, ``future -> call_soon(_step,
         # future)`` with no Python frame in between: ``call_soon`` bound
         # to ``_step`` as its first argument (one object, where

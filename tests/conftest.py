@@ -15,7 +15,7 @@ from repro.cluster.stats import ClusterStats
 from repro.core.policies import AdaptiveThreshold, NoMigration
 from repro.gos.jvm import DistributedJVM
 from repro.gos.space import GlobalObjectSpace
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, make_simulator
 
 
 @pytest.fixture(params=("python", "compiled"))
@@ -40,7 +40,7 @@ def backend(request):
 
 @pytest.fixture
 def sim() -> Simulator:
-    return Simulator()
+    return make_simulator()
 
 
 @pytest.fixture

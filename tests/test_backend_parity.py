@@ -5,8 +5,8 @@ byte-identical": every deterministic artifact of the reproduction — the
 pinned determinism digest, a figure-2 sweep cell, and batches of fuzzer
 episodes — must hash the same whichever backend is active.
 
-The backend is bound per-process (``REPRO_BACKEND`` is read at first
-kernel use and the simulator class is rebound at import), so each leg
+The backend is bound per-process (``REPRO_BACKEND`` is read when
+``repro._kernel`` is first imported), so each leg
 runs in a fresh subprocess with the environment forced.  When the
 extension cannot be built (no C toolchain, or the backend was pinned to
 python), the whole module skips with the reason.

@@ -11,13 +11,13 @@ from repro.cluster.hockney import HockneyModel
 from repro.cluster.message import HEADER_BYTES, MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
-from repro.sim.engine import Simulator, make_simulator
+from repro.sim.engine import make_simulator
 
 MODEL = HockneyModel(startup_us=100.0, bandwidth_mb_s=10.0)
 
 
 def _build(nnodes=3, service_us=0.0):
-    sim = Simulator()
+    sim = make_simulator()
     stats = ClusterStats()
     net = Network(sim, MODEL, nnodes, stats, service_us=service_us)
     inbox = []
@@ -98,20 +98,20 @@ def test_stats_recorded_on_send():
 
 
 def test_single_node_network_allowed():
-    sim = Simulator()
+    sim = make_simulator()
     net = Network(sim, MODEL, 1, ClusterStats())
     assert net.nnodes == 1
 
 
 def test_zero_nodes_rejected():
     with pytest.raises(ValueError):
-        Network(Simulator(), MODEL, 0, ClusterStats())
+        Network(make_simulator(), MODEL, 0, ClusterStats())
 
 
 def test_node_without_handler_raises():
     """A send before every endpoint registered fails at send time, in
     one line naming the unregistered nodes, and injects nothing."""
-    sim = Simulator()
+    sim = make_simulator()
     stats = ClusterStats()
     net = Network(sim, MODEL, 3, stats)
     net.nodes[1].install_handler(lambda payload: None)

@@ -1,5 +1,6 @@
 """Documentation integrity: referenced files and targets must exist."""
 
+import fnmatch
 import pathlib
 import re
 
@@ -81,8 +82,8 @@ def test_design_api_and_protocol_references_resolve():
 
 
 #: Where a code name a document cites must occur: the source, tests,
-#: scripts and benchmarks (their Python, C and JSON files).
-_CODE_DIRS = ("src", "tests", "scripts", "benchmarks")
+#: scripts, benchmarks and examples (their Python, C and JSON files).
+_CODE_DIRS = ("src", "tests", "scripts", "benchmarks", "examples")
 
 
 def _code_words() -> set[str]:
@@ -96,21 +97,21 @@ def _code_words() -> set[str]:
 
 
 def test_protocol_and_design_code_names_resolve():
-    """Every backticked identifier containing ``_`` in docs/PROTOCOL.md
-    and DESIGN.md occurs as a word in a Python, C or JSON file (its text
-    or its path) under ``src/``, ``tests/``, ``scripts/`` or
-    ``benchmarks/``; a name ending in ``_``, as in ``twin_*``, is a
-    prefix and resolves when some word starts with it.  A document may
-    describe deleted code in words, but not cite it by a name that no
-    longer exists."""
+    """Every backticked identifier containing ``_`` in docs/PROTOCOL.md,
+    DESIGN.md and docs/API.md occurs as a word in a Python, C or JSON
+    file (its text or its path) under ``src/``, ``tests/``,
+    ``scripts/``, ``benchmarks/`` or ``examples/``; a name with a ``*``,
+    as in ``twin_*`` or ``dsm_*_us``, is a pattern and resolves when
+    some word matches it.  A document may describe deleted code in
+    words, but not cite it by a name that no longer exists."""
     words = _code_words()
     missing = {}
-    for doc in ("docs/PROTOCOL.md", "DESIGN.md"):
+    for doc in ("docs/PROTOCOL.md", "DESIGN.md", "docs/API.md"):
         for span in re.findall(r"`([^`\n]+)`", _doc(doc)):
-            for name in re.findall(r"[A-Za-z_]\w*", span):
+            for name in re.findall(r"[A-Za-z_*][\w*]*", span):
                 if "_" not in name or name in words:
                     continue
-                if name.endswith("_") and any(w.startswith(name) for w in words):
+                if "*" in name and fnmatch.filter(words, name):
                     continue
                 missing.setdefault(doc, set()).add(name)
     assert not missing, missing

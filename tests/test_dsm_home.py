@@ -24,7 +24,7 @@ def _home_of(gos, node=0):
 
 def _write_in(engine, oid, interval):
     engine.interval = interval
-    payload = engine.try_write_local(oid)
+    payload = engine.local_access.try_write(oid)
     assert payload is engine.homes[oid].payload
     assert oid in engine.home_dirty
 
@@ -80,7 +80,7 @@ def test_home_read_is_not_trapped(backend):
     gos = make_gos()
     engine, oid, entry = _home_of(gos)
     engine.interval = 1
-    assert engine.try_read_local(oid) is entry.payload
+    assert engine.local_access.try_read(oid) is entry.payload
     assert entry.write_interval == -1
     assert entry.state.home_writes == 0
     assert oid not in engine.home_dirty
@@ -101,7 +101,7 @@ def test_transfer_onto_a_twinned_copy_traps_once_per_interval(backend):
     engine.interval = 3
     cached = CacheEntry(old_home.payload.copy(), old_home.version)
     engine.cache[oid] = cached
-    assert engine.try_write_local(oid) is cached.payload
+    assert engine.local_access.try_write(oid) is cached.payload
     cached.payload[0] = 7.0
     assert oid in engine.dirty
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import _kernel
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.core.policies import MigratingHome, NoMigration
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
-from repro.sim.future import future_classes
 
 
 def _space(policy=None) -> tuple[GlobalObjectSpace, object]:
@@ -53,7 +53,7 @@ def test_a_lone_fetch_makes_no_future_and_a_joiner_makes_one(backend):
     assert engine._inflight == {obj.oid: None}
     gos.sim.spawn(joiner(), name="joiner")
     gos.sim.run(until=2.0)
-    assert isinstance(engine._inflight[obj.oid], future_classes())
+    assert isinstance(engine._inflight[obj.oid], _kernel.SEAMS.Future)
     gos.sim.run()
 
     assert engine._inflight == {}
@@ -86,7 +86,7 @@ def test_a_joiner_reads_the_home_a_hand_off_installed(backend):
     gos.sim.spawn(writer(), name="writer")
     gos.sim.spawn(joiner(), name="joiner")
     gos.sim.run(until=1.0)
-    assert isinstance(engine._inflight[obj.oid], future_classes())
+    assert isinstance(engine._inflight[obj.oid], _kernel.SEAMS.Future)
     gos.sim.run()
 
     assert obj.oid in engine.homes and obj.oid not in engine.cache
@@ -128,7 +128,7 @@ def test_a_joiner_fetches_again_after_a_co_located_drop(backend, sync):
     gos.sim.spawn(fetcher(), name="fetcher")
     gos.sim.spawn(joiner(), name="joiner")
     gos.sim.run(until=1.0)
-    assert isinstance(engine._inflight[obj.oid], future_classes())
+    assert isinstance(engine._inflight[obj.oid], _kernel.SEAMS.Future)
     gos.sim.run()
 
     assert seen["cached after sync"] is False

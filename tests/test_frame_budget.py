@@ -32,6 +32,7 @@ from repro.apps import Asp, ServingSpec, SingleWriterBenchmark
 from repro.core.policies import make_policy
 from repro.bench.serving import run_serving
 from repro.cluster.hockney import FAST_ETHERNET
+from repro.dsm.faultin import PyLocalAccess
 from repro.dsm.protocol import DsmEngine
 from repro.gos.jvm import DistributedJVM
 from repro.gos.space import GlobalObjectSpace
@@ -44,10 +45,10 @@ from repro.obs.metrics import MetricsRegistry
 #: re-queue, delivery and hit paths in C; the lock table and the request
 #: monitor are Python on both backends).  The assert allows 5 % on top.
 CALL_BUDGET = {
-    "synthetic-at-4": {"python": 16701, "compiled": 5539},
-    "synthetic-at-4-metered": {"python": 23023, "compiled": 10600},
-    "asp-nm-4": {"python": 33213, "compiled": 11435},
-    "serving-16": {"python": 19753, "compiled": 9310},
+    "synthetic-at-4": {"python": 15765, "compiled": 5539},
+    "synthetic-at-4-metered": {"python": 22087, "compiled": 10600},
+    "asp-nm-4": {"python": 31888, "compiled": 11415},
+    "serving-16": {"python": 19190, "compiled": 9241},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)
@@ -82,6 +83,7 @@ def python_calls(name: str) -> int:
     run log), for ``serving-16`` all of ``run_serving`` (traffic
     expansion, the SLO collector and the report included)."""
     run = _episode(name)
+    _kernel.SEAMS  # the process's one-time table build is not the episode's
     calls = 0
 
     def count(frame, event, arg):
@@ -163,7 +165,7 @@ def test_remote_read_miss_is_one_generator_frame(gos):
 
 
 class _CountingProbe:
-    """Stands in for an engine's ``try_read_local``, counting calls."""
+    """Stands in for an engine's read probe, counting calls."""
 
     def __init__(self, probe):
         self._probe = probe
@@ -177,8 +179,11 @@ class _CountingProbe:
 def test_local_probe_runs_once_per_miss(gos):
     obj = gos.alloc_array(4, home=0)
     engine = gos.engines[1]
-    counter = _CountingProbe(engine.try_read_local)
-    engine.try_read_local = counter.probe  # before the context binds it
+    # the Python twin over the engine, its read probe counted, before the
+    # context binds it
+    engine.local_access = PyLocalAccess(engine, True)
+    counter = _CountingProbe(engine.local_access.try_read)
+    engine.local_access.try_read = counter.probe
     ctx = ThreadContext(gos, tid=0, node=1)
 
     def body():
@@ -191,6 +196,22 @@ def test_local_probe_runs_once_per_miss(gos):
     assert gos.stats.events["remote_read"] == 1
 
 
+def headroom_row(name: str, backend: str, calls: int) -> str:
+    """One line of the re-measure table: the count next to its budget,
+    its change from the budget, and the share of the slack it uses."""
+    budget = CALL_BUDGET[name][backend]
+    over = calls / budget - 1
+    return (
+        f"{name:<24} {backend:<9} {calls:>7} {budget:>7} {over:>+8.1%} "
+        f"{over / (SLACK - 1):>+11.0%}"
+    )
+
+
 if __name__ == "__main__":  # re-measure the budgets: python tests/test_frame_budget.py
+    backend = _kernel.backend_name()
+    print(
+        f"{'episode':<24} {'backend':<9} {'calls':>7} {'budget':>7} "
+        f"{'change':>8} {'slack used':>11}"
+    )
     for episode in sorted(CALL_BUDGET):
-        print(episode, _kernel.backend_name(), python_calls(episode))
+        print(headroom_row(episode, backend, python_calls(episode)))

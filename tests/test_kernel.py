@@ -38,10 +38,15 @@ def km():
 
 @pytest.fixture(scope="module")
 def sim_classes(km):
-    from repro.sim import engine
+    """The simulator classes over the Python and the C event core."""
+    from repro.sim.engine import make_simulator
 
-    compiled = engine.CompiledSimulator or engine._build_compiled_class(km)
-    return engine.PySimulator, compiled
+    classes = []
+    for table in (_kernel.seam_table(None), _kernel.seam_table(km)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "SEAMS", table)
+            classes.append(type(make_simulator()))
+    return tuple(classes)
 
 
 # --------------------------------------------------------------------------
@@ -262,12 +267,15 @@ def test_future_twin_matches_python(km):
     assert _future_transcript(PyFuture) == _future_transcript(km.Future)
 
 
-def test_future_classes_cover_both_backends(km):
-    from repro.sim.future import Future as PyFuture, future_class, future_classes
+def test_seam_table_holds_the_kernel_objects(km, sim_classes):
+    """Under the compiled backend every seam is the C object, and a
+    process blocks on either Future class."""
+    from repro.sim.future import Future as PyFuture
+    from repro.sim.process import Process
 
-    classes = future_classes()
-    assert PyFuture in classes and km.Future in classes
-    assert future_class() is km.Future
+    assert _kernel.SEAMS == tuple(getattr(km, name) for name in _kernel.Seams._fields)
+    process = Process(sim_classes[1](), iter(()), name="p")
+    assert PyFuture in process._blocking and km.Future in process._blocking
 
 
 def test_process_blocks_on_compiled_future(km, sim_classes):
@@ -373,37 +381,40 @@ def test_thread_context_binds_accessor_methods(km):
 FAT_TREE = "fat-tree:edge=2:pod=2:hop=1.5:oversub=2:core-oversub=3:contention=1"
 
 
-def _fast_network(sim_cls, nnodes, topology):
-    """A Network with every node registered: the C fabric under the
-    compiled engine, ``Network.send`` under the Python one."""
+def _fast_network(table, nnodes, topology):
+    """A Network with every node registered, built over the seam
+    ``table``: the C fabric over the C engine, or the Python twins."""
     from repro.cluster.hockney import HockneyModel
     from repro.cluster.message import MsgCategory
     from repro.cluster.network import Network
+    from repro.sim.engine import make_simulator
 
-    sim = sim_cls()
-    net = Network(
-        sim, HockneyModel(startup_us=100.0, bandwidth_mb_s=12.5), nnodes,
-        service_us=0.0, topology=topology,
-    )
-    log = []
-    for node in range(nnodes):
-        net.register_fast_dispatch(
-            node,
-            {MsgCategory.DIFF: lambda node, tag: log.append((tag, node, sim.now))},
-            node,
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "SEAMS", table)
+        sim = make_simulator()
+        net = Network(
+            sim, HockneyModel(startup_us=100.0, bandwidth_mb_s=12.5), nnodes,
+            service_us=0.0, topology=topology,
         )
+        log = []
+        for node in range(nnodes):
+            net.register_fast_dispatch(
+                node,
+                {MsgCategory.DIFF: lambda node, tag: log.append((tag, node, sim.now))},
+                node,
+            )
     return sim, net, log
 
 
-def test_fabric_topology_deliveries_match_python_fast_path(sim_classes):
+def test_fabric_topology_deliveries_match_python_fast_path(km):
     """One contended fat-tree message sequence — bursts behind one edge
     uplink, same-edge / same-pod / cross-pod pairs, ragged sizes, a
     second wave sent mid-run — delivers at exactly the same instants
     through the compiled fabric and the Python fast path."""
     from repro.cluster.message import MsgCategory
 
-    def deliveries(sim_cls):
-        sim, net, log = _fast_network(sim_cls, 12, FAT_TREE)
+    def deliveries(table):
+        sim, net, log = _fast_network(table, 12, FAT_TREE)
 
         def wave(base):
             for i in range(60):
@@ -417,18 +428,22 @@ def test_fabric_topology_deliveries_match_python_fast_path(sim_classes):
         assert len(log) == 120
         return log
 
-    py_cls, compiled_cls = sim_classes
-    compiled = deliveries(compiled_cls)
-    assert compiled == deliveries(py_cls)
+    compiled = deliveries(_kernel.seam_table(km))
+    assert compiled == deliveries(_kernel.seam_table(None))
     # contention really serialized something: arrivals spread well past
     # the uncontended worst case of the first wave
     assert max(t for _, _, t in compiled) > 1000.0
 
 
-def test_fabric_selected_only_under_compiled_engine(sim_classes):
-    py_cls, compiled_cls = sim_classes
-    assert _fast_network(compiled_cls, 4, FAT_TREE)[1]._fabric is not None
-    assert _fast_network(py_cls, 4, FAT_TREE)[1]._fabric is None
+def test_fabric_selected_only_under_compiled_engine(km):
+    from repro.cluster.network import PyNetFabric
+
+    def fabric(table):
+        return type(_fast_network(table, 4, FAT_TREE)[1]._fabric)
+
+    assert fabric(_kernel.seam_table(km)) is km.NetFabric
+    # the table pairs the C fabric with the C engine only
+    assert fabric(_kernel.seam_table(km, {"Engine"})) is PyNetFabric
 
 
 def _bare_fabric(km, sim_classes):
@@ -473,7 +488,7 @@ def test_fabric_set_topology_rejects_wrong_array_types(km, sim_classes):
             _bare_fabric(km, sim_classes).set_topology(*args)
 
 
-def test_fabric_topology_storage_is_linear_in_nodes(sim_classes):
+def test_fabric_topology_storage_is_linear_in_nodes(km):
     """A 1024-node fat-tree Network on the compiled fabric holds no
     topology array above ``levels * N`` elements — and the whole build,
     C allocations included, stays far below one dense N x N table."""
@@ -483,13 +498,13 @@ def test_fabric_topology_storage_is_linear_in_nodes(sim_classes):
     tracemalloc.start()
     try:
         _, net, _ = _fast_network(
-            sim_classes[1], nnodes,
+            _kernel.seam_table(km), nnodes,
             "fat-tree:edge=16:pod=4:oversub=2:contention=1",
         )
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert net._fabric is not None
+    assert type(net._fabric) is km.NetFabric
     assert held < nnodes * nnodes * 8 // 2
 
     def sizes(value):
@@ -516,8 +531,8 @@ def test_fabric_topology_storage_is_linear_in_nodes(sim_classes):
 def cacheless_src(tmp_path_factory):
     """A copy of ``src/`` with no build cache — a host that never built.
 
-    Needed because ``import repro`` resolves the backend eagerly (the
-    engine binds ``Simulator`` at import), so a cached ``.so`` next to
+    Needed because ``import repro`` resolves the backend eagerly
+    (``repro._kernel`` does at import), so a cached ``.so`` next to
     the real source would satisfy even a broken compiler.
     """
     import shutil
@@ -565,8 +580,8 @@ assert any(
     "falling back to the pure-Python backend" in str(w.message)
     for w in caught
 ), [str(w.message) for w in caught]
-from repro.sim.engine import Simulator, PySimulator
-assert Simulator is PySimulator
+from repro.sim.engine import PyEngine
+assert _kernel.SEAMS.Engine is PyEngine
 print("OK")
 """,
     )
@@ -578,7 +593,7 @@ def test_compiled_request_raises_when_compiler_is_broken(cacheless_src):
         "compiled",
         """\
 try:
-    # raises during import: the engine binds Simulator eagerly
+    # raises during import: repro._kernel resolves the backend eagerly
     import repro
     repro.sim  # pragma: no cover - unreachable
 except RuntimeError as exc:

@@ -1,5 +1,10 @@
 """Tests for the retry lock discipline (the paper's runtime randomness)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps import SingleWriterBenchmark
@@ -123,3 +128,54 @@ def test_ft2_migrates_on_random_repeats_at_r2():
         migrations.append(result.migrations)
     assert any(m > 0 for m in migrations)  # repeats do occur
     assert all(m < 40 for m in migrations)  # but migration stays rare
+
+
+#: A 2-node retry-discipline run whose lock holder raises while its peer
+#: retries the lock; prints the exception ``DistributedJVM.run`` ends with.
+_FAILED_HOLDER = """\
+from repro import DistributedJVM, FAST_ETHERNET, NoMigration
+from repro.apps.base import DsmApplication
+
+
+class FailingHolder(DsmApplication):
+    name = "failing-holder"
+
+    def setup(self, gos, nthreads):
+        self.lock = gos.alloc_lock(home=0)
+
+    def thread_body(self, ctx, tid):
+        yield from ctx.acquire(self.lock)
+        if tid == 0:
+            raise RuntimeError("holder failed")
+        yield from ctx.release(self.lock)
+
+
+jvm = DistributedJVM(
+    nodes=2, comm_model=FAST_ETHERNET, policy=NoMigration(),
+    lock_discipline="retry",
+)
+try:
+    jvm.run(FailingHolder(), nthreads=2)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_failed_lock_holder_ends_the_run(backend):
+    """A thread that raises while holding a lock ends the run with its
+    exception; its peer would otherwise retry the lock for ever.  Run in
+    a subprocess with a timeout, so a regression fails instead of
+    hanging the suite."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILED_HOLDER],
+        env=dict(os.environ, PYTHONPATH=str(root / "src"), REPRO_BACKEND=backend),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "ProcessFailed process 'failing-holder-t0' failed: "
+        "RuntimeError('holder failed')"
+    )

@@ -136,7 +136,7 @@ FIXED_COST_NODES = 256
 #: tracemalloc bytes per node of a freshly built 256-node cluster with one
 #: ThreadContext per node, measured per backend on CPython 3.11, plus 10 %
 #: (re-measure: python tests/test_memory_containment.py).
-FIXED_BYTES_PER_NODE = {"python": 3_590 * 1.1, "compiled": 3_429 * 1.1}
+FIXED_BYTES_PER_NODE = {"python": 3_497 * 1.1, "compiled": 3_104 * 1.1}
 MEASURED_ON = (3, 11)
 
 

@@ -45,8 +45,8 @@ def test_metered_compiled_run_uses_the_fabric(backend):
         metrics=metrics,
     )
     result = jvm.run(Asp(size=24))
-    uses_fabric = result.gos.network._fabric is not None
-    assert uses_fabric == (backend == "compiled")
+    fabric = type(result.gos.network._fabric).__name__
+    assert fabric == ("NetFabric" if backend == "compiled" else "PyNetFabric")
     assert metrics.counter_total("net_messages_total") == (
         result.stats.total_messages()
     )

@@ -79,7 +79,7 @@ def _install_shadow(monkeypatch) -> NoticeShadow:
     install points of every home-based engine built from now on."""
     shadow = NoticeShadow()
     # the run's shared table, taken before any handler is patched
-    table = dict(DsmEngine._handler_table(_kernel.kernel()))
+    table = dict(DsmEngine._handler_table(_kernel.SEAMS.route_reply))
     on_barrier_release = DsmEngine._on_barrier_release
     engine_init = DsmEngine.__init__
 
@@ -119,7 +119,7 @@ def _install_shadow(monkeypatch) -> NoticeShadow:
         lock_table.acquire, lock_table.release = acquire, release
 
     monkeypatch.setattr(
-        DsmEngine, "_handler_table", classmethod(lambda cls, kernel: table)
+        DsmEngine, "_handler_table", classmethod(lambda cls, route_reply: table)
     )
     monkeypatch.setattr(DsmEngine, "_on_barrier_release", barrier_release)
     monkeypatch.setattr(DsmEngine, "__init__", init)

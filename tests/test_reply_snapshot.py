@@ -228,7 +228,7 @@ def test_barrier_transfer_onto_a_clean_snapshot_adopts_the_image(backend):
     assert entry.payload.flags.writeable
     assert list(entry.payload) == list(image)
     assert list(snapshot) == list(np.arange(8.0))
-    payload = engine.try_write_local(obj.oid)
+    payload = engine.local_access.try_write(obj.oid)
     assert payload is entry.payload
     payload[0] = -1.0
     assert gos.read_global(obj)[0] == -1.0

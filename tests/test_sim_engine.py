@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import make_simulator
 from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.future import Future
 from repro.sim.process import Delay
@@ -140,7 +140,7 @@ def test_no_deadlock_when_processes_finish(sim):
 
 def test_determinism_across_instances():
     def build_and_run():
-        sim = Simulator()
+        sim = make_simulator()
         log = []
 
         def worker(name, delays):

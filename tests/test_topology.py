@@ -19,14 +19,14 @@ from repro.cluster.topology import (
     HierarchicalTopology,
     make_topology,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import make_simulator
 
 #: startup 100 us, 10 MB/s == 10 bytes/us — round numbers for hand math.
 MODEL = HockneyModel(startup_us=100.0, bandwidth_mb_s=10.0)
 
 
 def _build(nnodes, topology=None):
-    sim = Simulator()
+    sim = make_simulator()
     net = Network(
         sim, MODEL, nnodes, ClusterStats(), service_us=0.0,
         topology=topology,
@@ -364,7 +364,7 @@ def test_contention_intra_leaf_traffic_skips_uplink():
 def test_network_rejects_mismatched_topology():
     topo = HierarchicalTopology(16, leaf_size=4)
     with pytest.raises(ValueError, match="built for 16 nodes"):
-        Network(Simulator(), MODEL, 8, ClusterStats(), topology=topo)
+        Network(make_simulator(), MODEL, 8, ClusterStats(), topology=topo)
 
 
 def test_describe_is_json_friendly():
