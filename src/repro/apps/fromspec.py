@@ -1,9 +1,9 @@
 """Program-from-spec runner: execute a fuzzed episode on the DSM.
 
 :class:`SpecProgram` turns a :class:`repro.check.fuzz.ProgramSpec` into
-a :class:`~repro.apps.base.DsmApplication`: threads walk their section
-lists, acquiring the guarding lock around each critical section and
-hitting the global barrier between phases.
+a :class:`~repro.apps.base.DsmApplication`: threads walk their packed
+section columns, acquiring the guarding lock around each critical
+section and hitting the global barrier between phases.
 
 Every executed operation is appended to :attr:`SpecProgram.execution_log`
 (a columnar :class:`~repro.check.oracle.ExecutionLog`) as
@@ -85,6 +85,10 @@ class SpecProgram(DsmApplication):
     ) -> Generator[Any, Any, None]:
         """Walk this thread's sections phase by phase, logging each op.
 
+        The sections are read straight from their
+        :class:`~repro.check.fuzz.PackedSections` columns, without making
+        a row per section.
+
         Each op re-traps through ``ctx.read``/``ctx.write``, so access
         states and twins evolve exactly as the protocol dictates; the
         arithmetic mirrors :func:`repro.check.oracle.apply_op` expression
@@ -109,15 +113,21 @@ class SpecProgram(DsmApplication):
         sim = ctx.gos.sim
         sp = span_guard(getattr(ctx.gos, "spans", None), "request")
         for epoch, phase in enumerate(self.spec.phases):
-            for section in phase[tid]:
-                if section.think_us > 0:
-                    yield Delay(section.think_us)
+            sections = phase[tid]
+            ops, classes = sections.ops, sections.classes
+            start = 0
+            for lock, compute_us, request, think_us, end in zip(
+                sections.locks, sections.compute_us, sections.requests,
+                sections.think_us, sections.ends,
+            ):
+                if think_us > 0:
+                    yield Delay(think_us)
                 opened = None
-                if sp is not None and section.request is not None:
+                if sp is not None and request:  # code 0 is no request
                     opened = sim.now
-                if section.lock is not None:
-                    yield from ctx.acquire(self.locks[section.lock])
-                for op in section.ops:
+                if lock >= 0:
+                    yield from ctx.acquire(self.locks[lock])
+                for op in ops[start:end]:
                     kind = op[0]
                     obj = objects[op[1]]
                     observed = 0.0  # the log's placeholder for a write
@@ -146,19 +156,17 @@ class SpecProgram(DsmApplication):
                     log_tid(tid)
                     log_op(op)
                     log_observed(observed)
-                if section.compute_us > 0:
-                    yield Delay(section.compute_us)
-                if section.lock is not None:
-                    yield from ctx.release(self.locks[section.lock])
+                if compute_us > 0:
+                    yield Delay(compute_us)
+                if lock >= 0:
+                    yield from ctx.release(self.locks[lock])
                 if opened is not None:
-                    oid = (
-                        objects[section.ops[0][1]].oid
-                        if section.ops else -1
-                    )
+                    oid = objects[ops[start][1]].oid if end > start else -1
                     sp.completed(
                         "request", opened, sim.now, oid, ctx.node,
-                        cls=section.request, epoch=epoch, tid=tid,
+                        cls=classes[request], epoch=epoch, tid=tid,
                     )
+                start = end
             yield from ctx.barrier(self.barrier_handle)
 
     def finalize(self, gos: "GlobalObjectSpace") -> dict[str, np.ndarray]:

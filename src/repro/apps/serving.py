@@ -35,9 +35,11 @@ The traffic model (:class:`ServingSpec` is the knob set):
 * **Arrival processes** — ``open`` draws exponential inter-arrival
   gaps (a Poisson process in sim virtual time, mean ``mean_gap_us``)
   from the seeded RNG; ``closed`` waits a fixed ``think_us`` between
-  requests.  Each request compiles to one section whose ``think_us``
-  holds its gap; the runner waits it out *before* opening the request
-  span, so measured request latency never includes think time.
+  requests.  Each request compiles to one section row whose
+  ``think_us`` holds its gap; the runner waits it out *before* opening
+  the request span, so measured request latency never includes think
+  time.  The rows go straight into each worker's packed columns
+  (:class:`~repro.check.fuzz.PackedSections`).
 * **Node churn** — per phase, ``churn`` of the nodes go *quiet*
   (:func:`quiet_nodes`, a deterministic rotating window): their worker
   threads issue no requests that phase and just meet the barrier,
@@ -57,8 +59,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.check.fuzz import MECHANISM_NAMES, ObjectSpec, ProgramSpec
-from repro.check.fuzz import SectionSpec, _draw_policy
+from repro.check.fuzz import MECHANISM_NAMES, ObjectSpec, PackedSections
+from repro.check.fuzz import ProgramSpec, _draw_policy
 from repro.gos.jvm import ClusterSpec
 
 __all__ = [
@@ -75,6 +77,10 @@ __all__ = [
 
 #: Request classes a serving episode emits (the span/report categories).
 REQUEST_CLASSES = ("get", "put")
+
+#: One float object per small integral operand a put draws, so a put op
+#: holds a shared float rather than a private one.
+_OPERANDS = {v: float(v) for v in range(-20, 21)}
 
 
 def zipf_weights(nkeys: int, s: float) -> list[float]:
@@ -243,7 +249,9 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
     Deterministic: one ``random.Random(spec.seed)`` stream drives every
     draw (homes, initial data, request keys, classes, gaps), so equal
     specs produce byte-identical ``to_json()`` texts regardless of
-    backend or host.
+    backend or host.  ``phases[p][tid]`` of the result is a packed
+    sequence of :class:`~repro.check.fuzz.SectionSpec` rows, one per
+    request.
     """
     rng = random.Random(spec.seed)
     nthreads = spec.nthreads
@@ -275,11 +283,21 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
     # ``open`` gaps are exponential (Poisson arrivals, inverse transform
     # of one uniform); ``closed`` waits the constant think time.
     open_loop = spec.arrival == "open"
-    # Equal op tuples share one object: the operands are small integral
+    # Equal op tuples share one object: a key's reads are built once and
+    # put ops are interned as drawn.  The operands are small integral
     # floats (never -0.0 or NaN), so equal tuples are interchangeable.
     interned: dict[tuple, tuple] = {}
     intern = interned.setdefault
-    phases: list[list[list[SectionSpec]]] = []
+    operands = _OPERANDS
+    reads = [
+        [("read", o.name, idx) for idx in range(key_len)] for o in objects
+    ]
+    # Each request is appended to its thread's columns, packed once per
+    # phase (PackedSections): no row object or ops list is made per
+    # request, and no gap float outlives its phase.
+    classes = (None, *REQUEST_CLASSES)
+    get_code, put_code = classes.index("get"), classes.index("put")
+    phases: list[list[PackedSections]] = []
     for phase in range(spec.phases):
         quiet = quiet_nodes(spec.nodes, phase, spec.churn)
         active = [t for t in range(nthreads) if placement[t] not in quiet]
@@ -293,52 +311,69 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
             ranking[rank]: active[rank % len(active)]
             for rank in range(owned_count)
         }
-        sections_by_tid: list[list[SectionSpec]] = [[] for _ in range(nthreads)]
+        lock_of = [
+            -1 if key in owner_of else key % nlocks
+            for key in range(spec.keys)
+        ]
+        # per thread: ops, locks, request codes, think times, op ends
+        columns = [([], [], [], [], []) for _ in range(nthreads)]
+        appenders = [
+            (ops, ops.append, locks.append, requests.append, think.append,
+             ends.append)
+            for ops, locks, requests, think, ends in columns
+        ]
         total = len(active) * spec.requests_per_thread
         for i in range(total):
             key = ranking[bisect.bisect_right(cdf, uniform())]
-            cls = "get" if uniform() < read_fraction else "put"
+            is_get = uniform() < read_fraction
             tid = owner_of.get(key, active[i % len(active)])
             gap = (-spec.mean_gap_us * math.log1p(-uniform()) if open_loop
                    else spec.think_us)
-            name = objects[key].name
+            ops, add_op, add_lock, add_request, add_think, add_end = (
+                appenders[tid])
             # one request, in the fuzz module's op vocabulary: a get
             # reads (sometimes twice), a put is a read-modify-write with
             # an exactly-representable update
             while (idx := bits(key_bits)) >= key_len:
                 pass
-            read = ("read", name, idx)
-            read = intern(read, read)
-            if cls == "get":
-                ops = [read]
+            key_reads = reads[key]
+            read = key_reads[idx]
+            if is_get:
+                add_op(read)
                 if uniform() < 0.3:
                     while (v := bits(key_bits)) >= key_len:
                         pass
-                    op = ("read", name, v)
-                    ops.append(intern(op, op))
+                    add_op(key_reads[v])
             else:
+                name = read[1]
                 r = uniform()
                 if r < 0.5:
                     while (v := bits(4)) >= 13:
                         pass
-                    op = ("add", name, idx, float(v - 6))
+                    op = ("add", name, idx, operands[v - 6])
                 elif r < 0.8:
                     while (v := bits(6)) >= 33:
                         pass
-                    op = ("set", name, idx, float(v - 16))
+                    op = ("set", name, idx, operands[v - 16])
                 else:
                     while (m := bits(2)) >= 3:
                         pass
                     while (v := bits(4)) >= 9:
                         pass
                     op = ("scale", name, idx, (0.5, 2.0, -1.0)[m],
-                          float(v - 4))
-                ops = [intern(op, op), read]
-            lock = None if key in owner_of else key % nlocks
-            sections_by_tid[tid].append(
-                SectionSpec(lock, ops, 0.0, cls, gap if gap > 0.0 else 0.0)
+                          operands[v - 4])
+                add_op(intern(op, op))
+                add_op(read)
+            add_lock(lock_of[key])
+            add_request(get_code if is_get else put_code)
+            add_think(gap if gap > 0.0 else 0.0)
+            add_end(len(ops))
+        phases.append([
+            PackedSections(  # serving charges no compute time
+                locks, [0.0] * len(ends), requests, think, ops, ends, classes
             )
-        phases.append(sections_by_tid)
+            for ops, locks, requests, think, ends in columns
+        ])
 
     return ProgramSpec(
         seed=spec.seed,

@@ -40,12 +40,20 @@ All constants are small exactly-representable floats and both the
 application and the oracle evaluate the same numpy float64 expressions
 in the same order, so comparisons are exact (bit-identical), not
 approximate.
+
+Storage: ``ProgramSpec.phases[p][tid]`` is one :class:`PackedSections`,
+a read-only sequence of :class:`SectionSpec` rows kept as columns (see
+there).  A spec packs whatever rows it is given, so generated, loaded
+(:meth:`ProgramSpec.from_dict`), crafted and serving specs all share the
+one form, and their JSON is what the rows would write.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.gos.jvm import ClusterSpec
@@ -96,16 +104,136 @@ class SectionSpec:
     think_us: float = 0.0
 
 
+class PackedSections(Sequence):
+    """One thread's sections in one phase, stored as columns.
+
+    A read-only sequence of :class:`SectionSpec` rows: ``len``,
+    indexing, slicing (a list of rows), iteration and equality with any
+    sequence of rows behave as on a list of them.  A row is made only
+    when it is read; the storage is one slot per section in each column:
+
+    * ``locks`` — the guarding lock, ``-1`` for an owned section;
+    * ``compute_us`` and ``think_us`` — float64 times;
+    * ``requests`` — an index into ``classes``, whose entry 0 is ``None``;
+    * ``ops`` — every section's op tuples back to back, section ``i``
+      ending at ``ends[i]``; the tuples are the caller's own objects.
+
+    The constructor takes the columns, each copied once at its length;
+    :meth:`of` packs rows.  Serving traffic runs to tens of thousands of
+    sections a run, so its expansion gathers columns, not rows, and
+    :class:`~repro.apps.fromspec.SpecProgram` walks them.
+    """
+
+    __slots__ = (
+        "locks", "compute_us", "requests", "think_us", "ops", "ends",
+        "classes",
+    )
+
+    def __init__(
+        self,
+        locks: Iterable[int] = (),
+        compute_us: Iterable[float] = (),
+        requests: Iterable[int] = (),
+        think_us: Iterable[float] = (),
+        ops: Iterable[tuple] = (),
+        ends: Iterable[int] = (),
+        classes: tuple[str | None, ...] = (None,),
+    ) -> None:
+        self.locks = array("i", locks)
+        self.compute_us = array("d", compute_us)
+        self.requests = array("B", requests)
+        self.think_us = array("d", think_us)
+        self.ops = list(ops)
+        self.ends = array("I", ends)
+        self.classes = classes
+        n = len(self.ends)
+        if not (
+            len(self.locks) == len(self.compute_us) == len(self.requests)
+            == len(self.think_us) == n
+        ) or len(self.ops) != (self.ends[-1] if n else 0):
+            raise ValueError("section columns disagree in length")
+        if classes[:1] != (None,):
+            raise ValueError(f"classes must start with None, got {classes!r}")
+
+    @classmethod
+    def of(cls, rows: Iterable[SectionSpec]) -> "PackedSections":
+        """Pack a sequence of rows."""
+        locks: list[int] = []
+        compute_us: list[float] = []
+        requests: list[int] = []
+        think_us: list[float] = []
+        ops: list[tuple] = []
+        ends: list[int] = []
+        classes: list[str | None] = [None]
+        for row in rows:
+            lock = row.lock
+            if lock is not None and lock < 0:
+                raise ValueError(
+                    f"section lock must be None or >= 0, got {lock!r}"
+                )
+            if row.request not in classes:
+                classes.append(row.request)
+            locks.append(-1 if lock is None else lock)
+            compute_us.append(row.compute_us)
+            requests.append(classes.index(row.request))
+            think_us.append(row.think_us)
+            ops.extend(row.ops)
+            ends.append(len(ops))
+        return cls(
+            locks, compute_us, requests, think_us, ops, ends, tuple(classes)
+        )
+
+    def _row(self, i: int) -> SectionSpec:
+        lock = self.locks[i]
+        return SectionSpec(
+            None if lock < 0 else lock,
+            self.ops[self.ends[i - 1] if i else 0:self.ends[i]],
+            self.compute_us[i],
+            self.classes[self.requests[i]],
+            self.think_us[i],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        n = len(self.ends)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("section index out of range")
+        return self._row(index)
+
+    def __iter__(self):
+        return map(self._row, range(len(self.ends)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PackedSections.of({list(self)!r})"
+
+
 @dataclass
 class ProgramSpec:
     """A complete generated episode: cluster, policy, objects, program.
 
-    ``phases[p][tid]`` is the ordered list of :class:`SectionSpec` thread
-    ``tid`` executes in phase ``p``; every thread ends every phase at the
-    global barrier.  The cluster fields carry
-    :class:`~repro.gos.jvm.ClusterSpec`'s names (:attr:`cluster`); the
-    JSON form keeps the historical keys ``nnodes``, ``policy_name`` and
-    ``mechanism_name``.
+    ``phases[p][tid]`` is the ordered sequence of :class:`SectionSpec`
+    rows thread ``tid`` executes in phase ``p``, packed into one
+    :class:`PackedSections`: whatever sequence of rows the spec is
+    given, it stores that, so every producer ends in the one form.
+    Every thread ends every phase at the global barrier.  The cluster
+    fields carry :class:`~repro.gos.jvm.ClusterSpec`'s names
+    (:attr:`cluster`); the JSON form keeps the historical keys
+    ``nnodes``, ``policy_name`` and ``mechanism_name``.
     """
 
     seed: int
@@ -120,7 +248,16 @@ class ProgramSpec:
     objects: list[ObjectSpec] = field(default_factory=list)
     lock_homes: list[int] = field(default_factory=list)
     barrier_home: int = 0
-    phases: list[list[list[SectionSpec]]] = field(default_factory=list)
+    phases: list[list[PackedSections]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.phases = [
+            [
+                s if type(s) is PackedSections else PackedSections.of(s)
+                for s in phase
+            ]
+            for phase in self.phases
+        ]
 
     @property
     def cluster(self) -> ClusterSpec:

@@ -14,7 +14,7 @@ The home monitors, per object:
   with accumulation (a request forwarded three times adds three) —
   negative feedback;
 * the frozen threshold base ``T_{i-1}`` and a running average of observed
-  diff sizes (used to evaluate ``alpha``).
+  diff sizes, with the ``alpha`` it gives (kept current as diffs arrive).
 
 This state object travels with the home on migration — the new home
 continues the feedback loop where the old one left off.
@@ -22,7 +22,9 @@ continues the feedback loop where the old one left off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro.core.coefficient import home_access_coefficient
 
 #: Sentinel writer id meaning "the home node itself wrote".
 HOME_WRITER = -1
@@ -68,6 +70,14 @@ class ObjectAccessState:
     sharer: int | None = None
     #: Owner-transition count (LazyFlushing's max-5 bound).
     transitions: int = 0
+    #: Half-peak message length of the home's network (bytes), the
+    #: network input of ``alpha``; None for a monitor outside a cluster,
+    #: which keeps no ``alpha``.
+    half_peak_bytes: float | None = None
+    #: The home access coefficient for the current diff average
+    #: (:func:`~repro.core.coefficient.home_access_coefficient`): set here
+    #: and recomputed only where the average moves, not per fault.
+    alpha: float | None = field(default=None, init=False)
 
     _DIFF_EWMA = 0.5  # weight of the newest observation
 
@@ -78,6 +88,10 @@ class ObjectAccessState:
             )
         if self.diff_bytes_avg == 0.0:
             self.diff_bytes_avg = float(self.object_bytes)
+        if self.half_peak_bytes is not None:
+            self.alpha = home_access_coefficient(
+                self.object_bytes, self.diff_bytes_avg, self.half_peak_bytes
+            )
 
     # -- recording ----------------------------------------------------------
 
@@ -92,10 +106,17 @@ class ObjectAccessState:
             self.consecutive_writer = writer
             self.consecutive_writes = 1
         self.last_writer = writer
-        self.diff_bytes_avg = (
+        avg = self.diff_bytes_avg = (
             self._DIFF_EWMA * diff_bytes
             + (1.0 - self._DIFF_EWMA) * self.diff_bytes_avg
         )
+        m_half = self.half_peak_bytes
+        if m_half is not None:
+            # home_access_coefficient's expression, inline: one applied
+            # diff pays no extra call for it
+            self.alpha = (3 * m_half + 1 + self.object_bytes + avg) / (
+                2 * (m_half + 1)
+            )
 
     def record_home_write(self) -> bool:
         """The home node wrote its own copy (trapped home write fault).

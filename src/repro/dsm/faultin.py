@@ -23,7 +23,6 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.cluster.message import MsgCategory
-from repro.core.coefficient import home_access_coefficient
 from repro.dsm.cache import CacheEntry
 from repro.dsm.home import HomeEntry
 from repro.dsm.wire import (
@@ -524,9 +523,7 @@ class FaultInMixin:
                 hops=request.hops,
             )
         size_bytes = state.object_bytes
-        alpha = home_access_coefficient(
-            size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes
-        )
+        alpha = state.alpha
         # Equation 2: the policy compares C against the live threshold
         migrate = self.policy.should_migrate(
             state, requester, alpha, request.for_write
@@ -593,7 +590,7 @@ class FaultInMixin:
             return
         state = entry.state
         state.record_redirections(request.hops)
-        alpha = self.alpha(oid, state)
+        alpha = state.alpha
         migrate = self.policy.should_migrate(
             state, request.requester, alpha, for_write=True
         )

@@ -235,7 +235,7 @@ class MigrationMixin:
                 "which is not the home"
             )
         self._hand_off_home(
-            oid, entry, order.new_home, self.alpha(oid, entry.state),
+            oid, entry, order.new_home, entry.state.alpha,
             _CONTROL, None, None,
         )
 

@@ -39,7 +39,6 @@ from repro import _kernel
 from repro.cluster.message import MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
-from repro.core.coefficient import home_access_coefficient
 from repro.core.policies import MigrationPolicy
 from repro.core.state import ObjectAccessState
 from repro.dsm.cache import CacheEntry
@@ -213,6 +212,7 @@ class DsmEngine(
                 oid=oid,
                 object_bytes=obj.size_bytes,
                 threshold_base=self.policy.initial_base(),
+                half_peak_bytes=self.network.half_peak_bytes,
             ),
         )
         if self._tr_home_install:
@@ -226,11 +226,9 @@ class DsmEngine(
             )
 
     def alpha(self, oid: int, state: ObjectAccessState) -> float:
-        """The home access coefficient for this object right now."""
-        obj = self.heap.get(oid)
-        return home_access_coefficient(
-            obj.size_bytes, state.diff_bytes_avg, self.network.half_peak_bytes
-        )
+        """The home access coefficient for this object right now: the
+        value its monitor keeps (recomputed as diffs arrive)."""
+        return state.alpha
 
     def _learn_home(self, oid: int, home: int) -> None:
         """Record that ``oid``'s home is ``home``.

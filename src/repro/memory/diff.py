@@ -48,12 +48,13 @@ def diff_size_bytes(indices: np.ndarray, itemsize: int) -> int:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Diff:
     """An encoded update set for one object.
 
     ``indices`` are sorted element positions; ``values`` the new contents.
-    ``size_bytes`` is the run-length-encoded wire size.
+    ``size_bytes`` is the run-length-encoded wire size.  A plain record
+    like every wire payload: receivers only read it (``dsm/wire.py``).
     """
 
     oid: int

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.coefficient import home_access_coefficient
 from repro.core.state import HOME_WRITER, SHARED, ObjectAccessState
 
 
@@ -22,6 +23,23 @@ def test_initial_state():
 def test_invalid_object_bytes():
     with pytest.raises(ValueError):
         ObjectAccessState(oid=1, object_bytes=0)
+
+
+def test_alpha_follows_the_diff_average_exactly():
+    m_half = 1150.0
+    state = make_state(half_peak_bytes=m_half)
+    assert state.alpha == home_access_coefficient(1024, 1024.0, m_half)
+    for writer, diff_bytes in ((2, 100), (2, 37), (3, 513), (2, 8)):
+        state.record_remote_write(writer, diff_bytes)
+        # bit-exact: the cached value is the function's own expression
+        assert state.alpha == home_access_coefficient(
+            1024, state.diff_bytes_avg, m_half
+        )
+    kept = state.alpha
+    state.record_home_write()
+    state.record_remote_read(4, hops=2)
+    assert state.alpha == kept  # nothing but a diff moves it
+    assert make_state().alpha is None  # no network, no alpha
 
 
 def test_consecutive_writes_same_writer():

@@ -45,10 +45,10 @@ from repro.obs.metrics import MetricsRegistry
 #: re-queue, delivery and hit paths in C; the lock table and the request
 #: monitor are Python on both backends).  The assert allows 5 % on top.
 CALL_BUDGET = {
-    "synthetic-at-4": {"python": 15765, "compiled": 5539},
-    "synthetic-at-4-metered": {"python": 22087, "compiled": 10600},
-    "asp-nm-4": {"python": 31888, "compiled": 11415},
-    "serving-16": {"python": 19190, "compiled": 9241},
+    "synthetic-at-4": {"python": 15679, "compiled": 5539},
+    "synthetic-at-4-metered": {"python": 22001, "compiled": 10600},
+    "asp-nm-4": {"python": 31426, "compiled": 10953},
+    "serving-16": {"python": 18852, "compiled": 8903},
 }
 SLACK = 1.05
 MEASURED_ON = (3, 11)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro import _kernel
-from repro.apps import DsmApplication, Sor, SingleWriterBenchmark
+from repro.apps import DsmApplication, ServingSpec, Sor, SingleWriterBenchmark
+from repro.apps.serving import build_serving_program
 from repro.bench.runner import run_once
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.homeless import HomelessObjectSpace
@@ -189,7 +190,48 @@ def test_fixed_cost_per_node_fits_its_budget(backend):
     )
 
 
+# -- what serving traffic holds per request ----------------------------------
+
+TRAFFIC_SPEC = ServingSpec(nodes=64, keys=128, phases=2, requests_per_thread=16)
+#: tracemalloc bytes per request of the ProgramSpec that
+#: build_serving_program makes of TRAFFIC_SPEC, measured on CPython 3.11,
+#: plus 10 % (the expansion is Python on both backends; re-measure:
+#: python tests/test_memory_containment.py).
+TRAFFIC_BYTES_PER_REQUEST = 144 * 1.1
+
+
+def traffic_bytes_per_request() -> float:
+    """tracemalloc bytes the expanded TRAFFIC_SPEC holds, per request."""
+    build_serving_program(ServingSpec(nodes=4))  # imports and interning
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = build_serving_program(TRAFFIC_SPEC)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    requests = sum(len(s) for phase in program.phases for s in phase)
+    assert requests == TRAFFIC_SPEC.nodes * 2 * 16
+    return (after - before) / requests
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != MEASURED_ON,
+    reason="the budget is measured on CPython 3.11; other interpreters "
+    "size objects differently",
+)
+def test_serving_traffic_fits_its_budget():
+    per_request = traffic_bytes_per_request()
+    assert per_request <= TRAFFIC_BYTES_PER_REQUEST, (
+        f"{per_request:.0f} B per expanded serving request, over the "
+        f"{TRAFFIC_BYTES_PER_REQUEST:.0f} B budget: an object per request "
+        "is back in the traffic expansion"
+    )
+
+
 if __name__ == "__main__":  # re-measure: python tests/test_memory_containment.py
     for name in ("python", "compiled"):
         _kernel.select_backend(name)
         print(name, round(fixed_cluster(FIXED_COST_NODES)[2]))
+    print("traffic B/request", round(traffic_bytes_per_request()))

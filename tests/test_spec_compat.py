@@ -12,9 +12,13 @@ that neither changed anything observable:
   request — still replays, to the same SLO report and execution log;
 * the columnar log yields exactly the triples a list would hold;
 * serving traffic expands to the same bytes as when every draw went
-  through ``randrange``/``randint``/``choice``.
+  through ``randrange``/``randint``/``choice``;
+* a spec stores each thread's sections of a phase packed into columns
+  (:class:`~repro.check.fuzz.PackedSections`), which read back as the
+  list of rows they were given and serialize to the same bytes.
 """
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -27,9 +31,16 @@ from repro.apps.serving import (
     ServingSpec,
     build_serving_program,
     generate_serving_program,
+    quiet_nodes,
 )
 from repro.bench import serving as serving_bench
-from repro.check.fuzz import ProgramSpec, SectionSpec, generate_program
+from repro.check.fuzz import (
+    PackedSections,
+    ProgramSpec,
+    SectionSpec,
+    generate_program,
+)
+from repro.check.mutations import MUTATION_NAMES, mutation_spec
 from repro.check.oracle import ExecutionLog, check_episode
 
 #: sha256 of ``generate_program(seed).to_json()`` for core seeds 0-4,
@@ -108,9 +119,10 @@ def _sha(spec: ProgramSpec) -> str:
 def _gap_layout(spec: ProgramSpec) -> ProgramSpec:
     """``spec`` re-expanded the old way: every ``think_us`` becomes a
     zero-op compute section ahead of its (think-free) section."""
-    old = ProgramSpec.from_dict(spec.to_dict())
-    for phase in old.phases:
-        for tid, sections in enumerate(phase):
+    phases = []
+    for phase in spec.phases:
+        phases.append([])
+        for sections in phase:
             expanded = []
             for s in sections:
                 if s.think_us > 0.0:
@@ -118,8 +130,8 @@ def _gap_layout(spec: ProgramSpec) -> ProgramSpec:
                 expanded.append(
                     SectionSpec(s.lock, s.ops, s.compute_us, s.request)
                 )
-            phase[tid] = expanded
-    return old
+            phases[-1].append(expanded)
+    return dataclasses.replace(spec, phases=phases)
 
 
 def _run(spec: ProgramSpec):
@@ -218,3 +230,88 @@ def test_execution_log_yields_list_triples():
             assert struct.pack("<d", observed) == struct.pack("<d", eobserved)
     assert math.copysign(1.0, got[5][2]) == -1.0
     assert math.isnan(got[6][2])
+
+
+# -- the packed section storage ---------------------------------------------
+
+def _rows() -> list[SectionSpec]:
+    """Rows covering every column: owned and locked, ops and none,
+    compute and think time, no request and two classes."""
+    return [
+        SectionSpec(0, [("read", "obj0", 0)]),
+        SectionSpec(
+            None, [("add", "obj0", 1, 2.0), ("read", "obj0", 1)], 20.0
+        ),
+        SectionSpec(1, [], 0.0, "put", 12.5),
+        SectionSpec(None, [("scale", "obj0", 0, 0.5, -3.0)], 0.0, "get"),
+        SectionSpec(2, [("set", "obj0", 0, 4.0)], 100.0, "put", 0.25),
+    ]
+
+
+def test_packed_rows_read_back_like_a_list():
+    rows = _rows()
+    packed = PackedSections.of(rows)
+    assert len(packed) == len(rows)
+    assert [packed[i] for i in range(len(rows))] == rows
+    assert packed[-1] == rows[-1] and packed[-len(rows)] == rows[0]
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            packed[index]
+    for sl in (slice(None), slice(1, 3), slice(None, None, -2), slice(7, 9)):
+        assert packed[sl] == rows[sl]
+    assert list(packed) == rows
+    assert packed == rows and rows == packed
+    assert packed != rows[:-1] and packed != rows[::-1]
+    assert PackedSections.of(packed) == packed
+    # the rows hold the caller's op tuples, not copies
+    assert packed[1].ops[0] is rows[1].ops[0]
+    with pytest.raises(ValueError, match="lock"):
+        PackedSections.of([SectionSpec(-1, [])])
+
+
+def test_crafted_spec_is_packed_and_equals_its_rows():
+    rows = _rows()
+    spec = ProgramSpec(
+        seed=-1, nodes=2, nthreads=2, placement=[0, 1], policy="NM",
+        policy_params={}, mechanism="forwarding-pointer", manager_node=0,
+        lock_discipline="fifo", lock_homes=[0, 1, 0],
+        phases=[[rows, []], [rows[2:], rows[:2]]],
+    )
+    assert all(
+        type(sections) is PackedSections
+        for phase in spec.phases
+        for sections in phase
+    )
+    assert spec.phases == [[rows, []], [rows[2:], rows[:2]]]
+    for name in MUTATION_NAMES:
+        crafted = mutation_spec(name)
+        assert {
+            type(sections) for phase in crafted.phases for sections in phase
+        } == {PackedSections}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        generate_program(0),
+        generate_program(3, flavor="serving"),
+        build_serving_program(ServingSpec(seed=2, nodes=3, keys=6)),
+        mutation_spec("skip_diff"),
+    ],
+    ids=["core", "fuzzed-serving", "think-time", "crafted"],
+)
+def test_from_dict_keeps_the_json_bytes(spec):
+    text = spec.to_json()
+    clone = ProgramSpec.from_dict(spec.to_dict())
+    assert clone.to_json() == text
+    assert clone == spec
+
+
+def test_quiet_thread_has_no_sections():
+    sspec = ServingSpec(seed=1, nodes=4, keys=8, churn=0.25, phases=2)
+    spec = build_serving_program(sspec)
+    for phase_no, phase in enumerate(spec.phases):
+        for tid in quiet_nodes(sspec.nodes, phase_no, sspec.churn):
+            assert phase[tid] == []
+            assert [] == phase[tid]
+            assert not phase[tid] and list(phase[tid]) == []
