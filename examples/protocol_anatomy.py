@@ -20,12 +20,11 @@ from repro.gos.thread import ThreadContext
 def snapshot(gos, obj):
     home = gos.current_home(obj)
     state = gos.engines[home].homes[obj.oid].state
-    alpha = gos.engines[home].alpha(obj.oid, state)
-    threshold = gos.policy.current_threshold(state, alpha)
+    threshold = gos.policy.current_threshold(state, state.alpha)
     return (
         f"home=node{home}  C={state.consecutive_writes} "
         f"(writer={state.consecutive_writer})  E={state.exclusive_home_writes} "
-        f"R={state.redirections}  alpha={alpha:.2f}  T={threshold:.2f}"
+        f"R={state.redirections}  alpha={state.alpha:.2f}  T={threshold:.2f}"
     )
 
 

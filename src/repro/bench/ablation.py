@@ -270,7 +270,6 @@ def run_network_ablation(
 
 def run_decay_ablation(
     phase_updates: int = 512,
-    seedless: bool = True,
     verify: bool = True,
     jobs: int | None = 1,
     obs: ObsSpec | None = None,

@@ -1,9 +1,8 @@
 """Offline analytics over saved JSONL traces (``repro-bench analyze``).
 
-Consumes a JSONL trace (``--trace-out`` on any sweep,
-:func:`~repro.bench.record.record_trace` or
-:func:`~repro.obs.export.dump_trace`)
-and reports, for any trace:
+Consumes a JSONL trace (``--trace-out`` on any figure or ablation
+sweep, or :func:`~repro.bench.record.record_trace`) and reports, for
+any trace:
 
 * **Event counts** — what the trace captured, per event kind;
 * **One object's story** — the migration hops of one object (``oid``,
@@ -39,11 +38,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.obs.export import iter_trace
 from repro.obs.hist import EpochSeries, LatencyHistogram
-from repro.bench.report import format_table
+from repro.bench.report import fmt, format_table
 
 __all__ = ["analyze_trace", "render_analysis", "REPORT_SCHEMA"]
 
@@ -424,14 +422,6 @@ def analyze_trace(path: str, oid: int | None = None) -> dict:
     }
 
 
-def _fmt(value: Any, precision: int = 1) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
-    return str(value)
-
-
 def render_analysis(report: dict) -> str:
     """Render the report as markdown-flavoured plain text.
 
@@ -468,11 +458,11 @@ def render_analysis(report: dict) -> str:
             [
                 kind,
                 summary["count"],
-                _fmt(summary["p50"]),
-                _fmt(summary["p95"]),
-                _fmt(summary["p99"]),
-                _fmt(summary["p999"]),
-                _fmt(summary["max"]),
+                fmt(summary["p50"]),
+                fmt(summary["p95"]),
+                fmt(summary["p99"]),
+                fmt(summary["p999"]),
+                fmt(summary["max"]),
             ]
         )
     if rows:
@@ -497,13 +487,13 @@ def render_analysis(report: dict) -> str:
     if report["critical_paths"]:
         rows = [
             [
-                _fmt(cp["total_us"]),
+                fmt(cp["total_us"]),
                 cp["oid"],
                 cp["node"],
                 cp["hops"],
-                _fmt(cp["redirect_us"]),
-                _fmt(cp["residual_us"]),
-                _fmt(cp["migration_us"]),
+                fmt(cp["redirect_us"]),
+                fmt(cp["residual_us"]),
+                fmt(cp["migration_us"]),
                 cp["dominant"],
             ]
             for cp in report["critical_paths"]
@@ -527,10 +517,10 @@ def render_analysis(report: dict) -> str:
                 m["oid"],
                 m["migrations"],
                 m["decisions"],
-                _fmt(m["threshold_first"], 3),
-                _fmt(m["threshold_last"], 3),
-                _fmt(m["threshold_min"], 3),
-                _fmt(m["threshold_max"], 3),
+                fmt(m["threshold_first"], 3),
+                fmt(m["threshold_last"], 3),
+                fmt(m["threshold_min"], 3),
+                fmt(m["threshold_max"], 3),
                 "->".join(str(n) for n in m["path"][:10]),
             ]
             for m in report["migration_objects"]
@@ -554,10 +544,10 @@ def render_analysis(report: dict) -> str:
             [
                 e["epoch"],
                 e["parties"],
-                _fmt(e["release_spread_us"]),
+                fmt(e["release_spread_us"]),
                 e["faults"],
-                _fmt(e["mean_chain"], 2),
-                _fmt(e["max_chain"]),
+                fmt(e["mean_chain"], 2),
+                fmt(e["max_chain"]),
             ]
             for e in _sample_rows(report["epoch_fanout"], MAX_TIMELINE_ROWS)
         ]
@@ -577,9 +567,9 @@ def render_analysis(report: dict) -> str:
         rows = [
             [
                 e["epoch"] if e["epoch"] is not None else "tail",
-                _fmt(e["end_us"]),
+                fmt(e["end_us"]),
                 e["ops"],
-                _fmt(e["ops_per_s"]),
+                fmt(e["ops_per_s"]),
             ]
             for e in _sample_rows(report["epoch_throughput"],
                                   MAX_TIMELINE_ROWS)
@@ -606,8 +596,8 @@ def _render_object(obj: dict) -> list[str]:
         if len(path) > MAX_TIMELINE_ROWS:
             path_text += f" -> ... ({len(hops)} hops)"
         rows = [
-            [_fmt(h["t"]), h["old_home"], h["new_home"],
-             _fmt(h["frozen_threshold"], 3)]
+            [fmt(h["t"]), h["old_home"], h["new_home"],
+             fmt(h["frozen_threshold"], 3)]
             for h in _sample_rows(hops, MAX_TIMELINE_ROWS)
         ]
         blocks.append(
@@ -629,14 +619,14 @@ def _render_object(obj: dict) -> list[str]:
         return blocks
     summary = format_table(
         ["points", "first", "last", "min", "max"],
-        [[thr["points"], _fmt(thr["first"], 3), _fmt(thr["last"], 3),
-          _fmt(thr["min"], 3), _fmt(thr["max"], 3)]],
+        [[thr["points"], fmt(thr["first"], 3), fmt(thr["last"], 3),
+          fmt(thr["min"], 3), fmt(thr["max"], 3)]],
         title=f"Object {oid} — adaptive threshold at migration decisions",
     )
     samples = format_table(
         ["t_us", "threshold", "C", "requester", "decision"],
         [
-            [_fmt(d["t"]), _fmt(d["threshold"], 3), d["consecutive"],
+            [fmt(d["t"]), fmt(d["threshold"], 3), d["consecutive"],
              d["requester"], "migrate" if d["migrated"] else "stay"]
             for d in thr["samples"]
         ],

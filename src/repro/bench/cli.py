@@ -10,12 +10,13 @@ fans each sweep's independent runs out over N worker processes
 ``--json PATH`` additionally dumps the raw result dictionaries to a
 JSON file.
 
-Observability flags (sweep targets): ``--trace-out PATH`` streams every
-run's trace to per-run JSONL files; ``--metrics-out PATH`` writes the
-merged cross-run metrics snapshot as JSON; ``--log-level LEVEL``
-enables structured run logging on stderr; ``--progress`` prints a
-heartbeat line as each run completes.  The ``analyze`` target (below)
-renders a saved trace offline.
+Observability flags (``figure2``, ``figure3``, ``figure5``,
+``ablation`` and ``all``; any other target rejects them):
+``--trace-out PATH`` streams every run's trace to per-run JSONL files;
+``--metrics-out PATH`` writes the merged cross-run metrics snapshot as
+JSON; ``--log-level LEVEL`` enables structured run logging on stderr.
+``--progress`` prints a heartbeat line as each run completes.  The
+``analyze`` target (below) renders a saved trace offline.
 
 The ``check`` target runs the protocol conformance harness
 (:mod:`repro.check`): ``repro-bench check --episodes N --seed S``
@@ -84,10 +85,12 @@ from repro.bench.figure5 import render_figure5, run_figure5
 from repro.obs.logging import LEVELS
 from repro.obs.metrics import MetricsRegistry
 
-TARGETS = (
-    "figure2", "figure3", "figure5", "ablation", "all", "check", "analyze",
-    "sweep", "serve",
-)
+#: The targets that run figure or ablation sweeps through the executor,
+#: the only ones that honour ``--trace-out``, ``--metrics-out`` and
+#: ``--log-level``; ``all`` comes last, as it runs the other four.
+OBS_TARGETS = ("figure2", "figure3", "figure5", "ablation", "all")
+
+TARGETS = OBS_TARGETS + ("check", "analyze", "sweep", "serve")
 
 
 def _derive_obs(obs: ObsSpec | None, label: str) -> ObsSpec | None:
@@ -143,13 +146,8 @@ class _TelemetryHarvest:
     def __call__(self, done: int, total: int, outcome: RunOutcome) -> None:
         """The executor's ``progress(done, total, outcome)`` callback."""
         self.runs += 1
-        telemetry = outcome.telemetry
-        if (
-            self.metrics is not None
-            and telemetry is not None
-            and telemetry.get("metrics") is not None
-        ):
-            self.metrics.merge(telemetry["metrics"])
+        if self.metrics is not None and outcome.metrics is not None:
+            self.metrics.merge(outcome.metrics)
         if self.show_progress:
             print(
                 f"[{done}/{total}] {outcome.app} policy={outcome.policy} "
@@ -487,6 +485,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.target not in OBS_TARGETS:
+        for flag, value in (
+            ("--trace-out", args.trace_out),
+            ("--metrics-out", args.metrics_out),
+            ("--log-level", args.log_level),
+        ):
+            if value is not None:
+                parser.error(
+                    f"{flag} is not supported by the {args.target} target; "
+                    f"only {', '.join(OBS_TARGETS)} honour it"
+                )
+
     if args.backend != "auto":
         from repro import _kernel
 
@@ -582,11 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     progress_arg = harvest if (args.progress or obs.enabled) else None
 
     collected: dict = {}
-    targets = (
-        ("figure2", "figure3", "figure5", "ablation")
-        if args.target == "all"
-        else (args.target,)
-    )
+    targets = OBS_TARGETS[:-1] if args.target == "all" else (args.target,)
     for target in targets:
         target_obs = _derive_obs(obs_arg, target)
         if target == "figure2":

@@ -29,7 +29,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from contextlib import nullcontext as _null_context
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -152,15 +151,13 @@ class RunOutcome:
     assemble their result dictionaries from these fields instead of
     holding on to live :class:`~repro.gos.jvm.RunResult` objects (which
     carry the whole simulated cluster and cannot cross processes).
-    ``wall_clock_s`` and ``telemetry`` are the only nondeterministic
-    fields; everything else is a pure function of the spec.
+    ``wall_clock_s`` is the only nondeterministic field; everything else
+    is a pure function of the spec.
 
-    ``telemetry`` is populated when the spec carried an enabled
-    :class:`ObsSpec`: ``{"phases": <PhaseTimer report>, "metrics":
-    <MetricsRegistry snapshot> | None, "trace": {"path", "events"} |
-    None}``.  It stays JSON-friendly and picklable, but the phase wall
-    times (and the trace path) vary run to run, so
-    :meth:`deterministic` strips it along with the wall clock.
+    ``metrics`` is the run's :class:`~repro.obs.metrics.MetricsRegistry`
+    snapshot when the spec carried an :class:`ObsSpec` with
+    ``metrics=True``, else ``None``; :meth:`deterministic` strips it, so
+    a metered and a bare run of one spec compare equal.
     """
 
     tag: Any
@@ -181,7 +178,7 @@ class RunOutcome:
     events: dict[str, int]
     msg_count: dict[str, int]
     msg_bytes: dict[str, int]
-    telemetry: dict | None = None
+    metrics: dict | None = None
     #: Which simulation backend produced this outcome ("python" or
     #: "compiled") — diagnostic provenance, stripped from the
     #: deterministic view because both backends are bit-identical.
@@ -193,12 +190,12 @@ class RunOutcome:
         return self.time_us / 1e6
 
     def deterministic(self) -> dict:
-        """All fields except the wall-clock, telemetry and backend — the
+        """All fields except the wall-clock, metrics and backend — the
         bit-stable view two executions of the same spec must agree on
         exactly (whichever backend ran them)."""
         payload = self.__dict__.copy()
         payload.pop("wall_clock_s")
-        payload.pop("telemetry")
+        payload.pop("metrics")
         payload.pop("backend")
         return payload
 
@@ -221,13 +218,12 @@ def _make_app(spec: RunSpec) -> Any:
 def _build_obs(obs: ObsSpec):
     """Realize an :class:`ObsSpec` into live instruments.
 
-    Returns ``(metrics, writer, logger, timer)``; any of the first three
-    may be ``None`` when the corresponding instrument is off.
+    Returns ``(metrics, writer, logger)``; each is ``None`` when the
+    corresponding instrument is off.
     """
     from repro.obs.export import JsonlTraceWriter
     from repro.obs.logging import RunLogger
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.timers import PhaseTimer
 
     metrics = MetricsRegistry() if obs.metrics else None
     writer = (
@@ -238,7 +234,7 @@ def _build_obs(obs: ObsSpec):
     logger = (
         RunLogger(level=obs.log_level) if obs.log_level is not None else None
     )
-    return metrics, writer, logger, PhaseTimer()
+    return metrics, writer, logger
 
 
 def run_spec(spec: RunSpec) -> RunOutcome:
@@ -246,18 +242,17 @@ def run_spec(spec: RunSpec) -> RunOutcome:
 
     This is the worker function :func:`execute` fans out; it is also the
     entire sequential path, so both modes share one code path per run.
-    When ``spec.obs`` is enabled, the run is instrumented and the
-    resulting :attr:`RunOutcome.telemetry` carries phase timings, the
-    metrics snapshot and the trace-file summary.
+    When ``spec.obs`` is enabled, the run is instrumented; a metered
+    run's snapshot lands in :attr:`RunOutcome.metrics`.
     """
     from repro import _kernel
     from repro.gos.jvm import DistributedJVM
 
     obs = spec.obs if spec.obs is not None and spec.obs.enabled else None
     if obs is None:
-        metrics = writer = logger = timer = None
+        metrics = writer = logger = None
     else:
-        metrics, writer, logger, timer = _build_obs(obs)
+        metrics, writer, logger = _build_obs(obs)
     if metrics is not None:
         # Backend provenance in the metrics snapshot: 1.0 when the
         # compiled kernel ran this spec, 0.0 for pure Python.
@@ -266,32 +261,17 @@ def run_spec(spec: RunSpec) -> RunOutcome:
         )
 
     start = time.perf_counter()
-    telemetry: dict | None = None
     try:
-        with timer.phase("build") if timer else _null_context():
-            app = _make_app(spec)
-            jvm = DistributedJVM(
-                spec.cluster, tracer=writer, metrics=metrics, logger=logger
-            )
-        with timer.phase("simulate") if timer else _null_context():
-            result = jvm.run(app, nthreads=spec.nthreads)
+        app = _make_app(spec)
+        jvm = DistributedJVM(
+            spec.cluster, tracer=writer, metrics=metrics, logger=logger
+        )
+        result = jvm.run(app, nthreads=spec.nthreads)
         if spec.verify:
-            with timer.phase("verify") if timer else _null_context():
-                app.verify(result.output)
+            app.verify(result.output)
     finally:
         if writer is not None:
             writer.close()
-    if obs is not None:
-        telemetry = {
-            "backend": _kernel.backend_name(),
-            "phases": timer.report(),
-            "metrics": metrics.snapshot() if metrics is not None else None,
-            "trace": (
-                {"path": obs.trace_path, "events": writer.events_written}
-                if writer is not None
-                else None
-            ),
-        }
     stats = result.stats
     return RunOutcome(
         tag=spec.tag,
@@ -312,7 +292,7 @@ def run_spec(spec: RunSpec) -> RunOutcome:
         events=dict(stats.events),
         msg_count={cat.value: n for cat, n in stats.msg_count.items()},
         msg_bytes={cat.value: n for cat, n in stats.msg_bytes.items()},
-        telemetry=telemetry,
+        metrics=metrics.snapshot() if metrics is not None else None,
         backend=_kernel.backend_name(),
     )
 

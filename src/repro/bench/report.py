@@ -30,6 +30,16 @@ def format_table(
     return "\n".join(lines)
 
 
+def fmt(value, precision: int = 1) -> str:
+    """Format one report cell: ``-`` for a missing value, floats to
+    ``precision`` decimals."""
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.{precision}f}"
+    return str(value)
+
+
 def _format_cell(cell) -> str:
     if isinstance(cell, float):
         if cell == 0:

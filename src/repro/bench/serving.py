@@ -34,7 +34,7 @@ from functools import cached_property
 
 from repro.apps.fromspec import SpecProgram
 from repro.apps.serving import ServingSpec, build_serving_program
-from repro.bench.report import format_table
+from repro.bench.report import fmt, format_table
 from repro.gos.jvm import DistributedJVM, _cycle_collector_paused
 from repro.obs.hist import EpochSeries, LatencyHistogram
 
@@ -211,15 +211,6 @@ def report_digest(report: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _fmt(value, precision: int = 1) -> str:
-    """Format one table cell (``-`` for missing values)."""
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
-    return str(value)
-
-
 def _quantile_cell(summary: dict, name: str) -> str:
     """One quantile cell, ``~``-prefixed when saturated at the max."""
     value = summary.get(name)
@@ -260,11 +251,11 @@ def render_serving(report: dict) -> str:
             [
                 cls,
                 summary["count"],
-                _fmt(summary["mean"]),
+                fmt(summary["mean"]),
                 _quantile_cell(summary, "p50"),
                 _quantile_cell(summary, "p99"),
                 _quantile_cell(summary, "p999"),
-                _fmt(summary["max"]),
+                fmt(summary["max"]),
             ]
         )
     if rows:
@@ -282,8 +273,8 @@ def render_serving(report: dict) -> str:
         [
             e["epoch"],
             e["requests"],
-            _fmt(e["end_us"]),
-            _fmt(e["req_per_s"]),
+            fmt(e["end_us"]),
+            fmt(e["req_per_s"]),
         ]
         for e in report["epoch_throughput"]
     ]

@@ -22,8 +22,6 @@ unit-tested against the exact ratio of Hockney times.
 
 from __future__ import annotations
 
-from repro.cluster.hockney import HockneyModel
-
 
 def home_access_coefficient(
     object_bytes: float,
@@ -47,13 +45,4 @@ def home_access_coefficient(
         )
     return (3 * half_peak_bytes + 1 + object_bytes + diff_bytes) / (
         2 * (half_peak_bytes + 1)
-    )
-
-
-def home_access_coefficient_for_model(
-    object_bytes: float, diff_bytes: float, model: HockneyModel
-) -> float:
-    """Convenience wrapper taking a :class:`~repro.cluster.hockney.HockneyModel`."""
-    return home_access_coefficient(
-        object_bytes, diff_bytes, model.half_peak_bytes
     )

@@ -225,11 +225,6 @@ class DsmEngine(
                 version=0,
             )
 
-    def alpha(self, oid: int, state: ObjectAccessState) -> float:
-        """The home access coefficient for this object right now: the
-        value its monitor keeps (recomputed as diffs arrive)."""
-        return state.alpha
-
     def _learn_home(self, oid: int, home: int) -> None:
         """Record that ``oid``'s home is ``home``.
 

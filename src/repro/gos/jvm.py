@@ -298,26 +298,6 @@ class DistributedJVM:
                 messages=gos.stats.total_messages(),
                 migrations=gos.stats.events.get("migration", 0),
             )
-        # A bounded TraceRecorder that evicted span events has broken
-        # causal trees: never let that pass silently.
-        dropped_spans = getattr(self.tracer, "dropped_spans", 0)
-        if dropped_spans:
-            if log is not None:
-                log.warning(
-                    "dropped_spans",
-                    app=app.name,
-                    dropped_spans=dropped_spans,
-                    dropped_total=getattr(self.tracer, "dropped", 0),
-                )
-            else:  # no logger: fall back to a stdlib warning
-                import warnings
-
-                warnings.warn(
-                    f"trace recorder dropped {dropped_spans} span events "
-                    f"(max_events too small); causal trees are incomplete",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
         return RunResult(
             app_name=app.name,
             policy_name=(

@@ -12,13 +12,11 @@ files and SLO reports are all consumers of it:
   aggregation for parallel sweeps);
 * :mod:`repro.obs.export` — a streaming :class:`JsonlTraceWriter`
   (bounded-memory alternative to the in-memory
-  :class:`~repro.trace.recorder.TraceRecorder`) plus
-  :func:`load_trace` / :func:`iter_trace` / :func:`dump_trace`;
+  :class:`~repro.trace.recorder.TraceRecorder`) and its reader
+  :func:`iter_trace`;
 * :mod:`repro.obs.sinks` — :class:`MetricsSink` and :class:`LogSink`,
   which fold the stream into a registry and a :class:`RunLogger`, and
   :func:`observer`, which fans one stream out to several tracers;
-* :mod:`repro.obs.timers` — :class:`PhaseTimer` over simulated and wall
-  clock;
 * :mod:`repro.obs.logging` — a structured, level-gated
   :class:`RunLogger`;
 * :mod:`repro.obs.spans` — :class:`SpanTracer`: causal operation spans
@@ -35,15 +33,9 @@ measurable.  ``DistributedJVM(metrics=, logger=)`` attaches the sinks;
 a :class:`MetricsSink` can also be passed as the tracer directly.
 """
 
-from repro.obs.export import (
-    JsonlTraceWriter,
-    TRACE_SCHEMA,
-    dump_trace,
-    iter_trace,
-    load_trace,
-)
+from repro.obs.export import JsonlTraceWriter, TRACE_SCHEMA, iter_trace
 from repro.obs.hist import EpochSeries, LatencyHistogram
-from repro.obs.logging import LEVELS, NULL_LOGGER, RunLogger
+from repro.obs.logging import LEVELS, RunLogger
 from repro.obs.metrics import (
     Counter,
     DEFAULT_BUCKETS,
@@ -53,7 +45,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.sinks import LogSink, MetricsSink, TraceFanout, observer
 from repro.obs.spans import SPAN_KINDS, SpanTracer
-from repro.obs.timers import PhaseTimer
 
 __all__ = [
     "Counter",
@@ -67,15 +58,11 @@ __all__ = [
     "LogSink",
     "MetricsRegistry",
     "MetricsSink",
-    "NULL_LOGGER",
-    "PhaseTimer",
     "RunLogger",
     "SPAN_KINDS",
     "SpanTracer",
     "TRACE_SCHEMA",
     "TraceFanout",
-    "dump_trace",
     "iter_trace",
-    "load_trace",
     "observer",
 ]

@@ -1,4 +1,4 @@
-"""Streaming JSONL trace export and import.
+"""Streaming JSONL trace export and its reader.
 
 A :class:`JsonlTraceWriter` is a drop-in for
 :class:`~repro.trace.recorder.TraceRecorder` at every protocol record
@@ -16,22 +16,19 @@ and every following line is one event ::
     {"t": 10432.5, "kind": "migration", "oid": 3, "node": 0,
      "detail": {"old_home": 0, "new_home": 2, "frozen_threshold": 2.0}}
 
-:func:`load_trace` round-trips a file back into an in-memory
-:class:`~repro.trace.recorder.TraceRecorder`, so every query helper
-(``migrations``, ``home_path``, ``threshold_series``, ``of_kind``)
-works identically on a loaded trace; :func:`iter_trace` streams events
-without materialising the list; :func:`dump_trace` exports an in-memory
-recorder to the same format.
+:func:`iter_trace` streams a file's events back as
+:class:`~repro.trace.events.TraceEvent` values, equal to the ones an
+in-memory :class:`~repro.trace.recorder.TraceRecorder` of the same run
+holds; :func:`read_trace_meta` returns the meta line.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
-from repro.trace.events import KINDS, TraceEvent, validate_kinds
-from repro.trace.recorder import TraceRecorder
+from repro.trace.events import TraceEvent, validate_kinds
 
 #: Schema tag written to (and required of) every trace file's meta line.
 TRACE_SCHEMA = "repro-trace-v1"
@@ -56,25 +53,17 @@ class JsonlTraceWriter:
     events, see ``repro.obs.spans``) so it can be passed wherever a
     :class:`~repro.trace.recorder.TraceRecorder` is accepted
     (``DistributedJVM(tracer=...)``).  Events are buffered and flushed
-    every ``flush_every`` records and on :meth:`close`; use it as a
-    context manager to guarantee the file is finalized::
+    every :data:`DEFAULT_FLUSH_EVERY` records and on :meth:`close`; use
+    it as a context manager to guarantee the file is finalized::
 
         with JsonlTraceWriter("run.jsonl", kinds=["migration"]) as sink:
             DistributedJVM(..., tracer=sink).run(app)
     """
 
-    def __init__(
-        self,
-        path: str,
-        kinds: Iterable[str] | None = None,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, path: str, kinds: Iterable[str] | None = None) -> None:
         self.kinds = validate_kinds(kinds)
         self.path = path
         self.events_written = 0
-        self._flush_every = flush_every
         self._pending = 0
         parent = os.path.dirname(path)
         if parent:
@@ -123,7 +112,7 @@ class JsonlTraceWriter:
         )
         self.events_written += 1
         self._pending += 1
-        if self._pending >= self._flush_every:
+        if self._pending >= DEFAULT_FLUSH_EVERY:
             self._handle.flush()
             self._pending = 0
 
@@ -148,13 +137,17 @@ class JsonlTraceWriter:
         )
 
 
-def _parse_meta(line: str, path: str) -> frozenset[str]:
-    meta = json.loads(line)
+def _read_meta(handle: TextIO, path: str) -> dict:
+    """Parse and validate the meta line at the head of ``handle``."""
+    first = handle.readline()
+    if not first:
+        raise ValueError(f"{path!r} is empty (no meta line)")
+    meta = json.loads(first)
     if not isinstance(meta, dict) or meta.get("schema") != TRACE_SCHEMA:
         raise ValueError(
             f"{path!r} is not a {TRACE_SCHEMA} trace (bad meta line)"
         )
-    return frozenset(meta.get("kinds", KINDS))
+    return meta
 
 
 def read_trace_meta(path: str) -> dict:
@@ -166,20 +159,13 @@ def read_trace_meta(path: str) -> dict:
     backend).  Traces written before a key existed simply lack it.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    if not first:
-        raise ValueError(f"{path!r} is empty (no meta line)")
-    _parse_meta(first, path)  # schema validation
-    return json.loads(first)
+        return _read_meta(handle, path)
 
 
 def iter_trace(path: str) -> Iterator[TraceEvent]:
     """Stream the events of a JSONL trace file one at a time."""
     with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first:
-            raise ValueError(f"{path!r} is empty (no meta line)")
-        _parse_meta(first, path)
+        _read_meta(handle, path)
         for line in handle:
             if not line.strip():
                 continue
@@ -191,39 +177,3 @@ def iter_trace(path: str) -> Iterator[TraceEvent]:
                 node=raw["node"],
                 detail=raw.get("detail", {}),
             )
-
-
-def load_trace(path: str) -> TraceRecorder:
-    """Load a JSONL trace into an in-memory recorder.
-
-    The returned :class:`~repro.trace.recorder.TraceRecorder` carries the
-    writer's ``kinds`` and the full event list, so the query helpers
-    (``migrations``, ``home_path``, ``threshold_series``, ``of_kind``)
-    behave exactly as they would on the recorder that captured the run.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first:
-            raise ValueError(f"{path!r} is empty (no meta line)")
-        kinds = _parse_meta(first, path)
-    recorder = TraceRecorder(kinds=kinds)
-    for event in iter_trace(path):
-        recorder.events.append(event)
-    return recorder
-
-
-def dump_trace(recorder: TraceRecorder, path: str) -> int:
-    """Write an in-memory recorder's events out as a JSONL trace.
-
-    Returns the number of events written.
-    """
-    with JsonlTraceWriter(path, kinds=recorder.kinds) as sink:
-        for event in recorder.events:
-            sink.record(
-                event.kind,
-                event.time_us,
-                event.oid,
-                event.node,
-                **dict(event.detail),
-            )
-        return sink.events_written

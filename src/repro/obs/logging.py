@@ -24,7 +24,7 @@ import sys
 from typing import Any, TextIO
 
 #: Recognised level names, most to least verbose.  ``"off"`` disables
-#: every site, including errors — useful as an explicit null logger.
+#: every site, including errors.
 LEVELS: dict[str, int] = {
     "debug": 10,
     "info": 20,
@@ -56,15 +56,11 @@ class RunLogger:
     """A structured logger gated by a fixed level, writing to ``stream``
     (``sys.stderr`` when ``None``)."""
 
-    __slots__ = ("name", "level", "_levelno", "_stream")
+    __slots__ = ("level", "_levelno", "_stream")
 
     def __init__(
-        self,
-        level: str = "info",
-        name: str = "repro",
-        stream: TextIO | None = None,
+        self, level: str = "info", stream: TextIO | None = None
     ) -> None:
-        self.name = name
         self.level = level
         self._levelno = _levelno(level)
         self._stream = stream
@@ -82,35 +78,16 @@ class RunLogger:
         levelno = _levelno(level)
         if levelno < self._levelno:
             return
-        parts = [f"[{level}]", self.name, event]
+        parts = [f"[{level}]", "repro", event]
         for key, value in fields.items():
             parts.append(f"{key}={_format_value(value)}")
         stream = self._stream if self._stream is not None else sys.stderr
         print(" ".join(parts), file=stream)
 
-    def debug(self, event: str, **fields: Any) -> None:
-        """Log at debug level (per-message / per-decision detail)."""
-        if self._levelno <= 10:
-            self.log("debug", event, **fields)
-
     def info(self, event: str, **fields: Any) -> None:
-        """Log at info level (migrations, phases, run lifecycle)."""
+        """Log at info level (run lifecycle)."""
         if self._levelno <= 20:
             self.log("info", event, **fields)
 
-    def warning(self, event: str, **fields: Any) -> None:
-        """Log at warning level (dropped events, fallbacks)."""
-        if self._levelno <= 30:
-            self.log("warning", event, **fields)
-
-    def error(self, event: str, **fields: Any) -> None:
-        """Log at error level (failed runs)."""
-        if self._levelno <= 40:
-            self.log("error", event, **fields)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RunLogger {self.name} level={self.level}>"
-
-
-#: A logger that emits nothing — a safe default where ``None`` is clumsy.
-NULL_LOGGER = RunLogger(level="off", name="null")
+        return f"<RunLogger level={self.level}>"

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, MutableSequence
+from typing import Iterable
 
 from repro.trace.events import TraceEvent, validate_kinds
 
@@ -17,37 +16,14 @@ class TraceRecorder:
     deliberately has no span methods, so spans reach it as
     ``span_open``/``span_close`` events (``repro.obs.spans``).  It is
     for streams that are read back; a consumer that only folds spans
-    should be the run's tracer itself (``repro.bench.serving``).
-
-    ``max_events`` bounds memory: when set, the recorder keeps only the
-    *newest* ``max_events`` events, dropping the oldest and counting the
-    casualties in :attr:`dropped`.  Beware the interaction with
-    :meth:`home_path`: the path is reconstructed by replaying migration
-    events from ``initial_home``, so if early migrations were dropped the
-    reconstructed path starts mid-journey (its first hop is no longer the
-    true initial home).  Check ``dropped == 0`` — or use the streaming
-    :class:`~repro.obs.export.JsonlTraceWriter`, which needs no bound —
-    before trusting full-history queries on a bounded recorder.
+    should be the run's tracer itself (``repro.bench.serving``).  It
+    keeps every event in memory; a long run with full ``kinds`` streams
+    to a :class:`~repro.obs.export.JsonlTraceWriter` instead.
     """
 
-    def __init__(
-        self,
-        kinds: Iterable[str] | None = None,
-        max_events: int | None = None,
-    ):
+    def __init__(self, kinds: Iterable[str] | None = None):
         self.kinds = validate_kinds(kinds)
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.max_events = max_events
-        self.dropped = 0
-        #: Subset of :attr:`dropped` that were span events
-        #: (``span_open``/``span_close``): losing one breaks the causal
-        #: tree for its operation, so the JVM emits a WARN at run end
-        #: when this is nonzero.
-        self.dropped_spans = 0
-        self.events: MutableSequence[TraceEvent] = (
-            [] if max_events is None else deque(maxlen=max_events)
-        )
+        self.events: list[TraceEvent] = []
 
     def wants(self, kind: str) -> bool:
         """True when events of ``kind`` are captured (cheap hot-path guard)."""
@@ -58,18 +34,12 @@ class TraceRecorder:
     ) -> None:
         """Append one event (silently skipped for filtered kinds)."""
         if kind in self.kinds:
-            if (
-                self.max_events is not None
-                and len(self.events) == self.max_events
-            ):
-                self.dropped += 1  # deque(maxlen) evicts the oldest
-                if self.events[0].kind in ("span_open", "span_close"):
-                    self.dropped_spans += 1
-            event = TraceEvent(
-                time_us=time_us, kind=kind, oid=oid, node=node,
-                detail=detail,
+            self.events.append(
+                TraceEvent(
+                    time_us=time_us, kind=kind, oid=oid, node=node,
+                    detail=detail,
+                )
             )
-            self.events.append(event)
 
     # -- queries ------------------------------------------------------------
 
@@ -87,11 +57,8 @@ class TraceRecorder:
     def home_path(self, oid: int, initial_home: int) -> list[int]:
         """The sequence of homes an object lived at.
 
-        Complete only when every migration event survived capture: with
-        ``kinds`` excluding ``"migration"`` the path is just
-        ``[initial_home]``, and with a ``max_events`` bound that dropped
-        early migrations the replay starts mid-journey (see the class
-        docstring).
+        Complete only when migration events are captured: with ``kinds``
+        excluding ``"migration"`` the path is just ``[initial_home]``.
         """
         path = [initial_home]
         for event in self.migrations(oid):

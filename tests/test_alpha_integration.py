@@ -13,8 +13,8 @@ def test_engine_alpha_uses_object_size_and_diff_average(gos):
     big = gos.alloc_array(2048, home=0)
     small = gos.alloc_fields(("v",), home=0)
     engine = gos.engines[0]
-    alpha_big = engine.alpha(big.oid, engine.homes[big.oid].state)
-    alpha_small = engine.alpha(small.oid, engine.homes[small.oid].state)
+    alpha_big = engine.homes[big.oid].state.alpha
+    alpha_small = engine.homes[small.oid].state.alpha
     assert alpha_big > alpha_small
     m_half = gos.network.comm_model.half_peak_bytes
     # before any diff is observed, the diff average is seeded with the
@@ -42,7 +42,7 @@ def test_alpha_tracks_observed_diff_sizes():
     state = engine.homes[obj.oid].state
     # the EWMA pulled the diff average far below the object size
     assert state.diff_bytes_avg < obj.size_bytes / 4
-    alpha_now = engine.alpha(obj.oid, state)
+    alpha_now = state.alpha
     alpha_seeded = home_access_coefficient(
         obj.size_bytes, obj.size_bytes, gos.network.comm_model.half_peak_bytes
     )
@@ -63,11 +63,8 @@ def test_larger_objects_tolerate_more_redirections():
         state.record_home_write()
         state.record_home_write()
         state.record_home_write()  # E = 2
-    t_big = policy.current_threshold(
-        engine.homes[big.oid].state, engine.alpha(big.oid, engine.homes[big.oid].state)
-    )
-    t_small = policy.current_threshold(
-        engine.homes[small.oid].state,
-        engine.alpha(small.oid, engine.homes[small.oid].state),
-    )
+    big_state = engine.homes[big.oid].state
+    small_state = engine.homes[small.oid].state
+    t_big = policy.current_threshold(big_state, big_state.alpha)
+    t_small = policy.current_threshold(small_state, small_state.alpha)
     assert t_big < t_small

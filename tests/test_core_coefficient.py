@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster.hockney import FAST_ETHERNET, HockneyModel
-from repro.core.coefficient import (
-    home_access_coefficient,
-    home_access_coefficient_for_model,
-)
+from repro.core.coefficient import home_access_coefficient
 
 
 def _exact_ratio(o, d, model):
@@ -59,12 +56,6 @@ def test_alpha_orders_inversely_with_half_peak_length():
         home_access_coefficient(o, d, m.half_peak_bytes) for m in by_half_peak
     ]
     assert alphas == sorted(alphas, reverse=True)
-
-
-def test_model_wrapper():
-    direct = home_access_coefficient(500, 100, FAST_ETHERNET.half_peak_bytes)
-    wrapped = home_access_coefficient_for_model(500, 100, FAST_ETHERNET)
-    assert direct == wrapped
 
 
 @pytest.mark.parametrize(

@@ -96,20 +96,31 @@ def _code_words() -> set[str]:
     return words
 
 
+#: A CamelCase identifier: a lower-case letter or digit followed by an
+#: upper-case one, as in ``TraceRecorder`` or ``ObjRequest`` (all-caps
+#: words such as ``HLRC`` or ``FIFO`` are prose, not code names).
+_CAMEL = re.compile(r"[A-Za-z]\w*[a-z0-9][A-Z]\w*")
+
+
+def _is_code_name(name: str) -> bool:
+    return "_" in name or _CAMEL.fullmatch(name) is not None
+
+
 def test_protocol_and_design_code_names_resolve():
-    """Every backticked identifier containing ``_`` in docs/PROTOCOL.md,
-    DESIGN.md and docs/API.md occurs as a word in a Python, C or JSON
-    file (its text or its path) under ``src/``, ``tests/``,
-    ``scripts/``, ``benchmarks/`` or ``examples/``; a name with a ``*``,
-    as in ``twin_*`` or ``dsm_*_us``, is a pattern and resolves when
-    some word matches it.  A document may describe deleted code in
-    words, but not cite it by a name that no longer exists."""
+    """Every backticked identifier containing ``_``, and every
+    backticked CamelCase identifier, in docs/PROTOCOL.md, DESIGN.md and
+    docs/API.md occurs as a word in a Python, C or JSON file (its text
+    or its path) under ``src/``, ``tests/``, ``scripts/``,
+    ``benchmarks/`` or ``examples/``; a name with a ``*``, as in
+    ``twin_*`` or ``dsm_*_us``, is a pattern and resolves when some word
+    matches it.  A document may describe deleted code in words, but not
+    cite it by a name that no longer exists."""
     words = _code_words()
     missing = {}
     for doc in ("docs/PROTOCOL.md", "DESIGN.md", "docs/API.md"):
         for span in re.findall(r"`([^`\n]+)`", _doc(doc)):
             for name in re.findall(r"[A-Za-z_*][\w*]*", span):
-                if "_" not in name or name in words:
+                if not _is_code_name(name) or name in words:
                     continue
                 if "*" in name and fnmatch.filter(words, name):
                     continue

@@ -150,9 +150,7 @@ def test_adaptive_threshold_rises_with_redirections():
     current_home = gos.current_home(obj)
     state = gos.engines[current_home].homes[obj.oid].state
     policy = gos.policy
-    live_threshold = policy.current_threshold(
-        state, gos.engines[current_home].alpha(obj.oid, state)
-    )
+    live_threshold = policy.current_threshold(state, state.alpha)
     assert live_threshold > 1.0
 
 

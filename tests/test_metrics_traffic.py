@@ -21,7 +21,7 @@ SPEC = RunSpec(app="asp", app_kwargs={"size": 24}, policy="AT", nodes=4)
 
 def test_net_counters_equal_cluster_stats_per_category(backend):
     outcome = run_spec(replace(SPEC, obs=ObsSpec(metrics=True)))
-    metrics = MetricsRegistry.from_snapshot(outcome.telemetry["metrics"])
+    metrics = MetricsRegistry.from_snapshot(outcome.metrics)
     assert len(outcome.msg_count) > 3
     for label, count in outcome.msg_count.items():
         assert metrics.counter_value("net_messages_total", category=label) == count

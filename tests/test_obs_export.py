@@ -1,4 +1,4 @@
-"""Tests for streaming JSONL trace export/import round-trips."""
+"""Tests for streaming JSONL trace export and its reader."""
 
 import json
 
@@ -8,13 +8,7 @@ from repro.apps import SingleWriterBenchmark
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.core.policies import AdaptiveThreshold
 from repro.gos.jvm import DistributedJVM
-from repro.obs.export import (
-    TRACE_SCHEMA,
-    JsonlTraceWriter,
-    dump_trace,
-    iter_trace,
-    load_trace,
-)
+from repro.obs.export import TRACE_SCHEMA, JsonlTraceWriter, iter_trace
 from repro.trace import TraceRecorder
 
 
@@ -55,14 +49,12 @@ def test_writer_creates_parent_directories(tmp_path):
     path = str(tmp_path / "deep" / "nested" / "trace.jsonl")
     with JsonlTraceWriter(path) as sink:
         sink.record("migration", 1.0, oid=1, node=0, new_home=2)
-    assert load_trace(path).events[0].oid == 1
+    assert next(iter_trace(path)).oid == 1
 
 
-def test_writer_validates_kinds_and_flush_every(tmp_path):
+def test_writer_validates_kinds(tmp_path):
     with pytest.raises(ValueError):
         JsonlTraceWriter(str(tmp_path / "x.jsonl"), kinds=["bogus"])
-    with pytest.raises(ValueError):
-        JsonlTraceWriter(str(tmp_path / "y.jsonl"), flush_every=0)
 
 
 def test_record_after_close_raises(tmp_path):
@@ -73,15 +65,18 @@ def test_record_after_close_raises(tmp_path):
         sink.record("migration", 1.0, oid=1, node=0, new_home=2)
 
 
-def test_load_trace_rejects_non_trace_files(tmp_path):
+def test_iter_trace_rejects_non_trace_files(tmp_path):
+    from repro.obs.export import read_trace_meta
+
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    with pytest.raises(ValueError):
-        load_trace(str(empty))
     bogus = tmp_path / "bogus.jsonl"
     bogus.write_text('{"not": "a trace"}\n')
-    with pytest.raises(ValueError):
-        load_trace(str(bogus))
+    for path in (str(empty), str(bogus)):
+        with pytest.raises(ValueError):
+            list(iter_trace(path))
+        with pytest.raises(ValueError):
+            read_trace_meta(path)
 
 
 def _run(tracer):
@@ -96,7 +91,10 @@ def _run(tracer):
 
 def test_streamed_trace_round_trips_to_recorder_queries(tmp_path):
     """Acceptance: the same deterministic run traced to memory and to a
-    JSONL stream yields identical events and query results."""
+    JSONL stream yields identical events, so a recorder refilled from
+    the file answers every query as the live one does."""
+    from repro.obs.export import read_trace_meta
+
     recorder = TraceRecorder()
     _run(recorder)
 
@@ -105,7 +103,8 @@ def test_streamed_trace_round_trips_to_recorder_queries(tmp_path):
         result, app = _run(sink)
     assert sink.events_written == len(recorder.events)
 
-    loaded = load_trace(path)
+    loaded = TraceRecorder(kinds=read_trace_meta(path)["kinds"])
+    loaded.events.extend(iter_trace(path))
     assert loaded.kinds == recorder.kinds
     assert loaded.events == recorder.events
     oid = app.counter.oid
@@ -118,21 +117,11 @@ def test_iter_trace_streams_without_loading(tmp_path):
     recorder = TraceRecorder(kinds=["migration"])
     _run(recorder)
     path = str(tmp_path / "run.jsonl")
-    assert dump_trace(recorder, path) == len(recorder.events)
-    streamed = list(iter_trace(path))
-    assert streamed == list(recorder.events)
-
-
-def test_dump_trace_round_trips(tmp_path):
-    recorder = TraceRecorder()
-    recorder.record("migration", 1.0, oid=1, node=0, new_home=2)
-    recorder.record("decision", 2.0, oid=1, node=2, threshold=1.5,
-                    migrated=False)
-    path = str(tmp_path / "dump.jsonl")
-    dump_trace(recorder, path)
-    loaded = load_trace(path)
-    assert loaded.events == recorder.events
-    assert loaded.kinds == recorder.kinds
+    with JsonlTraceWriter(path, kinds=["migration"]) as sink:
+        _run(sink)
+    events = iter_trace(path)
+    assert next(events) == recorder.events[0]  # a generator, not a list
+    assert [recorder.events[0], *events] == recorder.events
 
 
 def test_numpy_details_serialize(tmp_path):

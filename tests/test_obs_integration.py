@@ -3,9 +3,11 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from repro.bench.executor import ObsSpec, RunSpec, execute, run_spec
 from repro.bench.analyze import analyze_trace, render_analysis
-from repro.obs.export import load_trace
+from repro.obs.export import iter_trace
 from repro.obs.metrics import MetricsRegistry
 
 SPEC = RunSpec(
@@ -31,27 +33,25 @@ def test_run_spec_with_obs_carries_telemetry(tmp_path):
     trace = str(tmp_path / "run.jsonl")
     obs = ObsSpec(trace_path=trace, metrics=True)
     outcome = run_spec(replace(SPEC, obs=obs))
-    telemetry = outcome.telemetry
-    assert telemetry is not None
-    assert set(telemetry["phases"]) == {"build", "simulate", "verify"}
-    assert telemetry["phases"]["simulate"]["count"] == 1
-    assert telemetry["trace"]["path"] == trace
-    assert telemetry["trace"]["events"] > 0
-    metrics = MetricsRegistry.from_snapshot(telemetry["metrics"])
+    assert outcome.metrics is not None
+    metrics = MetricsRegistry.from_snapshot(outcome.metrics)
     assert (
         metrics.counter_total("dsm_migrations_total") == outcome.migrations
     )
     # the streamed trace agrees with the outcome
-    loaded = load_trace(trace)
-    assert len(loaded.migrations()) == outcome.migrations
-    json.dumps(telemetry)  # picklable and JSON-clean
+    migrations = [e for e in iter_trace(trace) if e.kind == "migration"]
+    assert len(migrations) == outcome.migrations
+    json.dumps(outcome.metrics)  # picklable and JSON-clean
+    # a trace-only run carries no snapshot
+    traced = run_spec(replace(SPEC, obs=ObsSpec(trace_path=trace)))
+    assert traced.metrics is None
 
 
 def test_telemetry_does_not_change_deterministic_fields():
     bare = run_spec(SPEC)
     obs = ObsSpec(metrics=True)
     instrumented = run_spec(replace(SPEC, obs=obs))
-    assert bare.telemetry is None
+    assert bare.metrics is None
     assert instrumented.deterministic() == bare.deterministic()
 
 
@@ -70,12 +70,11 @@ def test_execute_applies_obs_and_reports_progress(tmp_path):
     assert [o.tag for o in outcomes] == ["t0", "t1", "t2"]
     for i, outcome in enumerate(outcomes):
         path = str(tmp_path / f"sweep-{i:03d}.jsonl")
-        assert outcome.telemetry["trace"]["path"] == path
-        assert load_trace(path).events  # file exists and has events
+        assert next(iter_trace(path))  # file exists and has events
     # per-run snapshots merge into one registry
     total = MetricsRegistry()
     for outcome in outcomes:
-        total.merge(outcome.telemetry["metrics"])
+        total.merge(outcome.metrics)
     assert total.counter_total("dsm_migrations_total") == sum(
         o.migrations for o in outcomes
     )
@@ -83,7 +82,7 @@ def test_execute_applies_obs_and_reports_progress(tmp_path):
 
 def test_execute_without_obs_is_unchanged():
     outcomes = execute([SPEC], jobs=1)
-    assert outcomes[0].telemetry is None
+    assert outcomes[0].metrics is None
 
 
 def test_render_trace_report(tmp_path):
@@ -136,3 +135,26 @@ def test_cli_analyze_oid_target(tmp_path, capsys):
     # provenance on stderr only: stdout is the backend-free rendering
     assert "backend" in captured.err
     assert captured.out == render_analysis(analyze_trace(trace, oid=oid))
+
+
+@pytest.mark.parametrize("target", ["serve", "sweep", "check", "analyze"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--trace-out", "t.jsonl"), ("--metrics-out", "m.json"),
+     ("--log-level", "info")],
+)
+def test_cli_rejects_observability_flags_it_would_ignore(
+    target, flag, value, tmp_path, monkeypatch, capsys
+):
+    """A target that builds no ObsSpec names the flag and the targets
+    that honour it instead of exiting 0 with no files written."""
+    from repro.bench.cli import OBS_TARGETS, main
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main([target, flag, value])
+    assert exited.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert flag in error and target in error
+    assert all(name in error for name in OBS_TARGETS)
+    assert not any(tmp_path.iterdir())

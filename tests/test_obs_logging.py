@@ -4,16 +4,15 @@ import io
 
 import pytest
 
-from repro.obs.logging import LEVELS, NULL_LOGGER, RunLogger
+from repro.obs.logging import LEVELS, RunLogger
 
 
 def test_level_gating():
     buf = io.StringIO()
     log = RunLogger(level="warning", stream=buf)
-    log.debug("d")
+    for level in ("debug", "info", "warning", "error"):
+        log.log(level, level[0])
     log.info("i")
-    log.warning("w")
-    log.error("e")
     lines = buf.getvalue().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("[warning]")
@@ -56,7 +55,8 @@ def test_values_with_spaces_are_quoted():
 def test_off_level_disables_everything():
     buf = io.StringIO()
     log = RunLogger(level="off", stream=buf)
-    log.error("even errors")
+    log.log("error", "even errors")
+    log.info("nor info")
     assert buf.getvalue() == ""
-    assert not NULL_LOGGER.enabled_for("error")
+    assert not log.enabled_for("error")
     assert LEVELS["off"] > LEVELS["error"]

@@ -17,7 +17,6 @@ Three layers of coverage:
 """
 
 import ast
-import warnings
 from pathlib import Path
 
 import pytest
@@ -567,35 +566,22 @@ def test_digest_unchanged_with_spans_enabled():
     _assert_well_formed(tracer)
 
 
-# -- bounded recorders: dropped spans are never silent ------------------------
+# -- the recorder keeps the whole stream ------------------------------------
 
 
-def test_dropped_spans_counted_and_warned():
-    tracer = TraceRecorder(max_events=50)
-    jvm = DistributedJVM(
-        nodes=4,
-        comm_model=FAST_ETHERNET,
-        policy=make_policy("AT"),
-        mechanism=make_mechanism("forwarding-pointer"),
-        tracer=tracer,
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm.run(Asp(size=24))
-    assert tracer.dropped_spans > 0
-    assert tracer.dropped >= tracer.dropped_spans
-    dropped_warnings = [
-        w for w in caught
-        if issubclass(w.category, RuntimeWarning)
-        and "dropped" in str(w.message)
-    ]
-    assert len(dropped_warnings) == 1
-    assert str(tracer.dropped_spans) in str(dropped_warnings[0].message)
-
-
-def test_unbounded_recorder_drops_nothing():
+def test_unbounded_recorder_drops_nothing(tmp_path):
+    """The in-memory recorder holds every event the run emits: as many
+    as the streaming writer writes for the same run."""
     tracer = _run_with_spans(Asp(size=24))
-    assert tracer.dropped == 0 and tracer.dropped_spans == 0
+    with JsonlTraceWriter(str(tmp_path / "asp.jsonl")) as sink:
+        DistributedJVM(
+            nodes=4,
+            comm_model=FAST_ETHERNET,
+            policy=make_policy("AT"),
+            mechanism=make_mechanism("forwarding-pointer"),
+            tracer=sink,
+        ).run(Asp(size=24))
+    assert len(tracer) == sink.events_written > 0
 
 
 # -- invariant checker: span lifecycle ---------------------------------------

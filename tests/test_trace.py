@@ -103,40 +103,6 @@ def test_tracing_does_not_change_behaviour():
     assert plain.stats.snapshot() == traced.stats.snapshot()
 
 
-def test_bounded_recorder_drops_oldest():
-    recorder = TraceRecorder(kinds=["migration"], max_events=3)
-    for i in range(5):
-        recorder.record("migration", float(i), oid=1, node=0, new_home=i + 1)
-    assert len(recorder) == 3
-    assert recorder.dropped == 2
-    # the newest three survive
-    assert [e.time_us for e in recorder.events] == [2.0, 3.0, 4.0]
-
-
-def test_bounded_recorder_validation():
-    with pytest.raises(ValueError):
-        TraceRecorder(max_events=0)
-
-
-def test_bounded_recorder_filtered_kinds_do_not_drop():
-    recorder = TraceRecorder(kinds=["migration"], max_events=2)
-    for _ in range(10):
-        recorder.record("redirect", 1.0, oid=1, node=0)
-    assert len(recorder) == 0
-    assert recorder.dropped == 0
-
-
-def test_bounded_recorder_home_path_starts_mid_journey():
-    """The documented caveat: dropped migrations truncate the replay."""
-    recorder = TraceRecorder(kinds=["migration"], max_events=2)
-    for i in range(4):
-        recorder.record("migration", float(i), oid=1, node=i, new_home=i + 1)
-    assert recorder.dropped == 2
-    # only hops 3 and 4 survive; the path no longer starts at the true
-    # initial home's successor
-    assert recorder.home_path(1, initial_home=0) == [0, 3, 4]
-
-
 def test_empty_recorder_queries():
     recorder = TraceRecorder()
     assert recorder.migrations() == []
