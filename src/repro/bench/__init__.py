@@ -14,9 +14,8 @@
   ``obs=``/``progress=`` telemetry hooks);
 * :mod:`repro.bench.analyze` — the offline reader of saved JSONL traces
   (the CLI's ``analyze`` target);
-* :mod:`repro.bench.cli` — ``python -m repro.bench <figure> [--full]
-  [--jobs N] [--trace-out PATH] [--metrics-out PATH] [--log-level L]
-  [--progress]`` (installed as ``repro-bench``).
+* :mod:`repro.bench.cli` — ``python -m repro.bench <target> [flags]``,
+  one subparser per target (installed as ``repro-bench``).
 
 Every driver returns plain dicts (JSON-friendly) and can render an ASCII
 table via :mod:`repro.bench.report`.

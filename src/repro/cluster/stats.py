@@ -90,41 +90,6 @@ class ClusterStats:
             "events": dict(sorted(self.events.items())),
         }
 
-    # -- aggregation ------------------------------------------------------
-
-    def merge(self, other: "ClusterStats") -> "ClusterStats":
-        """Accumulate another stats object's counters into this one.
-
-        Lets the parallel sweep executor's per-run outcomes reduce to one
-        cluster-wide (or sweep-wide) view.  Returns ``self`` for
-        chaining; ``other`` is not modified.
-        """
-        self.msg_count.update(other.msg_count)
-        self.msg_bytes.update(other.msg_bytes)
-        self.events.update(other.events)
-        for name, value in other.peaks.items():
-            if self.peaks.get(name, 0) < value:
-                self.peaks[name] = value
-        return self
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "ClusterStats":
-        """Rebuild a stats object from a :meth:`snapshot` dict.
-
-        Inverse of :meth:`snapshot`: category keys are restored from
-        their wire names, so ``ClusterStats.from_snapshot(s.snapshot())``
-        round-trips exactly.  Combined with :meth:`merge`, this aggregates
-        snapshots shipped across process boundaries.
-        """
-        stats = cls()
-        for name, n in snap.get("msg_count", {}).items():
-            stats.msg_count[MsgCategory(name)] = n
-        for name, n in snap.get("msg_bytes", {}).items():
-            stats.msg_bytes[MsgCategory(name)] = n
-        for event, n in snap.get("events", {}).items():
-            stats.events[event] = n
-        return stats
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<ClusterStats msgs={self.total_messages()} "

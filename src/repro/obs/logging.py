@@ -23,15 +23,10 @@ from __future__ import annotations
 import sys
 from typing import Any, TextIO
 
-#: Recognised level names, most to least verbose.  ``"off"`` disables
-#: every site, including errors.
-LEVELS: dict[str, int] = {
-    "debug": 10,
-    "info": 20,
-    "warning": 30,
-    "error": 40,
-    "off": 100,
-}
+#: Recognised level names, most to least verbose: the program logs
+#: run lifecycle and migrations at info and each Eq-2 decision at debug;
+#: no logger at all is the way to log nothing.
+LEVELS: dict[str, int] = {"debug": 10, "info": 20}
 
 
 def _levelno(level: str) -> int:

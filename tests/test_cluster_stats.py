@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.cluster.message import HEADER_BYTES, MsgCategory
 from repro.cluster.network import Network
-from repro.cluster.stats import BREAKDOWN_EVENTS, ClusterStats
+from repro.cluster.stats import BREAKDOWN_EVENTS
 from repro.sim import make_simulator
 
 
@@ -61,49 +61,6 @@ def test_breakdown_has_all_figure5_categories(stats):
     assert set(breakdown) == set(BREAKDOWN_EVENTS)
     assert breakdown["diff"] == 5
     assert breakdown["mig"] == 0
-
-
-def test_merge_accumulates_all_counters(stats):
-    _record_message(stats, MsgCategory.DIFF, 100)
-    stats.incr("migration", 2)
-    other = ClusterStats()
-    _record_message(other, MsgCategory.DIFF, 50)
-    _record_message(other, MsgCategory.OBJ_REPLY, 500)
-    other.incr("migration")
-    other.incr("redir", 4)
-    returned = stats.merge(other)
-    assert returned is stats
-    assert stats.msg_count[MsgCategory.DIFF] == 2
-    assert stats.msg_bytes[MsgCategory.DIFF] == 150
-    assert stats.msg_count[MsgCategory.OBJ_REPLY] == 1
-    assert stats.events["migration"] == 3
-    assert stats.events["redir"] == 4
-    # other is untouched
-    assert other.msg_count[MsgCategory.DIFF] == 1
-    assert other.events["migration"] == 1
-
-
-def test_from_snapshot_round_trips(stats):
-    _record_message(stats, MsgCategory.DIFF, 100)
-    _record_message(stats, MsgCategory.LOCK_GRANT, 60)
-    stats.incr("obj", 7)
-    rebuilt = ClusterStats.from_snapshot(stats.snapshot())
-    assert rebuilt.snapshot() == stats.snapshot()
-    assert rebuilt.msg_count[MsgCategory.DIFF] == 1
-    assert rebuilt.data_messages() == stats.data_messages()
-
-
-def test_merge_of_snapshots_across_boundary(stats):
-    """Snapshots shipped across processes aggregate via from_snapshot."""
-    _record_message(stats, MsgCategory.DIFF, 100)
-    stats.incr("migration")
-    wire = stats.snapshot()  # what crosses the process boundary
-    total = ClusterStats()
-    total.merge(ClusterStats.from_snapshot(wire))
-    total.merge(ClusterStats.from_snapshot(wire))
-    assert total.msg_count[MsgCategory.DIFF] == 2
-    assert total.msg_bytes[MsgCategory.DIFF] == 200
-    assert total.events["migration"] == 2
 
 
 def test_snapshot_is_plain_and_stable(stats):

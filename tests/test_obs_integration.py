@@ -126,7 +126,7 @@ def test_cli_analyze_oid_target(tmp_path, capsys):
     trace = str(tmp_path / "run.jsonl")
     outcome = run_spec(replace(SPEC, obs=ObsSpec(trace_path=trace)))
     oid = analyze_trace(trace)["object"]["oid"]
-    assert main(["analyze", "--trace", trace, "--oid", str(oid)]) == 0
+    assert main(["analyze", trace, "--oid", str(oid)]) == 0
     captured = capsys.readouterr()
     assert "migrations" in captured.out
     assert f"Object {oid} — " in captured.out
@@ -137,24 +137,87 @@ def test_cli_analyze_oid_target(tmp_path, capsys):
     assert captured.out == render_analysis(analyze_trace(trace, oid=oid))
 
 
-@pytest.mark.parametrize("target", ["serve", "sweep", "check", "analyze"])
-@pytest.mark.parametrize(
-    "flag,value",
-    [("--trace-out", "t.jsonl"), ("--metrics-out", "m.json"),
-     ("--log-level", "info")],
-)
+#: Every option the one flat parser once took on every target, as
+#: (option, value) with ``None`` for a switch; ``stray`` is a positional.
+OPTIONS = [
+    ("--trace-out", "t.jsonl"), ("--metrics-out", "m.json"),
+    ("--log-level", "info"), ("--full", None), ("--jobs", "2"),
+    ("--progress", None), ("--json", "j.json"), ("--backend", "python"),
+    ("--md", "t.md"), ("--trace", "t.jsonl"), ("--oid", "4"),
+    ("--episodes", "3"), ("--seed", "1"), ("--corpus-out", "corpus"),
+    ("--no-self-test", None), ("--flavor", "serving"), ("--nodes", "2"),
+    ("--policy", "NM"), ("--keys", "4"), ("--requests", "1"),
+    ("--phases", "1"), ("--zipf-s", "0.5"), ("--read-fraction", "0.5"),
+    ("--churn", "0.25"), ("--arrival", "closed"),
+    ("--topology", "fat-tree:edge=2"), ("--release-fanout", "2"),
+    ("stray", None),
+]
+
+_SWEEP = {"--full", "--jobs", "--progress", "--json", "--backend",
+          "--trace-out", "--metrics-out", "--log-level"}
+
+#: target -> the options its runner reads, the only ones it accepts
+#: (72 pairs of the 9 x 28 above; ``analyze`` reads ``stray`` as its
+#: trace path).
+ACCEPTS = {
+    "figure2": _SWEEP,
+    "figure3": _SWEEP,
+    "figure5": _SWEEP,
+    "all": _SWEEP,
+    "ablation": _SWEEP - {"--full"},
+    "sweep": {"--full", "--jobs", "--progress", "--md", "--json",
+              "--backend"},
+    "check": {"--episodes", "--seed", "--corpus-out", "--no-self-test",
+              "--flavor", "--progress", "--json", "--backend"},
+    "analyze": {"stray", "--oid", "--json", "--backend"},
+    "serve": {"--nodes", "--policy", "--seed", "--keys", "--requests",
+              "--phases", "--zipf-s", "--read-fraction", "--churn",
+              "--arrival", "--topology", "--release-fanout", "--md",
+              "--json", "--backend"},
+}
+
+
+@pytest.mark.parametrize("target", sorted(ACCEPTS))
+@pytest.mark.parametrize("flag,value", OPTIONS)
 def test_cli_rejects_observability_flags_it_would_ignore(
-    target, flag, value, tmp_path, monkeypatch, capsys
+    target, flag, value, capsys
 ):
-    """A target that builds no ObsSpec names the flag and the targets
-    that honour it instead of exiting 0 with no files written."""
-    from repro.bench.cli import OBS_TARGETS, main
+    """Each target accepts an option exactly when its runner reads it;
+    any other is argparse's own exit-2 line naming it.  Parsed only:
+    nothing runs."""
+    from repro.bench.cli import TARGETS, build_parser
+
+    assert set(TARGETS) == set(ACCEPTS)
+    argv = [target, flag] + ([value] if value is not None else [])
+    if flag in ACCEPTS[target]:
+        assert callable(build_parser().parse_args(argv).run)
+        return
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    assert exited.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.startswith("repro-bench: error: unrecognized arguments: ")
+    assert flag in error.split()
+
+
+@pytest.mark.parametrize("argv,named", [
+    ("serve stray --nodes 2 --requests 1 --phases 1 --jobs 7 --full "
+     "--progress --episodes 3 --oid 4",
+     "stray --jobs 7 --full --progress --episodes 3 --oid 4"),
+    ("ablation --full", "--full"),
+    ("figure5 stray", "stray"),
+])
+def test_cli_unread_options_exit_2_before_any_run(
+    argv, named, tmp_path, monkeypatch, capsys
+):
+    """A whole command line with options its target never reads exits 2
+    with one error line naming them all, and writes nothing."""
+    from repro.bench.cli import main
 
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exited:
-        main([target, flag, value])
+        main(argv.split())
     assert exited.value.code == 2
     error = capsys.readouterr().err.strip().splitlines()[-1]
-    assert flag in error and target in error
-    assert all(name in error for name in OBS_TARGETS)
+    assert error == f"repro-bench: error: unrecognized arguments: {named}"
     assert not any(tmp_path.iterdir())
