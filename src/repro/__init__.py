@@ -28,45 +28,24 @@ Quickstart::
     print(result.execution_time_us, result.stats.events["migration"])
 """
 
-from repro.cluster.hockney import FAST_ETHERNET, GIGABIT, HockneyModel
-from repro.core.policies import (
-    AdaptiveThreshold,
-    BarrierMigration,
-    FixedThreshold,
-    LazyFlushing,
-    MigratingHome,
-    MigrationPolicy,
-    NoMigration,
-)
-from repro.dsm.redirection import (
-    BroadcastMechanism,
-    ForwardingPointerMechanism,
-    HomeManagerMechanism,
-    NotificationMechanism,
-)
-from repro.gos.jvm import ClusterSpec, DistributedJVM, RunResult
-from repro.trace import TraceRecorder
+# Resolving the backend here makes a bad REPRO_BACKEND fail at
+# ``import repro``; every other name loads on first access.
+from repro import _kernel  # noqa: F401
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveThreshold",
-    "BarrierMigration",
-    "BroadcastMechanism",
-    "ClusterSpec",
-    "DistributedJVM",
-    "FAST_ETHERNET",
-    "FixedThreshold",
-    "ForwardingPointerMechanism",
-    "GIGABIT",
-    "HockneyModel",
-    "HomeManagerMechanism",
-    "LazyFlushing",
-    "MigratingHome",
-    "MigrationPolicy",
-    "NoMigration",
-    "NotificationMechanism",
-    "RunResult",
-    "TraceRecorder",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cluster.hockney": ["FAST_ETHERNET", "GIGABIT", "HockneyModel"],
+    ".core.policies": [
+        "AdaptiveThreshold", "BarrierMigration", "FixedThreshold",
+        "LazyFlushing", "MigratingHome", "MigrationPolicy", "NoMigration",
+    ],
+    ".dsm.redirection": [
+        "BroadcastMechanism", "ForwardingPointerMechanism",
+        "HomeManagerMechanism", "NotificationMechanism",
+    ],
+    ".gos.jvm": ["ClusterSpec", "DistributedJVM", "RunResult"],
+    ".trace.recorder": ["TraceRecorder"],
+})
+__all__.append("__version__")

@@ -37,12 +37,10 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import importlib.machinery
 import importlib.util
 import os
-import shlex
-import subprocess
 import sys
-import sysconfig
 import warnings
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -107,6 +105,9 @@ def build_log_path() -> Path:
 
 
 def _compiler_command(target: Path) -> list[str]:
+    import shlex
+    import sysconfig
+
     import numpy
 
     cc = (
@@ -132,6 +133,8 @@ def _compiler_command(target: Path) -> list[str]:
 def _compile_extension(target: Path) -> None:
     """Compile the C source to ``target`` atomically (temp file + rename,
     so concurrent first-use builds in worker processes cannot collide)."""
+    import subprocess
+
     tmp = target.with_name(f"{target.name}.tmp-{os.getpid()}")
     cmd = _compiler_command(tmp)
     try:
@@ -262,7 +265,8 @@ def _load_or_build() -> Any:
         if getattr(module, "KERNEL_API", 0) >= _MIN_KERNEL_API:
             return module
         del sys.modules["repro._kernel._kernelc"]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    # the interpreter's own extension suffix: sysconfig's EXT_SUFFIX
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     target = _build_dir() / f"_kernelc-{_build_tag()}{suffix}"
     if not target.exists():
         _compile_extension(target)

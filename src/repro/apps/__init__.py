@@ -24,28 +24,17 @@ All applications compute *real results* on the simulated DSM and are
 verified against sequential oracles.
 """
 
-from repro.apps.asp import Asp
-from repro.apps.base import DsmApplication
-from repro.apps.fromspec import SpecProgram
-from repro.apps.lu import Lu
-from repro.apps.nbody import NBody
-from repro.apps.pingpong import TokenRing
-from repro.apps.serving import ServingSpec, ZipfSampler, build_serving_program
-from repro.apps.sor import Sor
-from repro.apps.synthetic import SingleWriterBenchmark
-from repro.apps.tsp import Tsp
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Asp",
-    "DsmApplication",
-    "Lu",
-    "NBody",
-    "ServingSpec",
-    "SingleWriterBenchmark",
-    "SpecProgram",
-    "TokenRing",
-    "Sor",
-    "Tsp",
-    "ZipfSampler",
-    "build_serving_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".asp": ["Asp"],
+    ".base": ["DsmApplication"],
+    ".fromspec": ["SpecProgram"],
+    ".lu": ["Lu"],
+    ".nbody": ["NBody"],
+    ".pingpong": ["TokenRing"],
+    ".serving": ["ServingSpec", "ZipfSampler", "build_serving_program"],
+    ".sor": ["Sor"],
+    ".synthetic": ["SingleWriterBenchmark"],
+    ".tsp": ["Tsp"],
+})

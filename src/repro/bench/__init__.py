@@ -21,23 +21,10 @@ Every driver returns plain dicts (JSON-friendly) and can render an ASCII
 table via :mod:`repro.bench.report`.
 """
 
-from repro.bench.executor import (
-    ObsSpec,
-    RunOutcome,
-    RunSpec,
-    default_jobs,
-    execute,
-)
-from repro.bench.runner import run_once
-from repro.core.policies import POLICIES, make_policy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "POLICIES",
-    "ObsSpec",
-    "RunOutcome",
-    "RunSpec",
-    "default_jobs",
-    "execute",
-    "make_policy",
-    "run_once",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".executor": ["ObsSpec", "RunOutcome", "RunSpec", "default_jobs", "execute"],
+    ".runner": ["run_once"],
+    "repro.core.policies": ["POLICIES", "make_policy"],
+})

@@ -381,6 +381,18 @@ def _run_serve(args) -> int:
     return 0
 
 
+class _TargetParser(argparse.ArgumentParser):
+    """A target's subparser: an argument the target does not read is an
+    error under the target's own usage (argparse would hand it up to the
+    top-level parser, whose error line names no target)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _flags() -> argparse.ArgumentParser:
     """An empty parent parser for flags several targets share."""
     return argparse.ArgumentParser(add_help=False, allow_abbrev=False)
@@ -447,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description="Regenerate the figures of Fang et al., CLUSTER 2004.",
     )
-    subparsers = parser.add_subparsers(dest="target", required=True)
+    subparsers = parser.add_subparsers(
+        dest="target", required=True, parser_class=_TargetParser
+    )
 
     def target(name, run, help, *parents):
         sub = subparsers.add_parser(

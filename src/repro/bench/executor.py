@@ -26,13 +26,13 @@ pool cannot be started at all.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, TextIO
 
 from repro.apps import (
     Asp,
@@ -67,8 +67,9 @@ class ObsSpec:
     :class:`~repro.obs.export.JsonlTraceWriter` (``trace_kinds`` filters
     which event kinds, ``None`` = all); ``metrics`` builds a
     :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot lands on
-    the outcome; ``log_level`` enables a stderr
-    :class:`~repro.obs.logging.RunLogger`.
+    the outcome; ``log_level`` enables a
+    :class:`~repro.obs.logging.RunLogger` whose lines land in
+    :attr:`RunOutcome.log` (:func:`execute` prints them on stderr).
     """
 
     trace_path: str | None = None
@@ -157,7 +158,9 @@ class RunOutcome:
     ``metrics`` is the run's :class:`~repro.obs.metrics.MetricsRegistry`
     snapshot when the spec carried an :class:`ObsSpec` with
     ``metrics=True``, else ``None``; :meth:`deterministic` strips it, so
-    a metered and a bare run of one spec compare equal.
+    a metered and a bare run of one spec compare equal.  ``log`` holds
+    the run's log lines (``""`` without a ``log_level``): a run never
+    writes to stderr itself, so a pool worker's lines cannot tear.
     """
 
     tag: Any
@@ -183,6 +186,7 @@ class RunOutcome:
     #: "compiled") — diagnostic provenance, stripped from the
     #: deterministic view because both backends are bit-identical.
     backend: str = "python"
+    log: str = ""
 
     @property
     def time_s(self) -> float:
@@ -190,13 +194,12 @@ class RunOutcome:
         return self.time_us / 1e6
 
     def deterministic(self) -> dict:
-        """All fields except the wall-clock, metrics and backend — the
-        bit-stable view two executions of the same spec must agree on
+        """All fields except the wall-clock, metrics, backend and log —
+        the bit-stable view two executions of the same spec must agree on
         exactly (whichever backend ran them)."""
         payload = self.__dict__.copy()
-        payload.pop("wall_clock_s")
-        payload.pop("metrics")
-        payload.pop("backend")
+        for name in ("wall_clock_s", "metrics", "backend", "log"):
+            payload.pop(name)
         return payload
 
 
@@ -215,11 +218,12 @@ def _make_app(spec: RunSpec) -> Any:
     return factory(**kwargs)
 
 
-def _build_obs(obs: ObsSpec):
+def _build_obs(obs: ObsSpec, log_stream: TextIO):
     """Realize an :class:`ObsSpec` into live instruments.
 
     Returns ``(metrics, writer, logger)``; each is ``None`` when the
-    corresponding instrument is off.
+    corresponding instrument is off.  The logger writes to
+    ``log_stream``.
     """
     from repro.obs.export import JsonlTraceWriter
     from repro.obs.logging import RunLogger
@@ -232,7 +236,9 @@ def _build_obs(obs: ObsSpec):
         else None
     )
     logger = (
-        RunLogger(level=obs.log_level) if obs.log_level is not None else None
+        RunLogger(level=obs.log_level, stream=log_stream)
+        if obs.log_level is not None
+        else None
     )
     return metrics, writer, logger
 
@@ -243,16 +249,18 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     This is the worker function :func:`execute` fans out; it is also the
     entire sequential path, so both modes share one code path per run.
     When ``spec.obs`` is enabled, the run is instrumented; a metered
-    run's snapshot lands in :attr:`RunOutcome.metrics`.
+    run's snapshot lands in :attr:`RunOutcome.metrics` and a logged
+    run's lines in :attr:`RunOutcome.log`.
     """
     from repro import _kernel
     from repro.gos.jvm import DistributedJVM
 
     obs = spec.obs if spec.obs is not None and spec.obs.enabled else None
+    log_stream = io.StringIO()
     if obs is None:
         metrics = writer = logger = None
     else:
-        metrics, writer, logger = _build_obs(obs)
+        metrics, writer, logger = _build_obs(obs, log_stream)
     if metrics is not None:
         # Backend provenance in the metrics snapshot: 1.0 when the
         # compiled kernel ran this spec, 0.0 for pure Python.
@@ -294,6 +302,7 @@ def run_spec(spec: RunSpec) -> RunOutcome:
         msg_bytes={cat.value: n for cat, n in stats.msg_bytes.items()},
         metrics=metrics.snapshot() if metrics is not None else None,
         backend=_kernel.backend_name(),
+        log=log_stream.getvalue(),
     )
 
 
@@ -319,6 +328,7 @@ def _execute_sequential(
     for spec in specs:
         outcome = run_spec(spec)
         outcomes.append(outcome)
+        sys.stderr.write(outcome.log)
         if progress is not None:
             progress(len(outcomes), total, outcome)
     return outcomes
@@ -347,8 +357,10 @@ def execute(
     both paths: a pool reports a finished run as soon as every earlier
     spec has finished too, so a hook that folds outcomes (the CLI's
     merged metrics, whose float sums depend on the fold order) folds
-    them in one order whatever ``jobs`` is.  Neither affects the
-    deterministic fields of the outcomes.
+    them in one order whatever ``jobs`` is.  Each run's log lines are
+    printed on stderr just before it is reported, so the log too is the
+    same whatever ``jobs`` is.  Neither affects the deterministic fields
+    of the outcomes.
     """
     spec_list = list(specs)
     if jobs is None:
@@ -369,6 +381,10 @@ def execute(
         pickle.dumps(spec_list)
     except Exception:
         return _execute_sequential(spec_list, progress)
+    # the pool's stdlib stack is loaded only by a run that uses it
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
@@ -381,6 +397,7 @@ def execute(
             for future in as_completed(futures):
                 results[futures[future]] = future.result()
                 while done < total and results[done] is not None:
+                    sys.stderr.write(results[done].log)
                     done += 1
                     if progress is not None:
                         progress(done, total, results[done - 1])

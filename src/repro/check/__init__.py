@@ -15,35 +15,17 @@ Entry points: ``python -m repro.bench check --episodes N --seed S`` on
 the command line, :func:`repro.check.runner.run_check` from code.
 """
 
-from repro.check.fuzz import (
-    ObjectSpec,
-    ProgramSpec,
-    SectionSpec,
-    episode_seeds,
-    generate_program,
-)
-from repro.check.invariants import InvariantChecker
-from repro.check.mutations import MUTATION_NAMES, apply_mutation
-from repro.check.runner import (
-    CheckReport,
-    EpisodeResult,
-    run_check,
-    run_episode,
-    run_self_test,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckReport",
-    "EpisodeResult",
-    "InvariantChecker",
-    "MUTATION_NAMES",
-    "ObjectSpec",
-    "ProgramSpec",
-    "SectionSpec",
-    "apply_mutation",
-    "episode_seeds",
-    "generate_program",
-    "run_check",
-    "run_episode",
-    "run_self_test",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fuzz": [
+        "ObjectSpec", "ProgramSpec", "SectionSpec", "episode_seeds",
+        "generate_program",
+    ],
+    ".invariants": ["InvariantChecker"],
+    ".mutations": ["MUTATION_NAMES", "apply_mutation"],
+    ".runner": [
+        "CheckReport", "EpisodeResult", "run_check", "run_episode",
+        "run_self_test",
+    ],
+})

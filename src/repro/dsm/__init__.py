@@ -19,25 +19,15 @@ implements:
   motivation (:mod:`repro.dsm.homeless`).
 """
 
-from repro.dsm.cache import AccessMode, CacheEntry
-from repro.dsm.home import HomeEntry
-from repro.dsm.homeless import HomelessEngine
-from repro.dsm.protocol import DsmEngine
-from repro.dsm.redirection import (
-    BroadcastMechanism,
-    ForwardingPointerMechanism,
-    HomeManagerMechanism,
-    NotificationMechanism,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessMode",
-    "BroadcastMechanism",
-    "CacheEntry",
-    "DsmEngine",
-    "ForwardingPointerMechanism",
-    "HomeEntry",
-    "HomelessEngine",
-    "HomeManagerMechanism",
-    "NotificationMechanism",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ["AccessMode", "CacheEntry"],
+    ".home": ["HomeEntry"],
+    ".homeless": ["HomelessEngine"],
+    ".protocol": ["DsmEngine"],
+    ".redirection": [
+        "BroadcastMechanism", "ForwardingPointerMechanism",
+        "HomeManagerMechanism", "NotificationMechanism",
+    ],
+})

@@ -15,16 +15,11 @@ cluster" (§1).  This package provides:
   whole simulated machine and execution of a DSM application.
 """
 
-from repro.gos.distribution import round_robin_homes
-from repro.gos.jvm import ClusterSpec, DistributedJVM, RunResult
-from repro.gos.space import GlobalObjectSpace
-from repro.gos.thread import ThreadContext
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSpec",
-    "DistributedJVM",
-    "GlobalObjectSpace",
-    "RunResult",
-    "ThreadContext",
-    "round_robin_homes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".distribution": ["round_robin_homes"],
+    ".jvm": ["ClusterSpec", "DistributedJVM", "RunResult"],
+    ".space": ["GlobalObjectSpace"],
+    ".thread": ["ThreadContext"],
+})

@@ -22,7 +22,6 @@ from repro.core.policies import MigrationPolicy, make_policy
 from repro.dsm.protocol import check_lock_discipline
 from repro.dsm.redirection import NotificationMechanism, make_mechanism
 from repro.dsm.sync import check_release_fanout
-from repro.gos import homeless
 from repro.gos.space import GlobalObjectSpace
 from repro.gos.thread import ThreadContext
 from repro.obs.sinks import LogSink, MetricsSink, observer
@@ -142,7 +141,9 @@ class ClusterSpec:
             )
         check_lock_discipline(self.lock_discipline)
         if self.protocol == "homeless" and self.lock_discipline != "fifo":
-            raise ValueError(homeless.RETRY_UNSUPPORTED)
+            from repro.gos.homeless import RETRY_UNSUPPORTED
+
+            raise ValueError(RETRY_UNSUPPORTED)
         check_release_fanout(self.release_fanout)
         comm, policy, mechanism = self.comm_model, self.policy, self.mechanism
         if not isinstance(comm, HockneyModel):
@@ -240,10 +241,11 @@ class DistributedJVM:
         threads = nthreads if nthreads is not None else app.default_threads(nodes)
         if threads < 1:
             raise ValueError(f"need at least one thread, got {threads}")
-        # resolved per run, so a patched HomelessObjectSpace takes effect
-        space_class = (
-            homeless.HomelessObjectSpace if homeless_run else GlobalObjectSpace
-        )
+        space_class = GlobalObjectSpace
+        if homeless_run:
+            # imported here, by the one protocol that runs it; resolved per
+            # run, so a patched HomelessObjectSpace takes effect
+            from repro.gos.homeless import HomelessObjectSpace as space_class
         gos = space_class(
             nnodes=nodes,
             comm_model=cluster.resolved_comm_model,

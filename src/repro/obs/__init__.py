@@ -33,36 +33,15 @@ measurable.  ``DistributedJVM(metrics=, logger=)`` attaches the sinks;
 a :class:`MetricsSink` can also be passed as the tracer directly.
 """
 
-from repro.obs.export import JsonlTraceWriter, TRACE_SCHEMA, iter_trace
-from repro.obs.hist import EpochSeries, LatencyHistogram
-from repro.obs.logging import LEVELS, RunLogger
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.sinks import LogSink, MetricsSink, TraceFanout, observer
-from repro.obs.spans import SPAN_KINDS, SpanTracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "EpochSeries",
-    "Gauge",
-    "Histogram",
-    "JsonlTraceWriter",
-    "LEVELS",
-    "LatencyHistogram",
-    "LogSink",
-    "MetricsRegistry",
-    "MetricsSink",
-    "RunLogger",
-    "SPAN_KINDS",
-    "SpanTracer",
-    "TRACE_SCHEMA",
-    "TraceFanout",
-    "iter_trace",
-    "observer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".export": ["JsonlTraceWriter", "TRACE_SCHEMA", "iter_trace"],
+    ".hist": ["EpochSeries", "LatencyHistogram"],
+    ".logging": ["LEVELS", "RunLogger"],
+    ".metrics": [
+        "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",
+    ],
+    ".sinks": ["LogSink", "MetricsSink", "TraceFanout", "observer"],
+    ".spans": ["SPAN_KINDS", "SpanTracer"],
+})

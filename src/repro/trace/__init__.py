@@ -15,7 +15,9 @@ timestamped in simulated time::
         print(t, threshold)
 """
 
-from repro.trace.events import TraceEvent
-from repro.trace.recorder import TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = ["TraceEvent", "TraceRecorder"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ["TraceEvent"],
+    ".recorder": ["TraceRecorder"],
+})

@@ -183,8 +183,9 @@ def test_cli_rejects_observability_flags_it_would_ignore(
     target, flag, value, capsys
 ):
     """Each target accepts an option exactly when its runner reads it;
-    any other is argparse's own exit-2 line naming it.  Parsed only:
-    nothing runs."""
+    any other is an exit 2 under the target's own usage, with an error
+    line naming the target and the option (not the top-level usage,
+    which names no target).  Parsed only: nothing runs."""
     from repro.bench.cli import TARGETS, build_parser
 
     assert set(TARGETS) == set(ACCEPTS)
@@ -195,9 +196,12 @@ def test_cli_rejects_observability_flags_it_would_ignore(
     with pytest.raises(SystemExit) as exited:
         build_parser().parse_args(argv)
     assert exited.value.code == 2
-    error = capsys.readouterr().err.strip().splitlines()[-1]
-    assert error.startswith("repro-bench: error: unrecognized arguments: ")
-    assert flag in error.split()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith(f"usage: repro-bench {target} [-h]")
+    assert err[-1].startswith(
+        f"repro-bench {target}: error: unrecognized arguments: "
+    )
+    assert flag in err[-1].split()
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -211,7 +215,8 @@ def test_cli_unread_options_exit_2_before_any_run(
     argv, named, tmp_path, monkeypatch, capsys
 ):
     """A whole command line with options its target never reads exits 2
-    with one error line naming them all, and writes nothing."""
+    with one error line naming the target and them all, and writes
+    nothing."""
     from repro.bench.cli import main
 
     monkeypatch.chdir(tmp_path)
@@ -219,5 +224,8 @@ def test_cli_unread_options_exit_2_before_any_run(
         main(argv.split())
     assert exited.value.code == 2
     error = capsys.readouterr().err.strip().splitlines()[-1]
-    assert error == f"repro-bench: error: unrecognized arguments: {named}"
+    target = argv.split()[0]
+    assert error == (
+        f"repro-bench {target}: error: unrecognized arguments: {named}"
+    )
     assert not any(tmp_path.iterdir())
